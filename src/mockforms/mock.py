@@ -17,13 +17,15 @@ explicit error.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .qkernel import (
     DEFAULT_POLICY,
-    DomainError,
+    TWO_PI_I,
     HalfInt,
     TruncationPolicy,
+    _check_point,
     e2pi,
     guard_pole,
     sum_bilateral,
@@ -88,9 +90,7 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
 
         D0 (N/D) = s N/D + N w/D^2.
     """
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
+    tau = _check_point(tau, z1, z2)
     guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_star = round(-s / (2.0 * m) - zsum.imag / (2.0 * tau.imag))
@@ -99,13 +99,13 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     der = [0.0 + 0.0j]
 
     def term(j: int) -> complex:
-        num = e2pi(m * j * zsum + s * z1 + tau * (j * j * m + j * s))
+        num = cmath.exp(TWO_PI_I * (m * j * zsum + s * z1 + tau * (j * j * m + j * s)))
         if sign < 0 and j % 2:
             num = -num
-        den = 1.0 - e2pi(z1 + j * tau)
+        w = cmath.exp(TWO_PI_I * (z1 + j * tau))
+        den = 1.0 - w
         t = num / den
         if want_d0:
-            w = e2pi(z1 + j * tau)
             der[0] += s * t + num * w / (den * den)
         return t
 

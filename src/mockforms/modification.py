@@ -24,13 +24,13 @@ from .qkernel import (
     DEFAULT_POLICY,
     SQRT_PI,
     TWO_PI,
-    DomainError,
     HalfInt,
     TruncationPolicy,
+    _check_point,
     e2pi,
     sum_bilateral,
 )
-from .theta import ThetaIndex, theta_jm, theta_pair_diff
+from .theta import ThetaIndex, theta_jm
 from .mock import MockIndex, PsiIndex, phi, phi_d0, phi1
 
 
@@ -55,9 +55,7 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
     # therefore assembled in log space, with the bracket computed through
     # erfc so the far tail keeps full relative precision (1 - erf would be
     # pure rounding noise exactly where the exponential amplifies it).
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
+    tau = _check_point(tau, v)
     v = complex(v)
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
@@ -114,9 +112,24 @@ def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
 
 
 def _correction_window(idx: MockIndex):
-    """Indices j = s, s+1, ..., s+2m-1 of the correcting sum (2m terms)."""
-    two_m = idx.m.twice
-    return [HalfInt(idx.s.twice + 2 * r) for r in range(two_m)]
+    """Indices j = s, s+1, ..., s+2m-1 of the correcting sum (2m terms),
+    each given as the integer 2j."""
+    return [idx.s.twice + 2 * r for r in range(idx.m.twice)]
+
+
+def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPolicy):
+    """(j, (Theta_{-j,m} - Theta_{j,m})(tau, z)) over the correcting window,
+    leaving out zero differences.
+
+    The window meets every residue of s + Z mod 2m once, and so does its
+    negative, so each Theta_{r,m} is summed once.  A residue with -r == r
+    cancels exactly and is not summed at all."""
+    mod = 2 * idx.m.twice                    # 2j mod 4m gives j mod 2m
+    window = [j2 for j2 in _correction_window(idx) if 2 * j2 % mod]
+    theta = {j2 % mod: theta_jm(ThetaIndex(HalfInt(j2 % mod), idx.m), tau, z, 0.0, policy)
+             for j2 in window}
+    diffs = ((j2 / 2, theta[-j2 % mod] - theta[j2 % mod]) for j2 in window)
+    return [(j, d) for j, d in diffs if d != 0]
 
 
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
@@ -124,16 +137,13 @@ def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex =
     """(1/2) e^{2 pi i m t} sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2)
     (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2)."""
     v = (z1 - z2) / 2.0
-    zs = z1 + z2
+    m = float(idx.m)
     total = 0.0 + 0.0j
-    for j in _correction_window(idx):
-        tj = theta_pair_diff(ThetaIndex.of(j, idx.m), tau, zs, policy)
-        if tj == 0:
-            continue
-        total += _r_sum(float(j), float(idx.m), tau, v, policy) * tj
+    for j, tj in _theta_diffs(idx, tau, z1 + z2, policy):
+        total += _r_sum(j, m, tau, v, policy) * tj
     total *= 0.5
     if t != 0:
-        total *= e2pi(float(idx.m) * t)
+        total *= e2pi(m * t)
     return total
 
 
@@ -142,14 +152,11 @@ def phi_add_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     """(value, D0 value) of Phi_add at t = 0.  Only the R-factor depends on
     z1 - z2, so D0 hits it alone with weight 1 in the v-slot."""
     v = (z1 - z2) / 2.0
-    zs = z1 + z2
+    m = float(idx.m)
     val = 0.0 + 0.0j
     der = 0.0 + 0.0j
-    for j in _correction_window(idx):
-        tj = theta_pair_diff(ThetaIndex.of(j, idx.m), tau, zs, policy)
-        if tj == 0:
-            continue
-        rv, rd = _r_sum(float(j), float(idx.m), tau, v, policy, want_dv=True)
+    for j, tj in _theta_diffs(idx, tau, z1 + z2, policy):
+        rv, rd = _r_sum(j, m, tau, v, policy, want_dv=True)
         val += rv * tj
         der += rd * tj
     return 0.5 * val, 0.5 * der
@@ -183,9 +190,9 @@ def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     v = (z1 - z2) / 2.0
     zs = z1 + z2
     total = 0.0 + 0.0j
-    for j in _correction_window(idx):
-        tj = theta_jm(ThetaIndex.of(j, idx.m), tau, zs, 0.0, policy)
-        total += _r_sum(float(j), float(idx.m), tau, v, policy) * tj
+    for j2 in _correction_window(idx):
+        tj = theta_jm(ThetaIndex(HalfInt(j2), idx.m), tau, zs, 0.0, policy)
+        total += _r_sum(j2 / 2, float(idx.m), tau, v, policy) * tj
     return -0.5 * total
 
 

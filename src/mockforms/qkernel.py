@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 TWO_PI = 2.0 * math.pi
+TWO_PI_I = 2j * math.pi
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -128,8 +129,7 @@ class EvalPoint:
     t: complex = 0.0
 
     def __post_init__(self):
-        if not self.tau.imag > 0:
-            raise DomainError(f"Im tau must be positive, got {self.tau}")
+        _check_point(self.tau, *self.zs)
         if not 1 <= len(self.zs) <= 3:
             raise ValueError("EvalPoint carries between 1 and 3 elliptic variables")
         object.__setattr__(self, "zs", tuple(complex(z) for z in self.zs))
@@ -141,7 +141,22 @@ class EvalPoint:
 
 def e2pi(x: complex) -> complex:
     """exp(2*pi*i*x)."""
-    return cmath.exp(2j * math.pi * x)
+    return cmath.exp(TWO_PI_I * x)
+
+
+def _check_point(tau, *zs) -> complex:
+    """complex(tau), after checking that tau and every z are finite and
+    Im tau > 0; raises DomainError otherwise.  A NaN or inf would make
+    every term of a series NaN and run the sum to its n_max cap."""
+    tau = complex(tau)
+    if not tau.imag > 0:
+        raise DomainError(f"Im tau must be positive, got {tau}")
+    if not cmath.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau}")
+    for z in zs:
+        if not cmath.isfinite(z):
+            raise DomainError(f"elliptic variable must be finite, got {z}")
+    return tau
 
 
 def gauss_error(x: float) -> float:
@@ -161,18 +176,13 @@ def gauss_error_deriv(x: float) -> float:
 
 def nome(tau: complex) -> complex:
     """q = exp(2*pi*i*tau); requires Im tau > 0 so that |q| < 1."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
-    return e2pi(tau)
+    return e2pi(_check_point(tau))
 
 
 def lattice_distance(z: complex, tau: complex, sublattice: str = "full") -> float:
     """Euclidean distance from z to Z + tau*Z ("full") or (1/2)(Z + tau*Z)
-    ("half")."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
+    ("half"), taken over the 7x7 lattice points around z."""
+    tau = _check_point(tau, z)
     if sublattice == "half":
         return 0.5 * lattice_distance(2 * complex(z), tau, "full")
     if sublattice != "full":
@@ -182,12 +192,16 @@ def lattice_distance(z: complex, tau: complex, sublattice: str = "full") -> floa
     y = z.imag / tau.imag
     x = z.real - y * tau.real
     a0, b0 = round(x), round(y)
+    lo, hi = a0 - 3, a0 + 3
     best = math.inf
-    for a in range(a0 - 3, a0 + 4):
-        for b in range(b0 - 3, b0 + 4):
-            d = abs(z - (a + b * tau))
-            if d < best:
-                best = d
+    for b in range(b0 - 3, b0 + 4):
+        bt = b * tau
+        # |z - (a + b tau)| is convex in a, so its least rounded value in the
+        # row a0-3..a0+3 lies at one of the two integers around
+        # (z - b tau).real, clamped into the row.  Rounding to the nearest
+        # integer alone can pick the wrong one of a near tie by an ulp.
+        a = min(max(math.floor((z - bt).real), lo), hi - 1)
+        best = min(best, abs(z - (a + bt)), abs(z - (a + 1 + bt)))
     return best
 
 

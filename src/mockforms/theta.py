@@ -7,21 +7,22 @@ Degree-m rank-1 theta functions
 the four Jacobi theta functions theta_ab as their degree-2 combinations,
 and the Dedekind eta function.  The index j matters only mod 2m; both j
 and the degree m may be half-integers (the family modules use shifted
-indices), represented exactly through HalfInt/Fraction arithmetic.
+indices), represented exactly through HalfInt arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qkernel import (
     DEFAULT_POLICY,
-    DomainError,
+    TWO_PI_I,
     HalfInt,
     TruncationOverflowError,
     TruncationPolicy,
+    _check_point,
     e2pi,
     sum_bilateral,
 )
@@ -42,27 +43,21 @@ class ThetaIndex:
             raise ValueError("degree m must be positive")
         return ThetaIndex(j, m)
 
-    def base(self) -> Fraction:
-        """Canonical fractional offset j/2m reduced into [0, 1)."""
-        b = Fraction(self.j.twice, 2 * self.m.twice)
-        return b - math.floor(b)
-
 
 def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Theta_{j,m}(tau, z, t), absolute error <= policy.tol."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
-    m = float(idx.m.value)
-    base = float(idx.base())
+    tau = _check_point(tau, z, t)
+    m = idx.m.twice / 2
+    # the offset j/2m reduced into [0, 1), correctly rounded
+    base = (idx.j.twice % (2 * idx.m.twice)) / (2 * idx.m.twice)
     # |q^{m n^2} e^{2 pi i m n z}| peaks near n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
     k0 = round(n_star - base)
 
     def term(k: int) -> complex:
         n = base + k
-        return e2pi(m * n * (n * tau + z))
+        return cmath.exp(TWO_PI_I * (m * n * (n * tau + z)))
 
     s = sum_bilateral(term, k0, policy)
     if t != 0:
@@ -70,22 +65,13 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     return s
 
 
-def theta_pair_diff(idx: ThetaIndex, tau: complex, z: complex,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """(Theta_{-j,m} - Theta_{j,m})(tau, z) with exact cancellation when
-    -j == j mod 2m (both series then enumerate identical terms)."""
-    neg = ThetaIndex.of(-idx.j, idx.m)
-    if neg.base() == idx.base():
-        return 0.0 + 0.0j
-    return theta_jm(neg, tau, z, 0.0, policy) - theta_jm(idx, tau, z, 0.0, policy)
-
-
 # the four degree-2 combinations: coefficients of Theta_{j,2}
+_T0, _T1, _T2, _TM1 = (ThetaIndex.of(j, 2) for j in (0, 1, 2, -1))
 _JACOBI = {
-    (0, 0): ((2, 1.0), (0, 1.0)),
-    (0, 1): ((2, -1.0), (0, 1.0)),
-    (1, 0): ((1, 1.0), (-1, 1.0)),
-    (1, 1): ((1, 1j), (-1, -1j)),
+    (0, 0): ((_T2, 1.0), (_T0, 1.0)),
+    (0, 1): ((_T2, -1.0), (_T0, 1.0)),
+    (1, 0): ((_T1, 1.0), (_TM1, 1.0)),
+    (1, 1): ((_T1, 1j), (_TM1, -1j)),
 }
 
 
@@ -95,16 +81,14 @@ def jacobi_theta(a: int, b: int, tau: complex, z: complex = 0.0,
     if (a, b) not in _JACOBI:
         raise ValueError("Jacobi theta labels a, b must be 0 or 1")
     total = 0.0 + 0.0j
-    for j, c in _JACOBI[(a, b)]:
-        total += c * theta_jm(ThetaIndex.of(j, 2), tau, z, 0.0, policy)
+    for idx, c in _JACOBI[(a, b)]:
+        total += c * theta_jm(idx, tau, z, 0.0, policy)
     return total
 
 
 def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), tail bound <= policy.tol."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
+    tau = _check_point(tau)
     q = e2pi(tau)
     aq = abs(q)
     prod = 1.0 + 0.0j
@@ -135,10 +119,4 @@ def jacobi_theta11_product(tau: complex, z: complex, n_terms: int = 200) -> comp
     for _ in range(n_terms):
         qn *= q
         prod *= (1.0 - qn) * (1.0 - qn * zeta) * (1.0 - qn / zeta)
-    return -2.0 * e2pi(tau / 8.0) * cmath_sin_pi(z) * prod
-
-
-def cmath_sin_pi(z: complex) -> complex:
-    import cmath
-
-    return cmath.sin(math.pi * z)
+    return -2.0 * e2pi(tau / 8.0) * cmath.sin(math.pi * z) * prod

@@ -4,20 +4,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from mockforms.qkernel import SQRT_PI, TruncationPolicy, e2pi, gauss_error
+from mockforms.qkernel import SQRT_PI, HalfInt, TruncationPolicy, e2pi, gauss_error
 from mockforms.mock import MockIndex, PsiIndex, phi
 from mockforms.modification import (
     CorrectionIndex,
     phi1_add,
     phi1_tilde,
     phi_add,
+    phi_add_d0,
     phi_tilde,
     phi_tilde_reduced,
     psi_tilde,
     psi_tilde_reduced,
     r_correction,
+    r_correction_dv,
     s_independence_report,
 )
+from mockforms.theta import ThetaIndex, theta_jm
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 0.9j + 0.15, 0.22 + 0.05j, 0.31 - 0.08j
@@ -76,6 +79,47 @@ def test_phi_add_refinement_oracle():
     coarse = phi_add(idx, 1.5j, 0.2, 0.1, 0.0, P)
     fine = phi_add(idx, 1.5j, 0.2, 0.1, 0.0, TruncationPolicy(tol=1e-15, n_max=8000))
     assert abs(coarse - fine) < 1e-12
+
+
+def pair_diff_reference(j, m, tau, z):
+    """(Theta_{-j,m} - Theta_{j,m})(tau, z), exactly 0 when -j == j mod 2m."""
+    if F(-j.twice, 2 * m.twice) % 1 == F(j.twice, 2 * m.twice) % 1:
+        return 0.0 + 0.0j
+    return (theta_jm(ThetaIndex.of(-j, m), tau, z, 0.0, P)
+            - theta_jm(ThetaIndex.of(j, m), tau, z, 0.0, P))
+
+
+def phi_add_reference(idx, tau, z1, z2, t):
+    """Phi_add and its D0 value the plain way: one theta difference per
+    window index j = s, ..., s+2m-1, in window order."""
+    v = (z1 - z2) / 2.0
+    val = der = tot = 0.0 + 0.0j
+    for r in range(idx.m.twice):
+        j = HalfInt(idx.s.twice + 2 * r)
+        tj = pair_diff_reference(j, idx.m, tau, z1 + z2)
+        if tj == 0:
+            continue
+        cidx = CorrectionIndex.of(j, idx.m)
+        tot += r_correction(cidx, tau, v, P) * tj
+        rv, rd = r_correction_dv(cidx, tau, v, P)
+        val += rv * tj
+        der += rd * tj
+    tot *= 0.5
+    if t != 0:
+        tot *= e2pi(float(idx.m) * t)
+    return tot, (0.5 * val, 0.5 * der)
+
+
+@pytest.mark.parametrize("m", [F(1, 2), 1, F(3, 2), 2, 3])
+@pytest.mark.parametrize("s", [0, F(1, 2), 1, F(-3, 2)])
+def test_phi_add_window_matches_pairwise_reference(m, s):
+    # each Theta_{r,m} is summed once for the whole window; values must not
+    # move by a bit against one pairwise difference per index
+    idx = MockIndex.of(m, s)
+    for tau, z1, z2, t in ((TAU, Z1, Z2, 0.0), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.2)):
+        ref, ref_d0 = phi_add_reference(idx, tau, z1, z2, t)
+        assert phi_add(idx, tau, z1, z2, t, P) == ref
+        assert phi_add_d0(idx, tau, z1, z2, P) == ref_d0
 
 
 def test_phi_add_window_shift_vs_tilde():

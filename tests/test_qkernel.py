@@ -1,16 +1,25 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mockforms.qkernel import (
     DomainError,
+    EvalPoint,
     HalfInt,
     TruncationPolicy,
     gauss_error,
     lattice_distance,
     nome,
 )
+from mockforms.mock import MockIndex, phi1
+from mockforms.modification import CorrectionIndex, r_correction
+from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
+
+NAN, INF = float("nan"), float("inf")
+BAD_TAU = (-1j, 0j, complex(NAN, 1.0), complex(-INF, 1.0), complex(0.0, INF),
+           complex(0.0, NAN))
+BAD_Z = (complex(NAN, 0.1), complex(0.2, INF), NAN)
 
 
 def test_gauss_error_origin_and_oddness():
@@ -56,8 +65,33 @@ def test_nome():
     assert abs(nome(1j) - math.exp(-2 * math.pi)) < 1e-16
     assert abs(abs(nome(1j + 1)) - abs(nome(1j))) < 1e-16
     assert abs(nome(0.5 + 2j)) < 1.0
-    with pytest.raises(DomainError):
-        nome(-1j)
+    for tau in BAD_TAU:
+        for fn in (nome, dedekind_eta):
+            with pytest.raises(DomainError):
+                fn(tau)
+
+
+# Every kernel that checks its point, given a bad tau or a bad z.  A NaN
+# must fail at once instead of summing n_max terms of NaN.
+POINT_KERNELS = {
+    "theta_jm": lambda tau, z: theta_jm(ThetaIndex.of(1, 2), tau, z),
+    "phi1_z1": lambda tau, z: phi1(MockIndex.of(1, 0), tau, z, 0.1),
+    "phi1_z2": lambda tau, z: phi1(MockIndex.of(1, 0), tau, 0.1, z),
+    "r_correction": lambda tau, z: r_correction(CorrectionIndex.of(0, 1), tau, z),
+    "lattice_distance": lambda tau, z: lattice_distance(z, tau),
+    "EvalPoint": lambda tau, z: EvalPoint(tau, (z,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_KERNELS))
+def test_kernels_reject_bad_points(name):
+    kernel = POINT_KERNELS[name]
+    for tau in BAD_TAU:
+        with pytest.raises(DomainError):
+            kernel(tau, 0.3)
+    for z in BAD_Z:
+        with pytest.raises(DomainError):
+            kernel(0.1 + 1j, z)
 
 
 def test_lattice_distance_basics():
@@ -65,11 +99,25 @@ def test_lattice_distance_basics():
     assert abs(lattice_distance(0.5, 2j) - 0.5) < 1e-15
 
 
-def test_lattice_distance_brute_force():
-    tau = 1j
-    z = 0.3 + 0.4j
-    brute = min(abs(z - (a + b * tau)) for a in range(-3, 4) for b in range(-3, 4))
-    assert abs(lattice_distance(z, tau) - brute) < 1e-15
+def brute_lattice_distance(z, tau):
+    """Scan of all 49 points a + b tau with a, b within 3 of the rounded
+    (1, tau)-coordinates of z."""
+    y = z.imag / tau.imag
+    a0, b0 = round(z.real - y * tau.real), round(y)
+    return min(abs(z - (a + b * tau))
+               for a in range(a0 - 3, a0 + 4) for b in range(b0 - 3, b0 + 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.complex_numbers(max_magnitude=8.0),
+       st.builds(complex, st.floats(min_value=-1.0, max_value=1.0),
+                 st.floats(min_value=0.05, max_value=3.0)))
+@example(0.3 + 0.4j, 1j)
+# a near tie between two columns of one lattice row, where the nearest
+# integer to the row coordinate is not the column of least rounded distance
+@example(2.1078654681392455 + 3.1155141280833707j, 0.9439807811627494 + 0.45805281094743944j)
+def test_lattice_distance_brute_force(z, tau):
+    assert lattice_distance(z, tau) == brute_lattice_distance(z, tau)
 
 
 @settings(max_examples=60, deadline=None)

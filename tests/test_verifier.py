@@ -1,7 +1,9 @@
 import json
+import pathlib
 
 import pytest
 
+from mockforms.cli import _emit
 from mockforms.qkernel import TruncationPolicy, UnknownIdentityError
 import mockforms.verifier as V
 
@@ -58,16 +60,30 @@ def test_param_filter():
         V.verify("eq1.15", param_filter={"m": 99})
 
 
-def test_suite_all_runs_each_once():
-    reports = V.suite("all")
-    ids = [r.id for r in reports]
+@pytest.fixture(scope="module")
+def suite_all():
+    # suite("all") is the slowest call in this module; run it once and share it
+    return V.suite("all")
+
+
+def test_suite_all_runs_each_once(suite_all):
+    ids = [r.id for r in suite_all]
     assert ids == V.registry_ids()
     assert len(set(ids)) == len(ids)
 
 
-def test_known_failures_are_only_the_recorded_defects():
-    bad = [r.id for r in V.suite("all") if not r.passed]
+def test_known_failures_are_only_the_recorded_defects(suite_all):
+    bad = [r.id for r in suite_all if not r.passed]
     assert bad == ["eq1.13", "eq1.15", "eq1.16"]
+
+
+def test_suite_all_matches_golden(suite_all, capsys):
+    # every report is byte-identical to `mockforms verify --tag all --seed 1`
+    capsys.readouterr()
+    for r in suite_all:
+        _emit(r.to_dict())
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_all_seed1.jsonl"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_grid_25_points():
