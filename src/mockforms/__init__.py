@@ -17,7 +17,7 @@ from .qkernel import (
     nome,
 )
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
-from .mock import MockIndex, PsiIndex, phi, phi1, phi_signed, psi
+from .mock import MockIndex, PsiIndex, phi, phi1, psi
 from .modification import (
     CorrectionIndex,
     phi1_tilde,

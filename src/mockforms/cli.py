@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .qkernel import DEFAULT_POLICY, TruncationPolicy
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
-from .mock import MockIndex, PsiIndex, phi, phi1, phi_signed, psi
+from .mock import MockIndex, PsiIndex, phi, phi1, psi
 from .modification import phi_tilde, psi_tilde
 from . import formal
 from . import verifier
@@ -80,8 +80,8 @@ def cmd_eval(args) -> int:
         v = phi(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
                 tau, args.z1, args.z2, args.t, policy)
     elif fn == "phi_signed":
-        v = phi_signed(args.sign, MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
-                       tau, args.z1, args.z2, args.t, policy)
+        v = phi(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
+                tau, args.z1, args.z2, args.t, policy, args.sign)
     elif fn == "phi_tilde":
         v = phi_tilde(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
                       tau, args.z1, args.z2, args.t, policy)

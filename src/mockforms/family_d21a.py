@@ -34,10 +34,9 @@ from .qkernel import (
     e2pi,
 )
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
-from .mock import MockIndex, PsiIndex, psi
+from .mock import MockIndex, PsiIndex
 from .modification import phi_tilde_reduced as phi_tilde, psi_tilde_reduced as psi_tilde
-
-SECTORS = ("plus", "minus", "plus_tw", "minus_tw")
+from .family_n4 import _QHR_EPS, _eps_theta
 
 
 @dataclass(frozen=True)
@@ -224,11 +223,19 @@ def zz_value(params: D21Params, z1, z2, z3):
 
 # --- P and Q numerator functions ------------------------------------------
 
-def _theta_arg(params: D21Params, which: str, pos: bool, z1, z2, z3):
+def _theta_products(which: str, j: int, params: D21Params, tau, z1, z2, z3, t,
+                    f1, f2, policy: TruncationPolicy):
+    """(pref Theta_{j,n(p+q)}(u+) f1, pref Theta_{-j,n(p+q)}(u-) f2) with
+    pref = e^{2 pi i K t} and u+- the P (resp. Q) theta arguments."""
     a = params.a
     if which == "P":
-        return (z1 - (a + 1) * z2 - a * z3) if pos else (z1 + (a - 1) * z2 + a * z3)
-    return (z1 + (a + 1) * z2 + a * z3) if pos else (z1 - (a + 1) * z2 - (a + 2) * z3)
+        u_pos, u_neg = z1 - (a + 1) * z2 - a * z3, z1 + (a - 1) * z2 + a * z3
+    else:
+        u_pos, u_neg = z1 + (a + 1) * z2 + a * z3, z1 - (a + 1) * z2 - (a + 2) * z3
+    big = params.n * (params.p + params.q)
+    pref = e2pi(params.K * t)
+    return (pref * theta_jm(ThetaIndex.of(j, big), tau, u_pos, 0.0, policy) * f1,
+            pref * theta_jm(ThetaIndex.of(-j, big), tau, u_neg, 0.0, policy) * f2)
 
 
 def PQ_terms(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
@@ -247,21 +254,11 @@ def PQ_terms(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
         pt = twist_point(params, tau, z1, z2, z3, t)
         base = "minus" if variant == "minus_tw" else "plus"
         return PQ_terms(which, j, params, tau, *pt, base, policy)
-    p, q, n = params.p, params.q, params.n
-    deg = n * p if which == "P" else n * q
-    big = n * (p + q)
+    deg = params.n * (params.p if which == "P" else params.q)
     idx = MockIndex.of(deg, 0)
-    u_pos = _theta_arg(params, which, True, z1, z2, z3)
-    u_neg = _theta_arg(params, which, False, z1, z2, z3)
-    if which == "P":
-        f1 = phi_tilde(idx, tau, z1, -z3, 0.0, policy)
-        f2 = phi_tilde(idx, tau, -z1 + z2 + z3, -z2, 0.0, policy)
-    else:
-        f1 = phi_tilde(idx, tau, z1, -z2, 0.0, policy)
-        f2 = phi_tilde(idx, tau, -z1 + z2 + z3, -z3, 0.0, policy)
-    pref = e2pi(params.K * t)
-    return (pref * theta_jm(ThetaIndex.of(j, big), tau, u_pos, 0.0, policy) * f1,
-            pref * theta_jm(ThetaIndex.of(-j, big), tau, u_neg, 0.0, policy) * f2)
+    f1 = phi_tilde(idx, tau, z1, -z3 if which == "P" else -z2, 0.0, policy)
+    f2 = phi_tilde(idx, tau, -z1 + z2 + z3, -z2 if which == "P" else -z3, 0.0, policy)
+    return _theta_products(which, j, params, tau, z1, z2, z3, t, f1, f2, policy)
 
 
 def PQ_function(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
@@ -307,7 +304,7 @@ def rhat(tau, z1, z2, z3, t=0.0, eps=0, eps_prime=0,
          policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (super)denominators in the four sectors."""
     eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    a, b = 1 - eps_prime.twice, 1 - eps.twice
+    a, b = _eps_theta(eps, eps_prime)
     sgn = -1.0 if (eps.twice and eps_prime.twice) else 1.0
     num = (dedekind_eta(tau, policy) ** 4
            * jacobi_theta(1, 1, tau, z1 - z2, policy)
@@ -327,16 +324,11 @@ def b4_denominator(tau, y2, y3, eps, eps_prime,
     pinned by the collapsing-level identities at q = n = 1 (the reduced
     characters must equal the positive-coefficient degree-(p+1) theta
     quotients)."""
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    a, b = 1 - eps_prime.twice, 1 - eps.twice
+    a, b = _eps_theta(HalfInt.of(eps), HalfInt.of(eps_prime))
     return -(dedekind_eta(tau, policy) ** 3
              * jacobi_theta(1, 1, tau, y2, policy) * jacobi_theta(1, 1, tau, y3, policy)
              / (jacobi_theta(a, b, tau, (y2 + y3) / 2, policy)
                 * jacobi_theta(a, b, tau, (y2 - y3) / 2, policy)))
-
-
-_QHR_EPS = {"plus": (Fraction(1, 2), Fraction(1, 2)), "minus": (0, Fraction(1, 2)),
-            "plus_tw": (Fraction(1, 2), 0), "minus_tw": (0, 0)}
 
 
 def hr_point(tau, y2, y3):
@@ -366,24 +358,14 @@ def FG_function(which: str, j: int, params: D21Params, eps, eps_prime, tau, y2, 
 def fg_terms(which: str, j: int, params: D21Params, eps, eps_prime, tau,
              z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
     """The two products whose difference is the five-coordinate f_j / g_j."""
-    p, q, n = params.p, params.q, params.n
-    big = n * (p + q)
-    deg = n * p if which == "f" else n * q
+    deg = params.n * (params.p if which == "f" else params.q)
     eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
     pidx = PsiIndex.of(1, deg, 0, eps, eps_prime, -eps_prime)
-    u_pos = _theta_arg(params, "P" if which == "f" else "Q", True, z1, z2, z3)
-    u_neg = _theta_arg(params, "P" if which == "f" else "Q", False, z1, z2, z3)
-    if which == "f":
-        a1, b1 = z1, -z3
-        a2, b2 = z1 - z2 - z3, z2
-    else:
-        a1, b1 = z1, -z2
-        a2, b2 = z1 - z2 - z3, z3
-    pref = e2pi(params.K * t)
-    return (pref * theta_jm(ThetaIndex.of(j, big), tau, u_pos, 0.0, policy)
-            * psi_tilde(pidx, tau, a1, b1, 0.0, policy),
-            -pref * theta_jm(ThetaIndex.of(-j, big), tau, u_neg, 0.0, policy)
-            * psi_tilde(pidx, tau, a2, b2, 0.0, policy))
+    f1 = psi_tilde(pidx, tau, z1, -z3 if which == "f" else -z2, 0.0, policy)
+    f2 = psi_tilde(pidx, tau, z1 - z2 - z3, z2 if which == "f" else z3, 0.0, policy)
+    t1, t2 = _theta_products("P" if which == "f" else "Q", j, params, tau, z1, z2, z3, t,
+                             f1, f2, policy)
+    return t1, -t2
 
 
 def fg_lower(which: str, j: int, params: D21Params, eps, eps_prime, tau,

@@ -294,12 +294,6 @@ def twisted_character_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool 
     return character_numerator(w, tau, w1, w2, wt, modified, policy)
 
 
-def twisted_supercharacter_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
-                                     policy: TruncationPolicy = DEFAULT_POLICY):
-    w1, w2, wt = twisted_point(tau, z1, z2, t)
-    return supercharacter_numerator(w, tau, w1, w2, wt, modified, policy)
-
-
 # --- characteristic numbers ---------------------------------------------
 
 def qhr_characteristics(w: N3Weight) -> dict:

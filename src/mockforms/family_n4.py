@@ -27,7 +27,7 @@ from .qkernel import (
     e2pi,
 )
 from .theta import dedekind_eta, jacobi_theta
-from .mock import MockIndex, PsiIndex, phi
+from .mock import MockIndex, PsiIndex
 from .modification import phi_tilde, phi_tilde_d0, psi_tilde, psi_tilde_d0
 
 SECTORS = ("plus", "minus", "plus_tw", "minus_tw")
@@ -50,8 +50,8 @@ class N4Weight:
             raise ValueError("m2 out of range")
         if self.J not in _J_VALUES:
             raise ValueError(f"unknown admissible type {self.J}")
-        if self.J == "none" and self.M != 1:
-            raise ValueError("integrable weights have M = 1")
+        if self.J == "none" and (self.M, self.k1, self.k2) != (1, 0, 0):
+            raise ValueError("integrable weights have M = 1 and k1 = k2 = 0")
         if self.J in ("I", "III"):
             lo = 0 if self.J == "I" else 1
             if not (self.k1 >= 0 and self.k2 >= lo and 2 * self.k1 + self.k2 <= self.M - 1):
@@ -122,46 +122,27 @@ def w0_prime_point(tau, z1, z2, t):
 
 def g_numerator(m: int, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
     """(D0 + m (z1-z2)/(2 tau)) applied to the degree -m modification at
-    reflected t, evaluated with the termwise analytic derivative."""
-    if m >= 0:
-        raise ValueError("m must be a negative integer")
-    idx = MockIndex.of(-m, 0)
-    v, d = phi_tilde_d0(idx, tau, z1, z2, policy)
-    return e2pi(m * t) * (d + (m * (z1 - z2) / (2 * tau)) * v)
+    reflected t, evaluated with the termwise analytic derivative: the
+    derivative wrapper P at scale one with no shifts."""
+    return psi_P(1, m, 0, 0, 0, tau, z1, z2, t, policy)
 
 
-def integrable_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
-                              policy: TruncationPolicy = DEFAULT_POLICY):
-    """R-hat^- ch~^- for the integrable weight: g - (m(z1-z2)/2tau + m2) Phi~."""
-    m = w.m
-    idx = MockIndex.of(-m, 0)
-    v, d = phi_tilde_d0(idx, tau, z1, z2, policy)
-    g = d + (m * (z1 - z2) / (2 * tau)) * v
-    return e2pi(m * t) * (g - (m * (z1 - z2) / (2 * tau) + w.m2) * v)
+# Each admissible type is type I in its own coordinates; the integrable
+# weights are type I at M = 1, k1 = k2 = 0.
+_J_COORDS = {"none": lambda z1, z2: (z1, z2), "I": lambda z1, z2: (z1, z2),
+             "II": lambda z1, z2: (-z1, -z2), "III": lambda z1, z2: (-z2, -z1),
+             "IV": lambda z1, z2: (z2, z1)}
 
 
 def admissible_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
                               policy: TruncationPolicy = DEFAULT_POLICY):
-    """R-hat^- ch~^- for principal admissible weights of types I-IV."""
+    """R-hat^- ch~^- for the integrable weights and the principal admissible
+    weights of types I-IV: the type I formula in the type's coordinates."""
     m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
-    if w.J == "none":
-        return integrable_supernumerator(w, tau, z1, z2, t, policy)
-    if w.J == "I":
-        a1, a2 = z1 + k1 * tau, z2 - (k1 + k2) * tau
-        lin = (k1 + k2) * z1 - k1 * z2
-        dz = z1 - z2 + (2 * k1 + k2) * tau
-    elif w.J == "II":
-        a1, a2 = -z1 + k1 * tau, -z2 - (k1 + k2) * tau
-        lin = -(k1 + k2) * z1 + k1 * z2
-        dz = z2 - z1 + (2 * k1 + k2) * tau
-    elif w.J == "III":
-        a1, a2 = -z2 + k1 * tau, -z1 - (k1 + k2) * tau
-        lin = k1 * z1 - (k1 + k2) * z2
-        dz = z1 - z2 + (2 * k1 + k2) * tau
-    else:  # IV
-        a1, a2 = z2 + k1 * tau, z1 - (k1 + k2) * tau
-        lin = -k1 * z1 + (k1 + k2) * z2
-        dz = z2 - z1 + (2 * k1 + k2) * tau
+    x1, x2 = _J_COORDS[w.J](z1, z2)
+    a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
+    lin = (k1 + k2) * x1 - k1 * x2
+    dz = x1 - x2 + (2 * k1 + k2) * tau
     idx = MockIndex.of(-m, 0)
     v, d = phi_tilde_d0(idx, M * tau, a1, a2, policy)
     g = d + (m * (a1 - a2) / (2 * M * tau)) * v

@@ -5,9 +5,9 @@ The rank-1 Appell-type sum
     Phi_1^{[m;s]}(tau, z1, z2) =
         sum_{j in Z} e^{2 pi i (m j (z1+z2) + s z1)} q^{j^2 m + j s} / (1 - e^{2 pi i z1} q^j),
 
-its antisymmetrized two-variable assembly Phi^{[m;s]}, the signed variants
-Phi^{+-[m;s]} with (+-1)^j weights, and the theta-decorated, lattice-shifted
-wrapper Psi.  Degrees m and indices s are half-integers.
+its antisymmetrized two-variable assembly Phi^{[m;s]} (with a sign argument
+for the variants Phi^{+-[m;s]} with (+-1)^j weights), and the theta-decorated,
+lattice-shifted wrapper Psi.  Degrees m and indices s are half-integers.
 
 Evaluation refuses points within pole_guard of the z1 / z2 pole lattices
 instead of attempting any regularization; identity grids are chosen off
@@ -122,20 +122,10 @@ def phi1(idx: MockIndex, tau: complex, z1: complex, z2: complex,
 
 
 def phi(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
-        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Phi^{[m;s]} = e^{2 pi i m t} (Phi_1(tau,z1,z2) - Phi_1(tau,-z2,-z1))."""
-    m, s = float(idx.m), float(idx.s)
-    a = _phi1_core(m, s, tau, z1, z2, policy)
-    b = _phi1_core(m, s, tau, -z2, -z1, policy)
-    out = a - b
-    if t != 0:
-        out *= e2pi(m * t)
-    return out
-
-
-def phi_signed(sign: int, idx: MockIndex, tau: complex, z1: complex, z2: complex,
-               t: complex = 0.0, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Signed variant with (+-1)^j weights; sign=+1 coincides with phi."""
+        policy: TruncationPolicy = DEFAULT_POLICY, sign: int = 1) -> complex:
+    """Phi^{[m;s]} = e^{2 pi i m t} (Phi_1(tau,z1,z2) - Phi_1(tau,-z2,-z1));
+    sign = -1 gives the signed variant Phi^{-[m;s]}, whose Appell sums carry
+    (-1)^j weights."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     m, s = float(idx.m), float(idx.s)
@@ -159,14 +149,20 @@ def phi_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     return va - vb, da - db
 
 
-def psi(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
-        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Psi^{[M,m,s;eps]}_{a,b;eps'} = q^{m a b / M} e^{(2 pi i m/M)(b z1 + a z2)}
-    Phi^{[m;s]}(M tau, z1 + a tau + eps, z2 + b tau + eps, t/M)."""
+def _psi_frame(idx: PsiIndex, tau: complex, z1: complex, z2: complex):
+    """(prefactor, MockIndex, M tau, z1 + a tau + eps, z2 + b tau + eps): the
+    frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function."""
     m = float(idx.m)
     a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
     M = idx.M
     pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    inner = phi(MockIndex(idx.m, idx.s), M * tau,
-                z1 + a * tau + eps, z2 + b * tau + eps, t / M, policy)
-    return pref * inner
+    return (pref, MockIndex(idx.m, idx.s), M * tau,
+            z1 + a * tau + eps, z2 + b * tau + eps)
+
+
+def psi(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
+        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Psi^{[M,m,s;eps]}_{a,b;eps'} = q^{m a b / M} e^{(2 pi i m/M)(b z1 + a z2)}
+    Phi^{[m;s]}(M tau, z1 + a tau + eps, z2 + b tau + eps, t/M)."""
+    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    return pref * phi(*frame, t / idx.M, policy)

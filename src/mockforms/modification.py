@@ -31,7 +31,7 @@ from .qkernel import (
     sum_bilateral,
 )
 from .theta import ThetaIndex, theta_jm
-from .mock import MockIndex, PsiIndex, phi, phi_d0, phi1
+from .mock import MockIndex, PsiIndex, _psi_frame, phi, phi_d0, phi1
 
 
 @dataclass(frozen=True)
@@ -227,25 +227,15 @@ def psi_tilde_reduced(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
                       t: complex = 0.0,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Psi-tilde through the argument-reduced modification."""
-    m = float(idx.m)
-    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
-    M = idx.M
-    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    inner = phi_tilde_reduced(MockIndex(idx.m, idx.s), M * tau,
-                              z1 + a * tau + eps, z2 + b * tau + eps, t / M, policy)
-    return pref * inner
+    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    return pref * phi_tilde_reduced(*frame, t / idx.M, policy)
 
 
 def psi_tilde(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Psi with Phi replaced by its modification."""
-    m = float(idx.m)
-    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
-    M = idx.M
-    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    inner = phi_tilde(MockIndex(idx.m, idx.s), M * tau,
-                      z1 + a * tau + eps, z2 + b * tau + eps, t / M, policy)
-    return pref * inner
+    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    return pref * phi_tilde(*frame, t / idx.M, policy)
 
 
 def psi_tilde_d0(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
@@ -255,25 +245,10 @@ def psi_tilde_d0(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
     With C the exponential prefactor of the wrapper, D0 C = (m (b-a)/M) C,
     and D0 passes through the argument shifts unchanged.
     """
-    m = float(idx.m)
-    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
-    M = idx.M
-    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    v, d = phi_tilde_d0(MockIndex(idx.m, idx.s), M * tau,
-                        z1 + a * tau + eps, z2 + b * tau + eps, policy)
-    value = pref * v
-    deriv = pref * ((m * (b - a) / M) * v + d)
-    return value, deriv
-
-
-def s_independence_check(m: int, s_list, tol: float = 1e-10,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> dict:
-    """Report on the index independence of the modification across s_list
-    at a fixed grid; integer lists must agree, mixed half-integer lists
-    record a genuine deviation."""
-    dev = s_independence_report(m, s_list, policy=policy)
-    return {"id": f"sindep[m={m}]", "s_list": list(s_list), "tol": tol,
-            "max_abs_err": dev, "pass": dev <= tol}
+    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    v, d = phi_tilde_d0(*frame, policy)
+    slope = float(idx.m) * (float(idx.b) - float(idx.a)) / idx.M
+    return pref * v, pref * (slope * v + d)
 
 
 def s_independence_report(m: int, s_list, tau_list=None, z_pairs=None,

@@ -169,14 +169,29 @@ def gauss_error(x: float) -> float:
     return math.erf(SQRT_PI * x)
 
 
-def gauss_error_deriv(x: float) -> float:
-    """dE/dx = 2 exp(-pi x^2)."""
-    return 2.0 * math.exp(-math.pi * x * x)
-
-
 def nome(tau: complex) -> complex:
     """q = exp(2*pi*i*tau); requires Im tau > 0 so that |q| < 1."""
     return e2pi(_check_point(tau))
+
+
+def _lattice_scan(z: complex, tau: complex, w: int) -> float:
+    """Least |z - (a + b tau)| over the lattice coordinates a, b within w of
+    those of z."""
+    # coordinates of z in the (1, tau) basis
+    y = z.imag / tau.imag
+    x = z.real - y * tau.real
+    a0, b0 = round(x), round(y)
+    lo, hi = a0 - w, a0 + w
+    best = math.inf
+    for b in range(b0 - w, b0 + w + 1):
+        bt = b * tau
+        # |z - (a + b tau)| is convex in a, so its least rounded value in the
+        # row a0-w..a0+w lies at one of the two integers around
+        # (z - b tau).real, clamped into the row.  Rounding to the nearest
+        # integer alone can pick the wrong one of a near tie by an ulp.
+        a = min(max(math.floor((z - bt).real), lo), hi - 1)
+        best = min(best, abs(z - (a + bt)), abs(z - (a + 1 + bt)))
+    return best
 
 
 def lattice_distance(z: complex, tau: complex, sublattice: str = "full") -> float:
@@ -187,27 +202,23 @@ def lattice_distance(z: complex, tau: complex, sublattice: str = "full") -> floa
         return 0.5 * lattice_distance(2 * complex(z), tau, "full")
     if sublattice != "full":
         raise ValueError("sublattice must be 'full' or 'half'")
-    z = complex(z)
-    # coordinates of z in the (1, tau) basis
-    y = z.imag / tau.imag
-    x = z.real - y * tau.real
-    a0, b0 = round(x), round(y)
-    lo, hi = a0 - 3, a0 + 3
-    best = math.inf
-    for b in range(b0 - 3, b0 + 4):
-        bt = b * tau
-        # |z - (a + b tau)| is convex in a, so its least rounded value in the
-        # row a0-3..a0+3 lies at one of the two integers around
-        # (z - b tau).real, clamped into the row.  Rounding to the nearest
-        # integer alone can pick the wrong one of a near tie by an ulp.
-        a = min(max(math.floor((z - bt).real), lo), hi - 1)
-        best = min(best, abs(z - (a + bt)), abs(z - (a + 1 + bt)))
-    return best
+    return _lattice_scan(complex(z), tau, 3)
 
 
 def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "z"):
-    """Raise PoleProximityError if z is within pole_guard of Z + tau*Z."""
-    d = lattice_distance(z, tau, "full")
+    """Raise PoleProximityError if z is within pole_guard of Z + tau*Z.
+
+    A lattice point that close lies within pole_guard / Im tau rows of z,
+    so for small Im tau the scan widens past the 7 rows of
+    lattice_distance.  It scans with tau mod 1, which spans the same
+    lattice and keeps the nearest column of every scanned row inside the
+    window."""
+    tau = _check_point(tau, z)
+    rows = policy.pole_guard / tau.imag
+    if rows >= policy.n_max:
+        raise TruncationOverflowError(
+            f"the pole scan at Im tau = {tau.imag:g} needs over n_max={policy.n_max} rows")
+    d = _lattice_scan(complex(z), tau - round(tau.real), max(3, math.ceil(rows) + 1))
     if d < policy.pole_guard:
         raise PoleProximityError(
             f"{what} = {complex(z):.6g} is within {d:.3g} of the period lattice "

@@ -106,17 +106,17 @@ def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> com
     return e2pi(tau / 24.0) * prod
 
 
-def jacobi_theta11_product(tau: complex, z: complex, n_terms: int = 200) -> complex:
+def jacobi_theta11_product(tau: complex, z: complex) -> complex:
     """Triple-product form of theta_11, used as an independent oracle:
 
     theta_11(tau, z) = -2 q^{1/8} sin(pi z) prod_{n>=1} (1-q^n)(1-q^n e)(1-q^n/e),
-    with e = e^{2 pi i z}.
+    with e = e^{2 pi i z}, truncated after 200 factors.
     """
     q = e2pi(tau)
     zeta = e2pi(z)
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
-    for _ in range(n_terms):
+    for _ in range(200):
         qn *= q
         prod *= (1.0 - qn) * (1.0 - qn * zeta) * (1.0 - qn / zeta)
     return -2.0 * e2pi(tau / 8.0) * cmath.sin(math.pi * z) * prod

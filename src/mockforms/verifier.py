@@ -35,15 +35,8 @@ from .theta import (
     jacobi_theta11_product,
     theta_jm,
 )
-from .mock import MockIndex, PsiIndex, phi, phi1, phi_signed, psi
-from .modification import (
-    phi_add,
-    phi_tilde,
-    phi_tilde_d0,
-    phi1_tilde,
-    psi_tilde,
-    s_independence_report,
-)
+from .mock import MockIndex, PsiIndex, phi
+from .modification import phi_add, phi_tilde, phi_tilde_d0, phi1_tilde, psi_tilde
 from . import family_n3 as n3
 from . import family_n4 as n4
 from . import family_d21a as d2
@@ -187,6 +180,16 @@ def suite(tag: str, policy: TruncationPolicy = DEFAULT_POLICY, seed: int = 1) ->
 # ---------------------------------------------------------------------------
 # registry construction
 # ---------------------------------------------------------------------------
+
+def _s_sum(M: int, eps, term):
+    """sum of term(a, b) over a, b in eps + {0, ..., M-1}, a outer: the
+    index sum of the wrapper S-laws."""
+    tot = 0.0j
+    for ia in range(M):
+        for ib in range(M):
+            tot += term(Fraction(eps) + ia, Fraction(eps) + ib)
+    return tot
+
 
 def _theta_pairs():
     def eq12a(pt, policy, m, j, a):
@@ -362,8 +365,8 @@ def _mock_pairs():
         # indices only; the half-integer minus case is recorded as failing
         # alongside its closed form
         tau, (z1, z2, _) = pt.tau, pt.zs
-        return (phi_signed(sign, MockIndex.of(H, sa), tau, z1, z2, 0, policy),
-                phi_signed(sign, MockIndex.of(H, sb), tau, z1, z2, 0, policy))
+        return (phi(MockIndex.of(H, sa), tau, z1, z2, 0, policy, sign),
+                phi(MockIndex.of(H, sb), tau, z1, z2, 0, policy, sign))
 
     register(IdentitySpec(
         "eq5.03", "signed half-degree index shift invariance", "mock", 1e-10,
@@ -374,7 +377,7 @@ def _mock_pairs():
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
         delta = 0 if sign > 0 else 1
-        lhs = phi_signed(sign, MockIndex.of(H, eps), tau, z1, z2, t, policy)
+        lhs = phi(MockIndex.of(H, eps), tau, z1, z2, t, policy, sign)
         rhs = (-1j * e2pi(t / 2) * dedekind_eta(tau, policy) ** 3
                * jacobi_theta(1, 1, tau, z1 + z2, policy)
                / (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy))
@@ -482,12 +485,9 @@ def _modification_pairs():
         j, k = 1, -1
         lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), -1 / tau, z1 / tau, z2 / tau,
                         t - z1 * z2 / tau, policy)
-        tot = 0.0j
-        for ia in range(M):
-            for ib in range(M):
-                a, b = eps + ia, eps + ib
-                tot += (e2pi(-Fraction(m, M) * (a * k + b * j))
-                        * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, t, policy))
+        tot = _s_sum(M, eps, lambda a, b: (
+            e2pi(-Fraction(m, M) * (a * k + b * j))
+            * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, t, policy)))
         return lhs, tau / M * tot
 
     def eq118(pt, policy, M, m):
@@ -559,12 +559,9 @@ def _modification_pairs():
         j, k = H, H - 1
         lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), -1 / tau, z1 / tau, z2 / tau,
                         -z1 * z2 / tau, policy)
-        tot = 0.0j
-        for ia in range(M):
-            for ib in range(M):
-                a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                tot += (e2pi(-Fraction(m, M) * (a * Fraction(k) + b * Fraction(j)))
-                        * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, 0, policy))
+        tot = _s_sum(M, eps, lambda a, b: (
+            e2pi(-Fraction(m, M) * (a * Fraction(k) + b * Fraction(j)))
+            * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, 0, policy)))
         return lhs, tau / M * tot
 
     register(IdentitySpec("lemma4.10", "wrapper S-law at half-shifted indices",
@@ -611,13 +608,9 @@ def _n3_pairs():
         eps, epsp = H, Fraction(0)
         j, k = (1, 2) if M > 1 else (0, 0)
         lhs = n3.f_function(fidx(M, n_, eps, sg, sgp, j, k), -1 / tau, z / tau, policy)
-        tot = 0.0j
-        for ia in range(M):
-            for ib in range(M):
-                a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                ph = e2pi(-Fraction(n_, M) * (a * k + b * j) + Fraction(n_, M) * sgp * (a - b))
-                tot += ph * n3.f_function(fidx(M, n_, abs(epsp - sgp), sgp, sg, a, b),
-                                          tau, z, policy)
+        tot = _s_sum(M, eps, lambda a, b: (
+            e2pi(-Fraction(n_, M) * (a * k + b * j) + Fraction(n_, M) * sgp * (a - b))
+            * n3.f_function(fidx(M, n_, abs(epsp - sgp), sgp, sg, a, b), tau, z, policy)))
         rhs = (tau / M * e2pi(n_ * z * z / (4 * M * tau))
                * e2pi(Fraction(n_, 2 * M) * sg * sgp) * tot)
         return lhs, rhs
@@ -849,30 +842,29 @@ def _n3_pairs():
          {"dotted": True, "m2": 0, "sector": "ramond", "s": None}], c1, grid=(3, 2)))
 
 
-def _balanced(a, b, M: int):
-    """Balanced index representatives in (-M/2, M/2] with the translation
-    multiplicities; keeps the wrapper evaluations well conditioned at small
-    Im tau (the raw representatives carry huge inverse nome powers)."""
+def _balanced(a, b, M: int, m: int, eps):
+    """Balanced index representatives in (-M/2, M/2] and the phase the
+    translation into them costs; keeps the wrapper evaluations well
+    conditioned at small Im tau (the raw representatives carry huge inverse
+    nome powers)."""
     def red(v: Fraction):
         alpha = math.floor(v / M + H)
         return v - alpha * M, alpha
 
     a0, al = red(Fraction(a))
     b0, be = red(Fraction(b))
-    return a0, b0, al, be
+    ph = e2pi(Fraction(m * (al - be) * HalfInt.of(eps).twice, 2))
+    return HalfInt.of(a0), HalfInt.of(b0), ph
 
 
 def _psi_p_reduced(M, m, eps, a, b, tau, z1, z2, t, policy):
-    a0, b0, al, be = _balanced(a, b, M)
-    ph = e2pi(Fraction(m * (al - be) * HalfInt.of(eps).twice, 2))
-    return ph * n4.psi_P(M, m, eps, HalfInt.of(a0), HalfInt.of(b0), tau, z1, z2, t, policy)
+    a0, b0, ph = _balanced(a, b, M, m, eps)
+    return ph * n4.psi_P(M, m, eps, a0, b0, tau, z1, z2, t, policy)
 
 
 def _chi_reduced(alpha, M, m, eps, epsp, a, b, tau, z, policy):
-    a0, b0, al, be = _balanced(a, b, M)
-    ph = e2pi(Fraction(m * (al - be) * HalfInt.of(eps).twice, 2))
-    return ph * n4.chi(n4.ChiIndex.of(alpha, M, m, eps, epsp, HalfInt.of(a0),
-                                      HalfInt.of(b0)), tau, z, policy)
+    a0, b0, ph = _balanced(a, b, M, m, eps)
+    return ph * n4.chi(n4.ChiIndex.of(alpha, M, m, eps, epsp, a0, b0), tau, z, policy)
 
 
 def _n4_pairs():
@@ -1090,12 +1082,9 @@ def _n4_pairs():
         j, k = HalfInt(2), HalfInt(-2)
         if which == "S":
             lhs = n4.psi_P(M, m, eps, j, k, -1 / tau, z1 / tau, z2 / tau, t, policy)
-            tot = 0.0j
-            for ia in range(M):
-                for ib in range(M):
-                    a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                    tot += (e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-                            * _psi_p_reduced(M, m, epsp, a, b, tau, z1, z2, t, policy))
+            tot = _s_sum(M, eps, lambda a, b: (
+                e2pi(Fraction(m, M) * (a * k.value + b * j.value))
+                * _psi_p_reduced(M, m, epsp, a, b, tau, z1, z2, t, policy)))
             return lhs, tau ** 2 / M * e2pi(-Fraction(m, M) * z1 * z2 / tau) * tot
         # off the diagonal the tau-dependent multiplier spoils the T-shift,
         # so the T-law is the diagonal statement used by the chi basis
@@ -1155,12 +1144,9 @@ def _n4_pairs():
         ci = lambda e, ep, jj, kk: n4.ChiIndex.of(alpha, M, m, e, ep, jj, kk)
         if which == "S":
             lhs = n4.chi(ci(eps, epsp, j, k), -1 / tau, z / tau, policy)
-            tot = 0.0j
-            for ia in range(M):
-                for ib in range(M):
-                    a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                    tot += (e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-                            * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy))
+            tot = _s_sum(M, eps, lambda a, b: (
+                e2pi(Fraction(m, M) * (a * k.value + b * j.value))
+                * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)))
             sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
             rhs = (sgn * tau ** alpha / M
                    * cmath.exp(-2j * math.pi * (Fraction(m, M) + 1) * z * z / tau) * tot)
@@ -1179,12 +1165,9 @@ def _n4_pairs():
         tau, z = pt.tau, pt.z
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(3), HalfInt(1)
-        lhs = 0.0j
-        for ia in range(M):
-            for ib in range(M):
-                a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                lhs += (e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-                        * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy))
+        lhs = _s_sum(M, eps, lambda a, b: (
+            e2pi(Fraction(m, M) * (a * k.value + b * j.value))
+            * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)))
         rhs = 0.0j
         for ia in range(M):
             for ib in range(ia, M):
@@ -1438,7 +1421,7 @@ def _d21a_pairs():
         hr = d2.hr_point(tau, y2, y3)
         a = d2.big_n4_qhr(w, tau, y2, y3, "minus", flavor, policy)
         num = d2.modified_supercharacter_numerator(w, tau, *hr, flavor, policy)
-        b = num / d2.b4_denominator(tau, y2, y3, *d2._QHR_EPS["minus"], policy)
+        b = num / d2.b4_denominator(tau, y2, y3, *n4._QHR_EPS["minus"], policy)
         return a, b
 
     register(IdentitySpec("prop11.11", "reduced character table vs case assembly",
@@ -1495,7 +1478,7 @@ def _d21a_pairs():
         z1, z2, z3 = zs
         lhs = (d2.boundary_g(pr, j, eps, epsp, tau, *zs, t, policy)
                / d2.rhat(tau, *zs, t, eps, epsp, policy))
-        a_, b_ = 1 - int(2 * Fraction(epsp)), 1 - int(2 * Fraction(eps))
+        a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
         th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
         pref = (e2pi(-Fraction(p, p + 1) * t)
                 / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3)))

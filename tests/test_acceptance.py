@@ -126,7 +126,6 @@ def test_criterion_5_n4():
         ok = ok and r.max_abs_err <= tol
         msgs.append(f"{ident}={r.max_abs_err:.1e}")
     # analytic vs finite-difference derivative
-    import cmath
     import math
 
     from mockforms.mock import MockIndex

@@ -181,8 +181,9 @@ def test_boundary_modification_free():
 
     # rebuild with the unmodified wrapper
     big = pr.n * (pr.p + pr.q)
-    u_pos = d2._theta_arg(pr, "Q", True, *ZS)
-    u_neg = d2._theta_arg(pr, "Q", False, *ZS)
+    a_ = pr.a
+    u_pos = ZS[0] + (a_ + 1) * ZS[1] + a_ * ZS[2]
+    u_neg = ZS[0] - (a_ + 1) * ZS[1] - (a_ + 2) * ZS[2]
     t1 = (theta_jm(ThetaIndex.of(1, big), TAU, u_pos, 0.0, P)
           * psi(PsiIndex.of(1, 1, 0, 0, 0, 0), TAU, ZS[0], -ZS[1], 0.0, P))
     t2 = (theta_jm(ThetaIndex.of(-1, big), TAU, u_neg, 0.0, P)

@@ -80,7 +80,7 @@ def test_vanishing():
 def test_minus_sector_m2_zero_structure():
     # at m2 = 0 the supercharacter numerator reduces to the derivative part
     w = n4.N4Weight(-2, 0)
-    a = n4.integrable_supernumerator(w, TAU, Z1, Z2, T, P)
+    a = n4.admissible_supernumerator(w, TAU, Z1, Z2, T, P)
     from mockforms.mock import MockIndex
     from mockforms.modification import phi_tilde
 
@@ -88,6 +88,73 @@ def test_minus_sector_m2_zero_structure():
     extra = ((-2) * (Z1 - Z2) / (2 * TAU)) * e2pi(-2 * T) * phi_tilde(
         MockIndex.of(2, 0), TAU, Z1, Z2, 0.0, P)
     assert abs(a - (g - extra)) < 1e-12
+
+
+def g_numerator_reference(m, tau, z1, z2, t):
+    """The derivative numerator straight from the degree -m modification."""
+    from mockforms.mock import MockIndex
+    from mockforms.modification import phi_tilde_d0
+
+    v, d = phi_tilde_d0(MockIndex.of(-m, 0), tau, z1, z2, P)
+    return e2pi(m * t) * (d + (m * (z1 - z2) / (2 * tau)) * v)
+
+
+def supernumerator_reference(w, tau, z1, z2, t):
+    """R-hat^- ch~^- with one branch per type, written out as the integrable
+    formula and the four admissible coordinate changes."""
+    from mockforms.mock import MockIndex
+    from mockforms.modification import phi_tilde_d0
+
+    m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
+    idx = MockIndex.of(-m, 0)
+    if w.J == "none":
+        v, d = phi_tilde_d0(idx, tau, z1, z2, P)
+        g = d + (m * (z1 - z2) / (2 * tau)) * v
+        return e2pi(m * t) * (g - (m * (z1 - z2) / (2 * tau) + m2) * v)
+    if w.J == "I":
+        a1, a2 = z1 + k1 * tau, z2 - (k1 + k2) * tau
+        lin = (k1 + k2) * z1 - k1 * z2
+        dz = z1 - z2 + (2 * k1 + k2) * tau
+    elif w.J == "II":
+        a1, a2 = -z1 + k1 * tau, -z2 - (k1 + k2) * tau
+        lin = -(k1 + k2) * z1 + k1 * z2
+        dz = z2 - z1 + (2 * k1 + k2) * tau
+    elif w.J == "III":
+        a1, a2 = -z2 + k1 * tau, -z1 - (k1 + k2) * tau
+        lin = k1 * z1 - (k1 + k2) * z2
+        dz = z1 - z2 + (2 * k1 + k2) * tau
+    else:
+        a1, a2 = z2 + k1 * tau, z1 - (k1 + k2) * tau
+        lin = -k1 * z1 + (k1 + k2) * z2
+        dz = z2 - z1 + (2 * k1 + k2) * tau
+    v, d = phi_tilde_d0(idx, M * tau, a1, a2, P)
+    g = d + (m * (a1 - a2) / (2 * M * tau)) * v
+    pref = e2pi(F(m, M) * t + F(m, M) * lin + F(m * k1 * (k1 + k2), M) * tau)
+    return pref * (g - (m * dz / (2 * M * tau) + m2) * v)
+
+
+def test_numerators_match_branchwise_reference():
+    # one coordinate table and one formula for all types; values must not
+    # move by a bit against the branch-per-type bodies
+    weights = [n4.N4Weight(m, m2) for m in (-1, -2, -3) for m2 in range(-m + 1)]
+    weights += [n4.N4Weight(m, m2, M, J, k1, k2)
+                for m, m2 in ((-1, 0), (-2, 1), (-3, 2))
+                for M in (1, 3, 5) for J in ("I", "II", "III", "IV")
+                for k1 in range(M) for k2 in range(M)
+                if 2 * k1 + k2 <= M - 1 and (J != "III" or k2 >= 1)]
+    points = ((TAU, Z1, Z2, T), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.02 - 0.03j))
+    for w in weights:
+        for tau, z1, z2, t in points:
+            assert (n4.admissible_supernumerator(w, tau, z1, z2, t, P)
+                    == supernumerator_reference(w, tau, z1, z2, t)), w
+    for m in (-1, -2, -3):
+        for tau, z1, z2, t in points:
+            assert n4.g_numerator(m, tau, z1, z2, t, P) == g_numerator_reference(m, tau, z1, z2, t)
+
+
+def test_integrable_weights_have_no_admissible_data():
+    with pytest.raises(ValueError):
+        n4.N4Weight(-2, 1, 1, "none", 1, 0)
 
 
 def test_plus_vs_minus_half_shift():
@@ -185,7 +252,6 @@ def test_weyl_sum_formal_cross_check():
         FormalSeries,
         GRat,
         expand_phi1,
-        series_equal,
     )
 
     order, zcap = F(5), 30

@@ -14,8 +14,8 @@ from mockforms.formal import (
     expand_theta,
     series_equal,
 )
-from mockforms.mock import MockIndex, phi
-from mockforms.qkernel import TruncationPolicy, e2pi
+from mockforms.mock import MockIndex
+from mockforms.qkernel import TruncationPolicy
 
 
 def test_theta_expansion_examples():

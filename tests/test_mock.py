@@ -4,7 +4,7 @@ import pytest
 
 from mockforms.qkernel import PoleProximityError, TruncationPolicy, e2pi
 from mockforms.theta import dedekind_eta, jacobi_theta
-from mockforms.mock import MockIndex, PsiIndex, phi, phi1, phi_signed, psi
+from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 2j, 0.3, 0.1
@@ -55,7 +55,9 @@ def test_doubling():
 def test_phi_signed_plus_is_phi():
     idx = MockIndex.of(2, 1)
     tau, z1, z2 = 1.1j, 0.21, 0.33
-    assert phi_signed(1, idx, tau, z1, z2, 0.0, P) == phi(idx, tau, z1, z2, 0.0, P)
+    assert phi(idx, tau, z1, z2, 0.0, P, 1) == phi(idx, tau, z1, z2, 0.0, P)
+    with pytest.raises(ValueError):
+        phi(idx, tau, z1, z2, 0.0, P, 0)
 
 
 def test_psi_degenerates_to_phi():

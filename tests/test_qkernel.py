@@ -4,11 +4,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mockforms.qkernel import (
+    DEFAULT_POLICY,
     DomainError,
     EvalPoint,
     HalfInt,
+    PoleProximityError,
+    TruncationOverflowError,
     TruncationPolicy,
     gauss_error,
+    guard_pole,
     lattice_distance,
     nome,
 )
@@ -128,6 +132,48 @@ def test_lattice_distance_invariance(a, b):
     d0 = lattice_distance(z, tau)
     d1 = lattice_distance(z + a + b * tau, tau)
     assert abs(d0 - d1) < 1e-12
+
+
+def test_pole_guard_beyond_seven_rows():
+    # 5 tau - 1 is 5e-4 from z, five rows away: outside the 7 rows of
+    # lattice_distance, inside the pole guard
+    tau, z = 0.2003 + 1e-4j, 1.0015
+    assert lattice_distance(z, tau) > DEFAULT_POLICY.pole_guard
+    with pytest.raises(PoleProximityError):
+        guard_pole(z, tau, DEFAULT_POLICY)
+    with pytest.raises(PoleProximityError):
+        phi1(MockIndex.of(1, 0), tau, z, 0.1)
+    # tau is 3.6e-4 from z, but ten columns off in the (1, tau) coordinates
+    # of z when Re tau = 10
+    with pytest.raises(PoleProximityError):
+        guard_pole(10 + 9.6e-4j, 10 + 6e-4j, DEFAULT_POLICY)
+    # a scan that needs more than n_max rows raises instead of running
+    with pytest.raises(TruncationOverflowError):
+        guard_pole(0.3, 1e-300j, DEFAULT_POLICY)
+
+
+def exact_lattice_distance(z, tau, reach):
+    """Distance from z to the lattice points of every row within reach of
+    z, taking the nearest columns of each row."""
+    y = z.imag / tau.imag
+    rows = range(math.floor(y - reach), math.ceil(y + reach) + 1)
+    return min(abs(z - (a + b * tau)) for b in rows
+               for a in range(math.floor((z - b * tau).real) - 1,
+                              math.floor((z - b * tau).real) + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(max_magnitude=2.0),
+       st.builds(complex, st.floats(min_value=-20.0, max_value=20.0),
+                 st.floats(min_value=2e-5, max_value=0.01)))
+def test_pole_guard_matches_exact_distance(z, tau):
+    guard = DEFAULT_POLICY.pole_guard
+    d = exact_lattice_distance(z, tau, guard / tau.imag + 1)
+    if d < guard * (1 - 1e-9):
+        with pytest.raises(PoleProximityError):
+            guard_pole(z, tau, DEFAULT_POLICY)
+    elif d > guard * (1 + 1e-9):
+        guard_pole(z, tau, DEFAULT_POLICY)
 
 
 def test_half_lattice():
