@@ -4,7 +4,7 @@ Subcommands: eval (single function value), qexp (exact q-expansion dump),
 verify (identity registry runs), family (weight enumeration with
 characteristic numbers), smatrix (boundary S/T matrices and fusion table).
 
-Exit codes: 0 success / all verified, 1 failing verification, 2 usage error.
+Exit codes: 0 success / all verified, 1 failing verification, 2 bad usage or input.
 The default tolerance may be overridden through MOCKFORMS_TOL.
 """
 
@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .qkernel import DEFAULT_POLICY, TruncationPolicy
+from .qkernel import DEFAULT_POLICY, TruncationOverflowError, TruncationPolicy
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
 from .mock import MockIndex, PsiIndex, phi, phi1, psi
 from .modification import phi_tilde, psi_tilde
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, KeyError, TruncationOverflowError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

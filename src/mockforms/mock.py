@@ -25,6 +25,7 @@ from .qkernel import (
     TWO_PI_I,
     HalfInt,
     TruncationPolicy,
+    _POINT_MEMO,
     _check_point,
     e2pi,
     guard_pole,
@@ -91,11 +92,13 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         D0 (N/D) = s N/D + N w/D^2.
     """
     tau = _check_point(tau, z1, z2)
+    memo = _POINT_MEMO.get()
+    if memo is not None and (key := ("phi1", m, s, tau, z1, z2, policy, sign, want_d0)) in memo:
+        return memo[key]
     guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_star = round(-s / (2.0 * m) - zsum.imag / (2.0 * tau.imag))
 
-    val = [0.0 + 0.0j]
     der = [0.0 + 0.0j]
 
     def term(j: int) -> complex:
@@ -109,10 +112,11 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
             der[0] += s * t + num * w / (den * den)
         return t
 
-    val[0] = sum_bilateral(term, j_star, policy)
-    if want_d0:
-        return val[0], der[0]
-    return val[0]
+    val = sum_bilateral(term, j_star, policy)
+    out = (val, der[0]) if want_d0 else val
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
 def phi1(idx: MockIndex, tau: complex, z1: complex, z2: complex,

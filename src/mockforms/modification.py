@@ -26,6 +26,7 @@ from .qkernel import (
     TWO_PI,
     HalfInt,
     TruncationPolicy,
+    _POINT_MEMO,
     _check_point,
     e2pi,
     sum_bilateral,
@@ -57,11 +58,13 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
     # pure rounding noise exactly where the exponential amplifies it).
     tau = _check_point(tau, v)
     v = complex(v)
+    memo = _POINT_MEMO.get()
+    if memo is not None and (key := ("R", j, m, tau, v, policy, want_dv)) in memo:
+        return memo[key]
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
     k0 = round((n_star - j) / (2.0 * m))
 
-    val = [0.0 + 0.0j]
     der = [0.0 + 0.0j]
     dscale = math.sqrt(m / tau.imag) / math.pi
 
@@ -88,10 +91,11 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
             der[0] += d
         return t
 
-    val[0] = sum_bilateral(term, k0, policy, consecutive=5)
-    if want_dv:
-        return val[0], der[0]
-    return val[0]
+    val = sum_bilateral(term, k0, policy, consecutive=5)
+    out = (val, der[0]) if want_dv else val
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
 def r_correction(idx: CorrectionIndex, tau: complex, v: complex,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +68,10 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
+# Leaf-kernel memo: a dict while verifier.verify evaluates one grid point, None
+# at any other time.  Kernels store only results they return, never errors.
+_POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
+
 
 @dataclass(frozen=True)
 class HalfInt:
@@ -83,7 +88,7 @@ class HalfInt:
         if isinstance(x, Fraction):
             if x.denominator not in (1, 2):
                 raise ValueError(f"{x} is not a half-integer")
-            return HalfInt(int(2 * x))
+            return HalfInt(x.numerator * (2 // x.denominator))
         if isinstance(x, float):
             t = 2.0 * x
             if abs(t - round(t)) > 1e-9:
@@ -174,16 +179,21 @@ def nome(tau: complex) -> complex:
     return e2pi(_check_point(tau))
 
 
-def _lattice_scan(z: complex, tau: complex, w: int) -> float:
+def _lattice_scan(z: complex, tau: complex, w: int, reach: float | None = None) -> float:
     """Least |z - (a + b tau)| over the lattice coordinates a, b within w of
-    those of z."""
+    those of z; with a reach, only over the rows b within reach + 1 of
+    Im z / Im tau, as the others lie reach * Im tau or more from z."""
     # coordinates of z in the (1, tau) basis
     y = z.imag / tau.imag
     x = z.real - y * tau.real
     a0, b0 = round(x), round(y)
     lo, hi = a0 - w, a0 + w
+    b_lo, b_hi = b0 - w, b0 + w
+    if reach is not None:
+        b_lo = max(b_lo, math.ceil(y - reach) - 1)
+        b_hi = min(b_hi, math.floor(y + reach) + 1)
     best = math.inf
-    for b in range(b0 - w, b0 + w + 1):
+    for b in range(b_lo, b_hi + 1):
         bt = b * tau
         # |z - (a + b tau)| is convex in a, so its least rounded value in the
         # row a0-w..a0+w lies at one of the two integers around
@@ -209,16 +219,16 @@ def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "
     """Raise PoleProximityError if z is within pole_guard of Z + tau*Z.
 
     A lattice point that close lies within pole_guard / Im tau rows of z,
-    so for small Im tau the scan widens past the 7 rows of
-    lattice_distance.  It scans with tau mod 1, which spans the same
-    lattice and keeps the nearest column of every scanned row inside the
-    window."""
+    so for small Im tau the window widens past the 7 rows of
+    lattice_distance, and only its rows within that reach are scanned.
+    It scans with tau mod 1, which spans the same lattice and keeps the
+    nearest column of every scanned row inside the window."""
     tau = _check_point(tau, z)
     rows = policy.pole_guard / tau.imag
     if rows >= policy.n_max:
         raise TruncationOverflowError(
             f"the pole scan at Im tau = {tau.imag:g} needs over n_max={policy.n_max} rows")
-    d = _lattice_scan(complex(z), tau - round(tau.real), max(3, math.ceil(rows) + 1))
+    d = _lattice_scan(complex(z), tau - round(tau.real), max(3, math.ceil(rows) + 1), rows)
     if d < policy.pole_guard:
         raise PoleProximityError(
             f"{what} = {complex(z):.6g} is within {d:.3g} of the period lattice "
@@ -233,7 +243,7 @@ def sum_bilateral(term, k_start: int, policy: TruncationPolicy, consecutive: int
     tol/16 and non-increasing in magnitude, which bounds the dropped tail
     by a geometric series under the Gaussian/geometric decay all callers
     have.  Raises TruncationOverflowError when a direction exhausts
-    policy.n_max steps first.
+    policy.n_max steps first, and DomainError when a term overflows.
     """
     tol_each = policy.tol / 16.0
     total = 0.0 + 0.0j
@@ -242,7 +252,10 @@ def sum_bilateral(term, k_start: int, policy: TruncationPolicy, consecutive: int
         prev = math.inf
         k = first
         for _ in range(policy.n_max):
-            t = term(k)
+            try:
+                t = term(k)
+            except OverflowError as exc:
+                raise DomainError(f"a series term overflowed a double ({exc})") from exc
             total += t
             mag = abs(t)
             if mag < tol_each and mag <= prev:

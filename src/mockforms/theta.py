@@ -22,6 +22,7 @@ from .qkernel import (
     HalfInt,
     TruncationOverflowError,
     TruncationPolicy,
+    _POINT_MEMO,
     _check_point,
     e2pi,
     sum_bilateral,
@@ -51,6 +52,9 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     m = idx.m.twice / 2
     # the offset j/2m reduced into [0, 1), correctly rounded
     base = (idx.j.twice % (2 * idx.m.twice)) / (2 * idx.m.twice)
+    memo = _POINT_MEMO.get()
+    if memo is not None and (key := ("theta", base, m, tau, z, t, policy)) in memo:
+        return memo[key]
     # |q^{m n^2} e^{2 pi i m n z}| peaks near n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
     k0 = round(n_star - base)
@@ -62,6 +66,8 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     s = sum_bilateral(term, k0, policy)
     if t != 0:
         s *= e2pi(m * t)
+    if memo is not None:
+        memo[key] = s
     return s
 
 
@@ -89,6 +95,9 @@ def jacobi_theta(a: int, b: int, tau: complex, z: complex = 0.0,
 def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """eta(tau) = q^{1/24} prod_{n>=1} (1 - q^n), tail bound <= policy.tol."""
     tau = _check_point(tau)
+    memo = _POINT_MEMO.get()
+    if memo is not None and (key := ("eta", tau, policy)) in memo:
+        return memo[key]
     q = e2pi(tau)
     aq = abs(q)
     prod = 1.0 + 0.0j
@@ -103,7 +112,10 @@ def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> com
         raise TruncationOverflowError(
             f"eta product did not meet tol={policy.tol:g} within n_max={policy.n_max}"
         )
-    return e2pi(tau / 24.0) * prod
+    eta = e2pi(tau / 24.0) * prod
+    if memo is not None:
+        memo[key] = eta
+    return eta
 
 
 def jacobi_theta11_product(tau: complex, z: complex) -> complex:

@@ -25,6 +25,7 @@ from .qkernel import (
     PoleProximityError,
     TruncationPolicy,
     UnknownIdentityError,
+    _POINT_MEMO,
     e2pi,
     lattice_distance,
 )
@@ -144,17 +145,21 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
     skipped = 0
     total = 0
     for pt in pts:
-        for prm in params:
-            total += 1
-            try:
-                pairs = spec.pair(pt, policy, **prm)
-            except PoleProximityError:
-                skipped += 1
-                continue
-            if isinstance(pairs, tuple):
-                pairs = [pairs]
-            for lhs, rhs in pairs:
-                max_err = max(max_err, abs(lhs - rhs))
+        token = _POINT_MEMO.set({})
+        try:
+            for prm in params:
+                total += 1
+                try:
+                    pairs = spec.pair(pt, policy, **prm)
+                except PoleProximityError:
+                    skipped += 1
+                    continue
+                if isinstance(pairs, tuple):
+                    pairs = [pairs]
+                for lhs, rhs in pairs:
+                    max_err = max(max_err, abs(lhs - rhs))
+        finally:
+            _POINT_MEMO.reset(token)
     if spec.check == "exceeds":
         passed = max_err > spec.tol
     else:
@@ -493,13 +498,15 @@ def _modification_pairs():
     def eq118(pt, policy, M, m):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.02
+        out = []
         for eps, epsp in ((H, Fraction(0)), (Fraction(0), Fraction(0))):
             j, k = (1, -1) if epsp == 0 else (H, H)
             lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), tau + 1, z1, z2, t, policy)
             rhs = (e2pi(Fraction(m, M) * Fraction(j) * Fraction(k))
                    * psi_tilde(PsiIndex.of(M, m, 0, abs(Fraction(eps) - Fraction(epsp)), j, k),
                                tau, z1, z2, t, policy))
-        return lhs, rhs
+            out.append((lhs, rhs))
+        return out
 
     register(IdentitySpec("eq1.17", "wrapped modification S-law", "modification",
                           1e-6, [{"M": M, "m": m} for (M, m) in MM], eq117, grid=(2, 2)))

@@ -111,6 +111,18 @@ def test_verify_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--fn", "theta", "--j", "0", "--m", "1", "--tau", "i", "--z", "50i"],
+    ["eval", "--fn", "phi_tilde", "--m", "1", "--s", "0", "--tau", "i",
+     "--z1", "0.1+30i", "--z2", "0.2"],
+    ["eval", "--fn", "eta", "--tau", "0.001i"],
+])
+def test_refused_inputs_exit_2(args, capsys):
+    # an overflowing series term and a truncation cap hit are errors, not tracebacks
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_family_output(capsys):
     code, out, _ = run_cli(["family", "--family", "n3", "--m=-3/4"], capsys)
     assert code == 0

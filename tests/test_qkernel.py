@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -176,6 +177,53 @@ def test_pole_guard_matches_exact_distance(z, tau):
         guard_pole(z, tau, DEFAULT_POLICY)
 
 
+def reference_guard_message(z, tau, policy):
+    """The full-window pole scan that guard_pole narrows to a row band: all
+    rows within max(3, ceil(pole_guard / Im tau) + 1) of z, each at the two
+    columns around (z - b tau).real.  Returns the error message, or None."""
+    z, tau = complex(z), complex(tau)
+    tau = tau - round(tau.real)
+    w = max(3, math.ceil(policy.pole_guard / tau.imag) + 1)
+    y = z.imag / tau.imag
+    a0, b0 = round(z.real - y * tau.real), round(y)
+    d = math.inf
+    for b in range(b0 - w, b0 + w + 1):
+        bt = b * tau
+        a = min(max(math.floor((z - bt).real), a0 - w), a0 + w - 1)
+        d = min(d, abs(z - (a + bt)), abs(z - (a + 1 + bt)))
+    if d < policy.pole_guard:
+        return (f"z = {z:.6g} is within {d:.3g} of the period lattice "
+                f"(guard {policy.pole_guard:g})")
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=math.log(2e-5), max_value=math.log(3.0)).map(math.exp),
+       st.floats(min_value=-20.0, max_value=20.0),
+       st.integers(-4, 4), st.integers(-4, 4),
+       st.sampled_from([1e-3, 0.02]), st.sampled_from([1, -1]), st.integers(-6, 6),
+       st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)))
+@example(0.31, 0.0, 0, 1, 0.02, 1, -1, 0.0)
+@example(2e-5, 10.0, 1, -3, 1e-3, -1, 2, 0.0)
+def test_pole_guard_row_band_matches_full_window(im_tau, re_tau, a, b, guard, side, ulps, dx):
+    # z sits near a + b tau with |Im(z - b tau)| a few ulps from pole_guard
+    policy = TruncationPolicy(pole_guard=guard)
+    tau = complex(re_tau, im_tau)
+    z = a + b * tau + complex(dx * guard, side * (guard + ulps * math.ulp(guard)))
+    expected = reference_guard_message(z, tau, policy)
+    if expected is None:
+        guard_pole(z, tau, policy)
+    else:
+        with pytest.raises(PoleProximityError) as err:
+            guard_pole(z, tau, policy)
+        assert str(err.value) == expected
+
+
+def test_overflowing_terms_raise_domain_error():
+    with pytest.raises(DomainError, match="overflowed"):
+        theta_jm(ThetaIndex.of(0, 1), 1j, 50j)
+
+
 def test_half_lattice():
     tau = 1.1j
     assert lattice_distance(0.5 + 0.55j, tau, "half") < 1e-15
@@ -191,6 +239,10 @@ def test_halfint():
     assert HalfInt.of(2).is_integer()
     with pytest.raises(ValueError):
         HalfInt.of(0.3)
+    for x in (Fraction(-3, 2), Fraction(4), Fraction(0), Fraction(7, 2)):
+        assert HalfInt.of(x).twice == 2 * x
+    with pytest.raises(ValueError):
+        HalfInt.of(Fraction(1, 3))
 
 
 def test_policy_validation():
