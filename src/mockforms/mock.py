@@ -18,15 +18,20 @@ explicit error.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qkernel import (
     DEFAULT_POLICY,
+    LOG_2,
+    TWO_PI,
     TWO_PI_I,
     HalfInt,
     TruncationPolicy,
     _POINT_MEMO,
     _check_point,
+    _index_range,
     e2pi,
     guard_pole,
     sum_bilateral,
@@ -82,6 +87,19 @@ class PsiIndex:
         return PsiIndex(M, m, HalfInt.of(s), eps, a, b, eps_prime)
 
 
+@lru_cache(maxsize=8)
+def _pole_floor(guard: float) -> float:
+    """Least h(y) = |1 - w| / max(1, |w|), w = e^{2 pi i u}, over rows
+    u = x + iy at distance guard or more from the integers.
+
+    |1 - w| = 2 e^{-pi y} |sin pi u| >= 4 e^{-pi y} dist(u, Z) and
+    |1 - w| >= |1 - |w||, and h is even in y, so h >= max(1 - X^2, 4 guard X)
+    with X = e^{-pi |y|}; the least of that over X in (0, 1] is where the
+    two meet."""
+    x = math.sqrt(4.0 * guard * guard + 1.0) - 2.0 * guard
+    return 4.0 * guard * x
+
+
 def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
                policy: TruncationPolicy, sign: int = 1, want_d0: bool = False):
     """Appell sum and, optionally, its termwise (1/2 pi i)(d/dz1 - d/dz2).
@@ -97,7 +115,39 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         return memo[key]
     guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
-    j_star = round(-s / (2.0 * m) - zsum.imag / (2.0 * tau.imag))
+    j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
+    j_star = round(j_c)
+    # |N_j| = e^{log_n - a (j - j_c)^2} and |1 - w_j| = h_j max(1, |w_j|) with
+    # h_j >= max(floor, 1 - e^{-2 pi |y_j|}), y_j = Im(z1 + j tau) (see
+    # _pole_floor), so |t_j| <= |N_j| min(1, e^{2 pi y_j}) / h_j <= |N_j| / floor.
+    # Past a cut, y_j runs away from the cut's row y: the factor is at most
+    # 1/h(y) above, and e^{2 pi y}/h(y) below once y < 0.  The derivative
+    # terms s t + N w/D^2 = t (s + w/D), with |w/D| <= 1/h.
+    y1, a = z1.imag, TWO_PI * m * tau.imag
+    log_n = a * j_c * j_c - TWO_PI * s * y1
+    floor = _pole_floor(policy.pole_guard)
+    abs_s = abs(s)
+    lift = (abs_s + 1.0 / floor) / floor if want_d0 else 1.0 / floor
+
+    def weight(step: int, d: float) -> float:
+        y = y1 + (j_c + step * d) * tau.imag
+        if step * y <= 0:
+            return 0.0
+        h = max(floor, -math.expm1(-TWO_PI * abs(y)))
+        factor = (abs_s + 1.0 / h) / h if want_d0 else 1.0 / h
+        return math.log(factor / lift) + (TWO_PI * y if y < 0 else 0.0)
+
+    # |t_j| >= |N_j| min(1, e^{2 pi y_j}) / 2; the e^{2 pi y_j} branch
+    # completes its square to the centre j_c + 1/2m
+    def walk():
+        shift = 0.5 / m
+        return ((j_c, log_n - LOG_2),
+                (j_c + shift, log_n + TWO_PI * y1 + a * shift * (2.0 * j_c + shift) - LOG_2))
+
+    y_star = y1 + j_star * tau.imag
+    log_p = log_n - a * (j_star - j_c) ** 2 + (TWO_PI * y_star if y_star < 0 else 0.0) - LOG_2
+    k_lo, k_hi = _index_range(j_star, j_c, a, log_n + math.log(lift), log_p, policy, 4,
+                              weight, walk)
 
     der = [0.0 + 0.0j]
 
@@ -112,7 +162,7 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
             der[0] += s * t + num * w / (den * den)
         return t
 
-    val = sum_bilateral(term, j_star, policy)
+    val = sum_bilateral(term, j_star, k_lo, k_hi, policy)
     out = (val, der[0]) if want_d0 else val
     if memo is not None:
         memo[key] = out

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 from .qkernel import (
     DEFAULT_POLICY,
+    LOG_16,
     SQRT_PI,
     TWO_PI,
     HalfInt,
     TruncationPolicy,
     _POINT_MEMO,
     _check_point,
+    _index_range,
     e2pi,
     sum_bilateral,
 )
@@ -63,10 +65,48 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
         return memo[key]
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
-    k0 = round((n_star - j) / (2.0 * m))
+    k_star = (n_star - j) / (2.0 * m)
+    k0 = round(k_star)
+    # With a = 2 pi m Im tau and u = k - k_star, the exponential factor is
+    # e^{log_c + a u^2} and the bracket sgn erfc(sgn t), t = sqrt(pi) x =
+    # sqrt(2a) u.  Past both 0 and k_star (sgn t >= 0) the bracket is below
+    # e^{-t^2} min(1, 1/(sqrt(pi) t)) = e^{-2 a u^2} / max(1, kappa u) with
+    # kappa = sqrt(2 pi a): the Gaussian at half the bracket's rate.  Between
+    # 0 and k_star the bracket lies in [1, 2); that window is summed whole, and
+    # its far end holds a term of at least e^{log_c + a u^2}.
+    a = TWO_PI * m * tau.imag
+    kappa = math.sqrt(TWO_PI * a)
+    log_c = -math.pi * tau.imag * n_star * n_star / (2.0 * m)
+    dscale = math.sqrt(m / tau.imag) / math.pi
+    # the derivative terms n t - dscale e^{-pi x^2} ... are below
+    # |n_star| / max(1, kappa u) + 2 dscale times the Gaussian, as |n| <=
+    # |n_star| + 2m u and 2m / kappa = dscale
+    lift = abs(n_star) + 2.0 * dscale if want_dv else 1.0
+
+    def weight(step: int, d: float) -> float:
+        if want_dv:
+            return math.log((abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)
+        return -math.log(max(1.0, kappa * d))
+
+    def walk():
+        # from below, erfc(t) >= e^{-t^2} / (sqrt(pi) (1 + t)); up to where the
+        # majorant meets tol/16 that is a Gaussian with a fixed constant
+        excess = log_c - math.log(policy.tol) + LOG_16
+        u_run = math.sqrt(excess / a) if excess > 0 else 0.0
+        return ((k_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
+
+    far = max(k_star, -1.0 - k_star, 0.0)
+    if far:
+        log_p = log_c + a * far * far
+    else:
+        u0 = abs(k0 - k_star)
+        log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
+    k_lo, k_hi = _index_range(k0, k_star, a, log_c + math.log(lift), log_p, policy, 5,
+                              weight, walk)
+    # the tails start past the window
+    k_lo, k_hi = min(k_lo, 0), max(k_hi, math.ceil(k_star) - 1, -1)
 
     der = [0.0 + 0.0j]
-    dscale = math.sqrt(m / tau.imag) / math.pi
 
     def assemble(log_mag: float, phase: float) -> complex:
         if log_mag < -745.0:
@@ -91,7 +131,7 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
             der[0] += d
         return t
 
-    val = sum_bilateral(term, k0, policy, consecutive=5)
+    val = sum_bilateral(term, k0, k_lo, k_hi, policy)
     out = (val, der[0]) if want_dv else val
     if memo is not None:
         memo[key] = out

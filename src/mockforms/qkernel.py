@@ -6,8 +6,12 @@ pole-distance guards.  Everything downstream sums series of the shape
 
     sum_k  c_k * exp(2*pi*i * (quadratic in k)),
 
-so the helpers here provide a single bilateral summation loop with a
-geometric/Gaussian tail cutoff and a hard index cap.
+whose terms have closed-form tail shapes: Gaussian for Theta, Gaussian
+times a geometric factor for the Appell sum, erfc times Gaussian for the
+correction kernel R (Zwegers, Mock theta functions, thesis, Utrecht 2002).
+Each kernel turns its shape into a log-space majorant, _index_range turns
+that into the index range [k_lo, k_hi] whose dropped tails are provably
+inside tol, and sum_bilateral sums that range with no per-term stop test.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ class PoleProximityError(ValueError):
 
 
 class TruncationOverflowError(RuntimeError):
-    """The summation cap was reached before the tail bound was met."""
+    """The tail bound needs more terms than the summation cap allows."""
 
 
 class UnknownIdentityError(KeyError):
@@ -47,10 +51,15 @@ class UnsupportedCaseError(ValueError):
 class TruncationPolicy:
     """Controls all series summation.
 
-    tol        -- target absolute tail bound for every series
-    n_max      -- hard cap on the summation index (per direction)
+    tol        -- bound on the absolute truncation error of every series:
+                  the tails a series drops sum to at most tol/4 by a
+                  closed-form bound (the rounding of the summed terms comes
+                  on top of that)
+    n_max      -- refusal: a series whose index range is wider than n_max
+                  raises TruncationOverflowError before summing a term
     pole_guard -- minimum allowed distance, in the z-plane modulo the
                   period lattice, from any pole of the summand
+    tol and pole_guard must be positive and finite.
     """
 
     tol: float = 1e-12
@@ -58,12 +67,12 @@ class TruncationPolicy:
     pole_guard: float = 1e-3
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.n_max < 8:
             raise ValueError("n_max must be at least 8")
-        if not self.pole_guard > 0:
-            raise ValueError("pole_guard must be positive")
+        if not 0 < self.pole_guard < math.inf:
+            raise ValueError(f"pole_guard must be positive and finite, got {self.pole_guard}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -236,38 +245,115 @@ def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "
         )
 
 
-def sum_bilateral(term, k_start: int, policy: TruncationPolicy, consecutive: int = 4):
-    """Sum term(k) over all integers k, walking outward from k_start.
+# log 2, and log 8 and log 16: the tail shares of tol in _index_range
+LOG_2 = math.log(2.0)
+LOG_8 = math.log(8.0)
+LOG_16 = math.log(16.0)
+# log 2^-56: a dropped tail of 2^-56 of the peak term per direction is an
+# eighth of the peak's half-ulp, so truncation stays below its rounding
+LOG_ROUNDING = -56.0 * math.log(2.0)
+# a distance no series can sum to: a bound at or past it (or NaN) is a
+# refusal, never an index
+_FAR = 2.0 ** 52
 
-    Stops each direction once `consecutive` successive terms are below
-    tol/16 and non-increasing in magnitude, which bounds the dropped tail
-    by a geometric series under the Gaussian/geometric decay all callers
-    have.  Raises TruncationOverflowError when a direction exhausts
-    policy.n_max steps first, and DomainError when a term overflows.
+
+def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
+                policy: TruncationPolicy, run: int = 4, weight=None, walk=None):
+    """(k_lo, k_hi), with k_lo <= k0 <= k_hi + 1, for a series whose terms
+    obey, with u = k - k_star, the majorant |t_k| <= e^{log_c - a u^2}.
+    log_p is the log of a lower bound on the largest term.
+
+    Past distance d the term ratio is at most rho = e^{-a(2d+1)}, so a tail
+    is below its first term over 1 - rho.  Each direction drops a tail of at
+    most min(tol/8, 2^-56 P): the first share keeps the truncation inside
+    tol, the second below the rounding of the largest term P.  The least d
+    for that solves a d^2 >= need(d) = log_c - log_target - log(1 - rho(d));
+    need falls as d grows, so one step from the Gaussian's own root meets it.
+
+    A cut past the `run` terms that the older walk (stop after `run`
+    successive terms below tol/16) sums on each side at least is checked
+    against that walk's reach, so that no series gets longer than under
+    that rule: if the majorant shows that the walk meets tol/8, the walk's
+    reach is kept, and the tol/8 cut is taken otherwise.  For that check
+
+    - weight(step, d) <= 0, non-increasing in d, is the log of a factor that
+      tightens the majorant on the tail past distance d on side step (+1
+      upper, -1 lower); None means none;
+    - walk() gives Gaussians (centre, log constant) whose least bounds every
+      term from below, to place the walk's reach; None means the majorant is
+      exact.
     """
-    tol_each = policy.tol / 16.0
-    total = 0.0 + 0.0j
-    for direction, first in ((1, k_start), (-1, k_start - 1)):
-        small = 0
-        prev = math.inf
-        k = first
-        for _ in range(policy.n_max):
-            try:
-                t = term(k)
-            except OverflowError as exc:
-                raise DomainError(f"a series term overflowed a double ({exc})") from exc
-            total += t
-            mag = abs(t)
-            if mag < tol_each and mag <= prev:
-                small += 1
-                if small >= consecutive:
-                    break
-            else:
-                small = 0
-            prev = mag
-            k += direction
-        else:
+    log_tol = math.log(policy.tol)
+    log_rel = log_tol - LOG_8
+    if log_p + LOG_ROUNDING < log_rel:
+        log_rel = log_p + LOG_ROUNDING
+    excess = log_c - log_rel
+    d = math.sqrt(excess / a) if excess > 0 else 0.0
+    x = a * (2.0 * d + 1.0)
+    d = _FAR
+    if x > 0:
+        need = excess - math.log(-math.expm1(-x))
+        # a hair past the root, so that rounding cannot leave it short
+        d = math.sqrt(need / a) * (1.0 + 1e-12) if not need <= 0 else 0.0
+        if d < _FAR:
+            k_hi = math.ceil(k_star + d) - 1
+            k_lo = math.floor(k_star - d) + 1
+            if k_hi < k0 + run and k_lo > k0 - run - 1:
+                return (k_lo if k_lo < k0 else k0), (k_hi if k_hi >= k0 else k0 - 1)
+    log_run = log_tol - LOG_16
+    lower = ((k_star, log_c),) if walk is None else walk()
+    ends = []
+    for step in (1, -1):
+        # each side in its outward coordinate: the first index summed is
+        # first, and the last one is ceil(centre + d) - 1
+        centre, first = (k_star, k0) if step > 0 else (-k_star, 1 - k0)
+        # the nearest point past which a lower Gaussian falls below tol/16:
+        # the walk sums past it, and then run - 1 terms more
+        reach = math.inf
+        for c, log_w in lower:
+            excess = log_w - log_run
+            reach = min(reach, step * c + (math.sqrt(excess / a) if excess > 0 else 0.0))
+        if not reach < _FAR:
             raise TruncationOverflowError(
-                f"series did not meet tol={policy.tol:g} within n_max={policy.n_max} terms"
-            )
+                f"no tail bound meets tol={policy.tol:g} for this series")
+        walk_last = max(first, math.floor(reach) + 1) + run - 1
+        end = math.ceil(centre + d) - 1 if d < _FAR else math.inf
+        if end > walk_last:
+            # the tail past the walk's reach, against tol/8
+            d_walk = max(walk_last + 1 - centre, 0.0)
+            need = log_c - log_tol + LOG_8 - math.log(-math.expm1(-a * (2.0 * d_walk + 1.0)))
+            if weight is not None:
+                need += weight(step, d_walk)
+            if need <= a * d_walk * d_walk:
+                end = walk_last
+            else:
+                # past d_walk, one step of the root meets tol/8
+                d_tol = math.sqrt(need / a) * (1.0 + 1e-12)
+                if not d_tol < _FAR:
+                    raise TruncationOverflowError(
+                        f"no tail bound meets tol={policy.tol:g} for this series")
+                end = min(end, math.ceil(centre + d_tol) - 1)
+        ends.append(max(end, first - 1))
+    return -ends[1], ends[0]
+
+
+def sum_bilateral(term, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy):
+    """Sum term(k) over k0..k_hi, then k0-1 down to k_lo.
+
+    The range comes from _index_range, so no term is compared on the way.
+    Raises TruncationOverflowError, before any term is summed, when the
+    range is wider than policy.n_max, and DomainError when a term overflows.
+    """
+    if k_hi - k_lo + 1 > policy.n_max:
+        raise TruncationOverflowError(
+            f"series needs {k_hi - k_lo + 1} terms to meet tol={policy.tol:g}, "
+            f"over n_max={policy.n_max}")
+    total = 0.0 + 0.0j
+    try:
+        for k in range(k0, k_hi + 1):
+            total += term(k)
+        for k in range(k0 - 1, k_lo - 1, -1):
+            total += term(k)
+    except OverflowError as exc:
+        raise DomainError(f"a series term overflowed a double ({exc})") from exc
     return total

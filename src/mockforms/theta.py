@@ -18,12 +18,14 @@ from dataclasses import dataclass
 
 from .qkernel import (
     DEFAULT_POLICY,
+    TWO_PI,
     TWO_PI_I,
     HalfInt,
     TruncationOverflowError,
     TruncationPolicy,
     _POINT_MEMO,
     _check_point,
+    _index_range,
     e2pi,
     sum_bilateral,
 )
@@ -55,15 +57,20 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     memo = _POINT_MEMO.get()
     if memo is not None and (key := ("theta", base, m, tau, z, t, policy)) in memo:
         return memo[key]
-    # |q^{m n^2} e^{2 pi i m n z}| peaks near n* = -Im z / (2 Im tau)
+    # |q^{m n^2} e^{2 pi i m n z}| = e^{a n*^2 - a (n - n*)^2} exactly, with
+    # a = 2 pi m Im tau and n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
-    k0 = round(n_star - base)
+    k_star = n_star - base
+    k0 = round(k_star)
+    a = TWO_PI * m * tau.imag
+    log_c = a * n_star * n_star
+    k_lo, k_hi = _index_range(k0, k_star, a, log_c, log_c - a * (k0 - k_star) ** 2, policy)
 
     def term(k: int) -> complex:
         n = base + k
         return cmath.exp(TWO_PI_I * (m * n * (n * tau + z)))
 
-    s = sum_bilateral(term, k0, policy)
+    s = sum_bilateral(term, k0, k_lo, k_hi, policy)
     if t != 0:
         s *= e2pi(m * t)
     if memo is not None:

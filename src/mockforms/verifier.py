@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -75,18 +76,23 @@ class VerificationReport:
 
 
 def standard_grid(n_tau: int, n_z: int, seed: int,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
     """Deterministic grid: fixed tau list, seeded z components in the
     square [-0.45, 0.45]^2, redrawn while inside the pole guard.
 
     The draw uses a floor of 0.04 on the pole distance (never below the
     policy guard): identity residuals are measured in absolute terms and a
     z drawn 1e-3 from a pole would inject 1/distance^2 rounding noise far
-    above the tolerances."""
+    above the tolerances.  The ids of a suite share a few grids, so each
+    is drawn once and returned as the same immutable tuple."""
     if n_tau < 1 or n_z < 1:
         raise ValueError("grid sizes must be positive")
+    return _draw_grid(n_tau, n_z, seed, max(policy.pole_guard, 0.04))
+
+
+@lru_cache(maxsize=32)
+def _draw_grid(n_tau: int, n_z: int, seed: int, sep: float) -> tuple:
     taus = [0.31j, 0.8j, 1.0 + 1.3j, -0.4 + 0.7j, 2.1j][:n_tau]
-    sep = max(policy.pole_guard, 0.04)
     rng = random.Random(seed)
     pts = []
     for tau in taus:
@@ -97,7 +103,7 @@ def standard_grid(n_tau: int, n_z: int, seed: int,
                 if lattice_distance(z, tau) >= sep:
                     zs.append(z)
             pts.append(EvalPoint(tau, tuple(zs)))
-    return pts
+    return tuple(pts)
 
 
 _REGISTRY: dict[str, IdentitySpec] = {}

@@ -123,6 +123,14 @@ def test_refused_inputs_exit_2(args, capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+def test_bad_tolerance_exits_2(tol, capsys, monkeypatch):
+    monkeypatch.setenv("MOCKFORMS_TOL", tol)
+    code, out, err = run_cli(["eval", "--fn", "theta", "--j", "0", "--m", "1",
+                              "--tau", "i", "--z", "0"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: tol must be positive")
+
+
 def test_family_output(capsys):
     code, out, _ = run_cli(["family", "--family", "n3", "--m=-3/4"], capsys)
     assert code == 0

@@ -250,5 +250,12 @@ def test_policy_validation():
         TruncationPolicy(tol=-1.0)
     with pytest.raises(ValueError):
         TruncationPolicy(n_max=2)
+    # a non-finite tol or guard would make every log-space tail target
+    # infinite, and a series would sum nothing
+    for bad in (INF, NAN, 0.0):
+        with pytest.raises(ValueError):
+            TruncationPolicy(tol=bad)
+        with pytest.raises(ValueError):
+            TruncationPolicy(pole_guard=bad)
     p = TruncationPolicy()
     assert p.tol == 1e-12 and p.n_max == 4000 and p.pole_guard == 1e-3
