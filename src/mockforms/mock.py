@@ -29,7 +29,9 @@ from .qkernel import (
     TWO_PI_I,
     HalfInt,
     TruncationPolicy,
+    _MISS,
     _POINT_MEMO,
+    _centre_error,
     _check_point,
     _index_range,
     e2pi,
@@ -111,11 +113,15 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     """
     tau = _check_point(tau, z1, z2)
     memo = _POINT_MEMO.get()
-    if memo is not None and (key := ("phi1", m, s, tau, z1, z2, policy, sign, want_d0)) in memo:
-        return memo[key]
+    if memo is not None:
+        key = ("phi1", m, s, tau, z1, z2, policy, sign, want_d0)
+        if (out := memo.get(key, _MISS)) is not _MISS:
+            return out
     guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
+    if not math.isfinite(j_c):
+        raise _centre_error(j_c)
     j_star = round(j_c)
     # |N_j| = e^{log_n - a (j - j_c)^2} and |1 - w_j| = h_j max(1, |w_j|) with
     # h_j >= max(floor, 1 - e^{-2 pi |y_j|}), y_j = Im(z1 + j tau) (see
@@ -149,21 +155,44 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     k_lo, k_hi = _index_range(j_star, j_c, a, log_n + math.log(lift), log_p, policy, 4,
                               weight, walk)
 
-    der = [0.0 + 0.0j]
+    # the numerator N_j = e^{2 pi i (C + j (A j + B))} is a quadratic
+    # exponential in j, and w_{j+-1} = w_j q^{+-1}
+    A, B, C = m * tau, m * zsum + s * tau, s * z1
+    der = 0.0 + 0.0j
 
-    def term(j: int) -> complex:
-        num = cmath.exp(TWO_PI_I * (m * j * zsum + s * z1 + tau * (j * j * m + j * s)))
+    def anchor(j: int):
+        num = cmath.exp(TWO_PI_I * (C + j * (A * j + B)))
         if sign < 0 and j % 2:
             num = -num
-        w = cmath.exp(TWO_PI_I * (z1 + j * tau))
-        den = 1.0 - w
-        t = num / den
-        if want_d0:
-            der[0] += s * t + num * w / (den * den)
-        return t
+        return num, j, cmath.exp(TWO_PI_I * (z1 + j * tau))
 
-    val = sum_bilateral(term, j_star, k_lo, k_hi, policy)
-    out = (val, der[0]) if want_d0 else val
+    def appell_walk(state, count: int, step: int) -> complex:
+        nonlocal der
+        num, j, w = state
+        den = 1.0 - w
+        total = num / den
+        if want_d0:
+            der += total * (s + w / den)
+        if count > 1:
+            r = sign * cmath.exp(TWO_PI_I * step * (A * (2.0 * j + step) + B))
+            qw = cmath.exp(TWO_PI_I * step * tau)
+            q2 = cmath.exp(2.0 * TWO_PI_I * A) if count > 2 else 0.0
+            for _ in range(count - 1):
+                num *= r
+                r *= q2
+                w *= qw
+                den = 1.0 - w
+                t = num / den
+                total += t
+                if want_d0:
+                    der += t * (s + w / den)
+            if not cmath.isfinite(den):
+                # |w_j| grows down the walk, past where cmath.exp would raise
+                raise OverflowError("w_j overflowed")
+        return total
+
+    val = sum_bilateral(anchor, j_star, k_lo, k_hi, policy, appell_walk)
+    out = (val, der) if want_d0 else val
     if memo is not None:
         memo[key] = out
     return out

@@ -27,7 +27,9 @@ from .qkernel import (
     TWO_PI,
     HalfInt,
     TruncationPolicy,
+    _MISS,
     _POINT_MEMO,
+    _centre_error,
     _check_point,
     _index_range,
     e2pi,
@@ -61,11 +63,15 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
     tau = _check_point(tau, v)
     v = complex(v)
     memo = _POINT_MEMO.get()
-    if memo is not None and (key := ("R", j, m, tau, v, policy, want_dv)) in memo:
-        return memo[key]
+    if memo is not None:
+        key = ("R", j, m, tau, v, policy, want_dv)
+        if (out := memo.get(key, _MISS)) is not _MISS:
+            return out
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
     k_star = (n_star - j) / (2.0 * m)
+    if not math.isfinite(k_star):
+        raise _centre_error(k_star)
     k0 = round(k_star)
     # With a = 2 pi m Im tau and u = k - k_star, the exponential factor is
     # e^{log_c + a u^2} and the bracket sgn erfc(sgn t), t = sqrt(pi) x =

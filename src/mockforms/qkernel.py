@@ -12,6 +12,9 @@ correction kernel R (Zwegers, Mock theta functions, thesis, Utrecht 2002).
 Each kernel turns its shape into a log-space majorant, _index_range turns
 that into the index range [k_lo, k_hi] whose dropped tails are provably
 inside tol, and sum_bilateral sums that range with no per-term stop test.
+A quadratic exponential t_k = e^{2 pi i (a k^2 + b k + c)} is summed by the
+recurrences t_{k+1} = t_k r_k, r_{k+1} = r_k e^{4 pi i a}, re-anchored by an
+exact cmath.exp every ANCHOR_EVERY terms.
 """
 
 from __future__ import annotations
@@ -73,13 +76,20 @@ class TruncationPolicy:
             raise ValueError("n_max must be at least 8")
         if not 0 < self.pole_guard < math.inf:
             raise ValueError(f"pole_guard must be positive and finite, got {self.pole_guard}")
+        # every memo key holds the policy: hash its fields once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.tol, self.n_max, self.pole_guard)))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 # Leaf-kernel memo: a dict while verifier.verify evaluates one grid point, None
-# at any other time.  Kernels store only results they return, never errors.
+# at any other time.  Kernels store only results they return, never errors,
+# and look a key up once, with memo.get(key, _MISS).
 _POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,13 @@ def _check_point(tau, *zs) -> complex:
     return tau
 
 
+def _centre_error(x: float) -> DomainError:
+    """The error for a series centre or lattice coordinate x that is not
+    finite, as when Im z / Im tau overflows a double: there is no index to
+    start from, and round(x) would raise an untyped error."""
+    return DomainError(f"the series centre {x} lies outside the double range")
+
+
 def gauss_error(x: float) -> float:
     """E(x) = 2 * integral_0^x exp(-pi u^2) du.
 
@@ -195,6 +212,8 @@ def _lattice_scan(z: complex, tau: complex, w: int, reach: float | None = None) 
     # coordinates of z in the (1, tau) basis
     y = z.imag / tau.imag
     x = z.real - y * tau.real
+    if not math.isfinite(x):          # also when y is not
+        raise _centre_error(x)
     a0, b0 = round(x), round(y)
     lo, hi = a0 - w, a0 + w
     b_lo, b_hi = b0 - w, b0 + w
@@ -337,12 +356,62 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
     return -ends[1], ends[0]
 
 
-def sum_bilateral(term, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy):
-    """Sum term(k) over k0..k_hi, then k0-1 down to k_lo.
+# Terms a walk forms by recurrence from one exact anchor.  The rounding of
+# r grows by about an ulp a step and that of t_k by the sum of those, so at
+# most about ANCHOR_EVERY^2 / 2 ulps at the end of a walk.  Tuned against the
+# mpmath references of perfbench/oracle.py: over 600 cases each of theta_jm
+# and phi1 (Im tau log-uniform on [1e-3, 2]) the worst error stays 2.7 and
+# 1.8 eps * cond from 4 to 128 terms a walk; for Theta at Im tau in
+# [1e-4, 1e-3] the worst absolute error is 1.0e-13 at 16, 1.3e-13 at 32 and
+# 2.1e-13 at 64, while long sums run about 7% faster at 32 than at 16.
+ANCHOR_EVERY = 32
 
-    The range comes from _index_range, so no term is compared on the way.
-    Raises TruncationOverflowError, before any term is summed, when the
-    range is wider than policy.n_max, and DomainError when a term overflows.
+
+def _quadratic_anchor(series: tuple, k: int):
+    """(t_k, n, series): the term t_k = sign^k e^{2 pi i (c + n (a n + b))},
+    n = base + k, of series = (a, b, c, base, sign), exactly; the state
+    _quadratic_walk starts from.  partial(_quadratic_anchor, series) is the
+    anchor that sum_bilateral takes."""
+    a, b, c, base, sign = series
+    n = base + k
+    t = cmath.exp(TWO_PI_I * (c + n * (a * n + b)))
+    return (-t if sign < 0 and k % 2 else t), n, series
+
+
+def _quadratic_walk(state, count: int, step: int) -> complex:
+    """Sum of the count terms from a _quadratic_anchor state on, by
+    t <- t r, r <- r e^{4 pi i a}."""
+    t, n, (a, b, _, _, sign) = state
+    if count == 1:
+        return t
+    # t_{k+step} / t_k, exactly
+    r = cmath.exp(TWO_PI_I * step * (a * (2.0 * n + step) + b))
+    if sign < 0:
+        r = -r
+    total = t
+    t *= r
+    total += t
+    if count > 2:
+        q2 = cmath.exp(2.0 * TWO_PI_I * a)
+        for _ in range(count - 2):
+            r *= q2
+            t *= r
+            total += t
+    return total
+
+
+def sum_bilateral(anchor, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy,
+                  walk=None):
+    """Sum a series over k0..k_hi, then k0-1 down to k_lo.
+
+    With no walk, anchor(k) is the term at k.  With a walk, anchor(k) is
+    the exact state of the series at k, and walk(state, count, step) sums
+    the count terms k, k + step, ... from it by recurrences; a new anchor
+    starts every ANCHOR_EVERY terms.  The range comes from _index_range, so
+    no term is compared on the way.  Raises TruncationOverflowError, before
+    any term is summed, when the range is wider than policy.n_max, and
+    DomainError when a term overflows (cmath.exp raises; a recurrence runs
+    to inf or NaN).
     """
     if k_hi - k_lo + 1 > policy.n_max:
         raise TruncationOverflowError(
@@ -350,10 +419,20 @@ def sum_bilateral(term, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy)
             f"over n_max={policy.n_max}")
     total = 0.0 + 0.0j
     try:
-        for k in range(k0, k_hi + 1):
-            total += term(k)
-        for k in range(k0 - 1, k_lo - 1, -1):
-            total += term(k)
+        if walk is None:
+            for k in range(k0, k_hi + 1):
+                total += anchor(k)
+            for k in range(k0 - 1, k_lo - 1, -1):
+                total += anchor(k)
+        else:
+            for k in range(k0, k_hi + 1, ANCHOR_EVERY):
+                count = k_hi + 1 - k
+                total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, 1)
+            for k in range(k0 - 1, k_lo - 1, -ANCHOR_EVERY):
+                count = k + 1 - k_lo
+                total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, -1)
     except OverflowError as exc:
         raise DomainError(f"a series term overflowed a double ({exc})") from exc
+    if not cmath.isfinite(total):
+        raise DomainError("a series term overflowed a double")
     return total

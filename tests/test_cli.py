@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from mockforms.cli import main, parse_complex
@@ -115,12 +116,21 @@ def test_verify_usage_error(capsys):
     ["eval", "--fn", "theta", "--j", "0", "--m", "1", "--tau", "i", "--z", "50i"],
     ["eval", "--fn", "phi_tilde", "--m", "1", "--s", "0", "--tau", "i",
      "--z1", "0.1+30i", "--z2", "0.2"],
-    ["eval", "--fn", "eta", "--tau", "0.001i"],
 ])
 def test_refused_inputs_exit_2(args, capsys):
     # an overflowing series term and a truncation cap hit are errors, not tracebacks
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_eval_eta_small_im_tau(capsys):
+    # eta(0.001i) ~ 6.3e-113 is a value, to its relative precision
+    code, out, _ = run_cli(["eval", "--fn", "eta", "--tau", "0.001i"], capsys)
+    assert code == 0
+    value = json.loads(out)["value"]
+    with mpmath.workdps(30):
+        ref = complex(mpmath.eta(mpmath.mpc(0, 0.001)))
+    assert abs(complex(value["re"], value["im"]) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])

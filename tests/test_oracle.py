@@ -4,31 +4,38 @@ Im tau in [1e-3, 5], |Re tau| <= 10, degrees m <= 20, half-integer j and s.
 
 Each case either lands within policy.tol + ROUNDING_ULPS * eps * cond of the
 reference (cond is the reference's rounding scale) or raises a typed error.
-The references are imported read-only; the one reference perfbench does not
-have, the v-derivative of R, is summed here from its docstring formula with
-the same helpers and checked against a difference quotient of R itself.
+The references are imported read-only; the two references perfbench does
+not have, the v-derivative of R and the D0-derivative of the Appell sum, are
+summed here from their docstring formulas with the same helpers, and each
+is checked against a difference quotient of the reference it differentiates.
+Dedekind eta is checked over Im tau in [1e-4, 5], through its modular
+reduction.
 """
 
 import importlib.util
+import math
 import pathlib
+import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath import mp
 
+import mockforms.theta as theta
+import mockforms.verifier as V
 from mockforms.qkernel import (
     DomainError,
     PoleProximityError,
     TruncationOverflowError,
     TruncationPolicy,
 )
-from mockforms.mock import MockIndex, phi1
+from mockforms.mock import MockIndex, phi1, phi_d0
 from mockforms.modification import (
     CorrectionIndex,
     phi_tilde,
     r_correction,
     r_correction_dv,
 )
-from mockforms.theta import ThetaIndex, theta_jm
+from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_oracle",
@@ -171,3 +178,99 @@ def test_phi_tilde_top_degree():
     tau, z1, z2 = 0.9 + 0.6j, 0.21 + 0.3j, -0.34 - 0.25j
     _check(lambda p: phi_tilde(MockIndex.of(20, 0.5), tau, z1, z2, 0.0, p),
            lambda: oracle.phi_tilde(20, 0.5, tau, z1, z2), 1e-12)
+
+
+# Im tau log-uniform on [1e-4, 5]: mpmath.eta sums the q-series, which takes
+# seconds next to Im tau = 1e-4, so the draws stop at 40
+@settings(ORACLE, max_examples=40)
+@given(st.floats(min_value=math.log(1e-4), max_value=math.log(5.0)).map(math.exp),
+       re_tau, tol)
+# next to the cusps 1/2 and 9/2 the T steps cancel the leading digits of Re tau
+@example(3e-4, 0.5, 1e-12)
+@example(1.3754229046268246e-4, 4.500133154484548, 1e-12)
+@example(1e-3, -9.5, 1e-9)
+@example(0.1, 0.5, 1e-12)
+def test_dedekind_eta(y, x, tol):
+    tau = complex(x, y)
+    value = dedekind_eta(tau, TruncationPolicy(tol=tol))
+    ref, cond = oracle.dedekind_eta(tau)
+    _within(value, (ref, cond), tol)
+    # relative precision wherever eta is a normal double
+    if abs(ref) >= sys.float_info.min:
+        assert abs(complex(ref) - value) <= 1e-10 * abs(ref)
+
+
+def _phi_d0_reference(m, s, tau, z1, z2):
+    """(value, D0 value) of Phi^{[m;s]} at dps 30, the D0 part summed termwise
+    from the _phi1_core docstring: D0 (N/D) = s N/D + N w/D^2."""
+    def d0(m, s, tau, z1, z2):
+        m, s = oracle._mpq(m), oracle._mpq(s)
+        tau, z1, z2 = oracle._mpc(tau), oracle._mpc(z1), oracle._mpc(z2)
+        A, B, C = m * tau, m * (z1 + z2) + s * tau, s * z1
+
+        def term(j):
+            arg = A * j * j + B * j + C
+            warg = z1 + j * tau
+            w = oracle._e(warg)
+            den = 1 - w
+            num = oracle._e(arg)
+            amp = (1.0 + oracle.TWO_PI * oracle._abs(arg)
+                   + 2.0 * oracle._abs(w) * (1.0 + oracle.TWO_PI * oracle._abs(warg))
+                   / oracle._abs(den))
+            value, slope = num / den, num * w / (den * den)
+            return (s * value + slope,
+                    (abs(float(s)) * oracle._abs(value) + oracle._abs(slope)) * amp)
+
+        return oracle._walk(term, int(mp.nint(-s / (2 * m) - (z1 + z2).imag / (2 * tau.imag))))
+
+    da, ca = d0(m, s, tau, z1, z2)
+    db, cb = d0(m, s, tau, -oracle._mpc(z2), -oracle._mpc(z1))
+    return oracle.phi(m, s, tau, z1, z2), (da - db, ca + cb)
+
+
+def test_phi_d0_reference_is_the_derivative():
+    m, s, tau, z1, z2 = 1.5, 0.5, 0.2 + 0.7j, 0.13 + 0.21j, -0.31 + 0.05j
+    h = mp.mpf(10) ** -12
+    z1m, z2m = oracle._mpc(z1), oracle._mpc(z2)
+    phi = lambda a, b: oracle.phi(m, s, tau, a, b)[0]
+    d1 = (phi(z1m + h, z2m) - phi(z1m - h, z2m)) / (2 * h)
+    d2 = (phi(z1m, z2m + h) - phi(z1m, z2m - h)) / (2 * h)
+    fd = (d1 - d2) / (2j * mp.pi)
+    ref = _phi_d0_reference(m, s, tau, z1, z2)[1][0]
+    assert abs(fd - ref) <= 1e-12 * abs(ref)
+
+
+@ORACLE
+@given(degree, half, im_tau, re_tau, re_z, im_units, re_z, im_units, tol)
+@example(0.5, 0.5, 1e-3, 0.1, 0.31, 0.4, -0.2, 1.3, 1e-12)
+@example(2.0, -1.5, 0.7, 3.0, 0.27, -2.9, 0.1, 2.9, 1e-9)
+def test_phi_d0(m, s, y, x, r1, u1, r2, u2, tol):
+    tau, z1, z2 = complex(x, y), complex(r1, u1 * y), complex(r2, u2 * y)
+    try:
+        value, der = phi_d0(MockIndex.of(m, s), tau, z1, z2, TruncationPolicy(tol=tol))
+    except TYPED:
+        return
+    ref_value, ref_der = _phi_d0_reference(m, s, tau, z1, z2)
+    _within(value, ref_value, tol)
+    _within(der, ref_der, tol)
+
+
+def test_verification_grid_evaluates_eta_directly(monkeypatch):
+    # every eta argument the identities reach must take the direct path:
+    # eta.mod checks eta(-1/tau) = sqrt(-i tau) eta(tau), the law the modular
+    # reduction evaluates with.  The modules import eta by name, so each
+    # binding is wrapped.
+    seen = []
+    real = theta.dedekind_eta
+
+    def recording(tau, *args, **kwargs):
+        seen.append(complex(tau))
+        return real(tau, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("mockforms") \
+                and getattr(module, "dedekind_eta", None) is real:
+            monkeypatch.setattr(module, "dedekind_eta", recording)
+    V.suite("all", seed=1)
+    assert seen
+    assert min(t.imag for t in seen) >= ETA_DIRECT

@@ -99,6 +99,30 @@ def test_kernels_reject_bad_points(name):
             kernel(0.1 + 1j, z)
 
 
+# Im z / Im tau past the double range: no index to sum from, and no untyped
+# OverflowError from round(inf).  Below Im tau = pole_guard / n_max the pole
+# guard of phi1 refuses first.
+OVERFLOW_Z = {
+    "theta_jm": (lambda: theta_jm(ThetaIndex.of(1, 2), 1e-300j, 1e200j), DomainError),
+    "theta_jm_tiny_im_tau": (lambda: theta_jm(ThetaIndex.of(1, 2), 0.5 + 1e-12j, -1e300j),
+                             DomainError),
+    "r_correction": (lambda: r_correction(CorrectionIndex.of(0, 1), 0.5 + 1e-12j, -1e300j),
+                     DomainError),
+    "phi1_z2": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-3j, 0.1, -1e306j), DomainError),
+    "phi1_z1": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-3j, -1e306j, 0.1), DomainError),
+    "phi1_tiny_im_tau": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-12j, 0.1, -1e300j),
+                         TruncationOverflowError),
+    "lattice_distance": (lambda: lattice_distance(-1e300j, 0.5 + 1e-12j), DomainError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_Z))
+def test_overflow_sized_im_z_is_a_typed_error(name):
+    call, error = OVERFLOW_Z[name]
+    with pytest.raises(error):
+        call()
+
+
 def test_lattice_distance_basics():
     assert lattice_distance(0.0, 2j) == 0.0
     assert abs(lattice_distance(0.5, 2j) - 0.5) < 1e-15
@@ -259,3 +283,7 @@ def test_policy_validation():
             TruncationPolicy(pole_guard=bad)
     p = TruncationPolicy()
     assert p.tol == 1e-12 and p.n_max == 4000 and p.pole_guard == 1e-3
+    # the hash is computed once; equal policies stay one memo key
+    same = TruncationPolicy(1e-12, 4000, 1e-3)
+    assert p == same and hash(p) == hash(same) and len({p: 1, same: 2}) == 1
+    assert hash(TruncationPolicy(tol=1e-9)) != hash(p)

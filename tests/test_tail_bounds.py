@@ -29,9 +29,9 @@ def _recording(monkeypatch, module):
     calls = []
     real = module.sum_bilateral
 
-    def rec(term, k0, k_lo, k_hi, policy):
+    def rec(anchor, k0, k_lo, k_hi, policy, walk=None):
         calls.append((k0, k_lo, k_hi))
-        return real(term, k0, k_lo, k_hi, policy)
+        return real(anchor, k0, k_lo, k_hi, policy, walk)
 
     monkeypatch.setattr(module, "sum_bilateral", rec)
     return calls
@@ -99,12 +99,21 @@ THETA_POINTS = [
 ]
 
 
+# (k0, k_lo, k_hi) of each point above, as summed term by term before the
+# recurrence walks: a walk changes how terms are formed, never which
+THETA_RANGES = {
+    1e-12: [(0, -2, 1), (-2, -103, 100), (1, -16, 18), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
+    1e-06: [(0, -2, 1), (-2, -78, 75), (1, -14, 16), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
+}
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("j, m, tau, z", THETA_POINTS)
 def test_theta_range(j, m, tau, z, tol, monkeypatch):
     calls = _recording(monkeypatch, theta)
     theta.theta_jm(theta.ThetaIndex.of(j, m), tau, z, 0.0, TruncationPolicy(tol=tol))
     (k0, k_lo, k_hi), = calls
+    assert (k0, k_lo, k_hi) == THETA_RANGES[tol][THETA_POINTS.index((j, m, tau, z))]
     base = (j / (2 * m)) % 1
 
     def mag(k):
@@ -125,6 +134,19 @@ PHI1_POINTS = [
 ]
 
 
+# as THETA_RANGES, keyed by (tol, want_d0)
+PHI1_RANGES = {
+    (1e-12, False): [(0, -3, 2), (-1, -101, 99), (1, -51, 53), (0, -3, 2), (-1, -3, 1),
+                     (-2, -5, 1), (0, -1, 2)],
+    (1e-12, True): [(0, -3, 3), (-1, -101, 99), (1, -51, 53), (0, -3, 2), (-1, -3, 1),
+                    (-2, -5, 1), (0, -1, 2)],
+    (1e-06, False): [(0, -3, 2), (-1, -75, 73), (1, -38, 40), (0, -3, 2), (-1, -3, 1),
+                     (-2, -4, 0), (0, -1, 1)],
+    (1e-06, True): [(0, -3, 3), (-1, -78, 76), (1, -38, 40), (0, -3, 2), (-1, -3, 1),
+                    (-2, -4, 0), (0, -1, 1)],
+}
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("want_d0", [False, True])
 @pytest.mark.parametrize("m, s, tau, z1, z2", PHI1_POINTS)
@@ -133,6 +155,7 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
     policy = TruncationPolicy(tol=tol)
     mock._phi1_core(float(m), float(s), tau, z1, z2, policy, want_d0=want_d0)
     (k0, k_lo, k_hi), = calls
+    assert (k0, k_lo, k_hi) == PHI1_RANGES[tol, want_d0][PHI1_POINTS.index((m, s, tau, z1, z2))]
     zs = z1 + z2
 
     def parts(j):

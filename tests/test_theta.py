@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from mockforms.qkernel import TruncationPolicy, TruncationOverflowError, e2pi
@@ -75,9 +76,27 @@ def test_eta_value_and_phase():
     assert abs(a - e2pi(1 / 24) * v) < 1e-14
 
 
-def test_eta_truncation_overflow():
-    with pytest.raises(TruncationOverflowError):
-        dedekind_eta(0.05j, TruncationPolicy(n_max=16))
+def test_eta_small_im_tau_matches_mpmath():
+    # below Im tau = 0.1, eta is moved up by T and S steps before it sums; the
+    # product form it replaced refused 0.05i at n_max = 16 and 0.001i at 4000.
+    # Next to the cusps 1/2 and 9/2, T steps cancel the leading digits of
+    # Re tau, so the moved point is evaluated from the exact input
+    for tau, policy in ((0.05j, TruncationPolicy(n_max=16)), (0.001j, P),
+                        (0.5 + 3e-4j, P), (-9.5 + 1e-3j, P), (0.3 + 0.07j, P),
+                        (4.500133154484548 + 1.3754229046268246e-4j, P)):
+        with mpmath.workdps(30):
+            ref = complex(mpmath.eta(mpmath.mpc(tau.real, tau.imag)))
+        assert abs(dedekind_eta(tau, policy) - ref) <= 1e-13 * abs(ref), tau
+
+
+def test_eta_reduction_ends_at_tiny_im_tau():
+    # at Im tau = 1e-300 eta lies far below the double range.  The S steps
+    # follow the continued fraction of the dyadic Re tau (30 of them for the
+    # golden ratio below), and from a subnormal Im tau one overflows to inf
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for tau in (1e-300j, 0.3 + 1e-300j, 0.5 + 1e-300j, -7.25 + 1e-300j,
+                complex(golden, 1e-300), 5e-324j):
+        assert dedekind_eta(tau, P) == 0
 
 
 def test_degree_two_decomposition_formal():
