@@ -117,7 +117,14 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         key = ("phi1", m, s, tau, z1, z2, policy, sign, want_d0)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
-    guard_pole(z1, tau, policy, "z1")
+        # the guard depends on (z1, tau, policy) alone: a passed scan is
+        # recorded for the point, a refusal is raised again on every call
+        pole_key = ("pole", z1, tau, policy)
+        if pole_key not in memo:
+            guard_pole(z1, tau, policy, "z1")
+            memo[pole_key] = True
+    else:
+        guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
     if not math.isfinite(j_c):

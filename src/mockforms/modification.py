@@ -10,21 +10,27 @@ the correcting sum Phi_add, the modifications Phi-tilde, Phi_1-tilde and
 Psi-tilde, and an s-independence report.  The sgn argument is never zero:
 n - j in 2mZ puts it in 2mZ - 1/2.
 
-Terms are scanned outward from the turning point n* = 2m Im v / Im tau,
+The correcting sum needs R_{j;m} for the 2m indices j = s, ..., s+2m-1,
+whose residues mod 2m cover s + Z once: r_window sums them all as one
+series over n in s + Z, outward from the turning point n* = 2m Im v / Im tau,
 where the bracket and the growing exponential compete; beyond it the net
 decay is Gaussian.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .qkernel import (
+    ANCHOR_EVERY,
     DEFAULT_POLICY,
     LOG_16,
     SQRT_PI,
     TWO_PI,
+    TWO_PI_I,
+    DomainError,
     HalfInt,
     TruncationPolicy,
     _MISS,
@@ -52,93 +58,164 @@ class CorrectionIndex:
         return CorrectionIndex(HalfInt.of(j), m)
 
 
-def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
-           want_dv: bool = False):
-    # The bracket sgn - E(x) decays like exp(-pi x^2) while the exponential
-    # factor grows like exp(+pi n^2 Im tau / 2m); the product decays, but
-    # the factors individually overflow/underflow doubles.  Both pieces are
-    # therefore assembled in log space, with the bracket computed through
-    # erfc so the far tail keeps full relative precision (1 - erf would be
-    # pure rounding noise exactly where the exponential amplifies it).
+# A window walk forms the exponential factors e^{2 pi i w} of a run of terms
+# by recurrence from an exact anchor only where log |e^{2 pi i w}| stays in
+# [_WALK_LOG_MIN, _WALK_LOG_MAX] and spans at most _WALK_LOG_SPAN over the
+# run.  Then the anchor is a normal double (a subnormal or underflowed one
+# would pass its lost digits to every later term), no factor of the
+# recurrence overflows, and the rounding of the ratios' exponents, which the
+# recurrence passes on, stays near that of one exact term.  Other runs (a
+# turning point far from the window, Im v / Im tau large) form each term in
+# log space, exactly, as the bracket may be tiny where the exponential
+# overflows.
+_WALK_LOG_MIN = -700.0
+_WALK_LOG_MAX = 700.0
+_WALK_LOG_SPAN = 64.0
+
+
+def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
+             want_dv: bool = False):
+    """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
+    2m-1, or with want_dv the pair of it and the tuple of
+    (1/2 pi i) dR_{s+r;m}/dv, from one sum over n = s + l, l in Z.
+
+    The residues s + r + 2mZ cover s + Z once, so the term at l goes to
+    bucket r = l mod 2m, and its sgn is +1 exactly when l >= 0.  Its
+    exponential factor e^{2 pi i n (-n tau / 4m + v)} is a quadratic
+    exponential in l, formed by recurrence from an exact anchor every
+    ANCHOR_EVERY terms, so a term costs one erfc, and its derivative one
+    real exp more.  The value part does not depend on want_dv, to the bit.
+    """
     tau = _check_point(tau, v)
     v = complex(v)
     memo = _POINT_MEMO.get()
     if memo is not None:
-        key = ("R", j, m, tau, v, policy, want_dv)
+        key = ("Rwin", s, m, tau, v, policy, want_dv)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
+    width = round(2.0 * m)
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
-    k_star = (n_star - j) / (2.0 * m)
-    if not math.isfinite(k_star):
-        raise _centre_error(k_star)
-    k0 = round(k_star)
-    # With a = 2 pi m Im tau and u = k - k_star, the exponential factor is
+    l_star = n_star - s
+    if not math.isfinite(l_star):
+        raise _centre_error(l_star)
+    k0 = round(l_star)
+    # With a = pi Im tau / 2m and u = l - l_star, the exponential factor is
     # e^{log_c + a u^2} and the bracket sgn erfc(sgn t), t = sqrt(pi) x =
-    # sqrt(2a) u.  Past both 0 and k_star (sgn t >= 0) the bracket is below
+    # sqrt(2a) u.  Past both 0 and l_star (sgn t >= 0) the bracket is below
     # e^{-t^2} min(1, 1/(sqrt(pi) t)) = e^{-2 a u^2} / max(1, kappa u) with
     # kappa = sqrt(2 pi a): the Gaussian at half the bracket's rate.  Between
-    # 0 and k_star the bracket lies in [1, 2); that window is summed whole, and
-    # its far end holds a term of at least e^{log_c + a u^2}.
-    a = TWO_PI * m * tau.imag
+    # 0 and l_star the bracket lies in [1, 2); that window is summed whole, and
+    # the far end of a bucket's part of it holds a term of at least
+    # e^{log_c + a u^2}.
+    a = math.pi * tau.imag / (2.0 * m)
     kappa = math.sqrt(TWO_PI * a)
-    log_c = -math.pi * tau.imag * n_star * n_star / (2.0 * m)
+    log_c = -a * n_star * n_star
     dscale = math.sqrt(m / tau.imag) / math.pi
-    # the derivative terms n t - dscale e^{-pi x^2} ... are below
-    # |n_star| / max(1, kappa u) + 2 dscale times the Gaussian, as |n| <=
-    # |n_star| + 2m u and 2m / kappa = dscale
-    lift = abs(n_star) + 2.0 * dscale if want_dv else 1.0
-
-    def weight(step: int, d: float) -> float:
-        if want_dv:
-            return math.log((abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)
-        return -math.log(max(1.0, kappa * d))
 
     def walk():
         # from below, erfc(t) >= e^{-t^2} / (sqrt(pi) (1 + t)); up to where the
         # majorant meets tol/16 that is a Gaussian with a fixed constant
         excess = log_c - math.log(policy.tol) + LOG_16
         u_run = math.sqrt(excess / a) if excess > 0 else 0.0
-        return ((k_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
+        return ((l_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
 
-    far = max(k_star, -1.0 - k_star, 0.0)
-    if far:
-        log_p = log_c + a * far * far
-    else:
-        u0 = abs(k0 - k_star)
-        log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
-    k_lo, k_hi = _index_range(k0, k_star, a, log_c + math.log(lift), log_p, policy, 5,
-                              weight, walk)
-    # the tails start past the window
-    k_lo, k_hi = min(k_lo, 0), max(k_hi, math.ceil(k_star) - 1, -1)
+    def log_peak(r: int) -> float:
+        # a lower bound on the largest term of bucket r, whose tails must stay
+        # below that term's rounding: the far end of the bucket's part of the
+        # window, or else its term nearest l_star
+        k_star = (l_star - r) / width
+        far = max(k_star, -1.0 - k_star, 0.0) * width
+        if far:
+            return log_c + a * far * far
+        u0 = abs(round(k_star) - k_star) * width
+        return log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
 
-    der = [0.0 + 0.0j]
+    log_p = min(map(log_peak, range(width)))
 
-    def assemble(log_mag: float, phase: float) -> complex:
-        if log_mag < -745.0:
-            return 0.0 + 0.0j
-        r = math.exp(log_mag)
-        return complex(r * math.cos(phase), r * math.sin(phase))
+    # A value term is below the Gaussian over f = max(1, kappa u), and a
+    # derivative term n t - dscale e^{-pi x^2} ... below the Gaussian times
+    # |n_star| / f + 2 dscale, as |n| <= |n_star| + u and 1 / kappa = dscale:
+    # both are below the Gaussian times max(1, |n_star| + 2 dscale f) / f.
+    def index_range(dv: bool):
+        c1, c2 = (abs(n_star), 2.0 * dscale) if dv else (0.0, 0.0)
+        lift = max(1.0, c1 + c2)
 
-    def term(k: int) -> complex:
-        n = j + 2.0 * m * k
-        sgn = 1.0 if k >= 0 else -1.0
-        x = (n - n_star) * scale
-        # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x)
-        br = math.erfc(sgn * SQRT_PI * x)
-        w = -n * n * tau / (4.0 * m) + n * v
-        exp_re = -TWO_PI * w.imag
-        phase = TWO_PI * w.real
-        t = 0.0 + 0.0j
-        if br > 0.0:
-            t = sgn * assemble(math.log(br) + exp_re, phase)
-        if want_dv:
-            d = n * t - dscale * assemble(-math.pi * x * x + exp_re, phase)
-            der[0] += d
-        return t
+        def weight(step: int, d: float) -> float:
+            f = max(1.0, kappa * d)
+            return math.log(max(1.0, c1 + c2 * f) / (f * lift))
 
-    val = sum_bilateral(term, k0, k_lo, k_hi, policy)
-    out = (val, der[0]) if want_dv else val
+        l_lo, l_hi = _index_range(k0, l_star, a, log_c + math.log(lift), log_p, policy, 5,
+                                  weight, walk, width)
+        # the tails start past the window
+        return min(l_lo, 0), max(l_hi, math.ceil(l_star) - 1, -1)
+
+    # Values and derivatives share the range of the larger majorant, so that
+    # the values do not depend on want_dv.  Where that range is refused, a
+    # call for values alone sums the values' own range, unless it is refused
+    # too: a call with want_dv raises there.
+    l_lo, l_hi = index_range(True)
+    if not want_dv and (l_hi - l_lo) // width >= policy.n_max:
+        l_lo, l_hi = index_range(False)
+
+    # e^{2 pi i n (qa n + v)} does not move when tau moves by 16m, as 2n is
+    # an integer: the walk takes Re tau to within 8m of 0 (exactly), so that
+    # the phases of its anchors and ratios do not carry a large Re tau
+    period = 16.0 * m
+    qa = -complex(tau.real - period * round(tau.real / period), tau.imag) / (4.0 * m)
+    vals = [0.0 + 0.0j] * width
+    ders = [0.0 + 0.0j] * width
+    # the buckets of l, l + 1, ... start at position l mod 2m of up, and
+    # those of l, l - 1, ... at 2m - 1 - (l mod 2m) of down
+    up = list(range(width)) * (ANCHOR_EVERY // width + 2)
+    down = up[::-1]
+    erfc, exp, cexp = math.erfc, math.exp, cmath.exp
+    c = SQRT_PI * scale
+
+    def window_walk(l: int, count: int, step: int) -> complex:
+        # Adds the terms l, l + step, ... (count of them) to their buckets,
+        # and returns 0 to sum_bilateral: the sums are the buckets.
+        # |e^{2 pi i n (qa n + v)}| = e^{log_c + a u^2} grows along every
+        # walk (each starts within 1/2 of l_star or walks away from it), so
+        # it is least at the first term and largest at the last.
+        u_last = l + step * (count - 1) - l_star
+        lo = log_c + a * (l - l_star) ** 2
+        hi = log_c + a * u_last * u_last
+        n = s + l
+        b = l % width if step > 0 else width - 1 - l % width
+        buckets = (up if step > 0 else down)[b:b + count]
+        if _WALK_LOG_MIN <= lo and hi <= _WALK_LOG_MAX and hi - lo <= _WALK_LOG_SPAN:
+            e = cexp(TWO_PI_I * n * (qa * n + v))
+            r = cexp(TWO_PI_I * step * (qa * (2.0 * n + step) + v)) if count > 1 else 0j
+            q2 = cexp(2.0 * TWO_PI_I * qa) if count > 2 else 0j
+            for b in buckets:
+                # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x), x = (n - n_star)
+                # scale, and sgn = +1 exactly when l >= 0
+                d = n - n_star
+                t = (erfc(c * d) if n >= s else -erfc(-c * d)) * e
+                vals[b] += t
+                if want_dv:
+                    ders[b] += n * t - dscale * exp(-math.pi * (d * scale) ** 2) * e
+                e *= r
+                r *= q2
+                n += step
+        else:
+            for b in buckets:
+                d = n - n_star
+                br = erfc(c * d) if n >= s else -erfc(-c * d)
+                w = TWO_PI_I * n * (qa * n + v)
+                t = math.copysign(1.0, br) * cexp(w + math.log(abs(br))) if br else 0j
+                vals[b] += t
+                if want_dv:
+                    ders[b] += n * t - dscale * cexp(w - math.pi * (d * scale) ** 2)
+                n += step
+        return 0j
+
+    # anchor(l) = l: window_walk forms its own anchors
+    sum_bilateral(int, k0, l_lo, l_hi, policy, window_walk, width)
+    if not all(map(cmath.isfinite, vals + ders)):
+        raise DomainError("a series term overflowed a double")
+    out = (tuple(vals), tuple(ders)) if want_dv else tuple(vals)
     if memo is not None:
         memo[key] = out
     return out
@@ -146,8 +223,8 @@ def _r_sum(j: float, m: float, tau: complex, v: complex, policy: TruncationPolic
 
 def r_correction(idx: CorrectionIndex, tau: complex, v: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """R_{j;m}(tau, v)."""
-    return _r_sum(float(idx.j), float(idx.m), tau, v, policy)
+    """R_{j;m}(tau, v): the first entry of the window that starts at j."""
+    return r_window(float(idx.j), float(idx.m), tau, v, policy)[0]
 
 
 def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
@@ -158,7 +235,8 @@ def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
         (1/2 pi i) d/dv [(sgn - E(x_n)) e^{2 pi i n v}]
             = (n (sgn - E(x_n)) - sqrt(m/Im tau) e^{-pi x_n^2} / pi) e^{...}.
     """
-    return _r_sum(float(idx.j), float(idx.m), tau, v, policy, want_dv=True)
+    vals, ders = r_window(float(idx.j), float(idx.m), tau, v, policy, want_dv=True)
+    return vals[0], ders[0]
 
 
 def _correction_window(idx: MockIndex):
@@ -168,32 +246,33 @@ def _correction_window(idx: MockIndex):
 
 
 def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPolicy):
-    """(j, (Theta_{-j,m} - Theta_{j,m})(tau, z)) over the correcting window,
-    leaving out zero differences.
+    """(r, (Theta_{-j,m} - Theta_{j,m})(tau, z)) over the correcting window
+    j = s + r, r = 0, ..., 2m-1, leaving out zero differences.
 
     The window meets every residue of s + Z mod 2m once, and so does its
-    negative, so each Theta_{r,m} is summed once.  A residue with -r == r
+    negative, so each Theta_{j,m} is summed once.  A residue with -j == j
     cancels exactly and is not summed at all."""
     mod = 2 * idx.m.twice                    # 2j mod 4m gives j mod 2m
-    window = [j2 for j2 in _correction_window(idx) if 2 * j2 % mod]
+    window = [(r, j2) for r, j2 in enumerate(_correction_window(idx)) if 2 * j2 % mod]
     theta = {j2 % mod: theta_jm(ThetaIndex(HalfInt(j2 % mod), idx.m), tau, z, 0.0, policy)
-             for j2 in window}
-    diffs = ((j2 / 2, theta[-j2 % mod] - theta[j2 % mod]) for j2 in window)
-    return [(j, d) for j, d in diffs if d != 0]
+             for _, j2 in window}
+    diffs = ((r, theta[-j2 % mod] - theta[j2 % mod]) for r, j2 in window)
+    return [(r, d) for r, d in diffs if d != 0]
 
 
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(1/2) e^{2 pi i m t} sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2)
     (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2)."""
-    v = (z1 - z2) / 2.0
-    m = float(idx.m)
     total = 0.0 + 0.0j
-    for j, tj in _theta_diffs(idx, tau, z1 + z2, policy):
-        total += _r_sum(j, m, tau, v, policy) * tj
+    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
+    if diffs:
+        rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy)
+        for r, d in diffs:
+            total += rs[r] * d
     total *= 0.5
     if t != 0:
-        total *= e2pi(m * t)
+        total *= e2pi(float(idx.m) * t)
     return total
 
 
@@ -201,14 +280,14 @@ def phi_add_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
                policy: TruncationPolicy = DEFAULT_POLICY):
     """(value, D0 value) of Phi_add at t = 0.  Only the R-factor depends on
     z1 - z2, so D0 hits it alone with weight 1 in the v-slot."""
-    v = (z1 - z2) / 2.0
-    m = float(idx.m)
     val = 0.0 + 0.0j
     der = 0.0 + 0.0j
-    for j, tj in _theta_diffs(idx, tau, z1 + z2, policy):
-        rv, rd = _r_sum(j, m, tau, v, policy, want_dv=True)
-        val += rv * tj
-        der += rd * tj
+    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
+    if diffs:
+        rv, rd = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy, True)
+        for r, d in diffs:
+            val += rv[r] * d
+            der += rd[r] * d
     return 0.5 * val, 0.5 * der
 
 
@@ -237,12 +316,11 @@ def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     reproduces Phi-tilde exactly.  (The swap-negate map fixes (z1-z2)/2 and
     negates z1+z2, turning -Theta_j into Theta_{-j} - Theta_j pairwise.)
     """
-    v = (z1 - z2) / 2.0
     zs = z1 + z2
+    rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy)
     total = 0.0 + 0.0j
-    for j2 in _correction_window(idx):
-        tj = theta_jm(ThetaIndex(HalfInt(j2), idx.m), tau, zs, 0.0, policy)
-        total += _r_sum(j2 / 2, float(idx.m), tau, v, policy) * tj
+    for r, j2 in enumerate(_correction_window(idx)):
+        total += rs[r] * theta_jm(ThetaIndex(HalfInt(j2), idx.m), tau, zs, 0.0, policy)
     return -0.5 * total
 
 

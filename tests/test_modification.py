@@ -21,6 +21,7 @@ from mockforms.modification import (
     s_independence_report,
 )
 from mockforms.theta import ThetaIndex, theta_jm
+from oracle_refs import oracle, r_dv_reference
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 0.9j + 0.15, 0.22 + 0.05j, 0.31 - 0.08j
@@ -110,16 +111,46 @@ def phi_add_reference(idx, tau, z1, z2, t):
     return tot, (0.5 * val, 0.5 * der)
 
 
+def phi_add_d0_reference(m, s, tau, z1, z2):
+    """(value, cond) at dps 30 of the D0 part of Phi_add: (1/2) sum over the
+    window of (1/2 pi i) dR_{j;m}/dv (Theta_{-j,m} - Theta_{j,m})."""
+    z1, z2 = oracle._mpc(z1), oracle._mpc(z2)
+    total = cond = 0
+    for r in range(int(2 * m)):
+        j = s + r
+        ta, ca = oracle.theta_jm(-j, m, tau, z1 + z2)
+        tb, cb = oracle.theta_jm(j, m, tau, z1 + z2)
+        t, c = oracle._mul(r_dv_reference(j, m, tau, (z1 - z2) / 2), (ta - tb, ca + cb))
+        total += t
+        cond += c
+    return total / 2, cond / 2
+
+
+def within(value, ref, cond):
+    bound = P.tol + oracle.ROUNDING_ULPS * oracle.EPS * cond
+    assert abs(value - complex(ref)) <= bound, (value, ref, bound)
+
+
 @pytest.mark.parametrize("m", [F(1, 2), 1, F(3, 2), 2, 3])
 @pytest.mark.parametrize("s", [0, F(1, 2), 1, F(-3, 2)])
 def test_phi_add_window_matches_pairwise_reference(m, s):
-    # each Theta_{r,m} is summed once for the whole window; values must not
-    # move by a bit against one pairwise difference per index
+    # each Theta_{r,m} is summed once and every R comes from one walk over
+    # the window, in another order than one series per index: the values
+    # agree with one pairwise difference per index, and with the mpmath
+    # oracle, within tol + 64 eps cond
     idx = MockIndex.of(m, s)
     for tau, z1, z2, t in ((TAU, Z1, Z2, 0.0), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.2)):
-        ref, ref_d0 = phi_add_reference(idx, tau, z1, z2, t)
-        assert phi_add(idx, tau, z1, z2, t, P) == ref
-        assert phi_add_d0(idx, tau, z1, z2, P) == ref_d0
+        ref, (ref_v, ref_d) = phi_add_reference(idx, tau, z1, z2, t)
+        mp_ref, cond = oracle.phi_add(m, s, tau, z1, z2)
+        value = phi_add(idx, tau, z1, z2, t, P)
+        within(value, ref, cond)
+        within(value, e2pi(float(m) * t) * complex(mp_ref), cond)
+        v0, d0 = phi_add_d0(idx, tau, z1, z2, P)
+        assert v0 == phi_add(idx, tau, z1, z2, 0.0, P)
+        within(v0, ref_v, cond)
+        mp_d, cond_d = phi_add_d0_reference(m, s, tau, z1, z2)
+        within(d0, ref_d, cond_d)
+        within(d0, mp_d, cond_d)
 
 
 def test_phi_add_window_shift_vs_tilde():

@@ -5,16 +5,15 @@ Im tau in [1e-3, 5], |Re tau| <= 10, degrees m <= 20, half-integer j and s.
 Each case either lands within policy.tol + ROUNDING_ULPS * eps * cond of the
 reference (cond is the reference's rounding scale) or raises a typed error.
 The references are imported read-only; the two references perfbench does
-not have, the v-derivative of R and the D0-derivative of the Appell sum, are
-summed here from their docstring formulas with the same helpers, and each
-is checked against a difference quotient of the reference it differentiates.
+not have, the v-derivative of R (tests/oracle_refs.py) and the D0-derivative
+of the Appell sum, are summed from their docstring formulas with the same
+helpers, and each is checked against a difference quotient of the reference
+it differentiates.
 Dedekind eta is checked over Im tau in [1e-4, 5], through its modular
 reduction.
 """
 
-import importlib.util
 import math
-import pathlib
 import sys
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -34,14 +33,11 @@ from mockforms.modification import (
     phi_tilde,
     r_correction,
     r_correction_dv,
+    r_window,
 )
 from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
+from oracle_refs import oracle, r_dv_reference
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_oracle",
-    pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
 
 TYPED = (DomainError, PoleProximityError, TruncationOverflowError)
 TOLS = (1e-12, 1e-9, 1e-6)
@@ -74,35 +70,6 @@ def _check(compute, reference, tol):
     _within(value, reference(), tol)
 
 
-def _r_dv_reference(j, m, tau, v):
-    """(1/2 pi i) dR_{j;m}/dv at dps 30, summed termwise:
-    (n (sgn - E(x_n)) - sqrt(m / Im tau) e^{-pi x_n^2} / pi) e^{2 pi i w_n}."""
-    j, m = oracle._mpq(j), oracle._mpq(m)
-    tau, v = oracle._mpc(tau), oracle._mpc(v)
-    scale = mp.sqrt(tau.imag / m)
-    n_star = 2 * m * v.imag / tau.imag
-    sqrt_pi = mp.sqrt(mp.pi)
-    dscale = mp.sqrt(m / tau.imag) / mp.pi
-
-    def amp(t, w, x):
-        if t == 0:
-            return 0.0
-        return oracle._abs(t) * (1.0 + abs(float(mp.log(abs(t)))) + oracle.TWO_PI * oracle._abs(w)
-                                 + oracle.TWO_PI * float(x) ** 2)
-
-    def term(k):
-        n = j + 2 * m * k
-        sgn = 1 if k >= 0 else -1
-        x = (n - n_star) * scale
-        w = -n * n * tau / (4 * m) + n * v
-        e = oracle._e(w)
-        value = sgn * mp.erfc(sgn * sqrt_pi * x) * e
-        slope = dscale * mp.exp(-mp.pi * x * x) * e
-        return n * value - slope, amp(n * value, w, x) + amp(slope, w, x)
-
-    return oracle._walk(term, int(mp.nint((n_star - j) / (2 * m))), run=5)
-
-
 def test_r_dv_reference_is_the_wirtinger_derivative():
     j, m, tau, v = 0.5, 1.5, 0.2 + 0.7j, 0.13 + 0.21j
     h = mp.mpf(10) ** -12
@@ -111,7 +78,7 @@ def test_r_dv_reference_is_the_wirtinger_derivative():
     dx = (r(vm + h) - r(vm - h)) / (2 * h)
     dy = (r(vm + 1j * h) - r(vm - 1j * h)) / (2 * h)
     fd = (dx - 1j * dy) / 2 / (2j * mp.pi)
-    ref = _r_dv_reference(j, m, tau, v)[0]
+    ref = r_dv_reference(j, m, tau, v)[0]
     assert abs(fd - ref) <= 1e-12 * abs(ref)
 
 
@@ -156,7 +123,44 @@ def test_r_correction_dv(j, m, y, x, vr, vu, tol):
     except TYPED:
         return
     _within(value, oracle.r_correction(j, m, tau, v), tol)
-    _within(der, _r_dv_reference(j, m, tau, v), tol)
+    _within(der, r_dv_reference(j, m, tau, v), tol)
+
+
+# every bucket of the window against its own reference series, so the draws
+# keep m <= 4; the examples cover the top degree and Im tau = 1e-3
+window_degree = st.integers(min_value=1, max_value=8).map(lambda k: k / 2)
+
+
+@ORACLE
+@given(window_degree, half, im_tau, re_tau, re_z, im_units, tol)
+@example(20.0, -7.5, 0.9, 0.3, 0.2, 1.5, 1e-12)
+@example(1.5, 0.5, 1e-3, -0.4, 0.1, 2.5, 1e-12)
+def test_r_window(m, s, y, x, vr, vu, tol):
+    tau, v = complex(x, y), complex(vr, vu * y)
+    try:
+        values = r_window(s, m, tau, v, TruncationPolicy(tol=tol))
+    except TYPED:
+        return
+    assert len(values) == round(2 * m)
+    for r, value in enumerate(values):
+        _within(value, oracle.r_correction(s + r, m, tau, v), tol)
+
+
+@ORACLE
+@given(window_degree, half, im_tau, re_tau, re_z, im_units, tol)
+@example(20.0, 0.5, 0.9, -1.2, -0.3, -2.0, 1e-12)
+@example(2.0, -1.5, 1e-3, 0.25, 0.4, -1.5, 1e-9)
+def test_r_window_dv(m, s, y, x, vr, vu, tol):
+    tau, v = complex(x, y), complex(vr, vu * y)
+    policy = TruncationPolicy(tol=tol)
+    try:
+        values, derivatives = r_window(s, m, tau, v, policy, want_dv=True)
+    except TYPED:
+        return
+    # the value part does not depend on want_dv, to the bit
+    assert values == r_window(s, m, tau, v, policy)
+    for r, der in enumerate(derivatives):
+        _within(der, r_dv_reference(s + r, m, tau, v), tol)
 
 
 # the reference sums 2 + 6m series per value, so the draws keep m <= 4 and

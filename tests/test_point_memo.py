@@ -109,6 +109,9 @@ def test_pole_error_is_raised_again_and_not_stored():
         for _ in range(2):
             with pytest.raises(PoleProximityError):
                 phi1(MockIndex.of(1, 0), tau, tau + 1e-4, 0.1, VERIFY_POLICY)
+        # another Appell sum at the same z1 (other m, s, z2) scans again
+        with pytest.raises(PoleProximityError):
+            phi1(MockIndex.of(2, 1), tau, tau + 1e-4, 0.3, VERIFY_POLICY)
         return len(_POINT_MEMO.get())
 
     size, _ = scoped(at_pole)

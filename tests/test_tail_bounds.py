@@ -8,7 +8,9 @@ Gaussian rate a = 2 pi m Im tau is 1 or more.  The older stop rule ("`run`
 successive terms below tol/16 and not increasing") is kept below as the
 reference: the value ranges must never reach further than it in either
 direction.  The derivative series (want_d0, want_dv) must meet the same
-tail targets; the older rule only watched the value terms.
+tail targets; the older rule only watched the value terms.  The correcting
+window of R sums 2m interleaved series, one per R_{s+r;m}, over one range:
+each of them is held to the targets on its own.
 """
 
 import cmath
@@ -19,19 +21,24 @@ import pytest
 import mockforms.mock as mock
 import mockforms.modification as modification
 import mockforms.theta as theta
-from mockforms.qkernel import SQRT_PI, TruncationPolicy, _index_range
+from mockforms.qkernel import (
+    SQRT_PI,
+    TruncationOverflowError,
+    TruncationPolicy,
+    _index_range,
+)
 
 TWO_PI_I = 2j * math.pi
 
 
 def _recording(monkeypatch, module):
-    """Record (k0, k_lo, k_hi) of every sum_bilateral call of module."""
+    """Record (k0, k_lo, k_hi, series) of every sum_bilateral call of module."""
     calls = []
     real = module.sum_bilateral
 
-    def rec(anchor, k0, k_lo, k_hi, policy, walk=None):
-        calls.append((k0, k_lo, k_hi))
-        return real(anchor, k0, k_lo, k_hi, policy, walk)
+    def rec(anchor, k0, k_lo, k_hi, policy, walk=None, series=1):
+        calls.append((k0, k_lo, k_hi, series))
+        return real(anchor, k0, k_lo, k_hi, policy, walk, series)
 
     monkeypatch.setattr(module, "sum_bilateral", rec)
     return calls
@@ -112,7 +119,7 @@ THETA_RANGES = {
 def test_theta_range(j, m, tau, z, tol, monkeypatch):
     calls = _recording(monkeypatch, theta)
     theta.theta_jm(theta.ThetaIndex.of(j, m), tau, z, 0.0, TruncationPolicy(tol=tol))
-    (k0, k_lo, k_hi), = calls
+    (k0, k_lo, k_hi, _), = calls
     assert (k0, k_lo, k_hi) == THETA_RANGES[tol][THETA_POINTS.index((j, m, tau, z))]
     base = (j / (2 * m)) % 1
 
@@ -154,7 +161,7 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
     calls = _recording(monkeypatch, mock)
     policy = TruncationPolicy(tol=tol)
     mock._phi1_core(float(m), float(s), tau, z1, z2, policy, want_d0=want_d0)
-    (k0, k_lo, k_hi), = calls
+    (k0, k_lo, k_hi, _), = calls
     assert (k0, k_lo, k_hi) == PHI1_RANGES[tol, want_d0][PHI1_POINTS.index((m, s, tau, z1, z2))]
     zs = z1 + z2
 
@@ -181,6 +188,7 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
     _check_range(k0, k_lo, k_hi, value, mags, tol, 4, not want_d0, 2 * math.pi * m * tau.imag)
 
 
+# window starts s, degrees m, and points of the correcting window
 R_POINTS = [
     (0.5, 1.5, 0.2 + 0.7j, 0.13 + 0.21j),
     (0.5, 0.5, 1e-3j, 0.1 + 0.0025j),
@@ -189,46 +197,131 @@ R_POINTS = [
     (1, 2, 1j, 0.1 + 6j),                                   # large Im v: long window
     (1, 2, 1j, 0.1 - 6j),
     (-7.5, 20, 4.0j, 0.4 + 1.2j),
+    (1, 2, 1j, 0.1 + 25j),                                  # turning point n* = +-100
+    (1, 2, 1j, 0.1 - 25j),
 ]
 
 
-@pytest.mark.parametrize("tol", TOLS)
-@pytest.mark.parametrize("want_dv", [False, True])
-@pytest.mark.parametrize("j, m, tau, v", R_POINTS)
-def test_r_range(j, m, tau, v, want_dv, tol, monkeypatch):
-    calls = _recording(monkeypatch, modification)
-    modification._r_sum(float(j), float(m), tau, v, TruncationPolicy(tol=tol), want_dv)
-    (k0, k_lo, k_hi), = calls
+def _r_terms(s, m, tau, v):
+    """(term, derivative term) magnitudes of the window series at l, n = s + l."""
     y = tau.imag
     n_star = 2 * m * v.imag / y
     scale = math.sqrt(y / m)
     dscale = math.sqrt(m / y) / math.pi
 
-    def pieces(k):
-        n = j + 2 * m * k
-        sgn = 1.0 if k >= 0 else -1.0
+    def pieces(l):
+        n = s + l
+        sgn = 1.0 if l >= 0 else -1.0
         x = (n - n_star) * scale
         growth = 2 * math.pi * (n * n * y / (4 * m) - n * v.imag)
         bracket = math.erfc(sgn * SQRT_PI * x)
         value = math.exp(math.log(bracket) + growth) if bracket > 0 else 0.0
-        return n, value, math.exp(min(-math.pi * x * x + growth, 700.0))
-
-    def value(k):
-        return pieces(k)[1]
-
-    def derivative(k):
         # the two parts share the phase e^{2 pi i Re w}; the bracket's sign is
         # sgn, the slope part's is -1
-        n, val, slope = pieces(k)
-        return abs((1.0 if k >= 0 else -1.0) * n * val - dscale * slope)
+        slope = math.exp(min(-math.pi * x * x + growth, 700.0))
+        return value, abs(sgn * n * value - dscale * slope)
 
-    mags = [value, derivative] if want_dv else [value]
-    _check_range(k0, k_lo, k_hi, value, mags, tol, 5, not want_dv, 2 * math.pi * m * y)
+    return (lambda l: pieces(l)[0]), (lambda l: pieces(l)[1])
+
+
+def _buckets(l_lo, l_hi, width):
+    """(r, k_lo, k_hi): bucket r, l = r + 2m k, is the series of R_{s+r;m},
+    and [k_lo, k_hi] is what the window range [l_lo, l_hi] sums of it."""
+    return [(r, -((r - l_lo) // width), (l_hi - r) // width) for r in range(width)]
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("want_dv", [False, True])
+@pytest.mark.parametrize("s, m, tau, v", R_POINTS)
+def test_r_range(s, m, tau, v, want_dv, tol, monkeypatch):
+    calls = _recording(monkeypatch, modification)
+    modification.r_window(float(s), float(m), tau, v, TruncationPolicy(tol=tol), want_dv)
+    (k0, l_lo, l_hi, width), = calls
+    assert width == round(2 * m)
+    l_star = 2 * m * v.imag / tau.imag - s
+    assert l_lo <= k0 <= l_hi + 1 and k0 == round(l_star)
+    value, derivative = _r_terms(s, m, tau, v)
+    # values and derivatives share one range, so every bucket meets the tail
+    # targets of both, against its own largest term where its Gaussian rate
+    # in k, 2 pi m Im tau, is 1 or more
+    for r, k_lo, k_hi in _buckets(l_lo, l_hi, width):
+        peak = max((value(r + width * k) for k in range(k_lo, k_hi + 1)), default=0.0)
+        target = tol / 8
+        if 2 * math.pi * m * tau.imag >= 1.0:
+            target = min(target, 2.0 ** -55 * peak)
+        for mag in (value, derivative):
+            for start, step in ((k_hi + 1, 1), (k_lo - 1, -1)):
+                tail = _tail(lambda k: mag(r + width * k), start, step, target)
+                assert tail <= target, (r, tail, target, step)
+    if want_dv:
+        return
+    # Where that range is refused, the values alone are summed over their own
+    # range, which never reaches further than the older stop rule on a
+    # bucket, but for the window between 0 and l_star, summed whole
+    widest = (l_hi - l_lo) // width + 1
+    calls.clear()
+    try:
+        modification.r_window(float(s), float(m), tau, v,
+                              TruncationPolicy(tol=tol, n_max=max(8, widest - 1)))
+    except TruncationOverflowError:
+        return
+    (_, l_lo, l_hi, _), = calls
+    window_lo, window_hi = 0, max(math.ceil(l_star) - 1, -1)
+    for r, k_lo, k_hi in _buckets(l_lo, l_hi, width):
+        mag = lambda k: value(r + width * k)
+        k0_r = round((l_star - r) / width)
+        assert k_hi <= max(_walk_reach(mag, k0_r, 1, 5, tol), (window_hi - r) // width), r
+        assert k_lo >= min(_walk_reach(mag, k0_r, -1, 5, tol), -((r - window_lo) // width)), r
+        for start, step in ((k_hi + 1, 1), (k_lo - 1, -1)):
+            assert _tail(mag, start, step, tol / 8) <= tol / 8, (r, step)
+
+
+@pytest.mark.parametrize("v", [0.1 + 25j, 0.1 - 25j])
+def test_r_window_far_turning_point(v):
+    # n* = 2m Im v / Im tau = +-100, so log_c = -pi n*^2 / 4 ~ -7,850: the
+    # exponential factor underflows next to the turning point, while the
+    # terms next to n = 0 are of order 1 (down to 1e-267 per bucket).  No
+    # walk may start from an underflowed anchor.
+    s, m, tau = 1.0, 2.0, 1j
+    got = modification.r_window(s, m, tau, v, TruncationPolicy())
+    ref = [0j] * 4
+    for l in range(-400, 401):
+        # per term in log space, w = n (-n tau / 4m + v)
+        n = s + l
+        sgn = 1.0 if l >= 0 else -1.0
+        bracket = math.erfc(sgn * SQRT_PI * (n - 2 * m * v.imag) * math.sqrt(1 / m))
+        if bracket > 0:
+            w = n * (-n * tau / (4 * m) + v)
+            ref[l % 4] += sgn * cmath.exp(math.log(bracket) + TWO_PI_I * w)
+    assert min(abs(r) for r in ref) > 1e-300
+    for r in range(4):
+        assert abs(got[r] - ref[r]) <= 1e-15 * abs(ref[r]), (r, got[r], ref[r])
+
+
+@pytest.mark.parametrize("want_dv", [False, True])
+def test_r_window_refuses_only_past_the_widest_bucket(want_dv, monkeypatch):
+    # n_max counts the terms of one bucket, ceil((l_hi - l_lo + 1) / 2m), of
+    # the range a call sums.  Values and derivatives share one range; where
+    # it is refused, a call for values alone sums the values' own, narrower
+    # range, and raises only past that.
+    s, m, tau, v = 0.5, 1.0, 0.2 + 1e-3j, 0.1 + 0.001j
+    calls = _recording(monkeypatch, modification)
+    widths, n_max = [], 4000
+    while True:
+        calls.clear()
+        try:
+            modification.r_window(s, m, tau, v, TruncationPolicy(n_max=n_max), want_dv)
+        except TruncationOverflowError:
+            break
+        (_, l_lo, l_hi, width), = calls
+        widest = (l_hi - l_lo) // width + 1
+        assert widest <= n_max and l_hi - l_lo + 1 > widest
+        widths.append(widest)
+        n_max = widest - 1
+    assert len(widths) == (1 if want_dv else 2) and widths[-1] > 8
 
 
 def test_index_range_refuses_a_runaway_bound():
-    from mockforms.qkernel import TruncationOverflowError
-
     policy = TruncationPolicy()
     with pytest.raises(TruncationOverflowError):
         _index_range(0, 0.0, 1e-300, 1.0, 0.0, policy)
