@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from itertools import chain
 from dataclasses import dataclass
 
 from .qkernel import (
@@ -38,8 +40,8 @@ from .qkernel import (
     _centre_error,
     _check_point,
     _index_range,
+    TruncationOverflowError,
     e2pi,
-    sum_bilateral,
 )
 from .theta import ThetaIndex, theta_jm
 from .mock import MockIndex, PsiIndex, _psi_frame, phi, phi_d0, phi1
@@ -58,161 +60,235 @@ class CorrectionIndex:
         return CorrectionIndex(HalfInt.of(j), m)
 
 
-# A window walk forms the exponential factors e^{2 pi i w} of a run of terms
-# by recurrence from an exact anchor only where log |e^{2 pi i w}| stays in
-# [_WALK_LOG_MIN, _WALK_LOG_MAX] and spans at most _WALK_LOG_SPAN over the
-# run.  Then the anchor is a normal double (a subnormal or underflowed one
-# would pass its lost digits to every later term), no factor of the
-# recurrence overflows, and the rounding of the ratios' exponents, which the
-# recurrence passes on, stays near that of one exact term.  Other runs (a
-# turning point far from the window, Im v / Im tau large) form each term in
-# log space, exactly, as the bracket may be tiny where the exponential
-# overflows.
+# A walk forms the exponential factors e^{2 pi i w} of a run of terms by
+# recurrence from an exact anchor only while log |e^{2 pi i w}| stays in
+# [_WALK_LOG_MIN, _WALK_LOG_MAX] and has grown by at most _WALK_LOG_SPAN
+# since the anchor.  Then the anchor is a normal double (a subnormal or
+# underflowed one would pass its lost digits to every later term), no factor
+# of the recurrence overflows, and the rounding of the ratios' exponents,
+# which the recurrence passes on, stays near that of one exact term.  The
+# rest of a run (a turning point far from the window, Im v / Im tau large)
+# forms each term in log space, exactly, as the bracket may be tiny where
+# the exponential overflows.  Which terms of a run are walked depends on its
+# anchor alone, never on where the run ends.
 _WALK_LOG_MIN = -700.0
 _WALK_LOG_MAX = 700.0
 _WALK_LOG_SPAN = 64.0
 
 
-def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
-             want_dv: bool = False):
-    """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
-    2m-1, or with want_dv the pair of it and the tuple of
-    (1/2 pi i) dR_{s+r;m}/dv, from one sum over n = s + l, l in Z.
+def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPolicy,
+              width: int, buckets: tuple, want_dv: bool):
+    """The index ranges of the series r in buckets of _r_series, each as
+    one R_{j;m} series, j = s + gr, g = 2m/width: the pair of lists of the
+    first and the last i (n = s + g i) of each series for its values, and
+    with want_dv a second pair for its derivatives.  A series not in buckets
+    gets the empty range (inf, -inf).
 
-    The residues s + r + 2mZ cover s + Z once, so the term at l goes to
-    bucket r = l mod 2m, and its sgn is +1 exactly when l >= 0.  Its
-    exponential factor e^{2 pi i n (-n tau / 4m + v)} is a quadratic
-    exponential in l, formed by recurrence from an exact anchor every
-    ANCHOR_EVERY terms, so a term costs one erfc, and its derivative one
-    real exp more.  The value part does not depend on want_dv, to the bit.
+    In the series of R_{j;m}, n = j + 2mk, with a = 2 pi m Im tau and
+    u = k - k_star the exponential factor is e^{log_c + a u^2} and the
+    bracket sgn erfc(sgn t), t = sqrt(pi) x = sqrt(2a) u.  Past both 0 and
+    k_star (sgn t >= 0) the bracket is below e^{-t^2} min(1, 1/(sqrt(pi) t))
+    = e^{-2 a u^2} / max(1, kappa u) with kappa = sqrt(2 pi a): the Gaussian
+    at half the bracket's rate.  Between 0 and k_star the bracket lies in
+    [1, 2); that window is summed whole, and its far end holds a term of at
+    least e^{log_c + a u^2}.
+    """
+    g = round(2.0 * m) // width
+    two_m = 2.0 * m
+    a = TWO_PI * m * y
+    kappa = math.sqrt(TWO_PI * a)
+    sqrt_2a = math.sqrt(2.0 * a)
+    log_c = -math.pi * y * n_star * n_star / two_m
+    low = []
+
+    def lower(k_star: float):
+        # from below, erfc(t) >= e^{-t^2} / (sqrt(pi) (1 + t)); up to where
+        # the majorant meets tol/16 that is a Gaussian with a fixed constant
+        if not low:
+            excess = log_c - math.log(policy.tol) + LOG_16
+            u_run = math.sqrt(excess / a) if excess > 0 else 0.0
+            low.append(log_c - math.log(SQRT_PI * (1.0 + sqrt_2a * u_run)))
+        return ((k_star, low[0]),)
+
+    out = [([math.inf] * width, [-math.inf] * width, log_c,
+            lambda step, d: -math.log(max(1.0, kappa * d)))]
+    if want_dv:
+        # the derivative terms n t - dscale e^{-pi x^2} ... are below
+        # |n_star| / max(1, kappa u) + 2 dscale times the Gaussian, as |n| <=
+        # |n_star| + 2m u and 2m / kappa = dscale
+        dscale = math.sqrt(m / y) / math.pi
+        lift = abs(n_star) + 2.0 * dscale
+        out.append(([math.inf] * width, [-math.inf] * width, log_c + math.log(lift),
+                    lambda step, d: math.log(
+                        (abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)))
+    for r in buckets:
+        k_star = (n_star - (s + g * r)) / two_m
+        k0 = round(k_star)
+        far = k_star if k_star > -0.5 else -1.0 - k_star
+        if far > 0.0:
+            log_p = log_c + a * far * far
+        else:
+            u0 = abs(k0 - k_star)
+            log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + sqrt_2a * u0))
+        # the tails start past the window between 0 and k_star
+        top = max(math.ceil(k_star) - 1, -1)
+        for lo, hi, log_cl, weight in out:
+            k_lo, k_hi = _index_range(k0, k_star, a, log_cl, log_p, policy, 5, weight,
+                                      lambda: lower(k_star))
+            lo[r] = r + width * (k_lo if k_lo < 0 else 0)
+            hi[r] = r + width * (k_hi if k_hi > top else top)
+    return [(lo, hi) for lo, hi, _, _ in out]
+
+
+def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
+              want_dv: bool, width: int, buckets: tuple):
+    """The tuple of R_{s+gr;m}(tau, v), r = 0, ..., width-1, g = 2m/width
+    (width is 2m or 1), or with want_dv the pair of it and the tuple of
+    (1/2 pi i) dR_{s+gr;m}/dv, from one walk over n = s + g i, i in Z.
+    Only the r in buckets (ascending) are summed; the others are 0.
+
+    The series of R_{s+gr;m} is the terms with i = r mod width, and a term's
+    sgn is +1 exactly when i >= 0.  Each series sums the index range that
+    _index_range gives it alone, as one R_{j;m} series: its values over the
+    range of the value majorant, its derivatives over that of the
+    derivative majorant; the walk runs over the union of those ranges.
+    n_max counts the terms of one series, as for one R_{j;m}: of its values,
+    or with want_dv of its derivatives.
     """
     tau = _check_point(tau, v)
     v = complex(v)
     memo = _POINT_MEMO.get()
     if memo is not None:
-        key = ("Rwin", s, m, tau, v, policy, want_dv)
+        key = ("R", width, buckets, s, m, tau, v, policy, want_dv)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
-    width = round(2.0 * m)
+    g = round(2.0 * m) // width
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
-    l_star = n_star - s
-    if not math.isfinite(l_star):
-        raise _centre_error(l_star)
-    k0 = round(l_star)
-    # With a = pi Im tau / 2m and u = l - l_star, the exponential factor is
-    # e^{log_c + a u^2} and the bracket sgn erfc(sgn t), t = sqrt(pi) x =
-    # sqrt(2a) u.  Past both 0 and l_star (sgn t >= 0) the bracket is below
-    # e^{-t^2} min(1, 1/(sqrt(pi) t)) = e^{-2 a u^2} / max(1, kappa u) with
-    # kappa = sqrt(2 pi a): the Gaussian at half the bracket's rate.  Between
-    # 0 and l_star the bracket lies in [1, 2); that window is summed whole, and
-    # the far end of a bucket's part of it holds a term of at least
-    # e^{log_c + a u^2}.
-    a = math.pi * tau.imag / (2.0 * m)
-    kappa = math.sqrt(TWO_PI * a)
-    log_c = -a * n_star * n_star
-    dscale = math.sqrt(m / tau.imag) / math.pi
+    i_star = (n_star - s) / g
+    if not math.isfinite(i_star):
+        raise _centre_error(i_star)
+    (lo_v, hi_v), *dv = _r_ranges(s, m, tau.imag, n_star, policy, width, buckets, want_dv)
+    lo_d, hi_d = dv[0] if dv else (lo_v, hi_v)
+    widest = max(map(operator.sub, hi_d, lo_d)) // width + 1
+    if widest > policy.n_max:
+        raise TruncationOverflowError(
+            f"series needs {widest} terms to meet tol={policy.tol:g}, "
+            f"over n_max={policy.n_max}")
+    dscale = math.sqrt(m / tau.imag) / math.pi if want_dv else 0.0
 
-    def walk():
-        # from below, erfc(t) >= e^{-t^2} / (sqrt(pi) (1 + t)); up to where the
-        # majorant meets tol/16 that is a Gaussian with a fixed constant
-        excess = log_c - math.log(policy.tol) + LOG_16
-        u_run = math.sqrt(excess / a) if excess > 0 else 0.0
-        return ((l_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
-
-    def log_peak(r: int) -> float:
-        # a lower bound on the largest term of bucket r, whose tails must stay
-        # below that term's rounding: the far end of the bucket's part of the
-        # window, or else its term nearest l_star
-        k_star = (l_star - r) / width
-        far = max(k_star, -1.0 - k_star, 0.0) * width
-        if far:
-            return log_c + a * far * far
-        u0 = abs(round(k_star) - k_star) * width
-        return log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
-
-    log_p = min(map(log_peak, range(width)))
-
-    # A value term is below the Gaussian over f = max(1, kappa u), and a
-    # derivative term n t - dscale e^{-pi x^2} ... below the Gaussian times
-    # |n_star| / f + 2 dscale, as |n| <= |n_star| + u and 1 / kappa = dscale:
-    # both are below the Gaussian times max(1, |n_star| + 2 dscale f) / f.
-    def index_range(dv: bool):
-        c1, c2 = (abs(n_star), 2.0 * dscale) if dv else (0.0, 0.0)
-        lift = max(1.0, c1 + c2)
-
-        def weight(step: int, d: float) -> float:
-            f = max(1.0, kappa * d)
-            return math.log(max(1.0, c1 + c2 * f) / (f * lift))
-
-        l_lo, l_hi = _index_range(k0, l_star, a, log_c + math.log(lift), log_p, policy, 5,
-                                  weight, walk, width)
-        # the tails start past the window
-        return min(l_lo, 0), max(l_hi, math.ceil(l_star) - 1, -1)
-
-    # Values and derivatives share the range of the larger majorant, so that
-    # the values do not depend on want_dv.  Where that range is refused, a
-    # call for values alone sums the values' own range, unless it is refused
-    # too: a call with want_dv raises there.
-    l_lo, l_hi = index_range(True)
-    if not want_dv and (l_hi - l_lo) // width >= policy.n_max:
-        l_lo, l_hi = index_range(False)
-
-    # e^{2 pi i n (qa n + v)} does not move when tau moves by 16m, as 2n is
-    # an integer: the walk takes Re tau to within 8m of 0 (exactly), so that
-    # the phases of its anchors and ratios do not carry a large Re tau
-    period = 16.0 * m
-    qa = -complex(tau.real - period * round(tau.real / period), tau.imag) / (4.0 * m)
-    vals = [0.0 + 0.0j] * width
-    ders = [0.0 + 0.0j] * width
-    # the buckets of l, l + 1, ... start at position l mod 2m of up, and
-    # those of l, l - 1, ... at 2m - 1 - (l mod 2m) of down
-    up = list(range(width)) * (ANCHOR_EVERY // width + 2)
-    down = up[::-1]
-    erfc, exp, cexp = math.erfc, math.exp, cmath.exp
+    # Every n in s + Z has n^2 = s^2 mod 1 (2n is an integer), so moving tau
+    # by 4m multiplies every term e^{2 pi i n (qa n + v)} by the same unit
+    # e^{-2 pi i s^2} (1, or -i for half-integer s).  The walk takes Re tau
+    # to within 2m of 0 (exactly) and multiplies the sums by that unit to the
+    # power of the shift at the end, so that the phases of its anchors and
+    # ratios do not carry a large Re tau.
+    # log |e^{2 pi i n (qa n + v)}| = log_c + a_n (n - n_star)^2.
+    shift = round(tau.real / (4.0 * m))
+    qa = -complex(tau.real - 4.0 * m * shift, tau.imag) / (4.0 * m)
+    unit = (1, -1j, -1, 1j)[shift % 4] if s % 1 else 1
+    a_n = math.pi * tau.imag / (2.0 * m)
+    log_c = -a_n * n_star * n_star
+    # The walk runs outward from i0, up to i_hi and down to i_lo, in runs of
+    # up to ANCHOR_EVERY terms.  A term goes to slot_v[i - base], the index
+    # of its series where i lies in the value range of that series and width
+    # (a slot that is dropped) elsewhere; slot_d is the same for the
+    # derivatives.
+    i0 = round(i_star)
+    i_lo, i_hi = min(lo_v), max(hi_v)
+    if want_dv:
+        i_lo, i_hi = min(i_lo, min(lo_d)), max(i_hi, max(hi_d))
+    base = min(i_lo, i0 - 1)
+    span = max(i_hi, i0) - base + 1
+    row = [width] * width
+    for r in buckets:
+        row[(r - base) % width] = r
+    row *= span // width + 1
+    del row[span:]
+    slot_v = row
+    slot_d = row[:] if want_dv else row
+    for slot, lo, hi in ((slot_v, lo_v, hi_v), (slot_d, lo_d, hi_d))[:1 + want_dv]:
+        for r in buckets:
+            if lo[r] - width >= base:
+                below = range((r - base) % width, lo[r] - base, width)
+                slot[below.start:below.stop:width] = [width] * len(below)
+            if hi[r] + width < base + span:
+                above = range(hi[r] - base + width, span, width)
+                slot[above.start:above.stop:width] = [width] * len(above)
+    vals = [0.0 + 0.0j] * (width + 1)
+    ders = [0.0 + 0.0j] * (width + 1)
+    erfc, exp, cexp, log, copysign = math.erfc, math.exp, cmath.exp, math.log, math.copysign
     c = SQRT_PI * scale
-
-    def window_walk(l: int, count: int, step: int) -> complex:
-        # Adds the terms l, l + step, ... (count of them) to their buckets,
-        # and returns 0 to sum_bilateral: the sums are the buckets.
-        # |e^{2 pi i n (qa n + v)}| = e^{log_c + a u^2} grows along every
-        # walk (each starts within 1/2 of l_star or walks away from it), so
-        # it is least at the first term and largest at the last.
-        u_last = l + step * (count - 1) - l_star
-        lo = log_c + a * (l - l_star) ** 2
-        hi = log_c + a * u_last * u_last
-        n = s + l
-        b = l % width if step > 0 else width - 1 - l % width
-        buckets = (up if step > 0 else down)[b:b + count]
-        if _WALK_LOG_MIN <= lo and hi <= _WALK_LOG_MAX and hi - lo <= _WALK_LOG_SPAN:
-            e = cexp(TWO_PI_I * n * (qa * n + v))
-            r = cexp(TWO_PI_I * step * (qa * (2.0 * n + step) + v)) if count > 1 else 0j
-            q2 = cexp(2.0 * TWO_PI_I * qa) if count > 2 else 0j
-            for b in buckets:
-                # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x), x = (n - n_star)
-                # scale, and sgn = +1 exactly when l >= 0
-                d = n - n_star
-                t = (erfc(c * d) if n >= s else -erfc(-c * d)) * e
-                vals[b] += t
+    c2 = math.pi * scale * scale
+    try:
+        for i in chain(range(i0, i_hi + 1, ANCHOR_EVERY), range(i0 - 1, i_lo - 1, -ANCHOR_EVERY)):
+            step = 1 if i >= i0 else -1
+            count = min(ANCHOR_EVERY, i_hi + 1 - i if step > 0 else i + 1 - i_lo)
+            # Every run walks away from n_star (the first starts within g/2
+            # of it), so |e^{2 pi i w}| grows along it, and its first
+            # `walked` terms are the ones the recurrence may form, if there
+            # are two or more of them: then the ratio (and that of the
+            # ratios, for three or more) is below e^{_WALK_LOG_SPAN}.
+            n = s + g * i
+            h = step * g
+            u = n - n_star
+            low = log_c + a_n * u * u
+            walked = 0
+            if _WALK_LOG_MIN <= low <= _WALK_LOG_MAX:
+                reach = math.sqrt((min(_WALK_LOG_MAX, low + _WALK_LOG_SPAN) - log_c) / a_n)
+                walked = math.floor((reach - step * u) / g) + 1
+                walked = 0 if walked < 2 else min(walked, count)
+            k = i - base
+            if step > 0:
+                sv = slot_v[k:k + count]
+            else:
+                sv = slot_v[k:k - count:-1] if k >= count else slot_v[k::-1]
+            if not want_dv:
+                sd = sv
+            elif step > 0:
+                sd = slot_d[k:k + count]
+            else:
+                sd = slot_d[k:k - count:-1] if k >= count else slot_d[k::-1]
+            if walked:
+                e = cexp(TWO_PI_I * n * (qa * n + v))
+                r = cexp(TWO_PI_I * h * (qa * (2.0 * n + h) + v))
+                q2 = cexp(2.0 * TWO_PI_I * qa * g * g) if walked > 2 else 0j
                 if want_dv:
-                    ders[b] += n * t - dscale * exp(-math.pi * (d * scale) ** 2) * e
-                e *= r
-                r *= q2
-                n += step
-        else:
-            for b in buckets:
-                d = n - n_star
-                br = erfc(c * d) if n >= s else -erfc(-c * d)
-                w = TWO_PI_I * n * (qa * n + v)
-                t = math.copysign(1.0, br) * cexp(w + math.log(abs(br))) if br else 0j
-                vals[b] += t
-                if want_dv:
-                    ders[b] += n * t - dscale * cexp(w - math.pi * (d * scale) ** 2)
-                n += step
-        return 0j
-
-    # anchor(l) = l: window_walk forms its own anchors
-    sum_bilateral(int, k0, l_lo, l_hi, policy, window_walk, width)
+                    for bv, bd in zip(sv[:walked], sd):
+                        if bv < width or bd < width:
+                            d = n - n_star
+                            t = (erfc(c * d) if n >= s else -erfc(-c * d)) * e
+                            vals[bv] += t
+                            ders[bd] += n * t - dscale * exp(-c2 * d * d) * e
+                        e *= r
+                        r *= q2
+                        n += h
+                else:
+                    for b in sv[:walked]:
+                        if b < width:
+                            # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x), x =
+                            # (n - n_star) scale, and sgn = +1 exactly when i >= 0
+                            d = n - n_star
+                            vals[b] += (erfc(c * d) if n >= s else -erfc(-c * d)) * e
+                        e *= r
+                        r *= q2
+                        n += h
+            for bv, bd in zip(sv[walked:], sd[walked:]):
+                if bv < width or bd < width:
+                    d = n - n_star
+                    br = erfc(c * d) if n >= s else -erfc(-c * d)
+                    w = TWO_PI_I * n * (qa * n + v)
+                    t = copysign(1.0, br) * cexp(w + log(abs(br))) if br else 0j
+                    vals[bv] += t
+                    if want_dv:
+                        ders[bd] += n * t - dscale * cexp(w - c2 * d * d)
+                n += h
+    except OverflowError as exc:
+        raise DomainError(f"a series term overflowed a double ({exc})") from exc
+    del vals[width], ders[width]
+    if unit != 1:
+        vals = [unit * x for x in vals]
+        ders = [unit * x for x in ders]
     if not all(map(cmath.isfinite, vals + ders)):
         raise DomainError("a series term overflowed a double")
     out = (tuple(vals), tuple(ders)) if want_dv else tuple(vals)
@@ -221,10 +297,30 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     return out
 
 
+def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
+             want_dv: bool = False, buckets: tuple | None = None):
+    """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
+    2m-1, or with want_dv the pair of it and the tuple of
+    (1/2 pi i) dR_{s+r;m}/dv, from one sum over n = s + l, l in Z.  With
+    buckets, a tuple of r in ascending order, only those are summed, and
+    the others are 0.
+
+    The residues s + r + 2mZ cover s + Z once, so the term at l belongs to
+    R_{s+r;m} for r = l mod 2m.  Its exponential factor
+    e^{2 pi i n (-n tau / 4m + v)} is a quadratic exponential in l, formed
+    by recurrence from an exact anchor every ANCHOR_EVERY terms, so a term
+    costs one erfc, and its derivative one real exp more.  The value part
+    does not depend on want_dv, to the bit.
+    """
+    width = round(2.0 * m)
+    return _r_series(s, m, tau, v, policy, want_dv, width,
+                     tuple(range(width)) if buckets is None else buckets)
+
+
 def r_correction(idx: CorrectionIndex, tau: complex, v: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """R_{j;m}(tau, v): the first entry of the window that starts at j."""
-    return r_window(float(idx.j), float(idx.m), tau, v, policy)[0]
+    """R_{j;m}(tau, v): the walk of r_window over j + 2mZ alone."""
+    return _r_series(float(idx.j), float(idx.m), tau, v, policy, False, 1, (0,))[0]
 
 
 def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
@@ -235,7 +331,7 @@ def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
         (1/2 pi i) d/dv [(sgn - E(x_n)) e^{2 pi i n v}]
             = (n (sgn - E(x_n)) - sqrt(m/Im tau) e^{-pi x_n^2} / pi) e^{...}.
     """
-    vals, ders = r_window(float(idx.j), float(idx.m), tau, v, policy, want_dv=True)
+    vals, ders = _r_series(float(idx.j), float(idx.m), tau, v, policy, True, 1, (0,))
     return vals[0], ders[0]
 
 
@@ -267,7 +363,8 @@ def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex =
     total = 0.0 + 0.0j
     diffs = _theta_diffs(idx, tau, z1 + z2, policy)
     if diffs:
-        rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy)
+        rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy,
+                      buckets=tuple(r for r, _ in diffs))
         for r, d in diffs:
             total += rs[r] * d
     total *= 0.5
@@ -284,7 +381,8 @@ def phi_add_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     der = 0.0 + 0.0j
     diffs = _theta_diffs(idx, tau, z1 + z2, policy)
     if diffs:
-        rv, rd = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy, True)
+        rv, rd = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy, True,
+                          tuple(r for r, _ in diffs))
         for r, d in diffs:
             val += rv[r] * d
             der += rd[r] * d

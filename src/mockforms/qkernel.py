@@ -15,10 +15,10 @@ inside tol, and sum_bilateral sums that range with no per-term stop test.
 A quadratic exponential t_k = e^{2 pi i (a k^2 + b k + c)} is summed by the
 recurrences t_{k+1} = t_k r_k, r_{k+1} = r_k e^{4 pi i a}, re-anchored by an
 exact cmath.exp every ANCHOR_EVERY terms.  The correcting window of R walks
-one such exponential over n in s + Z and sends each term to one of 2m
-interleaved series (sum_bilateral's and _index_range's `series`), so that
-the 2m series share one range, one walk and one anchor per ANCHOR_EVERY
-terms.
+one such exponential over n in s + Z and sends each term to the series of
+its residue mod 2m: the 2m series of R_{s;m}, ..., R_{s+2m-1;m} share one
+walk and one anchor per ANCHOR_EVERY terms, while each keeps the index range
+_index_range gives it alone.
 """
 
 from __future__ import annotations
@@ -281,25 +281,20 @@ _FAR = 2.0 ** 52
 
 
 def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
-                policy: TruncationPolicy, run: int = 4, weight=None, walk=None,
-                series: int = 1):
+                policy: TruncationPolicy, run: int = 4, weight=None, walk=None):
     """(k_lo, k_hi), with k_lo <= k0 <= k_hi + 1, for a series whose terms
     obey, with u = k - k_star, the majorant |t_k| <= e^{log_c - a u^2}.
-    log_p is the log of a lower bound on the largest term.  With series > 1
-    the range holds that many interleaved series, one per residue of k mod
-    series, and every bound below holds for each of them.
+    log_p is the log of a lower bound on the largest term.
 
-    Past distance d the ratio of a series' successive terms is at most
-    rho = e^{-a w (2d + w)}, w = series, so a tail is below its first term
-    over 1 - rho.  Each direction drops a tail of at most min(tol/8, 2^-56 P)
-    in each series: the first share keeps the truncation inside tol, the
-    second below the rounding of the series' largest term P (log_p bounds
-    the least of those from below).  The least d for that solves
-    a d^2 >= need(d) = log_c - log_target - log(1 - rho(d)); need falls as d
-    grows, so one step from the Gaussian's own root meets it.
+    Past distance d the term ratio is at most rho = e^{-a(2d+1)}, so a tail
+    is below its first term over 1 - rho.  Each direction drops a tail of at
+    most min(tol/8, 2^-56 P): the first share keeps the truncation inside
+    tol, the second below the rounding of the largest term P.  The least d
+    for that solves a d^2 >= need(d) = log_c - log_target - log(1 - rho(d));
+    need falls as d grows, so one step from the Gaussian's own root meets it.
 
-    A cut past the `run` terms a side that the older walk (stop after `run`
-    successive terms of a series below tol/16) sums at least is checked
+    A cut past the `run` terms that the older walk (stop after `run`
+    successive terms below tol/16) sums on each side at least is checked
     against that walk's reach, so that no series gets longer than under
     that rule: if the majorant shows that the walk meets tol/8, the walk's
     reach is kept, and the tol/8 cut is taken otherwise.  For that check
@@ -317,7 +312,7 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
         log_rel = log_p + LOG_ROUNDING
     excess = log_c - log_rel
     d = math.sqrt(excess / a) if excess > 0 else 0.0
-    x = a * series * (2.0 * d + series)
+    x = a * (2.0 * d + 1.0)
     d = _FAR
     if x > 0:
         need = excess - math.log(-math.expm1(-x))
@@ -326,7 +321,7 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
         if d < _FAR:
             k_hi = math.ceil(k_star + d) - 1
             k_lo = math.floor(k_star - d) + 1
-            if k_hi < k0 + run * series and k_lo > k0 - run * series - 1:
+            if k_hi < k0 + run and k_lo > k0 - run - 1:
                 return (k_lo if k_lo < k0 else k0), (k_hi if k_hi >= k0 else k0 - 1)
     log_run = log_tol - LOG_16
     lower = ((k_star, log_c),) if walk is None else walk()
@@ -336,7 +331,7 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
         # first, and the last one is ceil(centre + d) - 1
         centre, first = (k_star, k0) if step > 0 else (-k_star, 1 - k0)
         # the nearest point past which a lower Gaussian falls below tol/16:
-        # the walk sums past it, and then run - 1 terms of each series more
+        # the walk sums past it, and then run - 1 terms more
         reach = math.inf
         for c, log_w in lower:
             excess = log_w - log_run
@@ -344,13 +339,12 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
         if not reach < _FAR:
             raise TruncationOverflowError(
                 f"no tail bound meets tol={policy.tol:g} for this series")
-        walk_last = max(first, math.floor(reach) + 1) + run * series - 1
+        walk_last = max(first, math.floor(reach) + 1) + run - 1
         end = math.ceil(centre + d) - 1 if d < _FAR else math.inf
         if end > walk_last:
             # the tail past the walk's reach, against tol/8
             d_walk = max(walk_last + 1 - centre, 0.0)
-            need = log_c - log_tol + LOG_8 - math.log(
-                -math.expm1(-a * series * (2.0 * d_walk + series)))
+            need = log_c - log_tol + LOG_8 - math.log(-math.expm1(-a * (2.0 * d_walk + 1.0)))
             if weight is not None:
                 need += weight(step, d_walk)
             if need <= a * d_walk * d_walk:
@@ -411,23 +405,22 @@ def _quadratic_walk(state, count: int, step: int) -> complex:
 
 
 def sum_bilateral(anchor, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy,
-                  walk=None, series: int = 1):
+                  walk=None):
     """Sum a series over k0..k_hi, then k0-1 down to k_lo.
 
     With no walk, anchor(k) is the term at k.  With a walk, anchor(k) is
     the exact state of the series at k, and walk(state, count, step) sums
     the count terms k, k + step, ... from it by recurrences; a new anchor
     starts every ANCHOR_EVERY terms.  The range comes from _index_range, so
-    no term is compared on the way.  With series > 1 the range interleaves
-    that many series, one per residue of k mod series.  Raises
-    TruncationOverflowError, before any term is summed, when one series
-    needs more than policy.n_max terms, and DomainError when a term
-    overflows (cmath.exp raises; a recurrence runs to inf or NaN).
+    no term is compared on the way.  Raises TruncationOverflowError, before
+    any term is summed, when the range is wider than policy.n_max, and
+    DomainError when a term overflows (cmath.exp raises; a recurrence runs
+    to inf or NaN).
     """
-    if (k_hi - k_lo) // series + 1 > policy.n_max:
+    if k_hi - k_lo + 1 > policy.n_max:
         raise TruncationOverflowError(
-            f"series needs {(k_hi - k_lo) // series + 1} terms to meet "
-            f"tol={policy.tol:g}, over n_max={policy.n_max}")
+            f"series needs {k_hi - k_lo + 1} terms to meet tol={policy.tol:g}, "
+            f"over n_max={policy.n_max}")
     total = 0.0 + 0.0j
     try:
         if walk is None:

@@ -18,6 +18,7 @@ from mockforms.modification import (
     psi_tilde_reduced,
     r_correction,
     r_correction_dv,
+    r_window,
     s_independence_report,
 )
 from mockforms.theta import ThetaIndex, theta_jm
@@ -151,6 +152,29 @@ def test_phi_add_window_matches_pairwise_reference(m, s):
         mp_d, cond_d = phi_add_d0_reference(m, s, tau, z1, z2)
         within(d0, ref_d, cond_d)
         within(d0, mp_d, cond_d)
+
+
+@pytest.mark.parametrize("s, m, tau, v", [
+    (0.5, 1.5, 0.2 + 0.7j, 0.13 + 0.21j),
+    (-1.5, 2, 0.4 + 1e-3j, 0.2 - 0.004j),
+    (1, 3, -7.3 + 0.05j, 0.3 - 0.02j),
+    (2, 2, 1j, 0.1 + 25j),
+    # a run that holds one term in one of the calls and more in another
+    (3, 1.5, 0.24 + 1.92j, -0.66 + 3.41j),
+    (0.5, 1.5, 0.22 + 0.053j, -0.05 + 0.617j),
+])
+def test_r_window_values_do_not_depend_on_what_else_it_sums(s, m, tau, v):
+    # a term is formed the same way whatever the walk sums besides it: a
+    # window over fewer series, or with the derivatives, gives the same
+    # values to the bit, and 0 for a series it leaves out
+    full = r_window(s, m, tau, v, P)
+    width = len(full)
+    for buckets in [(r,) for r in range(width)] + [tuple(range(0, width, 2))]:
+        part = r_window(s, m, tau, v, P, buckets=buckets)
+        assert [part[r] for r in buckets] == [full[r] for r in buckets]
+        assert all(part[r] == 0 for r in range(width) if r not in buckets)
+    values, _ = r_window(s, m, tau, v, P, want_dv=True)
+    assert values == full
 
 
 def test_phi_add_window_shift_vs_tilde():

@@ -32,13 +32,13 @@ TWO_PI_I = 2j * math.pi
 
 
 def _recording(monkeypatch, module):
-    """Record (k0, k_lo, k_hi, series) of every sum_bilateral call of module."""
+    """Record (k0, k_lo, k_hi) of every sum_bilateral call of module."""
     calls = []
     real = module.sum_bilateral
 
-    def rec(anchor, k0, k_lo, k_hi, policy, walk=None, series=1):
-        calls.append((k0, k_lo, k_hi, series))
-        return real(anchor, k0, k_lo, k_hi, policy, walk, series)
+    def rec(anchor, k0, k_lo, k_hi, policy, walk=None):
+        calls.append((k0, k_lo, k_hi))
+        return real(anchor, k0, k_lo, k_hi, policy, walk)
 
     monkeypatch.setattr(module, "sum_bilateral", rec)
     return calls
@@ -119,7 +119,7 @@ THETA_RANGES = {
 def test_theta_range(j, m, tau, z, tol, monkeypatch):
     calls = _recording(monkeypatch, theta)
     theta.theta_jm(theta.ThetaIndex.of(j, m), tau, z, 0.0, TruncationPolicy(tol=tol))
-    (k0, k_lo, k_hi, _), = calls
+    (k0, k_lo, k_hi), = calls
     assert (k0, k_lo, k_hi) == THETA_RANGES[tol][THETA_POINTS.index((j, m, tau, z))]
     base = (j / (2 * m)) % 1
 
@@ -161,7 +161,7 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
     calls = _recording(monkeypatch, mock)
     policy = TruncationPolicy(tol=tol)
     mock._phi1_core(float(m), float(s), tau, z1, z2, policy, want_d0=want_d0)
-    (k0, k_lo, k_hi, _), = calls
+    (k0, k_lo, k_hi), = calls
     assert (k0, k_lo, k_hi) == PHI1_RANGES[tol, want_d0][PHI1_POINTS.index((m, s, tau, z1, z2))]
     zs = z1 + z2
 
@@ -197,21 +197,21 @@ R_POINTS = [
     (1, 2, 1j, 0.1 + 6j),                                   # large Im v: long window
     (1, 2, 1j, 0.1 - 6j),
     (-7.5, 20, 4.0j, 0.4 + 1.2j),
-    (1, 2, 1j, 0.1 + 25j),                                  # turning point n* = +-100
-    (1, 2, 1j, 0.1 - 25j),
+    (0, 1, 0.9j, 0.3 + 0.01j),
 ]
 
 
-def _r_terms(s, m, tau, v):
-    """(term, derivative term) magnitudes of the window series at l, n = s + l."""
+def _r_terms(j, m, tau, v):
+    """(value, derivative) term magnitudes of the series of R_{j;m} at k,
+    n = j + 2mk."""
     y = tau.imag
     n_star = 2 * m * v.imag / y
     scale = math.sqrt(y / m)
     dscale = math.sqrt(m / y) / math.pi
 
-    def pieces(l):
-        n = s + l
-        sgn = 1.0 if l >= 0 else -1.0
+    def pieces(k):
+        n = j + 2 * m * k
+        sgn = 1.0 if k >= 0 else -1.0
         x = (n - n_star) * scale
         growth = 2 * math.pi * (n * n * y / (4 * m) - n * v.imag)
         bracket = math.erfc(sgn * SQRT_PI * x)
@@ -221,68 +221,147 @@ def _r_terms(s, m, tau, v):
         slope = math.exp(min(-math.pi * x * x + growth, 700.0))
         return value, abs(sgn * n * value - dscale * slope)
 
-    return (lambda l: pieces(l)[0]), (lambda l: pieces(l)[1])
+    return (lambda k: pieces(k)[0]), (lambda k: pieces(k)[1])
 
 
-def _buckets(l_lo, l_hi, width):
-    """(r, k_lo, k_hi): bucket r, l = r + 2m k, is the series of R_{s+r;m},
-    and [k_lo, k_hi] is what the window range [l_lo, l_hi] sums of it."""
-    return [(r, -((r - l_lo) // width), (l_hi - r) // width) for r in range(width)]
+def _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv):
+    """[(k_lo, k_hi) of the values, (k_lo, k_hi) of the derivatives or None]
+    of each R_{s+r;m} as a window call sums them, with k the index of the
+    series of R_{s+r;m} (n = s + r + 2mk)."""
+    calls = []
+    real = modification._r_ranges
+
+    def rec(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(modification, "_r_ranges", rec)
+    modification.r_window(float(s), float(m), tau, v, policy, want_dv)
+    out, = calls
+    width = round(2 * m)
+
+    def k_range(lo, hi, r):
+        return (lo[r] - r) // width, (hi[r] - r) // width
+
+    return [[k_range(lo, hi, r) for lo, hi in out] + [None] * (2 - len(out))
+            for r in range(width)]
 
 
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("want_dv", [False, True])
 @pytest.mark.parametrize("s, m, tau, v", R_POINTS)
 def test_r_range(s, m, tau, v, want_dv, tol, monkeypatch):
-    calls = _recording(monkeypatch, modification)
-    modification.r_window(float(s), float(m), tau, v, TruncationPolicy(tol=tol), want_dv)
-    (k0, l_lo, l_hi, width), = calls
-    assert width == round(2 * m)
-    l_star = 2 * m * v.imag / tau.imag - s
-    assert l_lo <= k0 <= l_hi + 1 and k0 == round(l_star)
-    value, derivative = _r_terms(s, m, tau, v)
-    # values and derivatives share one range, so every bucket meets the tail
-    # targets of both, against its own largest term where its Gaussian rate
-    # in k, 2 pi m Im tau, is 1 or more
-    for r, k_lo, k_hi in _buckets(l_lo, l_hi, width):
-        peak = max((value(r + width * k) for k in range(k_lo, k_hi + 1)), default=0.0)
-        target = tol / 8
-        if 2 * math.pi * m * tau.imag >= 1.0:
-            target = min(target, 2.0 ** -55 * peak)
-        for mag in (value, derivative):
-            for start, step in ((k_hi + 1, 1), (k_lo - 1, -1)):
-                tail = _tail(lambda k: mag(r + width * k), start, step, target)
-                assert tail <= target, (r, tail, target, step)
-    if want_dv:
-        return
-    # Where that range is refused, the values alone are summed over their own
-    # range, which never reaches further than the older stop rule on a
-    # bucket, but for the window between 0 and l_star, summed whole
-    widest = (l_hi - l_lo) // width + 1
-    calls.clear()
-    try:
-        modification.r_window(float(s), float(m), tau, v,
-                              TruncationPolicy(tol=tol, n_max=max(8, widest - 1)))
-    except TruncationOverflowError:
-        return
-    (_, l_lo, l_hi, _), = calls
-    window_lo, window_hi = 0, max(math.ceil(l_star) - 1, -1)
-    for r, k_lo, k_hi in _buckets(l_lo, l_hi, width):
-        mag = lambda k: value(r + width * k)
-        k0_r = round((l_star - r) / width)
-        assert k_hi <= max(_walk_reach(mag, k0_r, 1, 5, tol), (window_hi - r) // width), r
-        assert k_lo >= min(_walk_reach(mag, k0_r, -1, 5, tol), -((r - window_lo) // width)), r
-        for start, step in ((k_hi + 1, 1), (k_lo - 1, -1)):
-            assert _tail(mag, start, step, tol / 8) <= tol / 8, (r, step)
+    # every series of the window, R_{s+r;m}, is held to the same checks as
+    # one series: its value range never reaches past the older stop rule,
+    # and both of its ranges drop tails within the targets
+    policy = TruncationPolicy(tol=tol)
+    a = 2 * math.pi * m * tau.imag
+    ranges = _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv)
+    for r, (values, derivatives) in enumerate(ranges):
+        j = s + r
+        k0 = round((2 * m * v.imag / tau.imag - j) / (2 * m))
+        value, derivative = _r_terms(j, m, tau, v)
+        _check_range(k0, *values, value, [value], tol, 5, True, a)
+        if want_dv:
+            _check_range(k0, *derivatives, value, [derivative], tol, 5, False, a)
 
 
-@pytest.mark.parametrize("v", [0.1 + 25j, 0.1 - 25j])
-def test_r_window_far_turning_point(v):
+def _per_index_range(j, m, tau, v, policy, want_dv):
+    """(k_lo, k_hi) of R_{j;m} as its own series chose it before the window
+    walk: one _index_range call for the value majorant, or with want_dv for
+    the derivative majorant, and the window between 0 and k_star summed
+    whole."""
+    y = tau.imag
+    n_star = 2.0 * m * v.imag / y
+    k_star = (n_star - j) / (2.0 * m)
+    k0 = round(k_star)
+    a = 2 * math.pi * m * y
+    kappa = math.sqrt(2 * math.pi * a)
+    log_c = -math.pi * y * n_star * n_star / (2.0 * m)
+    dscale = math.sqrt(m / y) / math.pi
+    lift = abs(n_star) + 2.0 * dscale if want_dv else 1.0
+
+    def weight(step, d):
+        if want_dv:
+            return math.log((abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)
+        return -math.log(max(1.0, kappa * d))
+
+    def walk():
+        excess = log_c - math.log(policy.tol) + math.log(16.0)
+        u_run = math.sqrt(excess / a) if excess > 0 else 0.0
+        return ((k_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
+
+    far = max(k_star, -1.0 - k_star, 0.0)
+    if far:
+        log_p = log_c + a * far * far
+    else:
+        u0 = abs(k0 - k_star)
+        log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
+    k_lo, k_hi = _index_range(k0, k_star, a, log_c + math.log(lift), log_p, policy, 5,
+                              weight, walk)
+    return min(k_lo, 0), max(k_hi, math.ceil(k_star) - 1, -1)
+
+
+# turning point n* = +-100, far from the window: the terms next to k_star
+# underflow, while those next to n = s are of order 1
+R_FAR_POINTS = [(1, 2, 1j, 0.1 + 25j), (1, 2, 1j, 0.1 - 25j)]
+
+NMAX_POINTS = R_POINTS + R_FAR_POINTS + [
+    (0.5, 1, 0.2 + 1e-3j, 0.1 + 0.001j),
+    (-2, 3, -0.3 + 2e-3j, 0.05 - 0.004j),
+    (1.5, 1.5, 0.1 + 0.03j, 0.2 + 0.05j),
+]
+
+
+@pytest.mark.parametrize("want_dv", [False, True])
+@pytest.mark.parametrize("s, m, tau, v", NMAX_POINTS)
+def test_r_window_refuses_exactly_where_one_series_would(s, m, tau, v, want_dv, monkeypatch):
+    # each series of the window sums the range of R_{s+r;m} as one series,
+    # and n_max refuses the window exactly where the widest of those series
+    # would be refused; r_correction is one series
+    for tol in TOLS:
+        policy = TruncationPolicy(tol=tol)
+        own = [_per_index_range(s + r, m, tau, v, policy, want_dv) for r in range(round(2 * m))]
+        ranges = _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv)
+        assert [rs[1] if want_dv else rs[0] for rs in ranges] == own
+        if want_dv:
+            assert [rs[0] for rs in ranges] == [
+                _per_index_range(s + r, m, tau, v, policy, False) for r in range(round(2 * m))]
+        # (n_max is at least 8)
+        widest = max(k_hi - k_lo + 1 for k_lo, k_hi in own)
+        if widest > 8:
+            modification.r_window(s, m, tau, v, TruncationPolicy(tol=tol, n_max=widest),
+                                  want_dv)
+            with pytest.raises(TruncationOverflowError):
+                modification.r_window(s, m, tau, v, TruncationPolicy(tol=tol, n_max=widest - 1),
+                                      want_dv)
+        k_lo, k_hi = own[0]
+        if k_hi - k_lo + 1 > 8:
+            idx = modification.CorrectionIndex.of(s, m)
+            single = modification.r_correction_dv if want_dv else modification.r_correction
+            single(idx, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo + 1))
+            with pytest.raises(TruncationOverflowError):
+                single(idx, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo))
+
+
+@pytest.mark.parametrize("s, m, tau, v", R_FAR_POINTS)
+def test_r_window_far_turning_point(s, m, tau, v, monkeypatch):
     # n* = 2m Im v / Im tau = +-100, so log_c = -pi n*^2 / 4 ~ -7,850: the
     # exponential factor underflows next to the turning point, while the
-    # terms next to n = 0 are of order 1 (down to 1e-267 per bucket).  No
-    # walk may start from an underflowed anchor.
-    s, m, tau = 1.0, 2.0, 1j
+    # terms next to n = s are of order 1 (down to 1e-267 per series).  No
+    # walk may start from an underflowed anchor.  The older stop rule would
+    # stop in the underflow, short of the window between 0 and k_star that
+    # every series sums whole, so only the tail targets are checked here.
+    a = 2 * math.pi * m * tau.imag
+    for tol in TOLS:
+        for r, (values, derivatives) in enumerate(
+                _window_ranges(monkeypatch, s, m, tau, v, TruncationPolicy(tol=tol), True)):
+            j = s + r
+            k0 = round((2 * m * v.imag / tau.imag - j) / (2 * m))
+            value, derivative = _r_terms(j, m, tau, v)
+            _check_range(k0, *values, value, [value], tol, 5, False, a)
+            _check_range(k0, *derivatives, value, [derivative], tol, 5, False, a)
     got = modification.r_window(s, m, tau, v, TruncationPolicy())
     ref = [0j] * 4
     for l in range(-400, 401):
@@ -296,29 +375,6 @@ def test_r_window_far_turning_point(v):
     assert min(abs(r) for r in ref) > 1e-300
     for r in range(4):
         assert abs(got[r] - ref[r]) <= 1e-15 * abs(ref[r]), (r, got[r], ref[r])
-
-
-@pytest.mark.parametrize("want_dv", [False, True])
-def test_r_window_refuses_only_past_the_widest_bucket(want_dv, monkeypatch):
-    # n_max counts the terms of one bucket, ceil((l_hi - l_lo + 1) / 2m), of
-    # the range a call sums.  Values and derivatives share one range; where
-    # it is refused, a call for values alone sums the values' own, narrower
-    # range, and raises only past that.
-    s, m, tau, v = 0.5, 1.0, 0.2 + 1e-3j, 0.1 + 0.001j
-    calls = _recording(monkeypatch, modification)
-    widths, n_max = [], 4000
-    while True:
-        calls.clear()
-        try:
-            modification.r_window(s, m, tau, v, TruncationPolicy(n_max=n_max), want_dv)
-        except TruncationOverflowError:
-            break
-        (_, l_lo, l_hi, width), = calls
-        widest = (l_hi - l_lo) // width + 1
-        assert widest <= n_max and l_hi - l_lo + 1 > widest
-        widths.append(widest)
-        n_max = widest - 1
-    assert len(widths) == (1 if want_dv else 2) and widths[-1] > 8
 
 
 def test_index_range_refuses_a_runaway_bound():
