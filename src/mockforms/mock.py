@@ -132,35 +132,16 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     j_star = round(j_c)
     # |N_j| = e^{log_n - a (j - j_c)^2} and |1 - w_j| = h_j max(1, |w_j|) with
     # h_j >= max(floor, 1 - e^{-2 pi |y_j|}), y_j = Im(z1 + j tau) (see
-    # _pole_floor), so |t_j| <= |N_j| min(1, e^{2 pi y_j}) / h_j <= |N_j| / floor.
-    # Past a cut, y_j runs away from the cut's row y: the factor is at most
-    # 1/h(y) above, and e^{2 pi y}/h(y) below once y < 0.  The derivative
-    # terms s t + N w/D^2 = t (s + w/D), with |w/D| <= 1/h.
+    # _pole_floor), so |t_j| <= |N_j| min(1, e^{2 pi y_j}) / h_j <= |N_j| / floor,
+    # and |t_j| >= |N_j| min(1, e^{2 pi y_j}) / 2 gives the peak's lower bound.
+    # The derivative terms s t + N w/D^2 = t (s + w/D), with |w/D| <= 1/floor.
     y1, a = z1.imag, TWO_PI * m * tau.imag
     log_n = a * j_c * j_c - TWO_PI * s * y1
     floor = _pole_floor(policy.pole_guard)
-    abs_s = abs(s)
-    lift = (abs_s + 1.0 / floor) / floor if want_d0 else 1.0 / floor
-
-    def weight(step: int, d: float) -> float:
-        y = y1 + (j_c + step * d) * tau.imag
-        if step * y <= 0:
-            return 0.0
-        h = max(floor, -math.expm1(-TWO_PI * abs(y)))
-        factor = (abs_s + 1.0 / h) / h if want_d0 else 1.0 / h
-        return math.log(factor / lift) + (TWO_PI * y if y < 0 else 0.0)
-
-    # |t_j| >= |N_j| min(1, e^{2 pi y_j}) / 2; the e^{2 pi y_j} branch
-    # completes its square to the centre j_c + 1/2m
-    def walk():
-        shift = 0.5 / m
-        return ((j_c, log_n - LOG_2),
-                (j_c + shift, log_n + TWO_PI * y1 + a * shift * (2.0 * j_c + shift) - LOG_2))
-
+    lift = (abs(s) + 1.0 / floor) / floor if want_d0 else 1.0 / floor
     y_star = y1 + j_star * tau.imag
     log_p = log_n - a * (j_star - j_c) ** 2 + (TWO_PI * y_star if y_star < 0 else 0.0) - LOG_2
-    k_lo, k_hi = _index_range(j_star, j_c, a, log_n + math.log(lift), log_p, policy, 4,
-                              weight, walk)
+    k_lo, k_hi = _index_range(j_star, j_c, a, log_n + math.log(lift), log_p, policy)
 
     # the numerator N_j = e^{2 pi i (C + j (A j + B))} is a quadratic
     # exponential in j, and w_{j+-1} = w_j q^{+-1}

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .qkernel import (
     ANCHOR_EVERY,
     DEFAULT_POLICY,
-    LOG_16,
     SQRT_PI,
     TWO_PI,
     TWO_PI_I,
@@ -74,6 +73,12 @@ class CorrectionIndex:
 _WALK_LOG_MIN = -700.0
 _WALK_LOG_MAX = 700.0
 _WALK_LOG_SPAN = 64.0
+# Bound on run^2 times the phase of the ratio of ratios in a run of one
+# series alone.  Tuned against the mpmath references of perfbench/oracle.py:
+# over 150 one-series cases (m in [1, 20], Im tau log-uniform on [1e-3, 2],
+# |Re tau| <= 2m, tol 1e-12) the worst error falls from 1.9 to 0.023 of
+# tol + 64 eps cond, against 0.079 for the window's series.
+_RUN_PHASE = 1024.0
 
 
 def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPolicy,
@@ -87,40 +92,26 @@ def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPol
     In the series of R_{j;m}, n = j + 2mk, with a = 2 pi m Im tau and
     u = k - k_star the exponential factor is e^{log_c + a u^2} and the
     bracket sgn erfc(sgn t), t = sqrt(pi) x = sqrt(2a) u.  Past both 0 and
-    k_star (sgn t >= 0) the bracket is below e^{-t^2} min(1, 1/(sqrt(pi) t))
-    = e^{-2 a u^2} / max(1, kappa u) with kappa = sqrt(2 pi a): the Gaussian
-    at half the bracket's rate.  Between 0 and k_star the bracket lies in
-    [1, 2); that window is summed whole, and its far end holds a term of at
-    least e^{log_c + a u^2}.
+    k_star (sgn t >= 0) the bracket is below e^{-t^2} = e^{-2 a u^2}: the
+    term is below the Gaussian e^{log_c - a u^2}, and _index_range cuts
+    each side where its tail drops at most min(tol/8, 2^-56 P).  Between 0
+    and k_star the bracket lies in [1, 2); that window is summed whole, and
+    its far end holds a term of at least e^{log_c + a u^2}.
     """
     g = round(2.0 * m) // width
     two_m = 2.0 * m
     a = TWO_PI * m * y
-    kappa = math.sqrt(TWO_PI * a)
     sqrt_2a = math.sqrt(2.0 * a)
     log_c = -math.pi * y * n_star * n_star / two_m
-    low = []
-
-    def lower(k_star: float):
-        # from below, erfc(t) >= e^{-t^2} / (sqrt(pi) (1 + t)); up to where
-        # the majorant meets tol/16 that is a Gaussian with a fixed constant
-        if not low:
-            excess = log_c - math.log(policy.tol) + LOG_16
-            u_run = math.sqrt(excess / a) if excess > 0 else 0.0
-            low.append(log_c - math.log(SQRT_PI * (1.0 + sqrt_2a * u_run)))
-        return ((k_star, low[0]),)
-
-    out = [([math.inf] * width, [-math.inf] * width, log_c,
-            lambda step, d: -math.log(max(1.0, kappa * d)))]
+    out = [([math.inf] * width, [-math.inf] * width, log_c)]
     if want_dv:
         # the derivative terms n t - dscale e^{-pi x^2} ... are below
-        # |n_star| / max(1, kappa u) + 2 dscale times the Gaussian, as |n| <=
-        # |n_star| + 2m u and 2m / kappa = dscale
+        # |n_star| + 2 dscale times the Gaussian past the window, as
+        # |n| <= |n_star| + 2m u, 2m u erfc(sqrt(2a) u) <= dscale e^{-2 a u^2}
+        # and 2m / sqrt(2 pi a) = dscale
         dscale = math.sqrt(m / y) / math.pi
-        lift = abs(n_star) + 2.0 * dscale
-        out.append(([math.inf] * width, [-math.inf] * width, log_c + math.log(lift),
-                    lambda step, d: math.log(
-                        (abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)))
+        out.append(([math.inf] * width, [-math.inf] * width,
+                    log_c + math.log(abs(n_star) + 2.0 * dscale)))
     for r in buckets:
         k_star = (n_star - (s + g * r)) / two_m
         k0 = round(k_star)
@@ -132,12 +123,11 @@ def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPol
             log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + sqrt_2a * u0))
         # the tails start past the window between 0 and k_star
         top = max(math.ceil(k_star) - 1, -1)
-        for lo, hi, log_cl, weight in out:
-            k_lo, k_hi = _index_range(k0, k_star, a, log_cl, log_p, policy, 5, weight,
-                                      lambda: lower(k_star))
+        for lo, hi, log_cl in out:
+            k_lo, k_hi = _index_range(k0, k_star, a, log_cl, log_p, policy)
             lo[r] = r + width * (k_lo if k_lo < 0 else 0)
             hi[r] = r + width * (k_hi if k_hi > top else top)
-    return [(lo, hi) for lo, hi, _, _ in out]
+    return [(lo, hi) for lo, hi, _ in out]
 
 
 def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
@@ -189,8 +179,18 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
     unit = (1, -1j, -1, 1j)[shift % 4] if s % 1 else 1
     a_n = math.pi * tau.imag / (2.0 * m)
     log_c = -a_n * n_star * n_star
+    # One series alone (g = 2m) turns the ratio of ratios q2 of a run by
+    # phase = 4 pi |Re qa| g^2 rad, up to 8 pi m^2; the rounding of that phase
+    # gathers in the k-th term of a run about k^2/2 times over, so such runs
+    # are shortened to keep run^2 phase within _RUN_PHASE.  A window (g = 1)
+    # keeps runs of ANCHOR_EVERY.
+    run = ANCHOR_EVERY
+    if g > 1:
+        phase = 4.0 * math.pi * abs(qa.real) * g * g
+        if run * run * phase > _RUN_PHASE:
+            run = max(2, int(math.sqrt(_RUN_PHASE / phase)))
     # The walk runs outward from i0, up to i_hi and down to i_lo, in runs of
-    # up to ANCHOR_EVERY terms.  A term goes to slot_v[i - base], the index
+    # up to `run` terms.  A term goes to slot_v[i - base], the index
     # of its series where i lies in the value range of that series and width
     # (a slot that is dropped) elsewhere; slot_d is the same for the
     # derivatives.
@@ -221,9 +221,9 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
     c = SQRT_PI * scale
     c2 = math.pi * scale * scale
     try:
-        for i in chain(range(i0, i_hi + 1, ANCHOR_EVERY), range(i0 - 1, i_lo - 1, -ANCHOR_EVERY)):
+        for i in chain(range(i0, i_hi + 1, run), range(i0 - 1, i_lo - 1, -run)):
             step = 1 if i >= i0 else -1
-            count = min(ANCHOR_EVERY, i_hi + 1 - i if step > 0 else i + 1 - i_lo)
+            count = min(run, i_hi + 1 - i if step > 0 else i + 1 - i_lo)
             # Every run walks away from n_star (the first starts within g/2
             # of it), so |e^{2 pi i w}| grows along it, and its first
             # `walked` terms are the ones the recurrence may form, if there
@@ -319,7 +319,8 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
 
 def r_correction(idx: CorrectionIndex, tau: complex, v: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """R_{j;m}(tau, v): the walk of r_window over j + 2mZ alone."""
+    """R_{j;m}(tau, v): the walk of r_window over j + 2mZ alone, in runs
+    shortened where Re tau turns its ratios fast."""
     return _r_series(float(idx.j), float(idx.m), tau, v, policy, False, 1, (0,))[0]
 
 

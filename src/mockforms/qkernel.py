@@ -59,9 +59,11 @@ class TruncationPolicy:
     """Controls all series summation.
 
     tol        -- bound on the absolute truncation error of every series:
-                  the tails a series drops sum to at most tol/4 by a
-                  closed-form bound (the rounding of the summed terms comes
-                  on top of that)
+                  each side of a series drops a tail of at most
+                  min(tol/8, 2^-56 P) under a closed-form majorant, P a
+                  lower bound on its largest term, so the two sum to at
+                  most tol/4 (the rounding of the summed terms comes on top
+                  of that)
     n_max      -- refusal: a series whose index range is wider than n_max
                   raises TruncationOverflowError before summing a term
     pole_guard -- minimum allowed distance, in the z-plane modulo the
@@ -268,10 +270,10 @@ def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "
         )
 
 
-# log 2, and log 8 and log 16: the tail shares of tol in _index_range
+# log 2, a factor of the Appell sum's peak bound, and log 8: a tail of at
+# most tol/8 per side keeps both tails of a series inside tol/4
 LOG_2 = math.log(2.0)
 LOG_8 = math.log(8.0)
-LOG_16 = math.log(16.0)
 # log 2^-56: a dropped tail of 2^-56 of the peak term per direction is an
 # eighth of the peak's half-ulp, so truncation stays below its rounding
 LOG_ROUNDING = -56.0 * math.log(2.0)
@@ -281,36 +283,24 @@ _FAR = 2.0 ** 52
 
 
 def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
-                policy: TruncationPolicy, run: int = 4, weight=None, walk=None):
+                 policy: TruncationPolicy):
     """(k_lo, k_hi), with k_lo <= k0 <= k_hi + 1, for a series whose terms
     obey, with u = k - k_star, the majorant |t_k| <= e^{log_c - a u^2}.
-    log_p is the log of a lower bound on the largest term.
+    log_p is the log of a lower bound on the largest term P.
 
     Past distance d the term ratio is at most rho = e^{-a(2d+1)}, so a tail
     is below its first term over 1 - rho.  Each direction drops a tail of at
-    most min(tol/8, 2^-56 P): the first share keeps the truncation inside
-    tol, the second below the rounding of the largest term P.  The least d
+    most min(tol/8, 2^-56 P) under the majorant: the first share keeps the
+    truncation inside tol, the second below the rounding of P.  The least d
     for that solves a d^2 >= need(d) = log_c - log_target - log(1 - rho(d));
     need falls as d grows, so one step from the Gaussian's own root meets it.
-
-    A cut past the `run` terms that the older walk (stop after `run`
-    successive terms below tol/16) sums on each side at least is checked
-    against that walk's reach, so that no series gets longer than under
-    that rule: if the majorant shows that the walk meets tol/8, the walk's
-    reach is kept, and the tol/8 cut is taken otherwise.  For that check
-
-    - weight(step, d) <= 0, non-increasing in d, is the log of a factor that
-      tightens the majorant on the tail past distance d on side step (+1
-      upper, -1 lower); None means none;
-    - walk() gives Gaussians (centre, log constant) whose least bounds every
-      term from below, to place the walk's reach; None means the majorant is
-      exact.
+    A cut that is not finite, or 2^52 or more from k_star, raises
+    TruncationOverflowError.
     """
-    log_tol = math.log(policy.tol)
-    log_rel = log_tol - LOG_8
-    if log_p + LOG_ROUNDING < log_rel:
-        log_rel = log_p + LOG_ROUNDING
-    excess = log_c - log_rel
+    log_target = math.log(policy.tol) - LOG_8
+    if log_p + LOG_ROUNDING < log_target:
+        log_target = log_p + LOG_ROUNDING
+    excess = log_c - log_target
     d = math.sqrt(excess / a) if excess > 0 else 0.0
     x = a * (2.0 * d + 1.0)
     d = _FAR
@@ -318,46 +308,11 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
         need = excess - math.log(-math.expm1(-x))
         # a hair past the root, so that rounding cannot leave it short
         d = math.sqrt(need / a) * (1.0 + 1e-12) if not need <= 0 else 0.0
-        if d < _FAR:
-            k_hi = math.ceil(k_star + d) - 1
-            k_lo = math.floor(k_star - d) + 1
-            if k_hi < k0 + run and k_lo > k0 - run - 1:
-                return (k_lo if k_lo < k0 else k0), (k_hi if k_hi >= k0 else k0 - 1)
-    log_run = log_tol - LOG_16
-    lower = ((k_star, log_c),) if walk is None else walk()
-    ends = []
-    for step in (1, -1):
-        # each side in its outward coordinate: the first index summed is
-        # first, and the last one is ceil(centre + d) - 1
-        centre, first = (k_star, k0) if step > 0 else (-k_star, 1 - k0)
-        # the nearest point past which a lower Gaussian falls below tol/16:
-        # the walk sums past it, and then run - 1 terms more
-        reach = math.inf
-        for c, log_w in lower:
-            excess = log_w - log_run
-            reach = min(reach, step * c + (math.sqrt(excess / a) if excess > 0 else 0.0))
-        if not reach < _FAR:
-            raise TruncationOverflowError(
-                f"no tail bound meets tol={policy.tol:g} for this series")
-        walk_last = max(first, math.floor(reach) + 1) + run - 1
-        end = math.ceil(centre + d) - 1 if d < _FAR else math.inf
-        if end > walk_last:
-            # the tail past the walk's reach, against tol/8
-            d_walk = max(walk_last + 1 - centre, 0.0)
-            need = log_c - log_tol + LOG_8 - math.log(-math.expm1(-a * (2.0 * d_walk + 1.0)))
-            if weight is not None:
-                need += weight(step, d_walk)
-            if need <= a * d_walk * d_walk:
-                end = walk_last
-            else:
-                # past d_walk, one step of the root meets tol/8
-                d_tol = math.sqrt(need / a) * (1.0 + 1e-12)
-                if not d_tol < _FAR:
-                    raise TruncationOverflowError(
-                        f"no tail bound meets tol={policy.tol:g} for this series")
-                end = min(end, math.ceil(centre + d_tol) - 1)
-        ends.append(max(end, first - 1))
-    return -ends[1], ends[0]
+    if not d < _FAR:
+        raise TruncationOverflowError(f"no tail bound meets tol={policy.tol:g} for this series")
+    k_lo = math.floor(k_star - d) + 1
+    k_hi = math.ceil(k_star + d) - 1
+    return (k_lo if k_lo < k0 else k0), (k_hi if k_hi >= k0 else k0 - 1)
 
 
 # Terms a walk forms by recurrence from one exact anchor.  The rounding of

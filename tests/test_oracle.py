@@ -16,6 +16,7 @@ reduction.
 import math
 import sys
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mpmath import mp
 
@@ -55,11 +56,15 @@ re_z = st.floats(min_value=-1.0, max_value=1.0)
 tol = st.sampled_from(TOLS)
 
 
-def _within(value, ref_cond, tol):
+def _share(value, ref_cond, tol):
+    """The error of value as a share of the bound tol + ROUNDING_ULPS eps cond."""
     ref, cond = ref_cond
     err = abs(complex(ref) - complex(value))
-    bound = tol + oracle.ROUNDING_ULPS * oracle.EPS * min(cond, 1e300)
-    assert err <= bound, (err, bound)
+    return err / (tol + oracle.ROUNDING_ULPS * oracle.EPS * min(cond, 1e300))
+
+
+def _within(value, ref_cond, tol):
+    assert _share(value, ref_cond, tol) <= 1.0
 
 
 def _check(compute, reference, tol):
@@ -124,6 +129,21 @@ def test_r_correction_dv(j, m, y, x, vr, vu, tol):
         return
     _within(value, oracle.r_correction(j, m, tau, v), tol)
     _within(der, r_dv_reference(j, m, tau, v), tol)
+
+
+# One series alone walks n in j + 2mZ, and where Re tau turns its ratios
+# fast its runs are shortened: at these points full runs read 0.084 and
+# 0.73 of the bound (values) and 0.082 and 0.19 (derivatives).
+@pytest.mark.parametrize("j, m, tau, v", [
+    (17, 6, 2.80 + 0.11j, 0.14 - 0.13j),
+    (-8, 20, -19.72 + 0.006j, 0.46 + 0.0172j),
+])
+def test_r_correction_with_a_long_step(j, m, tau, v):
+    tol = 1e-12
+    value, der = r_correction_dv(CorrectionIndex.of(j, m), tau, v, TruncationPolicy(tol=tol))
+    assert value == r_correction(CorrectionIndex.of(j, m), tau, v, TruncationPolicy(tol=tol))
+    assert _share(value, oracle.r_correction(j, m, tau, v), tol) <= 0.02
+    assert _share(der, r_dv_reference(j, m, tau, v), tol) <= 0.02
 
 
 # every bucket of the window against its own reference series, so the draws

@@ -12,6 +12,7 @@ from mockforms.qkernel import (
     PoleProximityError,
     TruncationOverflowError,
     TruncationPolicy,
+    _index_range,
     gauss_error,
     guard_pole,
     lattice_distance,
@@ -246,6 +247,20 @@ def test_pole_guard_row_band_matches_full_window(im_tau, re_tau, a, b, guard, si
 def test_overflowing_terms_raise_domain_error():
     with pytest.raises(DomainError, match="overflowed"):
         theta_jm(ThetaIndex.of(0, 1), 1j, 50j)
+
+
+@pytest.mark.parametrize("a, log_c", [
+    (1.0, INF),
+    (1.0, NAN),
+    (1e-300, 1.0),      # a cut about 1e150 wide
+    (1e-32, 1.0),       # a cut about 5.5e16 = 12 * 2^52 wide
+])
+def test_index_range_refuses_a_cut_that_is_not_an_index(a, log_c):
+    # the refusal is typed: no ValueError or OverflowError from math.ceil of
+    # a cut that is NaN, inf or past 2^52
+    for tol in (1e-12, 1e-6):
+        with pytest.raises(TruncationOverflowError):
+            _index_range(0, 0.0, a, log_c, 0.0, TruncationPolicy(tol=tol))
 
 
 def test_half_lattice():

@@ -1,16 +1,20 @@
 """The index ranges of the three series kernels against brute force.
 
 Each kernel picks [k_lo, k_hi] from a closed-form tail bound before it sums
-(qkernel._index_range).  Here the terms outside that range are summed
-directly, from the series definitions, and each direction's dropped tail
-must be at most tol/8, and also at most 2^-55 of the largest term where the
-Gaussian rate a = 2 pi m Im tau is 1 or more.  The older stop rule ("`run`
-successive terms below tol/16 and not increasing") is kept below as the
-reference: the value ranges must never reach further than it in either
-direction.  The derivative series (want_d0, want_dv) must meet the same
-tail targets; the older rule only watched the value terms.  The correcting
-window of R sums 2m interleaved series, one per R_{s+r;m}, over one range:
-each of them is held to the targets on its own.
+(qkernel._index_range): each side drops a tail of at most
+min(tol/8, 2^-56 P) under the kernel's majorant, P a lower bound on the
+largest term, with no other cap.  Here the terms outside that range are
+summed directly, from the series definitions, and each direction's dropped
+tail must be at most min(tol/8, 2^-55 peak), peak the largest term inside
+the range.  The derivative series (want_d0, want_dv) are held to the same
+targets, against the peak of the values.  The correcting window of R sums
+2m interleaved series, one per R_{s+r;m}, over one range: each of them is
+held to the targets on its own.
+
+The pinned ranges come with those of the older rule, which capped each cut
+at the reach of a walk that stopped after 4 or 5 successive terms below
+tol/16: the cap only ever shortened a range, so every range must contain
+the capped one.
 """
 
 import cmath
@@ -44,23 +48,6 @@ def _recording(monkeypatch, module):
     return calls
 
 
-def _walk_reach(mag, k0, step, run, tol):
-    """Last index the older stop rule sums, walking from k0 (step +1) or
-    k0 - 1 (step -1)."""
-    small, prev = 0, math.inf
-    k = k0 if step > 0 else k0 - 1
-    while True:
-        t = mag(k)
-        if t < tol / 16 and t <= prev:
-            small += 1
-            if small >= run:
-                return k
-        else:
-            small = 0
-        prev = t
-        k += step
-
-
 def _tail(mag, start, step, target):
     """Sum of mag(k) for k = start, start + step, ..., until the terms stay
     far below target."""
@@ -75,23 +62,22 @@ def _tail(mag, start, step, target):
     raise AssertionError("tail did not settle")
 
 
-def _check_range(k0, k_lo, k_hi, value_mag, series_mags, tol, run, value_range, a):
-    """a = 2 pi m Im tau is the Gaussian rate of the series: from a = 1 on,
-    the walk reaches far past the rounding cut (its last term is below
-    e^{-8 a d} tol/16 at the distance d where terms cross tol/16), so the
-    rounding target must hold there.  For small a the range may instead stop
-    at the walk's reach, with only tol/8 dropped."""
+def _check_range(k0, k_lo, k_hi, value_mag, series_mags, tol):
+    """Each side of every series in series_mags drops at most
+    min(tol/8, 2^-55 peak), peak the largest value term in the range."""
     assert k_lo <= k0 <= k_hi + 1
     peak = max(value_mag(k) for k in range(k_lo, k_hi + 1))
-    if value_range:
-        walk_hi = _walk_reach(value_mag, k0, 1, run, tol)
-        walk_lo = _walk_reach(value_mag, k0, -1, run, tol)
-        assert k_hi <= walk_hi and k_lo >= walk_lo, (k_lo, k_hi, walk_lo, walk_hi)
-    target = min(tol / 8, 2.0 ** -55 * peak) if a >= 1.0 else tol / 8
+    target = min(tol / 8, 2.0 ** -55 * peak)
     for mag in series_mags:
         for start, step in ((k_hi + 1, 1), (k_lo - 1, -1)):
             tail = _tail(mag, start, step, target)
             assert tail <= target, (tail, target, step)
+
+
+def _contains(new, capped):
+    """The range new = (k_lo, k_hi) reaches at least as far as capped on
+    both sides."""
+    assert new[0] <= capped[0] and new[1] >= capped[1], (new, capped)
 
 
 TOLS = (1e-12, 1e-6)
@@ -106,9 +92,14 @@ THETA_POINTS = [
 ]
 
 
-# (k0, k_lo, k_hi) of each point above, as summed term by term before the
-# recurrence walks: a walk changes how terms are formed, never which
+# (k0, k_lo, k_hi) of each point above; a recurrence walk changes how terms
+# are formed, never which
 THETA_RANGES = {
+    1e-12: [(0, -2, 1), (-2, -113, 110), (1, -16, 18), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
+    1e-06: [(0, -2, 1), (-2, -113, 110), (1, -16, 18), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
+}
+# the same under the older rule's cap
+THETA_RANGES_CAPPED = {
     1e-12: [(0, -2, 1), (-2, -103, 100), (1, -16, 18), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
     1e-06: [(0, -2, 1), (-2, -78, 75), (1, -14, 16), (-6, -12, -1), (6, 0, 12), (0, 0, 0)],
 }
@@ -120,14 +111,16 @@ def test_theta_range(j, m, tau, z, tol, monkeypatch):
     calls = _recording(monkeypatch, theta)
     theta.theta_jm(theta.ThetaIndex.of(j, m), tau, z, 0.0, TruncationPolicy(tol=tol))
     (k0, k_lo, k_hi), = calls
-    assert (k0, k_lo, k_hi) == THETA_RANGES[tol][THETA_POINTS.index((j, m, tau, z))]
+    i = THETA_POINTS.index((j, m, tau, z))
+    assert (k0, k_lo, k_hi) == THETA_RANGES[tol][i]
+    _contains((k_lo, k_hi), THETA_RANGES_CAPPED[tol][i][1:])
     base = (j / (2 * m)) % 1
 
     def mag(k):
         n = base + k
         return math.exp(-2 * math.pi * (m * n * n * tau.imag + m * n * complex(z).imag))
 
-    _check_range(k0, k_lo, k_hi, mag, [mag], tol, 4, True, 2 * math.pi * m * tau.imag)
+    _check_range(k0, k_lo, k_hi, mag, [mag], tol)
 
 
 PHI1_POINTS = [
@@ -143,6 +136,16 @@ PHI1_POINTS = [
 
 # as THETA_RANGES, keyed by (tol, want_d0)
 PHI1_RANGES = {
+    (1e-12, False): [(0, -3, 2), (-1, -121, 119), (1, -58, 61), (0, -3, 2), (-1, -3, 1),
+                     (-2, -5, 1), (0, -1, 2)],
+    (1e-12, True): [(0, -3, 3), (-1, -129, 126), (1, -62, 64), (0, -3, 2), (-1, -3, 1),
+                    (-2, -5, 1), (0, -1, 2)],
+    (1e-06, False): [(0, -3, 2), (-1, -121, 119), (1, -58, 61), (0, -3, 2), (-1, -3, 1),
+                     (-2, -4, 0), (0, -1, 1)],
+    (1e-06, True): [(0, -3, 3), (-1, -129, 126), (1, -62, 64), (0, -3, 2), (-1, -3, 1),
+                    (-2, -4, 0), (0, -1, 1)],
+}
+PHI1_RANGES_CAPPED = {
     (1e-12, False): [(0, -3, 2), (-1, -101, 99), (1, -51, 53), (0, -3, 2), (-1, -3, 1),
                      (-2, -5, 1), (0, -1, 2)],
     (1e-12, True): [(0, -3, 3), (-1, -101, 99), (1, -51, 53), (0, -3, 2), (-1, -3, 1),
@@ -162,7 +165,9 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
     policy = TruncationPolicy(tol=tol)
     mock._phi1_core(float(m), float(s), tau, z1, z2, policy, want_d0=want_d0)
     (k0, k_lo, k_hi), = calls
-    assert (k0, k_lo, k_hi) == PHI1_RANGES[tol, want_d0][PHI1_POINTS.index((m, s, tau, z1, z2))]
+    i = PHI1_POINTS.index((m, s, tau, z1, z2))
+    assert (k0, k_lo, k_hi) == PHI1_RANGES[tol, want_d0][i]
+    _contains((k_lo, k_hi), PHI1_RANGES_CAPPED[tol, want_d0][i][1:])
     zs = z1 + z2
 
     def parts(j):
@@ -185,7 +190,7 @@ def test_phi1_range(m, s, tau, z1, z2, want_d0, tol, monkeypatch):
         return t * abs(s + ratio)
 
     mags = [value, derivative] if want_d0 else [value]
-    _check_range(k0, k_lo, k_hi, value, mags, tol, 4, not want_d0, 2 * math.pi * m * tau.imag)
+    _check_range(k0, k_lo, k_hi, value, mags, tol)
 
 
 # window starts s, degrees m, and points of the correcting window
@@ -199,6 +204,45 @@ R_POINTS = [
     (-7.5, 20, 4.0j, 0.4 + 1.2j),
     (0, 1, 0.9j, 0.3 + 0.01j),
 ]
+
+
+# (k_lo, k_hi) of the values and of the derivatives of each series of the
+# window at each point above.  At tol 1e-6 as at 1e-12 the 2^-56 P target
+# sets every cut, so one table serves both.
+R_RANGES = {
+    "values": [
+        [(-2, 2), (-2, 2), (-3, 1)],
+        [(-110, 114)],
+        [(-59, 52), (-59, 51), (-59, 51), (-60, 51)],
+        [(-8, -1)] * 4 + [(-7, -1)] * 3,
+        [(0, 5), (0, 5), (0, 5), (0, 4)],
+        [(-6, -1), (-6, -1), (-7, -1), (-7, -1)],
+        [(0, 0)] * 38 + [(-1, 0)] * 2,
+        [(-2, 2), (-3, 2)],
+    ],
+    "derivatives": [
+        [(-2, 2), (-2, 2), (-3, 2)],
+        [(-114, 118)],
+        [(-61, 54), (-62, 54), (-62, 54), (-62, 53)],
+        [(-9, -1)] * 4 + [(-8, -1)] * 3,
+        [(0, 5), (0, 5), (0, 5), (0, 4)],
+        [(-6, -1), (-6, -1), (-7, -1), (-7, -1)],
+        [(0, 0)] * 38 + [(-1, 0)] * 2,
+        [(-2, 2), (-3, 2)],
+    ],
+}
+# the ranges under the older rule's cap where they differ from R_RANGES,
+# keyed by (tol, kind, index of the point)
+R_RANGES_CAPPED = {
+    (1e-12, "values", 1): [(-96, 100)],
+    (1e-12, "values", 2): [(-55, 48), (-55, 47), (-55, 47), (-56, 47)],
+    (1e-12, "derivatives", 1): [(-100, 104)],
+    (1e-12, "derivatives", 2): [(-55, 48), (-55, 47), (-55, 47), (-56, 47)],
+    (1e-06, "values", 1): [(-69, 73)],
+    (1e-06, "values", 2): [(-41, 34), (-42, 34), (-42, 34), (-42, 33)],
+    (1e-06, "derivatives", 1): [(-76, 80)],
+    (1e-06, "derivatives", 2): [(-43, 35)] * 4,
+}
 
 
 def _r_terms(j, m, tau, v):
@@ -222,6 +266,14 @@ def _r_terms(j, m, tau, v):
         return value, abs(sgn * n * value - dscale * slope)
 
     return (lambda k: pieces(k)[0]), (lambda k: pieces(k)[1])
+
+
+def _r_series_of(s, m, tau, v, ranges):
+    """(k0, ranges, term magnitudes) of each series R_{s+r;m} of the window,
+    k0 the index nearest its k_star."""
+    n_star = 2 * m * v.imag / tau.imag
+    for r, rs in enumerate(ranges):
+        yield round((n_star - s - r) / (2 * m)), rs, _r_terms(s + r, m, tau, v)
 
 
 def _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv):
@@ -253,53 +305,40 @@ def _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv):
 @pytest.mark.parametrize("s, m, tau, v", R_POINTS)
 def test_r_range(s, m, tau, v, want_dv, tol, monkeypatch):
     # every series of the window, R_{s+r;m}, is held to the same checks as
-    # one series: its value range never reaches past the older stop rule,
-    # and both of its ranges drop tails within the targets
+    # one series: both of its ranges drop tails within the targets
     policy = TruncationPolicy(tol=tol)
-    a = 2 * math.pi * m * tau.imag
     ranges = _window_ranges(monkeypatch, s, m, tau, v, policy, want_dv)
-    for r, (values, derivatives) in enumerate(ranges):
-        j = s + r
-        k0 = round((2 * m * v.imag / tau.imag - j) / (2 * m))
-        value, derivative = _r_terms(j, m, tau, v)
-        _check_range(k0, *values, value, [value], tol, 5, True, a)
+    i = R_POINTS.index((s, m, tau, v))
+    for slot, kind in enumerate(("values", "derivatives")[:1 + want_dv]):
+        got = [rs[slot] for rs in ranges]
+        assert got == R_RANGES[kind][i]
+        for new, capped in zip(got, R_RANGES_CAPPED.get((tol, kind, i), got)):
+            _contains(new, capped)
+    for k0, (values, derivatives), (value, derivative) in _r_series_of(s, m, tau, v, ranges):
+        _check_range(k0, *values, value, [value], tol)
         if want_dv:
-            _check_range(k0, *derivatives, value, [derivative], tol, 5, False, a)
+            _check_range(k0, *derivatives, value, [derivative], tol)
 
 
 def _per_index_range(j, m, tau, v, policy, want_dv):
-    """(k_lo, k_hi) of R_{j;m} as its own series chose it before the window
-    walk: one _index_range call for the value majorant, or with want_dv for
-    the derivative majorant, and the window between 0 and k_star summed
-    whole."""
+    """(k_lo, k_hi) of R_{j;m} as its own series: one _index_range call for
+    the value majorant, or with want_dv for the derivative majorant, and the
+    window between 0 and k_star summed whole."""
     y = tau.imag
     n_star = 2.0 * m * v.imag / y
     k_star = (n_star - j) / (2.0 * m)
     k0 = round(k_star)
     a = 2 * math.pi * m * y
-    kappa = math.sqrt(2 * math.pi * a)
     log_c = -math.pi * y * n_star * n_star / (2.0 * m)
     dscale = math.sqrt(m / y) / math.pi
     lift = abs(n_star) + 2.0 * dscale if want_dv else 1.0
-
-    def weight(step, d):
-        if want_dv:
-            return math.log((abs(n_star) / max(1.0, kappa * d) + 2.0 * dscale) / lift)
-        return -math.log(max(1.0, kappa * d))
-
-    def walk():
-        excess = log_c - math.log(policy.tol) + math.log(16.0)
-        u_run = math.sqrt(excess / a) if excess > 0 else 0.0
-        return ((k_star, log_c - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u_run))),)
-
     far = max(k_star, -1.0 - k_star, 0.0)
     if far:
         log_p = log_c + a * far * far
     else:
         u0 = abs(k0 - k_star)
         log_p = log_c - a * u0 * u0 - math.log(SQRT_PI * (1.0 + math.sqrt(2.0 * a) * u0))
-    k_lo, k_hi = _index_range(k0, k_star, a, log_c + math.log(lift), log_p, policy, 5,
-                              weight, walk)
+    k_lo, k_hi = _index_range(k0, k_star, a, log_c + math.log(lift), log_p, policy)
     return min(k_lo, 0), max(k_hi, math.ceil(k_star) - 1, -1)
 
 
@@ -350,18 +389,13 @@ def test_r_window_far_turning_point(s, m, tau, v, monkeypatch):
     # n* = 2m Im v / Im tau = +-100, so log_c = -pi n*^2 / 4 ~ -7,850: the
     # exponential factor underflows next to the turning point, while the
     # terms next to n = s are of order 1 (down to 1e-267 per series).  No
-    # walk may start from an underflowed anchor.  The older stop rule would
-    # stop in the underflow, short of the window between 0 and k_star that
-    # every series sums whole, so only the tail targets are checked here.
-    a = 2 * math.pi * m * tau.imag
+    # walk may start from an underflowed anchor, and every series sums the
+    # whole window between 0 and k_star.
     for tol in TOLS:
-        for r, (values, derivatives) in enumerate(
-                _window_ranges(monkeypatch, s, m, tau, v, TruncationPolicy(tol=tol), True)):
-            j = s + r
-            k0 = round((2 * m * v.imag / tau.imag - j) / (2 * m))
-            value, derivative = _r_terms(j, m, tau, v)
-            _check_range(k0, *values, value, [value], tol, 5, False, a)
-            _check_range(k0, *derivatives, value, [derivative], tol, 5, False, a)
+        ranges = _window_ranges(monkeypatch, s, m, tau, v, TruncationPolicy(tol=tol), True)
+        for k0, (values, derivatives), (value, derivative) in _r_series_of(s, m, tau, v, ranges):
+            _check_range(k0, *values, value, [value], tol)
+            _check_range(k0, *derivatives, value, [derivative], tol)
     got = modification.r_window(s, m, tau, v, TruncationPolicy())
     ref = [0j] * 4
     for l in range(-400, 401):
@@ -376,10 +410,3 @@ def test_r_window_far_turning_point(s, m, tau, v, monkeypatch):
     for r in range(4):
         assert abs(got[r] - ref[r]) <= 1e-15 * abs(ref[r]), (r, got[r], ref[r])
 
-
-def test_index_range_refuses_a_runaway_bound():
-    policy = TruncationPolicy()
-    with pytest.raises(TruncationOverflowError):
-        _index_range(0, 0.0, 1e-300, 1.0, 0.0, policy)
-    with pytest.raises(TruncationOverflowError):
-        _index_range(0, 0.0, 1.0, math.nan, 0.0, policy)
