@@ -151,30 +151,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    out = []
     if args.family == "n3":
-        for w in family_n3.enumerate_weights(Fraction(args.m)):
-            ch = family_n3.qhr_characteristics(w)
-            out.append({"label": w.label(),
-                        **{k: (str(v) if isinstance(v, Fraction) else v)
-                           for k, v in ch.items()}})
+        module, weights = family_n3, family_n3.enumerate_weights(Fraction(args.m))
     elif args.family == "n4":
-        for w in family_n4.enumerate_weights(int(args.m)):
-            ch = family_n4.qhr_characteristics(w)
-            out.append({"label": w.label(),
-                        **{k: (str(v) if isinstance(v, Fraction) else v)
-                           for k, v in ch.items()}})
+        module, weights = family_n4, family_n4.enumerate_weights(int(args.m))
     elif args.family == "d21a":
         params = family_d21a.D21Params(args.p, args.q, args.n)
-        for j, ws in family_d21a.enumerate_weights(params).items():
-            for w in ws:
-                ch = family_d21a.qhr_characteristics(w)
-                out.append({"label": w.label(),
-                            **{k: (str(v) if isinstance(v, Fraction) else v)
-                               for k, v in ch.items()}})
+        module = family_d21a
+        weights = [w for ws in family_d21a.enumerate_weights(params).values() for w in ws]
     else:
         sys.stderr.write(f"unknown family {args.family}\n")
         return 2
+    out = [{"label": w.label(),
+            **{k: (str(v) if isinstance(v, Fraction) else v)
+               for k, v in module.qhr_characteristics(w).items()}}
+           for w in weights]
     _emit({"family": args.family, "weights": out})
     return 0
 

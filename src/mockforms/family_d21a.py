@@ -292,12 +292,6 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
     return sgn * fn(idx)
 
 
-def modified_supercharacter(w: D21Weight, tau, z1, z2, z3, t=0.0, flavor: str = "P",
-                            policy: TruncationPolicy = DEFAULT_POLICY):
-    num = modified_supercharacter_numerator(w, tau, z1, z2, z3, t, flavor, policy)
-    return num / rhat(tau, z1, z2, z3, t, 0, 0, policy)
-
-
 # --- denominators ----------------------------------------------------------
 
 def rhat(tau, z1, z2, z3, t=0.0, eps=0, eps_prime=0,
@@ -456,46 +450,41 @@ def boundary_g(params: D21Params, j: int, eps, eps_prime, tau, z1, z2, z3, t=0.0
     return fg_lower("g", j, params, eps, eps_prime, tau, z1, z2, z3, t, policy)
 
 
+def _boundary_index(w: D21Weight):
+    """(j, sign) with ch^- = sign * g_j / R-hat, j not reduced."""
+    if w.j == 0:
+        return -w.m3 - 2, -1.0
+    if (w.m2, w.m3) == (1, 0):
+        return -1, 1.0
+    return w.m3, 1.0
+
+
 def boundary_case_label(w: D21Weight):
     """(j mod 2(p+1), sign) with ch^- = sign * g_j / R-hat."""
-    p = w.params.p
-    if w.j == 0:
-        return (-w.m3 - 2) % (2 * (p + 1)), -1.0
-    if (w.m2, w.m3) == (1, 0):
-        return (2 * p + 1), 1.0
-    return w.m3 % (2 * (p + 1)), 1.0
+    j, sign = _boundary_index(w)
+    return j % (2 * (w.params.p + 1)), sign
 
 
 def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
                              sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
-    """(Super)characters of the integrable boundary-case modules."""
+    """(Super)characters of the integrable boundary-case modules: the
+    twisted sectors shift j by p+1 and flip the sign."""
     params = w.params
     p = params.p
     if params.q != 1 or params.n != 1:
         raise UnsupportedCaseError("boundary formulas need q = n = 1")
     if w.j not in (0, 1):
         raise UnsupportedCaseError("boundary families are empty for j = 2, 3")
-    s = w.m3
-    eps = Fraction(1, 2) if sector.startswith("plus") else Fraction(0)
-    twisted = sector.endswith("_tw")
+    plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
+    eps = Fraction(1, 2) if plus else Fraction(0)
     epsp = Fraction(1, 2) if twisted else Fraction(0)
-    if w.j == 0:
-        jg = (p - 1 - s) if twisted else (-s - 2)
-        sign = 1.0 if twisted else -1.0
-        if sector.startswith("plus"):
-            sign = -sign
-    elif (w.m2, w.m3) == (1, 0):
-        jg = p if twisted else -1
-        sign = -1.0 if twisted else 1.0
-        if sector.startswith("plus"):
-            sign = -sign
-    else:
-        jg = (s + p + 1) if twisted else s
-        sign = -1.0 if twisted else 1.0
-        if sector.startswith("plus"):
-            sign = -sign
-    if twisted and eps == Fraction(1, 2) and p % 2:
+    jg, sign = _boundary_index(w)
+    if twisted:
+        jg, sign = jg + p + 1, -sign
+    if plus:
+        sign = -sign
+    if twisted and plus and p % 2:
         sign = -sign
     num = sign * boundary_g(params, jg, eps, epsp, tau, z1, z2, z3, t, policy)
     return num / rhat(tau, z1, z2, z3, t, eps, epsp, policy)
@@ -512,16 +501,8 @@ def s_matrix_and_fusion(p: int) -> dict:
               + [D21Weight(params, 1, 1, 0)])
     N = 2 * p + 2
     root = 1.0 / math.sqrt(2.0 * (p + 1))
-
-    def signed_residue(w):
-        """(signed index j with ch^- = sign * g_j / R-hat, row sign)."""
-        if w.j == 0:
-            return -(w.m3 + 2), 1.0
-        if (w.m2, w.m3) == (1, 0):
-            return -1, -1.0
-        return w.m3, -1.0
-
-    data = [signed_residue(w) for w in labels]
+    # every entry of S carries two signs, so S is the same if all of them flip
+    data = [_boundary_index(w) for w in labels]
     S = [[root * data[i][1] * data[k][1]
           * e2pi(Fraction(-data[i][0] * data[k][0], 2 * (p + 1)))
           for k in range(N)] for i in range(N)]

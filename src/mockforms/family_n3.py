@@ -257,12 +257,6 @@ def supercharacter_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = F
     return B(w.m2, w.dotted)
 
 
-def supercharacter(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
-                   policy: TruncationPolicy = DEFAULT_POLICY):
-    num = supercharacter_numerator(w, tau, z1, z2, t, modified, policy)
-    return num / rhat(tau, z1, z2, t, False, policy)
-
-
 def _lambda_theta(w: N3Weight) -> Fraction:
     """(Lambda | theta), entering the character/supercharacter shift."""
     kt = (w.m + Fraction(1, 2)) / w.M

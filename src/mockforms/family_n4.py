@@ -102,9 +102,6 @@ def n4_denominator(tau, z, eps, eps_prime, policy: TruncationPolicy = DEFAULT_PO
             / jacobi_theta(a, b, tau, z, policy) ** 2)
 
 
-_SECTOR_EPS = {"plus": (Fraction(1, 2), 0), "minus": (0, 0),
-               "plus_tw": (Fraction(1, 2), Fraction(1, 2)),
-               "minus_tw": (0, Fraction(1, 2))}
 # the reduced (superconformal) denominators swap the twist label
 _QHR_EPS = {"plus": (Fraction(1, 2), Fraction(1, 2)), "minus": (0, Fraction(1, 2)),
             "plus_tw": (Fraction(1, 2), 0), "minus_tw": (0, 0)}
@@ -171,13 +168,6 @@ def numerator(w: N4Weight, tau, z1, z2, t, sector: str,
         w1, w2, wt = w0_point(tau, z1, z2, t)
         return numerator(w, tau, w1, w2, wt, sector.removesuffix("_tw"), policy)
     raise ValueError(f"unknown sector {sector}")
-
-
-def modified_character(w: N4Weight, tau, z1, z2, t=0.0, sector: str = "minus",
-                       policy: TruncationPolicy = DEFAULT_POLICY):
-    eps, eps_prime = _SECTOR_EPS[sector]
-    num = numerator(w, tau, z1, z2, t, sector, policy)
-    return num / rhat(tau, z1, z2, eps, eps_prime, policy)
 
 
 # --- QHR ------------------------------------------------------------------

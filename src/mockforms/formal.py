@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qkernel import HalfInt, UnsupportedCaseError
+from .theta import _JACOBI
 
 
 @dataclass(frozen=True)
@@ -353,14 +354,13 @@ def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
 
 
 def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
-    """theta_ab as the degree-2 combination of Theta_{j,2}."""
-    combos = {(0, 0): ((2, GR_ONE), (0, GR_ONE)),
-              (0, 1): ((2, -GR_ONE), (0, GR_ONE)),
-              (1, 0): ((1, GR_ONE), (-1, GR_ONE)),
-              (1, 1): ((1, GRat(Fraction(0), Fraction(1))), (-1, GRat(Fraction(0), Fraction(-1))))}
-    if (a, b) not in combos:
+    """theta_ab as the degree-2 combination of Theta_{j,2} that
+    theta.jacobi_theta sums; its coefficients are +-1 and +-i, exact."""
+    if (a, b) not in _JACOBI:
         raise ValueError("Jacobi theta labels must be 0 or 1")
     out = FormalSeries(None, Fraction(order))
-    for j, c in combos[(a, b)]:
-        out = out + expand_theta(j, 2, order, tau_scale, z).scale(c)
+    for idx, c in _JACOBI[(a, b)]:
+        c = complex(c)
+        term = expand_theta(idx.j, idx.m, order, tau_scale, z)
+        out = out + term.scale(GRat(Fraction(c.real), Fraction(c.imag)))
     return out

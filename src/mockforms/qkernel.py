@@ -12,13 +12,15 @@ correction kernel R (Zwegers, Mock theta functions, thesis, Utrecht 2002).
 Each kernel turns its shape into a log-space majorant, _index_range turns
 that into the index range [k_lo, k_hi] whose dropped tails are provably
 inside tol, and sum_bilateral sums that range with no per-term stop test.
-A quadratic exponential t_k = e^{2 pi i (a k^2 + b k + c)} is summed by the
-recurrences t_{k+1} = t_k r_k, r_{k+1} = r_k e^{4 pi i a}, re-anchored by an
-exact cmath.exp every ANCHOR_EVERY terms.  The correcting window of R walks
-one such exponential over n in s + Z and sends each term to the series of
-its residue mod 2m: the 2m series of R_{s;m}, ..., R_{s+2m-1;m} share one
-walk and one anchor per ANCHOR_EVERY terms, while each keeps the index range
-_index_range gives it alone.
+It sums by walks alone: each kernel gives it an anchor, the exact state of
+its series at one index, and a walk that forms the terms after it by
+recurrences; a new anchor starts every ANCHOR_EVERY terms.  A quadratic
+exponential t_k = e^{2 pi i (a k^2 + b k + c)} walks by t_{k+1} = t_k r_k,
+r_{k+1} = r_k e^{4 pi i a} from an exact cmath.exp.  The correcting window
+of R walks one such exponential over n in s + Z and sends each term to the
+series of its residue mod 2m: the 2m series of R_{s;m}, ..., R_{s+2m-1;m}
+share one walk and one anchor per ANCHOR_EVERY terms, while each keeps the
+index range _index_range gives it alone.
 """
 
 from __future__ import annotations
@@ -359,18 +361,16 @@ def _quadratic_walk(state, count: int, step: int) -> complex:
     return total
 
 
-def sum_bilateral(anchor, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy,
-                  walk=None):
+def sum_bilateral(anchor, k0: int, k_lo: int, k_hi: int, policy: TruncationPolicy, walk):
     """Sum a series over k0..k_hi, then k0-1 down to k_lo.
 
-    With no walk, anchor(k) is the term at k.  With a walk, anchor(k) is
-    the exact state of the series at k, and walk(state, count, step) sums
-    the count terms k, k + step, ... from it by recurrences; a new anchor
-    starts every ANCHOR_EVERY terms.  The range comes from _index_range, so
-    no term is compared on the way.  Raises TruncationOverflowError, before
-    any term is summed, when the range is wider than policy.n_max, and
-    DomainError when a term overflows (cmath.exp raises; a recurrence runs
-    to inf or NaN).
+    anchor(k) is the exact state of the series at k, and walk(state, count,
+    step) sums the count terms k, k + step, ... from it by recurrences; a
+    new anchor starts every ANCHOR_EVERY terms.  The range comes from
+    _index_range, so no term is compared on the way.  Raises
+    TruncationOverflowError, before any term is summed, when the range is
+    wider than policy.n_max, and DomainError when a term overflows
+    (cmath.exp raises; a recurrence runs to inf or NaN).
     """
     if k_hi - k_lo + 1 > policy.n_max:
         raise TruncationOverflowError(
@@ -378,18 +378,12 @@ def sum_bilateral(anchor, k0: int, k_lo: int, k_hi: int, policy: TruncationPolic
             f"over n_max={policy.n_max}")
     total = 0.0 + 0.0j
     try:
-        if walk is None:
-            for k in range(k0, k_hi + 1):
-                total += anchor(k)
-            for k in range(k0 - 1, k_lo - 1, -1):
-                total += anchor(k)
-        else:
-            for k in range(k0, k_hi + 1, ANCHOR_EVERY):
-                count = k_hi + 1 - k
-                total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, 1)
-            for k in range(k0 - 1, k_lo - 1, -ANCHOR_EVERY):
-                count = k + 1 - k_lo
-                total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, -1)
+        for k in range(k0, k_hi + 1, ANCHOR_EVERY):
+            count = k_hi + 1 - k
+            total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, 1)
+        for k in range(k0 - 1, k_lo - 1, -ANCHOR_EVERY):
+            count = k + 1 - k_lo
+            total += walk(anchor(k), count if count < ANCHOR_EVERY else ANCHOR_EVERY, -1)
     except OverflowError as exc:
         raise DomainError(f"a series term overflowed a double ({exc})") from exc
     if not cmath.isfinite(total):

@@ -128,6 +128,39 @@ def test_boundary_label_bijection():
         assert sorted(sm["j_residues"]) == list(range(2 * p + 2))
 
 
+# (j, sign) with ch = sign * g_j / R-hat, per sector, for the boundary weights
+# (j, m2, m3) in the order of s_matrix_and_fusion(p)["weights"]
+BOUNDARY_ROWS = {
+    1: {"weights": [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0)],
+        "minus": [(-2, -1), (0, 1), (1, 1), (-1, 1)],
+        "plus": [(-2, 1), (0, -1), (1, -1), (-1, -1)],
+        "minus_tw": [(0, 1), (2, -1), (3, -1), (1, -1)],
+        "plus_tw": [(0, 1), (2, -1), (3, -1), (1, -1)]},
+    2: {"weights": [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0)],
+        "minus": [(-2, -1), (-3, -1), (0, 1), (1, 1), (2, 1), (-1, 1)],
+        "plus": [(-2, 1), (-3, 1), (0, -1), (1, -1), (2, -1), (-1, -1)],
+        "minus_tw": [(1, 1), (0, 1), (3, -1), (4, -1), (5, -1), (2, -1)],
+        "plus_tw": [(1, -1), (0, -1), (3, 1), (4, 1), (5, 1), (2, 1)]},
+}
+BOUNDARY_POINTS = ((TAU, ZS, T), (-0.2 + 1.3j, (0.05 - 0.1j, -0.17 + 0.02j, 0.3 + 0.11j), 0.0))
+SECTOR_EPS = {"minus": (0, 0), "plus": (F(1, 2), 0),
+              "minus_tw": (0, F(1, 2)), "plus_tw": (F(1, 2), F(1, 2))}
+
+
+def test_boundary_characters_follow_the_label_table():
+    for p, rows in BOUNDARY_ROWS.items():
+        pr = d2.D21Params(p, 1, 1)
+        weights = d2.s_matrix_and_fusion(p)["weights"]
+        assert [(w.j, w.m2, w.m3) for w in weights] == rows["weights"]
+        for sector, (eps, eps_prime) in SECTOR_EPS.items():
+            for w, (jg, sign) in zip(weights, rows[sector]):
+                for tau, zs, t in BOUNDARY_POINTS:
+                    want = (sign * d2.boundary_g(pr, jg, eps, eps_prime, tau, *zs, t, P)
+                            / d2.rhat(tau, *zs, t, eps, eps_prime, P))
+                    got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
+                    assert got == want, (p, sector, w.label())
+
+
 def test_smatrix_recovery_oracle():
     # recover the S-matrix numerically from the boundary supercharacters
     for p in (1, 2):

@@ -1,5 +1,8 @@
-"""Every imported name is used: a standard-library stand-in for a linter's
-unused-import rule, run over the package and the tests."""
+"""Every imported name is used, and every module-level definition of the
+package is named somewhere: standard-library stand-ins for a linter's
+unused-import and unused-definition rules.  Imports are checked in the
+package and the tests; a definition may be named there or in perfbench/,
+which is only read."""
 
 import ast
 import pathlib
@@ -10,6 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # a package __init__ re-exports what it imports
 FILES = sorted(p for p in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
                if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "mockforms").glob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +39,40 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set:
+    """Every name the source reads (an ast.Name), reaches as an attribute,
+    or imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def unreferenced_definitions(modules: dict, readers: list) -> list:
+    """(module, name) of each module-level def or class of modules (name ->
+    source) that no source in readers refers to by name."""
+    used = set().union(*(referenced_names(src) for src in readers))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(mod, node.name) for mod, src in modules.items()
+            for node in ast.parse(src).body
+            if isinstance(node, defs) and node.name not in used]
+
+
+def test_definition_checker_flags_unreferenced_and_keeps_referenced():
+    mod = ("def read(): pass\ndef reached(): pass\ndef imported(): pass\n"
+           "class Kept: pass\ndef dead(): read()\nclass Gone: pass\n_X = 1\n")
+    user = "import m\nfrom m import imported as i\nm.reached(Kept)\n"
+    assert unreferenced_definitions({"m": mod}, [mod, user]) == [("m", "dead"), ("m", "Gone")]
+
+
+def test_every_package_definition_is_referenced():
+    modules = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreferenced_definitions(modules, [p.read_text() for p in READERS]) == []
