@@ -25,6 +25,9 @@ from . import formal
 from . import verifier
 from . import family_n3, family_n4, family_d21a
 
+# registry parameter keys that `verify` can filter on, one option each
+VERIFY_FILTER_KEYS = ("m", "s", "M", "n", "p", "q", "m2")
+
 
 def parse_complex(s: str) -> complex:
     """Accepts "a+bi" / "a-bi" / "bi" / "a" with decimal components."""
@@ -128,7 +131,7 @@ def cmd_verify(args) -> int:
         n_tau, n_z = args.grid.lower().split("x")
         grid = (int(n_tau), int(n_z))
     flt = {}
-    for key in ("m", "s", "M", "n", "p", "q", "m2"):
+    for key in VERIFY_FILTER_KEYS:
         val = getattr(args, "param_" + key, None)
         if val is not None:
             flt[key] = val
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--grid")
     pv.add_argument("--seed", type=int, default=1)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
-    for key in ("m", "s", "M", "n", "p", "q", "m2"):
+    for key in VERIFY_FILTER_KEYS:
         pv.add_argument(f"--{key}", dest="param_" + key)
     pv.set_defaults(func=cmd_verify)
 

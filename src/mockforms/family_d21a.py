@@ -459,12 +459,6 @@ def _boundary_index(w: D21Weight):
     return w.m3, 1.0
 
 
-def boundary_case_label(w: D21Weight):
-    """(j mod 2(p+1), sign) with ch^- = sign * g_j / R-hat."""
-    j, sign = _boundary_index(w)
-    return j % (2 * (w.params.p + 1)), sign
-
-
 def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
                              sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
@@ -507,7 +501,7 @@ def s_matrix_and_fusion(p: int) -> dict:
           * e2pi(Fraction(-data[i][0] * data[k][0], 2 * (p + 1)))
           for k in range(N)] for i in range(N)]
     T = [e2pi(Fraction(j * j, 4 * (p + 1)) - Fraction(1, 24)) for j, _ in data]
-    js = [boundary_case_label(w)[0] for w in labels]
+    js = [j % (2 * (p + 1)) for j, _ in data]
 
     def fusion(i, j, k):
         return 1 if (js[i] + js[j] + js[k]) % (2 * (p + 1)) == 0 else 0

@@ -1,9 +1,12 @@
 """Identity registry, grid harness, and report generation.
 
 Every transformation law carries an id, a citation anchor, a tag, its own
-tolerance and grid size, a parameter domain, and a closure producing
-(lhs, rhs) pairs at an evaluation point.  verify() runs one id over the
-deterministic standard grid; suite() runs a tag in registry order.
+tolerance and grid size, a parameter domain, and a closure
+pair(pt, policy, **params) that returns one (lhs, rhs) pair, or a list of
+them, at an evaluation point.  Most laws are records checked by the one
+evaluator _laws(); the rest are hand-written closures.  verify() runs one
+id over the deterministic standard grid; suite() runs a tag in registry
+order.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -44,6 +47,8 @@ from . import family_n4 as n4
 from . import family_d21a as d2
 
 H = Fraction(1, 2)
+# the four shift pairs (eps, eps') of the sector-indexed families
+EPS_PAIRS = [{"eps": e, "epsp": ep} for e in (Fraction(0), H) for ep in (Fraction(0), H)]
 
 
 @dataclass
@@ -53,7 +58,7 @@ class IdentitySpec:
     tag: str
     tol: float
     params: list
-    pair: object            # callable(pt: EvalPoint, **params) -> (lhs, rhs)
+    pair: object            # pair(pt, policy, **params) -> (lhs, rhs) or a list of them
     grid: tuple = (3, 2)
     check: str = "close"    # or "exceeds"
     runner: object = None   # custom: callable(policy) -> (max_err, extra)
@@ -192,97 +197,123 @@ def suite(tag: str, policy: TruncationPolicy = DEFAULT_POLICY, seed: int = 1) ->
 # registry construction
 # ---------------------------------------------------------------------------
 
-def _s_sum(M: int, eps, term):
-    """sum of term(a, b) over a, b in eps + {0, ..., M-1}, a outer: the
-    index sum of the wrapper S-laws."""
-    tot = 0.0j
-    for ia in range(M):
-        for ib in range(M):
-            tot += term(Fraction(eps) + ia, Fraction(eps) + ib)
-    return tot
+def _laws(obj, args, laws):
+    """The pair closure of laws stated as records.  obj(x, tau, *a, policy)
+    is the family member at index x, and args(pt) gives a.  laws(**params)
+    lists records (x, image, y, c), each checking obj(x, *image(tau, *a))
+    against c * obj(y, tau, *a).  c is None (no factor), an exact constant
+    or a callable of (tau, *a); a y that is a list of (coefficient, index)
+    is summed from 0.0j in list order, each of its indices evaluated once
+    per call, since the S-rows of a family share their terms.  A record
+    holds only exact data of its parameter set, never a value at a point."""
+    def pair(pt, policy, **params):
+        tau, a = pt.tau, args(pt)
+        at = {}
+        out = []
+        for x, image, y, c in laws(**params):
+            lhs = obj(x, *image(tau, *a), policy)
+            if isinstance(y, list):
+                rhs = 0.0j
+                for cy, iy in y:
+                    if iy not in at:
+                        at[iy] = obj(iy, tau, *a, policy)
+                    rhs += cy * at[iy]
+            else:
+                rhs = obj(y, tau, *a, policy)
+            if c is not None:
+                rhs = (c(tau, *a) if callable(c) else c) * rhs
+            out.append((lhs, rhs))
+        return out
+    return pair
+
+
+def _same(tau, *a):
+    return (tau, *a)
+
+
+def _T(tau, *a):
+    return (tau + 1, *a)
+
+
+def _S(tau, *zs):
+    """(-1/tau, z/tau) for every elliptic variable z."""
+    return (-1 / tau, *(z / tau for z in zs))
+
+
+def _zs(t):
+    """args: the first two point components and a fixed t."""
+    return lambda pt: (pt.zs[0], pt.zs[1], t)
+
+
+def _s_table(M: int, eps, m, j, k, sgp=0) -> list:
+    """(e(-(m/M)(a k + b j - sgp (a - b))), a, b) over a, b in
+    eps + {0, ..., M-1}, a outer: the index sum of the wrapper S-laws."""
+    reps = [Fraction(eps) + i for i in range(M)]
+    return [(e2pi(-Fraction(m, M) * (a * k + b * j - sgp * (a - b))), a, b)
+            for a in reps for b in reps]
 
 
 def _theta_pairs():
-    def eq12a(pt, policy, m, j, a):
+    theta = lambda laws: _laws(theta_jm, lambda pt: (pt.z, 0), laws)
+    jacobi = lambda laws: _laws(lambda ab, *a: jacobi_theta(*ab, *a), lambda pt: (pt.z,), laws)
+
+    def eq12a(m, j, a):
         idx = ThetaIndex.of(j, m)
-        tau, z = pt.tau, pt.z
-        return (theta_jm(idx, tau, z + a, 0, policy),
-                e2pi(Fraction(j * a, 2)) * theta_jm(idx, tau, z, 0, policy))
+        return [(idx, lambda tau, z, t: (tau, z + a, t), idx, e2pi(Fraction(j * a, 2)))]
 
     register(IdentitySpec(
         "eq1.2a", "theta elliptic law, integer shift", "theta", 1e-9,
         [{"m": m, "j": j, "a": a} for m in (1, 2, 3) for j in range(2 * m)
-         for a in (1, -2)], eq12a, grid=(5, 5)))
-
-    def eq12b(pt, policy, m, j, k):
-        tau, z = pt.tau, pt.z
-        lhs = theta_jm(ThetaIndex.of(j, m), tau, z + k * tau / m, 0, policy)
-        rhs = (e2pi(-Fraction(k * k, 4 * m) * tau) * e2pi(-Fraction(k, 2) * z)
-               * theta_jm(ThetaIndex.of(j + k, m), tau, z, 0, policy))
-        return lhs, rhs
+         for a in (1, -2)], theta(eq12a), grid=(5, 5)))
 
     register(IdentitySpec(
         "eq1.2b", "theta elliptic law, tau-direction shift", "theta", 1e-9,
         [{"m": m, "j": j, "k": k} for m in (1, 2, 3) for j in range(2 * m)
-         for k in (1, -1)], eq12b, grid=(5, 5)))
-
-    def eq13(pt, policy, m, j):
-        tau, z = pt.tau, pt.z
-        lhs = theta_jm(ThetaIndex.of(j, m), -1 / tau, z / tau, -z * z / (4 * tau), policy)
-        tot = 0.0j
-        for jp in range(2 * m):
-            tot += e2pi(-Fraction(j * jp, 2 * m)) * theta_jm(ThetaIndex.of(jp, m), tau, z, 0, policy)
-        return lhs, cmath.sqrt(-1j * tau / (2 * m)) * tot
+         for k in (1, -1)],
+        theta(lambda m, j, k: [(
+            ThetaIndex.of(j, m), lambda tau, z, t: (tau, z + k * tau / m, t),
+            ThetaIndex.of(j + k, m),
+            lambda tau, z, t: e2pi(-Fraction(k * k, 4 * m) * tau) * e2pi(-Fraction(k, 2) * z))]),
+        grid=(5, 5)))
 
     register(IdentitySpec(
         "eq1.3", "theta S-transform", "theta", 1e-9,
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
-        eq13, grid=(5, 3)))
-
-    def eq14(pt, policy, m, j):
-        tau, z = pt.tau, pt.z
-        return (theta_jm(ThetaIndex.of(j, m), tau + 1, z, 0, policy),
-                e2pi(Fraction(j * j, 4 * m)) * theta_jm(ThetaIndex.of(j, m), tau, z, 0, policy))
+        theta(lambda m, j: [(
+            ThetaIndex.of(j, m), lambda tau, z, t: (-1 / tau, z / tau, -z * z / (4 * tau)),
+            [(e2pi(-Fraction(j * jp, 2 * m)), ThetaIndex.of(jp, m)) for jp in range(2 * m)],
+            lambda tau, z, t: cmath.sqrt(-1j * tau / (2 * m)))]),
+        grid=(5, 3)))
 
     register(IdentitySpec(
         "eq1.4", "theta T-transform", "theta", 1e-9,
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
-        eq14, grid=(5, 3)))
-
-    def eq15(pt, policy, a, b):
-        tau, z = pt.tau, pt.z
-        out = [(jacobi_theta(a, b, tau, z + 1, policy),
-                (-1.0) ** a * jacobi_theta(a, b, tau, z, policy)),
-               (jacobi_theta(a, b, tau, z + tau, policy),
-                (-1.0) ** b * e2pi(-tau / 2) * e2pi(-z) * jacobi_theta(a, b, tau, z, policy))]
-        return out
+        theta(lambda m, j: [(ThetaIndex.of(j, m), _T, ThetaIndex.of(j, m),
+                             e2pi(Fraction(j * j, 4 * m)))]), grid=(5, 3)))
 
     register(IdentitySpec(
         "eq1.5", "Jacobi theta elliptic laws", "theta", 1e-10,
-        [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)], eq15, grid=(5, 5)))
-
-    def eq16(pt, policy, a, b):
-        tau, z = pt.tau, pt.z
-        lhs = jacobi_theta(a, b, -1 / tau, z / tau, policy)
-        rhs = ((-1j) ** (a * b) * cmath.sqrt(-1j * tau) * cmath.exp(1j * math.pi * z * z / tau)
-               * jacobi_theta(b, a, tau, z, policy))
-        return lhs, rhs
+        [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)],
+        jacobi(lambda a, b: [
+            ((a, b), lambda tau, z: (tau, z + 1), (a, b), (-1.0) ** a),
+            ((a, b), lambda tau, z: (tau, z + tau), (a, b),
+             lambda tau, z: (-1.0) ** b * e2pi(-tau / 2) * e2pi(-z))]),
+        grid=(5, 5)))
 
     register(IdentitySpec(
         "eq1.6", "Jacobi theta S-transform", "theta", 1e-10,
-        [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)], eq16, grid=(5, 3)))
-
-    def eq17(pt, policy, a):
-        tau, z = pt.tau, pt.z
-        out = [(jacobi_theta(0, a, tau + 1, z, policy),
-                jacobi_theta(0, 1 - a, tau, z, policy)),
-               (jacobi_theta(1, a, tau + 1, z, policy),
-                e2pi(Fraction(1, 8)) * jacobi_theta(1, a, tau, z, policy))]
-        return out
+        [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)],
+        jacobi(lambda a, b: [(
+            (a, b), _S, (b, a), lambda tau, z: ((-1j) ** (a * b) * cmath.sqrt(-1j * tau)
+                                                * cmath.exp(1j * math.pi * z * z / tau)))]),
+        grid=(5, 3)))
 
     register(IdentitySpec(
         "eq1.7", "Jacobi theta T-transforms", "theta", 1e-10,
-        [{"a": a} for a in (0, 1)], eq17, grid=(5, 3)))
+        [{"a": a} for a in (0, 1)],
+        jacobi(lambda a: [((0, a), _T, (0, 1 - a), None),
+                          ((1, a), _T, (1, a), e2pi(Fraction(1, 8)))]),
+        grid=(5, 3)))
 
     def tp(pt, policy):
         tau, z = pt.tau, pt.z
@@ -293,16 +324,12 @@ def _theta_pairs():
         "theta.triple", "odd Jacobi theta vs triple product", "theta", 1e-12,
         [{}], tp, grid=(5, 5)))
 
-    def eta_mod(pt, policy):
-        tau = pt.tau
-        return [(dedekind_eta(-1 / tau, policy),
-                 cmath.sqrt(-1j * tau) * dedekind_eta(tau, policy)),
-                (dedekind_eta(tau + 1, policy),
-                 e2pi(Fraction(1, 24)) * dedekind_eta(tau, policy))]
-
     register(IdentitySpec(
-        "eta.mod", "Dedekind eta S and T transforms", "theta", 1e-10,
-        [{}], eta_mod, grid=(5, 2)))
+        "eta.mod", "Dedekind eta S and T transforms", "theta", 1e-10, [{}],
+        _laws(lambda _, tau, policy: dedekind_eta(tau, policy), lambda pt: (), lambda: [
+            (None, _S, None, lambda tau: cmath.sqrt(-1j * tau)),
+            (None, _T, None, e2pi(Fraction(1, 24)))]),
+        grid=(5, 2)))
 
 
 def _mock_pairs():
@@ -347,15 +374,14 @@ def _mock_pairs():
         [{"M": 3, "eps": e, "j": j, "k": k} for e in (0, H)
          for (j, k) in ((0, 0), (1, -1))], rem13b))
 
-    def eq19(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(m, s)
-        return (phi(idx, tau, -z2, -z1, 0, policy),
-                -phi(idx, tau, z1, z2, 0, policy))
+    # the index of the signed assembly is (MockIndex, sign)
+    signed = lambda laws: _laws(lambda x, *a: phi(x[0], *a, x[1]), _zs(0), laws)
 
     register(IdentitySpec(
         "eq1.9", "swap-negate antisymmetry of the assembly", "mock", 1e-12,
-        [{"m": 2, "s": 0}, {"m": 1, "s": 1}], eq19))
+        [{"m": 2, "s": 0}, {"m": 1, "s": 1}],
+        signed(lambda m, s: [((MockIndex.of(m, s), 1), lambda tau, z1, z2, t: (tau, -z2, -z1, t),
+                              (MockIndex.of(m, s), 1), -1)])))
 
     def eq110eps(pt, policy):
         # the two half-shift placements agree for integer degree and index
@@ -371,18 +397,15 @@ def _mock_pairs():
         "eq1.10eps", "both wrapper half-shift placements agree (integer case)",
         "mock", 1e-10, [{}], eq110eps))
 
-    def eq503(pt, policy, sign, sa, sb):
-        # the minus-signed family is index-shift invariant for integer
-        # indices only; the half-integer minus case is recorded as failing
-        # alongside its closed form
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        return (phi(MockIndex.of(H, sa), tau, z1, z2, 0, policy, sign),
-                phi(MockIndex.of(H, sb), tau, z1, z2, 0, policy, sign))
-
+    # the minus-signed family is index-shift invariant for integer indices
+    # only; the half-integer minus case is recorded as failing alongside its
+    # closed form
     register(IdentitySpec(
         "eq5.03", "signed half-degree index shift invariance", "mock", 1e-10,
         [{"sign": 1, "sa": H, "sb": Fraction(3, 2)},
-         {"sign": 1, "sa": 0, "sb": 1}, {"sign": -1, "sa": 0, "sb": 1}], eq503))
+         {"sign": 1, "sa": 0, "sb": 1}, {"sign": -1, "sa": 0, "sb": 1}],
+        signed(lambda sign, sa, sb: [((MockIndex.of(H, sa), sign), _same,
+                                      (MockIndex.of(H, sb), sign), None)])))
 
     def eq504(pt, policy, sign, eps):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -407,48 +430,34 @@ def _mock_pairs():
         "mock", 1e-3, [{"sign": -1, "eps": H}], eq504, check="exceeds"))
 
 
+def _s_jacobi(tau, z1, z2, t):
+    """the S-image of a Jacobi form in (z1, z2, t)"""
+    return (-1 / tau, z1 / tau, z2 / tau, t - z1 * z2 / tau)
+
+
 def _modification_pairs():
-    def eq113(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(m, s)
-        t = 0.02 - 0.01j
-        return (phi_tilde(idx, tau, z1 + 1, z2 - 2, t, policy),
-                phi_tilde(idx, tau, z1, z2, t, policy))
+    tilde = lambda t, laws: _laws(phi_tilde, _zs(t), laws)
 
-    def eq114(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def shifts(m, s):
         idx = MockIndex.of(m, s)
-        t = 0.02
-        out = []
-        for (a, b) in ((1, 0), (1, -1)):
-            lhs = phi_tilde(idx, tau, z1 + a * tau, z2 + b * tau, t, policy)
-            rhs = (e2pi(-m * a * b * tau - m * (b * z1 + a * z2))
-                   * phi_tilde(idx, tau, z1, z2, t, policy))
-            out.append((lhs, rhs))
-        return out
-
-    def eq115(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(m, s)
-        t = 0.02
-        lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau, t - z1 * z2 / tau, policy)
-        return lhs, tau * phi_tilde(idx, tau, z1, z2, t, policy)
-
-    def eq116(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(m, s)
-        return (phi_tilde(idx, tau + 1, z1, z2, 0.02, policy),
-                phi_tilde(idx, tau, z1, z2, 0.02, policy))
+        return [(idx, lambda tau, z1, z2, t, a=a, b=b: (tau, z1 + a * tau, z2 + b * tau, t), idx,
+                 lambda tau, z1, z2, t, a=a, b=b: e2pi(-m * a * b * tau - m * (b * z1 + a * z2)))
+                for (a, b) in ((1, 0), (1, -1))]
 
     dom = [{"m": m, "s": s} for m in (1, 2, 3) for s in (0, H)]
     register(IdentitySpec("eq1.13", "modified assembly: integer shift invariance",
-                          "modification", 1e-6, dom, eq113))
+                          "modification", 1e-6, dom, tilde(0.02 - 0.01j, lambda m, s: [(
+                              MockIndex.of(m, s), lambda tau, z1, z2, t: (tau, z1 + 1, z2 - 2, t),
+                              MockIndex.of(m, s), None)])))
     register(IdentitySpec("eq1.14", "modified assembly: tau-lattice law",
-                          "modification", 1e-6, dom, eq114))
+                          "modification", 1e-6, dom, tilde(0.02, shifts)))
     register(IdentitySpec("eq1.15", "modified assembly: S-invariance",
-                          "modification", 1e-6, dom, eq115, grid=(3, 2)))
+                          "modification", 1e-6, dom, tilde(0.02, lambda m, s: [(
+                              MockIndex.of(m, s), _s_jacobi, MockIndex.of(m, s),
+                              lambda tau, *a: tau)]), grid=(3, 2)))
     register(IdentitySpec("eq1.16", "modified assembly: T-invariance",
-                          "modification", 1e-6, dom, eq116))
+                          "modification", 1e-6, dom, tilde(0.02, lambda m, s: [(
+                              MockIndex.of(m, s), _T, MockIndex.of(m, s), None)])))
 
     def add_zero(pt, policy, s):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -487,201 +496,129 @@ def _modification_pairs():
     register(IdentitySpec("rem1.2", "S-invariance of the one-sided modification",
                           "modification", 1e-6, [{"m": 1}, {"m": 2}], phi1t_s))
 
-    MM = [(3, 1), (3, 2), (5, 2)]
+    MM = [{"M": M, "m": m} for (M, m) in ((3, 1), (3, 2), (5, 2))]
+    wrapped = lambda t, laws: _laws(psi_tilde, _zs(t), laws)
 
-    def eq117(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.02
-        eps, epsp = H, Fraction(0)
-        j, k = 1, -1
-        lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), -1 / tau, z1 / tau, z2 / tau,
-                        t - z1 * z2 / tau, policy)
-        tot = _s_sum(M, eps, lambda a, b: (
-            e2pi(-Fraction(m, M) * (a * k + b * j))
-            * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, t, policy)))
-        return lhs, tau / M * tot
-
-    def eq118(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.02
-        out = []
-        for eps, epsp in ((H, Fraction(0)), (Fraction(0), Fraction(0))):
-            j, k = (1, -1) if epsp == 0 else (H, H)
-            lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), tau + 1, z1, z2, t, policy)
-            rhs = (e2pi(Fraction(m, M) * Fraction(j) * Fraction(k))
-                   * psi_tilde(PsiIndex.of(M, m, 0, abs(Fraction(eps) - Fraction(epsp)), j, k),
-                               tau, z1, z2, t, policy))
-            out.append((lhs, rhs))
-        return out
+    def eq117(M, m):
+        return [(PsiIndex.of(M, m, 0, H, 1, -1), _s_jacobi,
+                 [(c, PsiIndex.of(M, m, 0, 0, a, b)) for c, a, b in _s_table(M, H, m, 1, -1)],
+                 lambda tau, *a: tau / M)]
 
     register(IdentitySpec("eq1.17", "wrapped modification S-law", "modification",
-                          1e-6, [{"M": M, "m": m} for (M, m) in MM], eq117, grid=(2, 2)))
-    register(IdentitySpec("eq1.18", "wrapped modification T-law", "modification",
-                          1e-6, [{"M": M, "m": m} for (M, m) in MM], eq118))
+                          1e-6, MM, wrapped(0.02, eq117), grid=(2, 2)))
+    register(IdentitySpec("eq1.18", "wrapped modification T-law", "modification", 1e-6, MM,
+                          wrapped(0.02, lambda M, m: [
+                              (PsiIndex.of(M, m, 0, eps, 1, -1), _T,
+                               PsiIndex.of(M, m, 0, eps, 1, -1), e2pi(-Fraction(m, M)))
+                              for eps in (H, Fraction(0))])))
 
-    def lem47(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def lem47(M, m):
         j, k = H, H - 1
-        out = []
-        for (a, b) in ((1, 0), (0, 1)):
-            lhs = psi_tilde(PsiIndex.of(M, m, 0, H, j + a * M, k + b * M), tau, z1, z2, 0, policy)
-            rhs = (e2pi(Fraction(m * (a - b), 2))
-                   * psi_tilde(PsiIndex.of(M, m, 0, H, j, k), tau, z1, z2, 0, policy))
-            out.append((lhs, rhs))
-        return out
+        return [(PsiIndex.of(M, m, 0, H, j + a * M, k + b * M), _same,
+                 PsiIndex.of(M, m, 0, H, j, k), e2pi(Fraction(m * (a - b), 2)))
+                for (a, b) in ((1, 0), (0, 1))]
 
     register(IdentitySpec("lemma4.7", "wrapper index periodicity", "modification",
-                          1e-8, [{"M": M, "m": m} for (M, m) in MM], lem47))
+                          1e-8, MM, wrapped(0, lem47)))
 
-    def lem48(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def lem48(M, m):
         j, k = 1, -1
         idx = PsiIndex.of(M, m, 0, 0, j, k)
-        out = []
         a, b = 1, -1
-        lhs = psi_tilde(idx, tau, z1 + a, z2 + b, 0, policy)
-        rhs = e2pi(Fraction(m * (k * a + j * b), M)) * psi_tilde(idx, tau, z1, z2, 0, policy)
-        out.append((lhs, rhs))
         A, B = H, H
-        lhs = psi_tilde(idx, tau, z1 + float(A), z2 + float(B), 0, policy)
-        rhs = (e2pi(Fraction(m, M) * (k * A + j * B))
-               * psi_tilde(PsiIndex.of(M, m, 0, H, j, k), tau, z1, z2, 0, policy))
-        out.append((lhs, rhs))
-        return out
+        return [(idx, lambda tau, z1, z2, t: (tau, z1 + a, z2 + b, t), idx,
+                 e2pi(Fraction(m * (k * a + j * b), M))),
+                (idx, lambda tau, z1, z2, t: (tau, z1 + float(A), z2 + float(B), t),
+                 PsiIndex.of(M, m, 0, H, j, k), e2pi(Fraction(m, M) * (k * A + j * B)))]
 
     register(IdentitySpec("lemma4.8", "wrapper argument shift laws", "modification",
-                          1e-8, [{"M": M, "m": m} for (M, m) in MM], lem48))
+                          1e-8, MM, wrapped(0, lem48)))
 
-    def lem49(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def lem49(M, m):
         j, k = 1, 0
         A, B = H, -H
-        lhs = psi_tilde(PsiIndex.of(M, m, 0, 0, j, k), tau,
-                        z1 + float(A) * tau, z2 + float(B) * tau, 0, policy)
-        rhs = (e2pi(-Fraction(m, M) * A * B * tau) * e2pi(-Fraction(m, M) * (B * z1 + A * z2))
-               * psi_tilde(PsiIndex.of(M, m, 0, 0, Fraction(j) + A, Fraction(k) + B),
-                           tau, z1, z2, 0, policy))
-        return lhs, rhs
+        return [(PsiIndex.of(M, m, 0, 0, j, k),
+                 lambda tau, z1, z2, t: (tau, z1 + float(A) * tau, z2 + float(B) * tau, t),
+                 PsiIndex.of(M, m, 0, 0, Fraction(j) + A, Fraction(k) + B),
+                 lambda tau, z1, z2, t: (e2pi(-Fraction(m, M) * A * B * tau)
+                                         * e2pi(-Fraction(m, M) * (B * z1 + A * z2))))]
 
     register(IdentitySpec("lemma4.9", "wrapper half-integer tau-shift law",
-                          "modification", 1e-8, [{"M": M, "m": m} for (M, m) in MM], lem49))
+                          "modification", 1e-8, MM, wrapped(0, lem49)))
 
-    def lem410(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        eps, epsp = Fraction(0), H
-        j, k = H, H - 1
-        lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, j, k), -1 / tau, z1 / tau, z2 / tau,
-                        -z1 * z2 / tau, policy)
-        tot = _s_sum(M, eps, lambda a, b: (
-            e2pi(-Fraction(m, M) * (a * Fraction(k) + b * Fraction(j)))
-            * psi_tilde(PsiIndex.of(M, m, 0, epsp, a, b), tau, z1, z2, 0, policy)))
-        return lhs, tau / M * tot
+    def lem410(M, m):
+        return [(PsiIndex.of(M, m, 0, 0, H, H - 1),
+                 lambda tau, z1, z2, t: (-1 / tau, z1 / tau, z2 / tau, -z1 * z2 / tau),
+                 [(c, PsiIndex.of(M, m, 0, H, a, b)) for c, a, b in _s_table(M, 0, m, H, H - 1)],
+                 lambda tau, *a: tau / M)]
 
     register(IdentitySpec("lemma4.10", "wrapper S-law at half-shifted indices",
-                          "modification", 1e-6,
-                          [{"M": 3, "m": 1}, {"M": 3, "m": 2}, {"M": 5, "m": 2}],
-                          lem410, grid=(2, 2)))
+                          "modification", 1e-6, MM, wrapped(0, lem410), grid=(2, 2)))
 
 
 def _n3_pairs():
     MN = [(1, 1), (3, 1), (3, 2)]
+    sectors = [{"M": M, "n": n, "sg": sg, "sgp": sgp} for (M, n) in MN
+               for (sg, sgp) in ((Fraction(0), H), (H, Fraction(0)), (H, H))]
+    f = lambda laws: _laws(n3.f_function, lambda pt: (pt.z,), laws)
+    fidx = n3.FIndex.of
 
-    def fidx(M, nn, eps, sg, sgp, j, k):
-        return n3.FIndex.of(M, nn, eps, sg, sgp, j, k)
+    def lem44(M, n, sg, sgp):
+        idxs = [fidx(M, n, eps, sg, sgp, 1 + eps, 2 + eps) for eps in (Fraction(0), H)]
+        return [(idx, _same, *n3.move_swap(idx)) for idx in idxs]
 
-    def lem44(pt, policy, M, n_, sg, sgp):
-        tau, z = pt.tau, pt.z
-        out = []
-        for eps, epsp in ((Fraction(0), Fraction(0)), (H, H)):
-            j = 1 + (Fraction(1, 2) if epsp == H else 0)
-            k = j + 1
-            idx = fidx(M, n_, eps, sg, sgp, j, k)
-            lhs = n3.f_function(idx, tau, z, policy)
-            new, ph = n3.move_swap(idx)
-            out.append((lhs, ph * n3.f_function(new, tau, z, policy)))
-        return out
+    register(IdentitySpec("lemma4.4", "f-basis skew swap", "n3", 1e-8, sectors, f(lem44)))
 
-    register(IdentitySpec(
-        "lemma4.4", "f-basis skew swap", "n3", 1e-8,
-        [{"M": M, "n_": n_, "sg": sg, "sgp": sgp} for (M, n_) in MN
-         for (sg, sgp) in ((Fraction(0), H), (H, Fraction(0)), (H, H))], lem44))
-
-    def lem45(pt, policy, M, n_):
-        tau, z = pt.tau, pt.z
-        idx = fidx(M, n_, H, Fraction(0), H, 1, 2)
-        lhs = n3.f_function(idx, tau, z, policy)
-        new, ph = n3.move_translate(idx, -1, 0)
-        return lhs, ph * n3.f_function(new, tau, z, policy)
+    def lem45(M, n):
+        idx = fidx(M, n, H, Fraction(0), H, 1, 2)
+        return [(idx, _same, *n3.move_translate(idx, -1, 0))]
 
     register(IdentitySpec("lemma4.5", "f-basis period translation", "n3", 1e-8,
-                          [{"M": M, "n_": n_} for (M, n_) in MN], lem45))
+                          [{"M": M, "n": n} for (M, n) in MN], f(lem45)))
 
-    def p46a(pt, policy, M, n_, sg, sgp):
-        tau, z = pt.tau, pt.z
+    def p46a(M, n, sg, sgp):
         eps, epsp = H, Fraction(0)
         j, k = (1, 2) if M > 1 else (0, 0)
-        lhs = n3.f_function(fidx(M, n_, eps, sg, sgp, j, k), -1 / tau, z / tau, policy)
-        tot = _s_sum(M, eps, lambda a, b: (
-            e2pi(-Fraction(n_, M) * (a * k + b * j) + Fraction(n_, M) * sgp * (a - b))
-            * n3.f_function(fidx(M, n_, abs(epsp - sgp), sgp, sg, a, b), tau, z, policy)))
-        rhs = (tau / M * e2pi(n_ * z * z / (4 * M * tau))
-               * e2pi(Fraction(n_, 2 * M) * sg * sgp) * tot)
-        return lhs, rhs
+        ph = e2pi(Fraction(n, 2 * M) * sg * sgp)
+        return [(fidx(M, n, eps, sg, sgp, j, k), _S,
+                 [(c, fidx(M, n, abs(epsp - sgp), sgp, sg, a, b))
+                  for c, a, b in _s_table(M, eps, n, j, k, sgp)],
+                 lambda tau, z: tau / M * e2pi(n * z * z / (4 * M * tau)) * ph)]
 
-    register(IdentitySpec(
-        "prop4.6a", "f-basis S-transform", "n3", 1e-6,
-        [{"M": M, "n_": n_, "sg": sg, "sgp": sgp} for (M, n_) in MN
-         for (sg, sgp) in ((Fraction(0), H), (H, Fraction(0)), (H, H))],
-        p46a, grid=(2, 2)))
+    register(IdentitySpec("prop4.6a", "f-basis S-transform", "n3", 1e-6, sectors, f(p46a),
+                          grid=(2, 2)))
 
-    def p46b(pt, policy, M, n_, sg):
-        tau, z = pt.tau, pt.z
-        out = []
-        eps, epsp = H, Fraction(0)
+    def p46b(M, n, sg):
         j, k = (1, 2) if M > 1 else (0, 0)
-        lhs = n3.f_function(fidx(M, n_, eps, sg, 0, j, k), tau + 1, z, policy)
-        rhs = (e2pi(Fraction(n_ * j * k, M))
-               * n3.f_function(fidx(M, n_, abs(Fraction(eps) - Fraction(epsp)), sg, 0, j, k),
-                               tau, z, policy))
-        out.append((lhs, rhs))
-        lhs = n3.f_function(fidx(M, n_, eps, sg, H, j, k), tau + 1, z, policy)
-        base = e2pi(Fraction(n_, M) * (Fraction(j * k) - Fraction(1, 16)))
+        base = e2pi(Fraction(n, M) * (Fraction(j * k) - Fraction(1, 16)))
         if sg == 0:
-            rhs = base * n3.f_function(fidx(M, n_, abs(Fraction(eps) - Fraction(epsp)), H, H, j, k),
-                                       tau, z, policy)
+            tw = (fidx(M, n, H, H, H, j, k), base)
         else:
-            rhs = (base * e2pi(Fraction(n_, M) * Fraction(k - j, 2))
-                   * n3.f_function(fidx(M, n_, H - abs(Fraction(eps) - Fraction(epsp)), 0, H, j, k),
-                                   tau, z, policy))
-        out.append((lhs, rhs))
-        return out
+            tw = (fidx(M, n, Fraction(0), 0, H, j, k),
+                  base * e2pi(Fraction(n, M) * Fraction(k - j, 2)))
+        return [(fidx(M, n, H, sg, 0, j, k), _T, fidx(M, n, H, sg, 0, j, k),
+                 e2pi(Fraction(n * j * k, M))),
+                (fidx(M, n, H, sg, H, j, k), _T, *tw)]
 
     register(IdentitySpec(
         "prop4.6b", "f-basis T-transforms", "n3", 1e-8,
-        [{"M": M, "n_": n_, "sg": sg} for (M, n_) in MN for sg in (Fraction(0), H)],
-        p46b))
+        [{"M": M, "n": n, "sg": sg} for (M, n) in MN for sg in (Fraction(0), H)],
+        f(p46b)))
 
-    def rem415(pt, policy, M, n_, variant):
+    def rem415(M, n, variant):
         # relations obtained by composing the swap and translation moves
-        tau, z = pt.tau, pt.z
-        k0 = 1
         sg, sgp = (H, H) if variant == 3 else (H, Fraction(0))
-        eps, epsp = H, Fraction(0) if sgp == H else H
-        j = Fraction(2 * M - 1, 2) + k0
-        k = Fraction(M, 2) + k0
-        idx = fidx(M, n_, eps, sg, sgp, j, k)
-        lhs = n3.f_function(idx, tau, z, policy)
+        idx = fidx(M, n, H, sg, sgp, Fraction(2 * M + 1, 2), Fraction(M + 2, 2))
         mid, p1 = n3.move_swap(idx)
-        a = math.floor(mid.j.value / M)
-        b = math.floor(mid.k.value / M)
-        fin, p2 = n3.move_translate(mid, a, b)
-        return lhs, p1 * p2 * n3.f_function(fin, tau, z, policy)
+        fin, p2 = n3.move_translate(mid, math.floor(mid.j.value / M),
+                                    math.floor(mid.k.value / M))
+        return [(idx, _same, fin, p1 * p2)]
 
     for variant, eqid in ((1, "eq4.23"), (2, "eq4.24"), (3, "eq4.25")):
         register(IdentitySpec(
             eqid, "composed swap/translation index relation", "n3", 1e-6,
-            [{"M": 3, "n_": 1, "variant": variant}, {"M": 3, "n_": 2, "variant": variant}],
-            rem415))
+            [{"M": 3, "n": 1, "variant": variant}, {"M": 3, "n": 2, "variant": variant}],
+            f(rem415)))
 
     def rem413(pt, policy, M, eps, sg, sgp):
         tau, z = pt.tau, pt.z
@@ -701,22 +638,17 @@ def _n3_pairs():
         [{"M": M, "eps": e, "sg": sg, "sgp": sgp} for M in (1, 3) for e in (Fraction(0), H)
          for (sg, sgp) in ((Fraction(0), H), (H, H))], rem413))
 
-    def rem414(pt, policy, n_):
-        tau, z = pt.tau, pt.z
+    def rem414(n):
         out = []
         for eps in (Fraction(0), H):
-            lhs = n3.f_function(fidx(1, n_, eps, H, H, H, H), tau, z, policy)
-            rhs = (e2pi(n_ * (Fraction(eps) + Fraction(1, 4)))
-                   * n3.f_function(fidx(1, n_, H - eps, H, H, 0, 0), tau, z, policy))
-            out.append((lhs, rhs))
-            lhs = n3.f_function(fidx(1, n_, eps, Fraction(0), H, H, H), tau, z, policy)
-            rhs = (e2pi(n_ * Fraction(eps))
-                   * n3.f_function(fidx(1, n_, eps, Fraction(0), H, 0, 0), tau, z, policy))
-            out.append((lhs, rhs))
+            out += [(fidx(1, n, eps, H, H, H, H), _same, fidx(1, n, H - eps, H, H, 0, 0),
+                     e2pi(n * (Fraction(eps) + Fraction(1, 4)))),
+                    (fidx(1, n, eps, Fraction(0), H, H, H), _same,
+                     fidx(1, n, eps, Fraction(0), H, 0, 0), e2pi(n * Fraction(eps)))]
         return out
 
     register(IdentitySpec("rem4.14", "f-basis reductions at modular scale one",
-                          "n3", 1e-8, [{"n_": 1}, {"n_": 2}], rem414))
+                          "n3", 1e-8, [{"n": 1}, {"n": 2}], f(rem414)))
 
     def eq5x(pt, policy, m2, which):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -958,49 +890,42 @@ def _n4_pairs():
     register(IdentitySpec("prop7.1a", "two closed forms of the reduced character agree",
                           "n4", 1e-8, [{"m": -1, "m2": 0}, {"m": -2, "m2": 1}], p71a))
 
-    def p72(pt, policy, m, rel):
-        tau, z = pt.tau, pt.z
+    def denominated(x, tau, z, policy):
+        """the reduced character at index x = (weight, sector) times its denominator"""
+        w, sec = x
+        return (n4.qhr_character_integrable(w, tau, z, sec, policy)
+                * n4.n4_denominator(tau, z, *n4._QHR_EPS[sec], policy))
+
+    def p72(m, rel):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
-        eps = n4._QHR_EPS
-        Ch = lambda sec, tt, zz: (n4.qhr_character_integrable(w, tt, zz, sec, policy)
-                                  * n4.n4_denominator(tt, zz, *eps[sec], policy))
         if rel < 4:
-            pairs = [("plus", "plus", (-1.0) ** m), ("minus", "plus_tw", -1.0),
-                     ("plus_tw", "minus", -1.0), ("minus_tw", "minus_tw", 1.0)]
-            s1, s2, c = pairs[rel]
-            return (Ch(s1, -1 / tau, z / tau),
-                    c * tau * e2pi(-m * z * z / tau) * Ch(s2, tau, z))
-        pairs = [("plus", "minus", e2pi(Fraction(m, 4))), ("plus_tw", "plus_tw", 1.0)]
-        s1, s2, c = pairs[rel - 4]
-        return Ch(s1, tau + 1, z), c * Ch(s2, tau, z)
+            s1, s2, c = [("plus", "plus", (-1.0) ** m), ("minus", "plus_tw", -1.0),
+                         ("plus_tw", "minus", -1.0), ("minus_tw", "minus_tw", 1.0)][rel]
+            return [((w, s1), _S, (w, s2), lambda tau, z: c * tau * e2pi(-m * z * z / tau))]
+        s1, s2, c = [("plus", "minus", e2pi(Fraction(m, 4))), ("plus_tw", "plus_tw", 1.0)][rel - 4]
+        return [((w, s1), _T, (w, s2), c)]
 
     register(IdentitySpec("prop7.2", "reduced-character S and T relations", "n4",
                           1e-6, [{"m": m, "rel": r} for m in (-1, -2) for r in range(6)],
-                          p72, grid=(3, 2)))
+                          _laws(denominated, lambda pt: (pt.z,), p72), grid=(3, 2)))
 
-    def th73b(pt, policy, m, eps, epsp):
-        tau, z = pt.tau, pt.z
+    def th73b(m, eps, epsp):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
-        sec = {(H, H): "plus", (Fraction(0), H): "minus",
-               (H, Fraction(0)): "plus_tw", (Fraction(0), Fraction(0)): "minus_tw"}
-        ch = lambda e, ep, tt, zz: n4.qhr_character_integrable(w, tt, zz, sec[(e, ep)], policy)
+        sec = {e: name for name, e in n4._QHR_EPS.items()}
         cm = -6 * (m + 1)
         # sign and phase constants re-derived in the anchored normalization
         # (the trivial module at level -1 has all characters equal to 1)
-        lhs = ch(eps, epsp, -1 / tau, z / tau)
         sgn = (-1.0) ** ((m + 1) * int(2 * eps) * int(2 * epsp))
-        rhs = (sgn * cmath.exp(1j * math.pi * cm * z * z / (3 * tau)) * ch(epsp, eps, tau, z))
-        out = [(lhs, rhs)]
-        lhsT = ch(eps, epsp, tau + 1, z)
-        phT = e2pi(Fraction((m + 1) * int(2 * epsp), 4))
-        rhsT = phT * ch(abs(eps - epsp), epsp, tau, z)
-        out.append((lhsT, rhsT))
-        return out
+        return [((w, sec[(eps, epsp)]), _S, (w, sec[(epsp, eps)]),
+                 lambda tau, z: sgn * cmath.exp(1j * math.pi * cm * z * z / (3 * tau))),
+                ((w, sec[(eps, epsp)]), _T, (w, sec[(abs(eps - epsp), epsp)]),
+                 e2pi(Fraction((m + 1) * int(2 * epsp), 4)))]
 
     register(IdentitySpec("th7.3b", "reduced-character laws in shift notation", "n4",
-                          1e-6, [{"m": m, "eps": e, "epsp": ep} for m in (-1, -2)
-                                 for e in (Fraction(0), H) for ep in (Fraction(0), H)],
-                          th73b, grid=(2, 2)))
+                          1e-6, [{"m": m, **e} for m in (-1, -2) for e in EPS_PAIRS],
+                          _laws(lambda x, tau, z, policy: n4.qhr_character_integrable(
+                              x[0], tau, z, x[1], policy), lambda pt: (pt.z,), th73b),
+                          grid=(2, 2)))
 
     def rem74(pt, policy, m):
         # deliberately wrong twist: the S-relation must fail visibly
@@ -1012,9 +937,7 @@ def _n4_pairs():
             num = n4.numerator(w, tt, w1, w2, wt, "minus", policy)
             return num / n4.n4_denominator(tt, zz, Fraction(0), Fraction(0), policy)
 
-        Ch = lambda sec, tt, zz: (n4.qhr_character_integrable(w, tt, zz, sec, policy)
-                                  * n4.n4_denominator(tt, zz, *n4._QHR_EPS[sec], policy))
-        lhs = Ch("minus", -1 / tau, z / tau)
+        lhs = denominated((w, "minus"), -1 / tau, z / tau, policy)
         rhs = (-tau * e2pi(-m * z * z / tau) * bad_tw(tau, z)
                * n4.n4_denominator(tau, z, H, Fraction(0), policy))
         return lhs, rhs
@@ -1022,18 +945,15 @@ def _n4_pairs():
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
                           "n4", 1e-2, [{"m": -2}], rem74, grid=(2, 2), check="exceeds"))
 
-    def lem82(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.02
+    def lem82(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        out = [(n4.psi_P(M, m, H, j, k, tau, z2, z1, t, policy),
-                -n4.psi_P(M, m, H, k, j, tau, z1, z2, t, policy)),
-               (n4.psi_P(M, m, H, j, k, tau, -z1, -z2, t, policy),
-                n4.psi_P(M, m, H, -j, -k, tau, z1, z2, t, policy))]
-        return out
+        return [((M, m, H, j, k), lambda tau, z1, z2, t: (tau, z2, z1, t), (M, m, H, k, j), -1),
+                ((M, m, H, j, k), lambda tau, z1, z2, t: (tau, -z1, -z2, t),
+                 (M, m, H, -j, -k), None)]
 
     register(IdentitySpec("lemma8.2", "derivative wrapper swap and negation laws",
-                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem82))
+                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
+                          _laws(lambda x, *a: n4.psi_P(*x, *a), _zs(0.02), lem82)))
 
     def lem83(pt, policy, M, m):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -1095,9 +1015,9 @@ def _n4_pairs():
         j, k = HalfInt(2), HalfInt(-2)
         if which == "S":
             lhs = n4.psi_P(M, m, eps, j, k, -1 / tau, z1 / tau, z2 / tau, t, policy)
-            tot = _s_sum(M, eps, lambda a, b: (
-                e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-                * _psi_p_reduced(M, m, epsp, a, b, tau, z1, z2, t, policy)))
+            tot = 0.0j
+            for c, a, b in _s_table(M, eps, -m, j.value, k.value):
+                tot += c * _psi_p_reduced(M, m, epsp, a, b, tau, z1, z2, t, policy)
             return lhs, tau ** 2 / M * e2pi(-Fraction(m, M) * z1 * z2 / tau) * tot
         # off the diagonal the tau-dependent multiplier spoils the T-shift,
         # so the T-law is the diagonal statement used by the chi basis
@@ -1157,9 +1077,9 @@ def _n4_pairs():
         ci = lambda e, ep, jj, kk: n4.ChiIndex.of(alpha, M, m, e, ep, jj, kk)
         if which == "S":
             lhs = n4.chi(ci(eps, epsp, j, k), -1 / tau, z / tau, policy)
-            tot = _s_sum(M, eps, lambda a, b: (
-                e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-                * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)))
+            tot = 0.0j
+            for c, a, b in _s_table(M, eps, -m, j.value, k.value):
+                tot += c * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)
             sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
             rhs = (sgn * tau ** alpha / M
                    * cmath.exp(-2j * math.pi * (Fraction(m, M) + 1) * z * z / tau) * tot)
@@ -1178,9 +1098,9 @@ def _n4_pairs():
         tau, z = pt.tau, pt.z
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(3), HalfInt(1)
-        lhs = _s_sum(M, eps, lambda a, b: (
-            e2pi(Fraction(m, M) * (a * k.value + b * j.value))
-            * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)))
+        lhs = 0.0j
+        for c, a, b in _s_table(M, eps, -m, j.value, k.value):
+            lhs += c * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)
         rhs = 0.0j
         for ia in range(M):
             for ib in range(ia, M):
@@ -1218,7 +1138,6 @@ def _n4_pairs():
 
 
 def _d21a_pairs():
-    P111 = d2.D21Params(1, 1, 1)
     P211 = d2.D21Params(2, 1, 1)
 
     def _sum_guarded(terms, tol):
@@ -1229,12 +1148,12 @@ def _d21a_pairs():
             return None
         return terms[0] + terms[1]
 
-    def lem1012(pt, policy, p, q, n_, which):
-        pr = d2.D21Params(p, q, n_)
+    def lem1012(pt, policy, p, q, n, which):
+        pr = d2.D21Params(p, q, n)
         tau, zs = pt.tau, pt.zs
         t = 0.03
         j = 1
-        refl = 2 * n_ * (pr.p if which == "P" else pr.q)
+        refl = 2 * n * (pr.p if which == "P" else pr.q)
         out = []
         base = lambda jj, point: _sum_guarded(
             d2.PQ_terms(which, jj, pr, tau, *point, "minus", policy), 1e-8)
@@ -1249,35 +1168,27 @@ def _d21a_pairs():
 
     register(IdentitySpec("lemma10.12", "reflection action on the numerator families",
                           "d21a", 1e-8,
-                          [{"p": 2, "q": 1, "n_": 1, "which": w} for w in ("P", "Q")],
+                          [{"p": 2, "q": 1, "n": 1, "which": w} for w in ("P", "Q")],
                           lem1012))
 
-    def p1021(pt, policy, p, q, n_, which, lab):
-        pr = d2.D21Params(p, q, n_)
-        tau, zs = pt.tau, pt.zs
-        t = 0.03
-        big = 2 * n_ * (p + q)
+    def p1021(p, q, n, which, lab):
+        pr = d2.D21Params(p, q, n)
+        big = 2 * n * (p + q)
         j = 1
-        pts = (zs[0], zs[1], zs[2], t)
         if lab == "S":
-            lhs = d2.PQ_function(which, j, pr, -1 / tau, zs[0] / tau, zs[1] / tau,
-                                 zs[2] / tau, t, "minus", policy)
-            tot = 0.0j
-            for k in range(big):
-                tot += (e2pi(Fraction(-j * k, big)) *
-                        d2.PQ_function(which, k, pr, tau, *pts, "minus", policy))
-            pref = (cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                    * e2pi(pr.K * d2.zz_value(pr, *zs) / (2 * tau)))
-            return lhs, pref * tot
-        lhs = d2.PQ_function(which, j, pr, tau + 1, *pts, "minus", policy)
-        rhs = e2pi(Fraction(j * j, 2 * big)) * d2.PQ_function(which, j, pr, tau, *pts,
-                                                              "minus", policy)
-        return lhs, rhs
+            return [((which, j, pr), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
+                     [(e2pi(Fraction(-j * k, big)), (which, k, pr)) for k in range(big)],
+                     lambda tau, z1, z2, z3, t: (
+                         cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
+                         * e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau))))]
+        return [((which, j, pr), _T, (which, j, pr), e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
-                          [{"p": p, "q": 1, "n_": 1, "which": w, "lab": lab}
+                          [{"p": p, "q": 1, "n": 1, "which": w, "lab": lab}
                            for p in (1, 2) for w in ("P", "Q") for lab in ("S", "T")],
-                          p1021, grid=(2, 2)))
+                          _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
+                              *x, tau, z1, z2, z3, t, "minus", policy),
+                              lambda pt: (*pt.zs, 0.03), p1021), grid=(2, 2)))
 
     def lem112(pt, policy):
         pr = P211
@@ -1319,75 +1230,50 @@ def _d21a_pairs():
         return out
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
-                          "d21a", 1e-8,
-                          [{"eps": e, "epsp": ep} for e in (Fraction(0), H)
-                           for ep in (Fraction(0), H)], lem117))
+                          "d21a", 1e-8, EPS_PAIRS, lem117))
 
-    def rem116(pt, policy):
-        pr = P211
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        big = pr.n * (pr.p + pr.q)
-        F = lambda j: d2.FG_function("F", j, pr, Fraction(0), H, tau, y2, y3, policy)
-        return [(F(-1), -F(1)), (F(1 + 2 * big), F(1)), (F(big + 1), -F(big - 1))]
+    # the index of a reduced basis function is (which, j, eps, epsp)
+    fg = lambda laws: _laws(lambda x, tau, y2, y3, policy: d2.FG_function(
+        x[0], x[1], P211, x[2], x[3], tau, y2, y3, policy), lambda pt: pt.zs[:2], laws)
+    big = P211.n * (P211.p + P211.q)
+    F = lambda j: ("F", j, Fraction(0), H)
 
     register(IdentitySpec("rem11.6", "index symmetries of the reduced basis",
-                          "d21a", 1e-10, [{}], rem116))
+                          "d21a", 1e-10, [{}], fg(lambda: [
+                              (F(-1), _same, F(1), -1), (F(1 + 2 * big), _same, F(1), None),
+                              (F(big + 1), _same, F(big - 1), -1)])))
 
-    def lem118(pt, policy, which, eps, epsp):
+    def lem118(which, eps, epsp):
         pr = P211
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        big = pr.n * (pr.p + pr.q)
         deg = pr.n * (pr.p if which == "F" else pr.q)
         j = 1
-        lhs = d2.FG_function(which, j, pr, eps, epsp, -1 / tau, y2 / tau, y3 / tau, policy)
-        tot = 0.0j
-        for k in range(1, big):
-            tot += (math.sin(math.pi * j * k / big)
-                    * d2.FG_function(which, k, pr, epsp, eps, tau, y2, y3, policy))
-        pref = ((-1j * tau) ** 1.5 * e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
-                * math.sqrt(2.0 / big)
-                * e2pi(pr.n * (pr.q * y2 * y2 + pr.p * y3 * y3) / (4 * tau)))
-        out = [(lhs, pref * tot)]
-        lhsT = d2.FG_function(which, j, pr, eps, epsp, tau + 1, y2, y3, policy)
-        rhsT = (e2pi(Fraction(j * j, 4 * big)) * e2pi(-deg * Fraction(epsp) ** 2)
-                * d2.FG_function(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp,
-                                 tau, y2, y3, policy))
-        out.append((lhsT, rhsT))
-        return out
+        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
+        return [((which, j, eps, epsp), _S,
+                 [(math.sin(math.pi * j * k / big), (which, k, epsp, eps)) for k in range(1, big)],
+                 lambda tau, y2, y3: ((-1j * tau) ** 1.5 * ph * math.sqrt(2.0 / big) * e2pi(
+                     pr.n * (pr.q * y2 * y2 + pr.p * y3 * y3) / (4 * tau)))),
+                ((which, j, eps, epsp), _T, (which, j, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                 e2pi(Fraction(j * j, 4 * big)) * e2pi(-deg * Fraction(epsp) ** 2))]
 
     register(IdentitySpec("lemma11.8", "reduced basis S and T laws", "d21a", 1e-6,
-                          [{"which": w, "eps": e, "epsp": ep} for w in ("F", "G")
-                           for e in (Fraction(0), H) for ep in (Fraction(0), H)],
-                          lem118, grid=(2, 2)))
+                          [{"which": w, **e} for w in ("F", "G") for e in EPS_PAIRS],
+                          fg(lem118), grid=(2, 2)))
 
-    def eq1113(pt, policy, eps, epsp):
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        lhs = d2.b4_denominator(-1 / tau, y2 / tau, y3 / tau, eps, epsp, policy)
+    b4 = lambda laws: _laws(lambda x, tau, y2, y3, policy: d2.b4_denominator(
+        tau, y2, y3, *x, policy), lambda pt: pt.zs[:2], laws)
+
+    def eq1113(eps, epsp):
         sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
-        rhs = (sgn * (-1j * tau) ** 1.5
-               * cmath.exp(1j * math.pi * (y2 * y2 + y3 * y3) / (2 * tau))
-               * d2.b4_denominator(tau, y2, y3, epsp, eps, policy))
-        return lhs, rhs
+        return [((eps, epsp), _S, (epsp, eps), lambda tau, y2, y3: (
+            sgn * (-1j * tau) ** 1.5 * cmath.exp(1j * math.pi * (y2 * y2 + y3 * y3) / (2 * tau))))]
 
-    register(IdentitySpec("eq11.13", "reduced denominator S-law", "d21a", 1e-8,
-                          [{"eps": e, "epsp": ep} for e in (Fraction(0), H)
-                           for ep in (Fraction(0), H)], eq1113))
+    register(IdentitySpec("eq11.13", "reduced denominator S-law", "d21a", 1e-8, EPS_PAIRS,
+                          b4(eq1113)))
 
-    def eq1114(pt, policy, eps, epsp):
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        lhs = d2.b4_denominator(tau + 1, y2, y3, eps, epsp, policy)
-        rhs = ((1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8))
-               * d2.b4_denominator(tau, y2, y3, abs(Fraction(eps) - Fraction(epsp)), epsp,
-                                   policy))
-        return lhs, rhs
-
-    register(IdentitySpec("eq11.14", "reduced denominator T-law", "d21a", 1e-8,
-                          [{"eps": e, "epsp": ep} for e in (Fraction(0), H)
-                           for ep in (Fraction(0), H)], eq1114))
+    register(IdentitySpec("eq11.14", "reduced denominator T-law", "d21a", 1e-8, EPS_PAIRS,
+                          b4(lambda eps, epsp: [(
+                              (eps, epsp), _T, (abs(Fraction(eps) - Fraction(epsp)), epsp),
+                              (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
     def p1114(pt, policy, which, eps, epsp):
         pr = P211
@@ -1506,59 +1392,39 @@ def _d21a_pairs():
         return lhs, pref * (t1 - t2)
 
     register(IdentitySpec("eq12.7", "boundary quotient explicit form", "d21a", 1e-9,
-                          [{"eps": e, "epsp": ep, "j": 1} for e in (Fraction(0), H)
-                           for ep in (Fraction(0), H)], eq127))
+                          [{**e, "j": 1} for e in EPS_PAIRS], eq127))
 
-    def eq128(pt, policy, eps, epsp):
-        tau, zs = pt.tau, pt.zs
-        lhs = d2.rhat(-1 / tau, zs[0] / tau, zs[1] / tau, zs[2] / tau, 0, eps, epsp, policy)
-        rhs = 1j * (-1j * tau) ** 1.5 * d2.rhat(tau, *zs, 0, epsp, eps, policy)
-        out = [(lhs, rhs)]
-        lhsT = d2.rhat(tau + 1, *zs, 0, eps, epsp, policy)
-        rhsT = e2pi(Fraction(1, 24)) * d2.rhat(tau, *zs, 0,
-                                               abs(Fraction(eps) - Fraction(epsp)), epsp, policy)
-        out.append((lhsT, rhsT))
-        return out
+    register(IdentitySpec("eq12.8", "affine denominator S and T laws", "d21a", 1e-8, EPS_PAIRS,
+                          _laws(lambda x, tau, z1, z2, z3, policy: d2.rhat(
+                              tau, z1, z2, z3, 0, *x, policy), lambda pt: pt.zs,
+                              lambda eps, epsp: [
+                                  ((eps, epsp), _S, (epsp, eps),
+                                   lambda tau, *zs: 1j * (-1j * tau) ** 1.5),
+                                  ((eps, epsp), _T, (abs(Fraction(eps) - Fraction(epsp)), epsp),
+                                   e2pi(Fraction(1, 24)))])))
 
-    register(IdentitySpec("eq12.8", "affine denominator S and T laws", "d21a", 1e-8,
-                          [{"eps": e, "epsp": ep} for e in (Fraction(0), H)
-                           for ep in (Fraction(0), H)], eq128))
+    # the index of a boundary supercharacter is its weight
+    boundary = lambda laws: _laws(lambda w, tau, z1, z2, z3, t, policy: (
+        d2.boundary_case_characters(w, tau, z1, z2, z3, t, "minus", policy)),
+        lambda pt: (*pt.zs, 0.02), laws)
 
-    def p124a(pt, policy, p):
+    def p124a(p):
         pr = d2.D21Params(p, 1, 1)
-        tau, zs = pt.tau, pt.zs
-        t = 0.02
         sm = d2.s_matrix_and_fusion(p)
-        labels = sm["weights"]
-        S = sm["S"]
-        chs = [d2.boundary_case_characters(wt, tau, *zs, t, "minus", policy)
-               for wt in labels]
-        zt = tuple(x / tau for x in zs)
-        zz = d2.zz_value(pr, *zs)
-        out = []
-        for i, wt in enumerate(labels):
-            lhs = d2.boundary_case_characters(wt, -1 / tau, *zt, t, "minus", policy)
-            tot = sum(S[i][k] * chs[k] for k in range(len(labels)))
-            out.append((lhs, e2pi(pr.K * zz / (2 * tau)) * tot))
-        return out
+        return [(wt, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
+                 list(zip(row, sm["weights"])),
+                 lambda tau, z1, z2, z3, t: e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))
+                for wt, row in zip(sm["weights"], sm["S"])]
 
     register(IdentitySpec("prop12.4a", "boundary supercharacter S-rows", "d21a", 1e-6,
-                          [{"p": 1}, {"p": 2}], p124a, grid=(2, 2)))
+                          [{"p": 1}, {"p": 2}], boundary(p124a), grid=(2, 2)))
 
-    def p124b(pt, policy, p):
-        pr = d2.D21Params(p, 1, 1)
-        tau, zs = pt.tau, pt.zs
-        t = 0.02
+    def p124b(p):
         sm = d2.s_matrix_and_fusion(p)
-        out = []
-        for i, wt in enumerate(sm["weights"]):
-            lhs = d2.boundary_case_characters(wt, tau + 1, *zs, t, "minus", policy)
-            rhs = sm["T"][i] * d2.boundary_case_characters(wt, tau, *zs, t, "minus", policy)
-            out.append((lhs, rhs))
-        return out
+        return [(wt, _T, wt, ph) for wt, ph in zip(sm["weights"], sm["T"])]
 
     register(IdentitySpec("prop12.4b", "boundary supercharacter T-phases", "d21a",
-                          1e-8, [{"p": 1}, {"p": 2}], p124b, grid=(2, 2)))
+                          1e-8, [{"p": 1}, {"p": 2}], boundary(p124b), grid=(2, 2)))
 
     def fusion_check(policy):
         bad = 0

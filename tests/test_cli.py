@@ -99,6 +99,14 @@ def test_verify_param_narrowing(capsys):
     assert code == 0
 
 
+def test_verify_filter_on_n(capsys):
+    # the `--n` option filters on the registry key `n`
+    code, out, _ = run_cli(["verify", "--id", "lemma4.5", "--n", "1", "--grid", "1x1"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["id"] == "lemma4.5"
+
+
 def test_verify_csv_schema(capsys):
     code, out, _ = run_cli(["verify", "--id", "eq1.4", "--format", "csv"], capsys)
     assert code == 0

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from mockforms.cli import _emit
+from mockforms.cli import VERIFY_FILTER_KEYS, _emit
 from mockforms.qkernel import TruncationPolicy, UnknownIdentityError
 import mockforms.verifier as V
 
@@ -78,12 +78,19 @@ def test_known_failures_are_only_the_recorded_defects(suite_all):
 
 
 def test_suite_all_matches_golden(suite_all, capsys):
-    # every report is byte-identical to `mockforms verify --tag all --seed 1`
-    capsys.readouterr()
-    for r in suite_all:
-        _emit(r.to_dict())
-    golden = pathlib.Path(__file__).parent / "golden" / "verify_all_seed1.jsonl"
-    assert capsys.readouterr().out == golden.read_text()
+    # every report is byte-identical to `mockforms verify --tag all --seed N`;
+    # seed 5 holds the over-tol eq1.17 and prop8.7 reports
+    for seed, reports in ((1, suite_all), (5, V.suite("all", seed=5))):
+        capsys.readouterr()
+        for r in reports:
+            _emit(r.to_dict())
+        golden = pathlib.Path(__file__).parent / "golden" / f"verify_all_seed{seed}.jsonl"
+        assert capsys.readouterr().out == golden.read_text(), f"seed {seed}"
+
+
+def test_cli_filter_keys_are_registry_keys():
+    keys = {k for i in V.registry_ids() for prm in V.get_spec(i).params for k in prm}
+    assert [k for k in VERIFY_FILTER_KEYS if k not in keys] == []
 
 
 def test_grid_25_points():
