@@ -167,52 +167,32 @@ def xi_shift(tau, z1, z2, z3, t):
 
 # --- quadratic forms (exact) ----------------------------------------------
 
-def _qform(coeffs) -> tuple:
-    """Symmetric 3x3 rational matrix of sum c_i v_i with v = (z1,z2,z3):
-    represented by the 6-tuple of entries (11, 22, 33, 12, 13, 23)."""
-    c1, c2, c3 = coeffs
-    return (c1 * c1, c2 * c2, c3 * c3, c1 * c2, c1 * c3, c2 * c3)
-
-
-def _qadd(a, b, sa=1, sb=1):
-    return tuple(sa * x + sb * y for x, y in zip(a, b))
-
-
 def quadratic_forms(params: D21Params) -> list:
     """The four expressions for (K/n)(z|z) as exact quadratic forms, plus
-    the reference form; all five must coincide entry-wise."""
-    p, q = params.p, params.q
-    a = params.a
+    the reference form; all five must coincide entry-wise.  Each form is the
+    6-tuple (11, 22, 33, 12, 13, 23) of its symmetric matrix, read off by
+    polarization."""
+    p, q, a = params.p, params.q, params.a
     half = Fraction(p + q, 2)
-    z1z3 = (Fraction(0),) * 4 + (Fraction(1, 2), Fraction(0))
-    z1z2 = (Fraction(0),) * 3 + (Fraction(1, 2), Fraction(0), Fraction(0))
+    forms = (
+        lambda z1, z2, z3: half * (z1 - (a + 1) * z2 - a * z3) ** 2 - 2 * p * z1 * z3,
+        lambda z1, z2, z3: (half * (z1 + (a - 1) * z2 + a * z3) ** 2
+                            - 2 * p * z2 * (-z1 + z2 + z3)),
+        lambda z1, z2, z3: half * (z1 + (a + 1) * z2 + a * z3) ** 2 - 2 * q * z1 * z2,
+        lambda z1, z2, z3: (half * (z1 - (a + 1) * z2 - (a + 2) * z3) ** 2
+                            - 2 * q * z3 * (-z1 + z2 + z3)),
+        lambda z1, z2, z3: Fraction(-p * q, p + q) * zz_value(params, z1, z2, z3),
+    )
+    # Fraction unit vectors keep zz_value's division by 2 exact
+    units = [tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)]
 
-    def cross(i, j):
-        m = [Fraction(0)] * 6
-        key = {(1, 2): 3, (1, 3): 4, (2, 3): 5}[(min(i, j), max(i, j))]
-        m[key] = Fraction(1, 2)
-        return tuple(m)
+    def entries(f):
+        diag = [f(*e) for e in units]
+        cross = [(f(*(x + y for x, y in zip(units[i], units[k]))) - diag[i] - diag[k]) / 2
+                 for i, k in ((0, 1), (0, 2), (1, 2))]
+        return tuple(diag + cross)
 
-    def scale(mat, c):
-        return tuple(c * x for x in mat)
-
-    e1 = _qadd(scale(_qform((1, -(a + 1), -a)), half), cross(1, 3), 1, -2 * p)
-    # -2p z2(-z1+z2+z3) = 2p z1 z2 - 2p z2^2 - 2p z2 z3
-    m2sq = (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    e2 = _qadd(scale(_qform((1, a - 1, a)), half),
-               _qadd(_qadd(scale(cross(1, 2), 2 * p), scale(m2sq, -2 * p)),
-                     scale(cross(2, 3), -2 * p)))
-    e3 = _qadd(scale(_qform((1, a + 1, a)), half), cross(1, 2), 1, -2 * q)
-    m3sq = (Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    e4 = _qadd(scale(_qform((1, -(a + 1), -(a + 2))), half),
-               _qadd(_qadd(scale(cross(1, 3), 2 * q), scale(m3sq, -2 * q)),
-                     scale(cross(2, 3), -2 * q)))
-    # (z|z) = (z2+z3)^2/2 + (z1-z2)^2/(2a) - (z1-z3)^2/(2(a+1))
-    zz = _qadd(_qadd(scale(_qform((0, 1, 1)), Fraction(1, 2)),
-                     scale(_qform((1, -1, 0)), Fraction(1, 2) / a)),
-               scale(_qform((1, 0, -1)), -Fraction(1, 2) / (a + 1)))
-    ref = scale(zz, Fraction(-p * q, p + q))
-    return [e1, e2, e3, e4, ref]
+    return [entries(f) for f in forms]
 
 
 def zz_value(params: D21Params, z1, z2, z3):
@@ -294,7 +274,7 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
 
 # --- denominators ----------------------------------------------------------
 
-def rhat(tau, z1, z2, z3, t=0.0, eps=0, eps_prime=0,
+def rhat(tau, z1, z2, z3, eps=0, eps_prime=0,
          policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (super)denominators in the four sectors."""
     eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
@@ -481,7 +461,7 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
     if twisted and plus and p % 2:
         sign = -sign
     num = sign * boundary_g(params, jg, eps, epsp, tau, z1, z2, z3, t, policy)
-    return num / rhat(tau, z1, z2, z3, t, eps, epsp, policy)
+    return num / rhat(tau, z1, z2, z3, eps, epsp, policy)
 
 
 def s_matrix_and_fusion(p: int) -> dict:

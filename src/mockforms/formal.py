@@ -227,7 +227,7 @@ def _zeta_monomial(t: Fraction, arg: ZArg):
     return int(b1), int(b2), unit_phase(t * arg.c)
 
 
-def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1, t_weight=None) -> FormalSeries:
+def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     """Theta_{j,m}(tau_scale * tau, u(z)) as a formal series; terms
     q^{tau_scale * m n^2} zeta^{m n * u} over n in Z + j/2m."""
     j = HalfInt.of(j)
@@ -239,36 +239,32 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1, t_weight=None) -> Forma
     mv = m.value
     base = Fraction(j.twice, 2 * m.twice)
     base -= math.floor(base)
+    kmax = math.isqrt(math.floor(order / (scale * mv))) + 1 if order >= 0 else 0
     out = FormalSeries(None, order)
-    k = 0
-    while True:
-        hit = False
-        for n in {base + k, base - k}:
-            alpha = scale * mv * n * n
-            if alpha <= order:
-                hit = True
-                b1, b2, ph = _zeta_monomial(mv * n, z)
-                out._add_term((alpha, b1, b2), ph)
-        if not hit and k > 0:
-            break
-        k += 1
+    for k in range(-kmax, kmax + 1):
+        n = base + k
+        alpha = scale * mv * n * n
+        if alpha <= order:
+            b1, b2, ph = _zeta_monomial(mv * n, z)
+            out._add_term((alpha, b1, b2), ph)
     return out
 
 
 def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
-    """(q^{1/24} prod (1-q^n))^power for power >= 1, at tau_scale * tau."""
-    order = Fraction(order)
+    """eta(tau_scale * tau)^power for power >= 1: the pentagonal series
+    sum_k (-1)^k q^{(6k+1)^2/24}, exact to the order the product needs,
+    multiplied by itself."""
+    if power < 1:
+        raise ValueError("eta power must be at least 1")
     scale = Fraction(tau_scale)
-    out = FormalSeries.constant(GR_ONE, order)
-    n = 1
-    while scale * n <= order:
-        fac = FormalSeries({(Fraction(0), 0, 0): GR_ONE,
-                            (scale * n, 0, 0): -GR_ONE}, order)
-        for _ in range(power):
-            out = out * fac
-        n += 1
-    shift = FormalSeries({(scale * Fraction(power, 24), 0, 0): GR_ONE}, order + scale * Fraction(power, 24))
-    return shift * out
+    top = Fraction(order) + scale / 24
+    kmax = math.isqrt(max(0, math.floor(24 * top / scale))) // 6 + 1
+    eta = FormalSeries({(scale * (6 * k + 1) ** 2 / 24, 0, 0): -GR_ONE if k % 2 else GR_ONE
+                        for k in range(-kmax, kmax + 1)}, top)
+    out = eta
+    for _ in range(power - 1):
+        out = out * eta
+    return out
 
 
 def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
@@ -305,16 +301,15 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
             small_q, small_b1, small_b2, small_ph = wq, wb1, wb2, wph
             lead_q, lead_b = Fraction(0), (0, 0)
             lead_ph = GR_ONE
-            neg = False
         elif wq < 0 or (wq == 0 and (wb1, wb2) < (0, 0)):
             # 1/(1-w) = -w^{-1}/(1 - w^{-1})
             small_q, small_b1, small_b2 = -wq, -wb1, -wb2
             small_ph = unit_phase(-Fraction(1) * z1.c)
             lead_q, lead_b, lead_ph = small_q, (small_b1, small_b2), -small_ph
-            neg = True
         else:
             raise UnsupportedCaseError("denominator is constant; index unsupported")
         r = 0
+        ph = nph * lead_ph
         while True:
             a = base_q + lead_q + small_q * r
             if a > order:
@@ -323,10 +318,8 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
             b2 = nb2 + lead_b[1] + small_b2 * r
             if max(abs(b1), abs(b2)) > 2 * zcap + 2 * abs(lead_b[0]) + 2:
                 break
-            ph = nph * lead_ph
-            for _ in range(r):
-                ph = ph * small_ph
             out._add_term((a, b1, b2), ph)
+            ph = ph * small_ph
             r += 1
             if small_q == 0 and r > 2 * zcap + 4:
                 break

@@ -153,12 +153,10 @@ class HalfInt:
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """A modular argument tau (Im tau > 0), 1-3 elliptic variables, and a
-    scale variable t."""
+    """A modular argument tau (Im tau > 0) and 1-3 elliptic variables."""
 
     tau: complex
     zs: tuple = ()
-    t: complex = 0.0
 
     def __post_init__(self):
         _check_point(self.tau, *self.zs)

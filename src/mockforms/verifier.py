@@ -478,13 +478,11 @@ def _modification_pairs():
                           "modification", 1e-8, [{"m": 1, "s": 0}, {"m": 2, "s": 1}],
                           lem11mod))
 
-    def sind(pt, policy):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        vals = [phi_tilde(MockIndex.of(2, s), tau, z1, z2, 0, policy) for s in (0, 1, 2)]
-        return [(v, vals[0]) for v in vals[1:]]
-
     register(IdentitySpec("sindep", "integer index independence of the modification",
-                          "modification", 1e-10, [{}], sind))
+                          "modification", 1e-10, [{}],
+                          _laws(phi_tilde, _zs(0), lambda: [
+                              (MockIndex.of(2, s), _same, MockIndex.of(2, 0), None)
+                              for s in (1, 2)])))
 
     def phi1t_s(pt, policy, m):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -735,23 +733,24 @@ def _n3_pairs():
             jj = Fraction(k1 + 2 * k2 - (M if dotted else 0), 2)
             kk = -Fraction(k1 + (M if dotted else 0), 2)
         combos = {"ns_plus": (H, H), "ns_minus": (Fraction(0), H), "ramond": (H, Fraction(0))}
+        # the exact scalars: the sign of admissible_numerator_psi, divided
+        # for the characters by the constant character_numerator applies
+        sign = 0.5 if J == "I" else -0.5
+        char_sign = sign / (1j * e2pi(-n3._lambda_theta(w) / 2))
         out = []
         for sector, (sg, sgp) in combos.items():
             if sector == "ns_minus":
-                hval = lambda tt, zz: n3.supercharacter_numerator(
-                    w, tt, zz + tt / 2, -zz + tt / 2, tt / 4, True, policy)
+                h, c = n3.supercharacter_numerator(
+                    w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy), sign
             elif sector == "ns_plus":
-                hval = lambda tt, zz: n3.character_numerator(
-                    w, tt, zz + tt / 2, -zz + tt / 2, tt / 4, True, policy)
+                h, c = n3.character_numerator(
+                    w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy), char_sign
             else:
-                hval = lambda tt, zz: n3.character_numerator(w, tt, zz, -zz, 0.0, True, policy)
-            fv = lambda tt, zz: (
-                n3.f_function(n3.FIndex.of(M, n_, 0, sg, sgp, jj, kk), tt, zz, policy)
-                - (-1.0) ** w.m2
-                * n3.f_function(n3.FIndex.of(M, n_, H, sg, sgp, jj, kk), tt, zz, policy))
-            ref_tau, ref_z = 0.9j + 0.1, 0.21 + 0.06j
-            scale = hval(ref_tau, ref_z) / fv(ref_tau, ref_z)
-            out.append((hval(tau, z), scale * fv(tau, z)))
+                h, c = n3.character_numerator(w, tau, z, -z, 0.0, True, policy), char_sign
+            f = (n3.f_function(n3.FIndex.of(M, n_, 0, sg, sgp, jj, kk), tau, z, policy)
+                 - (-1.0) ** w.m2
+                 * n3.f_function(n3.FIndex.of(M, n_, H, sg, sgp, jj, kk), tau, z, policy))
+            out.append((h, c * f))
         return out
 
     register(IdentitySpec(
@@ -1376,7 +1375,7 @@ def _d21a_pairs():
         t = 0.02
         z1, z2, z3 = zs
         lhs = (d2.boundary_g(pr, j, eps, epsp, tau, *zs, t, policy)
-               / d2.rhat(tau, *zs, t, eps, epsp, policy))
+               / d2.rhat(tau, *zs, eps, epsp, policy))
         a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
         th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
         pref = (e2pi(-Fraction(p, p + 1) * t)
@@ -1396,7 +1395,7 @@ def _d21a_pairs():
 
     register(IdentitySpec("eq12.8", "affine denominator S and T laws", "d21a", 1e-8, EPS_PAIRS,
                           _laws(lambda x, tau, z1, z2, z3, policy: d2.rhat(
-                              tau, z1, z2, z3, 0, *x, policy), lambda pt: pt.zs,
+                              tau, z1, z2, z3, *x, policy), lambda pt: pt.zs,
                               lambda eps, epsp: [
                                   ((eps, epsp), _S, (epsp, eps),
                                    lambda tau, *zs: 1j * (-1j * tau) ** 1.5),

@@ -49,6 +49,9 @@ def test_quadratic_forms_exact():
                    d2.D21Params(3, 2, 2), d2.D21Params(5, 3, 1)):
         forms = d2.quadratic_forms(params)
         assert all(f == forms[0] for f in forms)
+        assert all(type(x) is F for f in forms for x in f)
+    assert d2.quadratic_forms(d2.D21Params(2, 1, 1))[0] == (
+        F(3, 2), F(1, 6), F(2, 3), F(-1, 2), F(-1), F(-1, 3))
 
 
 def test_characteristics_examples():
@@ -156,7 +159,7 @@ def test_boundary_characters_follow_the_label_table():
             for w, (jg, sign) in zip(weights, rows[sector]):
                 for tau, zs, t in BOUNDARY_POINTS:
                     want = (sign * d2.boundary_g(pr, jg, eps, eps_prime, tau, *zs, t, P)
-                            / d2.rhat(tau, *zs, t, eps, eps_prime, P))
+                            / d2.rhat(tau, *zs, eps, eps_prime, P))
                     got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
                     assert got == want, (p, sector, w.label())
 

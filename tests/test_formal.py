@@ -1,5 +1,9 @@
+import hashlib
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mockforms.formal import (
@@ -15,7 +19,7 @@ from mockforms.formal import (
     series_equal,
 )
 from mockforms.mock import MockIndex
-from mockforms.qkernel import TruncationPolicy
+from mockforms.qkernel import TruncationPolicy, UnsupportedCaseError
 
 
 def test_theta_expansion_examples():
@@ -138,28 +142,82 @@ def test_round_trip_numeric():
 
 
 def test_eta_power_two_routes():
+    # eta^p against q^{p/24} prod (1 - q^n)^p multiplied out factor by factor
+    order = F(10)
+    for p in (1, 3, 8, 24):
+        for scale in (1, 2):
+            eta = expand_eta_quotient(p, order, scale)
+            top = order + F(p * scale, 24)
+            prod = FormalSeries({(F(p * scale, 24), 0, 0): GR_ONE}, top)
+            for n in range(1, int(order // scale) + 1):
+                fac = FormalSeries({(F(0), 0, 0): GR_ONE, (F(n * scale), 0, 0): -GR_ONE}, top)
+                for _ in range(p):
+                    prod = prod * fac
+            assert eta.order == top and eta.zmax is None
+            assert eta.terms == prod.terms, (p, scale)
     e24 = expand_eta_quotient(24, 10)
-    prod = FormalSeries.constant(GR_ONE, F(10))
-    for n in range(1, 25):
-        fac = FormalSeries({(F(0), 0, 0): GR_ONE, (F(n), 0, 0): -GR_ONE}, F(10))
-        power = FormalSeries.constant(GR_ONE, F(10))
-        base, k = fac, 24
-        while k:
-            if k & 1:
-                power = power * base
-            base = base * base
-            k >>= 1
-        prod = prod * power
-    shift = FormalSeries({(F(1), 0, 0): GR_ONE}, F(11))
-    assert series_equal(e24, shift * prod)[0]
     low = {k[0]: v for k, v in e24.terms.items() if k[0] <= 3}
     assert low[F(1)].re == 1 and low[F(2)].re == -24 and low[F(3)].re == 252
+    for p in (0, -1):
+        with pytest.raises(ValueError):
+            expand_eta_quotient(p, 10)
 
 
 def test_unsupported_index_error():
-    import pytest
-
-    from mockforms.qkernel import UnsupportedCaseError
-
     with pytest.raises(UnsupportedCaseError):
         expand_phi1(1, 0, 6, z1=ZArg.of(0, 0, F(1, 2)))
+
+
+GOLDEN = Path(__file__).parent / "golden" / "formal_expansions.json"
+
+
+def _fingerprint(call):
+    """sha256 of (order, zmax, sorted terms as strings), or the name of the
+    error the call raises."""
+    try:
+        s = call()
+    except (ValueError, UnsupportedCaseError) as exc:
+        return type(exc).__name__
+    terms = sorted(f"{a} {b1} {b2} {c}" for (a, b1, b2), c in s.terms.items())
+    text = f"{s.order}|{s.zmax}|" + ";".join(terms)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _expansion_calls():
+    """Labelled calls of Theta, Phi_1, Phi and eta^p over small exact inputs."""
+    half = F(1, 2)
+    calls = {}
+    zs = {"z1": ZArg.of(1, 0), "hz": ZArg.of(half, 0, F(1, 4)),
+          "dz": ZArg.of(1, -1, half)}
+    for j in (0, half, 1, 2, 3, 4):
+        for m in (half, 1, 2, 3, 4):
+            for order in (0, F(1, 3), 8, 12):
+                for scale in (1, 2):
+                    for zn, z in zs.items():
+                        calls[f"theta j={j} m={m} order={order} scale={scale} {zn}"] = (
+                            lambda j=j, m=m, o=order, sc=scale, z=z:
+                                expand_theta(j, m, o, sc, z))
+    for m2 in range(1, 7):
+        for s2 in range(-m2, m2 + 1):
+            for order in (8, 12):
+                for scale in (1, 2):
+                    for off in (0, half):
+                        z1, z2 = ZArg.of(1, 0, off), ZArg.of(0, 1, off)
+                        args = (F(m2, 2), F(s2, 2), order, scale, z1, z2)
+                        tail = f"m={F(m2, 2)} s={F(s2, 2)} order={order} scale={scale} off={off}"
+                        calls[f"phi1 {tail}"] = lambda a=args: expand_phi1(*a)
+                        calls[f"phi {tail}"] = lambda a=args: expand_phi(*a)
+    for p in (*range(1, 9), 24):
+        for order in (8, F(35, 4), 12):
+            for scale in (1, 2):
+                calls[f"eta p={p} order={order} scale={scale}"] = (
+                    lambda p=p, o=order, sc=scale: expand_eta_quotient(p, o, sc))
+    return calls
+
+
+def test_expansions_match_golden():
+    want = json.loads(GOLDEN.read_text())
+    got = {label: _fingerprint(call) for label, call in _expansion_calls().items()}
+    assert set(got) == set(want)
+    bad = sorted(label for label in want if got[label] != want[label])
+    assert not bad, bad[:10]
