@@ -79,10 +79,7 @@ def cmd_eval(args) -> int:
     elif fn == "phi1":
         v = phi1(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
                  tau, args.z1, args.z2, policy)
-    elif fn == "phi":
-        v = phi(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
-                tau, args.z1, args.z2, args.t, policy)
-    elif fn == "phi_signed":
+    elif fn in ("phi", "phi_signed"):
         v = phi(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
                 tau, args.z1, args.z2, args.t, policy, args.sign)
     elif fn == "phi_tilde":

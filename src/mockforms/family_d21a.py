@@ -218,33 +218,26 @@ def _theta_products(which: str, j: int, params: D21Params, tau, z1, z2, z3, t,
             pref * theta_jm(ThetaIndex.of(-j, big), tau, u_neg, 0.0, policy) * f2)
 
 
-def PQ_terms(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
-             variant: str = "minus", policy: TruncationPolicy = DEFAULT_POLICY):
-    """The two theta-times-modification products whose sum is P_j / Q_j.
+def PQ_function(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
+                variant: str = "minus", policy: TruncationPolicy = DEFAULT_POLICY):
+    """P_j / Q_j and their sector variants: the sum of two
+    theta-times-modification products.
 
     The minus variant is the defining combination; plus shifts by xi, the
-    twisted ones compose with the twist map.  Exposing the two terms lets
-    callers estimate the cancellation (the terms grow exponentially under
-    tau-direction shifts while their sum stays bounded).
+    twisted ones compose with the twist map.
     """
     if variant == "plus":
-        return PQ_terms(which, j, params, tau, *xi_shift(tau, z1, z2, z3, t),
-                        "minus", policy)
+        return PQ_function(which, j, params, tau, *xi_shift(tau, z1, z2, z3, t),
+                           "minus", policy)
     if variant in ("minus_tw", "plus_tw"):
         pt = twist_point(params, tau, z1, z2, z3, t)
         base = "minus" if variant == "minus_tw" else "plus"
-        return PQ_terms(which, j, params, tau, *pt, base, policy)
+        return PQ_function(which, j, params, tau, *pt, base, policy)
     deg = params.n * (params.p if which == "P" else params.q)
     idx = MockIndex.of(deg, 0)
     f1 = phi_tilde(idx, tau, z1, -z3 if which == "P" else -z2, 0.0, policy)
     f2 = phi_tilde(idx, tau, -z1 + z2 + z3, -z2 if which == "P" else -z3, 0.0, policy)
-    return _theta_products(which, j, params, tau, z1, z2, z3, t, f1, f2, policy)
-
-
-def PQ_function(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
-                variant: str = "minus", policy: TruncationPolicy = DEFAULT_POLICY):
-    """P_j / Q_j and their sector variants."""
-    t1, t2 = PQ_terms(which, j, params, tau, z1, z2, z3, t, variant, policy)
+    t1, t2 = _theta_products(which, j, params, tau, z1, z2, z3, t, f1, f2, policy)
     return t1 + t2
 
 
@@ -329,9 +322,10 @@ def FG_function(which: str, j: int, params: D21Params, eps, eps_prime, tau, y2, 
     return tdiff * psi_tilde(pidx, tau, (y2 + y3) / 2, second, 0.0, policy)
 
 
-def fg_terms(which: str, j: int, params: D21Params, eps, eps_prime, tau,
+def fg_lower(which: str, j: int, params: D21Params, eps, eps_prime, tau,
              z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The two products whose difference is the five-coordinate f_j / g_j."""
+    """The five-coordinate f_j / g_j functions whose Hamiltonian reduction
+    gives F / G with shifted index: the difference of two products."""
     deg = params.n * (params.p if which == "f" else params.q)
     eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
     pidx = PsiIndex.of(1, deg, 0, eps, eps_prime, -eps_prime)
@@ -339,21 +333,16 @@ def fg_terms(which: str, j: int, params: D21Params, eps, eps_prime, tau,
     f2 = psi_tilde(pidx, tau, z1 - z2 - z3, z2 if which == "f" else z3, 0.0, policy)
     t1, t2 = _theta_products("P" if which == "f" else "Q", j, params, tau, z1, z2, z3, t,
                              f1, f2, policy)
-    return t1, -t2
-
-
-def fg_lower(which: str, j: int, params: D21Params, eps, eps_prime, tau,
-             z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The five-coordinate f_j / g_j functions whose Hamiltonian reduction
-    gives F / G with shifted index."""
-    t1, t2 = fg_terms(which, j, params, eps, eps_prime, tau, z1, z2, z3, t, policy)
-    return t1 + t2
+    return t1 - t2
 
 
 def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "P",
                policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced big N=4 (super)characters for the j=1 weights with m2 = 0 or
-    m3 = 0, via the single F/G-term table."""
+    m3 = 0, via the single F/G-term table.  The F/G term and the denominator
+    both carry the sector's shifts (eps, eps') = _QHR_EPS[sector]."""
+    if sector not in _QHR_EPS:
+        raise ValueError(f"unknown sector {sector}")
     if w.j != 1 or (w.m2 != 0 and w.m3 != 0):
         raise UnsupportedCaseError(
             "single-term reduced characters exist for the j=1, m2*m3=0 weights")
@@ -364,35 +353,22 @@ def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "
     m2, m3 = w.m2, w.m3
     prime = w.m3 == 0 and w.m2 > 0  # the Lambda' column
     if flavor == "P":
-        j = n * p + m2 if prime else n * p - m3
-        table = {
-            "minus": (("F", 0, Fraction(1, 2)), 1.0),
-            "plus": (("F", Fraction(1, 2), Fraction(1, 2)),
-                     -1.0 if prime else -((-1.0) ** m3)),
-            "minus_tw": (("F", 0, 0), -1.0),
-            "plus_tw": (("F", Fraction(1, 2), 0),
-                        1.0 if prime else ((-1.0) ** m3)),
-        }
+        which, j = "F", n * p + m2 if prime else n * p - m3
+        signs = {"minus": 1.0, "plus": -1.0 if prime else -((-1.0) ** m3),
+                 "minus_tw": -1.0, "plus_tw": 1.0 if prime else ((-1.0) ** m3)}
     else:
-        jn = {"minus": n * q - m2 if prime else n * q + m3,
-              "plus": n * q - m2 if prime else n * q + m3,
-              "minus_tw": n * p + m2 if prime else n * p - m3,
-              "plus_tw": n * p + m2 if prime else n * p - m3}
+        which = "G"
+        if sector.endswith("_tw"):
+            j = n * p + m2 if prime else n * p - m3
+        else:
+            j = n * q - m2 if prime else n * q + m3
         # the twisted-plus rows carry no (-1)^{np} factor; the collapsing
         # identities at q = n = 1 fix the constant
-        table = {
-            "minus": (("G", 0, Fraction(1, 2)), 1.0),
-            "plus": (("G", Fraction(1, 2), Fraction(1, 2)),
-                     -((-1.0) ** m2) if prime else -1.0),
-            "minus_tw": (("G", 0, 0), 1.0),
-            "plus_tw": (("G", Fraction(1, 2), 0),
-                        -((-1.0) ** m2) if prime else -1.0),
-        }
-        j = jn[sector]
-    (which, eps, eps_prime), sign = table[sector]
-    num = sign * FG_function(which, j, w.params, eps, eps_prime, tau, y2, y3, policy)
-    qe, qep = _QHR_EPS[sector]
-    return num / b4_denominator(tau, y2, y3, qe, qep, policy)
+        signs = {"minus": 1.0, "plus": -((-1.0) ** m2) if prime else -1.0,
+                 "minus_tw": 1.0, "plus_tw": -((-1.0) ** m2) if prime else -1.0}
+    eps, eps_prime = _QHR_EPS[sector]
+    num = signs[sector] * FG_function(which, j, w.params, eps, eps_prime, tau, y2, y3, policy)
+    return num / b4_denominator(tau, y2, y3, eps, eps_prime, policy)
 
 
 def qhr_characteristics(w: D21Weight) -> dict:
@@ -422,14 +398,6 @@ def qhr_characteristics(w: D21Weight) -> dict:
 
 # --- boundary case q = n = 1 ------------------------------------------------
 
-def boundary_g(params: D21Params, j: int, eps, eps_prime, tau, z1, z2, z3, t=0.0,
-               policy: TruncationPolicy = DEFAULT_POLICY):
-    """g_j for q = n = 1, where the wrapper needs no modification."""
-    if params.q != 1 or params.n != 1:
-        raise UnsupportedCaseError("boundary formulas need q = n = 1")
-    return fg_lower("g", j, params, eps, eps_prime, tau, z1, z2, z3, t, policy)
-
-
 def _boundary_index(w: D21Weight):
     """(j, sign) with ch^- = sign * g_j / R-hat, j not reduced."""
     if w.j == 0:
@@ -450,6 +418,8 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
         raise UnsupportedCaseError("boundary formulas need q = n = 1")
     if w.j not in (0, 1):
         raise UnsupportedCaseError("boundary families are empty for j = 2, 3")
+    if sector not in _QHR_EPS:
+        raise ValueError(f"unknown sector {sector}")
     plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
     eps = Fraction(1, 2) if plus else Fraction(0)
     epsp = Fraction(1, 2) if twisted else Fraction(0)
@@ -460,7 +430,7 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
         sign = -sign
     if twisted and plus and p % 2:
         sign = -sign
-    num = sign * boundary_g(params, jg, eps, epsp, tau, z1, z2, z3, t, policy)
+    num = sign * fg_lower("g", jg, params, eps, epsp, tau, z1, z2, z3, t, policy)
     return num / rhat(tau, z1, z2, z3, eps, epsp, policy)
 
 

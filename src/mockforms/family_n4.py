@@ -281,6 +281,8 @@ def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced (super)characters of the admissible family as the signed
     combination chi^(1) - A chi^(0)."""
+    if sector not in _QHR_EPS:
+        raise ValueError(f"unknown sector {sector}")
     if w.J not in ("I", "III"):
         raise UnsupportedCaseError(
             "types II and IV are reached through the module isomorphisms")
@@ -290,8 +292,7 @@ def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
     m, m2, M = w.m, w.m2, w.M
     A = Fraction(m * (2 * w.k1 + w.k2 + 1), M) + m2
     twisted = sector.endswith("_tw")
-    eps = Fraction(1, 2) if sector.startswith("plus") else 0
-    eps_prime = 0 if twisted else Fraction(1, 2)
+    eps, eps_prime = _QHR_EPS[sector]
     j, k = admissible_jk(w, twisted)
     c1 = chi(ChiIndex.of(1, M, m, eps, eps_prime, j, k), tau, z, policy)
     c0 = chi(ChiIndex.of(0, M, m, eps, eps_prime, j, k), tau, z, policy)

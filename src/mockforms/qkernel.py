@@ -238,14 +238,10 @@ def _lattice_scan(z: complex, tau: complex, w: int, reach: float | None = None) 
     return best
 
 
-def lattice_distance(z: complex, tau: complex, sublattice: str = "full") -> float:
-    """Euclidean distance from z to Z + tau*Z ("full") or (1/2)(Z + tau*Z)
-    ("half"), taken over the 7x7 lattice points around z."""
+def lattice_distance(z: complex, tau: complex) -> float:
+    """Euclidean distance from z to Z + tau*Z, taken over the 7x7 lattice
+    points around z."""
     tau = _check_point(tau, z)
-    if sublattice == "half":
-        return 0.5 * lattice_distance(2 * complex(z), tau, "full")
-    if sublattice != "full":
-        raise ValueError("sublattice must be 'full' or 'half'")
     return _lattice_scan(complex(z), tau, 3)
 
 

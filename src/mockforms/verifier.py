@@ -80,6 +80,10 @@ class VerificationReport:
                 "pass": self.passed, "skipped": self.skipped}
 
 
+# the fixed tau list of every grid; n_tau takes its first entries
+GRID_TAUS = (0.31j, 0.8j, 1.0 + 1.3j, -0.4 + 0.7j, 2.1j)
+
+
 def standard_grid(n_tau: int, n_z: int, seed: int,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
     """Deterministic grid: fixed tau list, seeded z components in the
@@ -92,12 +96,14 @@ def standard_grid(n_tau: int, n_z: int, seed: int,
     is drawn once and returned as the same immutable tuple."""
     if n_tau < 1 or n_z < 1:
         raise ValueError("grid sizes must be positive")
+    if n_tau > len(GRID_TAUS):
+        raise ValueError(f"n_tau is at most {len(GRID_TAUS)}, the length of the tau list")
     return _draw_grid(n_tau, n_z, seed, max(policy.pole_guard, 0.04))
 
 
 @lru_cache(maxsize=32)
 def _draw_grid(n_tau: int, n_z: int, seed: int, sep: float) -> tuple:
-    taus = [0.31j, 0.8j, 1.0 + 1.3j, -0.4 + 0.7j, 2.1j][:n_tau]
+    taus = GRID_TAUS[:n_tau]
     rng = random.Random(seed)
     pts = []
     for tau in taus:
@@ -695,17 +701,17 @@ def _n3_pairs():
             f"eq5.{which:02d}", "collapsing-level numerator closed form", "n3",
             1e-9, [{"m2": 0, "which": which}, {"m2": 1, "which": which}], eq5x))
 
-    def eq35(pt, policy, m, m2):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.03
+    # the index of a numerator family member is (m, m2, dotted)
+    def eq35(m, m2):
         n_ = int(-4 * Fraction(m) - 2)
-        lhs = n3.b_value(Fraction(m), m2, tau, -z2 + tau, -z1 + tau, t - z1 - z2 + tau,
-                         False, False, policy)
-        rhs = n3.b_value(Fraction(m), n_ - m2, tau, z1, z2, t, True, False, policy)
-        return lhs, rhs
+        return [((Fraction(m), m2, False),
+                 lambda tau, z1, z2, t: (tau, -z2 + tau, -z1 + tau, t - z1 - z2 + tau),
+                 (Fraction(m), n_ - m2, True), None)]
 
     register(IdentitySpec("eq3.5", "reflection pairing of the two numerator families",
-                          "n3", 1e-9, [{"m": -1, "m2": m2} for m2 in (0, 1, 2)], eq35))
+                          "n3", 1e-9, [{"m": -1, "m2": m2} for m2 in (0, 1, 2)],
+                          _laws(lambda x, tau, z1, z2, t, policy: n3.b_value(
+                              x[0], x[1], tau, z1, z2, t, x[2], False, policy), _zs(0.03), eq35)))
 
     def p37(pt, policy, m, M, J, k1, k2, dotted, modified):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -944,6 +950,11 @@ def _n4_pairs():
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
                           "n4", 1e-2, [{"m": -2}], rem74, grid=(2, 2), check="exceeds"))
 
+    # the index of a derivative wrapper is (M, m, eps, j, k); g_numerator(m)
+    # is the wrapper (1, m, 0, 0, 0)
+    psi_p = lambda laws: _laws(lambda x, *a: n4.psi_P(*x, *a), _zs(0.02), laws)
+    diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
+
     def lem82(M, m):
         j, k = HalfInt(3), HalfInt(-1)
         return [((M, m, H, j, k), lambda tau, z1, z2, t: (tau, z2, z1, t), (M, m, H, k, j), -1),
@@ -951,23 +962,16 @@ def _n4_pairs():
                  (M, m, H, -j, -k), None)]
 
     register(IdentitySpec("lemma8.2", "derivative wrapper swap and negation laws",
-                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
-                          _laws(lambda x, *a: n4.psi_P(*x, *a), _zs(0.02), lem82)))
+                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem82)))
 
-    def lem83(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.02
-        out = [(n4.g_numerator(m, tau, z1 + 1, z2 + 1, t, policy),
-                n4.g_numerator(m, tau, z1, z2, t, policy))]
+    def lem83(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        lhs = n4.psi_P(M, m, H, j, k, tau, z1 + 1, z2 + 1, t, policy)
-        rhs = (e2pi(-Fraction(m, M) * (j.value + k.value))
-               * n4.psi_P(M, m, H, j, k, tau, z1, z2, t, policy))
-        out.append((lhs, rhs))
-        return out
+        return [((1, m, 0, 0, 0), diagonal, (1, m, 0, 0, 0), None),
+                ((M, m, H, j, k), diagonal, (M, m, H, j, k),
+                 e2pi(-Fraction(m, M) * (j.value + k.value)))]
 
     register(IdentitySpec("lemma8.3", "derivative wrapper diagonal shifts", "n4",
-                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem83))
+                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem83)))
 
     def lem85(pt, policy, M, m):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -1139,36 +1143,23 @@ def _n4_pairs():
 def _d21a_pairs():
     P211 = d2.D21Params(2, 1, 1)
 
-    def _sum_guarded(terms, tol):
-        """Sum a two-term split, or None when the cancellation exceeds what
-        double precision can resolve at the requested tolerance."""
-        amp = max(abs(terms[0]), abs(terms[1]))
-        if amp * 1e-15 > tol / 50.0:
-            return None
-        return terms[0] + terms[1]
+    # the index of a numerator function is (which, j, params)
+    pq = lambda laws: _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
+        *x, tau, z1, z2, z3, t, "minus", policy), lambda pt: (*pt.zs, 0.03), laws)
+    image = lambda action: lambda tau, *a: (tau, *action(tau, *a))
 
-    def lem1012(pt, policy, p, q, n, which):
+    def lem1012(p, q, n, which):
         pr = d2.D21Params(p, q, n)
-        tau, zs = pt.tau, pt.zs
-        t = 0.03
         j = 1
         refl = 2 * n * (pr.p if which == "P" else pr.q)
-        out = []
-        base = lambda jj, point: _sum_guarded(
-            d2.PQ_terms(which, jj, pr, tau, *point, "minus", policy), 1e-8)
-        pts = (zs[0], zs[1], zs[2], t)
-        for lhs, rhs in [(base(j, d2.r_theta(tau, *pts)), base(-j, pts)),
-                         (base(j, d2.r_alpha2(tau, *pts)), base(j, pts)),
-                         (base(j, d2.r_alpha3(tau, *pts)), base(j, pts)),
-                         (base(j, d2.r_alpha0(tau, *pts)), base(-j - refl, pts))]:
-            if lhs is not None and rhs is not None:
-                out.append((lhs, -rhs))
-        return out
+        return [((which, j, pr), image(action), (which, y, pr), -1)
+                for action, y in ((d2.r_theta, -j), (d2.r_alpha2, j), (d2.r_alpha3, j),
+                                  (d2.r_alpha0, -j - refl))]
 
     register(IdentitySpec("lemma10.12", "reflection action on the numerator families",
                           "d21a", 1e-8,
                           [{"p": 2, "q": 1, "n": 1, "which": w} for w in ("P", "Q")],
-                          lem1012))
+                          pq(lem1012)))
 
     def p1021(p, q, n, which, lab):
         pr = d2.D21Params(p, q, n)
@@ -1185,9 +1176,7 @@ def _d21a_pairs():
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
                           [{"p": p, "q": 1, "n": 1, "which": w, "lab": lab}
                            for p in (1, 2) for w in ("P", "Q") for lab in ("S", "T")],
-                          _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
-                              *x, tau, z1, z2, z3, t, "minus", policy),
-                              lambda pt: (*pt.zs, 0.03), p1021), grid=(2, 2)))
+                          pq(p1021), grid=(2, 2)))
 
     def lem112(pt, policy):
         pr = P211
@@ -1204,15 +1193,9 @@ def _d21a_pairs():
                 ("minus_tw", "g", Fraction(0), H, big, -1.0),
                 ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
                 ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p)))]
-        out = []
-        for variant, which, el, epl, shift, sgn in rows:
-            a = _sum_guarded(d2.PQ_terms("P" if which == "f" else "Q", j, pr, tau,
-                                         *pts, variant, policy), 1e-8)
-            b = _sum_guarded(d2.fg_terms(which, j + shift, pr, el, epl, tau, *pts,
-                                         policy), 1e-8)
-            if a is not None and b is not None:
-                out.append((a, sgn * b))
-        return out
+        return [(d2.PQ_function("P" if which == "f" else "Q", j, pr, tau, *pts, variant, policy),
+                 sgn * d2.fg_lower(which, j + shift, pr, el, epl, tau, *pts, policy))
+                for variant, which, el, epl, shift, sgn in rows]
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
                           "d21a", 1e-8, [{}], lem112))
@@ -1274,42 +1257,27 @@ def _d21a_pairs():
                               (eps, epsp), _T, (abs(Fraction(eps) - Fraction(epsp)), epsp),
                               (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
-    def p1114(pt, policy, which, eps, epsp):
+    def p1114(which, eps, epsp):
         pr = P211
-        tau, zs = pt.tau, pt.zs
-        t = 0.02
         big = 2 * pr.n * (pr.p + pr.q)
         deg = pr.n * (pr.p if which == "f" else pr.q)
         j = 1
-        out = []
-        lhs = _sum_guarded(d2.fg_terms(which, j, pr, eps, epsp, -1 / tau, zs[0] / tau,
-                                       zs[1] / tau, zs[2] / tau, t, policy), 1e-6)
-        if lhs is not None:
-            tot = 0.0j
-            ok = True
-            for k in range(big):
-                term = _sum_guarded(d2.fg_terms(which, k, pr, epsp, eps, tau, *zs, t,
-                                                policy), 1e-6)
-                if term is None:
-                    ok = False
-                    break
-                tot += e2pi(Fraction(-j * k, big)) * term
-            if ok:
-                pref = (e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
-                        * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                        * e2pi(pr.K * d2.zz_value(pr, *zs) / (2 * tau)))
-                out.append((lhs, pref * tot))
-        lhsT = d2.fg_lower(which, j, pr, eps, epsp, tau + 1, *zs, t, policy)
-        rhsT = (e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big))
-                * d2.fg_lower(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp,
-                              tau, *zs, t, policy))
-        out.append((lhsT, rhsT))
-        return out
+        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
+        return [((which, j, eps, epsp), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
+                 [(e2pi(Fraction(-j * k, big)), (which, k, epsp, eps)) for k in range(big)],
+                 lambda tau, z1, z2, z3, t: (
+                     ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
+                     * e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
+                ((which, j, eps, epsp), _T, (which, j, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                 e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop11.14", "basis function S and T laws", "d21a", 1e-6,
                           [{"which": w, "eps": e, "epsp": ep} for w in ("f", "g")
                            for (e, ep) in ((Fraction(0), Fraction(0)), (H, Fraction(0)),
-                                           (Fraction(0), H))], p1114, grid=(2, 2)))
+                                           (Fraction(0), H))],
+                          _laws(lambda x, tau, z1, z2, z3, t, policy: d2.fg_lower(
+                              x[0], x[1], P211, x[2], x[3], tau, z1, z2, z3, t, policy),
+                              lambda pt: (*pt.zs, 0.02), p1114), grid=(2, 2)))
 
     def p1111(pt, policy, m2, m3, flavor):
         pr = P211
@@ -1374,7 +1342,7 @@ def _d21a_pairs():
         tau, zs = pt.tau, pt.zs
         t = 0.02
         z1, z2, z3 = zs
-        lhs = (d2.boundary_g(pr, j, eps, epsp, tau, *zs, t, policy)
+        lhs = (d2.fg_lower("g", j, pr, eps, epsp, tau, *zs, t, policy)
                / d2.rhat(tau, *zs, eps, epsp, policy))
         a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
         th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)

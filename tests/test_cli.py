@@ -93,6 +93,20 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 1
 
 
+def test_eval_phi_honours_sign(capsys):
+    # phi and phi_signed are one function; both pass --sign
+    vals = {}
+    for fn in ("phi", "phi_signed"):
+        for sign in ("1", "-1"):
+            code, out, _ = run_cli(["eval", "--fn", fn, "--tau", "0+1i", "--m", "2",
+                                    "--sign", sign], capsys)
+            assert code == 0
+            vals[fn, sign] = json.loads(out)["value"]
+    assert vals["phi", "-1"] == vals["phi_signed", "-1"] != vals["phi", "1"]
+    code, out, _ = run_cli(["eval", "--fn", "phi", "--tau", "0+1i", "--m", "2"], capsys)
+    assert json.loads(out)["value"] == vals["phi", "1"]
+
+
 def test_verify_param_narrowing(capsys):
     code, out, _ = run_cli(["verify", "--id", "eq1.15", "--grid", "2x1",
                             "--m", "2", "--s", "0"], capsys)
@@ -124,9 +138,11 @@ def test_verify_usage_error(capsys):
     ["eval", "--fn", "theta", "--j", "0", "--m", "1", "--tau", "i", "--z", "50i"],
     ["eval", "--fn", "phi_tilde", "--m", "1", "--s", "0", "--tau", "i",
      "--z1", "0.1+30i", "--z2", "0.2"],
+    ["verify", "--id", "eq1.3", "--grid", "9x1"],
 ])
 def test_refused_inputs_exit_2(args, capsys):
-    # an overflowing series term and a truncation cap hit are errors, not tracebacks
+    # an overflowing series term, a truncation cap hit and a grid with more
+    # tau values than the fixed tau list are errors, not tracebacks
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
 

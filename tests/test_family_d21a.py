@@ -124,6 +124,15 @@ def test_big_n4_vanishing_and_guards():
         d2.big_n4_qhr(d2.D21Weight(pr, 0, 0, 1), TAU, 0.2, 0.3, "minus", "P", P)
 
 
+def test_unknown_sector_is_refused():
+    pr = d2.D21Params(2, 1, 1)
+    for w in (d2.D21Weight(pr, 1, 0, 1), d2.D21Weight(pr, 1, 1, 0)):  # live and vanishing
+        with pytest.raises(ValueError, match="unknown sector"):
+            d2.big_n4_qhr(w, TAU, 0.21 + 0.05j, 0.33 - 0.04j, "bogus", "P", P)
+    with pytest.raises(ValueError, match="unknown sector"):
+        d2.boundary_case_characters(d2.D21Weight(pr, 1, 0, 1), TAU, *ZS, T, "bogus", P)
+
+
 def test_boundary_label_bijection():
     for p in (1, 2, 3):
         sm = d2.s_matrix_and_fusion(p)
@@ -158,7 +167,7 @@ def test_boundary_characters_follow_the_label_table():
         for sector, (eps, eps_prime) in SECTOR_EPS.items():
             for w, (jg, sign) in zip(weights, rows[sector]):
                 for tau, zs, t in BOUNDARY_POINTS:
-                    want = (sign * d2.boundary_g(pr, jg, eps, eps_prime, tau, *zs, t, P)
+                    want = (sign * d2.fg_lower("g", jg, pr, eps, eps_prime, tau, *zs, t, P)
                             / d2.rhat(tau, *zs, eps, eps_prime, P))
                     got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
                     assert got == want, (p, sector, w.label())

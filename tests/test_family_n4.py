@@ -242,6 +242,13 @@ def test_unsupported_admissible_types():
         n4.qhr_character_admissible(n4.N4Weight(-1, 0, 3, "II", 1, 1), TAU, Z, "minus", P)
 
 
+def test_admissible_unknown_sector_is_refused():
+    # a live weight, and one whose reduced module vanishes
+    for w in (n4.N4Weight(-2, 1, 3, "I", 1, 0), n4.N4Weight(-2, 2)):
+        with pytest.raises(ValueError, match="unknown sector"):
+            n4.qhr_character_admissible(w, TAU, Z, "bogus", P)
+
+
 def test_weyl_sum_formal_cross_check():
     # the translated Weyl-sum series with its squared denominators equals
     # the derivative-decorated Appell expansion; compared coefficientwise in

@@ -263,12 +263,6 @@ def test_index_range_refuses_a_cut_that_is_not_an_index(a, log_c):
             _index_range(0, 0.0, a, log_c, 0.0, TruncationPolicy(tol=tol))
 
 
-def test_half_lattice():
-    tau = 1.1j
-    assert lattice_distance(0.5 + 0.55j, tau, "half") < 1e-15
-    assert lattice_distance(0.25, tau, "half") == pytest.approx(0.25)
-
-
 def test_halfint():
     h = HalfInt.of(0.5)
     assert h.twice == 1

@@ -1,10 +1,16 @@
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from mockforms.cli import VERIFY_FILTER_KEYS, _emit
-from mockforms.qkernel import TruncationPolicy, UnknownIdentityError
+from mockforms.qkernel import (
+    PoleProximityError,
+    TruncationPolicy,
+    UnknownIdentityError,
+    _POINT_MEMO,
+)
 import mockforms.verifier as V
 
 P = TruncationPolicy()
@@ -22,6 +28,8 @@ def test_grid_determinism_and_size():
 def test_grid_tau_list():
     g = V.standard_grid(5, 1, 1)
     assert [pt.tau for pt in g] == [0.31j, 0.8j, 1.0 + 1.3j, -0.4 + 0.7j, 2.1j]
+    with pytest.raises(ValueError):
+        V.standard_grid(6, 1, 1)
 
 
 def test_registry_coverage():
@@ -95,3 +103,54 @@ def test_cli_filter_keys_are_registry_keys():
 
 def test_grid_25_points():
     assert len(V.standard_grid(5, 5, 1)) == 25
+
+
+PAIRS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_pairs.json"
+
+
+def _pair_hashes(seed):
+    """{id: [8-hex sha256 prefix of repr((lhs, rhs)), or "skip"]} over every
+    non-runner id at its registered grid, walked as verify() walks it: grid
+    points outer, parameter sets inner, one memo per point, "skip" for a
+    parameter set that raises PoleProximityError."""
+    policy = TruncationPolicy(P.tol, P.n_max, max(P.pole_guard, 0.02))
+    out = {}
+    for ident in V.registry_ids():
+        spec = V.get_spec(ident)
+        if spec.runner is not None:
+            continue
+        hashes = out[ident] = []
+        for pt in V.standard_grid(*spec.grid, seed, policy):
+            token = _POINT_MEMO.set({})
+            try:
+                for prm in spec.params:
+                    try:
+                        pairs = spec.pair(pt, policy, **prm)
+                    except PoleProximityError:
+                        hashes.append("skip")
+                        continue
+                    for pair in [pairs] if isinstance(pairs, tuple) else pairs:
+                        hashes.append(hashlib.sha256(repr(pair).encode()).hexdigest()[:8])
+            finally:
+                _POINT_MEMO.reset(token)
+    return out
+
+
+def test_pairs_match_golden():
+    # every (lhs, rhs) value of every non-runner id at seeds 1-3, not just
+    # each id's maximum residual, is bit-identical to the golden
+    want = json.loads(PAIRS_GOLDEN.read_text())
+    for seed in (1, 2, 3):
+        got = _pair_hashes(seed)
+        assert list(got) == list(want[str(seed)])
+        bad = [i for i in got if got[i] != want[str(seed)][i]]
+        assert not bad, f"seed {seed}: {bad}"
+
+
+if __name__ == "__main__":
+    # rewrite the pair golden: python tests/test_verifier.py (with src on the path)
+    lines = []
+    for seed in (1, 2, 3):
+        rows = [f"  {json.dumps(i)}: {json.dumps(h)}" for i, h in _pair_hashes(seed).items()]
+        lines.append(f'"{seed}": {{\n' + ",\n".join(rows) + "\n}")
+    PAIRS_GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
