@@ -57,7 +57,8 @@ class MockIndex:
 @dataclass(frozen=True)
 class PsiIndex:
     """Data of Psi^{[M,m,s;eps]}_{a,b;eps'}: modular scale M, degree m,
-    index s, half-shifts eps, eps' in {0, 1/2}, and a, b in eps' + Z."""
+    index s, half-shifts eps, eps' in {0, 1/2}, and a, b in eps' + Z (eps'
+    is read off a)."""
 
     M: int
     m: HalfInt
@@ -68,7 +69,7 @@ class PsiIndex:
     eps_prime: HalfInt
 
     @staticmethod
-    def of(M, m, s, eps, a, b, eps_prime=None) -> "PsiIndex":
+    def of(M, m, s, eps, a, b) -> "PsiIndex":
         M = int(M)
         if M <= 0:
             raise ValueError("M must be a positive integer")
@@ -80,13 +81,9 @@ class PsiIndex:
         eps = HalfInt.of(eps)
         if eps.twice not in (0, 1):
             raise ValueError("eps must be 0 or 1/2")
-        if eps_prime is None:
-            eps_prime = HalfInt(a.twice % 2)
-        else:
-            eps_prime = HalfInt.of(eps_prime)
-        if a.twice % 2 != eps_prime.twice or b.twice % 2 != eps_prime.twice:
+        if a.twice % 2 != b.twice % 2:
             raise ValueError("a, b must lie in eps' + Z")
-        return PsiIndex(M, m, HalfInt.of(s), eps, a, b, eps_prime)
+        return PsiIndex(M, m, HalfInt.of(s), eps, a, b, HalfInt(a.twice % 2))
 
 
 @lru_cache(maxsize=8)

@@ -6,9 +6,9 @@ The correction kernel
         (sgn(n - 1/2 - j + 2m) - E((n - 2m Im v / Im tau) sqrt(Im tau / m)))
         e^{- pi i n^2 tau / 2m + 2 pi i n v},
 
-the correcting sum Phi_add, the modifications Phi-tilde, Phi_1-tilde and
-Psi-tilde, and an s-independence report.  The sgn argument is never zero:
-n - j in 2mZ puts it in 2mZ - 1/2.
+the correcting sum Phi_add and the modifications Phi-tilde, Phi_1-tilde
+and Psi-tilde.  The sgn argument is never zero: n - j in 2mZ puts it in
+2mZ - 1/2.
 
 The correcting sum needs R_{j;m} for the 2m indices j = s, ..., s+2m-1,
 whose residues mod 2m cover s + Z once: r_window sums them all as one
@@ -73,21 +73,21 @@ class CorrectionIndex:
 _WALK_LOG_MIN = -700.0
 _WALK_LOG_MAX = 700.0
 _WALK_LOG_SPAN = 64.0
-# Bound on run^2 times the phase of the ratio of ratios in a run of one
-# series alone.  Tuned against the mpmath references of perfbench/oracle.py:
-# over 150 one-series cases (m in [1, 20], Im tau log-uniform on [1e-3, 2],
-# |Re tau| <= 2m, tol 1e-12) the worst error falls from 1.9 to 0.023 of
-# tol + 64 eps cond, against 0.079 for the window's series.
+# Bound on run^2 times the phase of the ratio of ratios in a run.  Checked
+# against the mpmath references of perfbench/oracle.py: over 1,000 cases
+# (m in [1, 20], Im tau log-uniform on [1e-3, 2], |Re tau| <= 2m, tol 1e-12)
+# the worst error of an R_{j;m} falls from 0.62 of tol + 64 eps cond with
+# runs of ANCHOR_EVERY to 0.20.
 _RUN_PHASE = 1024.0
 
 
 def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPolicy,
-              width: int, buckets: tuple, want_dv: bool):
-    """The index ranges of the series r in buckets of _r_series, each as
-    one R_{j;m} series, j = s + gr, g = 2m/width: the pair of lists of the
-    first and the last i (n = s + g i) of each series for its values, and
-    with want_dv a second pair for its derivatives.  A series not in buckets
-    gets the empty range (inf, -inf).
+              buckets: tuple, want_dv: bool):
+    """The index ranges of the series r in buckets of r_window, each as one
+    R_{s+r;m} series: the pair of lists of the first and the last i
+    (n = s + i) of each series for its values, and with want_dv a second
+    pair for its derivatives.  A series not in buckets gets the empty range
+    (inf, -inf).
 
     In the series of R_{j;m}, n = j + 2mk, with a = 2 pi m Im tau and
     u = k - k_star the exponential factor is e^{log_c + a u^2} and the
@@ -98,7 +98,7 @@ def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPol
     and k_star the bracket lies in [1, 2); that window is summed whole, and
     its far end holds a term of at least e^{log_c + a u^2}.
     """
-    g = round(2.0 * m) // width
+    width = round(2.0 * m)
     two_m = 2.0 * m
     a = TWO_PI * m * y
     sqrt_2a = math.sqrt(2.0 * a)
@@ -113,7 +113,7 @@ def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPol
         out.append(([math.inf] * width, [-math.inf] * width,
                     log_c + math.log(abs(n_star) + 2.0 * dscale)))
     for r in buckets:
-        k_star = (n_star - (s + g * r)) / two_m
+        k_star = (n_star - (s + r)) / two_m
         k0 = round(k_star)
         far = k_star if k_star > -0.5 else -1.0 - k_star
         if far > 0.0:
@@ -130,35 +130,42 @@ def _r_ranges(s: float, m: float, y: float, n_star: float, policy: TruncationPol
     return [(lo, hi) for lo, hi, _ in out]
 
 
-def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
-              want_dv: bool, width: int, buckets: tuple):
-    """The tuple of R_{s+gr;m}(tau, v), r = 0, ..., width-1, g = 2m/width
-    (width is 2m or 1), or with want_dv the pair of it and the tuple of
-    (1/2 pi i) dR_{s+gr;m}/dv, from one walk over n = s + g i, i in Z.
-    Only the r in buckets (ascending) are summed; the others are 0.
+def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
+             want_dv: bool = False, buckets: tuple | None = None):
+    """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
+    2m-1, or with want_dv the pair of it and the tuple of
+    (1/2 pi i) dR_{s+r;m}/dv, from one walk over n = s + i, i in Z.  With
+    buckets, a tuple of r in ascending order, only those are summed, and
+    the others are 0.
 
-    The series of R_{s+gr;m} is the terms with i = r mod width, and a term's
-    sgn is +1 exactly when i >= 0.  Each series sums the index range that
-    _index_range gives it alone, as one R_{j;m} series: its values over the
-    range of the value majorant, its derivatives over that of the
-    derivative majorant; the walk runs over the union of those ranges.
-    n_max counts the terms of one series, as for one R_{j;m}: of its values,
-    or with want_dv of its derivatives.
+    The residues s + r + 2mZ cover s + Z once, so the term at i belongs to
+    R_{s+r;m} for r = i mod 2m, and its sgn is +1 exactly when i >= 0.  Its
+    exponential factor e^{2 pi i n (-n tau / 4m + v)} is a quadratic
+    exponential in i, formed by recurrence from an exact anchor at the start
+    of each run, so a term costs one erfc, and its derivative one real exp
+    more.  Each series sums the index range that _index_range gives it
+    alone, as one R_{j;m} series: its values over the range of the value
+    majorant, its derivatives over that of the derivative majorant; the walk
+    runs over the union of those ranges.  n_max counts the terms of one
+    series, as for one R_{j;m}: of its values, or with want_dv of its
+    derivatives.  The value part does not depend on want_dv, to the bit, and
+    a series does not depend on which others are summed with it.
     """
     tau = _check_point(tau, v)
     v = complex(v)
+    width = round(2.0 * m)
+    if buckets is None:
+        buckets = tuple(range(width))
     memo = _POINT_MEMO.get()
     if memo is not None:
-        key = ("R", width, buckets, s, m, tau, v, policy, want_dv)
+        key = ("R", buckets, s, m, tau, v, policy, want_dv)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
-    g = round(2.0 * m) // width
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
-    i_star = (n_star - s) / g
-    if not math.isfinite(i_star):
-        raise _centre_error(i_star)
-    (lo_v, hi_v), *dv = _r_ranges(s, m, tau.imag, n_star, policy, width, buckets, want_dv)
+    if not math.isfinite(n_star):
+        raise _centre_error(n_star)
+    (lo_v, hi_v), *dv = _r_ranges(s, m, tau.imag, n_star, policy, buckets, want_dv)
     lo_d, hi_d = dv[0] if dv else (lo_v, hi_v)
     widest = max(map(operator.sub, hi_d, lo_d)) // width + 1
     if widest > policy.n_max:
@@ -179,22 +186,22 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
     unit = (1, -1j, -1, 1j)[shift % 4] if s % 1 else 1
     a_n = math.pi * tau.imag / (2.0 * m)
     log_c = -a_n * n_star * n_star
-    # One series alone (g = 2m) turns the ratio of ratios q2 of a run by
-    # phase = 4 pi |Re qa| g^2 rad, up to 8 pi m^2; the rounding of that phase
-    # gathers in the k-th term of a run about k^2/2 times over, so such runs
-    # are shortened to keep run^2 phase within _RUN_PHASE.  A window (g = 1)
-    # keeps runs of ANCHOR_EVERY.
+    # The ratio of ratios q2 = e^{4 pi i qa} of a run turns by
+    # phase = 4 pi |Re qa| <= 2 pi rad a step; the rounding of that phase
+    # gathers in the k-th term of a run about k^2/2 times over, so runs are
+    # shortened from ANCHOR_EVERY to keep run^2 phase within _RUN_PHASE.
     run = ANCHOR_EVERY
-    if g > 1:
-        phase = 4.0 * math.pi * abs(qa.real) * g * g
-        if run * run * phase > _RUN_PHASE:
-            run = max(2, int(math.sqrt(_RUN_PHASE / phase)))
+    phase = 4.0 * math.pi * abs(qa.real)
+    if run * run * phase > _RUN_PHASE:
+        run = int(math.sqrt(_RUN_PHASE / phase))
     # The walk runs outward from i0, up to i_hi and down to i_lo, in runs of
-    # up to `run` terms.  A term goes to slot_v[i - base], the index
+    # up to `run` terms.  n = s + i0 is the n in s + Z nearest n_star, found
+    # from n_star and s mod 1 alone, so every s of one class mod 1 anchors
+    # its runs at the same n.  A term goes to slot_v[i - base], the index
     # of its series where i lies in the value range of that series and width
     # (a slot that is dropped) elsewhere; slot_d is the same for the
     # derivatives.
-    i0 = round(i_star)
+    i0 = math.floor(n_star - s % 1 + 0.5) - math.floor(s)
     i_lo, i_hi = min(lo_v), max(hi_v)
     if want_dv:
         i_lo, i_hi = min(i_lo, min(lo_d)), max(i_hi, max(hi_d))
@@ -224,19 +231,18 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
         for i in chain(range(i0, i_hi + 1, run), range(i0 - 1, i_lo - 1, -run)):
             step = 1 if i >= i0 else -1
             count = min(run, i_hi + 1 - i if step > 0 else i + 1 - i_lo)
-            # Every run walks away from n_star (the first starts within g/2
+            # Every run walks away from n_star (the first starts within 1/2
             # of it), so |e^{2 pi i w}| grows along it, and its first
             # `walked` terms are the ones the recurrence may form, if there
             # are two or more of them: then the ratio (and that of the
             # ratios, for three or more) is below e^{_WALK_LOG_SPAN}.
-            n = s + g * i
-            h = step * g
+            n = s + i
             u = n - n_star
             low = log_c + a_n * u * u
             walked = 0
             if _WALK_LOG_MIN <= low <= _WALK_LOG_MAX:
                 reach = math.sqrt((min(_WALK_LOG_MAX, low + _WALK_LOG_SPAN) - log_c) / a_n)
-                walked = math.floor((reach - step * u) / g) + 1
+                walked = math.floor(reach - step * u) + 1
                 walked = 0 if walked < 2 else min(walked, count)
             k = i - base
             if step > 0:
@@ -251,8 +257,8 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
                 sd = slot_d[k:k - count:-1] if k >= count else slot_d[k::-1]
             if walked:
                 e = cexp(TWO_PI_I * n * (qa * n + v))
-                r = cexp(TWO_PI_I * h * (qa * (2.0 * n + h) + v))
-                q2 = cexp(2.0 * TWO_PI_I * qa * g * g) if walked > 2 else 0j
+                r = cexp(TWO_PI_I * step * (qa * (2.0 * n + step) + v))
+                q2 = cexp(2.0 * TWO_PI_I * qa) if walked > 2 else 0j
                 if want_dv:
                     for bv, bd in zip(sv[:walked], sd):
                         if bv < width or bd < width:
@@ -262,7 +268,7 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
                             ders[bd] += n * t - dscale * exp(-c2 * d * d) * e
                         e *= r
                         r *= q2
-                        n += h
+                        n += step
                 else:
                     for b in sv[:walked]:
                         if b < width:
@@ -272,7 +278,7 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
                             vals[b] += (erfc(c * d) if n >= s else -erfc(-c * d)) * e
                         e *= r
                         r *= q2
-                        n += h
+                        n += step
             for bv, bd in zip(sv[walked:], sd[walked:]):
                 if bv < width or bd < width:
                     d = n - n_star
@@ -282,7 +288,7 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
                     vals[bv] += t
                     if want_dv:
                         ders[bd] += n * t - dscale * cexp(w - c2 * d * d)
-                n += h
+                n += step
     except OverflowError as exc:
         raise DomainError(f"a series term overflowed a double ({exc})") from exc
     del vals[width], ders[width]
@@ -297,31 +303,10 @@ def _r_series(s: float, m: float, tau: complex, v: complex, policy: TruncationPo
     return out
 
 
-def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPolicy,
-             want_dv: bool = False, buckets: tuple | None = None):
-    """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
-    2m-1, or with want_dv the pair of it and the tuple of
-    (1/2 pi i) dR_{s+r;m}/dv, from one sum over n = s + l, l in Z.  With
-    buckets, a tuple of r in ascending order, only those are summed, and
-    the others are 0.
-
-    The residues s + r + 2mZ cover s + Z once, so the term at l belongs to
-    R_{s+r;m} for r = l mod 2m.  Its exponential factor
-    e^{2 pi i n (-n tau / 4m + v)} is a quadratic exponential in l, formed
-    by recurrence from an exact anchor every ANCHOR_EVERY terms, so a term
-    costs one erfc, and its derivative one real exp more.  The value part
-    does not depend on want_dv, to the bit.
-    """
-    width = round(2.0 * m)
-    return _r_series(s, m, tau, v, policy, want_dv, width,
-                     tuple(range(width)) if buckets is None else buckets)
-
-
 def r_correction(idx: CorrectionIndex, tau: complex, v: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """R_{j;m}(tau, v): the walk of r_window over j + 2mZ alone, in runs
-    shortened where Re tau turns its ratios fast."""
-    return _r_series(float(idx.j), float(idx.m), tau, v, policy, False, 1, (0,))[0]
+    """R_{j;m}(tau, v): series 0 of the window at s = j."""
+    return r_window(float(idx.j), float(idx.m), tau, v, policy, buckets=(0,))[0]
 
 
 def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
@@ -332,7 +317,7 @@ def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
         (1/2 pi i) d/dv [(sgn - E(x_n)) e^{2 pi i n v}]
             = (n (sgn - E(x_n)) - sqrt(m/Im tau) e^{-pi x_n^2} / pi) e^{...}.
     """
-    vals, ders = _r_series(float(idx.j), float(idx.m), tau, v, policy, True, 1, (0,))
+    vals, ders = r_window(float(idx.j), float(idx.m), tau, v, policy, True, (0,))
     return vals[0], ders[0]
 
 
@@ -477,21 +462,3 @@ def psi_tilde_d0(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
     slope = float(idx.m) * (float(idx.b) - float(idx.a)) / idx.M
     return pref * v, pref * (slope * v + d)
 
-
-def s_independence_report(m: int, s_list, tau_list=None, z_pairs=None,
-                          policy: TruncationPolicy = DEFAULT_POLICY):
-    """Max pairwise deviation of Phi-tilde^{[m;s]} across s_list on a fixed
-    grid.  Integer s values must agree; half-integer ones need not."""
-    if tau_list is None:
-        tau_list = [2.0j, 0.3 + 1.1j]
-    if z_pairs is None:
-        z_pairs = [(0.23 + 0.11j, 0.41 - 0.07j), (0.13 - 0.21j, 0.06 + 0.17j)]
-    worst = 0.0
-    for tau in tau_list:
-        for z1, z2 in z_pairs:
-            vals = [phi_tilde(MockIndex.of(m, s), tau, z1, z2, 0.0, policy)
-                    for s in s_list]
-            for i in range(len(vals)):
-                for k in range(i + 1, len(vals)):
-                    worst = max(worst, abs(vals[i] - vals[k]))
-    return worst

@@ -141,23 +141,25 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
            seed: int = 1, param_filter: dict | None = None) -> VerificationReport:
     spec = get_spec(identity_id)
     n_tau, n_z = grid if grid is not None else spec.grid
-    if spec.runner is not None:
-        max_err, skipped = spec.runner(policy)
-        passed = max_err <= spec.tol if spec.check == "close" else max_err > spec.tol
-        return VerificationReport(spec.id, spec.citation,
-                                  {"n_tau": n_tau, "n_z": n_z, "seed": seed},
-                                  spec.tol, max_err, passed, skipped)
     # identity residuals are absolute, so points whose (possibly shifted)
     # arguments come near a pole are skipped instead of contributing
     # amplified rounding noise
-    policy = TruncationPolicy(policy.tol, policy.n_max, max(policy.pole_guard, 0.02))
-    pts = standard_grid(n_tau, n_z, seed, policy)
+    guarded = TruncationPolicy(policy.tol, policy.n_max, max(policy.pole_guard, 0.02))
+    # a runner id refuses the grids and filters the others refuse, too
+    pts = standard_grid(n_tau, n_z, seed, guarded)
     params = spec.params
     if param_filter:
         params = [p for p in params
                   if all(str(p.get(k)) == str(v) for k, v in param_filter.items())]
         if not params:
             raise ValueError(f"no parameter set of {identity_id} matches {param_filter}")
+    if spec.runner is not None:
+        max_err, skipped = spec.runner(policy)
+        passed = max_err <= spec.tol if spec.check == "close" else max_err > spec.tol
+        return VerificationReport(spec.id, spec.citation,
+                                  {"n_tau": n_tau, "n_z": n_z, "seed": seed},
+                                  spec.tol, max_err, passed, skipped)
+    policy = guarded
     max_err = 0.0
     skipped = 0
     total = 0

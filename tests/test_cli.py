@@ -139,10 +139,15 @@ def test_verify_usage_error(capsys):
     ["eval", "--fn", "phi_tilde", "--m", "1", "--s", "0", "--tau", "i",
      "--z1", "0.1+30i", "--z2", "0.2"],
     ["verify", "--id", "eq1.3", "--grid", "9x1"],
+    ["verify", "--id", "prop11.15", "--grid", "9x1"],
+    ["verify", "--id", "rem12.5", "--grid", "0x1"],
+    ["verify", "--id", "prop11.15", "--m", "2"],
 ])
 def test_refused_inputs_exit_2(args, capsys):
-    # an overflowing series term, a truncation cap hit and a grid with more
-    # tau values than the fixed tau list are errors, not tracebacks
+    # an overflowing series term, a truncation cap hit, a grid with more
+    # tau values than the fixed tau list or with none, and a filter no
+    # parameter set matches are errors, not tracebacks, for the ids with a
+    # runner too
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -19,7 +20,6 @@ from mockforms.modification import (
     r_correction,
     r_correction_dv,
     r_window,
-    s_independence_report,
 )
 from mockforms.theta import ThetaIndex, theta_jm
 from oracle_refs import oracle, r_dv_reference
@@ -230,10 +230,20 @@ def test_phi1_tilde_assembly_and_sign_convention():
     assert sgood < 1e-10
 
 
-def test_s_independence_report():
-    assert s_independence_report(2, [0, 1, 2]) < 1e-10
-    assert s_independence_report(1, [0, 1, 2]) < 1e-13
-    assert s_independence_report(2, [0, F(1, 2)]) > 1e-3
+def test_phi_tilde_is_independent_of_integer_s():
+    # the largest pairwise deviation of Phi-tilde^{[m;s]} across the s values
+    # on a fixed grid: integer s agree, a half-integer s need not
+    def spread(m, s_list):
+        worst = 0.0
+        for tau in (2.0j, 0.3 + 1.1j):
+            for z1, z2 in ((0.23 + 0.11j, 0.41 - 0.07j), (0.13 - 0.21j, 0.06 + 0.17j)):
+                vals = [phi_tilde(MockIndex.of(m, s), tau, z1, z2, 0.0, P) for s in s_list]
+                worst = max(worst, *(abs(a - b) for a, b in itertools.combinations(vals, 2)))
+        return worst
+
+    assert spread(2, [0, 1, 2]) < 1e-10
+    assert spread(1, [0, 1, 2]) < 1e-13
+    assert spread(2, [0, F(1, 2)]) > 1e-3
 
 
 def test_psi_tilde_reduces_to_psi_at_degree_one():

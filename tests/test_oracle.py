@@ -131,9 +131,11 @@ def test_r_correction_dv(j, m, y, x, vr, vu, tol):
     _within(der, r_dv_reference(j, m, tau, v), tol)
 
 
-# One series alone walks n in j + 2mZ, and where Re tau turns its ratios
-# fast its runs are shortened: at these points full runs read 0.084 and
-# 0.73 of the bound (values) and 0.082 and 0.19 (derivatives).
+# R_{j;m} is series 0 of the window at s = j, walked in steps of 1 in runs
+# shortened where Re tau turns the ratios fast.  A walk over j + 2mZ alone
+# in steps of 2m and full runs read 0.084 and 0.73 of the bound here
+# (values) and 0.082 and 0.19 (derivatives); the window reads 0.010 and
+# 0.018 (values) and 0.010 and 0.0011 (derivatives).
 @pytest.mark.parametrize("j, m, tau, v", [
     (17, 6, 2.80 + 0.11j, 0.14 - 0.13j),
     (-8, 20, -19.72 + 0.006j, 0.46 + 0.0172j),

@@ -384,6 +384,18 @@ def test_r_window_refuses_exactly_where_one_series_would(s, m, tau, v, want_dv, 
                 single(idx, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo))
 
 
+@pytest.mark.parametrize("s, m, tau, v", R_POINTS + R_FAR_POINTS)
+def test_r_correction_is_its_series_of_the_window(s, m, tau, v):
+    # one walk sums every R_{j;m}: series r of the window at s is
+    # r_correction at j = s + r, to the bit, values and derivatives
+    window = modification.r_window(s, m, tau, v, TruncationPolicy())
+    values, derivatives = modification.r_window(s, m, tau, v, TruncationPolicy(), True)
+    for r in range(round(2 * m)):
+        idx = modification.CorrectionIndex.of(s + r, m)
+        assert window[r] == modification.r_correction(idx, tau, v)
+        assert (values[r], derivatives[r]) == modification.r_correction_dv(idx, tau, v)
+
+
 @pytest.mark.parametrize("s, m, tau, v", R_FAR_POINTS)
 def test_r_window_far_turning_point(s, m, tau, v, monkeypatch):
     # n* = 2m Im v / Im tau = +-100, so log_c = -pi n*^2 / 4 ~ -7,850: the
