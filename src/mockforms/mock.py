@@ -108,12 +108,13 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
 
         D0 (N/D) = s N/D + N w/D^2.
     """
-    tau = _check_point(tau, z1, z2)
     memo = _POINT_MEMO.get()
     if memo is not None:
         key = ("phi1", m, s, tau, z1, z2, policy, sign, want_d0)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
+    tau = _check_point(tau, z1, z2)
+    if memo is not None:
         # the guard depends on (z1, tau, policy) alone: a passed scan is
         # recorded for the point, a refusal is raised again on every call
         pole_key = ("pole", z1, tau, policy)

@@ -151,8 +151,6 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     derivatives.  The value part does not depend on want_dv, to the bit, and
     a series does not depend on which others are summed with it.
     """
-    tau = _check_point(tau, v)
-    v = complex(v)
     width = round(2.0 * m)
     if buckets is None:
         buckets = tuple(range(width))
@@ -161,6 +159,8 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
         key = ("R", buckets, s, m, tau, v, policy, want_dv)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
+    tau = _check_point(tau, v)
+    v = complex(v)
     scale = math.sqrt(tau.imag / m)
     n_star = 2.0 * m * v.imag / tau.imag
     if not math.isfinite(n_star):

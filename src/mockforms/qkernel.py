@@ -95,7 +95,8 @@ DEFAULT_POLICY = TruncationPolicy()
 
 # Leaf-kernel memo: a dict while verifier.verify evaluates one grid point, None
 # at any other time.  Kernels store only results they return, never errors,
-# and look a key up once, with memo.get(key, _MISS).
+# and look a key up once, with memo.get(key, _MISS), before _check_point: a
+# hit is an input equal to one that has passed the check.
 _POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
 _MISS = object()
 

@@ -53,7 +53,6 @@ class ThetaIndex:
 def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Theta_{j,m}(tau, z, t), absolute error <= policy.tol."""
-    tau = _check_point(tau, z, t)
     m = idx.m.twice / 2
     # the offset j/2m reduced into [0, 1), correctly rounded
     base = (idx.j.twice % (2 * idx.m.twice)) / (2 * idx.m.twice)
@@ -62,6 +61,7 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
         key = ("theta", base, m, tau, z, t, policy)
         if (s := memo.get(key, _MISS)) is not _MISS:
             return s
+    tau = _check_point(tau, z, t)
     # |q^{m n^2} e^{2 pi i m n z}| = e^{a n*^2 - a (n - n*)^2} exactly, with
     # a = 2 pi m Im tau and n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
@@ -140,12 +140,12 @@ def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> com
     truncation error <= policy.tol.  Below Im tau = ETA_DIRECT, tau is first
     moved up (_eta_reduce), so that the value keeps its relative precision
     where it is tiny."""
-    tau = _check_point(tau)
     memo = _POINT_MEMO.get()
     if memo is not None:
         key = ("eta", tau, policy)
         if (eta := memo.get(key, _MISS)) is not _MISS:
             return eta
+    tau = _check_point(tau)
     factor = 1.0
     if tau.imag < ETA_DIRECT:
         tau, factor = _eta_reduce(tau)

@@ -1,12 +1,14 @@
 """Identity registry, grid harness, and report generation.
 
 Every transformation law carries an id, a citation anchor, a tag, its own
-tolerance and grid size, a parameter domain, and a closure
-pair(pt, policy, **params) that returns one (lhs, rhs) pair, or a list of
-them, at an evaluation point.  Most laws are records checked by the one
-evaluator _laws(); the rest are hand-written closures.  verify() runs one
-id over the deterministic standard grid; suite() runs a tag in registry
-order.
+tolerance and grid size, a parameter domain, and a plan: plan(**params)
+does the exact work of one parameter set (index objects, phases,
+coefficient tables) and returns run(pt, policy), which evaluates one
+(lhs, rhs) pair, or a list of them, at a grid point with float kernels
+only.  Most laws are records planned by the one evaluator _laws(); the
+rest are hand-written.  verify() plans each parameter set of one id once
+per call, then runs the plans over the deterministic standard grid;
+suite() runs a tag in registry order.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -58,7 +60,7 @@ class IdentitySpec:
     tag: str
     tol: float
     params: list
-    pair: object            # pair(pt, policy, **params) -> (lhs, rhs) or a list of them
+    plan: object            # plan(**params) -> run(pt, policy) -> (lhs, rhs) or a list of them
     grid: tuple = (3, 2)
     check: str = "close"    # or "exceeds"
     runner: object = None   # custom: callable(policy) -> (max_err, extra)
@@ -160,16 +162,15 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
                                   {"n_tau": n_tau, "n_z": n_z, "seed": seed},
                                   spec.tol, max_err, passed, skipped)
     policy = guarded
+    runs = [spec.plan(**prm) for prm in params]
     max_err = 0.0
     skipped = 0
-    total = 0
     for pt in pts:
         token = _POINT_MEMO.set({})
         try:
-            for prm in params:
-                total += 1
+            for run in runs:
                 try:
-                    pairs = spec.pair(pt, policy, **prm)
+                    pairs = run(pt, policy)
                 except PoleProximityError:
                     skipped += 1
                     continue
@@ -182,7 +183,7 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
     if spec.check == "exceeds":
         passed = max_err > spec.tol
     else:
-        passed = max_err <= spec.tol and skipped < 0.2 * total
+        passed = max_err <= spec.tol and skipped < 0.2 * len(pts) * len(runs)
     return VerificationReport(spec.id, spec.citation,
                               {"n_tau": n_tau, "n_z": n_z, "seed": seed},
                               spec.tol, max_err, passed, skipped)
@@ -206,33 +207,44 @@ def suite(tag: str, policy: TruncationPolicy = DEFAULT_POLICY, seed: int = 1) ->
 # ---------------------------------------------------------------------------
 
 def _laws(obj, args, laws):
-    """The pair closure of laws stated as records.  obj(x, tau, *a, policy)
-    is the family member at index x, and args(pt) gives a.  laws(**params)
-    lists records (x, image, y, c), each checking obj(x, *image(tau, *a))
-    against c * obj(y, tau, *a).  c is None (no factor), an exact constant
-    or a callable of (tau, *a); a y that is a list of (coefficient, index)
-    is summed from 0.0j in list order, each of its indices evaluated once
-    per call, since the S-rows of a family share their terms.  A record
-    holds only exact data of its parameter set, never a value at a point."""
-    def pair(pt, policy, **params):
-        tau, a = pt.tau, args(pt)
-        at = {}
-        out = []
+    """The plan of laws stated as records.  obj(x, tau, *a, policy) is the
+    family member at index x, and args(pt) gives a.  laws(**params) lists
+    records (x, image, y, c), each checking obj(x, *image(tau, *a)) against
+    c * obj(y, tau, *a).  c is None (no factor), a constant or a callable of
+    (tau, *a); a y that is a list of (coefficient, index) is summed from
+    0.0j in list order, each of its distinct indices evaluated once per
+    point, since the S-rows of a family share their terms.  A record holds
+    only exact data of its parameter set.  The plan calls laws once and
+    gives each distinct index of the lists a value slot."""
+    def plan(**params):
+        slots, recs = {}, []
         for x, image, y, c in laws(**params):
-            lhs = obj(x, *image(tau, *a), policy)
             if isinstance(y, list):
-                rhs = 0.0j
-                for cy, iy in y:
-                    if iy not in at:
-                        at[iy] = obj(iy, tau, *a, policy)
-                    rhs += cy * at[iy]
-            else:
-                rhs = obj(y, tau, *a, policy)
-            if c is not None:
-                rhs = (c(tau, *a) if callable(c) else c) * rhs
-            out.append((lhs, rhs))
-        return out
-    return pair
+                # [(slot, index) first met in this row, (coefficient, slot) terms]
+                y = [[(slots.setdefault(iy, len(slots)), iy) for _, iy in y if iy not in slots],
+                     [(cy, slots[iy]) for cy, iy in y]]
+            recs.append((x, image, y, c))
+
+        def run(pt, policy):
+            tau, a = pt.tau, args(pt)
+            at = [None] * len(slots)
+            out = []
+            for x, image, y, c in recs:
+                lhs = obj(x, *image(tau, *a), policy)
+                if isinstance(y, list):
+                    for slot, iy in y[0]:
+                        at[slot] = obj(iy, tau, *a, policy)
+                    rhs = 0.0j
+                    for cy, slot in y[1]:
+                        rhs += cy * at[slot]
+                else:
+                    rhs = obj(y, tau, *a, policy)
+                if c is not None:
+                    rhs = (c(tau, *a) if callable(c) else c) * rhs
+                out.append((lhs, rhs))
+            return out
+        return run
+    return plan
 
 
 def _same(tau, *a):
@@ -274,15 +286,15 @@ def _theta_pairs():
         [{"m": m, "j": j, "a": a} for m in (1, 2, 3) for j in range(2 * m)
          for a in (1, -2)], theta(eq12a), grid=(5, 5)))
 
+    def eq12b(m, j, k):
+        ck, ch = complex(-Fraction(k * k, 4 * m)), complex(-Fraction(k, 2))
+        return [(ThetaIndex.of(j, m), lambda tau, z, t: (tau, z + k * tau / m, t),
+                 ThetaIndex.of(j + k, m), lambda tau, z, t: e2pi(ck * tau) * e2pi(ch * z))]
+
     register(IdentitySpec(
         "eq1.2b", "theta elliptic law, tau-direction shift", "theta", 1e-9,
         [{"m": m, "j": j, "k": k} for m in (1, 2, 3) for j in range(2 * m)
-         for k in (1, -1)],
-        theta(lambda m, j, k: [(
-            ThetaIndex.of(j, m), lambda tau, z, t: (tau, z + k * tau / m, t),
-            ThetaIndex.of(j + k, m),
-            lambda tau, z, t: e2pi(-Fraction(k * k, 4 * m) * tau) * e2pi(-Fraction(k, 2) * z))]),
-        grid=(5, 5)))
+         for k in (1, -1)], theta(eq12b), grid=(5, 5)))
 
     register(IdentitySpec(
         "eq1.3", "theta S-transform", "theta", 1e-9,
@@ -330,7 +342,7 @@ def _theta_pairs():
 
     register(IdentitySpec(
         "theta.triple", "odd Jacobi theta vs triple product", "theta", 1e-12,
-        [{}], tp, grid=(5, 5)))
+        [{}], lambda: tp, grid=(5, 5)))
 
     register(IdentitySpec(
         "eta.mod", "Dedekind eta S and T transforms", "theta", 1e-10, [{}],
@@ -340,42 +352,57 @@ def _theta_pairs():
         grid=(5, 2)))
 
 
-def _mock_pairs():
-    def lem11(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.05
-        lhs = 2 * phi(MockIndex.of(m, s), 2 * tau, z1, z2, t, policy)
+def _doubling(f):
+    """The plan of the doubling law of the assembly f (phi or phi_tilde):
+    2 f_{m,s}(2 tau, z1, z2, t) = f_{2m,2s}(tau, z1/2, z2/2, t/2)
+    + (-1)^{2s} f_{2m,2s}(tau, (z1 + 1)/2, (z2 - 1)/2, t/2)."""
+    def plan(m, s):
+        idx, dbl = MockIndex.of(m, s), MockIndex.of(2 * Fraction(m), 2 * Fraction(s))
         sgn = (-1.0) ** int(2 * Fraction(s))
-        rhs = (phi(MockIndex.of(2 * Fraction(m), 2 * Fraction(s)), tau, z1 / 2, z2 / 2, t / 2, policy)
-               + sgn * phi(MockIndex.of(2 * Fraction(m), 2 * Fraction(s)), tau,
-                           (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy))
-        return lhs, rhs
 
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            t = 0.05
+            lhs = 2 * f(idx, 2 * tau, z1, z2, t, policy)
+            rhs = (f(dbl, tau, z1 / 2, z2 / 2, t / 2, policy)
+                   + sgn * f(dbl, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy))
+            return lhs, rhs
+        return run
+    return plan
+
+
+def _mock_pairs():
     register(IdentitySpec(
         "lemma1.1", "doubling identity for the Appell assembly", "mock", 1e-10,
         [{"m": m, "s": s} for m in (1, 2, Fraction(1, 2)) for s in (0, H, 1)],
-        lem11))
+        _doubling(phi)))
 
-    def rem13a(pt, policy):
+    def rem13a(pt, policy, idx):
         tau, (z1, z2, _) = pt.tau, pt.zs
-        lhs = phi(MockIndex.of(1, 0), tau, z1, z2, 0, policy)
+        lhs = phi(idx, tau, z1, z2, 0, policy)
         rhs = (-1j * dedekind_eta(tau, policy) ** 3 * jacobi_theta(1, 1, tau, z1 + z2, policy)
                / (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy)))
         return lhs, rhs
 
     register(IdentitySpec(
-        "rem1.3-phi", "degree-one closed form", "mock", 1e-10, [{}], rem13a,
+        "rem1.3-phi", "degree-one closed form", "mock", 1e-10, [{}],
+        lambda: partial(rem13a, idx=MockIndex.of(1, 0)),
         grid=(5, 3)))
 
-    def rem13b(pt, policy, M, eps, j, k):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        lhs = psi_tilde(PsiIndex.of(M, 1, 0, eps, j, k), tau, z1, z2, 0, policy)
-        eta3 = dedekind_eta(M * tau, policy) ** 3
-        rhs = (-1j * e2pi(Fraction(j * k, M) * tau) * e2pi(Fraction(k, M) * z1 + Fraction(j, M) * z2)
-               * eta3 * jacobi_theta(1, 1, M * tau, z1 + z2 + (j + k) * tau, policy)
-               / (jacobi_theta(1, 1, M * tau, z1 + j * tau + float(eps), policy)
-                  * jacobi_theta(1, 1, M * tau, z2 + k * tau - float(eps), policy)))
-        return lhs, rhs
+    def rem13b(M, eps, j, k):
+        idx, e = PsiIndex.of(M, 1, 0, eps, j, k), float(eps)
+        cjk, ck, cj = (complex(Fraction(a, M)) for a in (j * k, k, j))
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            lhs = psi_tilde(idx, tau, z1, z2, 0, policy)
+            eta3 = dedekind_eta(M * tau, policy) ** 3
+            rhs = (-1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2)
+                   * eta3 * jacobi_theta(1, 1, M * tau, z1 + z2 + (j + k) * tau, policy)
+                   / (jacobi_theta(1, 1, M * tau, z1 + j * tau + e, policy)
+                      * jacobi_theta(1, 1, M * tau, z2 + k * tau - e, policy)))
+            return lhs, rhs
+        return run
 
     register(IdentitySpec(
         "rem1.3-psi", "degree-one wrapped closed form", "mock", 1e-10,
@@ -391,19 +418,18 @@ def _mock_pairs():
         signed(lambda m, s: [((MockIndex.of(m, s), 1), lambda tau, z1, z2, t: (tau, -z2, -z1, t),
                               (MockIndex.of(m, s), 1), -1)])))
 
-    def eq110eps(pt, policy):
+    def eq110eps(pt, policy, idx):
         # the two half-shift placements agree for integer degree and index
         tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(2, 1)
         a, b, eps, M = 1.0, -1.0, 0.5, 3
-        pref = e2pi(Fraction(2, 3) * a * b * tau + Fraction(2, 3) * (b * z1 + a * z2))
+        pref = e2pi(2 / 3 * a * b * tau + 2 / 3 * (b * z1 + a * z2))
         v1 = pref * phi(idx, M * tau, z1 + a * tau + eps, z2 + b * tau + eps, 0, policy)
         v2 = pref * phi(idx, M * tau, z1 + a * tau + eps, z2 + b * tau - eps, 0, policy)
         return v1, v2
 
     register(IdentitySpec(
         "eq1.10eps", "both wrapper half-shift placements agree (integer case)",
-        "mock", 1e-10, [{}], eq110eps))
+        "mock", 1e-10, [{}], lambda: partial(eq110eps, idx=MockIndex.of(2, 1))))
 
     # the minus-signed family is index-shift invariant for integer indices
     # only; the half-integer minus case is recorded as failing alongside its
@@ -415,27 +441,30 @@ def _mock_pairs():
         signed(lambda sign, sa, sb: [((MockIndex.of(H, sa), sign), _same,
                                       (MockIndex.of(H, sb), sign), None)])))
 
-    def eq504(pt, policy, sign, eps):
+    def eq504(pt, policy, sign, idx, e):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
         delta = 0 if sign > 0 else 1
-        lhs = phi(MockIndex.of(H, eps), tau, z1, z2, t, policy, sign)
+        lhs = phi(idx, tau, z1, z2, t, policy, sign)
         rhs = (-1j * e2pi(t / 2) * dedekind_eta(tau, policy) ** 3
                * jacobi_theta(1, 1, tau, z1 + z2, policy)
                / (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy))
-               * jacobi_theta(int(2 * Fraction(eps)), delta, tau, (z1 - z2) / 2, policy)
-               / jacobi_theta(int(2 * Fraction(eps)), delta, tau, (z1 + z2) / 2, policy))
+               * jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
+               / jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy))
         return lhs, rhs
+
+    eq504_plan = lambda sign, eps: partial(eq504, sign=sign, idx=MockIndex.of(H, eps),
+                                           e=int(2 * Fraction(eps)))
 
     register(IdentitySpec(
         "eq5.04", "signed half-degree closed forms (the three valid combos)",
         "mock", 1e-10,
         [{"sign": 1, "eps": 0}, {"sign": 1, "eps": H}, {"sign": -1, "eps": 0}],
-        eq504))
+        eq504_plan))
 
     register(IdentitySpec(
         "eq5.04x", "recorded losing convention: the minus/half-shift closed form fails",
-        "mock", 1e-3, [{"sign": -1, "eps": H}], eq504, check="exceeds"))
+        "mock", 1e-3, [{"sign": -1, "eps": H}], eq504_plan, check="exceeds"))
 
 
 def _s_jacobi(tau, z1, z2, t):
@@ -467,24 +496,16 @@ def _modification_pairs():
                           "modification", 1e-6, dom, tilde(0.02, lambda m, s: [(
                               MockIndex.of(m, s), _T, MockIndex.of(m, s), None)])))
 
-    def add_zero(pt, policy, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        return phi_add(MockIndex.of(1, s), tau, z1, z2, 0, policy), 0.0
+    def add_zero(s):
+        idx = MockIndex.of(1, s)
+        return lambda pt, policy: (phi_add(idx, pt.tau, *pt.zs[:2], 0, policy), 0.0)
 
     register(IdentitySpec("phi_add.m1", "degree-one correction vanishes identically",
                           "modification", 0.0, [{"s": 0}, {"s": 2}], add_zero))
 
-    def lem11mod(pt, policy, m, s):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.05
-        lhs = 2 * phi_tilde(MockIndex.of(m, s), 2 * tau, z1, z2, t, policy)
-        rhs = (phi_tilde(MockIndex.of(2 * m, 2 * s), tau, z1 / 2, z2 / 2, t / 2, policy)
-               + phi_tilde(MockIndex.of(2 * m, 2 * s), tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy))
-        return lhs, rhs
-
     register(IdentitySpec("lemma1.1mod", "doubling with the modified assembly",
                           "modification", 1e-8, [{"m": 1, "s": 0}, {"m": 2, "s": 1}],
-                          lem11mod))
+                          _doubling(phi_tilde)))
 
     register(IdentitySpec("sindep", "integer index independence of the modification",
                           "modification", 1e-10, [{}],
@@ -492,15 +513,15 @@ def _modification_pairs():
                               (MockIndex.of(2, s), _same, MockIndex.of(2, 0), None)
                               for s in (1, 2)])))
 
-    def phi1t_s(pt, policy, m):
+    def phi1t_s(pt, policy, m, idx):
         tau, (z1, z2, _) = pt.tau, pt.zs
-        idx = MockIndex.of(m, 0)
         lhs = (phi1_tilde(idx, -1 / tau, z1 / tau, z2 / tau, policy)
                * e2pi(m * (-z1 * z2 / tau)))
         return lhs, tau * phi1_tilde(idx, tau, z1, z2, policy)
 
     register(IdentitySpec("rem1.2", "S-invariance of the one-sided modification",
-                          "modification", 1e-6, [{"m": 1}, {"m": 2}], phi1t_s))
+                          "modification", 1e-6, [{"m": 1}, {"m": 2}],
+                          lambda m: partial(phi1t_s, m=m, idx=MockIndex.of(m, 0))))
 
     MM = [{"M": M, "m": m} for (M, m) in ((3, 1), (3, 2), (5, 2))]
     wrapped = lambda t, laws: _laws(psi_tilde, _zs(t), laws)
@@ -543,11 +564,11 @@ def _modification_pairs():
     def lem49(M, m):
         j, k = 1, 0
         A, B = H, -H
+        c, cm, ca, cb = (complex(x) for x in (-Fraction(m, M) * A * B, -Fraction(m, M), A, B))
         return [(PsiIndex.of(M, m, 0, 0, j, k),
                  lambda tau, z1, z2, t: (tau, z1 + float(A) * tau, z2 + float(B) * tau, t),
                  PsiIndex.of(M, m, 0, 0, Fraction(j) + A, Fraction(k) + B),
-                 lambda tau, z1, z2, t: (e2pi(-Fraction(m, M) * A * B * tau)
-                                         * e2pi(-Fraction(m, M) * (B * z1 + A * z2))))]
+                 lambda tau, z1, z2, t: e2pi(c * tau) * e2pi(cm * (cb * z1 + ca * z2)))]
 
     register(IdentitySpec("lemma4.9", "wrapper half-integer tau-shift law",
                           "modification", 1e-8, MM, wrapped(0, lem49)))
@@ -626,18 +647,23 @@ def _n3_pairs():
             [{"M": 3, "n": 1, "variant": variant}, {"M": 3, "n": 2, "variant": variant}],
             f(rem415)))
 
-    def rem413(pt, policy, M, eps, sg, sgp):
-        tau, z = pt.tau, pt.z
+    def rem413(M, eps, sg, sgp):
         j, k = (1, 2) if M > 1 else (0, 0)
-        lhs = n3.f_function(fidx(M, 1, eps, sg, sgp, j, k), tau, z, policy)
-        pref = (-1j * e2pi(Fraction(1, 2 * M) * (k - j) * sg)
-                * e2pi(tau * Fraction(1, M) * (j + sgp / 2) * (k - sgp / 2))
-                * e2pi(Fraction(1, 2 * M) * (j + k) * z))
-        num = (dedekind_eta(M * tau, policy) ** 3
-               * jacobi_theta(1, 1, M * tau, z + (j + k) * tau, policy))
-        d1 = jacobi_theta(1, 1, M * tau, (z + float(sg) + float(sgp) * tau) / 2 + j * tau + float(eps), policy)
-        d2 = jacobi_theta(1, 1, M * tau, (z - float(sg) - float(sgp) * tau) / 2 + k * tau - float(eps), policy)
-        return lhs, pref * num / (d1 * d2)
+        idx, e, fs, fsp = fidx(M, 1, eps, sg, sgp, j, k), float(eps), float(sg), float(sgp)
+        ph = -1j * e2pi(Fraction(1, 2 * M) * (k - j) * sg)
+        c1, c2, c3, cz = (complex(c) for c in (Fraction(1, M), j + sgp / 2, k - sgp / 2,
+                                               Fraction(1, 2 * M) * (j + k)))
+
+        def run(pt, policy):
+            tau, z = pt.tau, pt.z
+            lhs = n3.f_function(idx, tau, z, policy)
+            pref = ph * e2pi(tau * c1 * c2 * c3) * e2pi(cz * z)
+            num = (dedekind_eta(M * tau, policy) ** 3
+                   * jacobi_theta(1, 1, M * tau, z + (j + k) * tau, policy))
+            d1 = jacobi_theta(1, 1, M * tau, (z + fs + fsp * tau) / 2 + j * tau + e, policy)
+            d2 = jacobi_theta(1, 1, M * tau, (z - fs - fsp * tau) / 2 + k * tau - e, policy)
+            return lhs, pref * num / (d1 * d2)
+        return run
 
     register(IdentitySpec(
         "rem4.13", "f-basis closed form at unit degree", "n3", 1e-9,
@@ -656,47 +682,37 @@ def _n3_pairs():
     register(IdentitySpec("rem4.14", "f-basis reductions at modular scale one",
                           "n3", 1e-8, [{"n": 1}, {"n": 2}], f(rem414)))
 
-    def eq5x(pt, policy, m2, which):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.04
-        m = Fraction(-3, 4)
-        wu = n3.N3Weight(False, m, m2)
-        wd = n3.N3Weight(True, m, m2)
-        eta3 = dedekind_eta(2 * tau, policy) ** 3
-        th = lambda a, b, zz: jacobi_theta(a, b, 2 * tau, zz, policy)
-        if which == 5:
-            lhs = n3.supercharacter_numerator(wu, tau, z1, z2, t, False, policy)
-            rhs = (1j * e2pi(-t / 4) * eta3 * th(1, 1, z1 - z2) * th(1 - m2, 0, (z1 + z2) / 2)
-                   / (th(1, 1, z1) * th(1, 1, z2) * th(1 - m2, 0, (z1 - z2) / 2)))
-        elif which == 6:
-            lhs = n3.supercharacter_numerator(wd, tau, z1, z2, t, False, policy)
-            rhs = (-1j * e2pi(-t / 4) * eta3 * th(1, 1, z1 - z2) * th(1 - m2, 0, (z1 + z2) / 2)
-                   / (th(0, 1, z1) * th(0, 1, z2) * th(m2, 0, (z1 - z2) / 2)))
-        elif which == 7:
-            # the character/twisted rows carry recorded unit constants pinned
-            # by the collapsing-level identities
-            lhs = n3.character_numerator(wu, tau, z1, z2, t, False, policy)
-            rhs = ((-1j) ** (m2 + 1)
-                   * 1j * e2pi(-t / 4) * eta3 * th(1, 1, z1 - z2) * th(1 - m2, 1, (z1 + z2) / 2)
-                   / (th(1, 0, z1) * th(1, 0, z2) * th(1 - m2, 0, (z1 - z2) / 2)))
-        elif which == 8:
-            lhs = n3.character_numerator(wd, tau, z1, z2, t, False, policy)
-            rhs = ((-1j) ** (m2 + 1)
-                   * 1j * e2pi(-t / 4) * eta3 * th(1, 1, z1 - z2) * th(1 - m2, 1, (z1 + z2) / 2)
-                   / (th(0, 0, z1) * th(0, 0, z2) * th(m2, 0, (z1 - z2) / 2)))
-        elif which == 9:
-            lhs = n3.twisted_character_numerator(wu, tau, z1, z2, t, False, policy)
-            rhs = ((1j) ** (m2 + 1)
-                   * 1j * e2pi(-t / 4) * e2pi(-tau / 16) * e2pi((z1 + z2) / 8) * eta3
-                   * th(1, 1, z1 - z2) * th(1 - m2, 1, (z1 + z2 - tau) / 2)
-                   / (th(1, 0, z1 - tau / 2) * th(1, 0, z2 - tau / 2) * th(1 - m2, 0, (z1 - z2) / 2)))
-        else:
-            lhs = n3.twisted_character_numerator(wd, tau, z1, z2, t, False, policy)
-            rhs = ((-1j) ** (1 - m2)
-                   * -1j * e2pi(-t / 4) * e2pi(-tau / 16) * e2pi((z1 + z2) / 8) * eta3
-                   * th(1, 1, z1 - z2) * th(1 - m2, 1, (z1 + z2 - tau) / 2)
-                   / (th(0, 0, z1 - tau / 2) * th(0, 0, z2 - tau / 2) * th(m2, 0, (z1 - z2) / 2)))
-        return lhs, rhs
+    def eq5x(m2, which):
+        # (numerator, unit constant, theta labels of the z1 and z2
+        # denominators, b label of the (z1 + z2)/2 theta, twisted); the
+        # character and twisted rows carry recorded unit constants pinned by
+        # the collapsing-level identities
+        num, u, (a, b), b1, twisted = {
+            5: (n3.supercharacter_numerator, 1j, (1, 1), 0, False),
+            6: (n3.supercharacter_numerator, -1j, (0, 1), 0, False),
+            7: (n3.character_numerator, (-1j) ** (m2 + 1) * 1j, (1, 0), 1, False),
+            8: (n3.character_numerator, (-1j) ** (m2 + 1) * 1j, (0, 0), 1, False),
+            9: (n3.twisted_character_numerator, (1j) ** (m2 + 1) * 1j, (1, 0), 1, True),
+            10: (n3.twisted_character_numerator, (-1j) ** (1 - m2) * -1j, (0, 0), 1, True),
+        }[which]
+        dotted = which % 2 == 0
+        w = n3.N3Weight(dotted, Fraction(-3, 4), m2)
+        c = m2 if dotted else 1 - m2
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            t = 0.04
+            th = lambda a, b, zz: jacobi_theta(a, b, 2 * tau, zz, policy)
+            lhs = num(w, tau, z1, z2, t, False, policy)
+            pre = u * e2pi(-t / 4)
+            s = tau if twisted else 0   # subtracting 0 leaves a complex as it is
+            if twisted:
+                pre = pre * e2pi(-tau / 16) * e2pi((z1 + z2) / 8)
+            rhs = (pre * dedekind_eta(2 * tau, policy) ** 3
+                   * th(1, 1, z1 - z2) * th(1 - m2, b1, (z1 + z2 - s) / 2)
+                   / (th(a, b, z1 - s / 2) * th(a, b, z2 - s / 2) * th(c, 0, (z1 - z2) / 2)))
+            return lhs, rhs
+        return run
 
     for which in (5, 6, 7, 8, 9, 10):
         register(IdentitySpec(
@@ -715,23 +731,22 @@ def _n3_pairs():
                           _laws(lambda x, tau, z1, z2, t, policy: n3.b_value(
                               x[0], x[1], tau, z1, z2, t, x[2], False, policy), _zs(0.03), eq35)))
 
-    def p37(pt, policy, m, M, J, k1, k2, dotted, modified):
+    def p37(pt, policy, w, modified):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
-        w = n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2)
-        a = n3.numerator_B(w, tau, z1, z2, t, modified, policy)
-        b = n3.admissible_numerator_psi(w, tau, z1, z2, t, modified, policy)
-        return a, b
+        return (n3.numerator_B(w, tau, z1, z2, t, modified, policy),
+                n3.admissible_numerator_psi(w, tau, z1, z2, t, modified, policy))
 
     register(IdentitySpec(
         "prop3.7", "translated numerators vs wrapped assembly", "n3", 1e-9,
         [{"m": Fraction(-3, 4), "M": 3, "J": J, "k1": k1, "k2": k2,
           "dotted": d, "modified": mod}
          for (J, k1, k2) in (("I", 0, 1), ("III", 0, 1)) for d in (False, True)
-         for mod in (False, True)], p37))
+         for mod in (False, True)],
+        lambda m, M, J, k1, k2, dotted, modified: partial(
+            p37, w=n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2), modified=modified)))
 
-    def th411(pt, policy, m, M, J, k1, k2, dotted):
-        tau, z = pt.tau, pt.z
+    def th411(m, M, J, k1, k2, dotted):
         w = n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2)
         n_ = w.n
         if J == "I":
@@ -740,26 +755,30 @@ def _n3_pairs():
         else:
             jj = Fraction(k1 + 2 * k2 - (M if dotted else 0), 2)
             kk = -Fraction(k1 + (M if dotted else 0), 2)
-        combos = {"ns_plus": (H, H), "ns_minus": (Fraction(0), H), "ramond": (H, Fraction(0))}
         # the exact scalars: the sign of admissible_numerator_psi, divided
         # for the characters by the constant character_numerator applies
         sign = 0.5 if J == "I" else -0.5
         char_sign = sign / (1j * e2pi(-n3._lambda_theta(w) / 2))
-        out = []
-        for sector, (sg, sgp) in combos.items():
-            if sector == "ns_minus":
-                h, c = n3.supercharacter_numerator(
-                    w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy), sign
-            elif sector == "ns_plus":
-                h, c = n3.character_numerator(
-                    w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy), char_sign
-            else:
-                h, c = n3.character_numerator(w, tau, z, -z, 0.0, True, policy), char_sign
-            f = (n3.f_function(n3.FIndex.of(M, n_, 0, sg, sgp, jj, kk), tau, z, policy)
-                 - (-1.0) ** w.m2
-                 * n3.f_function(n3.FIndex.of(M, n_, H, sg, sgp, jj, kk), tau, z, policy))
-            out.append((h, c * f))
-        return out
+        sgn = (-1.0) ** w.m2
+        # (numerator, half-period shift, scalar, sigma, sigma') per sector
+        rows = [(num, shift, c, *(n3.FIndex.of(M, n_, e, sg, sgp, jj, kk) for e in (0, H)))
+                for num, shift, c, sg, sgp in (
+                    (n3.character_numerator, True, char_sign, H, H),
+                    (n3.supercharacter_numerator, True, sign, Fraction(0), H),
+                    (n3.character_numerator, False, char_sign, H, Fraction(0)))]
+
+        def run(pt, policy):
+            tau, z = pt.tau, pt.z
+            out = []
+            for num, shift, c, f0, fh in rows:
+                if shift:
+                    h = num(w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy)
+                else:
+                    h = num(w, tau, z, -z, 0.0, True, policy)
+                f = n3.f_function(f0, tau, z, policy) - sgn * n3.f_function(fh, tau, z, policy)
+                out.append((h, c * f))
+            return out
+        return run
 
     register(IdentitySpec(
         "th4.11", "reduced numerators equal f-combinations up to scalars", "n3",
@@ -768,13 +787,11 @@ def _n3_pairs():
                {"m": Fraction(-1, 1), "M": 3, "J": "I", "k1": 1, "k2": 0, "dotted": False}],
         th411, grid=(4, 3)))
 
-    def c1(pt, policy, dotted, m2, sector, s):
+    def c1(pt, policy, w, sector, idx):
         tau, z = pt.tau, pt.z
-        m = Fraction(-3, 4)
-        w = n3.N3Weight(dotted, m, m2)
         v = n3.qhr_character(w, tau, z, sector, False, policy)
-        tgt = (0.0 if s is None else
-               theta_jm(ThetaIndex.of(s, 1), tau, z, 0, policy) / dedekind_eta(tau, policy))
+        tgt = (0.0 if idx is None else
+               theta_jm(idx, tau, z, 0, policy) / dedekind_eta(tau, policy))
         return v, tgt
 
     register(IdentitySpec(
@@ -791,36 +808,31 @@ def _n3_pairs():
          {"dotted": True, "m2": 0, "sector": "ns_plus", "s": 1},
          {"dotted": True, "m2": 1, "sector": "ramond", "s": 1},
          {"dotted": False, "m2": 0, "sector": "ramond", "s": None},
-         {"dotted": True, "m2": 0, "sector": "ramond", "s": None}], c1, grid=(3, 2)))
+         {"dotted": True, "m2": 0, "sector": "ramond", "s": None}],
+        lambda dotted, m2, sector, s: partial(
+            c1, w=n3.N3Weight(dotted, Fraction(-3, 4), m2), sector=sector,
+            idx=None if s is None else ThetaIndex.of(s, 1)), grid=(3, 2)))
 
 
-def _balanced(a, b, M: int, m: int, eps):
-    """Balanced index representatives in (-M/2, M/2] and the phase the
-    translation into them costs; keeps the wrapper evaluations well
-    conditioned at small Im tau (the raw representatives carry huge inverse
-    nome powers)."""
-    def red(v: Fraction):
-        alpha = math.floor(v / M + H)
-        return v - alpha * M, alpha
-
-    a0, al = red(Fraction(a))
-    b0, be = red(Fraction(b))
-    ph = e2pi(Fraction(m * (al - be) * HalfInt.of(eps).twice, 2))
-    return HalfInt.of(a0), HalfInt.of(b0), ph
-
-
-def _psi_p_reduced(M, m, eps, a, b, tau, z1, z2, t, policy):
-    a0, b0, ph = _balanced(a, b, M, m, eps)
-    return ph * n4.psi_P(M, m, eps, a0, b0, tau, z1, z2, t, policy)
-
-
-def _chi_reduced(alpha, M, m, eps, epsp, a, b, tau, z, policy):
-    a0, b0, ph = _balanced(a, b, M, m, eps)
-    return ph * n4.chi(n4.ChiIndex.of(alpha, M, m, eps, epsp, a0, b0), tau, z, policy)
+def _balanced_table(M: int, eps, m: int, j, k, epsb) -> list:
+    """(c, ph, a0, b0) for each (c, a, b) of _s_table(M, eps, -m, j, k), with
+    a0, b0 the representatives of a, b in (-M/2, M/2] and ph the phase of
+    that translation at the shift epsb.  They keep the wrapper evaluations
+    well conditioned at small Im tau (the raw representatives carry huge
+    inverse nome powers)."""
+    out = []
+    for c, a, b in _s_table(M, eps, -m, j, k):
+        al, be = math.floor(a / M + H), math.floor(b / M + H)
+        ph = e2pi(Fraction(m * (al - be) * HalfInt.of(epsb).twice, 2))
+        out.append((c, ph, HalfInt.of(a - al * M), HalfInt.of(b - be * M)))
+    return out
 
 
 def _n4_pairs():
-    def lem63(pt, policy, m):
+    # the plan of a law in m and the modified assembly at index (-m, 0)
+    tilde_plan = lambda f: lambda m: partial(f, m=m, idx=MockIndex.of(-m, 0))
+
+    def lem63(pt, policy, m, idx, ph):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
         g = lambda tt, a, b, T: n4.g_numerator(m, tt, a, b, T, policy)
@@ -830,24 +842,26 @@ def _n4_pairs():
         a, b = 1, 0
         lhs = g(tau, z + a * tau, z + b * tau, t - (a + b) * z)
         rhs = (m / 2 * (b - a) * e2pi(m * a * b * tau) * e2pi(m * t)
-               * phi_tilde(MockIndex.of(-m, 0), tau, z, z, 0, policy))
+               * phi_tilde(idx, tau, z, z, 0, policy))
         out.append((lhs, rhs))
         lhs = g(tau, z + 0.5 + a * tau, z + 0.5 + b * tau, t - (a + b) * z)
-        rhs = (m / 2 * (b - a) * e2pi(Fraction(m * (a + b), 2)) * e2pi(m * a * b * tau)
-               * e2pi(m * t) * phi_tilde(MockIndex.of(-m, 0), tau, z + 0.5, z + 0.5, 0, policy))
+        rhs = (m / 2 * (b - a) * ph * e2pi(m * a * b * tau)
+               * e2pi(m * t) * phi_tilde(idx, tau, z + 0.5, z + 0.5, 0, policy))
         out.append((lhs, rhs))
         return out
 
     register(IdentitySpec("lemma6.3", "derivative numerator: S and collapse laws",
-                          "n4", 1e-6, [{"m": -1}, {"m": -2}], lem63))
+                          "n4", 1e-6, [{"m": -1}, {"m": -2}],
+                          # ph = e(m (a + b) / 2) at the (a, b) = (1, 0) of lem63
+                          lambda m: partial(lem63, m=m, idx=MockIndex.of(-m, 0),
+                                            ph=e2pi(Fraction(m, 2)))))
 
-    def lem62(pt, policy, m):
+    def lem62(pt, policy, m, idx):
         # hypothesis and conclusion of the derivative transfer, instantiated
         # on the modified assembly: the S-law and swap symmetry of the input
         # together with the S-law of its derivative combination
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
-        idx = MockIndex.of(-m, 0)
         f = lambda tt, a, b, T: e2pi(m * T) * phi_tilde(idx, tt, a, b, 0.0, policy)
         out = [(f(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
                 tau * f(tau, z1, z2, t)),
@@ -857,12 +871,11 @@ def _n4_pairs():
         return out
 
     register(IdentitySpec("lemma6.2", "derivative transfer: hypothesis and conclusion",
-                          "n4", 1e-6, [{"m": -2}], lem62))
+                          "n4", 1e-6, [{"m": -2}], tilde_plan(lem62)))
 
-    def lem64(pt, policy, m):
+    def lem64(pt, policy, m, idx):
         tau, z = pt.tau, pt.z
         lhs = n4.g_numerator(m, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
-        idx = MockIndex.of(-m, 0)
         out = [(lhs, -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
                 * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
                (lhs, -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
@@ -870,11 +883,10 @@ def _n4_pairs():
         return out
 
     register(IdentitySpec("lemma6.4", "derivative numerator collapse on the shifted diagonal",
-                          "n4", 1e-7, [{"m": -1}, {"m": -2}], lem64))
+                          "n4", 1e-7, [{"m": -1}, {"m": -2}], tilde_plan(lem64)))
 
-    def rem65(pt, policy, m):
+    def rem65(pt, policy, m, idx):
         tau, z = pt.tau, pt.z
-        idx = MockIndex.of(-m, 0)
         lhs = phi_tilde(idx, tau, z + tau / 2, z - tau / 2, -tau / 4, policy)
         return [(lhs, e2pi(-m * z) * e2pi(-m * tau / 4)
                  * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
@@ -882,20 +894,21 @@ def _n4_pairs():
                  * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy))]
 
     register(IdentitySpec("rem6.5", "modified assembly collapse on the shifted diagonal",
-                          "n4", 1e-8, [{"m": -1}, {"m": -2}], rem65))
+                          "n4", 1e-8, [{"m": -1}, {"m": -2}], tilde_plan(rem65)))
 
-    def p71a(pt, policy, m, m2):
+    def p71a(pt, policy, m, m2, w, idx):
         tau, z = pt.tau, pt.z
-        w = n4.N4Weight(m, m2)
         va = n4.qhr_character_integrable(w, tau, z, "plus", policy)
         m0 = m + m2
         alt = (-((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
-               * phi_tilde(MockIndex.of(-m, 0), tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
+               * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
                / n4.n4_denominator(tau, z, H, H, policy))
         return va, alt
 
     register(IdentitySpec("prop7.1a", "two closed forms of the reduced character agree",
-                          "n4", 1e-8, [{"m": -1, "m2": 0}, {"m": -2, "m2": 1}], p71a))
+                          "n4", 1e-8, [{"m": -1, "m2": 0}, {"m": -2, "m2": 1}],
+                          lambda m, m2: partial(p71a, m=m, m2=m2, w=n4.N4Weight(m, m2),
+                                                idx=MockIndex.of(-m, 0))))
 
     def denominated(x, tau, z, policy):
         """the reduced character at index x = (weight, sector) times its denominator"""
@@ -934,10 +947,9 @@ def _n4_pairs():
                               x[0], tau, z, x[1], policy), lambda pt: (pt.z,), th73b),
                           grid=(2, 2)))
 
-    def rem74(pt, policy, m):
+    def rem74(pt, policy, m, w):
         # deliberately wrong twist: the S-relation must fail visibly
         tau, z = pt.tau, pt.z
-        w = n4.N4Weight(m, 1)
 
         def bad_tw(tt, zz):
             w1, w2, wt = n4.w0_prime_point(tt, zz + tt / 2, zz - tt / 2, tt / 4)
@@ -950,7 +962,8 @@ def _n4_pairs():
         return lhs, rhs
 
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
-                          "n4", 1e-2, [{"m": -2}], rem74, grid=(2, 2), check="exceeds"))
+                          "n4", 1e-2, [{"m": -2}], lambda m: partial(rem74, m=m, w=n4.N4Weight(m, 1)),
+                          grid=(2, 2), check="exceeds"))
 
     # the index of a derivative wrapper is (M, m, eps, j, k); g_numerator(m)
     # is the wrapper (1, m, 0, 0, 0)
@@ -975,99 +988,109 @@ def _n4_pairs():
     register(IdentitySpec("lemma8.3", "derivative wrapper diagonal shifts", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem83)))
 
-    def lem85(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def lem85(M, m):
         j, k = HalfInt(2), HalfInt(0)
-        lhs = n4.psi_P(M, m, Fraction(0), j, k, tau, z1, z2, 0, policy)
         jv, kv = j.value, k.value
-        pref = e2pi(-Fraction(m, M) * jv * kv * tau) * e2pi(-Fraction(m, M) * (kv * z1 + jv * z2))
-        g = n4.g_numerator(m, M * tau, z1 + jv * tau, z2 + kv * tau, 0, policy)
-        v = phi_tilde(MockIndex.of(-m, 0), M * tau, z1 + jv * tau, z2 + kv * tau, 0, policy)
-        rhs = pref * (g + Fraction(m * (jv - kv), 2 * M) * v)
-        return lhs, rhs
+        idx = MockIndex.of(-m, 0)
+        c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * jv * kv, -Fraction(m, M),
+                                                  jv, kv, Fraction(m * (jv - kv), 2 * M)))
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            lhs = n4.psi_P(M, m, Fraction(0), j, k, tau, z1, z2, 0, policy)
+            pref = e2pi(c * tau) * e2pi(cm * (ck * z1 + cj * z2))
+            g = n4.g_numerator(m, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
+            v = phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
+            return lhs, pref * (g + cv * v)
+        return run
 
     register(IdentitySpec("lemma8.5", "derivative wrapper explicit form", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem85))
 
-    def lem84(pt, policy, M, m):
+    def lem84(M, m):
         # termwise derivative of the modification at index-shifted arguments
         # in terms of the derivative numerator and the multiplier split
-        tau, (z1, z2, _) = pt.tau, pt.zs
         j, k, eps = 1, -1, 0.5
-        idx = MockIndex.of(-m, 0)
-        v, d = phi_tilde_d0(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, policy)
-        g = n4.g_numerator(m, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
-        rhs = g - (m * (z1 - z2) / (2 * M * tau) + Fraction(m * (j - k), 2 * M)) * v
-        return d, rhs
+        idx, c = MockIndex.of(-m, 0), complex(Fraction(m * (j - k), 2 * M))
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            v, d = phi_tilde_d0(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, policy)
+            g = n4.g_numerator(m, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
+            return d, g - (m * (z1 - z2) / (2 * M * tau) + c) * v
+        return run
 
     register(IdentitySpec("lemma8.4", "shifted-argument derivative split", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem84))
 
-    def rem86(pt, policy, m, eps):
-        tau, z = pt.tau, pt.z
+    def rem86(m, eps):
         j = HalfInt(2) if eps == 0 else HalfInt(1)
         k = HalfInt(0) if eps == 0 else HalfInt(-1)
-        return n4.psi_P(1, m, eps, j, k, tau, z, z, 0.07, policy), 0.0
+        return lambda pt, policy: (n4.psi_P(1, m, eps, j, k, pt.tau, pt.z, pt.z, 0.07, policy), 0.0)
 
     register(IdentitySpec("rem8.6", "scale-one derivative wrapper vanishes on the diagonal",
                           "n4", 1e-10, [{"m": -1, "eps": Fraction(0)}, {"m": -2, "eps": H}],
                           rem86))
 
-    def p87(pt, policy, M, m, which):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def p87(M, m, which):
         t = 0.02
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(2), HalfInt(-2)
-        if which == "S":
+        if which == "T":
+            # off the diagonal the tau-dependent multiplier spoils the T-shift,
+            # so the T-law is the diagonal statement used by the chi basis
+            ph, e = e2pi(-Fraction(m, M) * j.value * k.value), abs(Fraction(eps) - Fraction(epsp))
+            return lambda pt, policy: (
+                n4.psi_P(M, m, eps, j, k, pt.tau + 1, pt.z, pt.z, t, policy),
+                ph * n4.psi_P(M, m, e, j, k, pt.tau, pt.z, pt.z, t, policy))
+        terms = _balanced_table(M, eps, m, j.value, k.value, epsp)
+        cm = complex(-Fraction(m, M))
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
             lhs = n4.psi_P(M, m, eps, j, k, -1 / tau, z1 / tau, z2 / tau, t, policy)
             tot = 0.0j
-            for c, a, b in _s_table(M, eps, -m, j.value, k.value):
-                tot += c * _psi_p_reduced(M, m, epsp, a, b, tau, z1, z2, t, policy)
-            return lhs, tau ** 2 / M * e2pi(-Fraction(m, M) * z1 * z2 / tau) * tot
-        # off the diagonal the tau-dependent multiplier spoils the T-shift,
-        # so the T-law is the diagonal statement used by the chi basis
-        z = pt.z
-        lhs = n4.psi_P(M, m, eps, j, k, tau + 1, z, z, t, policy)
-        rhs = (e2pi(-Fraction(m, M) * j.value * k.value)
-               * n4.psi_P(M, m, abs(Fraction(eps) - Fraction(epsp)), j, k, tau, z, z, t, policy))
-        return lhs, rhs
+            for c, ph, a0, b0 in terms:
+                tot += c * (ph * n4.psi_P(M, m, epsp, a0, b0, tau, z1, z2, t, policy))
+            return lhs, tau ** 2 / M * e2pi(cm * z1 * z2 / tau) * tot
+        return run
 
     register(IdentitySpec("prop8.7", "derivative wrapper S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "which": w} for (M, m) in ((2, -1), (3, -2))
                            for w in ("S", "T")], p87, grid=(2, 2)))
 
-    def rem88(pt, policy, M, m):
-        tau, (z1, z2, _) = pt.tau, pt.zs
+    def rem88(M, m):
+        # rows (function, lhs index, rhs index, phase) over the two families
         j, k = HalfInt(1), HalfInt(-1)
-        out = []
+        rows = []
         for (a, b) in ((1, 0), (0, 1)):
-            lhs = psi_tilde(PsiIndex.of(M, -m, 0, H, j.value + a * M, k.value + b * M),
-                            tau, z1, z2, 0, policy)
-            rhs = (e2pi(Fraction(m * (a - b), 2))
-                   * psi_tilde(PsiIndex.of(M, -m, 0, H, j, k), tau, z1, z2, 0, policy))
-            out.append((lhs, rhs))
-            lhs = n4.psi_P(M, m, H, HalfInt(j.twice + 2 * a * M), HalfInt(k.twice + 2 * b * M),
-                           tau, z1, z2, 0, policy)
-            rhs = (e2pi(Fraction(m * (a - b), 2))
-                   * n4.psi_P(M, m, H, j, k, tau, z1, z2, 0, policy))
-            out.append((lhs, rhs))
-        return out
+            ph = e2pi(Fraction(m * (a - b), 2))
+            rows += [(psi_tilde, (PsiIndex.of(M, -m, 0, H, j.value + a * M, k.value + b * M),),
+                      (PsiIndex.of(M, -m, 0, H, j, k),), ph),
+                     (n4.psi_P, (M, m, H, HalfInt(j.twice + 2 * a * M), HalfInt(k.twice + 2 * b * M)),
+                      (M, m, H, j, k), ph)]
+
+        def run(pt, policy):
+            tau, (z1, z2, _) = pt.tau, pt.zs
+            return [(f(*x, tau, z1, z2, 0, policy), ph * f(*y, tau, z1, z2, 0, policy))
+                    for f, x, y, ph in rows]
+        return run
 
     register(IdentitySpec("rem8.8", "wrapper and derivative wrapper index periodicity",
                           "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], rem88))
 
-    def th96(pt, policy, M, m, J, k1, k2, m2):
-        tau, z = pt.tau, pt.z
+    def th96(M, m, J, k1, k2, m2):
         w = n4.N4Weight(m, m2, M, J, k1, k2)
         if n4.qhr_characteristics(w)["vanishes"]:
-            return 0.0, 0.0
-        out = []
-        for sector in n4.SECTORS:
-            a = n4.qhr_character_admissible(w, tau, z, sector, policy)
-            num = n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sector, policy)
-            b = num / n4.n4_denominator(tau, z, *n4._QHR_EPS[sector], policy)
-            out.append((a, b))
-        return out
+            return lambda pt, policy: (0.0, 0.0)
+
+        def run(pt, policy):
+            tau, z = pt.tau, pt.z
+            return [(n4.qhr_character_admissible(w, tau, z, sector, policy),
+                     n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sector, policy)
+                     / n4.n4_denominator(tau, z, *n4._QHR_EPS[sector], policy))
+                    for sector in n4.SECTORS]
+        return run
 
     register(IdentitySpec(
         "th9.6", "chi assembly equals the substituted numerators", "n4", 1e-8,
@@ -1075,68 +1098,76 @@ def _n4_pairs():
          {"M": 3, "m": -2, "J": "I", "k1": 1, "k2": 0, "m2": 1},
          {"M": 3, "m": -2, "J": "III", "k1": 0, "k2": 1, "m2": 0}], th96, grid=(2, 2)))
 
-    def th97(pt, policy, M, m, alpha, which):
-        tau, z = pt.tau, pt.z
+    def th97(M, m, alpha, which):
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(2), HalfInt(-2)
-        ci = lambda e, ep, jj, kk: n4.ChiIndex.of(alpha, M, m, e, ep, jj, kk)
-        if which == "S":
-            lhs = n4.chi(ci(eps, epsp, j, k), -1 / tau, z / tau, policy)
+        x = n4.ChiIndex.of(alpha, M, m, eps, epsp, j, k)
+        if which == "T":
+            ph = e2pi(-Fraction(m, M) * j.value * k.value - Fraction(1, 2) * epsp)
+            y = n4.ChiIndex.of(alpha, M, m, abs(Fraction(eps) - Fraction(epsp)), epsp, j, k)
+            return lambda pt, policy: (n4.chi(x, pt.tau + 1, pt.z, policy),
+                                       ph * n4.chi(y, pt.tau, pt.z, policy))
+        terms = [(c, ph, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
+        sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
+        cw = -2j * math.pi * (Fraction(m, M) + 1)
+
+        def run(pt, policy):
+            tau, z = pt.tau, pt.z
+            lhs = n4.chi(x, -1 / tau, z / tau, policy)
             tot = 0.0j
-            for c, a, b in _s_table(M, eps, -m, j.value, k.value):
-                tot += c * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)
-            sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
-            rhs = (sgn * tau ** alpha / M
-                   * cmath.exp(-2j * math.pi * (Fraction(m, M) + 1) * z * z / tau) * tot)
-            return lhs, rhs
-        lhs = n4.chi(ci(eps, epsp, j, k), tau + 1, z, policy)
-        ph = e2pi(-Fraction(m, M) * j.value * k.value - Fraction(1, 2) * epsp)
-        rhs = ph * n4.chi(ci(abs(Fraction(eps) - Fraction(epsp)), epsp, j, k), tau, z, policy)
-        return lhs, rhs
+            for c, ph, y in terms:
+                tot += c * (ph * n4.chi(y, tau, z, policy))
+            return lhs, sgn * tau ** alpha / M * cmath.exp(cw * z * z / tau) * tot
+        return run
 
     register(IdentitySpec("th9.7", "chi S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "alpha": a, "which": w}
                            for (M, m) in ((2, -1), (3, -2)) for a in (0, 1)
                            for w in ("S", "T")], th97, grid=(2, 2)))
 
-    def th98a(pt, policy, M, m, alpha):
-        tau, z = pt.tau, pt.z
+    def th98a(M, m, alpha):
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(3), HalfInt(1)
-        lhs = 0.0j
-        for c, a, b in _s_table(M, eps, -m, j.value, k.value):
-            lhs += c * _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)
-        rhs = 0.0j
+        # the S-sum over (a, b) in (eps + {0..M-1})^2, a outer, and its
+        # rewriting over a <= b with sine (alpha = 1) or cosine weights
+        cells = [(c, ph, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
+        terms = []
         for ia in range(M):
-            for ib in range(ia, M):
+            for ib in range(ia + alpha, M):   # alpha = 1 leaves out a = b
                 a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                base = _chi_reduced(alpha, M, m, epsp, eps, a, b, tau, z, policy)
                 arg = math.pi * float(Fraction(m, M) * (k.value - j.value) * (a - b))
                 ph = cmath.exp(1j * math.pi * float(Fraction(m, M) * (j.value + k.value) * (a + b)))
-                if alpha == 1:
-                    if a == b:
-                        continue
-                    rhs += 2j * ph * math.sin(arg) * base
-                else:
-                    rhs += (2 - (1 if a == b else 0)) * ph * math.cos(arg) * base
-        return lhs, rhs
+                w = (2j * ph * math.sin(arg) if alpha == 1
+                     else (2 - (1 if a == b else 0)) * ph * math.cos(arg))
+                terms.append((w, ia * M + ib))
+
+        def run(pt, policy):
+            vals = [ph * n4.chi(x, pt.tau, pt.z, policy) for _, ph, x in cells]
+            lhs, rhs = 0.0j, 0.0j
+            for (c, _, _), v in zip(cells, vals):
+                lhs += c * v
+            for w, slot in terms:
+                rhs += w * vals[slot]
+            return lhs, rhs
+        return run
 
     register(IdentitySpec("th9.8a", "sine/cosine rewriting of the chi S-sum", "n4",
                           1e-8, [{"M": M, "m": m, "alpha": a}
                                  for (M, m) in ((2, -1), (3, -2)) for a in (0, 1)],
                           th98a, grid=(2, 2)))
 
-    def rem95(pt, policy, M, m):
-        tau, z = pt.tau, pt.z
+    def rem95(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        out = [(n4.chi(n4.ChiIndex.of(1, M, m, H, H, j, k), tau, z, policy),
-                -n4.chi(n4.ChiIndex.of(1, M, m, H, H, k, j), tau, z, policy)),
-               (n4.chi(n4.ChiIndex.of(0, M, m, H, H, j, k), tau, z, policy),
-                n4.chi(n4.ChiIndex.of(0, M, m, H, H, k, j), tau, z, policy)),
-               (n4.chi(n4.ChiIndex.of(1, M, m, H, H, j, j), tau, z, policy), 0.0),
-               (n4.chi(n4.ChiIndex.of(1, 1, m, H, Fraction(0), HalfInt(2), HalfInt(0)),
-                       tau, z, policy), 0.0)]
-        return out
+        x1, x2, x3, x4, x5 = (n4.ChiIndex.of(alpha, M, m, H, H, jj, kk) for alpha, jj, kk in (
+            (1, j, k), (1, k, j), (0, j, k), (0, k, j), (1, j, j)))
+        x6 = n4.ChiIndex.of(1, 1, m, H, Fraction(0), HalfInt(2), HalfInt(0))
+
+        def run(pt, policy):
+            chi = lambda x: n4.chi(x, pt.tau, pt.z, policy)
+            return [(chi(x1), -chi(x2)), (chi(x3), chi(x4)), (chi(x5), 0.0), (chi(x6), 0.0)]
+        return run
 
     register(IdentitySpec("rem9.5", "chi symmetries and vanishing", "n4", 1e-10,
                           [{"M": 3, "m": -2}], rem95))
@@ -1167,12 +1198,13 @@ def _d21a_pairs():
         pr = d2.D21Params(p, q, n)
         big = 2 * n * (p + q)
         j = 1
+        K = complex(pr.K)
         if lab == "S":
             return [((which, j, pr), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
                      [(e2pi(Fraction(-j * k, big)), (which, k, pr)) for k in range(big)],
                      lambda tau, z1, z2, z3, t: (
                          cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                         * e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau))))]
+                         * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau))))]
         return [((which, j, pr), _T, (which, j, pr), e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
@@ -1180,13 +1212,10 @@ def _d21a_pairs():
                            for p in (1, 2) for w in ("P", "Q") for lab in ("S", "T")],
                           pq(p1021), grid=(2, 2)))
 
-    def lem112(pt, policy):
+    def lem112():
         pr = P211
-        tau, zs = pt.tau, pt.zs
-        t = 0.02
         j = 1
         big = pr.n * (pr.p + pr.q)
-        pts = (zs[0], zs[1], zs[2], t)
         rows = [("minus", "f", Fraction(0), Fraction(0), 0, 1.0),
                 ("plus", "f", H, Fraction(0), 0, 1.0),
                 ("minus_tw", "f", Fraction(0), H, 0, -1.0),
@@ -1195,26 +1224,32 @@ def _d21a_pairs():
                 ("minus_tw", "g", Fraction(0), H, big, -1.0),
                 ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
                 ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p)))]
-        return [(d2.PQ_function("P" if which == "f" else "Q", j, pr, tau, *pts, variant, policy),
-                 sgn * d2.fg_lower(which, j + shift, pr, el, epl, tau, *pts, policy))
-                for variant, which, el, epl, shift, sgn in rows]
+
+        def run(pt, policy):
+            pts = (*pt.zs, 0.02)
+            return [(d2.PQ_function("P" if which == "f" else "Q", j, pr, pt.tau, *pts, variant,
+                                    policy),
+                     sgn * d2.fg_lower(which, j + shift, pr, el, epl, pt.tau, *pts, policy))
+                    for variant, which, el, epl, shift, sgn in rows]
+        return run
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
                           "d21a", 1e-8, [{}], lem112))
 
-    def lem117(pt, policy, eps, epsp):
+    def lem117(pt, policy, eps, epsp, flip):
         pr = P211
         tau = pt.tau
         y2, y3 = pt.zs[0], pt.zs[1]
         hrpt = d2.hr_point(tau, y2, y3)
         out = [(d2.fg_lower("f", 1, pr, eps, epsp, tau, *hrpt, policy),
-                d2.FG_function("F", 1 + pr.n * pr.p, pr, eps, H - epsp, tau, y2, y3, policy)),
+                d2.FG_function("F", 1 + pr.n * pr.p, pr, eps, flip, tau, y2, y3, policy)),
                (d2.fg_lower("g", 1, pr, eps, epsp, tau, *hrpt, policy),
-                d2.FG_function("G", 1 + pr.n * pr.q, pr, eps, H - epsp, tau, y2, y3, policy))]
+                d2.FG_function("G", 1 + pr.n * pr.q, pr, eps, flip, tau, y2, y3, policy))]
         return out
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
-                          "d21a", 1e-8, EPS_PAIRS, lem117))
+                          "d21a", 1e-8, EPS_PAIRS,
+                          lambda eps, epsp: partial(lem117, eps=eps, epsp=epsp, flip=H - epsp)))
 
     # the index of a reduced basis function is (which, j, eps, epsp)
     fg = lambda laws: _laws(lambda x, tau, y2, y3, policy: d2.FG_function(
@@ -1265,11 +1300,12 @@ def _d21a_pairs():
         deg = pr.n * (pr.p if which == "f" else pr.q)
         j = 1
         ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
+        K = complex(pr.K)
         return [((which, j, eps, epsp), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
                  [(e2pi(Fraction(-j * k, big)), (which, k, epsp, eps)) for k in range(big)],
                  lambda tau, z1, z2, z3, t: (
                      ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                     * e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
+                     * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
                 ((which, j, eps, epsp), _T, (which, j, abs(Fraction(eps) - Fraction(epsp)), epsp),
                  e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
 
@@ -1281,11 +1317,9 @@ def _d21a_pairs():
                               x[0], x[1], P211, x[2], x[3], tau, z1, z2, z3, t, policy),
                               lambda pt: (*pt.zs, 0.02), p1114), grid=(2, 2)))
 
-    def p1111(pt, policy, m2, m3, flavor):
-        pr = P211
+    def p1111(pt, policy, w, flavor):
         tau = pt.tau
         y2, y3 = pt.zs[0], pt.zs[1]
-        w = d2.D21Weight(pr, 1, m2, m3)
         hr = d2.hr_point(tau, y2, y3)
         a = d2.big_n4_qhr(w, tau, y2, y3, "minus", flavor, policy)
         num = d2.modified_supercharacter_numerator(w, tau, *hr, flavor, policy)
@@ -1296,20 +1330,20 @@ def _d21a_pairs():
                           "d21a", 1e-8,
                           [{"m2": 0, "m3": 0, "flavor": f} for f in ("P", "Q")]
                           + [{"m2": 0, "m3": 1, "flavor": f} for f in ("P", "Q")],
-                          p1111))
+                          lambda m2, m3, flavor: partial(
+                              p1111, w=d2.D21Weight(P211, 1, m2, m3), flavor=flavor)))
 
-    def rem1113(pt, policy, p, s, sector):
-        pr = d2.D21Params(p, 1, 1)
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        w = d2.D21Weight(pr, 1, 0, s)
-        v = d2.big_n4_qhr(w, tau, y2, y3, sector, "Q", policy)
+    def rem1113(p, s, sector):
+        w = d2.D21Weight(d2.D21Params(p, 1, 1), 1, 0, s)
         ts = s if sector in ("minus", "plus") else p - s - 1
-        num = (theta_jm(ThetaIndex.of(ts + 1, p + 1), tau, y3, 0, policy)
-               - theta_jm(ThetaIndex.of(-(ts + 1), p + 1), tau, y3, 0, policy))
-        den = (theta_jm(ThetaIndex.of(1, 2), tau, y3, 0, policy)
-               - theta_jm(ThetaIndex.of(-1, 2), tau, y3, 0, policy))
-        return v, num / den
+        x = [ThetaIndex.of(j, m) for j, m in ((ts + 1, p + 1), (-(ts + 1), p + 1), (1, 2), (-1, 2))]
+
+        def run(pt, policy):
+            tau, (y2, y3, _) = pt.tau, pt.zs
+            v = d2.big_n4_qhr(w, tau, y2, y3, sector, "Q", policy)
+            th = lambda i: theta_jm(x[i], tau, y3, 0, policy)
+            return v, (th(0) - th(1)) / (th(2) - th(3))
+        return run
 
     register(IdentitySpec("rem11.13", "collapsing-level reduced characters", "d21a",
                           1e-8, [{"p": p, "s": s, "sector": sec} for p in (2, 3)
@@ -1338,27 +1372,29 @@ def _d21a_pairs():
     register(IdentitySpec("prop11.15", "no blow-up near candidate second-variable poles",
                           "d21a", 10.0, [{}], None, runner=probe_1115))
 
-    def eq127(pt, policy, eps, epsp, j):
+    def eq127(eps, epsp, j):
         pr = P211
         p = pr.p
-        tau, zs = pt.tau, pt.zs
         t = 0.02
-        z1, z2, z3 = zs
-        lhs = (d2.fg_lower("g", j, pr, eps, epsp, tau, *zs, t, policy)
-               / d2.rhat(tau, *zs, eps, epsp, policy))
         a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
-        th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
-        pref = (e2pi(-Fraction(p, p + 1) * t)
-                / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3)))
-        t1 = (((-1.0) ** (1 - 2 * float(epsp)))
-              * theta_jm(ThetaIndex.of(j, p + 1), tau,
-                         z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
-              * th(a_, b_, z3) * th(a_, b_, z1 - z2 - z3))
-        t2 = (((-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp))))
-              * theta_jm(ThetaIndex.of(-j, p + 1), tau,
-                         z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)
-              * th(a_, b_, z1) * th(a_, b_, z2))
-        return lhs, pref * (t1 - t2)
+        ph = e2pi(-Fraction(p, p + 1) * t)
+        s1 = (-1.0) ** (1 - 2 * float(epsp))
+        s2 = (-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp)))
+        xp, xm = ThetaIndex.of(j, p + 1), ThetaIndex.of(-j, p + 1)
+
+        def run(pt, policy):
+            tau, zs = pt.tau, pt.zs
+            z1, z2, z3 = zs
+            lhs = (d2.fg_lower("g", j, pr, eps, epsp, tau, *zs, t, policy)
+                   / d2.rhat(tau, *zs, eps, epsp, policy))
+            th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
+            pref = ph / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3))
+            t1 = (s1 * theta_jm(xp, tau, z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
+                  * th(a_, b_, z3) * th(a_, b_, z1 - z2 - z3))
+            t2 = (s2 * theta_jm(xm, tau, z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)
+                  * th(a_, b_, z1) * th(a_, b_, z2))
+            return lhs, pref * (t1 - t2)
+        return run
 
     register(IdentitySpec("eq12.7", "boundary quotient explicit form", "d21a", 1e-9,
                           [{**e, "j": 1} for e in EPS_PAIRS], eq127))
@@ -1380,9 +1416,10 @@ def _d21a_pairs():
     def p124a(p):
         pr = d2.D21Params(p, 1, 1)
         sm = d2.s_matrix_and_fusion(p)
+        K = complex(pr.K)
         return [(wt, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
                  list(zip(row, sm["weights"])),
-                 lambda tau, z1, z2, z3, t: e2pi(pr.K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))
+                 lambda tau, z1, z2, z3, t: e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))
                 for wt, row in zip(sm["weights"], sm["S"])]
 
     register(IdentitySpec("prop12.4a", "boundary supercharacter S-rows", "d21a", 1e-6,

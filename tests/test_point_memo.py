@@ -2,13 +2,16 @@
 uncached evaluation bit for bit, errors never cached, and no memo alive
 outside verify()."""
 
+import math
+
 import pytest
 
 import mockforms.verifier as V
-from mockforms.mock import MockIndex, phi, phi1
-from mockforms.modification import CorrectionIndex, r_correction, r_correction_dv
+from mockforms.mock import MockIndex, _phi1_core, phi, phi1
+from mockforms.modification import CorrectionIndex, r_correction, r_correction_dv, r_window
 from mockforms.qkernel import (
     DEFAULT_POLICY,
+    DomainError,
     EvalPoint,
     PoleProximityError,
     TruncationPolicy,
@@ -38,7 +41,7 @@ def evaluate_params(spec, pt):
     out = []
     for prm in spec.params:
         try:
-            out.append(repr(spec.pair(pt, VERIFY_POLICY, **prm)))
+            out.append(repr(spec.plan(**prm)(pt, VERIFY_POLICY)))
         except PoleProximityError as exc:
             out.append(f"PoleProximityError: {exc}")
     return out
@@ -118,6 +121,44 @@ def test_pole_error_is_raised_again_and_not_stored():
     assert size == 0
 
 
+TAU, Z, T = 0.8j, 0.21 - 0.07j, 0.3 + 0.05j
+# each refused point changes one argument of (TAU, Z, T): Im tau <= 0, or a NaN
+REFUSED = [(complex(0.0, -0.8), Z, T), (0.8 + 0j, Z, T), (complex(math.nan, 0.8), Z, T),
+           (TAU, complex(math.nan, -0.07), T), (TAU, Z, complex(0.3, math.nan))]
+
+
+def memoized_kernels(tau, z, t):
+    """The memoized kernels at one point, t as Theta's t and the Appell
+    sums' z2; dedekind_eta, which reads tau only, comes last."""
+    return [lambda: theta_jm(ThetaIndex.of(1, 2), tau, z, t, VERIFY_POLICY),
+            lambda: _phi1_core(1.0, 0.0, tau, z, t, VERIFY_POLICY),
+            lambda: _phi1_core(2.0, 0.5, tau, z, t, VERIFY_POLICY, -1, True),
+            lambda: r_window(0.5, 1.0, tau, z + t, VERIFY_POLICY),
+            lambda: dedekind_eta(tau, VERIFY_POLICY)]
+
+
+@pytest.mark.parametrize("tau, z, t", REFUSED)
+def test_memo_lookup_before_the_check_still_refuses(tau, z, t):
+    # the kernels look the memo up before checking the point: a refused
+    # argument must still raise, and be stored nowhere, after valid calls
+    # at the neighbouring point have filled the memo
+    def refuse():
+        for call in memoized_kernels(TAU, Z, T):
+            call()
+        before = dict(_POINT_MEMO.get())
+        refused = memoized_kernels(tau, z, t)
+        if tau == TAU:
+            refused.pop()   # the refused argument is not one eta reads
+        for call in refused:
+            with pytest.raises(DomainError):
+                call()
+        return before
+
+    before, memo = scoped(refuse)
+    assert len(before) >= 5
+    assert list(memo) == list(before)
+
+
 def test_no_memo_outside_verify():
     assert _POINT_MEMO.get() is None
     theta_jm(ThetaIndex.of(1, 2), 0.5j, 0.1)
@@ -129,14 +170,18 @@ def test_no_memo_outside_verify():
 def test_memo_scope_is_per_point_and_reset_after_errors(monkeypatch):
     spec = V.get_spec("eq1.4")
     seen = []
-    real_pair = spec.pair
+    real_plan = spec.plan
 
-    def recording(pt, policy, **prm):
-        seen.append((pt, id(_POINT_MEMO.get())))
-        assert isinstance(_POINT_MEMO.get(), dict)
-        return real_pair(pt, policy, **prm)
+    def recording(**prm):
+        run = real_plan(**prm)
 
-    monkeypatch.setattr(spec, "pair", recording)
+        def recorded(pt, policy):
+            seen.append((pt, id(_POINT_MEMO.get())))
+            assert isinstance(_POINT_MEMO.get(), dict)
+            return run(pt, policy)
+        return recorded
+
+    monkeypatch.setattr(spec, "plan", recording)
     V.verify("eq1.4")
     assert _POINT_MEMO.get() is None
     memo_of = {}
@@ -144,10 +189,12 @@ def test_memo_scope_is_per_point_and_reset_after_errors(monkeypatch):
         assert memo_of.setdefault(pt, memo_id) == memo_id
     assert len(memo_of) == len(V.standard_grid(*spec.grid, 1))
 
-    def raising(pt, policy, **prm):
-        raise RuntimeError("closure failed")
+    def raising(**prm):
+        def run(pt, policy):
+            raise RuntimeError("closure failed")
+        return run
 
-    monkeypatch.setattr(spec, "pair", raising)
+    monkeypatch.setattr(spec, "plan", raising)
     with pytest.raises(RuntimeError):
         V.verify("eq1.4")
     assert _POINT_MEMO.get() is None

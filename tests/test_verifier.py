@@ -11,6 +11,8 @@ from mockforms.qkernel import (
     UnknownIdentityError,
     _POINT_MEMO,
 )
+from mockforms.theta import ThetaIndex
+import mockforms.family_d21a as d21a
 import mockforms.verifier as V
 
 P = TruncationPolicy()
@@ -105,27 +107,49 @@ def test_grid_25_points():
     assert len(V.standard_grid(5, 5, 1)) == 25
 
 
+@pytest.mark.parametrize("identity, owner, name", [
+    ("prop12.4a", d21a, "s_matrix_and_fusion"),
+    ("eq1.3", ThetaIndex, "of"),
+])
+def test_exact_work_is_once_per_parameter_set(monkeypatch, identity, owner, name):
+    # verify plans each parameter set once, so the exact work of a law does
+    # not grow with the grid
+    real = getattr(owner, name)
+    calls = []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for grid in ((1, 1), None):
+        calls.clear()
+        V.verify(identity, grid=grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    if identity == "prop12.4a":
+        assert counts[0] == len(V.get_spec(identity).params)
+
+
 PAIRS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_pairs.json"
 
 
 def _pair_hashes(seed):
     """{id: [8-hex sha256 prefix of repr((lhs, rhs)), or "skip"]} over every
-    non-runner id at its registered grid, walked as verify() walks it: grid
-    points outer, parameter sets inner, one memo per point, "skip" for a
-    parameter set that raises PoleProximityError."""
+    non-runner id at its registered grid, walked as verify() walks it: one
+    plan per parameter set, grid points outer, parameter sets inner, one
+    memo per point, "skip" for a parameter set that raises
+    PoleProximityError."""
     policy = TruncationPolicy(P.tol, P.n_max, max(P.pole_guard, 0.02))
     out = {}
     for ident in V.registry_ids():
         spec = V.get_spec(ident)
         if spec.runner is not None:
             continue
+        runs = [spec.plan(**prm) for prm in spec.params]
         hashes = out[ident] = []
         for pt in V.standard_grid(*spec.grid, seed, policy):
             token = _POINT_MEMO.set({})
             try:
-                for prm in spec.params:
+                for run in runs:
                     try:
-                        pairs = spec.pair(pt, policy, **prm)
+                        pairs = run(pt, policy)
                     except PoleProximityError:
                         hashes.append("skip")
                         continue
