@@ -30,10 +30,11 @@ VERIFY_FILTER_KEYS = ("m", "s", "M", "n", "p", "q", "m2")
 
 
 def parse_complex(s: str) -> complex:
-    """Accepts "a+bi" / "a-bi" / "bi" / "a" with decimal components."""
+    """Accepts "a+bi" / "a-bi" / "bi" / "a" with decimal components; an
+    empty string is not a number."""
     s = s.strip().replace(" ", "")
     m = re.fullmatch(r"([+-]?\d*\.?\d+)?(?:([+-]\d*\.?\d*)i)?|([+-]?\d*\.?\d*)i", s)
-    if not m:
+    if not s or not m:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {s!r}")
     if m.group(3) is not None:
         im = m.group(3)

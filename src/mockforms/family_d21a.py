@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -41,6 +42,11 @@ from .family_n4 import _QHR_EPS, _eps_theta
 
 @dataclass(frozen=True)
 class D21Params:
+    """(p, q, n), with a = -p/(p+q) and the level K.  What the functions
+    derive from them exactly is formed on first use and kept here; a
+    Fraction constant F is kept as float(F), since F * x and x / F are
+    float(F) * x and x / float(F) to the bit for a float or complex x."""
+
     p: int
     q: int
     n: int
@@ -51,13 +57,24 @@ class D21Params:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
 
-    @property
+    @cached_property
     def a(self) -> Fraction:
         return Fraction(-self.p, self.p + self.q)
 
-    @property
+    @cached_property
     def K(self) -> Fraction:
         return Fraction(-self.p * self.q * self.n, self.p + self.q)
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """(a, a + 1, a - 1, a + 2, K, 2(a + 1), 4(a + 1)) as floats"""
+        a = self.a
+        return tuple(map(float, (a, a + 1, a - 1, a + 2, self.K, 2 * (a + 1), 4 * (a + 1))))
+
+    @cached_property
+    def _zz(self) -> tuple:
+        """(2a, 2(a + 1)), exact: zz_value also takes exact arguments"""
+        return 2 * self.a, 2 * (self.a + 1)
 
 
 @dataclass(frozen=True)
@@ -84,6 +101,73 @@ class D21Weight:
     def label(self) -> str:
         pr = self.params
         return f"d21a:p={pr.p}:q={pr.q}:n={pr.n}:j={self.j}:m2={self.m2}:m3={self.m3}"
+
+    # The index tables of the functions of a weight, formed on first use.
+
+    @cached_property
+    def _pq_terms(self) -> dict:
+        """{flavor: (sign, first, second)} of modified_supercharacter_numerator;
+        second is None for a single term"""
+        p, q, n = self.params.p, self.params.q, self.params.n
+        m2, m3 = self.m2, self.m3
+        flags = integrability_tests(self)
+        out = {}
+        for flavor, base, refl in (
+                ("P", {1: (m2 - m3, 1), 0: (m3 - m2 - 2 * n * p, -1),
+                       2: (-m2 - m3 - 2, -1), 3: (m2 + m3 + 2, -1)}, 2 * n * p),
+                ("Q", {1: (m3 - m2, 1), 0: (m2 - m3 - 2 * n * q, -1),
+                       2: (m2 + m3 + 2, -1), 3: (-m2 - m3 - 2, -1)}, 2 * n * q)):
+            j, sgn = base[self.j]
+            second = (-j if flags["theta_integrable"]
+                      else -j - refl if flags["alpha0_integrable"] else None)
+            out[flavor] = (sgn, D21Index.of(flavor, j, self.params),
+                           None if second is None else D21Index.of(flavor, second, self.params))
+        return out
+
+    @cached_property
+    def _fg_terms(self):
+        """None for a vanishing module, else {(sector, flavor): (sign, F or G
+        index)} of big_n4_qhr (for the j = 1 weights with m2 m3 = 0)"""
+        m0 = level_zero_label(self)
+        if m0.denominator == 1 and m0 >= 0:
+            return None
+        p, q, n = self.params.p, self.params.q, self.params.n
+        m2, m3 = self.m2, self.m3
+        prime = m3 == 0 and m2 > 0  # the Lambda' column
+        jf = n * p + m2 if prime else n * p - m3
+        jg = n * q - m2 if prime else n * q + m3
+        signs = {"P": {"minus": 1.0, "plus": -1.0 if prime else -((-1.0) ** m3),
+                       "minus_tw": -1.0, "plus_tw": 1.0 if prime else ((-1.0) ** m3)},
+                 # the twisted-plus rows carry no (-1)^{np} factor; the
+                 # collapsing identities at q = n = 1 fix the constant
+                 "Q": {"minus": 1.0, "plus": -((-1.0) ** m2) if prime else -1.0,
+                       "minus_tw": 1.0, "plus_tw": -((-1.0) ** m2) if prime else -1.0}}
+        out = {}
+        for sector, (eps, eps_prime) in _QHR_EPS.items():
+            twisted = sector.endswith("_tw")
+            out[sector, "P"] = (signs["P"][sector], D21Index.of("F", jf, self.params, eps, eps_prime))
+            out[sector, "Q"] = (signs["Q"][sector],
+                                D21Index.of("G", jf if twisted else jg, self.params, eps, eps_prime))
+        return out
+
+    @cached_property
+    def _boundary_terms(self) -> dict:
+        """{sector: (sign, g index)} of boundary_case_characters"""
+        p, half = self.params.p, Fraction(1, 2)
+        j0, sign0 = _boundary_index(self)
+        out = {}
+        for sector in _QHR_EPS:
+            plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
+            jg, sign = j0, sign0
+            if twisted:
+                jg, sign = jg + p + 1, -sign
+            if plus:
+                sign = -sign
+            if twisted and plus and p % 2:
+                sign = -sign
+            out[sector] = (sign, D21Index.of("g", jg, self.params, half if plus else 0,
+                                             half if twisted else 0))
+        return out
 
 
 def enumerate_weights(params: D21Params) -> dict:
@@ -156,9 +240,9 @@ def r_alpha0(tau, z1, z2, z3, t):
 
 
 def twist_point(params: D21Params, tau, z1, z2, z3, t):
-    ap1 = params.a + 1  # = q/(p+q)
+    *_, two_ap1, four_ap1 = params._floats   # a + 1 = q/(p+q)
     return (z3 - tau / 2, -z1 + z2 + z3 - tau / 2, z1 + tau / 2,
-            t - (z1 - z3) / (2 * ap1) - tau / (4 * ap1))
+            t - (z1 - z3) / two_ap1 - tau / four_ap1)
 
 
 def xi_shift(tau, z1, z2, z3, t):
@@ -196,73 +280,103 @@ def quadratic_forms(params: D21Params) -> list:
 
 
 def zz_value(params: D21Params, z1, z2, z3):
-    a = params.a
-    return ((z2 + z3) ** 2 / 2 + (z1 - z2) ** 2 / (2 * a)
-            - (z1 - z3) ** 2 / (2 * (a + 1)))
+    two_a, two_ap1 = params._zz
+    return (z2 + z3) ** 2 / 2 + (z1 - z2) ** 2 / two_a - (z1 - z3) ** 2 / two_ap1
 
 
 # --- P and Q numerator functions ------------------------------------------
 
-def _theta_products(which: str, j: int, params: D21Params, tau, z1, z2, z3, t,
-                    f1, f2, policy: TruncationPolicy):
+@dataclass(frozen=True)
+class D21Index:
+    """Index of the numerator functions: the letter (P or Q of PQ_function,
+    f or g of fg_lower, F or G of FG_function), j, the parameters, and the
+    shifts (eps, eps') of f, g, F and G.  The theta and modification indices
+    a function derives from it are formed on first use and kept here."""
+
+    which: str
+    j: int
+    params: D21Params
+    eps: HalfInt = HalfInt(0)
+    eps_prime: HalfInt = HalfInt(0)
+
+    @staticmethod
+    def of(which: str, j, params: D21Params, eps=0, eps_prime=0) -> "D21Index":
+        if which not in ("P", "Q", "f", "g", "F", "G"):
+            raise ValueError(f"unknown numerator function {which!r}")
+        return D21Index(which, int(j), params, HalfInt.of(eps), HalfInt.of(eps_prime))
+
+    @cached_property
+    def _thetas(self) -> tuple:
+        """(Theta_{j,n(p+q)}, Theta_{-j,n(p+q)}) indices"""
+        pr = self.params
+        big = pr.n * (pr.p + pr.q)
+        return ThetaIndex.of(self.j, big), ThetaIndex.of(-self.j, big)
+
+    @cached_property
+    def _inner(self):
+        """the degree np (P, f, F) or nq (Q, g, G) modification index of
+        PQ_function, or the scale-one wrapper index of fg_lower and FG_function"""
+        pr = self.params
+        deg = pr.n * (pr.p if self.which in "PfF" else pr.q)
+        if self.which in "PQ":
+            return MockIndex.of(deg, 0)
+        return PsiIndex.of(1, deg, 0, self.eps, self.eps_prime, -self.eps_prime)
+
+
+def _theta_products(idx: D21Index, tau, z1, z2, z3, t, f1, f2, policy: TruncationPolicy):
     """(pref Theta_{j,n(p+q)}(u+) f1, pref Theta_{-j,n(p+q)}(u-) f2) with
-    pref = e^{2 pi i K t} and u+- the P (resp. Q) theta arguments."""
-    a = params.a
-    if which == "P":
-        u_pos, u_neg = z1 - (a + 1) * z2 - a * z3, z1 + (a - 1) * z2 + a * z3
+    pref = e^{2 pi i K t} and u+- the P (resp. Q) theta arguments: those of
+    P for the letters P and f, of Q for Q and g."""
+    a, ap1, am1, ap2, K, *_ = idx.params._floats
+    if idx.which in "Pf":
+        u_pos, u_neg = z1 - ap1 * z2 - a * z3, z1 + am1 * z2 + a * z3
     else:
-        u_pos, u_neg = z1 + (a + 1) * z2 + a * z3, z1 - (a + 1) * z2 - (a + 2) * z3
-    big = params.n * (params.p + params.q)
-    pref = e2pi(params.K * t)
-    return (pref * theta_jm(ThetaIndex.of(j, big), tau, u_pos, 0.0, policy) * f1,
-            pref * theta_jm(ThetaIndex.of(-j, big), tau, u_neg, 0.0, policy) * f2)
+        u_pos, u_neg = z1 + ap1 * z2 + a * z3, z1 - ap1 * z2 - ap2 * z3
+    pref = e2pi(K * t)
+    x_pos, x_neg = idx._thetas
+    return (pref * theta_jm(x_pos, tau, u_pos, 0.0, policy) * f1,
+            pref * theta_jm(x_neg, tau, u_neg, 0.0, policy) * f2)
 
 
-def PQ_function(which: str, j: int, params: D21Params, tau, z1, z2, z3, t=0.0,
-                variant: str = "minus", policy: TruncationPolicy = DEFAULT_POLICY):
-    """P_j / Q_j and their sector variants: the sum of two
-    theta-times-modification products.
+def _check_letter(idx: D21Index, letters: tuple):
+    if idx.which not in letters:
+        raise ValueError(f"a {idx.which} index is not one of {letters}")
+
+
+def PQ_function(idx: D21Index, tau, z1, z2, z3, t=0.0, variant: str = "minus",
+                policy: TruncationPolicy = DEFAULT_POLICY):
+    """P_j / Q_j (idx.which P or Q) and their sector variants: the sum of
+    two theta-times-modification products.
 
     The minus variant is the defining combination; plus shifts by xi, the
     twisted ones compose with the twist map.
     """
+    _check_letter(idx, ("P", "Q"))
     if variant == "plus":
-        return PQ_function(which, j, params, tau, *xi_shift(tau, z1, z2, z3, t),
-                           "minus", policy)
+        return PQ_function(idx, tau, *xi_shift(tau, z1, z2, z3, t), "minus", policy)
     if variant in ("minus_tw", "plus_tw"):
-        pt = twist_point(params, tau, z1, z2, z3, t)
+        pt = twist_point(idx.params, tau, z1, z2, z3, t)
         base = "minus" if variant == "minus_tw" else "plus"
-        return PQ_function(which, j, params, tau, *pt, base, policy)
-    deg = params.n * (params.p if which == "P" else params.q)
-    idx = MockIndex.of(deg, 0)
-    f1 = phi_tilde(idx, tau, z1, -z3 if which == "P" else -z2, 0.0, policy)
-    f2 = phi_tilde(idx, tau, -z1 + z2 + z3, -z2 if which == "P" else -z3, 0.0, policy)
-    t1, t2 = _theta_products(which, j, params, tau, z1, z2, z3, t, f1, f2, policy)
+        return PQ_function(idx, tau, *pt, base, policy)
+    P = idx.which == "P"
+    f1 = phi_tilde(idx._inner, tau, z1, -z3 if P else -z2, 0.0, policy)
+    f2 = phi_tilde(idx._inner, tau, -z1 + z2 + z3, -z2 if P else -z3, 0.0, policy)
+    t1, t2 = _theta_products(idx, tau, z1, z2, z3, t, f1, f2, policy)
     return t1 + t2
 
 
 def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
                                       flavor: str = "P",
                                       policy: TruncationPolicy = DEFAULT_POLICY):
-    """Case assembly of R-hat^- ch~^-[P or Q] from the index tables."""
-    p, q, n = w.params.p, w.params.q, w.params.n
-    m2, m3 = w.m2, w.m3
-    if flavor == "P":
-        base = {1: (m2 - m3, 1), 0: (m3 - m2 - 2 * n * p, -1),
-                2: (-m2 - m3 - 2, -1), 3: (m2 + m3 + 2, -1)}[w.j]
-        refl = 2 * n * p
-    else:
-        base = {1: (m3 - m2, 1), 0: (m2 - m3 - 2 * n * q, -1),
-                2: (m2 + m3 + 2, -1), 3: (-m2 - m3 - 2, -1)}[w.j]
-        refl = 2 * n * q
-    idx, sgn = base
-    flags = integrability_tests(w)
-    fn = lambda i: PQ_function(flavor, i, w.params, tau, z1, z2, z3, t, "minus", policy)
-    if flags["theta_integrable"]:
-        return sgn * (fn(idx) + fn(-idx)) / 2
-    if flags["alpha0_integrable"]:
-        return sgn * (fn(idx) + fn(-idx - refl)) / 2
-    return sgn * fn(idx)
+    """Case assembly of R-hat^- ch~^-[P or Q] from the index tables, formed
+    once per weight."""
+    if flavor not in ("P", "Q"):
+        raise ValueError(f"unknown flavor {flavor}")
+    sgn, first, second = w._pq_terms[flavor]
+    fn = lambda x: PQ_function(x, tau, z1, z2, z3, t, "minus", policy)
+    if second is None:
+        return sgn * fn(first)
+    return sgn * (fn(first) + fn(second)) / 2
 
 
 # --- denominators ----------------------------------------------------------
@@ -304,71 +418,51 @@ def hr_point(tau, y2, y3):
 
 # --- F/G basis and the reduced characters ----------------------------------
 
-def FG_function(which: str, j: int, params: D21Params, eps, eps_prime, tau, y2, y3,
-                policy: TruncationPolicy = DEFAULT_POLICY):
-    """F_j / G_j: degree n(p+q) theta difference times the scale-one wrapped
-    modification of degree np (resp. nq)."""
-    p, q, n = params.p, params.q, params.n
-    big = n * (p + q)
-    deg = n * p if which == "F" else n * q
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    pidx = PsiIndex.of(1, deg, 0, eps, eps_prime, -eps_prime)
-    y = y2 if which == "F" else y3
-    tdiff = (theta_jm(ThetaIndex.of(j, big), tau, y, 0.0, policy)
-             - theta_jm(ThetaIndex.of(-j, big), tau, y, 0.0, policy))
+def FG_function(idx: D21Index, tau, y2, y3, policy: TruncationPolicy = DEFAULT_POLICY):
+    """F_j / G_j (idx.which F or G): degree n(p+q) theta difference times the
+    scale-one wrapped modification of degree np (resp. nq)."""
+    _check_letter(idx, ("F", "G"))
+    F = idx.which == "F"
+    x_pos, x_neg = idx._thetas
+    y = y2 if F else y3
+    tdiff = theta_jm(x_pos, tau, y, 0.0, policy) - theta_jm(x_neg, tau, y, 0.0, policy)
     if tdiff == 0:
         return 0.0 + 0.0j
-    second = (y3 - y2) / 2 if which == "F" else (y2 - y3) / 2
-    return tdiff * psi_tilde(pidx, tau, (y2 + y3) / 2, second, 0.0, policy)
+    second = (y3 - y2) / 2 if F else (y2 - y3) / 2
+    return tdiff * psi_tilde(idx._inner, tau, (y2 + y3) / 2, second, 0.0, policy)
 
 
-def fg_lower(which: str, j: int, params: D21Params, eps, eps_prime, tau,
-             z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The five-coordinate f_j / g_j functions whose Hamiltonian reduction
-    gives F / G with shifted index: the difference of two products."""
-    deg = params.n * (params.p if which == "f" else params.q)
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    pidx = PsiIndex.of(1, deg, 0, eps, eps_prime, -eps_prime)
-    f1 = psi_tilde(pidx, tau, z1, -z3 if which == "f" else -z2, 0.0, policy)
-    f2 = psi_tilde(pidx, tau, z1 - z2 - z3, z2 if which == "f" else z3, 0.0, policy)
-    t1, t2 = _theta_products("P" if which == "f" else "Q", j, params, tau, z1, z2, z3, t,
-                             f1, f2, policy)
+def fg_lower(idx: D21Index, tau, z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
+    """The five-coordinate f_j / g_j functions (idx.which f or g) whose
+    Hamiltonian reduction gives F / G with shifted index: the difference of
+    two products."""
+    _check_letter(idx, ("f", "g"))
+    f = idx.which == "f"
+    f1 = psi_tilde(idx._inner, tau, z1, -z3 if f else -z2, 0.0, policy)
+    f2 = psi_tilde(idx._inner, tau, z1 - z2 - z3, z2 if f else z3, 0.0, policy)
+    t1, t2 = _theta_products(idx, tau, z1, z2, z3, t, f1, f2, policy)
     return t1 - t2
 
 
 def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "P",
                policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced big N=4 (super)characters for the j=1 weights with m2 = 0 or
-    m3 = 0, via the single F/G-term table.  The F/G term and the denominator
-    both carry the sector's shifts (eps, eps') = _QHR_EPS[sector]."""
+    m3 = 0, via the single F/G-term table, formed once per weight.  The F/G
+    term and the denominator both carry the sector's shifts (eps, eps') =
+    _QHR_EPS[sector]."""
     if sector not in _QHR_EPS:
         raise ValueError(f"unknown sector {sector}")
+    if flavor not in ("P", "Q"):
+        raise ValueError(f"unknown flavor {flavor}")
     if w.j != 1 or (w.m2 != 0 and w.m3 != 0):
         raise UnsupportedCaseError(
             "single-term reduced characters exist for the j=1, m2*m3=0 weights")
-    m0 = level_zero_label(w)
-    if m0.denominator == 1 and m0 >= 0:
+    terms = w._fg_terms
+    if terms is None:
         return 0.0 + 0.0j
-    p, q, n = w.params.p, w.params.q, w.params.n
-    m2, m3 = w.m2, w.m3
-    prime = w.m3 == 0 and w.m2 > 0  # the Lambda' column
-    if flavor == "P":
-        which, j = "F", n * p + m2 if prime else n * p - m3
-        signs = {"minus": 1.0, "plus": -1.0 if prime else -((-1.0) ** m3),
-                 "minus_tw": -1.0, "plus_tw": 1.0 if prime else ((-1.0) ** m3)}
-    else:
-        which = "G"
-        if sector.endswith("_tw"):
-            j = n * p + m2 if prime else n * p - m3
-        else:
-            j = n * q - m2 if prime else n * q + m3
-        # the twisted-plus rows carry no (-1)^{np} factor; the collapsing
-        # identities at q = n = 1 fix the constant
-        signs = {"minus": 1.0, "plus": -((-1.0) ** m2) if prime else -1.0,
-                 "minus_tw": 1.0, "plus_tw": -((-1.0) ** m2) if prime else -1.0}
-    eps, eps_prime = _QHR_EPS[sector]
-    num = signs[sector] * FG_function(which, j, w.params, eps, eps_prime, tau, y2, y3, policy)
-    return num / b4_denominator(tau, y2, y3, eps, eps_prime, policy)
+    sign, idx = terms[sector, flavor]
+    num = sign * FG_function(idx, tau, y2, y3, policy)
+    return num / b4_denominator(tau, y2, y3, idx.eps, idx.eps_prime, policy)
 
 
 def qhr_characteristics(w: D21Weight) -> dict:
@@ -411,27 +505,18 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
                              sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """(Super)characters of the integrable boundary-case modules: the
-    twisted sectors shift j by p+1 and flip the sign."""
+    twisted sectors shift j by p+1 and flip the sign.  The g index and the
+    sign of each sector are formed once per weight."""
     params = w.params
-    p = params.p
     if params.q != 1 or params.n != 1:
         raise UnsupportedCaseError("boundary formulas need q = n = 1")
     if w.j not in (0, 1):
         raise UnsupportedCaseError("boundary families are empty for j = 2, 3")
     if sector not in _QHR_EPS:
         raise ValueError(f"unknown sector {sector}")
-    plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
-    eps = Fraction(1, 2) if plus else Fraction(0)
-    epsp = Fraction(1, 2) if twisted else Fraction(0)
-    jg, sign = _boundary_index(w)
-    if twisted:
-        jg, sign = jg + p + 1, -sign
-    if plus:
-        sign = -sign
-    if twisted and plus and p % 2:
-        sign = -sign
-    num = sign * fg_lower("g", jg, params, eps, epsp, tau, z1, z2, z3, t, policy)
-    return num / rhat(tau, z1, z2, z3, eps, epsp, policy)
+    sign, idx = w._boundary_terms[sector]
+    num = sign * fg_lower(idx, tau, z1, z2, z3, t, policy)
+    return num / rhat(tau, z1, z2, z3, idx.eps, idx.eps_prime, policy)
 
 
 def s_matrix_and_fusion(p: int) -> dict:

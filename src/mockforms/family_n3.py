@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -36,6 +37,12 @@ _J_VALUES = ("none", "I", "II", "III", "IV", "Iprime", "IIIprime")
 
 @dataclass(frozen=True)
 class N3Weight:
+    """A weight of the family: dotted or not, level m, label m2, and the
+    admissible data (M, J, k1, k2).  What the numerators derive from it
+    exactly (indices, B-terms, phases) is formed on first use and kept on
+    the weight; a Fraction constant F is kept as float(F), since F * x is
+    float(F) * x to the bit for a float or complex x."""
+
     dotted: bool
     m: Fraction           # level, in (1/4)Z, <= -3/4
     m2: int
@@ -65,12 +72,59 @@ class N3Weight:
             if not (self.k1 <= up and self.k1 + self.k2 >= 0 and self.k1 + 2 * self.k2 <= hi):
                 raise ValueError("k1, k2 outside the non-principal range")
 
-    @property
+    @cached_property
     def n(self) -> int:
         n = -4 * self.m - 2
         if n.denominator != 1 or n <= 0:
             raise ValueError("level does not give a positive integer n")
         return int(n)
+
+    @cached_property
+    def _b_data(self) -> tuple:
+        """(index of B, index of the modified B, 2m + 1, -(m + 1/2)) of b_value"""
+        m = self.m
+        return (MockIndex.of(-2 * m - 1, Fraction(self.m2 + 1, 2)),
+                MockIndex.of(int(-4 * m - 2), 0), float(2 * m + 1), float(-(m + Fraction(1, 2))))
+
+    @cached_property
+    def _b_partner(self) -> tuple:
+        """(partner, theta_pair) of supercharacter_numerator, by the
+        integrability flags of the underlying integrable weight: the weight
+        whose B-term pairs with this one's (None for a single term), and
+        whether the pair is the theta-symmetrized sum or the alpha0 difference"""
+        flags = integrability_flags(replace(self, M=1, J="none", k1=0, k2=0))
+        if flags["theta_integrable"] and flags["alpha0_integrable"]:
+            raise UnsupportedCaseError("level zero excluded")
+        if flags["theta_integrable"]:
+            return replace(self, m2=-self.m2), True
+        if flags["alpha0_integrable"]:
+            return replace(self, m2=self.n - self.m2, dotted=not self.dotted), False
+        return None, False
+
+    @cached_property
+    def _psi_terms(self) -> tuple:
+        """(sign, 2m + 1, (idx0, idx1) of psi, (idx0, idx1) of psi_tilde) for
+        admissible_numerator_psi; idx1 carries the half-shift eps = 1/2"""
+        if self.J not in ("I", "III", "Iprime", "IIIprime"):
+            raise UnsupportedCaseError("psi assembly exists for types I and III")
+        n, M, k1, k2 = self.n, self.M, self.k1, self.k2
+        shift = M if self.dotted else 0
+        if self.J in ("I", "Iprime"):
+            sign, a, b = 0.5, HalfInt(k1 + shift), HalfInt(-(k1 + 2 * k2 - shift))
+        else:
+            sign, a, b = -0.5, HalfInt(k1 + 2 * k2 - shift), HalfInt(-(k1 + shift))
+        pair = lambda s: (PsiIndex.of(M, n, s, 0, a, b), PsiIndex.of(M, n, s, Fraction(1, 2), a, b))
+        return sign, float(2 * self.m + 1), pair(self.m2 + 1), pair(0)
+
+    @cached_property
+    def _character_phase(self) -> complex:
+        """i e^{-pi i (Lambda | theta)}, the constant of character_numerator"""
+        return 1j * e2pi(-_lambda_theta(self) / 2)
+
+    @cached_property
+    def _qhr(self) -> dict:
+        """qhr_characteristics(self), for qhr_character"""
+        return qhr_characteristics(self)
 
     def label(self) -> str:
         return (f"n3:dot={int(self.dotted)}:m={self.m}:m2={self.m2}"
@@ -158,23 +212,22 @@ def n3_denominator(tau, z, sector: str, policy: TruncationPolicy = DEFAULT_POLIC
 
 # --- numerators ----------------------------------------------------------
 
-def b_value(m: Fraction, m2: int, tau, z1, z2, t, dotted: bool, modified: bool,
+def b_value(w: N3Weight, tau, z1, z2, t, modified: bool,
             policy: TruncationPolicy = DEFAULT_POLICY):
-    """B or B-dot numerator; the modified variant uses the half-argument
-    split onto the integer-degree modification with index 0."""
-    m = Fraction(m)
-    n = -4 * m - 2
-    two_m1 = 2 * m + 1  # in (1/2)Z
+    """B or B-dot numerator of the integrable weight (dotted, m, m2) of w
+    (its M, J, k1, k2 are not read); the modified variant uses the
+    half-argument split onto the integer-degree modification with index 0.
+    The indices and constants come from w, formed once per weight."""
+    idx, idx_mod, two_m1, half = w._b_data   # 2m + 1 is in (1/2)Z
     if not modified:
-        idx = MockIndex.of(Fraction(-2 * m - 1), Fraction(m2 + 1, 2))
-        if dotted:
-            pref = e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(-(m + Fraction(1, 2)) * tau)
+        if w.dotted:
+            pref = e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
             return pref * phi(idx, 2 * tau, z1 + tau, -z2 + tau, 0.0, policy)
         return e2pi(two_m1 * t / 2) * phi(idx, 2 * tau, z1, -z2, 0.0, policy)
-    idx = MockIndex.of(int(n), 0)
-    sgn = -1.0 if m2 % 2 else 1.0
-    if dotted:
-        pref = 0.5 * e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(-(m + Fraction(1, 2)) * tau)
+    idx = idx_mod
+    sgn = -1.0 if w.m2 % 2 else 1.0
+    if w.dotted:
+        pref = 0.5 * e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
         a = phi_tilde(idx, tau, (z1 + tau) / 2, -(z2 - tau) / 2, 0.0, policy)
         b = phi_tilde(idx, tau, (z1 + tau + 1) / 2, -(z2 - tau + 1) / 2, 0.0, policy)
     else:
@@ -205,34 +258,22 @@ def numerator_B(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
                 policy: TruncationPolicy = DEFAULT_POLICY):
     """The B-type numerator of the single weight w (no Weyl-case assembly)."""
     if w.J == "none":
-        return b_value(w.m, w.m2, tau, z1, z2, t, w.dotted, modified, policy)
-    tau2, Z1, Z2, T = _admissible_point(w, tau, z1, z2, t)
-    return b_value(w.m, w.m2, tau2, Z1, Z2, T, w.dotted, modified, policy)
+        return b_value(w, tau, z1, z2, t, modified, policy)
+    return b_value(w, *_admissible_point(w, tau, z1, z2, t), modified, policy)
 
 
 def admissible_numerator_psi(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = True,
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """The same admissible numerator assembled from Psi / Psi-tilde values;
     an independent route used to cross-check the translation formula.
-    The second term carries the half-shift eps = 1/2."""
-    if w.J not in ("I", "III", "Iprime", "IIIprime"):
-        raise UnsupportedCaseError("psi assembly exists for types I and III")
-    n, M, k1, k2 = w.n, w.M, w.k1, w.k2
-    s = 0 if modified else w.m2 + 1
-    if w.J in ("I", "Iprime"):
-        sign = 0.5
-        a = HalfInt(k1 + (M if w.dotted else 0))
-        b = HalfInt(-(k1 + 2 * k2 - (M if w.dotted else 0)))
-    else:
-        sign = -0.5
-        a = HalfInt(k1 + 2 * k2 - (M if w.dotted else 0))
-        b = HalfInt(-(k1 + (M if w.dotted else 0)))
+    The second term carries the half-shift eps = 1/2; the wrapper indices
+    come from w, formed once per weight."""
+    sign, two_m1, *pairs = w._psi_terms
+    idx0, idx1 = pairs[modified]
     fn = psi_tilde if modified else psi
-    idx0 = PsiIndex.of(M, n, s, 0, a, b)
-    idx1 = PsiIndex.of(M, n, s, Fraction(1, 2), a, b)
     v0 = fn(idx0, tau, z1 / 2, -z2 / 2, 0.0, policy)
     v1 = fn(idx1, tau, z1 / 2, -z2 / 2, 0.0, policy)
-    pref = sign * e2pi((2 * w.m + 1) * t / (2 * w.M))
+    pref = sign * e2pi(two_m1 * t / (2 * w.M))
     return pref * (v0 - (-1.0 if w.m2 % 2 else 1.0) * v1)
 
 
@@ -240,21 +281,15 @@ def supercharacter_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = F
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Case assembly of R-hat^- ch^-: single B, theta-symmetrized pair, or
     the alpha0-paired difference, per the integrability flags of the
-    underlying integrable weight."""
-    flags = integrability_flags(replace(w, M=1, J="none", k1=0, k2=0))
-    n = w.n
-
-    def B(m2, dotted):
-        wx = replace(w, m2=m2, dotted=dotted)
-        return numerator_B(wx, tau, z1, z2, t, modified, policy)
-
-    if flags["theta_integrable"] and flags["alpha0_integrable"]:
-        raise UnsupportedCaseError("level zero excluded")
-    if flags["theta_integrable"]:
-        return (B(w.m2, w.dotted) + B(-w.m2, w.dotted)) / flags["j_Lambda"]
-    if flags["alpha0_integrable"]:
-        return B(w.m2, w.dotted) - B(n - w.m2, not w.dotted)
-    return B(w.m2, w.dotted)
+    underlying integrable weight.  The partner weight of a pair is formed
+    once per weight."""
+    partner, theta_pair = w._b_partner
+    B = lambda x: numerator_B(x, tau, z1, z2, t, modified, policy)
+    if partner is None:
+        return B(w)
+    if theta_pair:
+        return (B(w) + B(partner)) / 2   # j_Lambda = 2
+    return B(w) - B(partner)
 
 
 def _lambda_theta(w: N3Weight) -> Fraction:
@@ -275,7 +310,7 @@ def character_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
     z1 + z2 in Z + tau Z divisor where the reduction substitution lands.
     """
     nm = supercharacter_numerator(w, tau, z1 - 0.5, z2 - 0.5, t, modified, policy)
-    return 1j * e2pi(-_lambda_theta(w) / 2) * nm
+    return w._character_phase * nm
 
 
 def twisted_point(tau, z1, z2, t):
@@ -332,7 +367,7 @@ def qhr_character(w: N3Weight, tau, z, sector: str, modified: bool = False,
     """Trace of q^{L0 - c/24} e^{-4 pi i z alpha2} over the reduced module,
     as numerator-at-substitution / N=3 denominator.  Ramond supercharacters
     vanish identically; vanishing modules return 0."""
-    ch = qhr_characteristics(w)
+    ch = w._qhr
     if sector == "ramond_minus":
         return 0.0 + 0.0j
     if sector in ("ns_plus", "ns_minus") and ch["vanishes"]:
@@ -354,6 +389,9 @@ def qhr_character(w: N3Weight, tau, z, sector: str, modified: bool = False,
 
 @dataclass(frozen=True)
 class FIndex:
+    """Index of the f-function basis; the wrapper index and prefactor that
+    f_function derives from it are formed on first use and kept here."""
+
     M: int
     n: int
     eps: HalfInt
@@ -377,12 +415,19 @@ class FIndex:
         return FIndex(M, n, HalfInt.of(eps), HalfInt.of(sigma), HalfInt.of(sigma_prime),
                       j, k, HalfInt(j.twice % 2))
 
+    @cached_property
+    def _frame(self) -> tuple:
+        """(wrapper index, sigma, sigma', -n sigma'^2 / 4M) of f_function"""
+        sg, sgp = float(self.sigma), float(self.sigma_prime)
+        return (PsiIndex.of(self.M, self.n, 0, self.eps, self.j, self.k), sg, sgp,
+                float(-Fraction(self.n, 4 * self.M)) * sgp * sgp)
+
 
 def f_function(idx: FIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
-    """q^{-n sigma'^2 / 4M} Psi-tilde at the half-sum arguments."""
-    sg, sgp = float(idx.sigma), float(idx.sigma_prime)
-    pidx = PsiIndex.of(idx.M, idx.n, 0, idx.eps, idx.j, idx.k)
-    pref = e2pi(-Fraction(idx.n, 4 * idx.M) * sgp * sgp * tau)
+    """q^{-n sigma'^2 / 4M} Psi-tilde at the half-sum arguments; the wrapper
+    index comes from idx, formed once per index."""
+    pidx, sg, sgp, c = idx._frame
+    pref = e2pi(c * tau)
     u = (z + sg + sgp * tau) / 2
     return pref * psi_tilde(pidx, tau, u, z - u, 0.0, policy)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -36,6 +37,12 @@ _J_VALUES = ("none", "I", "II", "III", "IV")
 
 @dataclass(frozen=True)
 class N4Weight:
+    """A weight of the family: level m, label m2, and the admissible data
+    (M, J, k1, k2).  What the numerators and characters derive from it
+    exactly (indices, phases, chi tables) is formed on first use and kept
+    on the weight; a Fraction constant F is kept as float(F), since F * x
+    is float(F) * x to the bit for a float or complex x."""
+
     m: int            # level, <= 0
     m2: int
     M: int = 1
@@ -60,6 +67,47 @@ class N4Weight:
     @property
     def level_zero(self) -> bool:
         return self.m == 0
+
+    @cached_property
+    def _mock(self) -> MockIndex:
+        """the index (-m, 0) of the degree -m modification"""
+        return MockIndex.of(-self.m, 0)
+
+    @cached_property
+    def _pref(self) -> tuple:
+        """(m / M, m k1 (k1 + k2) / M) of the admissible_supernumerator prefactor"""
+        m, M, k1, k2 = self.m, self.M, self.k1, self.k2
+        return float(Fraction(m, M)), float(Fraction(m * k1 * (k1 + k2), M))
+
+    @cached_property
+    def _plus_phase(self) -> complex:
+        """-e^{pi i (Lambda | alpha2)}, the constant of the plus sector"""
+        return -e2pi(_lambda_alpha2(self) / 2)
+
+    @cached_property
+    def _chi_terms(self):
+        """None for a vanishing module, else {sector: (chi^(1) index,
+        chi^(0) index, A, sign)} of qhr_character_admissible."""
+        if qhr_characteristics(self)["vanishes"]:
+            return None
+        m, m2, M = self.m, self.m2, self.M
+        A = float(Fraction(m * (2 * self.k1 + self.k2 + 1), M) + m2)
+        out = {}
+        for sector, (eps, eps_prime) in _QHR_EPS.items():
+            twisted = sector.endswith("_tw")
+            j, k = admissible_jk(self, twisted)
+            sign = 1.0
+            if self.J == "III":
+                sign = -sign
+            if sector.startswith("plus"):
+                sign = -sign
+            if twisted:
+                sign = -sign
+            if sector.startswith("plus") and m2 % 2:
+                sign = -sign
+            out[sector] = (ChiIndex.of(1, M, m, eps, eps_prime, j, k),
+                           ChiIndex.of(0, M, m, eps, eps_prime, j, k), A, sign)
+        return out
 
     def label(self) -> str:
         return f"n4:m={self.m}:m2={self.m2}:M={self.M}:J={self.J}:k1={self.k1}:k2={self.k2}"
@@ -117,11 +165,13 @@ def w0_prime_point(tau, z1, z2, t):
 
 # --- numerators -----------------------------------------------------------
 
-def g_numerator(m: int, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
-    """(D0 + m (z1-z2)/(2 tau)) applied to the degree -m modification at
-    reflected t, evaluated with the termwise analytic derivative: the
-    derivative wrapper P at scale one with no shifts."""
-    return psi_P(1, m, 0, 0, 0, tau, z1, z2, t, policy)
+def g_numerator(idx: MockIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
+    """(D0 + m (z1-z2)/(2 tau)) applied to the modification at idx = (-m, 0),
+    of degree -m, at reflected t, evaluated with the termwise analytic
+    derivative: the derivative wrapper P at scale one with no shifts."""
+    m = -float(idx.m)
+    v, d = phi_tilde_d0(idx, tau, z1, z2, policy)
+    return e2pi(m * t) * (d + (m * (z1 - z2) / (2 * tau)) * v)
 
 
 # Each admissible type is type I in its own coordinates; the integrable
@@ -134,16 +184,17 @@ _J_COORDS = {"none": lambda z1, z2: (z1, z2), "I": lambda z1, z2: (z1, z2),
 def admissible_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
                               policy: TruncationPolicy = DEFAULT_POLICY):
     """R-hat^- ch~^- for the integrable weights and the principal admissible
-    weights of types I-IV: the type I formula in the type's coordinates."""
+    weights of types I-IV: the type I formula in the type's coordinates.
+    The index and the prefactor's constants come from w."""
     m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
     x1, x2 = _J_COORDS[w.J](z1, z2)
     a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
     lin = (k1 + k2) * x1 - k1 * x2
     dz = x1 - x2 + (2 * k1 + k2) * tau
-    idx = MockIndex.of(-m, 0)
-    v, d = phi_tilde_d0(idx, M * tau, a1, a2, policy)
+    v, d = phi_tilde_d0(w._mock, M * tau, a1, a2, policy)
     g = d + (m * (a1 - a2) / (2 * M * tau)) * v
-    pref = e2pi(Fraction(m, M) * t + Fraction(m, M) * lin + Fraction(m * k1 * (k1 + k2), M) * tau)
+    m_M, c = w._pref
+    pref = e2pi(m_M * t + m_M * lin + c * tau)
     return pref * (g - (m * dz / (2 * M * tau) + m2) * v)
 
 
@@ -163,7 +214,7 @@ def numerator(w: N4Weight, tau, z1, z2, t, sector: str,
         return admissible_supernumerator(w, tau, z1, z2, t, policy)
     if sector == "plus":
         nm = admissible_supernumerator(w, tau, z1 + 0.5, z2 + 0.5, t, policy)
-        return -e2pi(_lambda_alpha2(w) / 2) * nm
+        return w._plus_phase * nm
     if sector in ("plus_tw", "minus_tw"):
         w1, w2, wt = w0_point(tau, z1, z2, t)
         return numerator(w, tau, w1, w2, wt, sector.removesuffix("_tw"), policy)
@@ -205,7 +256,7 @@ def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
     m0 = m + m2
     if m0 >= 0:
         return 0.0 + 0.0j
-    idx = MockIndex.of(-m, 0)
+    idx = w._mock
     if sector == "plus":
         val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, z + 0.5 + tau / 2, z + 0.5 - tau / 2, 0.0, policy)
     elif sector == "minus":
@@ -220,18 +271,19 @@ def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
     return val / n4_denominator(tau, z, eps, eps_prime, policy)
 
 
-def psi_P(M: int, m: int, eps, j, k, tau, z1, z2, t=0.0,
-          policy: TruncationPolicy = DEFAULT_POLICY):
-    """(D0 + m (z1-z2)/(2 M tau)) of the modified wrapper at reflected t."""
-    if m >= 0:
-        raise ValueError("m must be a negative integer")
-    idx = PsiIndex.of(M, -m, 0, eps, j, k)
+def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
+    """The derivative wrapper of degree m = -idx.m: (D0 + m (z1-z2)/(2 M tau))
+    of the modified wrapper Psi-tilde at idx = (M, -m, 0, eps, j, k), at
+    reflected t."""
+    M, m = idx.M, -float(idx.m)
     v, d = psi_tilde_d0(idx, tau, z1, z2, policy)
-    return e2pi(Fraction(m, M) * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)
+    return e2pi(m / M * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)
 
 
 @dataclass(frozen=True)
 class ChiIndex:
+    """Index of the chi basis; its wrapper index is formed on first use."""
+
     alpha: int
     M: int
     m: int
@@ -252,16 +304,20 @@ class ChiIndex:
             raise ValueError("j, k must lie in eps' + Z")
         return ChiIndex(alpha, int(M), int(m), HalfInt.of(eps), eps_prime, j, k)
 
+    @cached_property
+    def _psi(self) -> PsiIndex:
+        """the wrapper index (M, -m, 0, eps, j, k) of chi"""
+        return PsiIndex.of(self.M, -self.m, 0, self.eps, self.j, self.k)
+
 
 def chi(idx: ChiIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
     """chi^(alpha): P (alpha=1) or Psi-tilde (alpha=0) on the diagonal,
     divided by the matching N=4 denominator."""
     den = n4_denominator(tau, z, idx.eps, idx.eps_prime, policy)
     if idx.alpha == 1:
-        num = psi_P(idx.M, idx.m, idx.eps, idx.j, idx.k, tau, z, z, 0.0, policy)
+        num = psi_P(idx._psi, tau, z, z, 0.0, policy)
     else:
-        pidx = PsiIndex.of(idx.M, -idx.m, 0, idx.eps, idx.j, idx.k)
-        num = psi_tilde(pidx, tau, z, z, 0.0, policy)
+        num = psi_tilde(idx._psi, tau, z, z, 0.0, policy)
     return num / den
 
 
@@ -280,32 +336,18 @@ def admissible_jk(w: N4Weight, twisted: bool):
 def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced (super)characters of the admissible family as the signed
-    combination chi^(1) - A chi^(0)."""
+    combination chi^(1) - A chi^(0); the chi indices, A and the sign of
+    each sector come from w, formed once per weight."""
     if sector not in _QHR_EPS:
         raise ValueError(f"unknown sector {sector}")
     if w.J not in ("I", "III"):
         raise UnsupportedCaseError(
             "types II and IV are reached through the module isomorphisms")
-    ch = qhr_characteristics(w)
-    if ch["vanishes"]:
+    terms = w._chi_terms
+    if terms is None:
         return 0.0 + 0.0j
-    m, m2, M = w.m, w.m2, w.M
-    A = Fraction(m * (2 * w.k1 + w.k2 + 1), M) + m2
-    twisted = sector.endswith("_tw")
-    eps, eps_prime = _QHR_EPS[sector]
-    j, k = admissible_jk(w, twisted)
-    c1 = chi(ChiIndex.of(1, M, m, eps, eps_prime, j, k), tau, z, policy)
-    c0 = chi(ChiIndex.of(0, M, m, eps, eps_prime, j, k), tau, z, policy)
-    val = c1 - A * c0
-    sign = 1.0
-    if w.J == "III":
-        sign = -sign
-    if sector.startswith("plus"):
-        sign = -sign
-    if twisted:
-        sign = -sign
-    if sector.startswith("plus") and m2 % 2:
-        sign = -sign
+    x1, x0, A, sign = terms[sector]
+    val = chi(x1, tau, z, policy) - A * chi(x0, tau, z, policy)
     return sign * val
 
 

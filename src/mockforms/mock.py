@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -38,10 +38,15 @@ from .qkernel import (
     guard_pole,
     sum_bilateral,
 )
+from .theta import ThetaIndex
 
 
 @dataclass(frozen=True)
 class MockIndex:
+    """Degree m and index s of the Appell assembly.  The exact data the
+    modification derives from them is formed on first use and kept on the
+    index, so an index built once serves every evaluation."""
+
     m: HalfInt  # positive half-integer degree
     s: HalfInt
 
@@ -52,6 +57,18 @@ class MockIndex:
         if m.twice <= 0:
             raise ValueError("degree m must be positive")
         return MockIndex(m, s)
+
+    @cached_property
+    def correction_window(self) -> tuple:
+        """(thetas, duals) of the correcting window j = s + r, r = 0, ...,
+        2m-1: thetas[r] the ThetaIndex (j mod 2m, m), and duals the pairs
+        (r, r') with s + r' = -j mod 2m, for the r whose -j is not j mod 2m
+        (a self-dual residue cancels in Theta_{-j,m} - Theta_{j,m})."""
+        mod = 2 * self.m.twice                    # 2j mod 4m gives j mod 2m
+        js = [(self.s.twice + 2 * r) % mod for r in range(self.m.twice)]
+        at = {j2: r for r, j2 in enumerate(js)}
+        thetas = tuple(ThetaIndex(HalfInt(j2), self.m) for j2 in js)
+        return thetas, tuple((r, at[-j2 % mod]) for r, j2 in enumerate(js) if 2 * j2 % mod)
 
 
 @dataclass(frozen=True)
@@ -84,6 +101,14 @@ class PsiIndex:
         if a.twice % 2 != b.twice % 2:
             raise ValueError("a, b must lie in eps' + Z")
         return PsiIndex(M, m, HalfInt.of(s), eps, a, b, HalfInt(a.twice % 2))
+
+    @cached_property
+    def _frame(self) -> tuple:
+        """(MockIndex (m, s), a, b, eps, m a b, m / M), the numbers as
+        floats: the exact data of the frame in which the wrapper evaluates
+        its inner function, formed once per index."""
+        m, a, b = float(self.m), float(self.a), float(self.b)
+        return MockIndex(self.m, self.s), a, b, float(self.eps), m * a * b, m / self.M
 
 
 @lru_cache(maxsize=8)
@@ -221,12 +246,10 @@ def phi_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
 def _psi_frame(idx: PsiIndex, tau: complex, z1: complex, z2: complex):
     """(prefactor, MockIndex, M tau, z1 + a tau + eps, z2 + b tau + eps): the
     frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function."""
-    m = float(idx.m)
-    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
+    inner, a, b, eps, mab, m_M = idx._frame
     M = idx.M
-    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    return (pref, MockIndex(idx.m, idx.s), M * tau,
-            z1 + a * tau + eps, z2 + b * tau + eps)
+    pref = e2pi(mab * tau / M + m_M * (b * z1 + a * z2))
+    return pref, inner, M * tau, z1 + a * tau + eps, z2 + b * tau + eps
 
 
 def psi(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,

@@ -42,7 +42,7 @@ from .qkernel import (
     TruncationOverflowError,
     e2pi,
 )
-from .theta import ThetaIndex, theta_jm
+from .theta import theta_jm
 from .mock import MockIndex, PsiIndex, _psi_frame, phi, phi_d0, phi1
 
 
@@ -321,12 +321,6 @@ def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
     return vals[0], ders[0]
 
 
-def _correction_window(idx: MockIndex):
-    """Indices j = s, s+1, ..., s+2m-1 of the correcting sum (2m terms),
-    each given as the integer 2j."""
-    return [idx.s.twice + 2 * r for r in range(idx.m.twice)]
-
-
 def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPolicy):
     """(r, (Theta_{-j,m} - Theta_{j,m})(tau, z)) over the correcting window
     j = s + r, r = 0, ..., 2m-1, leaving out zero differences.
@@ -334,11 +328,9 @@ def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPol
     The window meets every residue of s + Z mod 2m once, and so does its
     negative, so each Theta_{j,m} is summed once.  A residue with -j == j
     cancels exactly and is not summed at all."""
-    mod = 2 * idx.m.twice                    # 2j mod 4m gives j mod 2m
-    window = [(r, j2) for r, j2 in enumerate(_correction_window(idx)) if 2 * j2 % mod]
-    theta = {j2 % mod: theta_jm(ThetaIndex(HalfInt(j2 % mod), idx.m), tau, z, 0.0, policy)
-             for _, j2 in window}
-    diffs = ((r, theta[-j2 % mod] - theta[j2 % mod]) for r, j2 in window)
+    thetas, duals = idx.correction_window
+    theta = {r: theta_jm(thetas[r], tau, z, 0.0, policy) for r, _ in duals}
+    diffs = ((r, theta[dual] - theta[r]) for r, dual in duals)
     return [(r, d) for r, d in diffs if d != 0]
 
 
@@ -403,8 +395,8 @@ def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     zs = z1 + z2
     rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy)
     total = 0.0 + 0.0j
-    for r, j2 in enumerate(_correction_window(idx)):
-        total += rs[r] * theta_jm(ThetaIndex(HalfInt(j2), idx.m), tau, zs, 0.0, policy)
+    for r, x in enumerate(idx.correction_window[0]):
+        total += rs[r] * theta_jm(x, tau, zs, 0.0, policy)
     return -0.5 * total
 
 

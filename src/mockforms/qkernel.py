@@ -34,6 +34,10 @@ from fractions import Fraction
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
 SQRT_PI = math.sqrt(math.pi)
+# log 2, a factor of the Appell sum's peak bound, and log 8: a tail of at
+# most tol/8 per side keeps both tails of a series inside tol/4
+LOG_2 = math.log(2.0)
+LOG_8 = math.log(8.0)
 
 
 class DomainError(ValueError):
@@ -86,6 +90,8 @@ class TruncationPolicy:
             raise ValueError(f"pole_guard must be positive and finite, got {self.pole_guard}")
         # every memo key holds the policy: hash its fields once, not per lookup
         object.__setattr__(self, "_hash", hash((self.tol, self.n_max, self.pole_guard)))
+        # log(tol/8), the tail target of every series (_index_range)
+        object.__setattr__(self, "_log_target", math.log(self.tol) - LOG_8)
 
     def __hash__(self):
         return self._hash
@@ -253,24 +259,35 @@ def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "
     so for small Im tau the window widens past the 7 rows of
     lattice_distance, and only its rows within that reach are scanned.
     It scans with tau mod 1, which spans the same lattice and keeps the
-    nearest column of every scanned row inside the window."""
+    nearest column of every scanned row inside the window.
+
+    Every lattice point a + b tau lies at least |Im z - b Im tau| from z,
+    and the least of that over b is the row distance |Im z - round(y) Im
+    tau|, y = Im z / Im tau (the scan forms the same bits in row round(y)).
+    When it exceeds pole_guard by 1e-12 (|Im z| + pole_guard), far more
+    than the rounding of the other rows' distances, no point of the scan
+    can refuse z, and the guard returns without scanning.  A centre that is
+    not finite goes to the scan, which raises DomainError."""
     tau = _check_point(tau, z)
     rows = policy.pole_guard / tau.imag
     if rows >= policy.n_max:
         raise TruncationOverflowError(
             f"the pole scan at Im tau = {tau.imag:g} needs over n_max={policy.n_max} rows")
-    d = _lattice_scan(complex(z), tau - round(tau.real), max(3, math.ceil(rows) + 1), rows)
+    z = complex(z)
+    tau = tau - round(tau.real)
+    y = z.imag / tau.imag
+    if (math.isfinite(z.real - y * tau.real)
+            and abs(z.imag - round(y) * tau.imag)
+            > policy.pole_guard + 1e-12 * (abs(z.imag) + policy.pole_guard)):
+        return
+    d = _lattice_scan(z, tau, max(3, math.ceil(rows) + 1), rows)
     if d < policy.pole_guard:
         raise PoleProximityError(
-            f"{what} = {complex(z):.6g} is within {d:.3g} of the period lattice "
+            f"{what} = {z:.6g} is within {d:.3g} of the period lattice "
             f"(guard {policy.pole_guard:g})"
         )
 
 
-# log 2, a factor of the Appell sum's peak bound, and log 8: a tail of at
-# most tol/8 per side keeps both tails of a series inside tol/4
-LOG_2 = math.log(2.0)
-LOG_8 = math.log(8.0)
 # log 2^-56: a dropped tail of 2^-56 of the peak term per direction is an
 # eighth of the peak's half-ulp, so truncation stays below its rounding
 LOG_ROUNDING = -56.0 * math.log(2.0)
@@ -294,7 +311,7 @@ def _index_range(k0: int, k_star: float, a: float, log_c: float, log_p: float,
     A cut that is not finite, or 2^52 or more from k_star, raises
     TruncationOverflowError.
     """
-    log_target = math.log(policy.tol) - LOG_8
+    log_target = policy._log_target
     if log_p + LOG_ROUNDING < log_target:
         log_target = log_p + LOG_ROUNDING
     excess = log_c - log_target

@@ -719,17 +719,16 @@ def _n3_pairs():
             f"eq5.{which:02d}", "collapsing-level numerator closed form", "n3",
             1e-9, [{"m2": 0, "which": which}, {"m2": 1, "which": which}], eq5x))
 
-    # the index of a numerator family member is (m, m2, dotted)
+    # the index of a numerator family member is its integrable weight
     def eq35(m, m2):
-        n_ = int(-4 * Fraction(m) - 2)
-        return [((Fraction(m), m2, False),
-                 lambda tau, z1, z2, t: (tau, -z2 + tau, -z1 + tau, t - z1 - z2 + tau),
-                 (Fraction(m), n_ - m2, True), None)]
+        w = n3.N3Weight(False, Fraction(m), m2)
+        return [(w, lambda tau, z1, z2, t: (tau, -z2 + tau, -z1 + tau, t - z1 - z2 + tau),
+                 n3.N3Weight(True, w.m, w.n - m2), None)]
 
     register(IdentitySpec("eq3.5", "reflection pairing of the two numerator families",
                           "n3", 1e-9, [{"m": -1, "m2": m2} for m2 in (0, 1, 2)],
-                          _laws(lambda x, tau, z1, z2, t, policy: n3.b_value(
-                              x[0], x[1], tau, z1, z2, t, x[2], False, policy), _zs(0.03), eq35)))
+                          _laws(lambda w, tau, z1, z2, t, policy: n3.b_value(
+                              w, tau, z1, z2, t, False, policy), _zs(0.03), eq35)))
 
     def p37(pt, policy, w, modified):
         tau, (z1, z2, _) = pt.tau, pt.zs
@@ -835,7 +834,7 @@ def _n4_pairs():
     def lem63(pt, policy, m, idx, ph):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
-        g = lambda tt, a, b, T: n4.g_numerator(m, tt, a, b, T, policy)
+        g = lambda tt, a, b, T: n4.g_numerator(idx, tt, a, b, T, policy)
         out = [(g(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
                 tau ** 2 * g(tau, z1, z2, t))]
         z = pt.zs[2]
@@ -866,8 +865,8 @@ def _n4_pairs():
         out = [(f(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
                 tau * f(tau, z1, z2, t)),
                (f(tau, z2, z1, t), f(tau, z1, z2, t)),
-               (n4.g_numerator(m, -1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau, policy),
-                tau ** 2 * n4.g_numerator(m, tau, z1, z2, t, policy))]
+               (n4.g_numerator(idx, -1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau, policy),
+                tau ** 2 * n4.g_numerator(idx, tau, z1, z2, t, policy))]
         return out
 
     register(IdentitySpec("lemma6.2", "derivative transfer: hypothesis and conclusion",
@@ -875,7 +874,7 @@ def _n4_pairs():
 
     def lem64(pt, policy, m, idx):
         tau, z = pt.tau, pt.z
-        lhs = n4.g_numerator(m, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
+        lhs = n4.g_numerator(idx, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
         out = [(lhs, -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
                 * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
                (lhs, -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
@@ -965,25 +964,27 @@ def _n4_pairs():
                           "n4", 1e-2, [{"m": -2}], lambda m: partial(rem74, m=m, w=n4.N4Weight(m, 1)),
                           grid=(2, 2), check="exceeds"))
 
-    # the index of a derivative wrapper is (M, m, eps, j, k); g_numerator(m)
-    # is the wrapper (1, m, 0, 0, 0)
-    psi_p = lambda laws: _laws(lambda x, *a: n4.psi_P(*x, *a), _zs(0.02), laws)
+    # the index of a derivative wrapper of degree m is the index
+    # (M, -m, 0, eps, j, k) of its modified wrapper; g_numerator is the
+    # wrapper (1, -m, 0, 0, 0, 0)
+    psi_p = lambda laws: _laws(n4.psi_P, _zs(0.02), laws)
+    wrapper = lambda M, m, eps, j, k: PsiIndex.of(M, -m, 0, eps, j, k)
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
 
     def lem82(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        return [((M, m, H, j, k), lambda tau, z1, z2, t: (tau, z2, z1, t), (M, m, H, k, j), -1),
-                ((M, m, H, j, k), lambda tau, z1, z2, t: (tau, -z1, -z2, t),
-                 (M, m, H, -j, -k), None)]
+        x = wrapper(M, m, H, j, k)
+        return [(x, lambda tau, z1, z2, t: (tau, z2, z1, t), wrapper(M, m, H, k, j), -1),
+                (x, lambda tau, z1, z2, t: (tau, -z1, -z2, t), wrapper(M, m, H, -j, -k), None)]
 
     register(IdentitySpec("lemma8.2", "derivative wrapper swap and negation laws",
                           "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem82)))
 
     def lem83(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        return [((1, m, 0, 0, 0), diagonal, (1, m, 0, 0, 0), None),
-                ((M, m, H, j, k), diagonal, (M, m, H, j, k),
-                 e2pi(-Fraction(m, M) * (j.value + k.value)))]
+        x0, x = wrapper(1, m, 0, 0, 0), wrapper(M, m, H, j, k)
+        return [(x0, diagonal, x0, None),
+                (x, diagonal, x, e2pi(-Fraction(m, M) * (j.value + k.value)))]
 
     register(IdentitySpec("lemma8.3", "derivative wrapper diagonal shifts", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem83)))
@@ -991,15 +992,15 @@ def _n4_pairs():
     def lem85(M, m):
         j, k = HalfInt(2), HalfInt(0)
         jv, kv = j.value, k.value
-        idx = MockIndex.of(-m, 0)
+        idx, x = MockIndex.of(-m, 0), wrapper(M, m, 0, j, k)
         c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * jv * kv, -Fraction(m, M),
                                                   jv, kv, Fraction(m * (jv - kv), 2 * M)))
 
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
-            lhs = n4.psi_P(M, m, Fraction(0), j, k, tau, z1, z2, 0, policy)
+            lhs = n4.psi_P(x, tau, z1, z2, 0, policy)
             pref = e2pi(c * tau) * e2pi(cm * (ck * z1 + cj * z2))
-            g = n4.g_numerator(m, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
+            g = n4.g_numerator(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             v = phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             return lhs, pref * (g + cv * v)
         return run
@@ -1016,7 +1017,7 @@ def _n4_pairs():
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
             v, d = phi_tilde_d0(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, policy)
-            g = n4.g_numerator(m, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
+            g = n4.g_numerator(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
             return d, g - (m * (z1 - z2) / (2 * M * tau) + c) * v
         return run
 
@@ -1026,7 +1027,8 @@ def _n4_pairs():
     def rem86(m, eps):
         j = HalfInt(2) if eps == 0 else HalfInt(1)
         k = HalfInt(0) if eps == 0 else HalfInt(-1)
-        return lambda pt, policy: (n4.psi_P(1, m, eps, j, k, pt.tau, pt.z, pt.z, 0.07, policy), 0.0)
+        x = wrapper(1, m, eps, j, k)
+        return lambda pt, policy: (n4.psi_P(x, pt.tau, pt.z, pt.z, 0.07, policy), 0.0)
 
     register(IdentitySpec("rem8.6", "scale-one derivative wrapper vanishes on the diagonal",
                           "n4", 1e-10, [{"m": -1, "eps": Fraction(0)}, {"m": -2, "eps": H}],
@@ -1036,22 +1038,25 @@ def _n4_pairs():
         t = 0.02
         eps, epsp = H, Fraction(0)
         j, k = HalfInt(2), HalfInt(-2)
+        x = wrapper(M, m, eps, j, k)
         if which == "T":
             # off the diagonal the tau-dependent multiplier spoils the T-shift,
             # so the T-law is the diagonal statement used by the chi basis
-            ph, e = e2pi(-Fraction(m, M) * j.value * k.value), abs(Fraction(eps) - Fraction(epsp))
+            ph = e2pi(-Fraction(m, M) * j.value * k.value)
+            y = wrapper(M, m, abs(Fraction(eps) - Fraction(epsp)), j, k)
             return lambda pt, policy: (
-                n4.psi_P(M, m, eps, j, k, pt.tau + 1, pt.z, pt.z, t, policy),
-                ph * n4.psi_P(M, m, e, j, k, pt.tau, pt.z, pt.z, t, policy))
-        terms = _balanced_table(M, eps, m, j.value, k.value, epsp)
+                n4.psi_P(x, pt.tau + 1, pt.z, pt.z, t, policy),
+                ph * n4.psi_P(y, pt.tau, pt.z, pt.z, t, policy))
+        terms = [(c, ph, wrapper(M, m, epsp, a0, b0))
+                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
         cm = complex(-Fraction(m, M))
 
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
-            lhs = n4.psi_P(M, m, eps, j, k, -1 / tau, z1 / tau, z2 / tau, t, policy)
+            lhs = n4.psi_P(x, -1 / tau, z1 / tau, z2 / tau, t, policy)
             tot = 0.0j
-            for c, ph, a0, b0 in terms:
-                tot += c * (ph * n4.psi_P(M, m, epsp, a0, b0, tau, z1, z2, t, policy))
+            for c, ph, y in terms:
+                tot += c * (ph * n4.psi_P(y, tau, z1, z2, t, policy))
             return lhs, tau ** 2 / M * e2pi(cm * z1 * z2 / tau) * tot
         return run
 
@@ -1060,19 +1065,19 @@ def _n4_pairs():
                            for w in ("S", "T")], p87, grid=(2, 2)))
 
     def rem88(M, m):
-        # rows (function, lhs index, rhs index, phase) over the two families
+        # rows (function, lhs index, rhs index, phase) over the two families,
+        # which share their wrapper indices
         j, k = HalfInt(1), HalfInt(-1)
+        y = wrapper(M, m, H, j, k)
         rows = []
         for (a, b) in ((1, 0), (0, 1)):
             ph = e2pi(Fraction(m * (a - b), 2))
-            rows += [(psi_tilde, (PsiIndex.of(M, -m, 0, H, j.value + a * M, k.value + b * M),),
-                      (PsiIndex.of(M, -m, 0, H, j, k),), ph),
-                     (n4.psi_P, (M, m, H, HalfInt(j.twice + 2 * a * M), HalfInt(k.twice + 2 * b * M)),
-                      (M, m, H, j, k), ph)]
+            x = wrapper(M, m, H, j.value + a * M, k.value + b * M)
+            rows += [(psi_tilde, x, y, ph), (n4.psi_P, x, y, ph)]
 
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
-            return [(f(*x, tau, z1, z2, 0, policy), ph * f(*y, tau, z1, z2, 0, policy))
+            return [(f(x, tau, z1, z2, 0, policy), ph * f(y, tau, z1, z2, 0, policy))
                     for f, x, y, ph in rows]
         return run
 
@@ -1174,18 +1179,21 @@ def _n4_pairs():
 
 
 def _d21a_pairs():
-    P211 = d2.D21Params(2, 1, 1)
+    # (p, q, n) of the laws at a = -2/3; every plan builds its own D21Params,
+    # so the data a plan's objects form lives as long as the plan
+    P211 = (2, 1, 1)
 
-    # the index of a numerator function is (which, j, params)
+    # the index of a numerator function is a D21Index
     pq = lambda laws: _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
-        *x, tau, z1, z2, z3, t, "minus", policy), lambda pt: (*pt.zs, 0.03), laws)
+        x, tau, z1, z2, z3, t, "minus", policy), lambda pt: (*pt.zs, 0.03), laws)
     image = lambda action: lambda tau, *a: (tau, *action(tau, *a))
 
     def lem1012(p, q, n, which):
         pr = d2.D21Params(p, q, n)
         j = 1
+        x = d2.D21Index.of(which, j, pr)
         refl = 2 * n * (pr.p if which == "P" else pr.q)
-        return [((which, j, pr), image(action), (which, y, pr), -1)
+        return [(x, image(action), d2.D21Index.of(which, y, pr), -1)
                 for action, y in ((d2.r_theta, -j), (d2.r_alpha2, j), (d2.r_alpha3, j),
                                   (d2.r_alpha0, -j - refl))]
 
@@ -1199,13 +1207,15 @@ def _d21a_pairs():
         big = 2 * n * (p + q)
         j = 1
         K = complex(pr.K)
+        x = d2.D21Index.of(which, j, pr)
         if lab == "S":
-            return [((which, j, pr), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
-                     [(e2pi(Fraction(-j * k, big)), (which, k, pr)) for k in range(big)],
+            return [(x, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
+                     [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr))
+                      for k in range(big)],
                      lambda tau, z1, z2, z3, t: (
                          cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
                          * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau))))]
-        return [((which, j, pr), _T, (which, j, pr), e2pi(Fraction(j * j, 2 * big)))]
+        return [(x, _T, x, e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
                           [{"p": p, "q": 1, "n": 1, "which": w, "lab": lab}
@@ -1213,65 +1223,75 @@ def _d21a_pairs():
                           pq(p1021), grid=(2, 2)))
 
     def lem112():
-        pr = P211
+        pr = d2.D21Params(*P211)
         j = 1
         big = pr.n * (pr.p + pr.q)
-        rows = [("minus", "f", Fraction(0), Fraction(0), 0, 1.0),
-                ("plus", "f", H, Fraction(0), 0, 1.0),
-                ("minus_tw", "f", Fraction(0), H, 0, -1.0),
-                ("plus_tw", "f", H, H, 0, -1.0),
-                ("minus", "g", Fraction(0), Fraction(0), 0, 1.0),
-                ("minus_tw", "g", Fraction(0), H, big, -1.0),
-                ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
-                ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p)))]
+        # (variant, the f or g index, sign) with the shifted index j + shift
+        rows = [(variant, d2.D21Index.of("P" if which == "f" else "Q", j, pr),
+                 d2.D21Index.of(which, j + shift, pr, el, epl), sgn)
+                for variant, which, el, epl, shift, sgn in (
+                    ("minus", "f", Fraction(0), Fraction(0), 0, 1.0),
+                    ("plus", "f", H, Fraction(0), 0, 1.0),
+                    ("minus_tw", "f", Fraction(0), H, 0, -1.0),
+                    ("plus_tw", "f", H, H, 0, -1.0),
+                    ("minus", "g", Fraction(0), Fraction(0), 0, 1.0),
+                    ("minus_tw", "g", Fraction(0), H, big, -1.0),
+                    ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
+                    ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p))))]
 
         def run(pt, policy):
             pts = (*pt.zs, 0.02)
-            return [(d2.PQ_function("P" if which == "f" else "Q", j, pr, pt.tau, *pts, variant,
-                                    policy),
-                     sgn * d2.fg_lower(which, j + shift, pr, el, epl, pt.tau, *pts, policy))
-                    for variant, which, el, epl, shift, sgn in rows]
+            return [(d2.PQ_function(x, pt.tau, *pts, variant, policy),
+                     sgn * d2.fg_lower(y, pt.tau, *pts, policy))
+                    for variant, x, y, sgn in rows]
         return run
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
                           "d21a", 1e-8, [{}], lem112))
 
-    def lem117(pt, policy, eps, epsp, flip):
-        pr = P211
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        hrpt = d2.hr_point(tau, y2, y3)
-        out = [(d2.fg_lower("f", 1, pr, eps, epsp, tau, *hrpt, policy),
-                d2.FG_function("F", 1 + pr.n * pr.p, pr, eps, flip, tau, y2, y3, policy)),
-               (d2.fg_lower("g", 1, pr, eps, epsp, tau, *hrpt, policy),
-                d2.FG_function("G", 1 + pr.n * pr.q, pr, eps, flip, tau, y2, y3, policy))]
-        return out
+    def lem117(eps, epsp):
+        pr = d2.D21Params(*P211)
+        flip = H - epsp
+        rows = [(d2.D21Index.of("f", 1, pr, eps, epsp),
+                 d2.D21Index.of("F", 1 + pr.n * pr.p, pr, eps, flip)),
+                (d2.D21Index.of("g", 1, pr, eps, epsp),
+                 d2.D21Index.of("G", 1 + pr.n * pr.q, pr, eps, flip))]
+
+        def run(pt, policy):
+            tau, (y2, y3, _) = pt.tau, pt.zs
+            hrpt = d2.hr_point(tau, y2, y3)
+            return [(d2.fg_lower(x, tau, *hrpt, policy), d2.FG_function(y, tau, y2, y3, policy))
+                    for x, y in rows]
+        return run
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
-                          "d21a", 1e-8, EPS_PAIRS,
-                          lambda eps, epsp: partial(lem117, eps=eps, epsp=epsp, flip=H - epsp)))
+                          "d21a", 1e-8, EPS_PAIRS, lem117))
 
-    # the index of a reduced basis function is (which, j, eps, epsp)
-    fg = lambda laws: _laws(lambda x, tau, y2, y3, policy: d2.FG_function(
-        x[0], x[1], P211, x[2], x[3], tau, y2, y3, policy), lambda pt: pt.zs[:2], laws)
-    big = P211.n * (P211.p + P211.q)
-    F = lambda j: ("F", j, Fraction(0), H)
+    # the index of a reduced basis function is a D21Index
+    fg = lambda laws: _laws(d2.FG_function, lambda pt: pt.zs[:2], laws)
+    big = 3   # n (p + q) at P211
+
+    def rem116():
+        pr = d2.D21Params(*P211)
+        F = lambda j: d2.D21Index.of("F", j, pr, 0, H)
+        return [(F(-1), _same, F(1), -1), (F(1 + 2 * big), _same, F(1), None),
+                (F(big + 1), _same, F(big - 1), -1)]
 
     register(IdentitySpec("rem11.6", "index symmetries of the reduced basis",
-                          "d21a", 1e-10, [{}], fg(lambda: [
-                              (F(-1), _same, F(1), -1), (F(1 + 2 * big), _same, F(1), None),
-                              (F(big + 1), _same, F(big - 1), -1)])))
+                          "d21a", 1e-10, [{}], fg(rem116)))
 
     def lem118(which, eps, epsp):
-        pr = P211
+        pr = d2.D21Params(*P211)
         deg = pr.n * (pr.p if which == "F" else pr.q)
         j = 1
         ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
-        return [((which, j, eps, epsp), _S,
-                 [(math.sin(math.pi * j * k / big), (which, k, epsp, eps)) for k in range(1, big)],
+        x = d2.D21Index.of(which, j, pr, eps, epsp)
+        return [(x, _S,
+                 [(math.sin(math.pi * j * k / big), d2.D21Index.of(which, k, pr, epsp, eps))
+                  for k in range(1, big)],
                  lambda tau, y2, y3: ((-1j * tau) ** 1.5 * ph * math.sqrt(2.0 / big) * e2pi(
                      pr.n * (pr.q * y2 * y2 + pr.p * y3 * y3) / (4 * tau)))),
-                ((which, j, eps, epsp), _T, (which, j, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
                  e2pi(Fraction(j * j, 4 * big)) * e2pi(-deg * Fraction(epsp) ** 2))]
 
     register(IdentitySpec("lemma11.8", "reduced basis S and T laws", "d21a", 1e-6,
@@ -1295,27 +1315,27 @@ def _d21a_pairs():
                               (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
     def p1114(which, eps, epsp):
-        pr = P211
+        pr = d2.D21Params(*P211)
         big = 2 * pr.n * (pr.p + pr.q)
         deg = pr.n * (pr.p if which == "f" else pr.q)
         j = 1
         ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
         K = complex(pr.K)
-        return [((which, j, eps, epsp), lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
-                 [(e2pi(Fraction(-j * k, big)), (which, k, epsp, eps)) for k in range(big)],
+        x = d2.D21Index.of(which, j, pr, eps, epsp)
+        return [(x, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
+                 [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, epsp, eps))
+                  for k in range(big)],
                  lambda tau, z1, z2, z3, t: (
                      ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
                      * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
-                ((which, j, eps, epsp), _T, (which, j, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
                  e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop11.14", "basis function S and T laws", "d21a", 1e-6,
                           [{"which": w, "eps": e, "epsp": ep} for w in ("f", "g")
                            for (e, ep) in ((Fraction(0), Fraction(0)), (H, Fraction(0)),
                                            (Fraction(0), H))],
-                          _laws(lambda x, tau, z1, z2, z3, t, policy: d2.fg_lower(
-                              x[0], x[1], P211, x[2], x[3], tau, z1, z2, z3, t, policy),
-                              lambda pt: (*pt.zs, 0.02), p1114), grid=(2, 2)))
+                          _laws(d2.fg_lower, lambda pt: (*pt.zs, 0.02), p1114), grid=(2, 2)))
 
     def p1111(pt, policy, w, flavor):
         tau = pt.tau
@@ -1331,7 +1351,8 @@ def _d21a_pairs():
                           [{"m2": 0, "m3": 0, "flavor": f} for f in ("P", "Q")]
                           + [{"m2": 0, "m3": 1, "flavor": f} for f in ("P", "Q")],
                           lambda m2, m3, flavor: partial(
-                              p1111, w=d2.D21Weight(P211, 1, m2, m3), flavor=flavor)))
+                              p1111, w=d2.D21Weight(d2.D21Params(*P211), 1, m2, m3),
+                              flavor=flavor)))
 
     def rem1113(p, s, sector):
         w = d2.D21Weight(d2.D21Params(p, 1, 1), 1, 0, s)
@@ -1351,7 +1372,7 @@ def _d21a_pairs():
                           rem1113, grid=(2, 2)))
 
     def probe_1115(policy):
-        pr = P211
+        pr = d2.D21Params(*P211)
         tau = 0.9j + 0.1
         y2 = 0.21 + 0.06j
         w = d2.D21Weight(pr, 1, 0, 1)
@@ -1373,7 +1394,7 @@ def _d21a_pairs():
                           "d21a", 10.0, [{}], None, runner=probe_1115))
 
     def eq127(eps, epsp, j):
-        pr = P211
+        pr = d2.D21Params(*P211)
         p = pr.p
         t = 0.02
         a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
@@ -1381,11 +1402,12 @@ def _d21a_pairs():
         s1 = (-1.0) ** (1 - 2 * float(epsp))
         s2 = (-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp)))
         xp, xm = ThetaIndex.of(j, p + 1), ThetaIndex.of(-j, p + 1)
+        g = d2.D21Index.of("g", j, pr, eps, epsp)
 
         def run(pt, policy):
             tau, zs = pt.tau, pt.zs
             z1, z2, z3 = zs
-            lhs = (d2.fg_lower("g", j, pr, eps, epsp, tau, *zs, t, policy)
+            lhs = (d2.fg_lower(g, tau, *zs, t, policy)
                    / d2.rhat(tau, *zs, eps, epsp, policy))
             th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
             pref = ph / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3))

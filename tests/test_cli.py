@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -21,6 +22,10 @@ def test_parse_complex():
     assert parse_complex("i") == 1j
     with pytest.raises(Exception):
         parse_complex("abc")
+    # every group of the pattern is optional, so "" matched it as 0j
+    for empty in ("", "  "):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_complex(empty)
 
 
 def test_eval_theta(capsys):
@@ -150,6 +155,15 @@ def test_refused_inputs_exit_2(args, capsys):
     # runner too
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("z", ["", " "])
+def test_empty_point_exits_2(z, capsys):
+    # an empty --z is a usage error (argparse's own message), not the value
+    # at z = 0
+    code, out, err = run_cli(["eval", "--fn", "theta", "--j", "1", "--m", "2",
+                              "--tau", "0.5i", "--z", z], capsys)
+    assert code == 2 and out == "" and "cannot parse complex number" in err
 
 
 def test_eval_eta_small_im_tau(capsys):

@@ -72,8 +72,8 @@ def test_characteristics_examples():
 def test_pq_periodicity():
     pr = d2.D21Params(2, 1, 1)
     big = 2 * pr.n * (pr.p + pr.q)
-    a = d2.PQ_function("P", 1, pr, TAU, *ZS, T, "minus", P)
-    b = d2.PQ_function("P", 1 + big, pr, TAU, *ZS, T, "minus", P)
+    a = d2.PQ_function(d2.D21Index.of("P", 1, pr), TAU, *ZS, T, "minus", P)
+    b = d2.PQ_function(d2.D21Index.of("P", 1 + big, pr), TAU, *ZS, T, "minus", P)
     assert abs(a - b) < 1e-12
 
 
@@ -82,7 +82,8 @@ def test_weyl_actions():
     pts = (*ZS, T)
     for which in ("P", "Q"):
         refl = 2 * pr.n * (pr.p if which == "P" else pr.q)
-        base = lambda jj, point: d2.PQ_function(which, jj, pr, TAU, *point, "minus", P)
+        base = lambda jj, point: d2.PQ_function(d2.D21Index.of(which, jj, pr), TAU, *point,
+                                                "minus", P)
         assert abs(base(1, d2.r_theta(TAU, *pts)) + base(-1, pts)) < 1e-10
         assert abs(base(1, d2.r_alpha2(TAU, *pts)) + base(1, pts)) < 1e-10
         assert abs(base(1, d2.r_alpha3(TAU, *pts)) + base(1, pts)) < 1e-10
@@ -94,12 +95,12 @@ def test_supercharacter_case_rows():
     # the j=1, m2=0 row gives the plain P index m2 - m3
     w = d2.D21Weight(pr, 1, 0, 1)
     a = d2.modified_supercharacter_numerator(w, TAU, *ZS, T, "P", P)
-    b = d2.PQ_function("P", -1, pr, TAU, *ZS, T, "minus", P)
+    b = d2.PQ_function(d2.D21Index.of("P", -1, pr), TAU, *ZS, T, "minus", P)
     assert abs(a - b) < 1e-12
     # the j=0, m2 = nq-1 row gives -P_{m3-m2-2np}
     w = d2.D21Weight(pr, 0, 0, 0)
     a = d2.modified_supercharacter_numerator(w, TAU, *ZS, T, "P", P)
-    b = -d2.PQ_function("P", -4, pr, TAU, *ZS, T, "minus", P)
+    b = -d2.PQ_function(d2.D21Index.of("P", -4, pr), TAU, *ZS, T, "minus", P)
     assert abs(a - b) < 1e-12
 
 
@@ -167,7 +168,8 @@ def test_boundary_characters_follow_the_label_table():
         for sector, (eps, eps_prime) in SECTOR_EPS.items():
             for w, (jg, sign) in zip(weights, rows[sector]):
                 for tau, zs, t in BOUNDARY_POINTS:
-                    want = (sign * d2.fg_lower("g", jg, pr, eps, eps_prime, tau, *zs, t, P)
+                    g = d2.D21Index.of("g", jg, pr, eps, eps_prime)
+                    want = (sign * d2.fg_lower(g, tau, *zs, t, P)
                             / d2.rhat(tau, *zs, eps, eps_prime, P))
                     got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
                     assert got == want, (p, sector, w.label())
@@ -202,17 +204,30 @@ def test_smatrix_recovery_oracle():
 
 
 def test_fusion_rule():
-    for p in (1, 2):
+    # the Verlinde formula N_ijk = sum_l S_il S_jl S_kl / S_0l, with the label
+    # of residue 0 as the vacuum 0, gives the rule up to the parity signs of
+    # the supercharacters: |N_ijk| is the table's entry on every triple
+    for p in (1, 2, 3, 4):
         sm = d2.s_matrix_and_fusion(p)
-        N = len(sm["labels"])
-        f = sm["fusion"]
-        js = sm["j_residues"]
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    want = 1 if (js[i] + js[j] + js[k]) % (2 * (p + 1)) == 0 else 0
-                    assert f(i, j, k) == want
-                    assert f(j, i, k) == f(k, j, i) == want
+        S = np.array(sm["S"])
+        N = len(S)
+        vac = sm["j_residues"].index(0)
+        verlinde = np.einsum("il,jl,kl,l->ijk", S, S, S, 1.0 / S[vac])
+        rule = np.array([[[sm["fusion"](i, j, k) for k in range(N)] for j in range(N)]
+                         for i in range(N)])
+        assert np.abs(np.abs(verlinde) - rule).max() < 1e-12, p
+
+
+def test_s_t_modular_relations():
+    # S is symmetric and unitary, S^4 = 1 and (ST)^3 = S^2
+    for p in (1, 2, 3, 4):
+        sm = d2.s_matrix_and_fusion(p)
+        S, T = np.array(sm["S"]), np.diag(sm["T"])
+        one = np.eye(len(S))
+        ST = S @ T
+        for residual in (S - S.T, S @ S.conj().T - one,
+                         np.linalg.matrix_power(S, 4) - one, ST @ ST @ ST - S @ S):
+            assert np.abs(residual).max() < 1e-12, p
 
 
 def test_boundary_modification_free():
@@ -249,5 +264,6 @@ def test_extra_weight_vanishing_is_structural():
     for (m2, m3, jdx) in ((1, 0, 3), (0, 2, 0)):
         w = d2.D21Weight(pr, 1, m2, m3)
         assert d2.qhr_characteristics(w)["vanishes"]
-        v = d2.FG_function("F", jdx, pr, 0, F(1, 2), TAU, 0.21 + 0.05j, 0.33 - 0.04j, P)
+        v = d2.FG_function(d2.D21Index.of("F", jdx, pr, 0, F(1, 2)), TAU,
+                           0.21 + 0.05j, 0.33 - 0.04j, P)
         assert v == 0

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mockforms.mock import MockIndex
 from mockforms.qkernel import HalfInt, TruncationPolicy, UnsupportedCaseError, e2pi
 import mockforms.family_n4 as n4
 
@@ -81,10 +82,9 @@ def test_minus_sector_m2_zero_structure():
     # at m2 = 0 the supercharacter numerator reduces to the derivative part
     w = n4.N4Weight(-2, 0)
     a = n4.admissible_supernumerator(w, TAU, Z1, Z2, T, P)
-    from mockforms.mock import MockIndex
     from mockforms.modification import phi_tilde
 
-    g = n4.g_numerator(-2, TAU, Z1, Z2, T, P)
+    g = n4.g_numerator(MockIndex.of(2, 0), TAU, Z1, Z2, T, P)
     extra = ((-2) * (Z1 - Z2) / (2 * TAU)) * e2pi(-2 * T) * phi_tilde(
         MockIndex.of(2, 0), TAU, Z1, Z2, 0.0, P)
     assert abs(a - (g - extra)) < 1e-12
@@ -92,7 +92,6 @@ def test_minus_sector_m2_zero_structure():
 
 def g_numerator_reference(m, tau, z1, z2, t):
     """The derivative numerator straight from the degree -m modification."""
-    from mockforms.mock import MockIndex
     from mockforms.modification import phi_tilde_d0
 
     v, d = phi_tilde_d0(MockIndex.of(-m, 0), tau, z1, z2, P)
@@ -102,7 +101,6 @@ def g_numerator_reference(m, tau, z1, z2, t):
 def supernumerator_reference(w, tau, z1, z2, t):
     """R-hat^- ch~^- with one branch per type, written out as the integrable
     formula and the four admissible coordinate changes."""
-    from mockforms.mock import MockIndex
     from mockforms.modification import phi_tilde_d0
 
     m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
@@ -149,7 +147,8 @@ def test_numerators_match_branchwise_reference():
                     == supernumerator_reference(w, tau, z1, z2, t)), w
     for m in (-1, -2, -3):
         for tau, z1, z2, t in points:
-            assert n4.g_numerator(m, tau, z1, z2, t, P) == g_numerator_reference(m, tau, z1, z2, t)
+            g = n4.g_numerator(MockIndex.of(-m, 0), tau, z1, z2, t, P)
+            assert g == g_numerator_reference(m, tau, z1, z2, t)
 
 
 def test_integrable_weights_have_no_admissible_data():
@@ -215,8 +214,8 @@ def test_rem94_rewriting():
     lhs = (n4.qhr_character_admissible(w, TAU, Z, "minus", P)
            * n4.n4_denominator(TAU, Z, 0, F(1, 2), P))
     j, k = HalfInt(2 * (k1 + k2) + 1), HalfInt(-(2 * k1 + 1))
-    rhs = (-n4.psi_P(M, m, 0, j, k, TAU, Z, Z, 0.0, P)
-           + A * psi_tilde(PsiIndex.of(M, -m, 0, 0, j, k), TAU, Z, Z, 0.0, P))
+    idx = PsiIndex.of(M, -m, 0, 0, j, k)
+    rhs = -n4.psi_P(idx, TAU, Z, Z, 0.0, P) + A * psi_tilde(idx, TAU, Z, Z, 0.0, P)
     assert abs(lhs - rhs) < 1e-10
 
 

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mockforms.qkernel as qkernel
 from mockforms.qkernel import (
     DEFAULT_POLICY,
     DomainError,
@@ -225,23 +227,36 @@ def reference_guard_message(z, tau, policy):
 @settings(max_examples=400, deadline=None)
 @given(st.floats(min_value=math.log(2e-5), max_value=math.log(3.0)).map(math.exp),
        st.floats(min_value=-20.0, max_value=20.0),
-       st.integers(-4, 4), st.integers(-4, 4),
+       st.integers(-4, 4), st.one_of(st.integers(-4, 4), st.integers(-10 ** 6, 10 ** 6)),
        st.sampled_from([1e-3, 0.02]), st.sampled_from([1, -1]), st.integers(-6, 6),
+       st.one_of(st.none(), st.floats(min_value=-0.5, max_value=0.5)),
        st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)))
-@example(0.31, 0.0, 0, 1, 0.02, 1, -1, 0.0)
-@example(2e-5, 10.0, 1, -3, 1e-3, -1, 2, 0.0)
-def test_pole_guard_row_band_matches_full_window(im_tau, re_tau, a, b, guard, side, ulps, dx):
-    # z sits near a + b tau with |Im(z - b tau)| a few ulps from pole_guard
+@example(0.31, 0.0, 0, 1, 0.02, 1, -1, None, 0.0)
+@example(2e-5, 10.0, 1, -3, 1e-3, -1, 2, None, 0.0)
+@example(0.31, 0.0, 0, 10 ** 6, 0.02, 1, 1, None, 0.0)
+@example(2e-5, 10.0, 1, -10 ** 6, 1e-3, -1, 2, None, 0.0)
+@example(0.8, -0.4, 0, 3, 0.02, 1, 0, 0.5, 0.0)
+def test_pole_guard_row_band_matches_full_window(im_tau, re_tau, a, b, guard, side, ulps,
+                                                 row, dx):
+    # z sits in row b of a + b tau, |Im z| up to 1e6 Im tau, either a few
+    # ulps of the row coordinate from pole_guard off the row (row None) or
+    # at row * Im tau off it
     policy = TruncationPolicy(pole_guard=guard)
     tau = complex(re_tau, im_tau)
-    z = a + b * tau + complex(dx * guard, side * (guard + ulps * math.ulp(guard)))
+    step = math.ulp(max(abs(b * im_tau), guard))
+    off = side * guard + ulps * step if row is None else row * im_tau
+    z = a + b * tau + complex(dx * guard, off)
     expected = reference_guard_message(z, tau, policy)
-    if expected is None:
-        guard_pole(z, tau, policy)
-    else:
-        with pytest.raises(PoleProximityError) as err:
+    with patch.object(qkernel, "_lattice_scan", wraps=qkernel._lattice_scan) as scan:
+        try:
             guard_pole(z, tau, policy)
-        assert str(err.value) == expected
+            got = None
+        except PoleProximityError as err:
+            got = str(err)
+    if not scan.called:
+        # the row bound returned: the full-window scan finds no point close
+        assert expected is None
+    assert got == expected
 
 
 def test_overflowing_terms_raise_domain_error():
