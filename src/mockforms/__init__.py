@@ -12,20 +12,12 @@ from .qkernel import (
     TruncationPolicy,
     UnknownIdentityError,
     UnsupportedCaseError,
-    gauss_error,
     lattice_distance,
     nome,
 )
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
 from .mock import MockIndex, PsiIndex, phi, phi1, psi
-from .modification import (
-    CorrectionIndex,
-    phi1_tilde,
-    phi_add,
-    phi_tilde,
-    psi_tilde,
-    r_correction,
-)
+from .modification import phi1_tilde, phi_add, phi_tilde, psi_tilde, r_window
 from .formal import FormalSeries, expand_phi1, expand_theta, series_equal
 from .verifier import standard_grid, suite, verify
 

@@ -27,6 +27,7 @@ from .qkernel import (
     LOG_2,
     TWO_PI,
     TWO_PI_I,
+    DomainError,
     HalfInt,
     TruncationPolicy,
     _MISS,
@@ -139,15 +140,7 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
     tau = _check_point(tau, z1, z2)
-    if memo is not None:
-        # the guard depends on (z1, tau, policy) alone: a passed scan is
-        # recorded for the point, a refusal is raised again on every call
-        pole_key = ("pole", z1, tau, policy)
-        if pole_key not in memo:
-            guard_pole(z1, tau, policy, "z1")
-            memo[pole_key] = True
-    else:
-        guard_pole(z1, tau, policy, "z1")
+    guard_pole(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
     if not math.isfinite(j_c):
@@ -245,10 +238,16 @@ def phi_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
 
 def _psi_frame(idx: PsiIndex, tau: complex, z1: complex, z2: complex):
     """(prefactor, MockIndex, M tau, z1 + a tau + eps, z2 + b tau + eps): the
-    frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function."""
+    frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function.
+    A prefactor past the double range (an overflow-sized Im z) raises
+    DomainError."""
     inner, a, b, eps, mab, m_M = idx._frame
     M = idx.M
-    pref = e2pi(mab * tau / M + m_M * (b * z1 + a * z2))
+    tau = _check_point(tau, z1, z2)
+    try:
+        pref = e2pi(mab * tau / M + m_M * (b * z1 + a * z2))
+    except OverflowError as exc:
+        raise DomainError(f"the prefactor of Psi overflowed a double ({exc})") from exc
     return pref, inner, M * tau, z1 + a * tau + eps, z2 + b * tau + eps
 
 

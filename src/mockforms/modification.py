@@ -6,15 +6,17 @@ The correction kernel
         (sgn(n - 1/2 - j + 2m) - E((n - 2m Im v / Im tau) sqrt(Im tau / m)))
         e^{- pi i n^2 tau / 2m + 2 pi i n v},
 
-the correcting sum Phi_add and the modifications Phi-tilde, Phi_1-tilde
-and Psi-tilde.  The sgn argument is never zero: n - j in 2mZ puts it in
-2mZ - 1/2.
+with E(x) = 2 int_0^x e^{-pi u^2} du = erf(sqrt(pi) x), the correcting sum
+Phi_add and the modifications Phi-tilde, Phi_1-tilde and Psi-tilde.  The
+sgn argument is never zero: n - j in 2mZ puts it in 2mZ - 1/2.
 
 The correcting sum needs R_{j;m} for the 2m indices j = s, ..., s+2m-1,
 whose residues mod 2m cover s + Z once: r_window sums them all as one
 series over n in s + Z, outward from the turning point n* = 2m Im v / Im tau,
 where the bracket and the growing exponential compete; beyond it the net
-decay is Gaussian.
+decay is Gaussian.  Each term goes to the series of its residue where its
+index lies in that series' own range, and R_{j;m} alone is series 0 of the
+window at s = j.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import cmath
 import math
 import operator
 from itertools import chain
-from dataclasses import dataclass
 
 from .qkernel import (
     ANCHOR_EVERY,
@@ -32,8 +33,8 @@ from .qkernel import (
     TWO_PI,
     TWO_PI_I,
     DomainError,
-    HalfInt,
     TruncationPolicy,
+    _FAR,
     _MISS,
     _POINT_MEMO,
     _centre_error,
@@ -44,19 +45,6 @@ from .qkernel import (
 )
 from .theta import theta_jm
 from .mock import MockIndex, PsiIndex, _psi_frame, phi, phi_d0, phi1
-
-
-@dataclass(frozen=True)
-class CorrectionIndex:
-    j: HalfInt
-    m: HalfInt
-
-    @staticmethod
-    def of(j, m) -> "CorrectionIndex":
-        m = HalfInt.of(m)
-        if m.twice <= 0:
-            raise ValueError("degree m must be positive")
-        return CorrectionIndex(HalfInt.of(j), m)
 
 
 # A walk forms the exponential factors e^{2 pi i w} of a run of terms by
@@ -136,7 +124,14 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     2m-1, or with want_dv the pair of it and the tuple of
     (1/2 pi i) dR_{s+r;m}/dv, from one walk over n = s + i, i in Z.  With
     buckets, a tuple of r in ascending order, only those are summed, and
-    the others are 0.
+    the others are 0: R_{j;m} alone is r_window(j, m, tau, v, policy,
+    buckets=(0,))[0].
+
+    The E-factor depends on v only through Im v, whose Wirtinger derivative
+    is -i/2; per term
+
+        (1/2 pi i) d/dv [(sgn - E(x_n)) e^{2 pi i n v}]
+            = (n (sgn - E(x_n)) - sqrt(m/Im tau) e^{-pi x_n^2} / pi) e^{...}.
 
     The residues s + r + 2mZ cover s + Z once, so the term at i belongs to
     R_{s+r;m} for r = i mod 2m, and its sgn is +1 exactly when i >= 0.  Its
@@ -159,6 +154,8 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
         key = ("R", buckets, s, m, tau, v, policy, want_dv)
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
+    if not (m > 0 and (2.0 * m).is_integer() and (2.0 * s).is_integer()):
+        raise ValueError(f"s and m must be half-integers and m positive, got {s}, {m}")
     tau = _check_point(tau, v)
     v = complex(v)
     scale = math.sqrt(tau.imag / m)
@@ -197,33 +194,14 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     # The walk runs outward from i0, up to i_hi and down to i_lo, in runs of
     # up to `run` terms.  n = s + i0 is the n in s + Z nearest n_star, found
     # from n_star and s mod 1 alone, so every s of one class mod 1 anchors
-    # its runs at the same n.  A term goes to slot_v[i - base], the index
-    # of its series where i lies in the value range of that series and width
-    # (a slot that is dropped) elsewhere; slot_d is the same for the
-    # derivatives.
+    # its runs at the same n.  The term at k belongs to series b = k mod 2m
+    # and is summed into vals[b] where lo_v[b] <= k <= hi_v[b], and into
+    # ders[b] where lo_d[b] <= k <= hi_d[b]; a series not in buckets has the
+    # empty range (inf, -inf).
     i0 = math.floor(n_star - s % 1 + 0.5) - math.floor(s)
-    i_lo, i_hi = min(lo_v), max(hi_v)
-    if want_dv:
-        i_lo, i_hi = min(i_lo, min(lo_d)), max(i_hi, max(hi_d))
-    base = min(i_lo, i0 - 1)
-    span = max(i_hi, i0) - base + 1
-    row = [width] * width
-    for r in buckets:
-        row[(r - base) % width] = r
-    row *= span // width + 1
-    del row[span:]
-    slot_v = row
-    slot_d = row[:] if want_dv else row
-    for slot, lo, hi in ((slot_v, lo_v, hi_v), (slot_d, lo_d, hi_d))[:1 + want_dv]:
-        for r in buckets:
-            if lo[r] - width >= base:
-                below = range((r - base) % width, lo[r] - base, width)
-                slot[below.start:below.stop:width] = [width] * len(below)
-            if hi[r] + width < base + span:
-                above = range(hi[r] - base + width, span, width)
-                slot[above.start:above.stop:width] = [width] * len(above)
-    vals = [0.0 + 0.0j] * (width + 1)
-    ders = [0.0 + 0.0j] * (width + 1)
+    i_lo, i_hi = min(chain(lo_v, lo_d)), max(chain(hi_v, hi_d))
+    vals = [0.0 + 0.0j] * width
+    ders = [0.0 + 0.0j] * width
     erfc, exp, cexp, log, copysign = math.erfc, math.exp, cmath.exp, math.log, math.copysign
     c = SQRT_PI * scale
     c2 = math.pi * scale * scale
@@ -244,54 +222,51 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
                 reach = math.sqrt((min(_WALK_LOG_MAX, low + _WALK_LOG_SPAN) - log_c) / a_n)
                 walked = math.floor(reach - step * u) + 1
                 walked = 0 if walked < 2 else min(walked, count)
-            k = i - base
-            if step > 0:
-                sv = slot_v[k:k + count]
-            else:
-                sv = slot_v[k:k - count:-1] if k >= count else slot_v[k::-1]
-            if not want_dv:
-                sd = sv
-            elif step > 0:
-                sd = slot_d[k:k + count]
-            else:
-                sd = slot_d[k:k - count:-1] if k >= count else slot_d[k::-1]
+            # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x), x = (n - n_star)
+            # scale, and sgn = +1 exactly when k >= 0
             if walked:
                 e = cexp(TWO_PI_I * n * (qa * n + v))
                 r = cexp(TWO_PI_I * step * (qa * (2.0 * n + step) + v))
                 q2 = cexp(2.0 * TWO_PI_I * qa) if walked > 2 else 0j
                 if want_dv:
-                    for bv, bd in zip(sv[:walked], sd):
-                        if bv < width or bd < width:
+                    for k in range(i, i + step * walked, step):
+                        b = k % width
+                        in_v = lo_v[b] <= k <= hi_v[b]
+                        in_d = lo_d[b] <= k <= hi_d[b]
+                        if in_v or in_d:
+                            n = s + k
                             d = n - n_star
-                            t = (erfc(c * d) if n >= s else -erfc(-c * d)) * e
-                            vals[bv] += t
-                            ders[bd] += n * t - dscale * exp(-c2 * d * d) * e
+                            t = (erfc(c * d) if k >= 0 else -erfc(-c * d)) * e
+                            if in_v:
+                                vals[b] += t
+                            if in_d:
+                                ders[b] += n * t - dscale * exp(-c2 * d * d) * e
                         e *= r
                         r *= q2
-                        n += step
                 else:
-                    for b in sv[:walked]:
-                        if b < width:
-                            # sgn - E(x) = sgn * erfc(sgn * sqrt(pi) * x), x =
-                            # (n - n_star) scale, and sgn = +1 exactly when i >= 0
-                            d = n - n_star
-                            vals[b] += (erfc(c * d) if n >= s else -erfc(-c * d)) * e
+                    for k in range(i, i + step * walked, step):
+                        b = k % width
+                        if lo_v[b] <= k <= hi_v[b]:
+                            d = s + k - n_star
+                            vals[b] += (erfc(c * d) if k >= 0 else -erfc(-c * d)) * e
                         e *= r
                         r *= q2
-                        n += step
-            for bv, bd in zip(sv[walked:], sd[walked:]):
-                if bv < width or bd < width:
+            for k in range(i + step * walked, i + step * count, step):
+                b = k % width
+                in_v = lo_v[b] <= k <= hi_v[b]
+                in_d = lo_d[b] <= k <= hi_d[b]
+                if in_v or in_d:
+                    n = s + k
                     d = n - n_star
-                    br = erfc(c * d) if n >= s else -erfc(-c * d)
+                    br = erfc(c * d) if k >= 0 else -erfc(-c * d)
                     w = TWO_PI_I * n * (qa * n + v)
                     t = copysign(1.0, br) * cexp(w + log(abs(br))) if br else 0j
-                    vals[bv] += t
-                    if want_dv:
-                        ders[bd] += n * t - dscale * cexp(w - c2 * d * d)
-                n += step
+                    if in_v:
+                        vals[b] += t
+                    if want_dv and in_d:
+                        ders[b] += n * t - dscale * cexp(w - c2 * d * d)
     except OverflowError as exc:
         raise DomainError(f"a series term overflowed a double ({exc})") from exc
-    del vals[width], ders[width]
     if unit != 1:
         vals = [unit * x for x in vals]
         ders = [unit * x for x in ders]
@@ -301,24 +276,6 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     if memo is not None:
         memo[key] = out
     return out
-
-
-def r_correction(idx: CorrectionIndex, tau: complex, v: complex,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """R_{j;m}(tau, v): series 0 of the window at s = j."""
-    return r_window(float(idx.j), float(idx.m), tau, v, policy, buckets=(0,))[0]
-
-
-def r_correction_dv(idx: CorrectionIndex, tau: complex, v: complex,
-                    policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, (1/2 pi i) dR/dv).  The E-factor depends on v only through
-    Im v, whose Wirtinger derivative is -i/2; per term
-
-        (1/2 pi i) d/dv [(sgn - E(x_n)) e^{2 pi i n v}]
-            = (n (sgn - E(x_n)) - sqrt(m/Im tau) e^{-pi x_n^2} / pi) e^{...}.
-    """
-    vals, ders = r_window(float(idx.j), float(idx.m), tau, v, policy, True, (0,))
-    return vals[0], ders[0]
 
 
 def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPolicy):
@@ -415,11 +372,16 @@ def phi_tilde_reduced(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     Equal to phi_tilde by that law, but numerically far better conditioned:
     the raw series at arguments shifted by a*tau cancels catastrophically
     while the reduced series is O(1) and the prefactor is one exponential.
+    A lattice coordinate Im z / Im tau that is not finite, or 2^52 or more,
+    raises DomainError: no multiple of tau can be pulled out exactly.
     """
-    tau = complex(tau)
+    tau = _check_point(tau, z1, z2)
     m = float(idx.m)
-    a = round(complex(z1).imag / tau.imag)
-    b = round(complex(z2).imag / tau.imag)
+    ya, yb = complex(z1).imag / tau.imag, complex(z2).imag / tau.imag
+    for y in (ya, yb):
+        if not abs(y) < _FAR:
+            raise _centre_error(y)
+    a, b = round(ya), round(yb)
     if a == 0 and b == 0:
         return phi_tilde(idx, tau, z1, z2, t, policy)
     u1, u2 = z1 - a * tau, z2 - b * tau

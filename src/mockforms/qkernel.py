@@ -1,8 +1,7 @@
 """Shared numerical substrate.
 
-Complex helpers, nome computation, truncation control, the Gaussian
-error-function kernel used by the real-analytic corrections, and
-pole-distance guards.  Everything downstream sums series of the shape
+Complex helpers, nome computation, truncation control and pole-distance
+guards.  Everything downstream sums series of the shape
 
     sum_k  c_k * exp(2*pi*i * (quadratic in k)),
 
@@ -102,7 +101,8 @@ DEFAULT_POLICY = TruncationPolicy()
 # Leaf-kernel memo: a dict while verifier.verify evaluates one grid point, None
 # at any other time.  Kernels store only results they return, never errors,
 # and look a key up once, with memo.get(key, _MISS), before _check_point: a
-# hit is an input equal to one that has passed the check.
+# hit is an input equal to one that has passed the check.  The pole guard
+# keeps no entry: its row bound clears most points without a scan.
 _POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
 _MISS = object()
 
@@ -201,16 +201,6 @@ def _centre_error(x: float) -> DomainError:
     finite, as when Im z / Im tau overflows a double: there is no index to
     start from, and round(x) would raise an untyped error."""
     return DomainError(f"the series centre {x} lies outside the double range")
-
-
-def gauss_error(x: float) -> float:
-    """E(x) = 2 * integral_0^x exp(-pi u^2) du.
-
-    Substituting u = s/sqrt(pi) reduces E to the standard error integral,
-    for which the C library's split series / continued-fraction evaluation
-    is accurate to well below 1e-14 in both the central and tail regimes.
-    """
-    return math.erf(SQRT_PI * x)
 
 
 def nome(tau: complex) -> complex:

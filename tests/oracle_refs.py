@@ -1,6 +1,6 @@
 """mpmath references shared by the oracle tests: perfbench/oracle.py (dps
 30), loaded by path and read-only, and the v-derivative of R, which
-perfbench does not have, summed from the r_correction_dv docstring formula
+perfbench does not have, summed from the formula of the r_window docstring
 with the same helpers."""
 
 import importlib.util

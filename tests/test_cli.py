@@ -147,12 +147,16 @@ def test_verify_usage_error(capsys):
     ["verify", "--id", "prop11.15", "--grid", "9x1"],
     ["verify", "--id", "rem12.5", "--grid", "0x1"],
     ["verify", "--id", "prop11.15", "--m", "2"],
+    ["eval", "--fn", "psi_tilde", "--tau", "1i", "--z1", "0.1+100000000000000000i",
+     "--M", "3", "--m", "2", "--aa", "1", "--bb", "-1"],
+    ["eval", "--fn", "psi", "--tau", "1i", "--z1", "0.1+100000000000000000i",
+     "--M", "3", "--m", "2", "--aa", "1", "--bb", "-1"],
 ])
 def test_refused_inputs_exit_2(args, capsys):
-    # an overflowing series term, a truncation cap hit, a grid with more
-    # tau values than the fixed tau list or with none, and a filter no
-    # parameter set matches are errors, not tracebacks, for the ids with a
-    # runner too
+    # an overflowing series term or prefactor, a truncation cap hit, a grid
+    # with more tau values than the fixed tau list or with none, and a
+    # filter no parameter set matches are errors, not tracebacks, for the
+    # ids with a runner too
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -7,7 +7,6 @@ import pytest
 from mockforms.qkernel import SQRT_PI, HalfInt, TruncationPolicy, e2pi
 from mockforms.mock import MockIndex, PsiIndex, phi
 from mockforms.modification import (
-    CorrectionIndex,
     phi1_add,
     phi1_tilde,
     phi_add,
@@ -17,8 +16,6 @@ from mockforms.modification import (
     psi_tilde,
     psi_tilde_d0,
     psi_tilde_reduced,
-    r_correction,
-    r_correction_dv,
     r_window,
 )
 from mockforms.theta import ThetaIndex, theta_jm
@@ -50,8 +47,16 @@ def brute_r(j, m, tau, v, N=400):
 def test_r_reference_summation():
     v = 0.1 + 0.2j
     ref = brute_r(0, 1, 2j, v)
-    val = r_correction(CorrectionIndex.of(0, 1), 2j, v, P)
+    val = r_window(0.0, 1.0, 2j, v, P, buckets=(0,))[0]
     assert abs(val - ref) < 1e-13
+
+
+def test_r_window_refuses_a_bad_index():
+    # as for every index of the package: m a positive half-integer, s a
+    # half-integer
+    for s, m in ((0.5, 0.0), (0.5, -1.0), (0.3, 1.0), (0.5, 0.75), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            r_window(s, m, 1j, 0.1, P)
 
 
 def test_r_term_decay_scan():
@@ -101,11 +106,11 @@ def phi_add_reference(idx, tau, z1, z2, t):
         tj = pair_diff_reference(j, idx.m, tau, z1 + z2)
         if tj == 0:
             continue
-        cidx = CorrectionIndex.of(j, idx.m)
-        tot += r_correction(cidx, tau, v, P) * tj
-        rv, rd = r_correction_dv(cidx, tau, v, P)
-        val += rv * tj
-        der += rd * tj
+        jf, mf = float(j), float(idx.m)
+        tot += r_window(jf, mf, tau, v, P, buckets=(0,))[0] * tj
+        rv, rd = r_window(jf, mf, tau, v, P, True, (0,))
+        val += rv[0] * tj
+        der += rd[0] * tj
     tot *= 0.5
     if t != 0:
         tot *= e2pi(float(idx.m) * t)

@@ -29,13 +29,7 @@ from mockforms.qkernel import (
     TruncationPolicy,
 )
 from mockforms.mock import MockIndex, phi1, phi_d0
-from mockforms.modification import (
-    CorrectionIndex,
-    phi_tilde,
-    r_correction,
-    r_correction_dv,
-    r_window,
-)
+from mockforms.modification import phi_tilde, r_window
 from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
 from oracle_refs import oracle, r_dv_reference
 
@@ -113,7 +107,7 @@ def test_phi1(m, s, y, x, r1, u1, r2, u2, tol):
 @example(-7.5, 20.0, 4.0, 1.0, 0.4, -3.0, 1e-6)
 def test_r_correction(j, m, y, x, vr, vu, tol):
     tau, v = complex(x, y), complex(vr, vu * y)
-    _check(lambda p: r_correction(CorrectionIndex.of(j, m), tau, v, p),
+    _check(lambda p: r_window(j, m, tau, v, p, buckets=(0,))[0],
            lambda: oracle.r_correction(j, m, tau, v), tol)
 
 
@@ -124,11 +118,11 @@ def test_r_correction(j, m, y, x, vr, vu, tol):
 def test_r_correction_dv(j, m, y, x, vr, vu, tol):
     tau, v = complex(x, y), complex(vr, vu * y)
     try:
-        value, der = r_correction_dv(CorrectionIndex.of(j, m), tau, v, TruncationPolicy(tol=tol))
+        values, derivatives = r_window(j, m, tau, v, TruncationPolicy(tol=tol), True, (0,))
     except TYPED:
         return
-    _within(value, oracle.r_correction(j, m, tau, v), tol)
-    _within(der, r_dv_reference(j, m, tau, v), tol)
+    _within(values[0], oracle.r_correction(j, m, tau, v), tol)
+    _within(derivatives[0], r_dv_reference(j, m, tau, v), tol)
 
 
 # R_{j;m} is series 0 of the window at s = j, walked in steps of 1 in runs
@@ -142,10 +136,11 @@ def test_r_correction_dv(j, m, y, x, vr, vu, tol):
 ])
 def test_r_correction_with_a_long_step(j, m, tau, v):
     tol = 1e-12
-    value, der = r_correction_dv(CorrectionIndex.of(j, m), tau, v, TruncationPolicy(tol=tol))
-    assert value == r_correction(CorrectionIndex.of(j, m), tau, v, TruncationPolicy(tol=tol))
-    assert _share(value, oracle.r_correction(j, m, tau, v), tol) <= 0.02
-    assert _share(der, r_dv_reference(j, m, tau, v), tol) <= 0.02
+    policy = TruncationPolicy(tol=tol)
+    values, derivatives = r_window(j, m, tau, v, policy, True, (0,))
+    assert values == r_window(j, m, tau, v, policy, buckets=(0,))
+    assert _share(values[0], oracle.r_correction(j, m, tau, v), tol) <= 0.02
+    assert _share(derivatives[0], r_dv_reference(j, m, tau, v), tol) <= 0.02
 
 
 # every bucket of the window against its own reference series, so the draws

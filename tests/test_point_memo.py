@@ -8,7 +8,7 @@ import pytest
 
 import mockforms.verifier as V
 from mockforms.mock import MockIndex, _phi1_core, phi, phi1
-from mockforms.modification import CorrectionIndex, r_correction, r_correction_dv, r_window
+from mockforms.modification import r_window
 from mockforms.qkernel import (
     DEFAULT_POLICY,
     DomainError,
@@ -79,8 +79,8 @@ def kernel_calls():
                 lambda tau=tau, z=z: phi1(MockIndex.of(1, 0), tau, 0.23 + 0.04j, z),
                 lambda tau=tau, z=z: phi(MockIndex.of(2, 1), tau, 0.23 + 0.04j, 0.31 - 0.05j,
                                          z, DEFAULT_POLICY, -1),
-                lambda tau=tau, z=z: r_correction(CorrectionIndex.of(0, 1), tau, z),
-                lambda tau=tau, z=z: r_correction_dv(CorrectionIndex.of(1, 1), tau, z),
+                lambda tau=tau, z=z: r_window(0.0, 1.0, tau, z, DEFAULT_POLICY, buckets=(0,)),
+                lambda tau=tau, z=z: r_window(1.0, 1.0, tau, z, DEFAULT_POLICY, True, (0,)),
             ]
     return calls
 

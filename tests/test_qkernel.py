@@ -15,58 +15,21 @@ from mockforms.qkernel import (
     TruncationOverflowError,
     TruncationPolicy,
     _index_range,
-    gauss_error,
     guard_pole,
     lattice_distance,
     nome,
 )
-from mockforms.mock import MockIndex, phi1
-from mockforms.modification import CorrectionIndex, r_correction
+from mockforms.family_d21a import D21Index, D21Params, PQ_function
+from mockforms.mock import MockIndex, PsiIndex, phi1, psi
+from mockforms.modification import phi_tilde_reduced, psi_tilde, r_window
 from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
 
 NAN, INF = float("nan"), float("inf")
+PSI_INDEX = PsiIndex.of(3, 2, 0, 0, 1, -1)
+PQ_INDEX = D21Index.of("P", 1, D21Params(2, 1, 1))
 BAD_TAU = (-1j, 0j, complex(NAN, 1.0), complex(-INF, 1.0), complex(0.0, INF),
            complex(0.0, NAN))
 BAD_Z = (complex(NAN, 0.1), complex(0.2, INF), NAN)
-
-
-def test_gauss_error_origin_and_oddness():
-    assert gauss_error(0.0) == 0.0
-    for x in (0.3, 1.7):
-        assert gauss_error(-x) == -gauss_error(x)
-
-
-def test_gauss_error_quadrature_oracle():
-    from scipy.integrate import quad
-
-    for x in (0.25, 1.0, 2.5):
-        ref, err = quad(lambda u: 2.0 * math.exp(-math.pi * u * u), 0.0, x,
-                        epsabs=1e-14, epsrel=1e-14)
-        assert err < 1e-12
-        assert abs(gauss_error(x) - ref) <= 1e-12
-    assert abs(gauss_error(1.0) - 0.9879) < 1e-4
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-2.5, max_value=2.5))
-def test_gauss_error_bounds(x):
-    # strict inequality is resolvable in doubles only below ~2.7
-    assert abs(gauss_error(x)) < 1.0
-
-
-def test_gauss_error_bound_saturates_in_floats():
-    assert abs(gauss_error(25.0)) <= 1.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=-2.4, max_value=2.0), st.floats(min_value=1e-4, max_value=0.4))
-def test_gauss_error_monotone(x, h):
-    assert gauss_error(x + h) > gauss_error(x)
-
-
-def test_gauss_error_tail_bound():
-    for x in (1.0, 1.5, 3.0):
-        assert 1.0 - gauss_error(x) <= math.exp(-math.pi * x * x)
 
 
 def test_nome():
@@ -85,7 +48,10 @@ POINT_KERNELS = {
     "theta_jm": lambda tau, z: theta_jm(ThetaIndex.of(1, 2), tau, z),
     "phi1_z1": lambda tau, z: phi1(MockIndex.of(1, 0), tau, z, 0.1),
     "phi1_z2": lambda tau, z: phi1(MockIndex.of(1, 0), tau, 0.1, z),
-    "r_correction": lambda tau, z: r_correction(CorrectionIndex.of(0, 1), tau, z),
+    "r_correction": lambda tau, z: r_window(0.0, 1.0, tau, z, DEFAULT_POLICY, buckets=(0,)),
+    "psi_tilde": lambda tau, z: psi_tilde(PSI_INDEX, tau, z, 0.2),
+    "phi_tilde_reduced": lambda tau, z: phi_tilde_reduced(MockIndex.of(2, 1), tau, z, 0.1),
+    "PQ_function": lambda tau, z: PQ_function(PQ_INDEX, tau, z, 0.2, 0.3),
     "lattice_distance": lambda tau, z: lattice_distance(z, tau),
     "EvalPoint": lambda tau, z: EvalPoint(tau, (z,)),
 }
@@ -109,13 +75,24 @@ OVERFLOW_Z = {
     "theta_jm": (lambda: theta_jm(ThetaIndex.of(1, 2), 1e-300j, 1e200j), DomainError),
     "theta_jm_tiny_im_tau": (lambda: theta_jm(ThetaIndex.of(1, 2), 0.5 + 1e-12j, -1e300j),
                              DomainError),
-    "r_correction": (lambda: r_correction(CorrectionIndex.of(0, 1), 0.5 + 1e-12j, -1e300j),
-                     DomainError),
+    "r_correction": (lambda: r_window(0.0, 1.0, 0.5 + 1e-12j, -1e300j, DEFAULT_POLICY,
+                                      buckets=(0,)), DomainError),
     "phi1_z2": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-3j, 0.1, -1e306j), DomainError),
     "phi1_z1": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-3j, -1e306j, 0.1), DomainError),
     "phi1_tiny_im_tau": (lambda: phi1(MockIndex.of(1, 0), 0.5 + 1e-12j, 0.1, -1e300j),
                          TruncationOverflowError),
     "lattice_distance": (lambda: lattice_distance(-1e300j, 0.5 + 1e-12j), DomainError),
+    # the prefactor of the wrapper, past the double range
+    "psi": (lambda: psi(PSI_INDEX, 1j, 0.1 + 1e17j, 0.2), DomainError),
+    "psi_tilde": (lambda: psi_tilde(PSI_INDEX, 1j, 0.1 + 1e17j, 0.2), DomainError),
+    # a lattice coordinate 2^52 or more: no multiple of tau to pull out
+    "phi_tilde_reduced_z1": (lambda: phi_tilde_reduced(MockIndex.of(2, 1), 1j, 0.1 + 1e300j, 0.2),
+                             DomainError),
+    "phi_tilde_reduced_z2": (lambda: phi_tilde_reduced(MockIndex.of(2, 1), 1j, 0.2,
+                                                       0.1 + 2.0 ** 52 * 1j), DomainError),
+    "phi_tilde_reduced_tiny_im_tau": (lambda: phi_tilde_reduced(
+        MockIndex.of(2, 1), 0.5 + 1e-12j, 0.1 + 1e-300j, 0.2 - 1e300j), DomainError),
+    "PQ_function": (lambda: PQ_function(PQ_INDEX, 1j, 0.1 + 1e300j, 0.2, 0.3), DomainError),
 }
 
 

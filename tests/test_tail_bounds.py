@@ -18,7 +18,10 @@ the capped one.
 """
 
 import cmath
+import hashlib
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -358,7 +361,7 @@ NMAX_POINTS = R_POINTS + R_FAR_POINTS + [
 def test_r_window_refuses_exactly_where_one_series_would(s, m, tau, v, want_dv, monkeypatch):
     # each series of the window sums the range of R_{s+r;m} as one series,
     # and n_max refuses the window exactly where the widest of those series
-    # would be refused; r_correction is one series
+    # would be refused; with buckets=(0,) the window is one series
     for tol in TOLS:
         policy = TruncationPolicy(tol=tol)
         own = [_per_index_range(s + r, m, tau, v, policy, want_dv) for r in range(round(2 * m))]
@@ -377,23 +380,51 @@ def test_r_window_refuses_exactly_where_one_series_would(s, m, tau, v, want_dv, 
                                       want_dv)
         k_lo, k_hi = own[0]
         if k_hi - k_lo + 1 > 8:
-            idx = modification.CorrectionIndex.of(s, m)
-            single = modification.r_correction_dv if want_dv else modification.r_correction
-            single(idx, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo + 1))
+            modification.r_window(s, m, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo + 1),
+                                  want_dv, (0,))
             with pytest.raises(TruncationOverflowError):
-                single(idx, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo))
+                modification.r_window(s, m, tau, v, TruncationPolicy(tol=tol, n_max=k_hi - k_lo),
+                                      want_dv, (0,))
+
+
+@pytest.mark.parametrize("want_dv", [False, True])
+@pytest.mark.parametrize("s, m, tau, v", NMAX_POINTS)
+def test_r_window_sums_each_series_over_its_own_range(s, m, tau, v, want_dv, monkeypatch):
+    # a term costs one erfc, and the walk forms the term at i of series r
+    # exactly where i lies in a range _r_ranges gave r (its values', or with
+    # want_dv its derivatives'), and nowhere else
+    width = round(2 * m)
+    ranges, real_ranges = [], modification._r_ranges
+    monkeypatch.setattr(modification, "_r_ranges",
+                        lambda *args: ranges.append(real_ranges(*args)) or ranges[-1])
+    calls, real_erfc = [], math.erfc
+    monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or real_erfc(x))
+    for tol in TOLS:
+        for buckets in (tuple(range(width)), (0,), tuple(range(0, width, 2))):
+            ranges.clear()
+            calls.clear()
+            modification.r_window(s, m, tau, v, TruncationPolicy(tol=tol), want_dv, buckets)
+            out, = ranges
+            terms = [set().union(*(range(lo[r], hi[r] + 1, width) for lo, hi in out))
+                     for r in buckets]
+            if not want_dv:
+                lo, hi = out[0]
+                assert [len(t) for t in terms] == [(hi[r] - lo[r]) // width + 1 for r in buckets]
+            assert len(calls) == sum(map(len, terms))
 
 
 @pytest.mark.parametrize("s, m, tau, v", R_POINTS + R_FAR_POINTS)
 def test_r_correction_is_its_series_of_the_window(s, m, tau, v):
-    # one walk sums every R_{j;m}: series r of the window at s is
-    # r_correction at j = s + r, to the bit, values and derivatives
-    window = modification.r_window(s, m, tau, v, TruncationPolicy())
-    values, derivatives = modification.r_window(s, m, tau, v, TruncationPolicy(), True)
+    # one walk sums every R_{j;m}: series r of the window at s is the lone
+    # series at j = s + r, to the bit, values and derivatives
+    policy = TruncationPolicy()
+    window = modification.r_window(s, m, tau, v, policy)
+    values, derivatives = modification.r_window(s, m, tau, v, policy, True)
     for r in range(round(2 * m)):
-        idx = modification.CorrectionIndex.of(s + r, m)
-        assert window[r] == modification.r_correction(idx, tau, v)
-        assert (values[r], derivatives[r]) == modification.r_correction_dv(idx, tau, v)
+        j = float(s + r)
+        assert window[r] == modification.r_window(j, m, tau, v, policy, buckets=(0,))[0]
+        lone_values, lone_derivatives = modification.r_window(j, m, tau, v, policy, True, (0,))
+        assert (values[r], derivatives[r]) == (lone_values[0], lone_derivatives[0])
 
 
 @pytest.mark.parametrize("s, m, tau, v", R_FAR_POINTS)
@@ -422,3 +453,29 @@ def test_r_window_far_turning_point(s, m, tau, v, monkeypatch):
     for r in range(4):
         assert abs(got[r] - ref[r]) <= 1e-15 * abs(ref[r]), (r, got[r], ref[r])
 
+
+R_BITS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "r_window_bits.json"
+
+
+def _r_window_bits():
+    """{case: 8-hex sha256 prefix of repr(r_window(...))} over R_POINTS +
+    R_FAR_POINTS, each tol of TOLS, want_dv False and True, and buckets
+    all, (0,) and the even r."""
+    out = {}
+    for s, m, tau, v in R_POINTS + R_FAR_POINTS:
+        width = round(2 * m)
+        for tol in TOLS:
+            policy = TruncationPolicy(tol=tol)
+            for want_dv in (False, True):
+                for name, buckets in (("all", None), ("0", (0,)),
+                                      ("even", tuple(range(0, width, 2)))):
+                    got = modification.r_window(s, m, tau, v, policy, want_dv, buckets)
+                    key = f"{s!r} {m!r} {tau!r} {v!r} tol={tol!r} dv={want_dv} {name}"
+                    out[key] = hashlib.sha256(repr(got).encode()).hexdigest()[:8]
+    return out
+
+
+def test_r_window_bits_match_golden():
+    # every value and derivative the window returns is bit-identical to the
+    # golden, for the whole window, series 0 alone and the even series
+    assert _r_window_bits() == json.loads(R_BITS_GOLDEN.read_text())
