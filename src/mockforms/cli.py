@@ -124,6 +124,13 @@ def cmd_qexp(args) -> int:
 
 def cmd_verify(args) -> int:
     policy = _policy()
+    if args.tag is not None:
+        # a tag runs every id of it on its own default grid, unfiltered
+        if args.id is not None:
+            raise ValueError("verify takes --id or --tag, not both")
+        if args.grid is not None or any(getattr(args, "param_" + key) is not None
+                                        for key in VERIFY_FILTER_KEYS):
+            raise ValueError("--grid and the parameter filters apply to --id, not to --tag")
     grid = None
     if args.grid:
         n_tau, n_z = args.grid.lower().split("x")

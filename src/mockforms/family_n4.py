@@ -28,8 +28,8 @@ from .qkernel import (
     e2pi,
 )
 from .theta import dedekind_eta, jacobi_theta
-from .mock import MockIndex, PsiIndex
-from .modification import phi_tilde, phi_tilde_d0, psi_tilde, psi_tilde_d0
+from .mock import MockIndex, PsiIndex, _psi_frame
+from .modification import phi_tilde, phi_tilde_d0, psi_tilde
 
 SECTORS = ("plus", "minus", "plus_tw", "minus_tw")
 _J_VALUES = ("none", "I", "II", "III", "IV")
@@ -165,15 +165,6 @@ def w0_prime_point(tau, z1, z2, t):
 
 # --- numerators -----------------------------------------------------------
 
-def g_numerator(idx: MockIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
-    """(D0 + m (z1-z2)/(2 tau)) applied to the modification at idx = (-m, 0),
-    of degree -m, at reflected t, evaluated with the termwise analytic
-    derivative: the derivative wrapper P at scale one with no shifts."""
-    m = -float(idx.m)
-    v, d = phi_tilde_d0(idx, tau, z1, z2, policy)
-    return e2pi(m * t) * (d + (m * (z1 - z2) / (2 * tau)) * v)
-
-
 # Each admissible type is type I in its own coordinates; the integrable
 # weights are type I at M = 1, k1 = k2 = 0.
 _J_COORDS = {"none": lambda z1, z2: (z1, z2), "I": lambda z1, z2: (z1, z2),
@@ -274,9 +265,16 @@ def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
 def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
     """The derivative wrapper of degree m = -idx.m: (D0 + m (z1-z2)/(2 M tau))
     of the modified wrapper Psi-tilde at idx = (M, -m, 0, eps, j, k), at
-    reflected t."""
+    reflected t.  At idx = (1, -m, 0, 0, 0, 0) it is the derivative numerator
+    (D0 + m (z1-z2)/(2 tau)) Phi-tilde^{[-m;0]}.
+
+    With C the exponential prefactor of the wrapper, D0 C = (-m (b-a)/M) C,
+    and D0 passes through the argument shifts unchanged."""
     M, m = idx.M, -float(idx.m)
-    v, d = psi_tilde_d0(idx, tau, z1, z2, policy)
+    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    v, d = phi_tilde_d0(*frame, policy)
+    slope = float(idx.m) * (float(idx.b) - float(idx.a)) / M
+    v, d = pref * v, pref * (slope * v + d)
     return e2pi(m / M * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)
 
 

@@ -224,18 +224,6 @@ def phi(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0
     return out
 
 
-def phi_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-           policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, D0 value) of Phi^{[m;s]} at t = 0, termwise differentiation.
-
-    The swap-negated piece obeys D0[Phi_1(-z2,-z1)] = (D0 Phi_1)(-z2,-z1).
-    """
-    m, s = float(idx.m), float(idx.s)
-    va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
-    vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
-    return va - vb, da - db
-
-
 def _psi_frame(idx: PsiIndex, tau: complex, z1: complex, z2: complex):
     """(prefactor, MockIndex, M tau, z1 + a tau + eps, z2 + b tau + eps): the
     frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function.

@@ -44,7 +44,7 @@ from .qkernel import (
     e2pi,
 )
 from .theta import theta_jm
-from .mock import MockIndex, PsiIndex, _psi_frame, phi, phi_d0, phi1
+from .mock import MockIndex, PsiIndex, _phi1_core, _psi_frame, phi, phi1
 
 
 # A walk forms the exponential factors e^{2 pi i w} of a run of terms by
@@ -308,22 +308,6 @@ def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex =
     return total
 
 
-def phi_add_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-               policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, D0 value) of Phi_add at t = 0.  Only the R-factor depends on
-    z1 - z2, so D0 hits it alone with weight 1 in the v-slot."""
-    val = 0.0 + 0.0j
-    der = 0.0 + 0.0j
-    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
-    if diffs:
-        rv, rd = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy, True,
-                          tuple(r for r, _ in diffs))
-        for r, d in diffs:
-            val += rv[r] * d
-            der += rd[r] * d
-    return 0.5 * val, 0.5 * der
-
-
 def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Modification Phi + Phi_add; restores the elliptic/modular laws."""
@@ -333,10 +317,25 @@ def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex
 
 def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, D0 value) of Phi-tilde at t = 0, analytic termwise."""
-    va, da = phi_d0(idx, tau, z1, z2, policy)
-    vb, db = phi_add_d0(idx, tau, z1, z2, policy)
-    return va + vb, da + db
+    """(value, D0 value) of Phi-tilde at t = 0, D0 = (1/2 pi i)(d/dz1 - d/dz2)
+    taken termwise.
+
+    The swap-negated Appell sum obeys D0[Phi_1(-z2,-z1)] = (D0 Phi_1)(-z2,-z1).
+    In Phi_add only the R-factor depends on z1 - z2, so D0 hits it alone,
+    with weight 1 in the v-slot."""
+    m, s = float(idx.m), float(idx.s)
+    va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
+    vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
+    val = 0.0 + 0.0j
+    der = 0.0 + 0.0j
+    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
+    if diffs:
+        rv, rd = r_window(s, m, tau, (z1 - z2) / 2.0, policy, True,
+                          tuple(r for r, _ in diffs))
+        for r, d in diffs:
+            val += rv[r] * d
+            der += rd[r] * d
+    return (va - vb) + 0.5 * val, (da - db) + 0.5 * der
 
 
 def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
@@ -402,17 +401,3 @@ def psi_tilde(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex 
     """Psi with Phi replaced by its modification."""
     pref, *frame = _psi_frame(idx, tau, z1, z2)
     return pref * phi_tilde(*frame, t / idx.M, policy)
-
-
-def psi_tilde_d0(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
-                 policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, D0 value) of Psi-tilde at t = 0.
-
-    With C the exponential prefactor of the wrapper, D0 C = (m (b-a)/M) C,
-    and D0 passes through the argument shifts unchanged.
-    """
-    pref, *frame = _psi_frame(idx, tau, z1, z2)
-    v, d = phi_tilde_d0(*frame, policy)
-    slope = float(idx.m) * (float(idx.b) - float(idx.a)) / idx.M
-    return pref * v, pref * (slope * v + d)
-

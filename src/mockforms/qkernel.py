@@ -73,7 +73,8 @@ class TruncationPolicy:
                   raises TruncationOverflowError before summing a term
     pole_guard -- minimum allowed distance, in the z-plane modulo the
                   period lattice, from any pole of the summand
-    tol and pole_guard must be positive and finite.
+    tol and pole_guard must be positive and finite, and n_max an int of at
+    least 8.
     """
 
     tol: float = 1e-12
@@ -83,8 +84,9 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.n_max < 8:
-            raise ValueError("n_max must be at least 8")
+        # a NaN cap would fail every `> n_max` test and so never refuse
+        if not isinstance(self.n_max, int) or self.n_max < 8:
+            raise ValueError(f"n_max must be an int of at least 8, got {self.n_max!r}")
         if not 0 < self.pole_guard < math.inf:
             raise ValueError(f"pole_guard must be positive and finite, got {self.pole_guard}")
         # every memo key holds the policy: hash its fields once, not per lookup
@@ -125,7 +127,7 @@ class HalfInt:
             return HalfInt(x.numerator * (2 // x.denominator))
         if isinstance(x, float):
             t = 2.0 * x
-            if abs(t - round(t)) > 1e-9:
+            if not math.isfinite(t) or abs(t - round(t)) > 1e-9:
                 raise ValueError(f"{x} is not a half-integer")
             return HalfInt(round(t))
         raise TypeError(f"cannot interpret {x!r} as a half-integer")

@@ -830,11 +830,20 @@ def _balanced_table(M: int, eps, m: int, j, k, epsb) -> list:
 def _n4_pairs():
     # the plan of a law in m and the modified assembly at index (-m, 0)
     tilde_plan = lambda f: lambda m: partial(f, m=m, idx=MockIndex.of(-m, 0))
+    # the index of a derivative wrapper of degree m is the index
+    # (M, -m, 0, eps, j, k) of its modified wrapper; at scale one with no
+    # shifts, (1, -m, 0, 0, 0, 0), it is the derivative numerator
+    # (D0 + m (z1-z2)/(2 tau)) of the modified assembly at index (-m, 0)
+    wrapper = lambda M, m, eps, j, k: PsiIndex.of(M, -m, 0, eps, j, k)
+    scale_one = lambda m: wrapper(1, m, 0, 0, 0)
+    # the plan of a law in m, the modified assembly and the derivative numerator
+    derivative_plan = lambda f: lambda m: partial(f, m=m, idx=MockIndex.of(-m, 0),
+                                                  x=scale_one(m))
 
-    def lem63(pt, policy, m, idx, ph):
+    def lem63(pt, policy, m, idx, x, ph):
         tau, (z1, z2, _) = pt.tau, pt.zs
         t = 0.03
-        g = lambda tt, a, b, T: n4.g_numerator(idx, tt, a, b, T, policy)
+        g = lambda tt, a, b, T: n4.psi_P(x, tt, a, b, T, policy)
         out = [(g(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
                 tau ** 2 * g(tau, z1, z2, t))]
         z = pt.zs[2]
@@ -853,9 +862,9 @@ def _n4_pairs():
                           "n4", 1e-6, [{"m": -1}, {"m": -2}],
                           # ph = e(m (a + b) / 2) at the (a, b) = (1, 0) of lem63
                           lambda m: partial(lem63, m=m, idx=MockIndex.of(-m, 0),
-                                            ph=e2pi(Fraction(m, 2)))))
+                                            x=scale_one(m), ph=e2pi(Fraction(m, 2)))))
 
-    def lem62(pt, policy, m, idx):
+    def lem62(pt, policy, m, idx, x):
         # hypothesis and conclusion of the derivative transfer, instantiated
         # on the modified assembly: the S-law and swap symmetry of the input
         # together with the S-law of its derivative combination
@@ -865,16 +874,16 @@ def _n4_pairs():
         out = [(f(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
                 tau * f(tau, z1, z2, t)),
                (f(tau, z2, z1, t), f(tau, z1, z2, t)),
-               (n4.g_numerator(idx, -1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau, policy),
-                tau ** 2 * n4.g_numerator(idx, tau, z1, z2, t, policy))]
+               (n4.psi_P(x, -1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau, policy),
+                tau ** 2 * n4.psi_P(x, tau, z1, z2, t, policy))]
         return out
 
     register(IdentitySpec("lemma6.2", "derivative transfer: hypothesis and conclusion",
-                          "n4", 1e-6, [{"m": -2}], tilde_plan(lem62)))
+                          "n4", 1e-6, [{"m": -2}], derivative_plan(lem62)))
 
-    def lem64(pt, policy, m, idx):
+    def lem64(pt, policy, m, idx, x):
         tau, z = pt.tau, pt.z
-        lhs = n4.g_numerator(idx, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
+        lhs = n4.psi_P(x, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
         out = [(lhs, -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
                 * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
                (lhs, -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
@@ -882,7 +891,7 @@ def _n4_pairs():
         return out
 
     register(IdentitySpec("lemma6.4", "derivative numerator collapse on the shifted diagonal",
-                          "n4", 1e-7, [{"m": -1}, {"m": -2}], tilde_plan(lem64)))
+                          "n4", 1e-7, [{"m": -1}, {"m": -2}], derivative_plan(lem64)))
 
     def rem65(pt, policy, m, idx):
         tau, z = pt.tau, pt.z
@@ -964,11 +973,7 @@ def _n4_pairs():
                           "n4", 1e-2, [{"m": -2}], lambda m: partial(rem74, m=m, w=n4.N4Weight(m, 1)),
                           grid=(2, 2), check="exceeds"))
 
-    # the index of a derivative wrapper of degree m is the index
-    # (M, -m, 0, eps, j, k) of its modified wrapper; g_numerator is the
-    # wrapper (1, -m, 0, 0, 0, 0)
     psi_p = lambda laws: _laws(n4.psi_P, _zs(0.02), laws)
-    wrapper = lambda M, m, eps, j, k: PsiIndex.of(M, -m, 0, eps, j, k)
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
 
     def lem82(M, m):
@@ -982,7 +987,7 @@ def _n4_pairs():
 
     def lem83(M, m):
         j, k = HalfInt(3), HalfInt(-1)
-        x0, x = wrapper(1, m, 0, 0, 0), wrapper(M, m, H, j, k)
+        x0, x = scale_one(m), wrapper(M, m, H, j, k)
         return [(x0, diagonal, x0, None),
                 (x, diagonal, x, e2pi(-Fraction(m, M) * (j.value + k.value)))]
 
@@ -992,7 +997,7 @@ def _n4_pairs():
     def lem85(M, m):
         j, k = HalfInt(2), HalfInt(0)
         jv, kv = j.value, k.value
-        idx, x = MockIndex.of(-m, 0), wrapper(M, m, 0, j, k)
+        idx, x0, x = MockIndex.of(-m, 0), scale_one(m), wrapper(M, m, 0, j, k)
         c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * jv * kv, -Fraction(m, M),
                                                   jv, kv, Fraction(m * (jv - kv), 2 * M)))
 
@@ -1000,7 +1005,7 @@ def _n4_pairs():
             tau, (z1, z2, _) = pt.tau, pt.zs
             lhs = n4.psi_P(x, tau, z1, z2, 0, policy)
             pref = e2pi(c * tau) * e2pi(cm * (ck * z1 + cj * z2))
-            g = n4.g_numerator(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
+            g = n4.psi_P(x0, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             v = phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             return lhs, pref * (g + cv * v)
         return run
@@ -1012,12 +1017,13 @@ def _n4_pairs():
         # termwise derivative of the modification at index-shifted arguments
         # in terms of the derivative numerator and the multiplier split
         j, k, eps = 1, -1, 0.5
-        idx, c = MockIndex.of(-m, 0), complex(Fraction(m * (j - k), 2 * M))
+        idx, x0 = MockIndex.of(-m, 0), scale_one(m)
+        c = complex(Fraction(m * (j - k), 2 * M))
 
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
             v, d = phi_tilde_d0(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, policy)
-            g = n4.g_numerator(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
+            g = n4.psi_P(x0, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
             return d, g - (m * (z1 - z2) / (2 * M * tau) + c) * v
         return run
 

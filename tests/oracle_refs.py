@@ -1,7 +1,8 @@
 """mpmath references shared by the oracle tests: perfbench/oracle.py (dps
-30), loaded by path and read-only, and the v-derivative of R, which
-perfbench does not have, summed from the formula of the r_window docstring
-with the same helpers."""
+30), loaded by path and read-only, and two derivatives perfbench does not
+have, summed with the same helpers: the v-derivative of R, from the formula
+of the r_window docstring, and the D0-derivative of the Appell assembly,
+from that of the _phi1_core docstring."""
 
 import importlib.util
 import pathlib
@@ -42,3 +43,31 @@ def r_dv_reference(j, m, tau, v):
         return n * value - slope, amp(n * value, w, x) + amp(slope, w, x)
 
     return oracle._walk(term, int(mp.nint((n_star - j) / (2 * m))), run=5)
+
+
+def phi_d0_reference(m, s, tau, z1, z2):
+    """(value, D0 value) of Phi^{[m;s]} at dps 30, the D0 part summed termwise
+    from the _phi1_core docstring: D0 (N/D) = s N/D + N w/D^2."""
+    def d0(m, s, tau, z1, z2):
+        m, s = oracle._mpq(m), oracle._mpq(s)
+        tau, z1, z2 = oracle._mpc(tau), oracle._mpc(z1), oracle._mpc(z2)
+        A, B, C = m * tau, m * (z1 + z2) + s * tau, s * z1
+
+        def term(j):
+            arg = A * j * j + B * j + C
+            warg = z1 + j * tau
+            w = oracle._e(warg)
+            den = 1 - w
+            num = oracle._e(arg)
+            amp = (1.0 + oracle.TWO_PI * oracle._abs(arg)
+                   + 2.0 * oracle._abs(w) * (1.0 + oracle.TWO_PI * oracle._abs(warg))
+                   / oracle._abs(den))
+            value, slope = num / den, num * w / (den * den)
+            return (s * value + slope,
+                    (abs(float(s)) * oracle._abs(value) + oracle._abs(slope)) * amp)
+
+        return oracle._walk(term, int(mp.nint(-s / (2 * m) - (z1 + z2).imag / (2 * tau.imag))))
+
+    da, ca = d0(m, s, tau, z1, z2)
+    db, cb = d0(m, s, tau, -oracle._mpc(z2), -oracle._mpc(z1))
+    return oracle.phi(m, s, tau, z1, z2), (da - db, ca + cb)

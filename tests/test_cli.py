@@ -139,6 +139,18 @@ def test_verify_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_tag_in_process(capsys):
+    # one JSON report per id of the tag, in registry order
+    from mockforms import verifier
+
+    code, out, _ = run_cli(["verify", "--tag", "theta"], capsys)
+    assert code == 0
+    ids = [s.id for s in verifier._REGISTRY.values() if s.tag == "theta"]
+    assert ids and [json.loads(line)["id"] for line in out.splitlines()] == ids
+    code, out, err = run_cli(["verify", "--tag", "nope"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--fn", "theta", "--j", "0", "--m", "1", "--tau", "i", "--z", "50i"],
     ["eval", "--fn", "phi_tilde", "--m", "1", "--s", "0", "--tau", "i",
@@ -147,6 +159,11 @@ def test_verify_usage_error(capsys):
     ["verify", "--id", "prop11.15", "--grid", "9x1"],
     ["verify", "--id", "rem12.5", "--grid", "0x1"],
     ["verify", "--id", "prop11.15", "--m", "2"],
+    # a tag runs its ids on their default grids, unfiltered: a grid, a
+    # filter or a second selector beside it would be dropped silently
+    ["verify", "--tag", "theta", "--grid", "2x2"],
+    ["verify", "--tag", "theta", "--m", "2"],
+    ["verify", "--tag", "theta", "--id", "eq1.3"],
     ["eval", "--fn", "psi_tilde", "--tau", "1i", "--z1", "0.1+100000000000000000i",
      "--M", "3", "--m", "2", "--aa", "1", "--bb", "-1"],
     ["eval", "--fn", "psi", "--tau", "1i", "--z1", "0.1+100000000000000000i",

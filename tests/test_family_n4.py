@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mockforms.mock import MockIndex
+from mockforms.mock import MockIndex, PsiIndex
 from mockforms.qkernel import HalfInt, TruncationPolicy, UnsupportedCaseError, e2pi
 import mockforms.family_n4 as n4
 
@@ -84,7 +84,7 @@ def test_minus_sector_m2_zero_structure():
     a = n4.admissible_supernumerator(w, TAU, Z1, Z2, T, P)
     from mockforms.modification import phi_tilde
 
-    g = n4.g_numerator(MockIndex.of(2, 0), TAU, Z1, Z2, T, P)
+    g = n4.psi_P(PsiIndex.of(1, 2, 0, 0, 0, 0), TAU, Z1, Z2, T, P)
     extra = ((-2) * (Z1 - Z2) / (2 * TAU)) * e2pi(-2 * T) * phi_tilde(
         MockIndex.of(2, 0), TAU, Z1, Z2, 0.0, P)
     assert abs(a - (g - extra)) < 1e-12
@@ -145,10 +145,35 @@ def test_numerators_match_branchwise_reference():
         for tau, z1, z2, t in points:
             assert (n4.admissible_supernumerator(w, tau, z1, z2, t, P)
                     == supernumerator_reference(w, tau, z1, z2, t)), w
+    # the derivative numerator is the derivative wrapper at scale one
     for m in (-1, -2, -3):
+        x = PsiIndex.of(1, -m, 0, 0, 0, 0)
         for tau, z1, z2, t in points:
-            g = n4.g_numerator(MockIndex.of(-m, 0), tau, z1, z2, t, P)
-            assert g == g_numerator_reference(m, tau, z1, z2, t)
+            assert n4.psi_P(x, tau, z1, z2, t, P) == g_numerator_reference(m, tau, z1, z2, t)
+
+
+def psi_P_reference(idx, tau, z1, z2, t):
+    """The derivative wrapper with the frame of its modified wrapper written
+    out: degree -m' for the index (M, m', s, eps, a, b)."""
+    from mockforms.modification import phi_tilde_d0
+
+    m = float(idx.m)
+    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
+    M = idx.M
+    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
+    v, d = phi_tilde_d0(MockIndex(idx.m, idx.s), M * tau,
+                        z1 + a * tau + eps, z2 + b * tau + eps, P)
+    v, d = pref * v, pref * ((m * (b - a) / M) * v + d)
+    return e2pi(-m / M * t) * (d + (-m * (z1 - z2) / (2 * M * tau)) * v)
+
+
+@pytest.mark.parametrize("M", [1, 3, 5])
+def test_psi_P_matches_frame_reference(M):
+    # the wrappers share one frame helper; values must not move by a bit
+    for eps, a, b in ((0, 1, -1), (F(1, 2), F(1, 2), F(-3, 2)), (F(1, 2), 2, 0)):
+        idx = PsiIndex.of(M, 2, 1, eps, a, b)
+        for tau, z1, z2, t in ((TAU, Z1, Z2, 0.0), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, T)):
+            assert n4.psi_P(idx, tau, z1, z2, t, P) == psi_P_reference(idx, tau, z1, z2, t)
 
 
 def test_integrable_weights_have_no_admissible_data():
@@ -205,7 +230,6 @@ def test_rem93_reflection_relations():
 
 
 def test_rem94_rewriting():
-    from mockforms.mock import PsiIndex
     from mockforms.modification import psi_tilde
 
     M, m, m2, k1, k2 = 3, -2, 0, 0, 1

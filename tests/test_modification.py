@@ -5,21 +5,20 @@ from fractions import Fraction as F
 import pytest
 
 from mockforms.qkernel import SQRT_PI, HalfInt, TruncationPolicy, e2pi
-from mockforms.mock import MockIndex, PsiIndex, phi
+from mockforms.mock import MockIndex, PsiIndex, _phi1_core, phi
 from mockforms.modification import (
     phi1_add,
     phi1_tilde,
     phi_add,
-    phi_add_d0,
     phi_tilde,
+    phi_tilde_d0,
     phi_tilde_reduced,
     psi_tilde,
-    psi_tilde_d0,
     psi_tilde_reduced,
     r_window,
 )
 from mockforms.theta import ThetaIndex, theta_jm
-from oracle_refs import oracle, r_dv_reference
+from oracle_refs import oracle, phi_d0_reference, r_dv_reference
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 0.9j + 0.15, 0.22 + 0.05j, 0.31 - 0.08j
@@ -143,20 +142,26 @@ def test_phi_add_window_matches_pairwise_reference(m, s):
     # each Theta_{r,m} is summed once and every R comes from one walk over
     # the window, in another order than one series per index: the values
     # agree with one pairwise difference per index, and with the mpmath
-    # oracle, within tol + 64 eps cond
+    # oracle, within tol + 64 eps cond.  The window D0 is checked inside
+    # phi_tilde_d0, next to the Appell D0 of its own two termwise walks.
     idx = MockIndex.of(m, s)
+    fm, fs = float(idx.m), float(idx.s)
     for tau, z1, z2, t in ((TAU, Z1, Z2, 0.0), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.2)):
         ref, (ref_v, ref_d) = phi_add_reference(idx, tau, z1, z2, t)
         mp_ref, cond = oracle.phi_add(m, s, tau, z1, z2)
         value = phi_add(idx, tau, z1, z2, t, P)
         within(value, ref, cond)
         within(value, e2pi(float(m) * t) * complex(mp_ref), cond)
-        v0, d0 = phi_add_d0(idx, tau, z1, z2, P)
-        assert v0 == phi_add(idx, tau, z1, z2, 0.0, P)
-        within(v0, ref_v, cond)
+        v0, d0 = phi_tilde_d0(idx, tau, z1, z2, P)
+        assert v0 == phi_tilde(idx, tau, z1, z2, 0.0, P)
+        va, da = _phi1_core(fm, fs, tau, z1, z2, P, want_d0=True)
+        vb, db = _phi1_core(fm, fs, tau, -z2, -z1, P, want_d0=True)
+        (mp_v, cond_v), (mp_da, cond_da) = phi_d0_reference(m, s, tau, z1, z2)
         mp_d, cond_d = phi_add_d0_reference(m, s, tau, z1, z2)
-        within(d0, ref_d, cond_d)
-        within(d0, mp_d, cond_d)
+        within(v0, (va - vb) + ref_v, cond_v + cond)
+        within(v0, mp_v + mp_ref, cond_v + cond)
+        within(d0, (da - db) + ref_d, cond_da + cond_d)
+        within(d0, mp_da + mp_d, cond_da + cond_d)
 
 
 @pytest.mark.parametrize("s, m, tau, v", [
@@ -258,28 +263,6 @@ def test_psi_tilde_reduces_to_psi_at_degree_one():
     a = psi_tilde(idx, TAU, Z1, Z2, 0.0, P)
     b = psi(idx, TAU, Z1, Z2, 0.0, P)
     assert abs(a - b) < 1e-13
-
-
-def psi_tilde_d0_reference(idx, tau, z1, z2):
-    """(value, D0 value) of Psi-tilde with the wrapper frame written out."""
-    from mockforms.modification import phi_tilde_d0
-
-    m = float(idx.m)
-    a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
-    M = idx.M
-    pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    v, d = phi_tilde_d0(MockIndex(idx.m, idx.s), M * tau,
-                        z1 + a * tau + eps, z2 + b * tau + eps, P)
-    return pref * v, pref * ((m * (b - a) / M) * v + d)
-
-
-@pytest.mark.parametrize("M", [1, 3, 5])
-def test_psi_tilde_d0_matches_frame_reference(M):
-    # the wrappers share one frame helper; values must not move by a bit
-    for eps, a, b in ((0, 1, -1), (F(1, 2), F(1, 2), F(-3, 2)), (F(1, 2), 2, 0)):
-        idx = PsiIndex.of(M, 2, 1, eps, a, b)
-        for tau, z1, z2 in ((TAU, Z1, Z2), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j)):
-            assert psi_tilde_d0(idx, tau, z1, z2, P) == psi_tilde_d0_reference(idx, tau, z1, z2)
 
 
 def test_reduced_evaluators_match():

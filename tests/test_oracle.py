@@ -5,10 +5,10 @@ Im tau in [1e-3, 5], |Re tau| <= 10, degrees m <= 20, half-integer j and s.
 Each case either lands within policy.tol + ROUNDING_ULPS * eps * cond of the
 reference (cond is the reference's rounding scale) or raises a typed error.
 The references are imported read-only; the two references perfbench does
-not have, the v-derivative of R (tests/oracle_refs.py) and the D0-derivative
-of the Appell sum, are summed from their docstring formulas with the same
-helpers, and each is checked against a difference quotient of the reference
-it differentiates.
+not have, the v-derivative of R and the D0-derivative of the Appell sum
+(both in tests/oracle_refs.py), are summed from their docstring formulas
+with the same helpers, and each is checked against a difference quotient of
+the reference it differentiates.
 Dedekind eta is checked over Im tau in [1e-4, 5], through its modular
 reduction.
 """
@@ -28,10 +28,10 @@ from mockforms.qkernel import (
     TruncationOverflowError,
     TruncationPolicy,
 )
-from mockforms.mock import MockIndex, phi1, phi_d0
+from mockforms.mock import MockIndex, _phi1_core, phi1
 from mockforms.modification import phi_tilde, r_window
 from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
-from oracle_refs import oracle, r_dv_reference
+from oracle_refs import oracle, phi_d0_reference, r_dv_reference
 
 
 TYPED = (DomainError, PoleProximityError, TruncationOverflowError)
@@ -221,35 +221,7 @@ def test_dedekind_eta(y, x, tol):
         assert abs(complex(ref) - value) <= 1e-10 * abs(ref)
 
 
-def _phi_d0_reference(m, s, tau, z1, z2):
-    """(value, D0 value) of Phi^{[m;s]} at dps 30, the D0 part summed termwise
-    from the _phi1_core docstring: D0 (N/D) = s N/D + N w/D^2."""
-    def d0(m, s, tau, z1, z2):
-        m, s = oracle._mpq(m), oracle._mpq(s)
-        tau, z1, z2 = oracle._mpc(tau), oracle._mpc(z1), oracle._mpc(z2)
-        A, B, C = m * tau, m * (z1 + z2) + s * tau, s * z1
-
-        def term(j):
-            arg = A * j * j + B * j + C
-            warg = z1 + j * tau
-            w = oracle._e(warg)
-            den = 1 - w
-            num = oracle._e(arg)
-            amp = (1.0 + oracle.TWO_PI * oracle._abs(arg)
-                   + 2.0 * oracle._abs(w) * (1.0 + oracle.TWO_PI * oracle._abs(warg))
-                   / oracle._abs(den))
-            value, slope = num / den, num * w / (den * den)
-            return (s * value + slope,
-                    (abs(float(s)) * oracle._abs(value) + oracle._abs(slope)) * amp)
-
-        return oracle._walk(term, int(mp.nint(-s / (2 * m) - (z1 + z2).imag / (2 * tau.imag))))
-
-    da, ca = d0(m, s, tau, z1, z2)
-    db, cb = d0(m, s, tau, -oracle._mpc(z2), -oracle._mpc(z1))
-    return oracle.phi(m, s, tau, z1, z2), (da - db, ca + cb)
-
-
-def test_phi_d0_reference_is_the_derivative():
+def testphi_d0_reference_is_the_derivative():
     m, s, tau, z1, z2 = 1.5, 0.5, 0.2 + 0.7j, 0.13 + 0.21j, -0.31 + 0.05j
     h = mp.mpf(10) ** -12
     z1m, z2m = oracle._mpc(z1), oracle._mpc(z2)
@@ -257,7 +229,7 @@ def test_phi_d0_reference_is_the_derivative():
     d1 = (phi(z1m + h, z2m) - phi(z1m - h, z2m)) / (2 * h)
     d2 = (phi(z1m, z2m + h) - phi(z1m, z2m - h)) / (2 * h)
     fd = (d1 - d2) / (2j * mp.pi)
-    ref = _phi_d0_reference(m, s, tau, z1, z2)[1][0]
+    ref = phi_d0_reference(m, s, tau, z1, z2)[1][0]
     assert abs(fd - ref) <= 1e-12 * abs(ref)
 
 
@@ -267,13 +239,16 @@ def test_phi_d0_reference_is_the_derivative():
 @example(2.0, -1.5, 0.7, 3.0, 0.27, -2.9, 0.1, 2.9, 1e-9)
 def test_phi_d0(m, s, y, x, r1, u1, r2, u2, tol):
     tau, z1, z2 = complex(x, y), complex(r1, u1 * y), complex(r2, u2 * y)
+    # the Appell D0 of Phi: one termwise walk at (z1, z2), one at (-z2, -z1)
+    idx, policy = MockIndex.of(m, s), TruncationPolicy(tol=tol)
     try:
-        value, der = phi_d0(MockIndex.of(m, s), tau, z1, z2, TruncationPolicy(tol=tol))
+        va, da = _phi1_core(float(idx.m), float(idx.s), tau, z1, z2, policy, want_d0=True)
+        vb, db = _phi1_core(float(idx.m), float(idx.s), tau, -z2, -z1, policy, want_d0=True)
     except TYPED:
         return
-    ref_value, ref_der = _phi_d0_reference(m, s, tau, z1, z2)
-    _within(value, ref_value, tol)
-    _within(der, ref_der, tol)
+    ref_value, ref_der = phi_d0_reference(m, s, tau, z1, z2)
+    _within(va - vb, ref_value, tol)
+    _within(da - db, ref_der, tol)
 
 
 def test_verification_grid_evaluates_eta_directly(monkeypatch):

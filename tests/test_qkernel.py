@@ -270,11 +270,31 @@ def test_halfint():
         HalfInt.of(Fraction(1, 3))
 
 
+def test_halfint_refuses_non_finite_floats():
+    # round(inf) raised an untyped OverflowError, which every index
+    # constructor passed on; a float whose double overflows is the same case
+    from mockforms.mock import MockIndex, PsiIndex
+    from mockforms.theta import ThetaIndex
+
+    for bad in (math.inf, -math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            HalfInt.of(bad)
+        with pytest.raises(ValueError, match="not a half-integer"):
+            MockIndex.of(bad, 0)
+        with pytest.raises(ValueError, match="not a half-integer"):
+            ThetaIndex.of(0, bad)
+        with pytest.raises(ValueError, match="not a half-integer"):
+            PsiIndex.of(1, 1, 0, 0, bad, 0)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(tol=-1.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(n_max=2)
+    # a NaN cap fails every `> n_max` test and would never refuse, and a
+    # fractional or infinite one is not an index count
+    for bad in (2, math.nan, math.inf, 10.5, 8.0):
+        with pytest.raises(ValueError):
+            TruncationPolicy(n_max=bad)
     # a non-finite tol or guard would make every log-space tail target
     # infinite, and a series would sum nothing
     for bad in (INF, NAN, 0.0):
