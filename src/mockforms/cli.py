@@ -48,7 +48,10 @@ def parse_complex(s: str) -> complex:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse rational number {s!r}") from None
 
 
 def _policy() -> TruncationPolicy:
@@ -101,7 +104,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qexp(args) -> int:
-    order = Fraction(args.order)
+    order = parse_rat(args.order)
     if args.fn == "theta":
         series = formal.expand_theta(parse_rat(args.j), parse_rat(args.m), order)
     elif args.fn == "phi1":
@@ -160,7 +163,7 @@ def cmd_verify(args) -> int:
 
 def cmd_family(args) -> int:
     if args.family == "n3":
-        module, weights = family_n3, family_n3.enumerate_weights(Fraction(args.m))
+        module, weights = family_n3, family_n3.enumerate_weights(parse_rat(args.m))
     elif args.family == "n4":
         module, weights = family_n4, family_n4.enumerate_weights(int(args.m))
     elif args.family == "d21a":

@@ -29,7 +29,6 @@ from functools import cached_property
 
 from .qkernel import (
     DEFAULT_POLICY,
-    HalfInt,
     TruncationPolicy,
     UnsupportedCaseError,
     e2pi,
@@ -37,7 +36,7 @@ from .qkernel import (
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
 from .mock import MockIndex, PsiIndex
 from .modification import phi_tilde_reduced as phi_tilde, psi_tilde_reduced as psi_tilde
-from .family_n4 import _QHR_EPS, _eps_theta
+from .family_n4 import SECTORS, Sector
 
 
 @dataclass(frozen=True)
@@ -143,11 +142,12 @@ class D21Weight:
                  "Q": {"minus": 1.0, "plus": -((-1.0) ** m2) if prime else -1.0,
                        "minus_tw": 1.0, "plus_tw": -((-1.0) ** m2) if prime else -1.0}}
         out = {}
-        for sector, (eps, eps_prime) in _QHR_EPS.items():
+        for sector, sec in SECTORS.items():
             twisted = sector.endswith("_tw")
-            out[sector, "P"] = (signs["P"][sector], D21Index.of("F", jf, self.params, eps, eps_prime))
-            out[sector, "Q"] = (signs["Q"][sector],
-                                D21Index.of("G", jf if twisted else jg, self.params, eps, eps_prime))
+            out[sector, "P"] = (signs["P"][sector],
+                                D21Index.of("F", jf, self.params, sec.eps, sec.eps_prime))
+            out[sector, "Q"] = (signs["Q"][sector], D21Index.of(
+                "G", jf if twisted else jg, self.params, sec.eps, sec.eps_prime))
         return out
 
     @cached_property
@@ -156,7 +156,7 @@ class D21Weight:
         p, half = self.params.p, Fraction(1, 2)
         j0, sign0 = _boundary_index(self)
         out = {}
-        for sector in _QHR_EPS:
+        for sector in SECTORS:
             plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
             jg, sign = j0, sign0
             if twisted:
@@ -290,20 +290,19 @@ def zz_value(params: D21Params, z1, z2, z3):
 class D21Index:
     """Index of the numerator functions: the letter (P or Q of PQ_function,
     f or g of fg_lower, F or G of FG_function), j, the parameters, and the
-    shifts (eps, eps') of f, g, F and G.  The theta and modification indices
+    sector (eps, eps') of f, g, F and G.  The theta and modification indices
     a function derives from it are formed on first use and kept here."""
 
     which: str
     j: int
     params: D21Params
-    eps: HalfInt = HalfInt(0)
-    eps_prime: HalfInt = HalfInt(0)
+    sector: Sector
 
     @staticmethod
     def of(which: str, j, params: D21Params, eps=0, eps_prime=0) -> "D21Index":
         if which not in ("P", "Q", "f", "g", "F", "G"):
             raise ValueError(f"unknown numerator function {which!r}")
-        return D21Index(which, int(j), params, HalfInt.of(eps), HalfInt.of(eps_prime))
+        return D21Index(which, int(j), params, Sector.of(eps, eps_prime))
 
     @cached_property
     def _thetas(self) -> tuple:
@@ -320,7 +319,8 @@ class D21Index:
         deg = pr.n * (pr.p if self.which in "PfF" else pr.q)
         if self.which in "PQ":
             return MockIndex.of(deg, 0)
-        return PsiIndex.of(1, deg, 0, self.eps, self.eps_prime, -self.eps_prime)
+        sec = self.sector
+        return PsiIndex.of(1, deg, 0, sec.eps, sec.eps_prime, -sec.eps_prime)
 
 
 def _theta_products(idx: D21Index, tau, z1, z2, z3, t, f1, f2, policy: TruncationPolicy):
@@ -352,6 +352,8 @@ def PQ_function(idx: D21Index, tau, z1, z2, z3, t=0.0, variant: str = "minus",
     twisted ones compose with the twist map.
     """
     _check_letter(idx, ("P", "Q"))
+    if variant not in SECTORS:
+        raise ValueError(f"unknown sector {variant}")
     if variant == "plus":
         return PQ_function(idx, tau, *xi_shift(tau, z1, z2, z3, t), "minus", policy)
     if variant in ("minus_tw", "plus_tw"):
@@ -381,12 +383,10 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
 
 # --- denominators ----------------------------------------------------------
 
-def rhat(tau, z1, z2, z3, eps=0, eps_prime=0,
-         policy: TruncationPolicy = DEFAULT_POLICY):
+def rhat(tau, z1, z2, z3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (super)denominators in the four sectors."""
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    a, b = _eps_theta(eps, eps_prime)
-    sgn = -1.0 if (eps.twice and eps_prime.twice) else 1.0
+    a, b = sector.a, sector.b
+    sgn = -1.0 if (sector.eps.twice and sector.eps_prime.twice) else 1.0
     num = (dedekind_eta(tau, policy) ** 4
            * jacobi_theta(1, 1, tau, z1 - z2, policy)
            * jacobi_theta(1, 1, tau, z1 - z3, policy)
@@ -397,15 +397,14 @@ def rhat(tau, z1, z2, z3, eps=0, eps_prime=0,
     return -sgn * 1j * num / den
 
 
-def b4_denominator(tau, y2, y3, eps, eps_prime,
-                   policy: TruncationPolicy = DEFAULT_POLICY):
+def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """Big N=4 superconformal denominators.
 
     Carries a uniform constant -1 relative to the bare eta-theta quotient,
     pinned by the collapsing-level identities at q = n = 1 (the reduced
     characters must equal the positive-coefficient degree-(p+1) theta
     quotients)."""
-    a, b = _eps_theta(HalfInt.of(eps), HalfInt.of(eps_prime))
+    a, b = sector.a, sector.b
     return -(dedekind_eta(tau, policy) ** 3
              * jacobi_theta(1, 1, tau, y2, policy) * jacobi_theta(1, 1, tau, y3, policy)
              / (jacobi_theta(a, b, tau, (y2 + y3) / 2, policy)
@@ -448,9 +447,8 @@ def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "
                policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced big N=4 (super)characters for the j=1 weights with m2 = 0 or
     m3 = 0, via the single F/G-term table, formed once per weight.  The F/G
-    term and the denominator both carry the sector's shifts (eps, eps') =
-    _QHR_EPS[sector]."""
-    if sector not in _QHR_EPS:
+    term and the denominator both carry the sector SECTORS[sector]."""
+    if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector}")
     if flavor not in ("P", "Q"):
         raise ValueError(f"unknown flavor {flavor}")
@@ -462,7 +460,7 @@ def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "
         return 0.0 + 0.0j
     sign, idx = terms[sector, flavor]
     num = sign * FG_function(idx, tau, y2, y3, policy)
-    return num / b4_denominator(tau, y2, y3, idx.eps, idx.eps_prime, policy)
+    return num / b4_denominator(tau, y2, y3, idx.sector, policy)
 
 
 def qhr_characteristics(w: D21Weight) -> dict:
@@ -512,11 +510,11 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
         raise UnsupportedCaseError("boundary formulas need q = n = 1")
     if w.j not in (0, 1):
         raise UnsupportedCaseError("boundary families are empty for j = 2, 3")
-    if sector not in _QHR_EPS:
+    if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector}")
     sign, idx = w._boundary_terms[sector]
     num = sign * fg_lower(idx, tau, z1, z2, z3, t, policy)
-    return num / rhat(tau, z1, z2, z3, idx.eps, idx.eps_prime, policy)
+    return num / rhat(tau, z1, z2, z3, idx.sector, policy)
 
 
 def s_matrix_and_fusion(p: int) -> dict:

@@ -31,7 +31,6 @@ from .theta import dedekind_eta, jacobi_theta
 from .mock import MockIndex, PsiIndex, _psi_frame
 from .modification import phi_tilde, phi_tilde_d0, psi_tilde
 
-SECTORS = ("plus", "minus", "plus_tw", "minus_tw")
 _J_VALUES = ("none", "I", "II", "III", "IV")
 
 
@@ -93,7 +92,7 @@ class N4Weight:
         m, m2, M = self.m, self.m2, self.M
         A = float(Fraction(m * (2 * self.k1 + self.k2 + 1), M) + m2)
         out = {}
-        for sector, (eps, eps_prime) in _QHR_EPS.items():
+        for sector, sec in SECTORS.items():
             twisted = sector.endswith("_tw")
             j, k = admissible_jk(self, twisted)
             sign = 1.0
@@ -105,8 +104,8 @@ class N4Weight:
                 sign = -sign
             if sector.startswith("plus") and m2 % 2:
                 sign = -sign
-            out[sector] = (ChiIndex.of(1, M, m, eps, eps_prime, j, k),
-                           ChiIndex.of(0, M, m, eps, eps_prime, j, k), A, sign)
+            out[sector] = (ChiIndex.of(1, M, m, sec.eps, sec.eps_prime, j, k),
+                           ChiIndex.of(0, M, m, sec.eps, sec.eps_prime, j, k), A, sign)
         return out
 
     def label(self) -> str:
@@ -121,38 +120,50 @@ def enumerate_weights(m: int) -> list[N4Weight]:
 
 # --- denominators ---------------------------------------------------------
 
-def _eps_theta(eps: HalfInt, eps_prime: HalfInt):
-    return 1 - eps_prime.twice, 1 - eps.twice
+@dataclass(frozen=True)
+class Sector:
+    """A sector of the denominators: the shifts eps (0 super, 1/2 plain)
+    and eps' (0 non-twisted, 1/2 twisted), and the labels (a, b) =
+    (1 - 2 eps', 1 - 2 eps) of the theta_ab the denominators divide by."""
+
+    eps: HalfInt
+    eps_prime: HalfInt
+    a: int
+    b: int
+
+    @staticmethod
+    def of(eps, eps_prime) -> "Sector":
+        eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
+        if eps.twice not in (0, 1) or eps_prime.twice not in (0, 1):
+            raise ValueError(f"sector shifts must be 0 or 1/2, got {eps.value}, {eps_prime.value}")
+        return Sector(eps, eps_prime, 1 - eps_prime.twice, 1 - eps.twice)
 
 
-def rhat(tau, z1, z2, eps, eps_prime, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Normalized affine (non-)twisted (super)denominators: eps = 0 super /
-    1/2 plain, eps' = 0 non-twisted / 1/2 twisted."""
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    a, b = _eps_theta(eps, eps_prime)
-    sgn = -1.0 if eps_prime.twice else 1.0
+def rhat(tau, z1, z2, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Normalized affine (non-)twisted (super)denominators."""
+    a, b = sector.a, sector.b
+    sgn = -1.0 if sector.eps_prime.twice else 1.0
     return (sgn * dedekind_eta(tau, policy) ** 4
             * jacobi_theta(1, 1, tau, z1 - z2, policy) * jacobi_theta(1, 1, tau, z1 + z2, policy)
             / (jacobi_theta(a, b, tau, z1, policy) ** 2 * jacobi_theta(a, b, tau, z2, policy) ** 2))
 
 
-def n4_denominator(tau, z, eps, eps_prime, policy: TruncationPolicy = DEFAULT_POLICY):
+def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """The N=4 superconformal denominators, indexed like the affine ones.
 
     Each sector carries the unit constant i(-1)^{2(eps+eps')} relative to
     the bare eta-theta quotient, pinned by the collapsing level: at level
     -1 the reduced vacuum module is trivial and all four of its characters
     must equal 1 exactly."""
-    eps, eps_prime = HalfInt.of(eps), HalfInt.of(eps_prime)
-    a, b = _eps_theta(eps, eps_prime)
-    const = 1j * (-1.0) ** (eps.twice + eps_prime.twice)
+    a, b = sector.a, sector.b
+    const = 1j * (-1.0) ** (sector.eps.twice + sector.eps_prime.twice)
     return (const * dedekind_eta(tau, policy) ** 3 * jacobi_theta(1, 1, tau, 2 * z, policy)
             / jacobi_theta(a, b, tau, z, policy) ** 2)
 
 
-# the reduced (superconformal) denominators swap the twist label
-_QHR_EPS = {"plus": (Fraction(1, 2), Fraction(1, 2)), "minus": (0, Fraction(1, 2)),
-            "plus_tw": (Fraction(1, 2), 0), "minus_tw": (0, 0)}
+# the sector of each reduced denominator: they swap the affine twist label
+SECTORS = {"plus": Sector.of(Fraction(1, 2), Fraction(1, 2)), "minus": Sector.of(0, Fraction(1, 2)),
+           "plus_tw": Sector.of(Fraction(1, 2), 0), "minus_tw": Sector.of(0, 0)}
 
 
 def w0_point(tau, z1, z2, t):
@@ -242,24 +253,21 @@ def qhr_characteristics(w: N4Weight) -> dict:
 def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Closed single-term forms of the reduced (super)characters of the
-    integrable family."""
+    integrable family: the numerator is the modification at u +- eps' tau,
+    u = z + eps, for the sector (eps, eps') of the denominator."""
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector}")
     m, m2 = w.m, w.m2
     m0 = m + m2
     if m0 >= 0:
         return 0.0 + 0.0j
-    idx = w._mock
-    if sector == "plus":
-        val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, z + 0.5 + tau / 2, z + 0.5 - tau / 2, 0.0, policy)
-    elif sector == "minus":
-        val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, z + tau / 2, z - tau / 2, 0.0, policy)
-    elif sector == "plus_tw":
-        val = m0 * phi_tilde(idx, tau, z + 0.5, z + 0.5, 0.0, policy)
-    elif sector == "minus_tw":
-        val = m0 * phi_tilde(idx, tau, z, z, 0.0, policy)
+    idx, sec = w._mock, SECTORS[sector]
+    u = z + 0.5 if sec.eps.twice else z
+    if sec.eps_prime.twice:
+        val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, u + tau / 2, u - tau / 2, 0.0, policy)
     else:
-        raise ValueError(f"unknown sector {sector}")
-    eps, eps_prime = _QHR_EPS[sector]
-    return val / n4_denominator(tau, z, eps, eps_prime, policy)
+        val = m0 * phi_tilde(idx, tau, u, u, 0.0, policy)
+    return val / n4_denominator(tau, z, sec, policy)
 
 
 def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -285,8 +293,7 @@ class ChiIndex:
     alpha: int
     M: int
     m: int
-    eps: HalfInt
-    eps_prime: HalfInt
+    sector: Sector
     j: HalfInt
     k: HalfInt
 
@@ -297,21 +304,21 @@ class ChiIndex:
         if m >= 0:
             raise ValueError("m must be a negative integer")
         j, k = HalfInt.of(j), HalfInt.of(k)
-        eps_prime = HalfInt.of(eps_prime)
-        if j.twice % 2 != eps_prime.twice or k.twice % 2 != eps_prime.twice:
+        sector = Sector.of(eps, eps_prime)
+        if j.twice % 2 != sector.eps_prime.twice or k.twice % 2 != sector.eps_prime.twice:
             raise ValueError("j, k must lie in eps' + Z")
-        return ChiIndex(alpha, int(M), int(m), HalfInt.of(eps), eps_prime, j, k)
+        return ChiIndex(alpha, int(M), int(m), sector, j, k)
 
     @cached_property
     def _psi(self) -> PsiIndex:
         """the wrapper index (M, -m, 0, eps, j, k) of chi"""
-        return PsiIndex.of(self.M, -self.m, 0, self.eps, self.j, self.k)
+        return PsiIndex.of(self.M, -self.m, 0, self.sector.eps, self.j, self.k)
 
 
 def chi(idx: ChiIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
     """chi^(alpha): P (alpha=1) or Psi-tilde (alpha=0) on the diagonal,
     divided by the matching N=4 denominator."""
-    den = n4_denominator(tau, z, idx.eps, idx.eps_prime, policy)
+    den = n4_denominator(tau, z, idx.sector, policy)
     if idx.alpha == 1:
         num = psi_P(idx._psi, tau, z, z, 0.0, policy)
     else:
@@ -336,7 +343,7 @@ def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
     """Reduced (super)characters of the admissible family as the signed
     combination chi^(1) - A chi^(0); the chi indices, A and the sign of
     each sector come from w, formed once per weight."""
-    if sector not in _QHR_EPS:
+    if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector}")
     if w.J not in ("I", "III"):
         raise UnsupportedCaseError(

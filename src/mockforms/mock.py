@@ -27,7 +27,6 @@ from .qkernel import (
     LOG_2,
     TWO_PI,
     TWO_PI_I,
-    DomainError,
     HalfInt,
     TruncationPolicy,
     _MISS,
@@ -228,14 +227,11 @@ def _psi_frame(idx: PsiIndex, tau: complex, z1: complex, z2: complex):
     """(prefactor, MockIndex, M tau, z1 + a tau + eps, z2 + b tau + eps): the
     frame in which Psi^{[M,m,s;eps]}_{a,b} evaluates its inner function.
     A prefactor past the double range (an overflow-sized Im z) raises
-    DomainError."""
+    DomainError in e2pi."""
     inner, a, b, eps, mab, m_M = idx._frame
     M = idx.M
     tau = _check_point(tau, z1, z2)
-    try:
-        pref = e2pi(mab * tau / M + m_M * (b * z1 + a * z2))
-    except OverflowError as exc:
-        raise DomainError(f"the prefactor of Psi overflowed a double ({exc})") from exc
+    pref = e2pi(mab * tau / M + m_M * (b * z1 + a * z2))
     return pref, inner, M * tau, z1 + a * tau + eps, z2 + b * tau + eps
 
 

@@ -179,8 +179,15 @@ class EvalPoint:
 
 
 def e2pi(x: complex) -> complex:
-    """exp(2*pi*i*x)."""
-    return cmath.exp(TWO_PI_I * x)
+    """exp(2*pi*i*x).  A value past the double range, or not finite (an
+    infinite or NaN x), raises DomainError."""
+    try:
+        v = cmath.exp(TWO_PI_I * x)
+    except OverflowError as exc:
+        raise DomainError(f"e({x}) overflowed a double ({exc})") from exc
+    if not cmath.isfinite(v):
+        raise DomainError(f"e({x}) is not finite")
+    return v
 
 
 def _check_point(tau, *zs) -> complex:

@@ -904,25 +904,26 @@ def _n4_pairs():
     register(IdentitySpec("rem6.5", "modified assembly collapse on the shifted diagonal",
                           "n4", 1e-8, [{"m": -1}, {"m": -2}], tilde_plan(rem65)))
 
-    def p71a(pt, policy, m, m2, w, idx):
+    def p71a(pt, policy, m, m2, w, idx, plus):
         tau, z = pt.tau, pt.z
         va = n4.qhr_character_integrable(w, tau, z, "plus", policy)
         m0 = m + m2
         alt = (-((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
                * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
-               / n4.n4_denominator(tau, z, H, H, policy))
+               / n4.n4_denominator(tau, z, plus, policy))
         return va, alt
 
     register(IdentitySpec("prop7.1a", "two closed forms of the reduced character agree",
                           "n4", 1e-8, [{"m": -1, "m2": 0}, {"m": -2, "m2": 1}],
                           lambda m, m2: partial(p71a, m=m, m2=m2, w=n4.N4Weight(m, m2),
-                                                idx=MockIndex.of(-m, 0))))
+                                                idx=MockIndex.of(-m, 0),
+                                                plus=n4.SECTORS["plus"])))
 
     def denominated(x, tau, z, policy):
         """the reduced character at index x = (weight, sector) times its denominator"""
         w, sec = x
         return (n4.qhr_character_integrable(w, tau, z, sec, policy)
-                * n4.n4_denominator(tau, z, *n4._QHR_EPS[sec], policy))
+                * n4.n4_denominator(tau, z, n4.SECTORS[sec], policy))
 
     def p72(m, rel):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
@@ -939,14 +940,15 @@ def _n4_pairs():
 
     def th73b(m, eps, epsp):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
-        sec = {e: name for name, e in n4._QHR_EPS.items()}
+        names = {sector: name for name, sector in n4.SECTORS.items()}
+        sec = lambda e, ep: names[n4.Sector.of(e, ep)]
         cm = -6 * (m + 1)
         # sign and phase constants re-derived in the anchored normalization
         # (the trivial module at level -1 has all characters equal to 1)
         sgn = (-1.0) ** ((m + 1) * int(2 * eps) * int(2 * epsp))
-        return [((w, sec[(eps, epsp)]), _S, (w, sec[(epsp, eps)]),
+        return [((w, sec(eps, epsp)), _S, (w, sec(epsp, eps)),
                  lambda tau, z: sgn * cmath.exp(1j * math.pi * cm * z * z / (3 * tau))),
-                ((w, sec[(eps, epsp)]), _T, (w, sec[(abs(eps - epsp), epsp)]),
+                ((w, sec(eps, epsp)), _T, (w, sec(abs(eps - epsp), epsp)),
                  e2pi(Fraction((m + 1) * int(2 * epsp), 4)))]
 
     register(IdentitySpec("th7.3b", "reduced-character laws in shift notation", "n4",
@@ -955,23 +957,24 @@ def _n4_pairs():
                               x[0], tau, z, x[1], policy), lambda pt: (pt.z,), th73b),
                           grid=(2, 2)))
 
-    def rem74(pt, policy, m, w):
+    def rem74(pt, policy, m, w, minus_tw, plus_tw):
         # deliberately wrong twist: the S-relation must fail visibly
         tau, z = pt.tau, pt.z
 
         def bad_tw(tt, zz):
             w1, w2, wt = n4.w0_prime_point(tt, zz + tt / 2, zz - tt / 2, tt / 4)
             num = n4.numerator(w, tt, w1, w2, wt, "minus", policy)
-            return num / n4.n4_denominator(tt, zz, Fraction(0), Fraction(0), policy)
+            return num / n4.n4_denominator(tt, zz, minus_tw, policy)
 
         lhs = denominated((w, "minus"), -1 / tau, z / tau, policy)
         rhs = (-tau * e2pi(-m * z * z / tau) * bad_tw(tau, z)
-               * n4.n4_denominator(tau, z, H, Fraction(0), policy))
+               * n4.n4_denominator(tau, z, plus_tw, policy))
         return lhs, rhs
 
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
-                          "n4", 1e-2, [{"m": -2}], lambda m: partial(rem74, m=m, w=n4.N4Weight(m, 1)),
-                          grid=(2, 2), check="exceeds"))
+                          "n4", 1e-2, [{"m": -2}], lambda m: partial(
+                              rem74, m=m, w=n4.N4Weight(m, 1), minus_tw=n4.SECTORS["minus_tw"],
+                              plus_tw=n4.SECTORS["plus_tw"]), grid=(2, 2), check="exceeds"))
 
     psi_p = lambda laws: _laws(n4.psi_P, _zs(0.02), laws)
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
@@ -1099,8 +1102,8 @@ def _n4_pairs():
             tau, z = pt.tau, pt.z
             return [(n4.qhr_character_admissible(w, tau, z, sector, policy),
                      n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sector, policy)
-                     / n4.n4_denominator(tau, z, *n4._QHR_EPS[sector], policy))
-                    for sector in n4.SECTORS]
+                     / n4.n4_denominator(tau, z, sec, policy))
+                    for sector, sec in n4.SECTORS.items()]
         return run
 
     register(IdentitySpec(
@@ -1305,11 +1308,11 @@ def _d21a_pairs():
                           fg(lem118), grid=(2, 2)))
 
     b4 = lambda laws: _laws(lambda x, tau, y2, y3, policy: d2.b4_denominator(
-        tau, y2, y3, *x, policy), lambda pt: pt.zs[:2], laws)
+        tau, y2, y3, x, policy), lambda pt: pt.zs[:2], laws)
 
     def eq1113(eps, epsp):
         sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
-        return [((eps, epsp), _S, (epsp, eps), lambda tau, y2, y3: (
+        return [(n4.Sector.of(eps, epsp), _S, n4.Sector.of(epsp, eps), lambda tau, y2, y3: (
             sgn * (-1j * tau) ** 1.5 * cmath.exp(1j * math.pi * (y2 * y2 + y3 * y3) / (2 * tau))))]
 
     register(IdentitySpec("eq11.13", "reduced denominator S-law", "d21a", 1e-8, EPS_PAIRS,
@@ -1317,7 +1320,8 @@ def _d21a_pairs():
 
     register(IdentitySpec("eq11.14", "reduced denominator T-law", "d21a", 1e-8, EPS_PAIRS,
                           b4(lambda eps, epsp: [(
-                              (eps, epsp), _T, (abs(Fraction(eps) - Fraction(epsp)), epsp),
+                              n4.Sector.of(eps, epsp), _T,
+                              n4.Sector.of(abs(Fraction(eps) - Fraction(epsp)), epsp),
                               (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
     def p1114(which, eps, epsp):
@@ -1349,7 +1353,7 @@ def _d21a_pairs():
         hr = d2.hr_point(tau, y2, y3)
         a = d2.big_n4_qhr(w, tau, y2, y3, "minus", flavor, policy)
         num = d2.modified_supercharacter_numerator(w, tau, *hr, flavor, policy)
-        b = num / d2.b4_denominator(tau, y2, y3, *n4._QHR_EPS["minus"], policy)
+        b = num / d2.b4_denominator(tau, y2, y3, n4.SECTORS["minus"], policy)
         return a, b
 
     register(IdentitySpec("prop11.11", "reduced character table vs case assembly",
@@ -1403,18 +1407,18 @@ def _d21a_pairs():
         pr = d2.D21Params(*P211)
         p = pr.p
         t = 0.02
-        a_, b_ = n4._eps_theta(HalfInt.of(eps), HalfInt.of(epsp))
         ph = e2pi(-Fraction(p, p + 1) * t)
         s1 = (-1.0) ** (1 - 2 * float(epsp))
         s2 = (-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp)))
         xp, xm = ThetaIndex.of(j, p + 1), ThetaIndex.of(-j, p + 1)
         g = d2.D21Index.of("g", j, pr, eps, epsp)
+        a_, b_ = g.sector.a, g.sector.b
 
         def run(pt, policy):
             tau, zs = pt.tau, pt.zs
             z1, z2, z3 = zs
             lhs = (d2.fg_lower(g, tau, *zs, t, policy)
-                   / d2.rhat(tau, *zs, eps, epsp, policy))
+                   / d2.rhat(tau, *zs, g.sector, policy))
             th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
             pref = ph / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3))
             t1 = (s1 * theta_jm(xp, tau, z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
@@ -1429,11 +1433,12 @@ def _d21a_pairs():
 
     register(IdentitySpec("eq12.8", "affine denominator S and T laws", "d21a", 1e-8, EPS_PAIRS,
                           _laws(lambda x, tau, z1, z2, z3, policy: d2.rhat(
-                              tau, z1, z2, z3, *x, policy), lambda pt: pt.zs,
+                              tau, z1, z2, z3, x, policy), lambda pt: pt.zs,
                               lambda eps, epsp: [
-                                  ((eps, epsp), _S, (epsp, eps),
+                                  (n4.Sector.of(eps, epsp), _S, n4.Sector.of(epsp, eps),
                                    lambda tau, *zs: 1j * (-1j * tau) ** 1.5),
-                                  ((eps, epsp), _T, (abs(Fraction(eps) - Fraction(epsp)), epsp),
+                                  (n4.Sector.of(eps, epsp), _T,
+                                   n4.Sector.of(abs(Fraction(eps) - Fraction(epsp)), epsp),
                                    e2pi(Fraction(1, 24)))])))
 
     # the index of a boundary supercharacter is its weight

@@ -168,6 +168,13 @@ def test_verify_tag_in_process(capsys):
      "--M", "3", "--m", "2", "--aa", "1", "--bb", "-1"],
     ["eval", "--fn", "psi", "--tau", "1i", "--z1", "0.1+100000000000000000i",
      "--M", "3", "--m", "2", "--aa", "1", "--bb", "-1"],
+    # a rational with a zero denominator
+    ["eval", "--fn", "theta", "--tau", "1i", "--m", "1/0"],
+    ["qexp", "--fn", "theta", "--order", "1/0"],
+    ["family", "--family", "n3", "--m", "1/0"],
+    # a t whose factor e(m t) overflows, and a t that parses to inf
+    ["eval", "--fn", "theta", "--tau", "1i", "--t=-100000i"],
+    ["eval", "--fn", "theta", "--tau", "1i", "--t", "1" + "0" * 400],
 ])
 def test_refused_inputs_exit_2(args, capsys):
     # an overflowing series term or prefactor, a truncation cap hit, a grid

@@ -170,7 +170,7 @@ def test_boundary_characters_follow_the_label_table():
                 for tau, zs, t in BOUNDARY_POINTS:
                     g = d2.D21Index.of("g", jg, pr, eps, eps_prime)
                     want = (sign * d2.fg_lower(g, tau, *zs, t, P)
-                            / d2.rhat(tau, *zs, eps, eps_prime, P))
+                            / d2.rhat(tau, *zs, d2.Sector.of(eps, eps_prime), P))
                     got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
                     assert got == want, (p, sector, w.label())
 

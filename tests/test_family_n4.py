@@ -4,6 +4,8 @@ import pytest
 
 from mockforms.mock import MockIndex, PsiIndex
 from mockforms.qkernel import HalfInt, TruncationPolicy, UnsupportedCaseError, e2pi
+import mockforms.family_d21a as d2
+import mockforms.family_n3 as n3
 import mockforms.family_n4 as n4
 
 P = TruncationPolicy()
@@ -46,8 +48,40 @@ def test_rhat_product_oracle():
 
     for eps in (0, F(1, 2)):
         a = product(TAU, Z1, Z2, eps)
-        b = n4.rhat(TAU, Z1, Z2, eps, 0, P)
+        b = n4.rhat(TAU, Z1, Z2, n4.Sector.of(eps, 0), P)
         assert abs(a - b) < 1e-10 * max(1.0, abs(b))
+
+
+D21_WEIGHT = d2.D21Weight(d2.D21Params(2, 1, 1), 1, 0, 0)
+# every function that takes a sector name; the integrable N=4 weight is one
+# whose reduced module vanishes
+SECTOR_FUNCTIONS = {
+    "n4.numerator": lambda s: n4.numerator(n4.N4Weight(-2, 1), TAU, Z1, Z2, T, s, P),
+    "n4.qhr_character_integrable": lambda s: n4.qhr_character_integrable(
+        n4.N4Weight(-2, 2), TAU, Z, s, P),
+    "n4.qhr_character_admissible": lambda s: n4.qhr_character_admissible(
+        n4.N4Weight(-2, 1, 3, "I", 1, 0), TAU, Z, s, P),
+    "d2.PQ_function": lambda s: d2.PQ_function(
+        d2.D21Index.of("P", 1, D21_WEIGHT.params), TAU, Z1, Z2, Z, T, s, P),
+    "d2.big_n4_qhr": lambda s: d2.big_n4_qhr(D21_WEIGHT, TAU, Z1, Z2, s, "P", P),
+    "d2.boundary_case_characters": lambda s: d2.boundary_case_characters(
+        D21_WEIGHT, TAU, Z1, Z2, Z, T, s, P),
+    "n3.n3_denominator": lambda s: n3.n3_denominator(TAU, Z, s, P),
+    "n3.qhr_character": lambda s: n3.qhr_character(
+        n3.N3Weight(False, F(-3, 4), 0), TAU, Z, s, False, P),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_FUNCTIONS))
+def test_unknown_sector_is_refused(name):
+    with pytest.raises(ValueError, match="unknown sector"):
+        SECTOR_FUNCTIONS[name]("bogus")
+
+
+@pytest.mark.parametrize("eps, eps_prime", [(1, 0), (0.25, 0), (0, F(-1, 2))])
+def test_sector_shifts_are_0_or_half(eps, eps_prime):
+    with pytest.raises(ValueError):
+        n4.Sector.of(eps, eps_prime)
 
 
 def test_characteristics_examples():
@@ -194,7 +228,7 @@ def test_admissible_vs_substitution_route():
         for sector in n4.SECTORS:
             a = n4.qhr_character_admissible(w, TAU, Z, sector, P)
             num = n4.numerator(w, TAU, Z + TAU / 2, Z - TAU / 2, TAU / 4, sector, P)
-            b = num / n4.n4_denominator(TAU, Z, *n4._QHR_EPS[sector], P)
+            b = num / n4.n4_denominator(TAU, Z, n4.SECTORS[sector], P)
             assert abs(a - b) < 1e-9
 
 
@@ -236,7 +270,7 @@ def test_rem94_rewriting():
     w = n4.N4Weight(m, m2, M, "III", k1, k2)
     A = F(m * (2 * k1 + k2 + 1), M) + m2
     lhs = (n4.qhr_character_admissible(w, TAU, Z, "minus", P)
-           * n4.n4_denominator(TAU, Z, 0, F(1, 2), P))
+           * n4.n4_denominator(TAU, Z, n4.Sector.of(0, F(1, 2)), P))
     j, k = HalfInt(2 * (k1 + k2) + 1), HalfInt(-(2 * k1 + 1))
     idx = PsiIndex.of(M, -m, 0, 0, j, k)
     rhs = -n4.psi_P(idx, TAU, Z, Z, 0.0, P) + A * psi_tilde(idx, TAU, Z, Z, 0.0, P)

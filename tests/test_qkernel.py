@@ -20,8 +20,9 @@ from mockforms.qkernel import (
     nome,
 )
 from mockforms.family_d21a import D21Index, D21Params, PQ_function
-from mockforms.mock import MockIndex, PsiIndex, phi1, psi
-from mockforms.modification import phi_tilde_reduced, psi_tilde, r_window
+from mockforms.family_n4 import psi_P
+from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
+from mockforms.modification import phi_tilde, phi_tilde_reduced, psi_tilde, r_window
 from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
 
 NAN, INF = float("nan"), float("inf")
@@ -101,6 +102,27 @@ def test_overflow_sized_im_z_is_a_typed_error(name):
     call, error = OVERFLOW_Z[name]
     with pytest.raises(error):
         call()
+
+
+# every t factor is an e2pi: an infinite, NaN or overflow-sized t is a
+# typed error, not a NaN value or a bare OverflowError.  Each kernel comes
+# with a t whose factor overflows: psi_P reflects t
+T_KERNELS = {
+    "theta_jm": (lambda t: theta_jm(ThetaIndex.of(1, 2), 1j, 0.3, t), -1e5j),
+    "phi": (lambda t: phi(MockIndex.of(1, 0), 1j, 0.3, 0.1, t), -1e5j),
+    "phi_tilde": (lambda t: phi_tilde(MockIndex.of(1, 0), 1j, 0.3, 0.1, t), -1e5j),
+    "psi": (lambda t: psi(PSI_INDEX, 1j, 0.3, 0.2, t), -1e5j),
+    "psi_tilde": (lambda t: psi_tilde(PSI_INDEX, 1j, 0.3, 0.2, t), -1e5j),
+    "psi_P": (lambda t: psi_P(PsiIndex.of(1, 2, 0, 0, 0, 0), 1j, 0.3, 0.2, t), 1e5j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_KERNELS))
+def test_bad_t_is_a_typed_error(name):
+    kernel, overflowing = T_KERNELS[name]
+    for t in (INF, complex(0.0, NAN), overflowing):
+        with pytest.raises(DomainError):
+            kernel(t)
 
 
 def test_lattice_distance_basics():

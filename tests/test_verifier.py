@@ -22,6 +22,8 @@ import mockforms.qkernel as qkernel
 import mockforms.verifier as V
 
 P = TruncationPolicy()
+# the policy verify() runs its plans under
+GUARDED = TruncationPolicy(P.tol, P.n_max, max(P.pole_guard, 0.02))
 
 
 def test_grid_determinism_and_size():
@@ -139,14 +141,9 @@ def test_exact_work_is_once_per_parameter_set(monkeypatch, identity, owner, name
         assert counts[0] == len(V.get_spec(identity).params)
 
 
-def test_exact_work_and_pole_scans_per_pass(monkeypatch):
-    # one suite("all", seed=1) pass does its exact work in the plans and at
-    # the first use of each plan object, not at every grid point, and the
-    # pole guard scans the lattice only where its row bound cannot clear the
-    # point.  Per pass, before the family layer held its exact data: 28,326
-    # HalfInt.of calls, 27,412 Fraction constructions, 4,880 scans; after:
-    # 9,994, 8,476 and 202.  With no memo of passed guards, the guard runs
-    # at every Appell sum (4,880 -> 9,672 calls) and scans 422 times
+def _count_exact_work(monkeypatch) -> collections.Counter:
+    """From now on, count HalfInt.of calls, Fraction constructions and the
+    pole guard's lattice scans."""
     counts = collections.Counter()
     of, new, scan = HalfInt.of, Fraction.__new__, qkernel._lattice_scan
 
@@ -166,43 +163,79 @@ def test_exact_work_and_pole_scans_per_pass(monkeypatch):
     monkeypatch.setattr(HalfInt, "of", counting_of)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(qkernel, "_lattice_scan", counting_scan)
+    return counts
+
+
+def test_exact_work_and_pole_scans_per_pass(monkeypatch):
+    # one suite("all", seed=1) pass does its exact work in the plans and at
+    # the first use of each plan object, not at every grid point, and the
+    # pole guard scans the lattice only where its row bound cannot clear the
+    # point.  Per pass, before the family layer held its exact data: 28,326
+    # HalfInt.of calls, 27,412 Fraction constructions, 4,880 scans.  With
+    # the grid-point denominators still parsing their shifts: 10,039, 8,476
+    # and 422.  With each sector a Sector formed once: 7,327, 8,464 and 422
+    counts = _count_exact_work(monkeypatch)
     V.suite("all", seed=1)
     assert counts["HalfInt.of"] < 11_000, counts
     assert counts["Fraction"] < 9_500, counts
     assert counts["scan"] < 1_000, counts
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grid_point_loop_does_no_exact_work(monkeypatch, seed):
+    # the exact work of an id is done in its plans and at the first use of
+    # each plan object, so once every plan has run its grid, a second run
+    # makes no HalfInt and no Fraction.  At seed 2 some objects are first
+    # used after the first grid point
+    plans = _plans(seed)
+    for runs, pts in plans.values():
+        collections.deque(_walk(runs, pts), maxlen=0)
+    counts = _count_exact_work(monkeypatch)
+    for runs, pts in plans.values():
+        collections.deque(_walk(runs, pts), maxlen=0)
+    assert counts["HalfInt.of"] == counts["Fraction"] == 0, counts
+
+
 PAIRS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_pairs.json"
+
+
+def _plans(seed) -> dict:
+    """{id: (plans, grid)} over every non-runner id: one plan per parameter
+    set, and the id's registered grid at seed."""
+    out = {}
+    for ident in V.registry_ids():
+        spec = V.get_spec(ident)
+        if spec.runner is None:
+            out[ident] = ([spec.plan(**prm) for prm in spec.params],
+                          V.standard_grid(*spec.grid, seed, GUARDED))
+    return out
+
+
+def _walk(runs, pts):
+    """Each (lhs, rhs) pair of the plans runs over the grid pts, or None for
+    a parameter set that raises PoleProximityError, walked as verify() walks
+    it: grid points outer, parameter sets inner, one memo per point."""
+    for pt in pts:
+        token = _POINT_MEMO.set({})
+        try:
+            for run in runs:
+                try:
+                    pairs = run(pt, GUARDED)
+                except PoleProximityError:
+                    yield None
+                    continue
+                yield from [pairs] if isinstance(pairs, tuple) else pairs
+        finally:
+            _POINT_MEMO.reset(token)
 
 
 def _pair_hashes(seed):
     """{id: [8-hex sha256 prefix of repr((lhs, rhs)), or "skip"]} over every
-    non-runner id at its registered grid, walked as verify() walks it: one
-    plan per parameter set, grid points outer, parameter sets inner, one
-    memo per point, "skip" for a parameter set that raises
-    PoleProximityError."""
-    policy = TruncationPolicy(P.tol, P.n_max, max(P.pole_guard, 0.02))
-    out = {}
-    for ident in V.registry_ids():
-        spec = V.get_spec(ident)
-        if spec.runner is not None:
-            continue
-        runs = [spec.plan(**prm) for prm in spec.params]
-        hashes = out[ident] = []
-        for pt in V.standard_grid(*spec.grid, seed, policy):
-            token = _POINT_MEMO.set({})
-            try:
-                for run in runs:
-                    try:
-                        pairs = run(pt, policy)
-                    except PoleProximityError:
-                        hashes.append("skip")
-                        continue
-                    for pair in [pairs] if isinstance(pairs, tuple) else pairs:
-                        hashes.append(hashlib.sha256(repr(pair).encode()).hexdigest()[:8])
-            finally:
-                _POINT_MEMO.reset(token)
-    return out
+    non-runner id at its registered grid, walked as verify() walks it."""
+    return {ident: ["skip" if pair is None
+                    else hashlib.sha256(repr(pair).encode()).hexdigest()[:8]
+                    for pair in _walk(runs, pts)]
+            for ident, (runs, pts) in _plans(seed).items()}
 
 
 def test_pairs_match_golden():
