@@ -25,10 +25,13 @@ from .theta import _JACOBI
 
 @dataclass(frozen=True)
 class GRat:
-    """Gaussian rational a + b*i with exact rational a, b."""
+    """Gaussian rational a + b*i.  The parts are ints wherever they are
+    integral and Fractions only where a value needs one (a half-integer d0
+    weight, a caller's Fraction scalar); int and Fraction agree on ==, hash
+    and str."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     def __add__(self, o):
         return GRat(self.re + o.re, self.im + o.im)
@@ -54,23 +57,42 @@ class GRat:
 
 
 GR_ZERO = GRat()
-GR_ONE = GRat(Fraction(1))
+GR_ONE = GRat(1)
+# i^k for k = 0..3, as exact coefficients and as int pairs
+_PHASES = (GR_ONE, GRat(0, 1), GRat(-1), GRat(0, -1))
+_UNIT = tuple((p.re, p.im) for p in _PHASES)
 
 
-def unit_phase(r: Fraction) -> GRat:
-    """e^{2 pi i r} for r in (1/4)Z, as an exact Gaussian rational."""
-    x = (r * 4) % 4
-    if x.denominator != 1:
-        raise UnsupportedCaseError(f"phase exponent {r} is not a quarter integer")
-    return {0: GRat(Fraction(1)), 1: GRat(Fraction(0), Fraction(1)),
-            2: GRat(Fraction(-1)), 3: GRat(Fraction(0), Fraction(-1))}[int(x)]
+def _quarter_turns(n: int, d: int) -> int:
+    """k in 0..3 with e^{2 pi i n/d} = i^k, for n/d in (1/4)Z."""
+    k, rem = divmod(4 * n, d)
+    if rem:
+        raise UnsupportedCaseError(
+            f"phase exponent {Fraction(n, d)} is not a quarter integer")
+    return k % 4
+
+
+def _check_coefficient(c):
+    if not (isinstance(c, GRat) and isinstance(c.re, (int, Fraction))
+            and isinstance(c.im, (int, Fraction))):
+        raise TypeError(f"coefficient {c!r} is not a GRat with int or Fraction parts")
+
+
+def _check_term(key, c):
+    alpha, b1, b2 = key
+    if not isinstance(alpha, (int, Fraction)):
+        raise TypeError(f"q-exponent {alpha!r} is not an int or Fraction")
+    if not (isinstance(b1, int) and isinstance(b2, int)):
+        raise TypeError(f"zeta exponents ({b1!r}, {b2!r}) are not ints")
+    _check_coefficient(c)
 
 
 class FormalSeries:
     """terms: {(alpha, b1, b2): GRat} with alpha in Q (power of q) and
     b1, b2 integer *twice* the zeta exponents.  `order` bounds the stored
     q-exponents; `zmax` (also in twice units, None = unlimited) bounds the
-    zeta window within which coefficients are exact."""
+    zeta window within which coefficients are exact.  Exponents and
+    coefficient parts must be exact: a float raises TypeError."""
 
     __slots__ = ("terms", "order", "zmax")
 
@@ -80,6 +102,7 @@ class FormalSeries:
         self.zmax = zmax
         if terms:
             for k, c in terms.items():
+                _check_term(k, c)
                 if c and k[0] <= self.order:
                     self.terms[k] = c
 
@@ -121,14 +144,21 @@ class FormalSeries:
         return self + (-other)
 
     def scale(self, c: GRat):
+        _check_coefficient(c)
         out = FormalSeries(None, self.order, self.zmax)
         if c:
             out.terms = {k: v * c for k, v in self.terms.items()}
         return out
 
     def __mul__(self, other):
-        min_q_self = min((k[0] for k in self.terms), default=Fraction(0))
-        min_q_other = min((k[0] for k in other.terms), default=Fraction(0))
+        # q-exponents as integer numerators over the lcm of their denominators
+        den = math.lcm(*{k[0].denominator for t in (self.terms, other.terms) for k in t})
+        xs = [(a.numerator * (den // a.denominator), b1, b2, c.re, c.im)
+              for (a, b1, b2), c in self.terms.items()]
+        ys = [(a.numerator * (den // a.denominator), b1, b2, c.re, c.im)
+              for (a, b1, b2), c in other.terms.items()]
+        min_q_self = Fraction(min(x[0] for x in xs), den) if xs else Fraction(0)
+        min_q_other = Fraction(min(y[0] for y in ys), den) if ys else Fraction(0)
         order = min(self.order + min_q_other, other.order + min_q_self)
         zmax = None
         cands = []
@@ -138,22 +168,30 @@ class FormalSeries:
             cands.append(other.zmax - self.zspan())
         if cands:
             zmax = min(cands)
-        out = FormalSeries(None, order, zmax)
-        for (a1, b1, c1), x in self.terms.items():
-            for (a2, b2, c2), y in other.terms.items():
-                a = a1 + a2
-                if a <= order:
-                    out._add_term((a, b1 + b2, c1 + c2), x * y)
-        return out
+        top = order.numerator * den // order.denominator
+        acc = {}
+        for a1, b1, c1, xr, xi in xs:
+            lim = top - a1
+            for a2, b2, c2, yr, yi in ys:
+                if a2 <= lim:
+                    key = (a1 + a2, b1 + b2, c1 + c2)
+                    cur = acc.get(key)
+                    if cur is None:
+                        acc[key] = [xr * yr - xi * yi, xr * yi + xi * yr]
+                    else:
+                        cur[0] += xr * yr - xi * yi
+                        cur[1] += xr * yi + xi * yr
+        return _series(acc, den, order, zmax)
 
     def d0(self) -> "FormalSeries":
         """Termwise (1/2 pi i)(d/dz1 - d/dz2): multiplies each monomial by
         the difference of its zeta exponents."""
         out = FormalSeries(None, self.order, self.zmax)
         for (a, b1, b2), c in self.terms.items():
-            w = Fraction(b1 - b2, 2)
+            w, odd = divmod(b1 - b2, 2)
+            w = Fraction(b1 - b2, 2) if odd else w
             if w:
-                out.terms[(a, b1, b2)] = c * GRat(w)
+                out.terms[(a, b1, b2)] = GRat(c.re * w, c.im * w)
         return out
 
     def eval_at(self, tau: complex, z1: complex = 0.0, z2: complex = 0.0) -> complex:
@@ -165,6 +203,22 @@ class FormalSeries:
             tot += c.as_complex() * cmath.exp(
                 2j * math.pi * (tau * Fraction(a) + z1 * Fraction(b1, 2) + z2 * Fraction(b2, 2)))
         return tot
+
+
+def _series(acc, den, order, zmax=None) -> FormalSeries:
+    """The series with coefficient (re + im i) q^{A/den} zeta^(b1, b2) for each
+    acc[(A, b1, b2)] = [re, im]: the one place the integer loops form
+    Fraction keys and GRat coefficients."""
+    out = FormalSeries(None, order, zmax)
+    terms = out.terms
+    alphas = {}
+    for (a, b1, b2), (re, im) in acc.items():
+        if re or im:
+            alpha = alphas.get(a)
+            if alpha is None:
+                alpha = alphas[a] = Fraction(a, den)
+            terms[(alpha, b1, b2)] = GRat(re, im)
+    return out
 
 
 def _zmin(a, b):
@@ -217,14 +271,25 @@ Z1 = ZArg.of(1, 0)
 Z2 = ZArg.of(0, 1)
 
 
-def _zeta_monomial(t: Fraction, arg: ZArg):
-    """e^{2 pi i t u} as (b1_twice, b2_twice, phase)."""
-    b1 = t * arg.a1 * 2
-    b2 = t * arg.a2 * 2
-    if b1.denominator != 1 or b2.denominator != 1:
+def _zeta_monomial(tn: int, td: int, arg: ZArg):
+    """e^{2 pi i t u} for t = tn/td as (b1_twice, b2_twice, k), phase i^k."""
+    b1, r1 = divmod(2 * tn * arg.a1.numerator, td * arg.a1.denominator)
+    b2, r2 = divmod(2 * tn * arg.a2.numerator, td * arg.a2.denominator)
+    if r1 or r2:
         raise UnsupportedCaseError(
-            f"zeta exponent {t}*({arg.a1},{arg.a2}) leaves (1/2)Z")
-    return int(b1), int(b2), unit_phase(t * arg.c)
+            f"zeta exponent {Fraction(tn, td)}*({arg.a1},{arg.a2}) leaves (1/2)Z")
+    return b1, b2, _quarter_turns(tn * arg.c.numerator, td * arg.c.denominator)
+
+
+def _add_unit(acc, key, k: int):
+    """acc[key] += i^k."""
+    re, im = _UNIT[k % 4]
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [re, im]
+    else:
+        cur[0] += re
+        cur[1] += im
 
 
 def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
@@ -236,18 +301,20 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
         raise ValueError("degree m must be positive")
     order = Fraction(order)
     scale = Fraction(tau_scale)
-    mv = m.value
-    base = Fraction(j.twice, 2 * m.twice)
-    base -= math.floor(base)
-    kmax = math.isqrt(math.floor(order / (scale * mv))) + 1 if order >= 0 else 0
-    out = FormalSeries(None, order)
+    kmax = math.isqrt(math.floor(order / (scale * m.value))) + 1 if order >= 0 else 0
+    # n = (r + k d)/d, so m n = m2 (r + k d)/2d and scale m n^2 = a/den
+    d = 2 * m.twice
+    r = j.twice % d
+    den = 2 * d * d * scale.denominator
+    top = order.numerator * den // order.denominator
+    acc = {}
     for k in range(-kmax, kmax + 1):
-        n = base + k
-        alpha = scale * mv * n * n
-        if alpha <= order:
-            b1, b2, ph = _zeta_monomial(mv * n, z)
-            out._add_term((alpha, b1, b2), ph)
-    return out
+        n = r + k * d
+        a = scale.numerator * m.twice * n * n
+        if a <= top:
+            b1, b2, ph = _zeta_monomial(m.twice * n, 2 * d, z)
+            _add_unit(acc, (a, b1, b2), ph)
+    return _series(acc, den, order)
 
 
 def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
@@ -259,7 +326,8 @@ def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
     scale = Fraction(tau_scale)
     top = Fraction(order) + scale / 24
     kmax = math.isqrt(max(0, math.floor(24 * top / scale))) // 6 + 1
-    eta = FormalSeries({(scale * (6 * k + 1) ** 2 / 24, 0, 0): -GR_ONE if k % 2 else GR_ONE
+    eta = FormalSeries({(Fraction(scale.numerator * (6 * k + 1) ** 2, 24 * scale.denominator),
+                         0, 0): _PHASES[2] if k % 2 else GR_ONE
                         for k in range(-kmax, kmax + 1)}, top)
     out = eta
     for _ in range(power - 1):
@@ -276,50 +344,52 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     s = HalfInt.of(s)
     if m.twice <= 0:
         raise ValueError("degree m must be positive")
-    mv, sv = m.value, s.value
     order = Fraction(order)
     scale = Fraction(tau_scale)
-    out = FormalSeries(None, order, zmax=2 * zcap)
+    # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den
+    den = 2 * scale.denominator
+    top = order.numerator * den // order.denominator
+    zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
+    sb1, sb2, sph = _zeta_monomial(s.twice, 2, z1)
+    wb1, wb2, wph = _zeta_monomial(1, 1, z1)
+    acc = {}
 
     def add_j(j: int) -> bool:
-        base_q = scale * (mv * j * j + sv * j)
-        if base_q > order:
+        base_q = scale.numerator * (m.twice * j * j + s.twice * j)
+        if base_q > top:
             return False
         # numerator monomial e^{2 pi i (m j (u1+u2) + s u1)} q^{base_q}
-        zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
-        nb1, nb2, nph = _zeta_monomial(mv * j, zsum)
-        sb1, sb2, sph = _zeta_monomial(sv, z1)
+        nb1, nb2, nph = _zeta_monomial(m.twice * j, 2, zsum)
         nb1 += sb1
         nb2 += sb2
-        nph = nph * sph
+        nph += sph
         if sign < 0 and j % 2:
-            nph = -nph
+            nph += 2
         # denominator 1 - w, w = e^{2 pi i u1} q^{scale*j}
-        wq = scale * j
-        wb1, wb2, wph = _zeta_monomial(Fraction(1), z1)
+        wq = 2 * scale.numerator * j
         if wq > 0 or (wq == 0 and (wb1, wb2) > (0, 0)):
             small_q, small_b1, small_b2, small_ph = wq, wb1, wb2, wph
-            lead_q, lead_b = Fraction(0), (0, 0)
-            lead_ph = GR_ONE
+            lead_q, lead_b1, lead_b2, lead_ph = 0, 0, 0, 0
         elif wq < 0 or (wq == 0 and (wb1, wb2) < (0, 0)):
             # 1/(1-w) = -w^{-1}/(1 - w^{-1})
-            small_q, small_b1, small_b2 = -wq, -wb1, -wb2
-            small_ph = unit_phase(-Fraction(1) * z1.c)
-            lead_q, lead_b, lead_ph = small_q, (small_b1, small_b2), -small_ph
+            small_q, small_b1, small_b2, small_ph = -wq, -wb1, -wb2, -wph
+            lead_q, lead_b1, lead_b2, lead_ph = small_q, small_b1, small_b2, small_ph + 2
         else:
             raise UnsupportedCaseError("denominator is constant; index unsupported")
+        a = base_q + lead_q
+        b1 = nb1 + lead_b1
+        b2 = nb2 + lead_b2
+        ph = nph + lead_ph
+        zlim = 2 * zcap + 2 * abs(lead_b1) + 2
         r = 0
-        ph = nph * lead_ph
-        while True:
-            a = base_q + lead_q + small_q * r
-            if a > order:
+        while a <= top:
+            if max(abs(b1), abs(b2)) > zlim:
                 break
-            b1 = nb1 + lead_b[0] + small_b1 * r
-            b2 = nb2 + lead_b[1] + small_b2 * r
-            if max(abs(b1), abs(b2)) > 2 * zcap + 2 * abs(lead_b[0]) + 2:
-                break
-            out._add_term((a, b1, b2), ph)
-            ph = ph * small_ph
+            _add_unit(acc, (a, b1, b2), ph)
+            a += small_q
+            b1 += small_b1
+            b2 += small_b2
+            ph += small_ph
             r += 1
             if small_q == 0 and r > 2 * zcap + 4:
                 break
@@ -332,7 +402,7 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     j = -1
     while add_j(j):
         j -= 1
-    return out
+    return _series(acc, den, order, zmax=2 * zcap)
 
 
 def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
@@ -346,6 +416,10 @@ def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     return a - b
 
 
+# theta.jacobi_theta's unit coefficients (1.0, 1j, ...) as exact i^k
+_EXACT_UNIT = dict(zip((1, 1j, -1, -1j), _PHASES))
+
+
 def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     """theta_ab as the degree-2 combination of Theta_{j,2} that
     theta.jacobi_theta sums; its coefficients are +-1 and +-i, exact."""
@@ -353,7 +427,6 @@ def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> For
         raise ValueError("Jacobi theta labels must be 0 or 1")
     out = FormalSeries(None, Fraction(order))
     for idx, c in _JACOBI[(a, b)]:
-        c = complex(c)
         term = expand_theta(idx.j, idx.m, order, tau_scale, z)
-        out = out + term.scale(GRat(Fraction(c.real), Fraction(c.imag)))
+        out = out + term.scale(_EXACT_UNIT[c])
     return out

@@ -272,3 +272,20 @@ def test_golden_files():
         got = subprocess.run([sys.executable, "-m", "mockforms.cli", *args],
                              capture_output=True, text=True)
         assert got.stdout == expected
+
+
+# Beside qexp_theta.json: the exact expansions of Phi_1, Phi and theta_11
+# (coefficients +-i) at two orders, pinned byte for byte.
+QEXP_GOLDENS = {"phi1": ["--m", "1", "--s", "0"],
+                "phi": ["--m", "3/2", "--s", "1/2"],
+                "jacobi": ["--a", "1", "--b", "1"]}
+
+
+@pytest.mark.parametrize("fn", sorted(QEXP_GOLDENS))
+@pytest.mark.parametrize("order", ["4", "8"])
+def test_qexp_golden_files(capsys, fn, order):
+    import pathlib
+
+    expected = (pathlib.Path(__file__).parent / "golden" / f"qexp_{fn}_{order}.json").read_text()
+    code, out, _ = run_cli(["qexp", "--fn", fn, *QEXP_GOLDENS[fn], "--order", order], capsys)
+    assert code == 0 and out == expected

@@ -221,3 +221,205 @@ def test_expansions_match_golden():
     assert set(got) == set(want)
     bad = sorted(label for label in want if got[label] != want[label])
     assert not bad, bad[:10]
+
+
+def test_inexact_inputs_are_refused():
+    # a float exponent used to give keys such as 0.30000000000000004 when
+    # squared, and a float coefficient part multiplied as a float
+    with pytest.raises(TypeError, match="q-exponent"):
+        FormalSeries({(0.1, 0, 0): GR_ONE, (0.2, 0, 0): GR_ONE}, 1)
+    with pytest.raises(TypeError, match="zeta exponents"):
+        FormalSeries({(F(1), 1.0, 0): GR_ONE}, 4)
+    for c in (GRat(0.5), GRat(0, 0.5), GRat(F(1), 1.5), 1):
+        with pytest.raises(TypeError, match="coefficient"):
+            FormalSeries({(F(1), 0, 0): c}, 4)
+    with pytest.raises(TypeError, match="coefficient"):
+        FormalSeries.constant(GRat(0.5))
+    with pytest.raises(TypeError, match="coefficient"):
+        expand_theta(0, 1, 4).scale(GRat(0.5))
+    ok = FormalSeries({(1, 2, -2): GRat(3, F(1, 2)), (F(1, 3), 0, 0): GR_ONE}, 4)
+    assert len((ok * ok).terms) == 3
+
+
+def test_expansions_have_int_coefficients():
+    # exact integers throughout; a Fraction part appears only where d0's
+    # half-integer weights make one
+    for s in (expand_theta(1, F(3, 2), 8, 2, ZArg.of(1, 0, F(1, 2))),
+              expand_phi1(F(3, 2), F(1, 2), 8), expand_phi(2, 1, 8, sign=-1),
+              expand_eta_quotient(5, 8), expand_jacobi_theta(1, 1, 8),
+              expand_jacobi_theta(0, 1, 8)):
+        assert s.terms
+        assert all(type(c.re) is int and type(c.im) is int for c in s.terms.values())
+        assert all(type(k[0]) is F for k in s.terms)
+    units = {(c.re, c.im) for c in expand_jacobi_theta(1, 1, 8).terms.values()}
+    assert units == {(0, 1), (0, -1)}
+    d = FormalSeries({(F(1), 3, 0): GR_ONE, (F(2), 2, 0): GR_ONE}, 4).d0()
+    assert d.terms == {(F(1), 3, 0): GRat(F(3, 2)), (F(2), 2, 0): GR_ONE}
+    assert type(d.terms[(F(2), 2, 0)].re) is int
+
+
+def _fractions_made(monkeypatch, call) -> int:
+    """Fraction constructions made by call(), counted by wrapping
+    Fraction.__new__ (restored on return)."""
+    count = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(F, "__new__", counting_new)
+        call()
+    return count
+
+
+def test_exact_work_ceilings(monkeypatch):
+    # Fractions are formed where a value enters or leaves a series, not per
+    # coefficient operation.  Measured: eta^24 to q^12 made 9,798 with
+    # Fraction exponents and coefficients and 408 on integer loops; the
+    # tau-doubled Phi to q^10 made 1,472 and 32.
+    assert _fractions_made(monkeypatch, lambda: expand_eta_quotient(24, 12)) <= 1_000
+    assert _fractions_made(monkeypatch, lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 700
+
+
+# The series arithmetic with every exponent and coefficient part a Fraction,
+# term by term through _add_term: the engine's multiplication before its
+# integer loops, kept as the reference for the property test below.
+
+class _RefSeries:
+    def __init__(self, terms, order, zmax):
+        self.terms = {}
+        self.order = F(order)
+        self.zmax = zmax
+        for (a, b1, b2), c in terms.items():
+            if c and a <= self.order:
+                self.terms[(F(a), b1, b2)] = GRat(F(c.re), F(c.im))
+
+    def zspan(self):
+        return max((max(abs(b1), abs(b2)) for (_, b1, b2) in self.terms), default=0)
+
+    def _add_term(self, key, c):
+        if not c:
+            return
+        cur = self.terms.get(key)
+        new = cur + c if cur is not None else c
+        if new:
+            self.terms[key] = new
+        elif cur is not None:
+            del self.terms[key]
+
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        out = _RefSeries({}, order, _ref_zmin(self.zmax, other.zmax))
+        for k, c in self.terms.items():
+            if k[0] <= order:
+                out._add_term(k, c)
+        for k, c in other.terms.items():
+            if k[0] <= order:
+                out._add_term(k, c)
+        return out
+
+    def __neg__(self):
+        out = _RefSeries({}, self.order, self.zmax)
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        out = _RefSeries({}, self.order, self.zmax)
+        if c:
+            out.terms = {k: v * c for k, v in self.terms.items()}
+        return out
+
+    def __mul__(self, other):
+        min_q_self = min((k[0] for k in self.terms), default=F(0))
+        min_q_other = min((k[0] for k in other.terms), default=F(0))
+        order = min(self.order + min_q_other, other.order + min_q_self)
+        cands = []
+        if self.zmax is not None:
+            cands.append(self.zmax - other.zspan())
+        if other.zmax is not None:
+            cands.append(other.zmax - self.zspan())
+        out = _RefSeries({}, order, min(cands) if cands else None)
+        for (a1, b1, c1), x in self.terms.items():
+            for (a2, b2, c2), y in other.terms.items():
+                a = a1 + a2
+                if a <= order:
+                    out._add_term((a, b1 + b2, c1 + c2), x * y)
+        return out
+
+    def d0(self):
+        out = _RefSeries({}, self.order, self.zmax)
+        for (a, b1, b2), c in self.terms.items():
+            w = F(b1 - b2, 2)
+            if w:
+                out.terms[(a, b1, b2)] = c * GRat(w, F(0))
+        return out
+
+
+def _ref_zmin(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _ref_series_equal(a, b, zwindow=None):
+    order = min(a.order, b.order)
+    zmax = _ref_zmin(a.zmax, b.zmax)
+    if zwindow is not None:
+        zmax = _ref_zmin(zmax, 2 * zwindow)
+    zero = GRat(F(0), F(0))
+    diffs = []
+    for k in set(a.terms) | set(b.terms):
+        alpha, b1, b2 = k
+        if alpha > order or (zmax is not None and max(abs(b1), abs(b2)) > zmax):
+            continue
+        ca, cb = a.terms.get(k, zero), b.terms.get(k, zero)
+        if ca.re != cb.re or ca.im != cb.im:
+            diffs.append((k, ca, cb))
+    if not diffs:
+        return True, None
+    diffs.sort(key=lambda d: d[0])
+    return False, diffs[0]
+
+
+def _same_series(got, ref):
+    assert got.order == ref.order and str(got.order) == str(ref.order)
+    assert got.zmax == ref.zmax
+    assert sorted(map(repr, got.terms)) == sorted(map(repr, ref.terms))
+    assert got.terms == ref.terms
+    assert {k: str(c) for k, c in got.terms.items()} == {k: str(c) for k, c in ref.terms.items()}
+
+
+_DENS = (1, 2, 3, 8, 24)
+_part = st.one_of(st.integers(-3, 3),
+                  st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4))))
+_coefficient = st.builds(GRat, _part, _part)
+_series_args = st.tuples(
+    st.dictionaries(st.tuples(st.builds(F, st.integers(-8, 40), st.sampled_from(_DENS)),
+                              st.integers(-4, 4), st.integers(-4, 4)),
+                    _coefficient, max_size=8),
+    st.builds(F, st.integers(0, 40), st.sampled_from(_DENS)),
+    st.one_of(st.none(), st.integers(0, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_args, _series_args, _coefficient, st.one_of(st.none(), st.integers(0, 4)))
+def test_arithmetic_matches_fraction_reference(a_args, b_args, c, zwindow):
+    a, b = FormalSeries(*a_args), FormalSeries(*b_args)
+    ra, rb = _RefSeries(*a_args), _RefSeries(*b_args)
+    _same_series(a * b, ra * rb)
+    _same_series(a * b * a, ra * rb * ra)
+    _same_series(a + b, ra + rb)
+    _same_series(a - b, ra - rb)
+    _same_series(a.scale(c), ra.scale(c))
+    _same_series(a.d0(), ra.d0())
+    _same_series((a * b).d0(), (ra * rb).d0())
+    for x, y, rx, ry in ((a, b, ra, rb), (a * b, b * a, ra * rb, rb * ra),
+                         (a + b, b + a, ra + rb, rb + ra)):
+        got, want = series_equal(x, y, zwindow), _ref_series_equal(rx, ry, zwindow)
+        assert got == want
+        if got[1] is not None:
+            assert [str(c) for c in got[1][1:]] == [str(c) for c in want[1][1:]]
