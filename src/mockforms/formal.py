@@ -15,6 +15,7 @@ which its coefficients are guaranteed exact; arithmetic tracks the window.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .theta import _JACOBI
 class GRat:
     """Gaussian rational a + b*i.  The parts are ints wherever they are
     integral and Fractions only where a value needs one (a half-integer d0
-    weight, a caller's Fraction scalar); int and Fraction agree on ==, hash
+    weight, a caller's non-integral scalar); int and Fraction agree on ==, hash
     and str."""
 
     re: int | Fraction = 0
@@ -49,15 +50,13 @@ class GRat:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
     def __str__(self):
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
 GR_ZERO = GRat()
 GR_ONE = GRat(1)
+_ZERO = (0, 0)
 # i^k for k = 0..3, as exact coefficients and as int pairs
 _PHASES = (GR_ONE, GRat(0, 1), GRat(-1), GRat(0, -1))
 _UNIT = tuple((p.re, p.im) for p in _PHASES)
@@ -72,186 +71,195 @@ def _quarter_turns(n: int, d: int) -> int:
     return k % 4
 
 
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction.  Only ints and Fractions are exact: a float (NaN and
+    inf too) raises TypeError, since its binary value would move a cut."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{what} {x!r} is not an int or Fraction")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _top(order: Fraction, den: int) -> int:
+    """floor(order * den): the largest q-numerator over den within order."""
+    return order.numerator * den // order.denominator
+
+
 def _check_coefficient(c):
     if not (isinstance(c, GRat) and isinstance(c.re, (int, Fraction))
             and isinstance(c.im, (int, Fraction))):
         raise TypeError(f"coefficient {c!r} is not a GRat with int or Fraction parts")
 
 
-def _check_term(key, c):
-    alpha, b1, b2 = key
-    if not isinstance(alpha, (int, Fraction)):
-        raise TypeError(f"q-exponent {alpha!r} is not an int or Fraction")
-    if not (isinstance(b1, int) and isinstance(b2, int)):
-        raise TypeError(f"zeta exponents ({b1!r}, {b2!r}) are not ints")
-    _check_coefficient(c)
-
-
 class FormalSeries:
-    """terms: {(alpha, b1, b2): GRat} with alpha in Q (power of q) and
-    b1, b2 integer *twice* the zeta exponents.  `order` bounds the stored
-    q-exponents; `zmax` (also in twice units, None = unlimited) bounds the
-    zeta window within which coefficients are exact.  Exponents and
-    coefficient parts must be exact: a float raises TypeError."""
+    """A truncated series of terms c q^alpha zeta_1^{b1/2} zeta_2^{b2/2}, alpha
+    in Q, b1 and b2 integer *twice* the zeta exponents, c a GRat.  `order`
+    bounds the q-exponents; `zmax` (twice units, None = unlimited) bounds the
+    zeta window within which coefficients are exact.  Exponents, order and
+    coefficient parts must be exact: a float raises TypeError.
 
-    __slots__ = ("terms", "order", "zmax")
+    The series is held on ints: `_store` maps (A, b1, b2) to the nonzero
+    (re, im) of the term q^{A/den}, over one int `_den`, with every A at most
+    `_top` = floor(order * den).  The arithmetic reads only the store;
+    `terms`, {(alpha, b1, b2): GRat} with Fraction alpha, is its read-only
+    view, formed on first read."""
+
+    __slots__ = ("_store", "_den", "_top", "order", "zmax", "_terms")
 
     def __init__(self, terms=None, order=Fraction(10), zmax=None):
-        self.terms = {}
-        self.order = Fraction(order)
-        self.zmax = zmax
-        if terms:
-            for k, c in terms.items():
-                _check_term(k, c)
-                if c and k[0] <= self.order:
-                    self.terms[k] = c
+        terms = terms or {}
+        for (alpha, b1, b2), c in terms.items():
+            _exact(alpha, "q-exponent")
+            if not (isinstance(b1, int) and isinstance(b2, int)):
+                raise TypeError(f"zeta exponents ({b1!r}, {b2!r}) are not ints")
+            _check_coefficient(c)
+        self.order = _exact(order, "order")
+        self._den = math.lcm(*(k[0].denominator for k in terms))
+        self._top = _top(self.order, self._den)
+        self._store, self.zmax, self._terms = {}, zmax, None
+        for (alpha, b1, b2), c in terms.items():
+            a = alpha.numerator * (self._den // alpha.denominator)
+            if c and a <= self._top:
+                self._store[(a, b1, b2)] = (c.re, c.im)
 
     @staticmethod
     def constant(c=GR_ONE, order=Fraction(10)):
         return FormalSeries({(Fraction(0), 0, 0): c}, order)
 
-    def zspan(self) -> int:
-        return max((max(abs(b1), abs(b2)) for (_, b1, b2) in self.terms), default=0)
+    @property
+    def terms(self):
+        if self._terms is None:
+            alphas = {a: Fraction(a, self._den) for a in {k[0] for k in self._store}}
+            self._terms = {(alphas[a], b1, b2): GRat(re, im)
+                           for (a, b1, b2), (re, im) in self._store.items()}
+        return self._terms
 
-    def _add_term(self, key, c):
-        if not c:
-            return
-        cur = self.terms.get(key)
-        new = cur + c if cur is not None else c
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
+    def _at(self, den: int):
+        """The store and top with q-numerators over den, a multiple of _den."""
+        f = den // self._den
+        if f == 1:
+            return self._store, self._top
+        return ({(a * f, b1, b2): c for (a, b1, b2), c in self._store.items()},
+                _top(self.order, den))
+
+    def _like(self, store) -> FormalSeries:
+        return _new(store, self._den, self._top, self.order, self.zmax)
+
+    def zspan(self) -> int:
+        return max((max(abs(b1), abs(b2)) for (_, b1, b2) in self._store), default=0)
 
     def __add__(self, other):
-        order = min(self.order, other.order)
-        zmax = _zmin(self.zmax, other.zmax)
-        out = FormalSeries(None, order, zmax)
-        for k, c in self.terms.items():
-            if k[0] <= order:
-                out._add_term(k, c)
-        for k, c in other.terms.items():
-            if k[0] <= order:
-                out._add_term(k, c)
-        return out
+        den = math.lcm(self._den, other._den)
+        xs, xtop = self._at(den)
+        ys, ytop = other._at(den)
+        top = min(xtop, ytop)
+        acc = dict(xs) if xtop == top else {k: c for k, c in xs.items() if k[0] <= top}
+        for k, (re, im) in ys.items():
+            if k[0] <= top:
+                cur = acc.get(k, _ZERO)
+                re, im = cur[0] + re, cur[1] + im
+                if re or im:
+                    acc[k] = (re, im)
+                else:
+                    del acc[k]
+        return _new(acc, den, top, min(self.order, other.order), _zmin(self.zmax, other.zmax))
 
     def __neg__(self):
-        out = FormalSeries(None, self.order, self.zmax)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return self._like({k: (-re, -im) for k, (re, im) in self._store.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: GRat):
         _check_coefficient(c)
-        out = FormalSeries(None, self.order, self.zmax)
-        if c:
-            out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+        # an integral Fraction scalar multiplies as an int, so int parts stay ints
+        cr, ci = (x.numerator if x.denominator == 1 else x for x in (c.re, c.im))
+        return self._like({k: (re * cr - im * ci, re * ci + im * cr)
+                           for k, (re, im) in self._store.items()} if c else {})
 
     def __mul__(self, other):
-        # q-exponents as integer numerators over the lcm of their denominators
-        den = math.lcm(*{k[0].denominator for t in (self.terms, other.terms) for k in t})
-        xs = [(a.numerator * (den // a.denominator), b1, b2, c.re, c.im)
-              for (a, b1, b2), c in self.terms.items()]
-        ys = [(a.numerator * (den // a.denominator), b1, b2, c.re, c.im)
-              for (a, b1, b2), c in other.terms.items()]
-        min_q_self = Fraction(min(x[0] for x in xs), den) if xs else Fraction(0)
-        min_q_other = Fraction(min(y[0] for y in ys), den) if ys else Fraction(0)
-        order = min(self.order + min_q_other, other.order + min_q_self)
-        zmax = None
-        cands = []
-        if self.zmax is not None:
-            cands.append(self.zmax - other.zspan())
-        if other.zmax is not None:
-            cands.append(other.zmax - self.zspan())
-        if cands:
-            zmax = min(cands)
-        top = order.numerator * den // order.denominator
+        den = math.lcm(self._den, other._den)
+        xs, xtop = self._at(den)
+        ys, ytop = other._at(den)
+        xmin = min((k[0] for k in xs), default=0)
+        ymin = min((k[0] for k in ys), default=0)
+        order = min(self.order + Fraction(ymin, den), other.order + Fraction(xmin, den))
+        top = min(xtop + ymin, ytop + xmin)
+        zmax = _zmin(None if self.zmax is None else self.zmax - other.zspan(),
+                     None if other.zmax is None else other.zmax - self.zspan())
+        # the right factor by ascending q: each row stops at its first A past top
+        right = sorted((a, b1, b2, re, im) for (a, b1, b2), (re, im) in ys.items())
         acc = {}
-        for a1, b1, c1, xr, xi in xs:
+        for (a1, b1, c1), (xr, xi) in xs.items():
             lim = top - a1
-            for a2, b2, c2, yr, yi in ys:
-                if a2 <= lim:
-                    key = (a1 + a2, b1 + b2, c1 + c2)
-                    cur = acc.get(key)
-                    if cur is None:
-                        acc[key] = [xr * yr - xi * yi, xr * yi + xi * yr]
-                    else:
-                        cur[0] += xr * yr - xi * yi
-                        cur[1] += xr * yi + xi * yr
-        return _series(acc, den, order, zmax)
+            for a2, b2, c2, yr, yi in right:
+                if a2 > lim:
+                    break
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = [xr * yr - xi * yi, xr * yi + xi * yr]
+                else:
+                    cur[0] += xr * yr - xi * yi
+                    cur[1] += xr * yi + xi * yr
+        return _series(acc, den, top, order, zmax)
 
-    def d0(self) -> "FormalSeries":
+    def d0(self) -> FormalSeries:
         """Termwise (1/2 pi i)(d/dz1 - d/dz2): multiplies each monomial by
         the difference of its zeta exponents."""
-        out = FormalSeries(None, self.order, self.zmax)
-        for (a, b1, b2), c in self.terms.items():
-            w, odd = divmod(b1 - b2, 2)
-            w = Fraction(b1 - b2, 2) if odd else w
+        store = {}
+        for (a, b1, b2), (re, im) in self._store.items():
+            w = Fraction(b1 - b2, 2) if (b1 - b2) % 2 else (b1 - b2) // 2
             if w:
-                out.terms[(a, b1, b2)] = GRat(c.re * w, c.im * w)
-        return out
+                store[(a, b1, b2)] = (re * w, im * w)
+        return self._like(store)
 
     def eval_at(self, tau: complex, z1: complex = 0.0, z2: complex = 0.0) -> complex:
         """Numerical value of the truncated series at a point."""
-        import cmath
-
         tot = 0.0 + 0.0j
-        for (a, b1, b2), c in self.terms.items():
-            tot += c.as_complex() * cmath.exp(
-                2j * math.pi * (tau * Fraction(a) + z1 * Fraction(b1, 2) + z2 * Fraction(b2, 2)))
+        for (a, b1, b2), (re, im) in self._store.items():
+            tot += complex(re, im) * cmath.exp(2j * math.pi * (
+                tau * Fraction(a, self._den) + z1 * Fraction(b1, 2) + z2 * Fraction(b2, 2)))
         return tot
 
 
-def _series(acc, den, order, zmax=None) -> FormalSeries:
-    """The series with coefficient (re + im i) q^{A/den} zeta^(b1, b2) for each
-    acc[(A, b1, b2)] = [re, im]: the one place the integer loops form
-    Fraction keys and GRat coefficients."""
-    out = FormalSeries(None, order, zmax)
-    terms = out.terms
-    alphas = {}
-    for (a, b1, b2), (re, im) in acc.items():
-        if re or im:
-            alpha = alphas.get(a)
-            if alpha is None:
-                alpha = alphas[a] = Fraction(a, den)
-            terms[(alpha, b1, b2)] = GRat(re, im)
+def _new(store, den, top, order, zmax=None) -> FormalSeries:
+    """The series over den with this store; the caller keeps its invariants."""
+    out = object.__new__(FormalSeries)
+    out._store, out._den, out._top, out.order, out.zmax, out._terms = (
+        store, den, top, order, zmax, None)
     return out
 
 
+def _series(acc, den, top, order, zmax=None) -> FormalSeries:
+    """The series with coefficient (re + im i) q^{A/den} zeta^(b1, b2) for each
+    acc[(A, b1, b2)] = [re, im], A <= top, dropping the zeros."""
+    return _new({k: (re, im) for k, (re, im) in acc.items() if re or im},
+                den, top, order, zmax)
+
+
 def _zmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 def series_equal(a: FormalSeries, b: FormalSeries, zwindow: int | None = None):
     """Exact coefficient comparison up to min(order) within the common
-    guaranteed zeta window.  Returns (equal, first difference or None)."""
-    order = min(a.order, b.order)
+    guaranteed zeta window.  Returns (equal, first difference or None), the
+    difference as ((alpha, b1, b2), GRat of a, GRat of b)."""
     zmax = _zmin(a.zmax, b.zmax)
     if zwindow is not None:
         zmax = _zmin(zmax, 2 * zwindow)
-    keys = set(a.terms) | set(b.terms)
-    diffs = []
-    for k in keys:
-        alpha, b1, b2 = k
-        if alpha > order:
-            continue
-        if zmax is not None and max(abs(b1), abs(b2)) > zmax:
-            continue
-        ca = a.terms.get(k, GR_ZERO)
-        cb = b.terms.get(k, GR_ZERO)
-        if ca.re != cb.re or ca.im != cb.im:
-            diffs.append((k, ca, cb))
+    den = math.lcm(a._den, b._den)
+    xs, xtop = a._at(den)
+    ys, ytop = b._at(den)
+    top = min(xtop, ytop)
+    diffs = [k for k in xs.keys() | ys.keys() if k[0] <= top
+             and (zmax is None or max(abs(k[1]), abs(k[2])) <= zmax)
+             and xs.get(k, _ZERO) != ys.get(k, _ZERO)]
     if not diffs:
         return True, None
-    diffs.sort(key=lambda d: (d[0][0], d[0][1], d[0][2]))
-    return False, diffs[0]
+    k = min(diffs)
+    return False, ((Fraction(k[0], den), k[1], k[2]),
+                   GRat(*xs.get(k, _ZERO)), GRat(*ys.get(k, _ZERO)))
 
 
 @dataclass(frozen=True)
@@ -299,14 +307,14 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     m = HalfInt.of(m)
     if m.twice <= 0:
         raise ValueError("degree m must be positive")
-    order = Fraction(order)
-    scale = Fraction(tau_scale)
+    order = _exact(order, "order")
+    scale = _exact(tau_scale, "tau_scale")
     kmax = math.isqrt(math.floor(order / (scale * m.value))) + 1 if order >= 0 else 0
     # n = (r + k d)/d, so m n = m2 (r + k d)/2d and scale m n^2 = a/den
     d = 2 * m.twice
     r = j.twice % d
     den = 2 * d * d * scale.denominator
-    top = order.numerator * den // order.denominator
+    top = _top(order, den)
     acc = {}
     for k in range(-kmax, kmax + 1):
         n = r + k * d
@@ -314,24 +322,33 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
         if a <= top:
             b1, b2, ph = _zeta_monomial(m.twice * n, 2 * d, z)
             _add_unit(acc, (a, b1, b2), ph)
-    return _series(acc, den, order)
+    return _series(acc, den, top, order)
 
 
 def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
     """eta(tau_scale * tau)^power for power >= 1: the pentagonal series
     sum_k (-1)^k q^{(6k+1)^2/24}, exact to the order the product needs,
-    multiplied by itself."""
+    raised to the power by repeated squaring (eta^a eta^b is exact to
+    order + (a + b) tau_scale/24, as the sequential product is)."""
     if power < 1:
         raise ValueError("eta power must be at least 1")
-    scale = Fraction(tau_scale)
-    top = Fraction(order) + scale / 24
-    kmax = math.isqrt(max(0, math.floor(24 * top / scale))) // 6 + 1
-    eta = FormalSeries({(Fraction(scale.numerator * (6 * k + 1) ** 2, 24 * scale.denominator),
-                         0, 0): _PHASES[2] if k % 2 else GR_ONE
-                        for k in range(-kmax, kmax + 1)}, top)
-    out = eta
-    for _ in range(power - 1):
-        out = out * eta
+    scale = _exact(tau_scale, "tau_scale")
+    order = _exact(order, "order") + scale / 24
+    den = 24 * scale.denominator
+    top = _top(order, den)
+    kmax = math.isqrt(max(0, math.floor(24 * order / scale))) // 6 + 1
+    acc = {}
+    for k in range(-kmax, kmax + 1):
+        a = scale.numerator * (6 * k + 1) ** 2
+        if a <= top:
+            _add_unit(acc, (a, 0, 0), 2 * k)
+    sq = _series(acc, den, top, order)
+    out = sq if power & 1 else None
+    while power > 1:
+        power >>= 1
+        sq = sq * sq
+        if power & 1:
+            out = sq if out is None else out * sq
     return out
 
 
@@ -344,65 +361,48 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     s = HalfInt.of(s)
     if m.twice <= 0:
         raise ValueError("degree m must be positive")
-    order = Fraction(order)
-    scale = Fraction(tau_scale)
+    order = _exact(order, "order")
+    scale = _exact(tau_scale, "tau_scale")
     # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den
-    den = 2 * scale.denominator
-    top = order.numerator * den // order.denominator
+    sn, den = scale.numerator, 2 * scale.denominator
+    top = _top(order, den)
     zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
     sb1, sb2, sph = _zeta_monomial(s.twice, 2, z1)
     wb1, wb2, wph = _zeta_monomial(1, 1, z1)
     acc = {}
 
     def add_j(j: int) -> bool:
-        base_q = scale.numerator * (m.twice * j * j + s.twice * j)
-        if base_q > top:
+        a = sn * (m.twice * j * j + s.twice * j)
+        if a > top:
             return False
-        # numerator monomial e^{2 pi i (m j (u1+u2) + s u1)} q^{base_q}
-        nb1, nb2, nph = _zeta_monomial(m.twice * j, 2, zsum)
-        nb1 += sb1
-        nb2 += sb2
-        nph += sph
-        if sign < 0 and j % 2:
-            nph += 2
-        # denominator 1 - w, w = e^{2 pi i u1} q^{scale*j}
-        wq = 2 * scale.numerator * j
-        if wq > 0 or (wq == 0 and (wb1, wb2) > (0, 0)):
-            small_q, small_b1, small_b2, small_ph = wq, wb1, wb2, wph
-            lead_q, lead_b1, lead_b2, lead_ph = 0, 0, 0, 0
-        elif wq < 0 or (wq == 0 and (wb1, wb2) < (0, 0)):
-            # 1/(1-w) = -w^{-1}/(1 - w^{-1})
-            small_q, small_b1, small_b2, small_ph = -wq, -wb1, -wb2, -wph
-            lead_q, lead_b1, lead_b2, lead_ph = small_q, small_b1, small_b2, small_ph + 2
-        else:
+        # numerator e^{2 pi i (m j (u1+u2) + s u1)} q^a over 1 - w, with
+        # w = e^{2 pi i u1} q^{scale*j} the step; a large w is expanded as
+        # 1/(1-w) = -w^{-1}/(1 - w^{-1}), a lead term and the step w^{-1}
+        b1, b2, ph = _zeta_monomial(m.twice * j, 2, zsum)
+        b1, b2, ph = b1 + sb1, b2 + sb2, ph + sph + (2 if sign < 0 and j % 2 else 0)
+        dq, d1, d2, dph = 2 * sn * j, wb1, wb2, wph
+        if (dq, d1, d2) == (0, 0, 0):
             raise UnsupportedCaseError("denominator is constant; index unsupported")
-        a = base_q + lead_q
-        b1 = nb1 + lead_b1
-        b2 = nb2 + lead_b2
-        ph = nph + lead_ph
+        lead_b1 = 0
+        if (dq, d1, d2) < (0, 0, 0):
+            dq, d1, d2, dph = -dq, -d1, -d2, -dph
+            a, b1, b2, ph, lead_b1 = a + dq, b1 + d1, b2 + d2, ph + dph + 2, d1
         zlim = 2 * zcap + 2 * abs(lead_b1) + 2
         r = 0
-        while a <= top:
-            if max(abs(b1), abs(b2)) > zlim:
-                break
+        while a <= top and max(abs(b1), abs(b2)) <= zlim:
             _add_unit(acc, (a, b1, b2), ph)
-            a += small_q
-            b1 += small_b1
-            b2 += small_b2
-            ph += small_ph
+            a, b1, b2, ph = a + dq, b1 + d1, b2 + d2, ph + dph
             r += 1
-            if small_q == 0 and r > 2 * zcap + 4:
+            if dq == 0 and r > 2 * zcap + 4:
                 break
         return True
 
     add_j(0)
-    j = 1
-    while add_j(j):
-        j += 1
-    j = -1
-    while add_j(j):
-        j -= 1
-    return _series(acc, den, order, zmax=2 * zcap)
+    for step in (1, -1):
+        j = step
+        while add_j(j):
+            j += step
+    return _series(acc, den, top, order, zmax=2 * zcap)
 
 
 def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
@@ -425,7 +425,7 @@ def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> For
     theta.jacobi_theta sums; its coefficients are +-1 and +-i, exact."""
     if (a, b) not in _JACOBI:
         raise ValueError("Jacobi theta labels must be 0 or 1")
-    out = FormalSeries(None, Fraction(order))
+    out = FormalSeries(None, order)
     for idx, c in _JACOBI[(a, b)]:
         term = expand_theta(idx.j, idx.m, order, tau_scale, z)
         out = out + term.scale(_EXACT_UNIT[c])

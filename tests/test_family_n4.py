@@ -330,17 +330,18 @@ def test_weyl_sum_formal_cross_check():
             continue
         num = FormalSeries({(base_q, 2 * (m2 + 1) - 2 * j * m, -2 * j * m): GR_ONE},
                            order, zmax=None)
-        geom = FormalSeries(None, order, zmax=2 * zcap)
+        geom = {}
         if j >= 0:
             r = 0
             while base_q + j * r <= order and r <= 2 * zcap:
-                geom._add_term((F(j * r), 2 * r, 0), GR_ONE)
+                geom[(F(j * r), 2 * r, 0)] = GR_ONE
                 r += 1
         else:
             r = 1
             while base_q - j * r <= order and r <= 2 * zcap:
-                geom._add_term((F(-j * r), -2 * r, 0), -GR_ONE)
+                geom[(F(-j * r), -2 * r, 0)] = -GR_ONE
                 r += 1
+        geom = FormalSeries(geom, order, zmax=2 * zcap)
         weyl = weyl + num * geom * geom
 
     def window(series):

@@ -65,19 +65,27 @@ def test_scalar_distributivity(monos):
     assert series_equal(a + a, a.scale(two))[0]
 
 
-def test_doubling_formal_exact():
+def _doubling_proof():
     lhs = expand_phi(1, 0, 10, tau_scale=2).scale(GRat(F(2)))
     r1 = expand_phi(2, 0, 10, 1, ZArg.of(F(1, 2), 0), ZArg.of(0, F(1, 2)))
     r2 = expand_phi(2, 0, 10, 1, ZArg.of(F(1, 2), 0, F(1, 2)),
                     ZArg.of(0, F(1, 2), F(-1, 2)))
-    eq, diff = series_equal(lhs, r1 + r2, zwindow=10)
+    return series_equal(lhs, r1 + r2, zwindow=10)
+
+
+def _antisymmetry_proof():
+    a = expand_phi(2, 1, 8)
+    b = expand_phi(2, 1, 8, 1, ZArg.of(0, -1), ZArg.of(-1, 0))
+    return series_equal(a, b.scale(-GR_ONE), zwindow=8)
+
+
+def test_doubling_formal_exact():
+    eq, diff = _doubling_proof()
     assert eq, diff
 
 
 def test_antisymmetry_formal_exact():
-    a = expand_phi(2, 1, 8)
-    b = expand_phi(2, 1, 8, 1, ZArg.of(0, -1), ZArg.of(-1, 0))
-    eq, diff = series_equal(a, b.scale(-GR_ONE), zwindow=8)
+    eq, diff = _antisymmetry_proof()
     assert eq, diff
 
 
@@ -99,7 +107,7 @@ def test_weyl_sum_matches_wrapped_series():
             den_zeta = (0, 2) if swap else (2, 0)
             num = FormalSeries({(alpha, int(2 * zeta[0]), int(2 * zeta[1])): GR_ONE},
                                order, zmax=None)
-            geom = FormalSeries(None, order, zmax=48)
+            geom = {}
             # 1/(1 - zeta_i q^{-2j}) in the annulus regime
             dq = F(-2 * j)
             if dq >= 0:
@@ -108,7 +116,7 @@ def test_weyl_sum_matches_wrapped_series():
                     a2 = dq * r
                     if alpha + a2 > order or r > 24:
                         break
-                    geom._add_term((a2, den_zeta[0] * r, den_zeta[1] * r), GR_ONE)
+                    geom[(a2, den_zeta[0] * r, den_zeta[1] * r)] = GR_ONE
                     r += 1
             else:
                 r = 1
@@ -116,11 +124,11 @@ def test_weyl_sum_matches_wrapped_series():
                     a2 = -dq * r
                     if alpha + a2 > order or r > 24:
                         break
-                    geom._add_term((a2, -den_zeta[0] * r, -den_zeta[1] * r), -GR_ONE)
+                    geom[(a2, -den_zeta[0] * r, -den_zeta[1] * r)] = -GR_ONE
                     r += 1
                 if dq < 0:
                     pass
-            out = out + num * geom
+            out = out + num * FormalSeries(geom, order, zmax=48)
         return out
 
     lhs = weyl_f(False) - weyl_f(True)
@@ -239,6 +247,27 @@ def test_inexact_inputs_are_refused():
         expand_theta(0, 1, 4).scale(GRat(0.5))
     ok = FormalSeries({(1, 2, -2): GRat(3, F(1, 2)), (F(1, 3), 0, 0): GR_ONE}, 4)
     assert len((ok * ok).terms) == 3
+    # a float order or tau_scale used to enter through its binary value, so
+    # order 0.3 dropped a q^{3/10} term and expand_theta's order read
+    # 5404319552844595/18014398509481984
+    for bad in (0.3, float("nan"), float("inf")):
+        with pytest.raises(TypeError, match="order"):
+            FormalSeries({(F(3, 10), 0, 0): GR_ONE}, bad)
+        for what, call in (
+                ("order", lambda: expand_theta(0, 1, bad)),
+                ("tau_scale", lambda: expand_theta(0, 1, 4, bad)),
+                ("order", lambda: expand_phi1(1, 0, bad)),
+                ("tau_scale", lambda: expand_phi1(1, 0, 4, bad)),
+                ("order", lambda: expand_phi(1, 0, bad)),
+                ("tau_scale", lambda: expand_phi(1, 0, 4, bad)),
+                ("order", lambda: expand_eta_quotient(3, bad)),
+                ("tau_scale", lambda: expand_eta_quotient(3, 4, bad)),
+                ("order", lambda: expand_jacobi_theta(0, 1, bad)),
+                ("tau_scale", lambda: expand_jacobi_theta(0, 1, 4, bad))):
+            with pytest.raises(TypeError, match=what):
+                call()
+    assert FormalSeries({(F(3, 10), 0, 0): GR_ONE}, F(3, 10)).terms == {(F(3, 10), 0, 0): GR_ONE}
+    assert expand_theta(0, 1, F(3, 10)).order == F(3, 10)
 
 
 def test_expansions_have_int_coefficients():
@@ -258,19 +287,19 @@ def test_expansions_have_int_coefficients():
     assert type(d.terms[(F(2), 2, 0)].re) is int
 
 
-def _fractions_made(monkeypatch, call) -> int:
-    """Fraction constructions made by call(), counted by wrapping
-    Fraction.__new__ (restored on return)."""
+def _fraction_calls(monkeypatch, method, call) -> int:
+    """Calls of Fraction.<method> made by call(), counted by wrapping it
+    (restored on return)."""
     count = 0
-    new = F.__new__
+    wrapped = getattr(F, method)
 
-    def counting_new(cls, *args, **kwargs):
+    def counting(*args, **kwargs):
         nonlocal count
         count += 1
-        return new(cls, *args, **kwargs)
+        return wrapped(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(F, "__new__", counting_new)
+        mp.setattr(F, method, counting)
         call()
     return count
 
@@ -278,10 +307,31 @@ def _fractions_made(monkeypatch, call) -> int:
 def test_exact_work_ceilings(monkeypatch):
     # Fractions are formed where a value enters or leaves a series, not per
     # coefficient operation.  Measured: eta^24 to q^12 made 9,798 with
-    # Fraction exponents and coefficients and 408 on integer loops; the
-    # tau-doubled Phi to q^10 made 1,472 and 32.
-    assert _fractions_made(monkeypatch, lambda: expand_eta_quotient(24, 12)) <= 1_000
-    assert _fractions_made(monkeypatch, lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 700
+    # Fraction exponents and coefficients, 408 on integer loops over
+    # Fraction-keyed series and 26 on integer-keyed series; the tau-doubled
+    # Phi to q^10 made 1,472, 32 and 16.
+    def made(call):
+        return _fraction_calls(monkeypatch, "__new__", call)
+
+    assert made(lambda: expand_eta_quotient(24, 12)) <= 26
+    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 16
+
+
+def test_series_arithmetic_hashes_no_fraction(monkeypatch):
+    # series are keyed on integer q-numerators: the arithmetic and the proofs
+    # hash no Fraction (on Fraction keys the antisymmetry proof hashed 722
+    # and the doubling proof 1,951); only the `terms` view does
+    def hashes(call):
+        return _fraction_calls(monkeypatch, "__hash__", call)
+
+    a = expand_phi(2, 1, 8)
+    b = expand_phi(2, 1, 8, 1, ZArg.of(0, -1), ZArg.of(-1, 0))
+    c = expand_theta(1, F(3, 2), 8, 2)
+    for call in (lambda: a + b, lambda: a * b, lambda: a + c, lambda: a * c,
+                 lambda: series_equal(a, b), lambda: series_equal(a, c, zwindow=4),
+                 _antisymmetry_proof, _doubling_proof):
+        assert hashes(call) == 0
+    assert hashes(lambda: c.terms) > 0
 
 
 # The series arithmetic with every exponent and coefficient part a Fraction,
@@ -387,6 +437,7 @@ def _ref_series_equal(a, b, zwindow=None):
 
 def _same_series(got, ref):
     assert got.order == ref.order and str(got.order) == str(ref.order)
+    assert all(type(k[0]) is F for k in got.terms)
     assert got.zmax == ref.zmax
     assert sorted(map(repr, got.terms)) == sorted(map(repr, ref.terms))
     assert got.terms == ref.terms
@@ -417,6 +468,11 @@ def test_arithmetic_matches_fraction_reference(a_args, b_args, c, zwindow):
     _same_series(a.scale(c), ra.scale(c))
     _same_series(a.d0(), ra.d0())
     _same_series((a * b).d0(), (ra * rb).d0())
+    # mixed denominators in one chain: every step aligns its operands' stores
+    _same_series((a + b) * a - b.scale(c), (ra + rb) * ra - rb.scale(c))
+    # the terms view is a boundary: a series rebuilt from it is the same series
+    for s in (a, b, a * b, a - b, a.scale(c), a.d0()):
+        _same_series(FormalSeries(s.terms, s.order, s.zmax), s)
     for x, y, rx, ry in ((a, b, ra, rb), (a * b, b * a, ra * rb, rb * ra),
                          (a + b, b + a, ra + rb, rb + ra)):
         got, want = series_equal(x, y, zwindow), _ref_series_equal(rx, ry, zwindow)
