@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from .qkernel import HalfInt, UnsupportedCaseError
 from .theta import _JACOBI
@@ -100,10 +102,11 @@ class FormalSeries:
     The series is held on ints: `_store` maps (A, b1, b2) to the nonzero
     (re, im) of the term q^{A/den}, over one int `_den`, with every A at most
     `_top` = floor(order * den).  The arithmetic reads only the store;
-    `terms`, {(alpha, b1, b2): GRat} with Fraction alpha, is its read-only
-    view, formed on first read."""
+    `terms`, {(alpha, b1, b2): GRat} with Fraction alpha, is its view, formed
+    on first read.  Assigning `terms`, or setting or deleting one of its
+    items, re-forms the series as FormalSeries(terms, order, zmax) would."""
 
-    __slots__ = ("_store", "_den", "_top", "order", "zmax", "_terms")
+    __slots__ = ("_store", "_den", "_top", "order", "zmax", "_terms", "__weakref__")
 
     def __init__(self, terms=None, order=Fraction(10), zmax=None):
         terms = terms or {}
@@ -128,10 +131,15 @@ class FormalSeries:
     @property
     def terms(self):
         if self._terms is None:
-            alphas = {a: Fraction(a, self._den) for a in {k[0] for k in self._store}}
-            self._terms = {(alphas[a], b1, b2): GRat(re, im)
-                           for (a, b1, b2), (re, im) in self._store.items()}
+            self._terms = _Terms(self)
         return self._terms
+
+    @terms.setter
+    def terms(self, terms):
+        self.__init__(terms, self.order, self.zmax)
+
+    def __reduce__(self):               # a copy shares the store, not the view
+        return _new, (self._store, self._den, self._top, self.order, self.zmax)
 
     def _at(self, den: int):
         """The store and top with q-numerators over den, a multiple of _den."""
@@ -220,6 +228,46 @@ class FormalSeries:
             tot += complex(re, im) * cmath.exp(2j * math.pi * (
                 tau * Fraction(a, self._den) + z1 * Fraction(b1, 2) + z2 * Fraction(b2, 2)))
         return tot
+
+
+class _Terms(dict):
+    """FormalSeries.terms: a dict formed from the store.  Setting or deleting
+    an item re-forms the series from the edited dict, so the view and the
+    store never disagree; the other in-place edits raise TypeError.  The view
+    refers to its series weakly, so neither keeps the other in a cycle."""
+
+    __slots__ = ("_of",)
+
+    def __init__(self, s: FormalSeries):
+        self._of = weakref.ref(s)
+        alphas = {a: Fraction(a, s._den) for a in {k[0] for k in s._store}}
+        dict.update(self, zip([(alphas[a], b1, b2) for a, b1, b2 in s._store],
+                              starmap(GRat, s._store.values())))
+
+    def _edit(self, op, *args):
+        s = self._of()
+        if s is None:                   # the series is gone: a plain dict edit
+            return op(self, *args)
+        new = dict(self)
+        op(new, *args)
+        s.terms = new                   # checked and re-formed as by FormalSeries()
+        dict.clear(self)
+        self.__init__(s)
+        s._terms = self
+
+    def __setitem__(self, key, c):
+        self._edit(dict.__setitem__, key, c)
+
+    def __delitem__(self, key):
+        self._edit(dict.__delitem__, key)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("FormalSeries.terms is edited by item or assigned whole")
+
+    clear = pop = popitem = setdefault = update = __ior__ = _refuse
+
+    def __reduce__(self):               # a copy is a plain dict, bound to no series
+        return dict, (dict(self),)
 
 
 def _new(store, den, top, order, zmax=None) -> FormalSeries:

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -332,6 +334,63 @@ def test_series_arithmetic_hashes_no_fraction(monkeypatch):
                  _antisymmetry_proof, _doubling_proof):
         assert hashes(call) == 0
     assert hashes(lambda: c.terms) > 0
+
+
+def test_terms_view_writes_through():
+    # `terms` is a view of the int store; an edit through it re-forms the
+    # series, so the arithmetic never reads stale terms
+    s = expand_theta(1, 1, 6)
+    orig = FormalSeries(dict(s.terms), s.order, s.zmax)
+    t = s.terms
+    k = next(iter(t))
+    t[k] = t[k] + t[k]
+    assert s.terms is t and t[k] == GRat(2)
+    assert (s - orig).terms == {k: GR_ONE}
+    del t[k]
+    assert k not in s.terms and (orig - s).terms == {k: GR_ONE}
+    # as in FormalSeries(...): a zero or a term past order is dropped, a new
+    # exponent denominator is aligned, a bad term raises and changes nothing
+    t[(F(1), 0, 0)] = GRat(0)
+    t[(F(7), 0, 0)] = GR_ONE
+    assert (F(1), 0, 0) not in t and (F(7), 0, 0) not in t
+    t[(F(1, 7), 0, 0)] = GR_ONE
+    assert (s - orig).terms == {k: -GR_ONE, (F(1, 7), 0, 0): GR_ONE}
+    before = dict(t)
+    with pytest.raises(TypeError, match="q-exponent"):
+        t[(0.5, 0, 0)] = GR_ONE
+    with pytest.raises(TypeError):
+        t.update({(F(2), 0, 0): GR_ONE})
+    for edit in (t.clear, t.popitem, lambda: t.pop(k), lambda: t.setdefault(k, GR_ONE)):
+        with pytest.raises(TypeError):
+            edit()
+    with pytest.raises(TypeError):
+        t |= {(F(2), 0, 0): GR_ONE}
+    assert s.terms == before and series_equal(s, FormalSeries(before, s.order, s.zmax))[0]
+    s.terms = dict(orig.terms)
+    assert series_equal(s, orig) == (True, None) and s.terms == orig.terms
+    # a copy of the series has its own view; a copy of the view is a dict
+    for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        c.terms[k] = GRat(5)
+        assert s.terms[k] == GR_ONE and series_equal(s, orig)[0]
+        assert not series_equal(c, s)[0]
+    for c in (copy.copy(s.terms), copy.deepcopy(s.terms)):
+        assert type(c) is dict and c == s.terms
+        c[k] = GRat(5)
+        assert s.terms[k] == GR_ONE
+    # a view that outlives its series is a dict of its own
+    lone = expand_theta(1, 1, 6).terms
+    other = next(x for x in lone if x != k)
+    lone[k] = GRat(5)
+    del lone[other]
+    want = {**orig.terms, k: GRat(5)}
+    del want[other]
+    assert lone == want
+    # a wrong output built the way perfbench/selftest.py builds one
+    bad = copy.copy(s)
+    bad.terms = dict(s.terms)
+    bad.terms[k] = bad.terms[k] + bad.terms[k]
+    assert bad.terms[k] == GRat(2) and s.terms[k] == GR_ONE
+    assert series_equal(bad, s)[1] == (k, GRat(2), GR_ONE)
 
 
 # The series arithmetic with every exponent and coefficient part a Fraction,
