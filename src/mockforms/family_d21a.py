@@ -35,7 +35,7 @@ from .qkernel import (
 )
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
 from .mock import MockIndex, PsiIndex
-from .modification import phi_tilde_reduced as phi_tilde, psi_tilde_reduced as psi_tilde
+from .modification import phi_tilde, psi_tilde
 from .family_n4 import SECTORS, Sector
 
 

@@ -308,26 +308,59 @@ def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex =
     return total
 
 
+def _lattice_shift(idx: MockIndex, tau: complex, z1: complex, z2: complex):
+    """(tau, u1, u2, law): tau, checked unless both |c| < 1/2, the points
+    u = z - (a, b) tau where Phi-tilde is summed, and law = (e(-m(a b tau +
+    b u1 + a u2)), m(a - b)), the factor of Phi~(u + (a, b) tau) = factor
+    Phi~(u) and its D0 slope, or None at (a, b) = (0, 0).  (a, b) round
+    c = Im z / Im tau; at half-integer m the law needs a = b mod 2, so an
+    odd a - b moves the c farther from its integer to its other neighbour.
+    In units of pi Im tau the R Theta peak term 2m c1 c2 is fixed, and the
+    Appell one (1 - w_j caps its terms) lies max(0, |h| - 1/2)^2 / 2m above
+    it, h = s - m(c1 - c2) - 1/2; the shift moves h by m(a - b) and is
+    taken exactly when it lowers that peak.  A c not finite, or 2^52 or
+    more, raises DomainError."""
+    if abs(z1.imag) < 0.5 * tau.imag > abs(z2.imag):
+        return tau, z1, z2, None                 # the sums check the point
+    tau = _check_point(tau, z1, z2)
+    c1, c2 = z1.imag / tau.imag, z2.imag / tau.imag
+    if not abs(c1) < _FAR > abs(c2):
+        raise _centre_error(max(c1, c2, key=abs))
+    a, b = round(c1), round(c2)
+    if (a - b) % 2 and idx.m.twice % 2:
+        if abs(c1 - a) >= abs(c2 - b):
+            a += 1 if c1 > a else -1
+        else:
+            b += 1 if c2 > b else -1
+    m = float(idx.m)
+    h = float(idx.s) - m * (c1 - c2) - 0.5
+    if not 0.5 < abs(h) > abs(h + m * (a - b)):
+        return tau, z1, z2, None
+    u1, u2 = z1 - a * tau, z2 - b * tau
+    return tau, u1, u2, (e2pi(-m * (a * b * tau + b * u1 + a * u2)), m * (a - b))
+
+
 def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Modification Phi + Phi_add; restores the elliptic/modular laws."""
-    return (phi(idx, tau, z1, z2, t, policy)
-            + phi_add(idx, tau, z1, z2, t, policy))
+    """Modification Phi + Phi_add, summed at the points _lattice_shift picks."""
+    tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
+    out = phi(idx, tau, z1, z2, t, policy) + phi_add(idx, tau, z1, z2, t, policy)
+    return out if law is None else law[0] * out
 
 
 def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
                  policy: TruncationPolicy = DEFAULT_POLICY):
     """(value, D0 value) of Phi-tilde at t = 0, D0 = (1/2 pi i)(d/dz1 - d/dz2)
-    taken termwise.
+    taken termwise, summed where _lattice_shift puts it.
 
     The swap-negated Appell sum obeys D0[Phi_1(-z2,-z1)] = (D0 Phi_1)(-z2,-z1).
     In Phi_add only the R-factor depends on z1 - z2, so D0 hits it alone,
-    with weight 1 in the v-slot."""
+    with weight 1 in the v-slot.  D0 of the law's factor is slope * factor."""
     m, s = float(idx.m), float(idx.s)
+    tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
     va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
     vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
-    val = 0.0 + 0.0j
-    der = 0.0 + 0.0j
+    val = der = 0.0 + 0.0j
     diffs = _theta_diffs(idx, tau, z1 + z2, policy)
     if diffs:
         rv, rd = r_window(s, m, tau, (z1 - z2) / 2.0, policy, True,
@@ -335,7 +368,8 @@ def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
         for r, d in diffs:
             val += rv[r] * d
             der += rd[r] * d
-    return (va - vb) + 0.5 * val, (da - db) + 0.5 * der
+    val, der = (va - vb) + 0.5 * val, (da - db) + 0.5 * der
+    return (val, der) if law is None else (law[0] * val, law[0] * (der + law[1] * val))
 
 
 def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
@@ -360,40 +394,6 @@ def phi1_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex,
                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Phi_1 + Phi_1,add."""
     return phi1(idx, tau, z1, z2, policy) + phi1_add(idx, tau, z1, z2, policy)
-
-
-def phi_tilde_reduced(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-                      t: complex = 0.0,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Phi-tilde evaluated after pulling integer tau-multiples out of the
-    arguments through the exact elliptic law.
-
-    Equal to phi_tilde by that law, but numerically far better conditioned:
-    the raw series at arguments shifted by a*tau cancels catastrophically
-    while the reduced series is O(1) and the prefactor is one exponential.
-    A lattice coordinate Im z / Im tau that is not finite, or 2^52 or more,
-    raises DomainError: no multiple of tau can be pulled out exactly.
-    """
-    tau = _check_point(tau, z1, z2)
-    m = float(idx.m)
-    ya, yb = complex(z1).imag / tau.imag, complex(z2).imag / tau.imag
-    for y in (ya, yb):
-        if not abs(y) < _FAR:
-            raise _centre_error(y)
-    a, b = round(ya), round(yb)
-    if a == 0 and b == 0:
-        return phi_tilde(idx, tau, z1, z2, t, policy)
-    u1, u2 = z1 - a * tau, z2 - b * tau
-    pref = e2pi(-m * a * b * tau - m * (b * u1 + a * u2))
-    return pref * phi_tilde(idx, tau, u1, u2, t, policy)
-
-
-def psi_tilde_reduced(idx: PsiIndex, tau: complex, z1: complex, z2: complex,
-                      t: complex = 0.0,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Psi-tilde through the argument-reduced modification."""
-    pref, *frame = _psi_frame(idx, tau, z1, z2)
-    return pref * phi_tilde_reduced(*frame, t / idx.M, policy)
 
 
 def psi_tilde(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,

@@ -2,7 +2,8 @@
 30), loaded by path and read-only, and two derivatives perfbench does not
 have, summed with the same helpers: the v-derivative of R, from the formula
 of the r_window docstring, and the D0-derivative of the Appell assembly,
-from that of the _phi1_core docstring."""
+from that of the _phi1_core docstring.  D0 of Phi_add and of Phi-tilde are
+assembled from them."""
 
 import importlib.util
 import pathlib
@@ -71,3 +72,27 @@ def phi_d0_reference(m, s, tau, z1, z2):
     da, ca = d0(m, s, tau, z1, z2)
     db, cb = d0(m, s, tau, -oracle._mpc(z2), -oracle._mpc(z1))
     return oracle.phi(m, s, tau, z1, z2), (da - db, ca + cb)
+
+
+def phi_add_d0_reference(m, s, tau, z1, z2):
+    """(value, cond) of the D0 part of Phi_add: (1/2) sum over the window of
+    (1/2 pi i) dR_{j;m}/dv (Theta_{-j,m} - Theta_{j,m})."""
+    z1, z2 = oracle._mpc(z1), oracle._mpc(z2)
+    total = cond = 0
+    for r in range(int(2 * m)):
+        j = s + r
+        ta, ca = oracle.theta_jm(-j, m, tau, z1 + z2)
+        tb, cb = oracle.theta_jm(j, m, tau, z1 + z2)
+        t, c = oracle._mul(r_dv_reference(j, m, tau, (z1 - z2) / 2), (ta - tb, ca + cb))
+        total += t
+        cond += c
+    return total / 2, cond / 2
+
+
+def phi_tilde_d0_reference(m, s, tau, z1, z2):
+    """(value, D0 value) of Phi-tilde, each as (mp value, cond), summed at
+    (z1, z2) itself."""
+    (va, ca), (da, cda) = phi_d0_reference(m, s, tau, z1, z2)
+    vb, cb = oracle.phi_add(m, s, tau, z1, z2)
+    db, cdb = phi_add_d0_reference(m, s, tau, z1, z2)
+    return (va + vb, ca + cb), (da + db, cda + cdb)

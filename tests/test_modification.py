@@ -12,13 +12,11 @@ from mockforms.modification import (
     phi_add,
     phi_tilde,
     phi_tilde_d0,
-    phi_tilde_reduced,
     psi_tilde,
-    psi_tilde_reduced,
     r_window,
 )
 from mockforms.theta import ThetaIndex, theta_jm
-from oracle_refs import oracle, phi_d0_reference, r_dv_reference
+from oracle_refs import oracle, phi_add_d0_reference, phi_d0_reference
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 0.9j + 0.15, 0.22 + 0.05j, 0.31 - 0.08j
@@ -114,21 +112,6 @@ def phi_add_reference(idx, tau, z1, z2, t):
     if t != 0:
         tot *= e2pi(float(idx.m) * t)
     return tot, (0.5 * val, 0.5 * der)
-
-
-def phi_add_d0_reference(m, s, tau, z1, z2):
-    """(value, cond) at dps 30 of the D0 part of Phi_add: (1/2) sum over the
-    window of (1/2 pi i) dR_{j;m}/dv (Theta_{-j,m} - Theta_{j,m})."""
-    z1, z2 = oracle._mpc(z1), oracle._mpc(z2)
-    total = cond = 0
-    for r in range(int(2 * m)):
-        j = s + r
-        ta, ca = oracle.theta_jm(-j, m, tau, z1 + z2)
-        tb, cb = oracle.theta_jm(j, m, tau, z1 + z2)
-        t, c = oracle._mul(r_dv_reference(j, m, tau, (z1 - z2) / 2), (ta - tb, ca + cb))
-        total += t
-        cond += c
-    return total / 2, cond / 2
 
 
 def within(value, ref, cond):
@@ -265,15 +248,75 @@ def test_psi_tilde_reduces_to_psi_at_degree_one():
     assert abs(a - b) < 1e-13
 
 
-def test_reduced_evaluators_match():
-    idx = MockIndex.of(2, 0)
-    a = phi_tilde_reduced(idx, TAU, Z1 + 2 * TAU, Z2 - TAU, 0.03, P)
-    b = phi_tilde(idx, TAU, Z1 + 2 * TAU, Z2 - TAU, 0.03, P)
-    assert abs(a - b) / max(1.0, abs(a)) < 1e-10
-    pidx = PsiIndex.of(3, 2, 0, F(1, 2), 2, -1)
-    a = psi_tilde_reduced(pidx, TAU, Z1, Z2, 0.02, P)
-    b = psi_tilde(pidx, TAU, Z1, Z2, 0.02, P)
-    assert abs(a - b) / max(1.0, abs(a)) < 1e-10
+def law_factor(m, a, b, tau, u1, u2):
+    """e(-m(a b tau + b u1 + a u2)), the factor of the elliptic law
+    Phi-tilde(u1 + a tau, u2 + b tau) = factor * Phi-tilde(u1, u2)."""
+    return e2pi(-float(m) * (a * b * tau + b * u1 + a * u2))
+
+
+@pytest.mark.parametrize("m, s, a, b", [
+    (2, 0, 2, -1),
+    (2, 2, 1, 0),        # the shift would raise the Appell peak: summed at z
+    (3, 1, 1, 1),        # a = b leaves the Appell peak: summed at z
+    (F(3, 2), F(1, 2), 2, 0),
+    (F(1, 2), 0, 1, -1),
+])
+def test_elliptic_law_of_phi_tilde(m, s, a, b):
+    # Phi-tilde and its D0 pair at z + (a, b) tau against the law's image
+    # of z, whether or not the shift is pulled out: D0 of the factor is
+    # m (a - b) times the factor
+    idx = MockIndex.of(m, s)
+    f = law_factor(m, a, b, TAU, Z1, Z2)
+    z1, z2 = Z1 + a * TAU, Z2 + b * TAU
+    lhs = phi_tilde(idx, TAU, z1, z2, 0.03, P)
+    rhs = f * phi_tilde(idx, TAU, Z1, Z2, 0.03, P)
+    assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-10
+    (v, d), (v0, d0) = phi_tilde_d0(idx, TAU, z1, z2, P), phi_tilde_d0(idx, TAU, Z1, Z2, P)
+    for x, y in ((v, f * v0), (d, f * (d0 + float(m) * (a - b) * v0))):
+        assert abs(x - y) / max(1.0, abs(y)) < 1e-10
+
+
+@pytest.mark.parametrize("M, m, eps, a, b, k, l", [
+    (3, 2, F(1, 2), 2, -1, 1, 0),
+    (5, 2, F(1, 2), F(1, 2), F(-1, 2), 1, 0),
+    (3, F(3, 2), 0, 1, 0, 1, -1),
+])
+def test_elliptic_law_of_psi_tilde(M, m, eps, a, b, k, l):
+    # a, b -> a + kM, b + lM moves the inner arguments U = z + (a, b) tau +
+    # eps by (k, l) M tau, one step of the inner lattice: the wrapper
+    # prefactors' ratio times the law's factor at U
+    lhs = psi_tilde(PsiIndex.of(M, m, 0, eps, a + k * M, b + l * M), TAU, Z1, Z2, 0.02, P)
+    base = psi_tilde(PsiIndex.of(M, m, 0, eps, a, b), TAU, Z1, Z2, 0.02, P)
+    a2, b2, m = a + k * M, b + l * M, float(m)
+    ratio = e2pi(m * float(a2 * b2 - a * b) * TAU / M + m / M * (l * M * Z1 + k * M * Z2))
+    u1, u2 = Z1 + float(a) * TAU + float(eps), Z2 + float(b) * TAU + float(eps)
+    rhs = ratio * law_factor(m, k, l, M * TAU, u1, u2) * base
+    assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("m, s, c1, c2", [
+    (F(1, 2), 0, 1.05, 0.1),
+    (F(1, 2), 0, 1.4, -0.3),
+    (F(3, 2), 0, 1.05, 0.1),
+    (F(3, 2), 1, 1.4, -0.3),
+])
+def test_half_integer_degree_shifts_keep_a_equal_b_mod_2(m, s, c1, c2):
+    # at half-integer m the law holds only for a = b mod 2.  The lattice
+    # coordinates round to (1, 0): at (1.05, 0.1) the second moves to 1 and
+    # the sums run at z itself, at (1.4, -0.3) the first moves to 2 and
+    # (2, 0) is pulled out.  Pulling out (1, 0) is off by 2e-2 to 0.5 here.
+    tau = 0.2 + 1.1j
+    z1, z2 = complex(0.23, c1 * tau.imag), complex(-0.31, c2 * tau.imag)
+    idx = MockIndex.of(m, s)
+    direct = phi(idx, tau, z1, z2, 0.0, P) + phi_add(idx, tau, z1, z2, 0.0, P)
+    assert abs(phi_tilde(idx, tau, z1, z2, 0.0, P) - direct) <= 1e-12 * abs(direct)
+    fm, fs = float(m), float(s)
+    va, da = _phi1_core(fm, fs, tau, z1, z2, P, want_d0=True)
+    vb, db = _phi1_core(fm, fs, tau, -z2, -z1, P, want_d0=True)
+    _, (add_v, add_d) = phi_add_reference(idx, tau, z1, z2, 0.0)
+    v, d = phi_tilde_d0(idx, tau, z1, z2, P)
+    assert abs(v - (va - vb + add_v)) <= 1e-12 * abs(v)
+    assert abs(d - (da - db + add_d)) <= 1e-12 * abs(d)
 
 
 def test_wirtinger_derivative_oracle():

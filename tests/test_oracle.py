@@ -11,6 +11,14 @@ with the same helpers, and each is checked against a difference quotient of
 the reference it differentiates.
 Dedekind eta is checked over Im tau in [1e-4, 5], through its modular
 reduction.
+
+Phi-tilde, Psi-tilde and the D0 pair are summed at z - (a, b) tau for the
+lattice shift the program chooses, times the factor of the elliptic law;
+the references sum the series at z itself, so they check the law, the
+choice and the parity rule of half-integer degrees independently.  Where
+the series at z cancel, the rounding scale cond is too large for a bound
+to see the difference, so fixed cases are also held to a relative error,
+against references at dps 50 summed to 1e-45 of their largest term.
 """
 
 import math
@@ -28,10 +36,10 @@ from mockforms.qkernel import (
     TruncationOverflowError,
     TruncationPolicy,
 )
-from mockforms.mock import MockIndex, _phi1_core, phi1
-from mockforms.modification import phi_tilde, r_window
+from mockforms.mock import MockIndex, PsiIndex, _phi1_core, phi1
+from mockforms.modification import phi_tilde, phi_tilde_d0, psi_tilde, r_window
 from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
-from oracle_refs import oracle, phi_d0_reference, r_dv_reference
+from oracle_refs import oracle, phi_d0_reference, phi_tilde_d0_reference, r_dv_reference
 
 
 TYPED = (DomainError, PoleProximityError, TruncationOverflowError)
@@ -199,6 +207,104 @@ def test_phi_tilde_top_degree():
     tau, z1, z2 = 0.9 + 0.6j, 0.21 + 0.3j, -0.34 - 0.25j
     _check(lambda p: phi_tilde(MockIndex.of(20, 0.5), tau, z1, z2, 0.0, p),
            lambda: oracle.phi_tilde(20, 0.5, tau, z1, z2), 1e-12)
+
+
+# Off the fundamental cell: Im tau up to 4 and lattice coordinates
+# Im z / Im tau up to +-2, so that the program pulls out shifts (a, b) with
+# |a|, |b| <= 2, among them odd a - b at half-integer m.  s is drawn as a
+# share of m, within [-m, m]
+lattice_im_tau = st.floats(min_value=0.3, max_value=4.0)
+lattice_units = st.floats(min_value=-2.0, max_value=2.0)
+share = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _index(m, share):
+    return m, round(2 * m * share) / 2
+
+
+@settings(ORACLE, max_examples=10)
+@given(st.integers(min_value=1, max_value=8).map(lambda k: k / 2), share,
+       lattice_im_tau, re_tau, re_z, lattice_units, re_z, lattice_units, tol)
+@example(1.5, 0.3, 3.7, 0.3, 0.21, 1.3, -0.33, -0.2, 1e-12)
+@example(3.5, -0.43, 2.247, -1.98, -0.78, -1.86, 0.45, -0.37, 1e-12)
+@example(2.0, -0.25, 3.536, 1.946, 0.07, 0.45, -0.16, 1.73, 1e-12)
+def test_phi_tilde_across_the_lattice(m, frac, y, x, r1, u1, r2, u2, tol):
+    # the last two examples sit where taking the shift that lowers the
+    # Appell peak counted without its denominators loses about 2 and 4
+    # digits to the sums at z
+    m, s = _index(m, frac)
+    tau, z1, z2 = complex(x, y), complex(r1, u1 * y), complex(r2, u2 * y)
+    policy = TruncationPolicy(tol=tol)
+    try:
+        value = phi_tilde(MockIndex.of(m, s), tau, z1, z2, 0.0, policy)
+        v0, d0 = phi_tilde_d0(MockIndex.of(m, s), tau, z1, z2, policy)
+    except TYPED:
+        return
+    ref_value, ref_der = phi_tilde_d0_reference(m, s, tau, z1, z2)
+    assert v0 == value
+    _within(value, ref_value, tol)
+    _within(d0, ref_der, tol)
+
+
+@settings(ORACLE, max_examples=10)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6).map(
+           lambda k: k / 2), share, st.sampled_from([0, 0.5]), st.integers(-6, 6),
+       st.integers(-6, 6), st.booleans(), st.floats(min_value=0.1, max_value=1.3), re_tau,
+       re_z, im_units, re_z, im_units, tol)
+@example(5, 2.0, 0.0, 0.5, 5, -1, True, 0.8, 0.0, 0.13, 0.26, -0.27, 0.06, 1e-12)
+def test_psi_tilde_across_the_lattice(M, m, frac, eps, a2, b2, odd, y, x, r1, u1, r2, u2, tol):
+    # a and b in eps' + Z, within +-6.5, so up to 6.5/M rows of the inner
+    # lattice; the example is the first index below, at Im tau 0.8
+    m, s = _index(m, frac)
+    a, b = (a2 + 0.5, b2 + 0.5) if odd else (a2, b2)
+    tau, z1, z2 = complex(x, y), complex(r1, u1 * y), complex(r2, u2 * y)
+    _check(lambda p: psi_tilde(PsiIndex.of(M, m, s, eps, a, b), tau, z1, z2, 0.0, p),
+           lambda: oracle.psi_tilde(M, m, s, eps, a, b, tau, z1, z2), tol)
+
+
+@pytest.fixture
+def precise(monkeypatch):
+    """References at dps 50, summed until terms fall below 1e-45 of the
+    largest: the series at z cancel by up to about 1e26 in the cases below."""
+    monkeypatch.setattr(oracle, "STOP", mp.mpf(10) ** -45)
+    with mp.workdps(50):
+        yield
+
+
+def _relative(value, reference):
+    ref = complex(reference[0])
+    return abs(ref - value) / abs(ref)
+
+
+# Wrapper indices outside the fundamental range, whose inner lattice
+# coordinate is about 1.1.  Summed at z, the first read relative errors
+# 3.6e-7, 2.3e-3 and 16 at 2i, 3i and 4i.
+@pytest.mark.parametrize("tau", [2j, 3j, 4j])
+@pytest.mark.parametrize("index", [(5, 2, 0, 0.5, 5.5, -0.5), (3, 1, 0, 0.5, 3.5, -0.5)])
+def test_psi_tilde_at_unreduced_indices(precise, index, tau):
+    z1, z2 = 0.13 + 0.21j, -0.27 + 0.05j
+    value = psi_tilde(PsiIndex.of(*index), tau, z1, z2)
+    assert _relative(value, oracle.psi_tilde(*index, tau, z1, z2)) <= 1e-10
+
+
+# m = 3, s = -3 at Im tau 1.1 and lattice coordinates (1.06, -1.26): the
+# sums at z read relative errors of 8.4e8 (value) and 2.7e8 (D0).  Then
+# half-integer degrees whose coordinates round to an odd a - b, at Im tau
+# up to 4: pulling out that shift, which the law does not cover, is off by
+# 25% to a factor 6.
+@pytest.mark.parametrize("m, s, tau, c1, c2", [
+    (3, -3, 0.19 + 1.1j, 1.06, -1.26),
+    (1.5, 0.5, 0.3 + 3.7j, 1.3, -0.2),
+    (2.5, -1, 0.7 + 3.1j, -1.3, 0.4),
+    (0.5, 0.5, 0.2 + 4j, -1.2, 0.2),
+    (3.5, 1.5, -0.3 + 2j, 1.4, 0.35),
+])
+def test_phi_tilde_off_the_fundamental_cell(precise, m, s, tau, c1, c2):
+    z1, z2 = complex(0.21, c1 * tau.imag), complex(-0.33, c2 * tau.imag)
+    ref_value, ref_der = phi_tilde_d0_reference(m, s, tau, z1, z2)
+    value, der = phi_tilde_d0(MockIndex.of(m, s), tau, z1, z2)
+    assert _relative(value, ref_value) <= 1e-10
+    assert _relative(der, ref_der) <= 1e-10
 
 
 # Im tau log-uniform on [1e-4, 5]: mpmath.eta sums the q-series, which takes

@@ -22,7 +22,7 @@ from mockforms.qkernel import (
 from mockforms.family_d21a import D21Index, D21Params, PQ_function
 from mockforms.family_n4 import psi_P
 from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
-from mockforms.modification import phi_tilde, phi_tilde_reduced, psi_tilde, r_window
+from mockforms.modification import phi_tilde, phi_tilde_d0, psi_tilde, r_window
 from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
 
 NAN, INF = float("nan"), float("inf")
@@ -51,7 +51,8 @@ POINT_KERNELS = {
     "phi1_z2": lambda tau, z: phi1(MockIndex.of(1, 0), tau, 0.1, z),
     "r_correction": lambda tau, z: r_window(0.0, 1.0, tau, z, DEFAULT_POLICY, buckets=(0,)),
     "psi_tilde": lambda tau, z: psi_tilde(PSI_INDEX, tau, z, 0.2),
-    "phi_tilde_reduced": lambda tau, z: phi_tilde_reduced(MockIndex.of(2, 1), tau, z, 0.1),
+    "phi_tilde": lambda tau, z: phi_tilde(MockIndex.of(2, 1), tau, z, 0.1),
+    "phi_tilde_d0": lambda tau, z: phi_tilde_d0(MockIndex.of(2, 1), tau, z, 0.1),
     "PQ_function": lambda tau, z: PQ_function(PQ_INDEX, tau, z, 0.2, 0.3),
     "lattice_distance": lambda tau, z: lattice_distance(z, tau),
     "EvalPoint": lambda tau, z: EvalPoint(tau, (z,)),
@@ -87,12 +88,11 @@ OVERFLOW_Z = {
     "psi": (lambda: psi(PSI_INDEX, 1j, 0.1 + 1e17j, 0.2), DomainError),
     "psi_tilde": (lambda: psi_tilde(PSI_INDEX, 1j, 0.1 + 1e17j, 0.2), DomainError),
     # a lattice coordinate 2^52 or more: no multiple of tau to pull out
-    "phi_tilde_reduced_z1": (lambda: phi_tilde_reduced(MockIndex.of(2, 1), 1j, 0.1 + 1e300j, 0.2),
-                             DomainError),
-    "phi_tilde_reduced_z2": (lambda: phi_tilde_reduced(MockIndex.of(2, 1), 1j, 0.2,
-                                                       0.1 + 2.0 ** 52 * 1j), DomainError),
-    "phi_tilde_reduced_tiny_im_tau": (lambda: phi_tilde_reduced(
-        MockIndex.of(2, 1), 0.5 + 1e-12j, 0.1 + 1e-300j, 0.2 - 1e300j), DomainError),
+    **{f"{name}_{case}": (lambda fn=fn, args=args: fn(MockIndex.of(2, 1), *args), DomainError)
+       for name, fn in (("phi_tilde", phi_tilde), ("phi_tilde_d0", phi_tilde_d0))
+       for case, args in (("z1", (1j, 0.1 + 1e300j, 0.2)),
+                          ("z2", (1j, 0.2, 0.1 + 2.0 ** 52 * 1j)),
+                          ("tiny_im_tau", (0.5 + 1e-12j, 0.1 + 1e-300j, 0.2 - 1e300j)))},
     "PQ_function": (lambda: PQ_function(PQ_INDEX, 1j, 0.1 + 1e300j, 0.2, 0.3), DomainError),
 }
 
