@@ -73,6 +73,11 @@ def cmd_eval(args) -> int:
     policy = _policy()
     tau = args.tau
     fn = args.fn
+    if fn in ("phi1", "phi", "phi_signed", "phi_tilde"):
+        idx = MockIndex.of(parse_rat(args.m), parse_rat(args.s))
+    elif fn in ("psi", "psi_tilde"):
+        idx = PsiIndex.of(args.M, parse_rat(args.m), parse_rat(args.s),
+                          parse_rat(args.eps), parse_rat(args.aa), parse_rat(args.bb))
     if fn == "theta":
         v = theta_jm(ThetaIndex.of(parse_rat(args.j), parse_rat(args.m)),
                      tau, args.z, args.t, policy)
@@ -81,21 +86,14 @@ def cmd_eval(args) -> int:
     elif fn == "eta":
         v = dedekind_eta(tau, policy)
     elif fn == "phi1":
-        v = phi1(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
-                 tau, args.z1, args.z2, policy)
+        v = phi1(idx, tau, args.z1, args.z2, policy)
     elif fn in ("phi", "phi_signed"):
-        v = phi(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
-                tau, args.z1, args.z2, args.t, policy, args.sign)
+        v = phi(idx, tau, args.z1, args.z2, args.t, policy, args.sign)
     elif fn == "phi_tilde":
-        v = phi_tilde(MockIndex.of(parse_rat(args.m), parse_rat(args.s)),
-                      tau, args.z1, args.z2, args.t, policy)
+        v = phi_tilde(idx, tau, args.z1, args.z2, args.t, policy)
     elif fn == "psi":
-        idx = PsiIndex.of(args.M, parse_rat(args.m), parse_rat(args.s),
-                          parse_rat(args.eps), parse_rat(args.aa), parse_rat(args.bb))
         v = psi(idx, tau, args.z1, args.z2, args.t, policy)
     elif fn == "psi_tilde":
-        idx = PsiIndex.of(args.M, parse_rat(args.m), parse_rat(args.s),
-                          parse_rat(args.eps), parse_rat(args.aa), parse_rat(args.bb))
         v = psi_tilde(idx, tau, args.z1, args.z2, args.t, policy)
     else:
         raise argparse.ArgumentTypeError(f"unknown function {fn}")

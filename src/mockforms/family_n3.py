@@ -60,8 +60,8 @@ class N3Weight:
             raise UnsupportedCaseError("critical level")
         if self.J not in _J_VALUES:
             raise ValueError(f"unknown admissible type {self.J}")
-        if self.J == "none" and self.M != 1:
-            raise ValueError("integrable weights have M = 1")
+        if self.J == "none" and (self.M, self.k1, self.k2) != (1, 0, 0):
+            raise ValueError("integrable weights have M = 1 and k1 = k2 = 0")
         if self.J in ("I", "III"):
             lo = 0 if self.J == "I" else 1
             if not (self.k1 >= 0 and self.k2 >= lo and 2 * (self.k1 + self.k2) <= self.M - 1):

@@ -56,7 +56,6 @@ class GRat:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
-GR_ZERO = GRat()
 GR_ONE = GRat(1)
 _ZERO = (0, 0)
 # i^k for k = 0..3, as exact coefficients and as int pairs

@@ -7,8 +7,8 @@ coefficient tables) and returns run(pt, policy), which evaluates one
 (lhs, rhs) pair, or a list of them, at a grid point with float kernels
 only.  Most laws are records planned by the one evaluator _laws(); the
 rest are hand-written.  verify() plans each parameter set of one id once
-per call, then runs the plans over the deterministic standard grid;
-suite() runs a tag in registry order.
+per call, then walks the standard grid one point at a time through
+_run_point(); suite() runs a tag in registry order.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -157,36 +157,39 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
             raise ValueError(f"no parameter set of {identity_id} matches {param_filter}")
     if spec.runner is not None:
         max_err, skipped = spec.runner(policy)
-        passed = max_err <= spec.tol if spec.check == "close" else max_err > spec.tol
-        return VerificationReport(spec.id, spec.citation,
-                                  {"n_tau": n_tau, "n_z": n_z, "seed": seed},
-                                  spec.tol, max_err, passed, skipped)
-    policy = guarded
-    runs = [spec.plan(**prm) for prm in params]
-    max_err = 0.0
-    skipped = 0
-    for pt in pts:
-        token = _POINT_MEMO.set({})
-        try:
-            for run in runs:
-                try:
-                    pairs = run(pt, policy)
-                except PoleProximityError:
+        few_skips = True
+    else:
+        runs = [spec.plan(**prm) for prm in params]
+        max_err, skipped = 0.0, 0
+        for pt in pts:
+            for pairs in _run_point(runs, pt, guarded):
+                if pairs is None:
                     skipped += 1
                     continue
-                if isinstance(pairs, tuple):
-                    pairs = [pairs]
                 for lhs, rhs in pairs:
                     max_err = max(max_err, abs(lhs - rhs))
-        finally:
-            _POINT_MEMO.reset(token)
-    if spec.check == "exceeds":
-        passed = max_err > spec.tol
-    else:
-        passed = max_err <= spec.tol and skipped < 0.2 * len(pts) * len(runs)
-    return VerificationReport(spec.id, spec.citation,
-                              {"n_tau": n_tau, "n_z": n_z, "seed": seed},
+        few_skips = skipped < 0.2 * len(pts) * len(runs)
+    passed = max_err > spec.tol if spec.check == "exceeds" else max_err <= spec.tol and few_skips
+    return VerificationReport(spec.id, spec.citation, {"n_tau": n_tau, "n_z": n_z, "seed": seed},
                               spec.tol, max_err, passed, skipped)
+
+
+def _run_point(runs, pt, policy) -> list:
+    """The (lhs, rhs) list of each run at the grid point pt, or None for a
+    run that raised PoleProximityError, under one kernel memo for the call."""
+    token = _POINT_MEMO.set({})
+    try:
+        out = []
+        for run in runs:
+            try:
+                pairs = run(pt, policy)
+            except PoleProximityError:
+                out.append(None)
+                continue
+            out.append([pairs] if isinstance(pairs, tuple) else pairs)
+        return out
+    finally:
+        _POINT_MEMO.reset(token)
 
 
 TAGS = ("theta", "mock", "modification", "n3", "n4", "d21a")
@@ -258,6 +261,11 @@ def _T(tau, *a):
 def _S(tau, *zs):
     """(-1/tau, z/tau) for every elliptic variable z."""
     return (-1 / tau, *(z / tau for z in zs))
+
+
+def _S_t(tau, *a):
+    """_S on the elliptic variables, the last argument t left as it is."""
+    return (*_S(tau, *a[:-1]), a[-1])
 
 
 def _zs(t):
@@ -574,8 +582,7 @@ def _modification_pairs():
                           "modification", 1e-8, MM, wrapped(0, lem49)))
 
     def lem410(M, m):
-        return [(PsiIndex.of(M, m, 0, 0, H, H - 1),
-                 lambda tau, z1, z2, t: (-1 / tau, z1 / tau, z2 / tau, -z1 * z2 / tau),
+        return [(PsiIndex.of(M, m, 0, 0, H, H - 1), _s_jacobi,
                  [(c, PsiIndex.of(M, m, 0, H, a, b)) for c, a, b in _s_table(M, 0, m, H, H - 1)],
                  lambda tau, *a: tau / M)]
 
@@ -813,18 +820,13 @@ def _n3_pairs():
             idx=None if s is None else ThetaIndex.of(s, 1)), grid=(3, 2)))
 
 
-def _balanced_table(M: int, eps, m: int, j, k, epsb) -> list:
-    """(c, ph, a0, b0) for each (c, a, b) of _s_table(M, eps, -m, j, k), with
-    a0, b0 the representatives of a, b in (-M/2, M/2] and ph the phase of
-    that translation at the shift epsb.  They keep the wrapper evaluations
-    well conditioned at small Im tau (the raw representatives carry huge
-    inverse nome powers)."""
-    out = []
-    for c, a, b in _s_table(M, eps, -m, j, k):
-        al, be = math.floor(a / M + H), math.floor(b / M + H)
-        ph = e2pi(Fraction(m * (al - be) * HalfInt.of(epsb).twice, 2))
-        out.append((c, ph, HalfInt.of(a - al * M), HalfInt.of(b - be * M)))
-    return out
+def _balanced_table(M: int, eps, m: int, j, k) -> list:
+    """(c, a0, b0) for each (c, a, b) of _s_table(M, eps, -m, j, k), with a0, b0
+    the representatives of a, b in [-M/2, M/2): they keep the evaluations well
+    conditioned at small Im tau, where the raw ones carry huge inverse nome
+    powers.  At the target shift eps' = 0, a translation by M has no phase."""
+    rep = lambda a: HalfInt.of(a - math.floor(a / M + H) * M)
+    return [(c, rep(a), rep(b)) for c, a, b in _s_table(M, eps, -m, j, k)]
 
 
 def _n4_pairs():
@@ -980,7 +982,7 @@ def _n4_pairs():
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
 
     def lem82(M, m):
-        j, k = HalfInt(3), HalfInt(-1)
+        j, k = Fraction(3, 2), -H
         x = wrapper(M, m, H, j, k)
         return [(x, lambda tau, z1, z2, t: (tau, z2, z1, t), wrapper(M, m, H, k, j), -1),
                 (x, lambda tau, z1, z2, t: (tau, -z1, -z2, t), wrapper(M, m, H, -j, -k), None)]
@@ -989,20 +991,19 @@ def _n4_pairs():
                           "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem82)))
 
     def lem83(M, m):
-        j, k = HalfInt(3), HalfInt(-1)
+        j, k = Fraction(3, 2), -H
         x0, x = scale_one(m), wrapper(M, m, H, j, k)
         return [(x0, diagonal, x0, None),
-                (x, diagonal, x, e2pi(-Fraction(m, M) * (j.value + k.value)))]
+                (x, diagonal, x, e2pi(-Fraction(m, M) * (j + k)))]
 
     register(IdentitySpec("lemma8.3", "derivative wrapper diagonal shifts", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], psi_p(lem83)))
 
     def lem85(M, m):
-        j, k = HalfInt(2), HalfInt(0)
-        jv, kv = j.value, k.value
+        j, k = 1, 0
         idx, x0, x = MockIndex.of(-m, 0), scale_one(m), wrapper(M, m, 0, j, k)
-        c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * jv * kv, -Fraction(m, M),
-                                                  jv, kv, Fraction(m * (jv - kv), 2 * M)))
+        c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * j * k, -Fraction(m, M),
+                                                  j, k, Fraction(m * (j - k), 2 * M)))
 
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
@@ -1034,8 +1035,7 @@ def _n4_pairs():
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem84))
 
     def rem86(m, eps):
-        j = HalfInt(2) if eps == 0 else HalfInt(1)
-        k = HalfInt(0) if eps == 0 else HalfInt(-1)
+        j, k = (1, 0) if eps == 0 else (H, -H)
         x = wrapper(1, m, eps, j, k)
         return lambda pt, policy: (n4.psi_P(x, pt.tau, pt.z, pt.z, 0.07, policy), 0.0)
 
@@ -1044,54 +1044,41 @@ def _n4_pairs():
                           rem86))
 
     def p87(M, m, which):
-        t = 0.02
         eps, epsp = H, Fraction(0)
-        j, k = HalfInt(2), HalfInt(-2)
+        j, k = 1, -1
         x = wrapper(M, m, eps, j, k)
         if which == "T":
             # off the diagonal the tau-dependent multiplier spoils the T-shift,
             # so the T-law is the diagonal statement used by the chi basis
-            ph = e2pi(-Fraction(m, M) * j.value * k.value)
-            y = wrapper(M, m, abs(Fraction(eps) - Fraction(epsp)), j, k)
+            t = 0.02
+            ph = e2pi(-Fraction(m, M) * j * k)
+            y = wrapper(M, m, abs(eps - epsp), j, k)
             return lambda pt, policy: (
                 n4.psi_P(x, pt.tau + 1, pt.z, pt.z, t, policy),
                 ph * n4.psi_P(y, pt.tau, pt.z, pt.z, t, policy))
-        terms = [(c, ph, wrapper(M, m, epsp, a0, b0))
-                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
         cm = complex(-Fraction(m, M))
-
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            lhs = n4.psi_P(x, -1 / tau, z1 / tau, z2 / tau, t, policy)
-            tot = 0.0j
-            for c, ph, y in terms:
-                tot += c * (ph * n4.psi_P(y, tau, z1, z2, t, policy))
-            return lhs, tau ** 2 / M * e2pi(cm * z1 * z2 / tau) * tot
-        return run
+        return psi_p(lambda: [(x, _S_t, [(c, wrapper(M, m, epsp, a0, b0))
+                                         for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
+                               lambda tau, z1, z2, t: tau ** 2 / M * e2pi(cm * z1 * z2 / tau))])()
 
     register(IdentitySpec("prop8.7", "derivative wrapper S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "which": w} for (M, m) in ((2, -1), (3, -2))
                            for w in ("S", "T")], p87, grid=(2, 2)))
 
     def rem88(M, m):
-        # rows (function, lhs index, rhs index, phase) over the two families,
-        # which share their wrapper indices
-        j, k = HalfInt(1), HalfInt(-1)
+        # the index of a law is (function, wrapper index): the wrapper and
+        # the derivative wrapper share their indices
+        j, k = H, -H
         y = wrapper(M, m, H, j, k)
         rows = []
         for (a, b) in ((1, 0), (0, 1)):
-            ph = e2pi(Fraction(m * (a - b), 2))
-            x = wrapper(M, m, H, j.value + a * M, k.value + b * M)
-            rows += [(psi_tilde, x, y, ph), (n4.psi_P, x, y, ph)]
-
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            return [(f(x, tau, z1, z2, 0, policy), ph * f(y, tau, z1, z2, 0, policy))
-                    for f, x, y, ph in rows]
-        return run
+            x, ph = wrapper(M, m, H, j + a * M, k + b * M), e2pi(Fraction(m * (a - b), 2))
+            rows += [((f, x), _same, (f, y), ph) for f in (psi_tilde, n4.psi_P)]
+        return rows
 
     register(IdentitySpec("rem8.8", "wrapper and derivative wrapper index periodicity",
-                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], rem88))
+                          "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
+                          _laws(lambda x, *a: x[0](x[1], *a), _zs(0), rem88)))
 
     def th96(M, m, J, k1, k2, m2):
         w = n4.N4Weight(m, m2, M, J, k1, k2)
@@ -1114,53 +1101,44 @@ def _n4_pairs():
 
     def th97(M, m, alpha, which):
         eps, epsp = H, Fraction(0)
-        j, k = HalfInt(2), HalfInt(-2)
+        j, k = 1, -1
         x = n4.ChiIndex.of(alpha, M, m, eps, epsp, j, k)
         if which == "T":
-            ph = e2pi(-Fraction(m, M) * j.value * k.value - Fraction(1, 2) * epsp)
-            y = n4.ChiIndex.of(alpha, M, m, abs(Fraction(eps) - Fraction(epsp)), epsp, j, k)
-            return lambda pt, policy: (n4.chi(x, pt.tau + 1, pt.z, policy),
-                                       ph * n4.chi(y, pt.tau, pt.z, policy))
-        terms = [(c, ph, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
-                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
+            return [(x, _T, n4.ChiIndex.of(alpha, M, m, abs(eps - epsp), epsp, j, k),
+                     e2pi(-Fraction(m, M) * j * k - Fraction(1, 2) * epsp))]
         sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
         cw = -2j * math.pi * (Fraction(m, M) + 1)
-
-        def run(pt, policy):
-            tau, z = pt.tau, pt.z
-            lhs = n4.chi(x, -1 / tau, z / tau, policy)
-            tot = 0.0j
-            for c, ph, y in terms:
-                tot += c * (ph * n4.chi(y, tau, z, policy))
-            return lhs, sgn * tau ** alpha / M * cmath.exp(cw * z * z / tau) * tot
-        return run
+        return [(x, _S, [(c, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+                         for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
+                 lambda tau, z: sgn * tau ** alpha / M * cmath.exp(cw * z * z / tau))]
 
     register(IdentitySpec("th9.7", "chi S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "alpha": a, "which": w}
                            for (M, m) in ((2, -1), (3, -2)) for a in (0, 1)
-                           for w in ("S", "T")], th97, grid=(2, 2)))
+                           for w in ("S", "T")],
+                          _laws(n4.chi, lambda pt: (pt.z,), th97), grid=(2, 2)))
 
     def th98a(M, m, alpha):
         eps, epsp = H, Fraction(0)
-        j, k = HalfInt(3), HalfInt(1)
+        j, k = Fraction(3, 2), H
         # the S-sum over (a, b) in (eps + {0..M-1})^2, a outer, and its
         # rewriting over a <= b with sine (alpha = 1) or cosine weights
-        cells = [(c, ph, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
-                 for c, ph, a0, b0 in _balanced_table(M, eps, m, j.value, k.value, epsp)]
+        cells = [(c, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+                 for c, a0, b0 in _balanced_table(M, eps, m, j, k)]
         terms = []
         for ia in range(M):
             for ib in range(ia + alpha, M):   # alpha = 1 leaves out a = b
                 a, b = Fraction(eps) + ia, Fraction(eps) + ib
-                arg = math.pi * float(Fraction(m, M) * (k.value - j.value) * (a - b))
-                ph = cmath.exp(1j * math.pi * float(Fraction(m, M) * (j.value + k.value) * (a + b)))
+                arg = math.pi * float(Fraction(m, M) * (k - j) * (a - b))
+                ph = cmath.exp(1j * math.pi * float(Fraction(m, M) * (j + k) * (a + b)))
                 w = (2j * ph * math.sin(arg) if alpha == 1
                      else (2 - (1 if a == b else 0)) * ph * math.cos(arg))
                 terms.append((w, ia * M + ib))
 
         def run(pt, policy):
-            vals = [ph * n4.chi(x, pt.tau, pt.z, policy) for _, ph, x in cells]
+            vals = [n4.chi(x, pt.tau, pt.z, policy) for _, x in cells]
             lhs, rhs = 0.0j, 0.0j
-            for (c, _, _), v in zip(cells, vals):
+            for (c, _), v in zip(cells, vals):
                 lhs += c * v
             for w, slot in terms:
                 rhs += w * vals[slot]
@@ -1173,10 +1151,10 @@ def _n4_pairs():
                           th98a, grid=(2, 2)))
 
     def rem95(M, m):
-        j, k = HalfInt(3), HalfInt(-1)
+        j, k = Fraction(3, 2), -H
         x1, x2, x3, x4, x5 = (n4.ChiIndex.of(alpha, M, m, H, H, jj, kk) for alpha, jj, kk in (
             (1, j, k), (1, k, j), (0, j, k), (0, k, j), (1, j, j)))
-        x6 = n4.ChiIndex.of(1, 1, m, H, Fraction(0), HalfInt(2), HalfInt(0))
+        x6 = n4.ChiIndex.of(1, 1, m, H, Fraction(0), 1, 0)
 
         def run(pt, policy):
             chi = lambda x: n4.chi(x, pt.tau, pt.z, policy)
@@ -1211,25 +1189,30 @@ def _d21a_pairs():
                           [{"p": 2, "q": 1, "n": 1, "which": w} for w in ("P", "Q")],
                           pq(lem1012)))
 
-    def p1021(p, q, n, which, lab):
-        pr = d2.D21Params(p, q, n)
-        big = 2 * n * (p + q)
+    def st_laws(which, pr, eps, epsp):
+        """[S-law, T-law] at j = 1 of `which` in the sector (eps, eps'): P, Q at
+        (0, 0), where the shift factors are e(0) = 1, and f, g.  The S-image
+        is a row of the degree-2n(p+q) Theta S-matrix."""
+        big = 2 * pr.n * (pr.p + pr.q)
+        deg = pr.n * (pr.p if which in "Pf" else pr.q)
         j = 1
+        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
         K = complex(pr.K)
-        x = d2.D21Index.of(which, j, pr)
-        if lab == "S":
-            return [(x, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
-                     [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr))
-                      for k in range(big)],
-                     lambda tau, z1, z2, z3, t: (
-                         cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                         * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau))))]
-        return [(x, _T, x, e2pi(Fraction(j * j, 2 * big)))]
+        x = d2.D21Index.of(which, j, pr, eps, epsp)
+        return [(x, _S_t, [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, epsp, eps))
+                           for k in range(big)],
+                 lambda tau, z1, z2, z3, t: (
+                     ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
+                     * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
+                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                 e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
                           [{"p": p, "q": 1, "n": 1, "which": w, "lab": lab}
                            for p in (1, 2) for w in ("P", "Q") for lab in ("S", "T")],
-                          pq(p1021), grid=(2, 2)))
+                          pq(lambda p, q, n, which, lab: [
+                              st_laws(which, d2.D21Params(p, q, n), 0, 0)["ST".index(lab)]]),
+                          grid=(2, 2)))
 
     def lem112():
         pr = d2.D21Params(*P211)
@@ -1324,28 +1307,13 @@ def _d21a_pairs():
                               n4.Sector.of(abs(Fraction(eps) - Fraction(epsp)), epsp),
                               (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
-    def p1114(which, eps, epsp):
-        pr = d2.D21Params(*P211)
-        big = 2 * pr.n * (pr.p + pr.q)
-        deg = pr.n * (pr.p if which == "f" else pr.q)
-        j = 1
-        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
-        K = complex(pr.K)
-        x = d2.D21Index.of(which, j, pr, eps, epsp)
-        return [(x, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
-                 [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, epsp, eps))
-                  for k in range(big)],
-                 lambda tau, z1, z2, z3, t: (
-                     ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
-                     * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
-                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
-                 e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
-
     register(IdentitySpec("prop11.14", "basis function S and T laws", "d21a", 1e-6,
                           [{"which": w, "eps": e, "epsp": ep} for w in ("f", "g")
                            for (e, ep) in ((Fraction(0), Fraction(0)), (H, Fraction(0)),
                                            (Fraction(0), H))],
-                          _laws(d2.fg_lower, lambda pt: (*pt.zs, 0.02), p1114), grid=(2, 2)))
+                          _laws(d2.fg_lower, lambda pt: (*pt.zs, 0.02),
+                                lambda which, eps, epsp: st_laws(
+                                    which, d2.D21Params(*P211), eps, epsp)), grid=(2, 2)))
 
     def p1111(pt, policy, w, flavor):
         tau = pt.tau
@@ -1450,8 +1418,7 @@ def _d21a_pairs():
         pr = d2.D21Params(p, 1, 1)
         sm = d2.s_matrix_and_fusion(p)
         K = complex(pr.K)
-        return [(wt, lambda tau, z1, z2, z3, t: (*_S(tau, z1, z2, z3), t),
-                 list(zip(row, sm["weights"])),
+        return [(wt, _S_t, list(zip(row, sm["weights"])),
                  lambda tau, z1, z2, z3, t: e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))
                 for wt, row in zip(sm["weights"], sm["S"])]
 

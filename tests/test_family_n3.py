@@ -89,6 +89,15 @@ def test_admissible_m1_reduces_to_integrable():
     assert abs(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("M, k1, k2", [(1, 1, 1), (1, 1, 0), (1, 0, 1), (3, 0, 0)])
+def test_integrable_weights_have_no_admissible_data(M, k1, k2):
+    # the numerators of a J = "none" weight ignore k1 and k2 while its
+    # characteristic numbers read them: (-5/4, 1, 1, "none", 0, 1) would
+    # report h = -1/2 and s = -1 for the numerator of h = 1/4 and s = 1/2
+    with pytest.raises(ValueError, match="integrable weights"):
+        n3.N3Weight(False, F(-5, 4), 1, M, "none", k1, k2)
+
+
 def test_unsupported_types_error():
     with pytest.raises(UnsupportedCaseError):
         n3.numerator_B(n3.N3Weight(False, M34, 0, 3, "II", 1, 1), TAU, Z1, Z2, T)

@@ -200,6 +200,21 @@ def test_memo_scope_is_per_point_and_reset_after_errors(monkeypatch):
     assert _POINT_MEMO.get() is None
 
 
+def test_run_point_returns_with_the_memo_reset():
+    # a run that meets a pole gives None and the others their pair lists,
+    # and the memo is reset before _run_point returns, so a caller that
+    # walks the grid lazily keeps no memo alive between points
+    def pole(pt, policy):
+        raise PoleProximityError("near a pole")
+
+    spec = V.get_spec("eq1.4")
+    runs = [spec.plan(**prm) for prm in spec.params[:2]]
+    pt = V.standard_grid(*spec.grid, 1)[0]
+    out = V._run_point([runs[0], pole, runs[1]], pt, VERIFY_POLICY)
+    assert _POINT_MEMO.get() is None
+    assert out == [runs[0](pt, VERIFY_POLICY), None, runs[1](pt, VERIFY_POLICY)]
+
+
 def test_custom_runner_runs_without_memo(monkeypatch):
     runner_id = next(i for i in V.registry_ids() if V.get_spec(i).runner is not None)
     spec = V.get_spec(runner_id)

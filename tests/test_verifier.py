@@ -11,10 +11,8 @@ from mockforms.cli import VERIFY_FILTER_KEYS, _emit
 from mockforms.mock import MockIndex, PsiIndex
 from mockforms.qkernel import (
     HalfInt,
-    PoleProximityError,
     TruncationPolicy,
     UnknownIdentityError,
-    _POINT_MEMO,
 )
 from mockforms.theta import ThetaIndex
 import mockforms.family_d21a as d21a
@@ -196,6 +194,24 @@ def test_grid_point_loop_does_no_exact_work(monkeypatch, seed):
     assert counts["HalfInt.of"] == counts["Fraction"] == 0, counts
 
 
+@pytest.mark.parametrize("M, m", [(2, -1), (3, -2)])
+@pytest.mark.parametrize("j, k", [(1, -1), (Fraction(3, 2), Fraction(1, 2))])
+def test_balanced_table_is_the_s_table_at_balanced_representatives(M, m, j, k):
+    # the S-tables of prop8.7 and th9.7 (j, k = 1, -1) and of th9.8a
+    # (3/2, 1/2), all at eps = 1/2: the same rows in the same order, each
+    # index moved by a multiple of M into [-M/2, M/2) (floor(a/M + 1/2)
+    # rounds a/M half up, so a = 3/2 at M = 3 goes to -3/2)
+    eps = Fraction(1, 2)
+    raw = V._s_table(M, eps, -m, j, k)
+    balanced = V._balanced_table(M, eps, m, j, k)
+    assert len(balanced) == len(raw) == M * M
+    for (c, a, b), (c0, a0, b0) in zip(raw, balanced):
+        assert c0 == c
+        for x, x0 in ((a, a0.value), (b, b0.value)):
+            assert (x - x0) % M == 0
+            assert -Fraction(M, 2) <= x0 < Fraction(M, 2)
+
+
 PAIRS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_pairs.json"
 
 
@@ -213,20 +229,10 @@ def _plans(seed) -> dict:
 
 def _walk(runs, pts):
     """Each (lhs, rhs) pair of the plans runs over the grid pts, or None for
-    a parameter set that raises PoleProximityError, walked as verify() walks
-    it: grid points outer, parameter sets inner, one memo per point."""
+    a parameter set that raises PoleProximityError, in verify()'s order."""
     for pt in pts:
-        token = _POINT_MEMO.set({})
-        try:
-            for run in runs:
-                try:
-                    pairs = run(pt, GUARDED)
-                except PoleProximityError:
-                    yield None
-                    continue
-                yield from [pairs] if isinstance(pairs, tuple) else pairs
-        finally:
-            _POINT_MEMO.reset(token)
+        for pairs in V._run_point(runs, pt, GUARDED):
+            yield from [None] if pairs is None else pairs
 
 
 def _pair_hashes(seed):
