@@ -101,6 +101,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _half(b: int) -> str:
+    """str(Fraction(b, 2))."""
+    return f"{b}/2" if b % 2 else str(b // 2)
+
+
 def cmd_qexp(args) -> int:
     order = parse_rat(args.order)
     if args.fn == "theta":
@@ -114,11 +119,10 @@ def cmd_qexp(args) -> int:
     else:
         sys.stderr.write(f"unsupported-function: {args.fn} has no exact q-expansion\n")
         return 2
-    terms = []
-    for (alpha, b1, b2), c in sorted(series.terms.items()):
-        terms.append({"q": str(alpha), "z1": str(Fraction(b1, 2)),
-                      "z2": str(Fraction(b2, 2)),
-                      "re": str(c.re), "im": str(c.im)})
+    den, rows = series.rows()
+    qs = {a: str(Fraction(a, den)) for a in {row[0] for row in rows}}
+    terms = [{"q": qs[a], "z1": _half(b1), "z2": _half(b2), "re": str(re), "im": str(im)}
+             for a, b1, b2, re, im in rows]
     _emit({"fn": args.fn, "order": str(order), "terms": terms})
     return 0
 

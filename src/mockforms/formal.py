@@ -80,6 +80,14 @@ def _exact(x, what: str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _scale(tau_scale) -> Fraction:
+    """tau_scale as a Fraction: exact, and positive, as Im(tau_scale * tau) > 0."""
+    scale = _exact(tau_scale, "tau_scale")
+    if scale <= 0:
+        raise ValueError(f"tau_scale {scale} is not positive")
+    return scale
+
+
 def _top(order: Fraction, den: int) -> int:
     """floor(order * den): the largest q-numerator over den within order."""
     return order.numerator * den // order.denominator
@@ -150,6 +158,12 @@ class FormalSeries:
 
     def _like(self, store) -> FormalSeries:
         return _new(store, self._den, self._top, self.order, self.zmax)
+
+    def rows(self):
+        """(den, rows): the terms as rows (A, b1, b2, re, im), sorted, the term
+        (re + im i) q^{A/den} zeta_1^{b1/2} zeta_2^{b2/2}; a reader of every
+        coefficient that forms no Fraction and no GRat per term."""
+        return self._den, sorted(k + c for k, c in self._store.items())
 
     def zspan(self) -> int:
         return max((max(abs(b1), abs(b2)) for (_, b1, b2) in self._store), default=0)
@@ -279,7 +293,7 @@ def _new(store, den, top, order, zmax=None) -> FormalSeries:
 
 def _series(acc, den, top, order, zmax=None) -> FormalSeries:
     """The series with coefficient (re + im i) q^{A/den} zeta^(b1, b2) for each
-    acc[(A, b1, b2)] = [re, im], A <= top, dropping the zeros."""
+    acc[(A, b1, b2)] = [re, im] or (re, im), A <= top, dropping the zeros."""
     return _new({k: (re, im) for k, (re, im) in acc.items() if re or im},
                 den, top, order, zmax)
 
@@ -336,17 +350,6 @@ def _zeta_monomial(tn: int, td: int, arg: ZArg):
     return b1, b2, _quarter_turns(tn * arg.c.numerator, td * arg.c.denominator)
 
 
-def _add_unit(acc, key, k: int):
-    """acc[key] += i^k."""
-    re, im = _UNIT[k % 4]
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = [re, im]
-    else:
-        cur[0] += re
-        cur[1] += im
-
-
 def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     """Theta_{j,m}(tau_scale * tau, u(z)) as a formal series; terms
     q^{tau_scale * m n^2} zeta^{m n * u} over n in Z + j/2m."""
@@ -355,7 +358,7 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     if m.twice <= 0:
         raise ValueError("degree m must be positive")
     order = _exact(order, "order")
-    scale = _exact(tau_scale, "tau_scale")
+    scale = _scale(tau_scale)
     kmax = math.isqrt(math.floor(order / (scale * m.value))) + 1 if order >= 0 else 0
     # n = (r + k d)/d, so m n = m2 (r + k d)/2d and scale m n^2 = a/den
     d = 2 * m.twice
@@ -368,35 +371,39 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
         a = scale.numerator * m.twice * n * n
         if a <= top:
             b1, b2, ph = _zeta_monomial(m.twice * n, 2 * d, z)
-            _add_unit(acc, (a, b1, b2), ph)
+            u, cur = _UNIT[ph], acc.get(key := (a, b1, b2))
+            acc[key] = u if cur is None else (cur[0] + u[0], cur[1] + u[1])
     return _series(acc, den, top, order)
 
 
 def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
-    """eta(tau_scale * tau)^power for power >= 1: the pentagonal series
-    sum_k (-1)^k q^{(6k+1)^2/24}, exact to the order the product needs,
-    raised to the power by repeated squaring (eta^a eta^b is exact to
-    order + (a + b) tau_scale/24, as the sequential product is)."""
+    """eta(tau_scale * tau)^p for p >= 1, exact to order + p tau_scale/24:
+    q^{p tau_scale/24} P(x)^p, x = q^tau_scale, with P = prod (1 - x^n) =
+    sum a_i x^i the pentagonal series theta.dedekind_eta sums (a_i = +-1 at
+    i = k(3k+1)/2) and P^p = sum c_n x^n by the power recurrence (Knuth,
+    TAOCP 2, 4.7): n c_n = sum_{i>=1} ((p+1) i - n) a_i c_{n-i}, c_0 = 1."""
     if power < 1:
         raise ValueError("eta power must be at least 1")
-    scale = _exact(tau_scale, "tau_scale")
-    order = _exact(order, "order") + scale / 24
-    den = 24 * scale.denominator
-    top = _top(order, den)
-    kmax = math.isqrt(max(0, math.floor(24 * order / scale))) // 6 + 1
-    acc = {}
-    for k in range(-kmax, kmax + 1):
-        a = scale.numerator * (6 * k + 1) ** 2
-        if a <= top:
-            _add_unit(acc, (a, 0, 0), 2 * k)
-    sq = _series(acc, den, top, order)
-    out = sq if power & 1 else None
-    while power > 1:
-        power >>= 1
-        sq = sq * sq
-        if power & 1:
-            out = sq if out is None else out * sq
-    return out
+    if not isinstance(power, int):
+        raise TypeError(f"eta power {power!r} is not an int")
+    scale = _scale(tau_scale)
+    order = _exact(order, "order")
+    sn, den = scale.numerator, 24 * scale.denominator
+    nmax = _top(order, den) // (24 * sn)            # x^n with n * scale <= order
+    pent = sorted((k * (3 * k + 1) // 2, 1 - 2 * (k & 1))
+                  for k in range(-nmax, nmax + 1) if 0 < k * (3 * k + 1) // 2 <= nmax)
+    c = [1] if nmax >= 0 else []
+    for n in range(1, nmax + 1):
+        t = 0
+        for i, a in pent:
+            if i > n:
+                break
+            t += a * ((power + 1) * i - n) * c[n - i]
+        c.append(t // n)
+    # a negative order leaves no term; the result keeps eta^1's order then
+    order += (power if order >= 0 else 1) * scale / 24
+    return _new({(sn * (power + 24 * n), 0, 0): (cn, 0) for n, cn in enumerate(c) if cn},
+                den, _top(order, den), order)
 
 
 def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
@@ -404,63 +411,76 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     """Phi_1^{[m;s]}(tau_scale * tau, u1(z), u2(z)) expanded in the annulus
     regime.  zcap bounds the zeta degree kept for the q^0 geometric pieces;
     the result's zmax records the guaranteed-exact window."""
-    m = HalfInt.of(m)
-    s = HalfInt.of(s)
-    if m.twice <= 0:
-        raise ValueError("degree m must be positive")
-    order = _exact(order, "order")
-    scale = _exact(tau_scale, "tau_scale")
-    # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den
-    sn, den = scale.numerator, 2 * scale.denominator
-    top = _top(order, den)
-    zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
-    sb1, sb2, sph = _zeta_monomial(s.twice, 2, z1)
-    wb1, wb2, wph = _zeta_monomial(1, 1, z1)
-    acc = {}
-
-    def add_j(j: int) -> bool:
-        a = sn * (m.twice * j * j + s.twice * j)
-        if a > top:
-            return False
-        # numerator e^{2 pi i (m j (u1+u2) + s u1)} q^a over 1 - w, with
-        # w = e^{2 pi i u1} q^{scale*j} the step; a large w is expanded as
-        # 1/(1-w) = -w^{-1}/(1 - w^{-1}), a lead term and the step w^{-1}
-        b1, b2, ph = _zeta_monomial(m.twice * j, 2, zsum)
-        b1, b2, ph = b1 + sb1, b2 + sb2, ph + sph + (2 if sign < 0 and j % 2 else 0)
-        dq, d1, d2, dph = 2 * sn * j, wb1, wb2, wph
-        if (dq, d1, d2) == (0, 0, 0):
-            raise UnsupportedCaseError("denominator is constant; index unsupported")
-        lead_b1 = 0
-        if (dq, d1, d2) < (0, 0, 0):
-            dq, d1, d2, dph = -dq, -d1, -d2, -dph
-            a, b1, b2, ph, lead_b1 = a + dq, b1 + d1, b2 + d2, ph + dph + 2, d1
-        zlim = 2 * zcap + 2 * abs(lead_b1) + 2
-        r = 0
-        while a <= top and max(abs(b1), abs(b2)) <= zlim:
-            _add_unit(acc, (a, b1, b2), ph)
-            a, b1, b2, ph = a + dq, b1 + d1, b2 + d2, ph + dph
-            r += 1
-            if dq == 0 and r > 2 * zcap + 4:
-                break
-        return True
-
-    add_j(0)
-    for step in (1, -1):
-        j = step
-        while add_j(j):
-            j += step
-    return _series(acc, den, top, order, zmax=2 * zcap)
+    return _appell(m, s, order, tau_scale, zcap, sign, (z1, z2))
 
 
 def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
                zcap: int = 24, sign: int = 1) -> FormalSeries:
     """Assembled Phi^{[m;s]} (t-prefactor stripped): Phi_1(u1, u2) minus
-    Phi_1 at the swap-negated arguments."""
-    a = expand_phi1(m, s, order, tau_scale, z1, z2, zcap, sign)
+    Phi_1 at the swap-negated arguments (-u2, -u1), both halves summed into
+    one accumulator, the second with the phase i^2 = -1."""
     nz1 = ZArg(-z2.a1, -z2.a2, -z2.c)
     nz2 = ZArg(-z1.a1, -z1.a2, -z1.c)
-    b = expand_phi1(m, s, order, tau_scale, nz1, nz2, zcap, sign)
-    return a - b
+    return _appell(m, s, order, tau_scale, zcap, sign, (z1, z2), (nz1, nz2))
+
+
+def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
+    """The sum over k of (-1)^k Phi_1 at the k-th argument pair (u1, u2) of
+    halves, in one accumulator."""
+    m = HalfInt.of(m)
+    s = HalfInt.of(s)
+    if m.twice <= 0:
+        raise ValueError("degree m must be positive")
+    order = _exact(order, "order")
+    scale = _scale(tau_scale)
+    # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den
+    m2, s2, sn, den = m.twice, s.twice, scale.numerator, 2 * scale.denominator
+    top = _top(order, den)
+    # j runs outward from 0 on each side while q_j <= top
+    js = [0] if top >= 0 else []
+    for step in (1, -1):
+        j = step
+        while sn * (m2 * j * j + s2 * j) <= top:
+            js.append(j)
+            j += step
+    acc = {}
+    for k, (z1, z2) in enumerate(halves):
+        sb1, sb2, sph = _zeta_monomial(s2, 2, z1)
+        wb1, wb2, wph = _zeta_monomial(1, 1, z1)
+        if top >= 0 and (wb1, wb2) == (0, 0):       # j = 0's denominator
+            raise UnsupportedCaseError("denominator is constant; index unsupported")
+        # e^{2 pi i m j (u1+u2)} is the j-th power of its j = 1 monomial; it is
+        # formed at the first j != 0, so an unsupported zsum raises as there
+        j0 = next((j for j in js if j), 0)
+        zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
+        mb1, mb2, mph = (j0 * x for x in _zeta_monomial(j0 * m2, 2, zsum))
+        # w = e^{2 pi i u1} q^{scale j} steps the run at j; a large w (j < 0, or j = 0
+        # with a negative zeta step) is 1/(1-w) = -w^{-1}/(1 - w^{-1}): step w^{-1}
+        flip0 = (wb1, wb2) < (0, 0)
+        up = (wb1, wb2, wph, 2 * zcap + 2)
+        down = (-wb1, -wb2, -wph, 2 * zcap + 2 * abs(wb1) + 2)
+        for j in js:
+            # numerator e^{2 pi i (m j (u1+u2) + s u1)} q^{q_j}
+            a, b1, b2 = sn * (m2 * j * j + s2 * j), mb1 * j + sb1, mb2 * j + sb2
+            ph = mph * j + sph + 2 * k + (2 if sign < 0 and j % 2 else 0)
+            if j > 0 or j == 0 and not flip0:
+                dq, (d1, d2, dph, zlim) = 2 * sn * j, up
+            else:
+                dq, (d1, d2, dph, zlim) = -2 * sn * j, down
+                a, b1, b2, ph = a + dq, b1 + d1, b2 + d2, ph + dph + 2
+            # the run ends before its first term past top or outside the zeta
+            # window; a pure zeta run (j = 0) after 2 zcap + 5 terms
+            n = 0 if max(abs(b1), abs(b2)) > zlim else (top - a) // dq + 1 if dq else 2 * zcap + 5
+            if d1:
+                n = min(n, (zlim - b1 if d1 > 0 else zlim + b1) // abs(d1) + 1)
+            if d2:
+                n = min(n, (zlim - b2 if d2 > 0 else zlim + b2) // abs(d2) + 1)
+            for _ in range(n):
+                u = _UNIT[ph & 3]
+                cur = acc.get(key := (a, b1, b2))
+                acc[key] = u if cur is None else (cur[0] + u[0], cur[1] + u[1])
+                a, b1, b2, ph = a + dq, b1 + d1, b2 + d2, ph + dph
+    return _new({k: c for k, c in acc.items() if c != _ZERO}, den, top, order, 2 * zcap)
 
 
 # theta.jacobi_theta's unit coefficients (1.0, 1j, ...) as exact i^k

@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import itertools
 import json
+import math
 import pickle
 from fractions import Fraction as F
 from pathlib import Path
@@ -152,30 +154,171 @@ def test_round_trip_numeric():
 
 
 def test_eta_power_two_routes():
-    # eta^p against q^{p/24} prod (1 - q^n)^p multiplied out factor by factor
-    order = F(10)
-    for p in (1, 3, 8, 24):
-        for scale in (1, 2):
-            eta = expand_eta_quotient(p, order, scale)
-            top = order + F(p * scale, 24)
-            prod = FormalSeries({(F(p * scale, 24), 0, 0): GR_ONE}, top)
-            for n in range(1, int(order // scale) + 1):
-                fac = FormalSeries({(F(0), 0, 0): GR_ONE, (F(n * scale), 0, 0): -GR_ONE}, top)
-                for _ in range(p):
-                    prod = prod * fac
-            assert eta.order == top and eta.zmax is None
-            assert eta.terms == prod.terms, (p, scale)
+    # eta^p against q^{p scale/24} prod (1 - q^{n scale})^p multiplied out
+    # factor by factor, the product for p built on the one for p - 1
+    for order in (F(0), F(1, 3), F(8), F(35, 4), F(12)):
+        for scale in (F(1), F(2), F(1, 2), F(3, 2)):
+            facs = [{(F(0), 0, 0): GR_ONE, (n * scale, 0, 0): -GR_ONE}
+                    for n in range(1, int(order // scale) + 1)]
+            prod = FormalSeries.constant(order=order)
+            for p in range(1, 31):
+                top = order + p * scale / 24
+                prod = prod * FormalSeries({(scale / 24, 0, 0): GR_ONE}, top)
+                for fac in facs:
+                    prod = prod * FormalSeries(fac, top)
+                eta = expand_eta_quotient(p, order, scale)
+                assert prod.order == top and prod.zmax is None
+                assert (eta.terms, eta.order, eta.zmax) == (prod.terms, top, None), (
+                    p, order, scale)
     e24 = expand_eta_quotient(24, 10)
     low = {k[0]: v for k, v in e24.terms.items() if k[0] <= 3}
     assert low[F(1)].re == 1 and low[F(2)].re == -24 and low[F(3)].re == 252
     for p in (0, -1):
         with pytest.raises(ValueError):
             expand_eta_quotient(p, 10)
+    for p in (2.5, F(3)):
+        with pytest.raises(TypeError):
+            expand_eta_quotient(p, 10)
+
+
+def test_eta24_is_ramanujan_tau():
+    # eta^24 = sum tau(n) q^n to q^100, checked by laws of tau that no table
+    # of its values could satisfy by accident
+    e24 = expand_eta_quotient(24, 99)
+    assert e24.order == 100 and all(k[1:] == (0, 0) and c.im == 0 for k, c in e24.terms.items())
+    tau = {int(k[0]): c.re for k, c in e24.terms.items()}
+    assert set(tau) == set(range(1, 101)) and tau[1] == 1
+    for n in range(1, 101):                         # Ramanujan's congruence
+        assert (tau[n] - sum(d ** 11 for d in range(1, n + 1) if n % d == 0)) % 691 == 0, n
+    for m in range(2, 51):                          # multiplicativity
+        for n in range(m + 1, 100 // m + 1):
+            if math.gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+    for p in (2, 3, 5, 7):                          # the Hecke relation at p^2
+        assert tau[p * p] == tau[p] ** 2 - p ** 11, p
+
+
+def _phi_by_definition(m, s, order, scale, z1, z2, zcap, sign):
+    """Phi_1(u1, u2) - Phi_1(-u2, -u1), the assembly expand_phi sums at once."""
+    nz1, nz2 = ZArg(-z2.a1, -z2.a2, -z2.c), ZArg(-z1.a1, -z1.a2, -z1.c)
+    return (expand_phi1(m, s, order, scale, z1, z2, zcap, sign)
+            - expand_phi1(m, s, order, scale, nz1, nz2, zcap, sign))
+
+
+_HALF = F(1, 2)
+_GEN = ZArg.of(_HALF, -1, F(1, 4))
+# argument pairs (u1, u2): the standard pair, quarter and half offsets, general
+# coefficients, reflected and swapped arguments, and half-integer zeta steps
+_ZPAIRS = ((ZArg.of(1, 0), ZArg.of(0, 1)), (ZArg.of(1, 0, _HALF), ZArg.of(0, 1, F(1, 4))),
+           (_GEN, ZArg.of(0, 1)), (ZArg.of(1, 0), _GEN), (_GEN, _GEN),
+           (ZArg.of(1, 0), ZArg.of(0, _HALF)), (ZArg.of(-1, 0), ZArg.of(0, -1)),
+           (ZArg.of(_HALF, 0), ZArg.of(0, _HALF)), (ZArg.of(0, 1), ZArg.of(1, 0)))
+
+
+def test_phi_is_its_definition():
+    # store for store, and an unsupported input raises as the first of the two
+    # Phi_1 expansions that fails
+    seen, raised = 0, set()
+    for m, s, scale, zcap, sign, order, (z1, z2) in itertools.product(
+            (_HALF, 1, F(3, 2), 2), (-F(3, 2), -1, -_HALF, 0, _HALF, 1, F(5, 2)),
+            (1, 2, _HALF), (3, 8, 24), (1, -1), (8, F(35, 4)), _ZPAIRS):
+        args = (m, s, order, scale, z1, z2, zcap, sign)
+        try:
+            want = _phi_by_definition(*args)
+        except UnsupportedCaseError as exc:
+            with pytest.raises(UnsupportedCaseError) as got:
+                expand_phi(*args)
+            assert str(got.value) == str(exc), args
+            raised.add(str(exc))
+            continue
+        got = expand_phi(*args)
+        assert (got._store, got._den, got._top, got.order, got.zmax) == (
+            want._store, want._den, want._top, want.order, want.zmax), args
+        seen += 1
+    assert seen > 1000 and len(raised) >= 3
+
+
+def _phi1_reference(m, s, order, scale, z1, z2, zcap, sign):
+    """Phi_1 term by term in Fractions: j walks out from 0 while q_j <= order,
+    and each geometric run steps while it is inside order and the zeta window
+    (a pure zeta run at most 2 zcap + 5 terms)."""
+    m, s, order, scale = F(m), F(s), F(order), F(scale)
+    terms = {}
+    js = [0] if order >= 0 else []
+    for step in (1, -1):
+        j = step
+        while scale * (m * j * j + s * j) <= order:
+            js.append(j)
+            j += step
+    for j in js:
+        t1, t2 = m * j + s, m * j                   # e^{2 pi i (t1 u1 + t2 u2)}
+        alpha = scale * (m * j * j + s * j)
+        b1, b2 = 2 * (t1 * z1.a1 + t2 * z2.a1), 2 * (t1 * z1.a2 + t2 * z2.a2)
+        k = 4 * (t1 * z1.c + t2 * z2.c) + (2 if sign < 0 and j % 2 else 0)
+        dq, d1, d2, dk = scale * j, 2 * z1.a1, 2 * z1.a2, 4 * z1.c
+        lead = 0
+        if (dq, d1, d2) < (0, 0, 0):                # 1/(1-w) = -w^{-1}/(1-w^{-1})
+            dq, d1, d2, dk = -dq, -d1, -d2, -dk
+            alpha, b1, b2, k, lead = alpha + dq, b1 + d1, b2 + d2, k + dk + 2, d1
+        r = 0
+        while alpha <= order and max(abs(b1), abs(b2)) <= 2 * zcap + 2 * abs(lead) + 2:
+            key = (alpha, int(b1), int(b2))
+            unit = (GR_ONE, GRat(0, 1), -GR_ONE, GRat(0, -1))[int(k) % 4]
+            terms[key] = terms.get(key, GRat(0)) + unit
+            alpha, b1, b2, k, r = alpha + dq, b1 + d1, b2 + d2, k + dk, r + 1
+            if dq == 0 and r > 2 * zcap + 4:
+                break
+    return {key: c for key, c in terms.items() if c}
+
+
+def test_phi1_matches_termwise_reference():
+    seen = 0
+    for m, s, scale, (zcap, sign), (z1, z2) in itertools.product(
+            (_HALF, 1, F(3, 2)), (-F(3, 2), -_HALF, 0, _HALF, 1), (1, 2, _HALF),
+            ((3, 1), (8, -1)), _ZPAIRS):
+        args = (m, s, 8, scale, z1, z2, zcap, sign)
+        try:
+            got = expand_phi1(*args)
+        except UnsupportedCaseError:
+            continue
+        assert got.terms == _phi1_reference(*args), args
+        assert (got.order, got.zmax) == (8, 2 * zcap)
+        seen += 1
+    assert seen > 300
 
 
 def test_unsupported_index_error():
-    with pytest.raises(UnsupportedCaseError):
-        expand_phi1(1, 0, 6, z1=ZArg.of(0, 0, F(1, 2)))
+    # the messages name the failing piece
+    for call, msg in (
+            (lambda: expand_phi1(1, 0, 6, z1=ZArg.of(0, 0, F(1, 2))),
+             "denominator is constant; index unsupported"),
+            (lambda: expand_phi(F(3, 2), F(1, 2), 8, z1=ZArg.of(F(1, 2), -1, F(1, 4))),
+             "zeta exponent 1/2*(1/2,-1) leaves (1/2)Z"),
+            (lambda: expand_phi1(F(3, 2), 0, 8, z1=ZArg.of(F(1, 2), -1, F(1, 4))),
+             "zeta exponent 3/2*(1/2,0) leaves (1/2)Z"),
+            (lambda: expand_phi(F(3, 2), F(1, 2), 8, z1=ZArg.of(1, 0, F(1, 3))),
+             "phase exponent 1/6 is not a quarter integer"),
+            (lambda: expand_phi(1, F(1, 2), 8, z2=ZArg.of(0, F(1, 2))),
+             "zeta exponent 1/2*(0,-1/2) leaves (1/2)Z"),
+            # m j (u1 + u2) fails first at j = -1: q^{6/2} is past order 2
+            (lambda: expand_phi1(F(1, 2), F(5, 2), 2, z2=ZArg.of(F(1, 2), 0)),
+             "zeta exponent -1/2*(3/2,0) leaves (1/2)Z")):
+        with pytest.raises(UnsupportedCaseError) as exc:
+            call()
+        assert str(exc.value) == msg
+    expand_phi1(1, F(1, 2), 8, z2=ZArg.of(0, F(1, 2)))       # only Phi's second half fails
+    # below order 0 no j is reached, so neither failing piece is formed
+    assert not expand_phi1(F(1, 2), F(5, 2), -5, z2=ZArg.of(F(1, 2), 0)).terms
+    assert not expand_phi1(1, 0, -1, z1=ZArg.of(0, 0, F(1, 2))).terms
+
+
+def test_phi1_zeta_runs():
+    # the j = 0 run zeta_1^{(s + r)/2}, r >= 0, ends at the zeta window
+    # 2 zcap + 2 or after 2 zcap + 5 terms, whichever comes first
+    half_z1 = ZArg.of(F(1, 2), 0)
+    for s, b1s in ((0, range(0, 9)), (-3, range(-3, 8))):
+        got = expand_phi1(4, s, 0, 1, half_z1, ZArg.of(0, 1), zcap=3)
+        assert got.terms == {(F(0), b1, 0): GR_ONE for b1 in b1s}, s
 
 
 GOLDEN = Path(__file__).parent / "golden" / "formal_expansions.json"
@@ -268,6 +411,14 @@ def test_inexact_inputs_are_refused():
                 ("tau_scale", lambda: expand_jacobi_theta(0, 1, 4, bad))):
             with pytest.raises(TypeError, match=what):
                 call()
+    # a tau_scale <= 0 has no q-expansion: Phi_1 and Phi used to walk j forever,
+    # Theta and eta to divide by zero or return negative q-powers
+    for bad in (0, -1, F(-1, 2)):
+        for call in (lambda: expand_theta(0, 1, 4, bad), lambda: expand_phi1(1, 0, 4, bad),
+                     lambda: expand_phi(1, 0, 4, bad), lambda: expand_eta_quotient(3, 4, bad),
+                     lambda: expand_jacobi_theta(0, 1, 4, bad)):
+            with pytest.raises(ValueError, match="tau_scale"):
+                call()
     assert FormalSeries({(F(3, 10), 0, 0): GR_ONE}, F(3, 10)).terms == {(F(3, 10), 0, 0): GR_ONE}
     assert expand_theta(0, 1, F(3, 10)).order == F(3, 10)
 
@@ -310,13 +461,14 @@ def test_exact_work_ceilings(monkeypatch):
     # Fractions are formed where a value enters or leaves a series, not per
     # coefficient operation.  Measured: eta^24 to q^12 made 9,798 with
     # Fraction exponents and coefficients, 408 on integer loops over
-    # Fraction-keyed series and 26 on integer-keyed series; the tau-doubled
-    # Phi to q^10 made 1,472, 32 and 16.
+    # Fraction-keyed series, 26 on integer-keyed series raised by squaring and
+    # 5 by the power recurrence; the tau-doubled Phi to q^10 made 1,472, 32,
+    # 16 as two Phi_1 series and a difference, and 14 in one accumulator.
     def made(call):
         return _fraction_calls(monkeypatch, "__new__", call)
 
-    assert made(lambda: expand_eta_quotient(24, 12)) <= 26
-    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 16
+    assert made(lambda: expand_eta_quotient(24, 12)) <= 5
+    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 14
 
 
 def test_series_arithmetic_hashes_no_fraction(monkeypatch):
