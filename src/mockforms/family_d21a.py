@@ -33,7 +33,7 @@ from .qkernel import (
     UnsupportedCaseError,
     e2pi,
 )
-from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
+from .theta import ThetaIndex, eta_theta_quotient, theta_jm
 from .mock import MockIndex, PsiIndex
 from .modification import phi_tilde, psi_tilde
 from .family_n4 import SECTORS, Sector
@@ -386,15 +386,10 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
 def rhat(tau, z1, z2, z3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (super)denominators in the four sectors."""
     a, b = sector.a, sector.b
-    sgn = -1.0 if (sector.eps.twice and sector.eps_prime.twice) else 1.0
-    num = (dedekind_eta(tau, policy) ** 4
-           * jacobi_theta(1, 1, tau, z1 - z2, policy)
-           * jacobi_theta(1, 1, tau, z1 - z3, policy)
-           * jacobi_theta(1, 1, tau, z2 + z3, policy))
-    den = 1.0 + 0.0j
-    for u in (z1, z2, z3, z1 - z2 - z3):
-        den *= jacobi_theta(a, b, tau, u, policy)
-    return -sgn * 1j * num / den
+    c = 1j if (sector.eps.twice and sector.eps_prime.twice) else -1j
+    num = ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 - z3, 1), (1, 1, z2 + z3, 1))
+    den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, z3, 1), (a, b, z1 - z2 - z3, 1))
+    return eta_theta_quotient(tau, c, num, den, policy)
 
 
 def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -405,10 +400,8 @@ def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAU
     characters must equal the positive-coefficient degree-(p+1) theta
     quotients)."""
     a, b = sector.a, sector.b
-    return -(dedekind_eta(tau, policy) ** 3
-             * jacobi_theta(1, 1, tau, y2, policy) * jacobi_theta(1, 1, tau, y3, policy)
-             / (jacobi_theta(a, b, tau, (y2 + y3) / 2, policy)
-                * jacobi_theta(a, b, tau, (y2 - y3) / 2, policy)))
+    return eta_theta_quotient(tau, -1.0, ((1, 3), (1, 1, y2, 1), (1, 1, y3, 1)),
+                              ((a, b, (y2 + y3) / 2, 1), (a, b, (y2 - y3) / 2, 1)), policy)
 
 
 def hr_point(tau, y2, y3):

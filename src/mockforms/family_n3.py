@@ -28,7 +28,7 @@ from .qkernel import (
     UnsupportedCaseError,
     e2pi,
 )
-from .theta import dedekind_eta, jacobi_theta
+from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, phi, psi
 from .modification import phi_tilde, psi_tilde
 
@@ -174,17 +174,18 @@ def integrability_flags(w: N3Weight) -> dict:
 def rhat(tau, z1, z2, t=0.0, plus=False, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (super)denominator; the superdenominator carries
     the constant +i fixed against the Weyl-product form."""
-    eta3 = dedekind_eta(tau, policy) ** 3
-    num = jacobi_theta(1, 1, tau, z1 + z2, policy) * jacobi_theta(1, 1, tau, (z1 - z2) / 2, policy)
-    if plus:
-        den = (jacobi_theta(1, 0, tau, z1, policy) * jacobi_theta(1, 0, tau, z2, policy)
-               * jacobi_theta(1, 0, tau, (z1 + z2) / 2, policy))
-        c = 1.0
-    else:
-        den = (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy)
-               * jacobi_theta(1, 1, tau, (z1 + z2) / 2, policy))
-        c = 1.0j
-    return c * e2pi(t / 2.0) * eta3 * num / den
+    (a, b), c = ((1, 0), 1.0) if plus else ((1, 1), 1j)
+    num = ((1, 3), (1, 1, z1 + z2, 1), (1, 1, (z1 - z2) / 2, 1))
+    den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, (z1 + z2) / 2, 1))
+    return eta_theta_quotient(tau, c * e2pi(t / 2.0), num, den, policy)
+
+
+# each N=3 denominator as (eta rows) theta_11(z) / ((eta rows) theta_ab(z))
+_N3_SECTORS = {
+    "ns_plus": (((0.5, 1), (2, 1)), (), (0, 0)),
+    "ns_minus": (((1, 3),), ((0.5, 1),), (0, 1)),
+    "ramond": (((1, 3),), ((2, 1),), (1, 0)),
+}
 
 
 def n3_denominator(tau, z, sector: str, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -195,19 +196,10 @@ def n3_denominator(tau, z, sector: str, policy: TruncationPolicy = DEFAULT_POLIC
     characters at n = 1 must equal degree-one theta quotients exactly) and
     matches the sign slack of the odd theta-factor convention.
     """
-    th11 = jacobi_theta(1, 1, tau, z, policy)
-    if sector == "ns_plus":
-        val = (dedekind_eta(tau / 2, policy) * dedekind_eta(2 * tau, policy) * th11
-               / jacobi_theta(0, 0, tau, z, policy))
-    elif sector == "ns_minus":
-        val = (dedekind_eta(tau, policy) ** 3 * th11
-               / (dedekind_eta(tau / 2, policy) * jacobi_theta(0, 1, tau, z, policy)))
-    elif sector == "ramond":
-        val = (dedekind_eta(tau, policy) ** 3 * th11
-               / (dedekind_eta(2 * tau, policy) * jacobi_theta(1, 0, tau, z, policy)))
-    else:
+    if sector not in _N3_SECTORS:
         raise ValueError(f"unknown sector {sector}")
-    return -1j * val
+    num, den, (a, b) = _N3_SECTORS[sector]
+    return eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (a, b, z, 1)), policy)
 
 
 # --- numerators ----------------------------------------------------------

@@ -27,7 +27,7 @@ from .qkernel import (
     UnsupportedCaseError,
     e2pi,
 )
-from .theta import dedekind_eta, jacobi_theta
+from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, _psi_frame
 from .modification import phi_tilde, phi_tilde_d0, psi_tilde
 
@@ -143,9 +143,8 @@ def rhat(tau, z1, z2, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY)
     """Normalized affine (non-)twisted (super)denominators."""
     a, b = sector.a, sector.b
     sgn = -1.0 if sector.eps_prime.twice else 1.0
-    return (sgn * dedekind_eta(tau, policy) ** 4
-            * jacobi_theta(1, 1, tau, z1 - z2, policy) * jacobi_theta(1, 1, tau, z1 + z2, policy)
-            / (jacobi_theta(a, b, tau, z1, policy) ** 2 * jacobi_theta(a, b, tau, z2, policy) ** 2))
+    return eta_theta_quotient(tau, sgn, ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 + z2, 1)),
+                              ((a, b, z1, 2), (a, b, z2, 2)), policy)
 
 
 def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -157,8 +156,7 @@ def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     must equal 1 exactly."""
     a, b = sector.a, sector.b
     const = 1j * (-1.0) ** (sector.eps.twice + sector.eps_prime.twice)
-    return (const * dedekind_eta(tau, policy) ** 3 * jacobi_theta(1, 1, tau, 2 * z, policy)
-            / jacobi_theta(a, b, tau, z, policy) ** 2)
+    return eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
 
 
 # the sector of each reduced denominator: they swap the affine twist label

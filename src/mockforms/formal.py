@@ -400,8 +400,7 @@ def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
                 break
             t += a * ((power + 1) * i - n) * c[n - i]
         c.append(t // n)
-    # a negative order leaves no term; the result keeps eta^1's order then
-    order += (power if order >= 0 else 1) * scale / 24
+    order += power * scale / 24
     return _new({(sn * (power + 24 * n), 0, 0): (cn, 0) for n, cn in enumerate(c) if cn},
                 den, _top(order, den), order)
 

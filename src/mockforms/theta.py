@@ -163,6 +163,26 @@ def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> com
     return eta
 
 
+def _product(acc, rows, tau, policy):
+    for row in rows:
+        if len(row) == 2:
+            s, p = row
+            f = dedekind_eta(s * tau, policy)
+        else:
+            a, b, u, p = row
+            f = jacobi_theta(a, b, tau, u, policy)
+        acc *= f if p == 1 else f ** p
+    return acc
+
+
+def eta_theta_quotient(tau: complex, c, num, den,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """c * prod(num) / prod(den) over factor rows: (s, p) is eta(s tau)^p and
+    (a, b, u, p) is theta_ab(tau, u)^p, each product formed left to right, c
+    first.  A unit c (+-1, +-i) is exact and commutes with every rounding."""
+    return _product(c, num, tau, policy) / _product(1, den, tau, policy)
+
+
 def jacobi_theta11_product(tau: complex, z: complex) -> complex:
     """Triple-product form of theta_11, used as an independent oracle:
 

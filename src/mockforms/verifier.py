@@ -38,6 +38,7 @@ from .qkernel import (
 from .theta import (
     ThetaIndex,
     dedekind_eta,
+    eta_theta_quotient,
     jacobi_theta,
     jacobi_theta11_product,
     theta_jm,
@@ -388,9 +389,8 @@ def _mock_pairs():
     def rem13a(pt, policy, idx):
         tau, (z1, z2, _) = pt.tau, pt.zs
         lhs = phi(idx, tau, z1, z2, 0, policy)
-        rhs = (-1j * dedekind_eta(tau, policy) ** 3 * jacobi_theta(1, 1, tau, z1 + z2, policy)
-               / (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy)))
-        return lhs, rhs
+        return lhs, eta_theta_quotient(tau, -1j, ((1, 3), (1, 1, z1 + z2, 1)),
+                                       ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
 
     register(IdentitySpec(
         "rem1.3-phi", "degree-one closed form", "mock", 1e-10, [{}],
@@ -404,12 +404,10 @@ def _mock_pairs():
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
             lhs = psi_tilde(idx, tau, z1, z2, 0, policy)
-            eta3 = dedekind_eta(M * tau, policy) ** 3
-            rhs = (-1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2)
-                   * eta3 * jacobi_theta(1, 1, M * tau, z1 + z2 + (j + k) * tau, policy)
-                   / (jacobi_theta(1, 1, M * tau, z1 + j * tau + e, policy)
-                      * jacobi_theta(1, 1, M * tau, z2 + k * tau - e, policy)))
-            return lhs, rhs
+            return lhs, eta_theta_quotient(
+                M * tau, -1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2),
+                ((1, 3), (1, 1, z1 + z2 + (j + k) * tau, 1)),
+                ((1, 1, z1 + j * tau + e, 1), (1, 1, z2 + k * tau - e, 1)), policy)
         return run
 
     register(IdentitySpec(
@@ -454,9 +452,8 @@ def _mock_pairs():
         t = 0.03
         delta = 0 if sign > 0 else 1
         lhs = phi(idx, tau, z1, z2, t, policy, sign)
-        rhs = (-1j * e2pi(t / 2) * dedekind_eta(tau, policy) ** 3
-               * jacobi_theta(1, 1, tau, z1 + z2, policy)
-               / (jacobi_theta(1, 1, tau, z1, policy) * jacobi_theta(1, 1, tau, z2, policy))
+        rhs = (eta_theta_quotient(tau, -1j * e2pi(t / 2), ((1, 3), (1, 1, z1 + z2, 1)),
+                                  ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
                * jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
                / jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy))
         return lhs, rhs
@@ -709,16 +706,14 @@ def _n3_pairs():
         def run(pt, policy):
             tau, (z1, z2, _) = pt.tau, pt.zs
             t = 0.04
-            th = lambda a, b, zz: jacobi_theta(a, b, 2 * tau, zz, policy)
             lhs = num(w, tau, z1, z2, t, False, policy)
             pre = u * e2pi(-t / 4)
             s = tau if twisted else 0   # subtracting 0 leaves a complex as it is
             if twisted:
                 pre = pre * e2pi(-tau / 16) * e2pi((z1 + z2) / 8)
-            rhs = (pre * dedekind_eta(2 * tau, policy) ** 3
-                   * th(1, 1, z1 - z2) * th(1 - m2, b1, (z1 + z2 - s) / 2)
-                   / (th(a, b, z1 - s / 2) * th(a, b, z2 - s / 2) * th(c, 0, (z1 - z2) / 2)))
-            return lhs, rhs
+            return lhs, eta_theta_quotient(
+                2 * tau, pre, ((1, 3), (1, 1, z1 - z2, 1), (1 - m2, b1, (z1 + z2 - s) / 2, 1)),
+                ((a, b, z1 - s / 2, 1), (a, b, z2 - s / 2, 1), (c, 0, (z1 - z2) / 2, 1)), policy)
         return run
 
     for which in (5, 6, 7, 8, 9, 10):
@@ -1388,7 +1383,8 @@ def _d21a_pairs():
             lhs = (d2.fg_lower(g, tau, *zs, t, policy)
                    / d2.rhat(tau, *zs, g.sector, policy))
             th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
-            pref = ph / (dedekind_eta(tau, policy) * th(1, 1, z1 - z3) * th(1, 1, z2 + z3))
+            pref = eta_theta_quotient(tau, ph, (), ((1, 1), (1, 1, z1 - z3, 1),
+                                                    (1, 1, z2 + z3, 1)), policy)
             t1 = (s1 * theta_jm(xp, tau, z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
                   * th(a_, b_, z3) * th(a_, b_, z1 - z2 - z3))
             t2 = (s2 * theta_jm(xm, tau, z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)

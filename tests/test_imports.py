@@ -76,3 +76,14 @@ def test_definition_checker_flags_unreferenced_and_keeps_referenced():
 def test_every_package_definition_is_referenced():
     modules = {p.stem: p.read_text() for p in PACKAGE}
     assert unreferenced_definitions(modules, [p.read_text() for p in READERS]) == []
+
+
+FAMILIES = [ROOT / "src" / "mockforms" / f"family_{name}.py" for name in ("n3", "n4", "d21a")]
+QUOTIENT_FACTORS = {"dedekind_eta", "jacobi_theta"}
+
+
+@pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.name)
+def test_family_quotients_go_through_the_evaluator(path):
+    # a family forms its eta/theta quotients as factor rows of
+    # theta.eta_theta_quotient, never by calling eta or theta_ab itself
+    assert referenced_names(path.read_text()) & QUOTIENT_FACTORS == set()
