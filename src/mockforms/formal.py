@@ -340,14 +340,21 @@ Z1 = ZArg.of(1, 0)
 Z2 = ZArg.of(0, 1)
 
 
-def _zeta_monomial(tn: int, td: int, arg: ZArg):
-    """e^{2 pi i t u} for t = tn/td as (b1_twice, b2_twice, k), phase i^k."""
-    b1, r1 = divmod(2 * tn * arg.a1.numerator, td * arg.a1.denominator)
-    b2, r2 = divmod(2 * tn * arg.a2.numerator, td * arg.a2.denominator)
+def _ratios(arg: ZArg) -> tuple:
+    """The (numerator, denominator) int pairs of a1, a2 and c of arg."""
+    return tuple((x.numerator, x.denominator) for x in (arg.a1, arg.a2, arg.c))
+
+
+def _zeta_monomial(tn: int, td: int, arg: tuple):
+    """e^{2 pi i t u} for t = tn/td as (b1_twice, b2_twice, k), phase i^k, with
+    arg the _ratios of u, in lowest terms or not."""
+    (n1, d1), (n2, d2), (nc, dc) = arg
+    b1, r1 = divmod(2 * tn * n1, td * d1)
+    b2, r2 = divmod(2 * tn * n2, td * d2)
     if r1 or r2:
-        raise UnsupportedCaseError(
-            f"zeta exponent {Fraction(tn, td)}*({arg.a1},{arg.a2}) leaves (1/2)Z")
-    return b1, b2, _quarter_turns(tn * arg.c.numerator, td * arg.c.denominator)
+        raise UnsupportedCaseError(f"zeta exponent {Fraction(tn, td)}*"
+                                   f"({Fraction(n1, d1)},{Fraction(n2, d2)}) leaves (1/2)Z")
+    return b1, b2, _quarter_turns(tn * nc, td * dc)
 
 
 def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
@@ -366,6 +373,7 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     den = 2 * d * d * scale.denominator
     top = _top(order, den)
     acc = {}
+    z = _ratios(z)
     for k in range(-kmax, kmax + 1):
         n = r + k * d
         a = scale.numerator * m.twice * n * n
@@ -410,7 +418,7 @@ def expand_phi1(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     """Phi_1^{[m;s]}(tau_scale * tau, u1(z), u2(z)) expanded in the annulus
     regime.  zcap bounds the zeta degree kept for the q^0 geometric pieces;
     the result's zmax records the guaranteed-exact window."""
-    return _appell(m, s, order, tau_scale, zcap, sign, (z1, z2))
+    return _appell(m, s, order, tau_scale, zcap, sign, (_ratios(z1), _ratios(z2)))
 
 
 def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
@@ -418,14 +426,14 @@ def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
     """Assembled Phi^{[m;s]} (t-prefactor stripped): Phi_1(u1, u2) minus
     Phi_1 at the swap-negated arguments (-u2, -u1), both halves summed into
     one accumulator, the second with the phase i^2 = -1."""
-    nz1 = ZArg(-z2.a1, -z2.a2, -z2.c)
-    nz2 = ZArg(-z1.a1, -z1.a2, -z1.c)
+    z1, z2 = _ratios(z1), _ratios(z2)
+    nz1, nz2 = (tuple((-n, d) for n, d in z) for z in (z2, z1))
     return _appell(m, s, order, tau_scale, zcap, sign, (z1, z2), (nz1, nz2))
 
 
 def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
     """The sum over k of (-1)^k Phi_1 at the k-th argument pair (u1, u2) of
-    halves, in one accumulator."""
+    halves, each u given by its _ratios, in one accumulator."""
     m = HalfInt.of(m)
     s = HalfInt.of(s)
     if m.twice <= 0:
@@ -451,7 +459,7 @@ def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
         # e^{2 pi i m j (u1+u2)} is the j-th power of its j = 1 monomial; it is
         # formed at the first j != 0, so an unsupported zsum raises as there
         j0 = next((j for j in js if j), 0)
-        zsum = ZArg(z1.a1 + z2.a1, z1.a2 + z2.a2, z1.c + z2.c)
+        zsum = tuple((n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in zip(z1, z2))
         mb1, mb2, mph = (j0 * x for x in _zeta_monomial(j0 * m2, 2, zsum))
         # w = e^{2 pi i u1} q^{scale j} steps the run at j; a large w (j < 0, or j = 0
         # with a negative zeta step) is 1/(1-w) = -w^{-1}/(1 - w^{-1}): step w^{-1}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -41,11 +41,24 @@ from .qkernel import (
 from .theta import ThetaIndex
 
 
+@lru_cache(maxsize=256)
+def _correction_window(m2: int, s2: int) -> tuple:
+    """The correcting window of every MockIndex with 2m = m2 and 2s = s2 mod
+    4m (see MockIndex.correction_window), built once per such pair."""
+    mod = 2 * m2                                # 2j mod 4m gives j mod 2m
+    js = [(s2 + 2 * r) % mod for r in range(m2)]
+    at = {j2: r for r, j2 in enumerate(js)}
+    m = HalfInt(m2)
+    thetas = tuple(ThetaIndex(HalfInt(j2), m) for j2 in js)
+    return thetas, tuple((r, at[-j2 % mod]) for r, j2 in enumerate(js) if 2 * j2 % mod)
+
+
 @dataclass(frozen=True)
 class MockIndex:
-    """Degree m and index s of the Appell assembly.  The exact data the
-    modification derives from them is formed on first use and kept on the
-    index, so an index built once serves every evaluation."""
+    """Degree m and index s of the Appell assembly.  The correcting window
+    the modification derives from them depends on 2m and 2s mod 4m alone
+    and comes from one bounded table, so a fresh index built per
+    evaluation reuses it."""
 
     m: HalfInt  # positive half-integer degree
     s: HalfInt
@@ -58,17 +71,14 @@ class MockIndex:
             raise ValueError("degree m must be positive")
         return MockIndex(m, s)
 
-    @cached_property
+    @property
     def correction_window(self) -> tuple:
         """(thetas, duals) of the correcting window j = s + r, r = 0, ...,
         2m-1: thetas[r] the ThetaIndex (j mod 2m, m), and duals the pairs
         (r, r') with s + r' = -j mod 2m, for the r whose -j is not j mod 2m
         (a self-dual residue cancels in Theta_{-j,m} - Theta_{j,m})."""
-        mod = 2 * self.m.twice                    # 2j mod 4m gives j mod 2m
-        js = [(self.s.twice + 2 * r) % mod for r in range(self.m.twice)]
-        at = {j2: r for r, j2 in enumerate(js)}
-        thetas = tuple(ThetaIndex(HalfInt(j2), self.m) for j2 in js)
-        return thetas, tuple((r, at[-j2 % mod]) for r, j2 in enumerate(js) if 2 * j2 % mod)
+        m2 = self.m.twice
+        return _correction_window(m2, self.s.twice % (2 * m2))
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,55 @@ def _pole_floor(guard: float) -> float:
     return 4.0 * guard * x
 
 
+def _appell_anchor(series: tuple, j: int):
+    """(N_j, j, w_j, series): the numerator N_j = (+-1)^j e^{2 pi i (C + j (A j
+    + B))} and w_j = e^{2 pi i (z1 + j tau)} of series = (A, B, C, sign, tau,
+    z1, s, acc), exactly; the state _appell_walk starts from.
+    partial(_appell_anchor, series) is the anchor that sum_bilateral takes."""
+    A, B, C, sign, tau, z1, _, _ = series
+    num = cmath.exp(TWO_PI_I * (C + j * (A * j + B)))
+    if sign < 0 and j % 2:
+        num = -num
+    return num, j, cmath.exp(TWO_PI_I * (z1 + j * tau)), series
+
+
+def _appell_walk(state, count: int, step: int) -> complex:
+    """Sum of the count terms N_j / (1 - w_j) from an _appell_anchor state on,
+    by N <- N r, r <- r e^{4 pi i A} and w <- w q^step.  With a list acc in
+    the series, each term's D0 part t (s + w/D) is added to acc[0] in turn."""
+    num, j, w, (A, B, _, sign, tau, _, s, acc) = state
+    den = 1.0 - w
+    total = num / den
+    if acc is not None:
+        acc[0] += total * (s + w / den)
+    if count > 1:
+        r = sign * cmath.exp(TWO_PI_I * step * (A * (2.0 * j + step) + B))
+        qw = cmath.exp(TWO_PI_I * step * tau)
+        q2 = cmath.exp(2.0 * TWO_PI_I * A) if count > 2 else 0.0
+        if acc is None:
+            for _ in range(count - 1):
+                num *= r
+                r *= q2
+                w *= qw
+                den = 1.0 - w
+                total += num / den
+        else:
+            der = acc[0]
+            for _ in range(count - 1):
+                num *= r
+                r *= q2
+                w *= qw
+                den = 1.0 - w
+                t = num / den
+                total += t
+                der += t * (s + w / den)
+            acc[0] = der
+        if not cmath.isfinite(den):
+            # |w_j| grows down the walk, past where cmath.exp would raise
+            raise OverflowError("w_j overflowed")
+    return total
+
+
 def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
                policy: TruncationPolicy, sign: int = 1, want_d0: bool = False):
     """Appell sum and, optionally, its termwise (1/2 pi i)(d/dz1 - d/dz2).
@@ -158,44 +217,11 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     log_p = log_n - a * (j_star - j_c) ** 2 + (TWO_PI * y_star if y_star < 0 else 0.0) - LOG_2
     k_lo, k_hi = _index_range(j_star, j_c, a, log_n + math.log(lift), log_p, policy)
 
-    # the numerator N_j = e^{2 pi i (C + j (A j + B))} is a quadratic
-    # exponential in j, and w_{j+-1} = w_j q^{+-1}
-    A, B, C = m * tau, m * zsum + s * tau, s * z1
-    der = 0.0 + 0.0j
-
-    def anchor(j: int):
-        num = cmath.exp(TWO_PI_I * (C + j * (A * j + B)))
-        if sign < 0 and j % 2:
-            num = -num
-        return num, j, cmath.exp(TWO_PI_I * (z1 + j * tau))
-
-    def appell_walk(state, count: int, step: int) -> complex:
-        nonlocal der
-        num, j, w = state
-        den = 1.0 - w
-        total = num / den
-        if want_d0:
-            der += total * (s + w / den)
-        if count > 1:
-            r = sign * cmath.exp(TWO_PI_I * step * (A * (2.0 * j + step) + B))
-            qw = cmath.exp(TWO_PI_I * step * tau)
-            q2 = cmath.exp(2.0 * TWO_PI_I * A) if count > 2 else 0.0
-            for _ in range(count - 1):
-                num *= r
-                r *= q2
-                w *= qw
-                den = 1.0 - w
-                t = num / den
-                total += t
-                if want_d0:
-                    der += t * (s + w / den)
-            if not cmath.isfinite(den):
-                # |w_j| grows down the walk, past where cmath.exp would raise
-                raise OverflowError("w_j overflowed")
-        return total
-
-    val = sum_bilateral(anchor, j_star, k_lo, k_hi, policy, appell_walk)
-    out = (val, der) if want_d0 else val
+    acc = [0.0 + 0.0j] if want_d0 else None
+    series = (m * tau, m * zsum + s * tau, s * z1, sign, tau, z1, s, acc)
+    val = sum_bilateral(partial(_appell_anchor, series), j_star, k_lo, k_hi, policy,
+                        _appell_walk)
+    out = (val, acc[0]) if want_d0 else val
     if memo is not None:
         memo[key] = out
     return out

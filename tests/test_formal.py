@@ -465,12 +465,13 @@ def test_exact_work_ceilings(monkeypatch):
     # Fraction exponents and coefficients, 408 on integer loops over
     # Fraction-keyed series, 26 on integer-keyed series raised by squaring and
     # 5 by the power recurrence; the tau-doubled Phi to q^10 made 1,472, 32,
-    # 16 as two Phi_1 series and a difference, and 14 in one accumulator.
+    # 16 as two Phi_1 series and a difference, 14 in one accumulator and 2
+    # with its zeta arguments read as int ratios.
     def made(call):
         return _fraction_calls(monkeypatch, "__new__", call)
 
     assert made(lambda: expand_eta_quotient(24, 12)) <= 5
-    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 14
+    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 2
 
 
 def test_series_arithmetic_hashes_no_fraction(monkeypatch):

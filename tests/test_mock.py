@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from mockforms.qkernel import PoleProximityError, TruncationPolicy, e2pi
-from mockforms.theta import dedekind_eta, jacobi_theta
-from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
+from mockforms.qkernel import HalfInt, PoleProximityError, TruncationPolicy, e2pi
+from mockforms.theta import ThetaIndex, dedekind_eta, jacobi_theta
+from mockforms.mock import MockIndex, PsiIndex, _correction_window, phi, phi1, psi
 
 P = TruncationPolicy()
 TAU, Z1, Z2 = 2j, 0.3, 0.1
@@ -105,3 +105,25 @@ def test_psi_swap_symmetry_closed_form():
             a = psi(PsiIndex.of(3, 1, 0, eps, j, k), tau, z2, z1, 0.0, P)
             b = psi(PsiIndex.of(3, 1, 0, eps, k, j), tau, z1, z2, 0.0, P)
             assert abs(a - b) < 1e-10
+
+
+def _window_by_index(idx):
+    """The correcting window as each index formed it for itself, before the
+    shared table: the reference for test_window_table."""
+    mod = 2 * idx.m.twice
+    js = [(idx.s.twice + 2 * r) % mod for r in range(idx.m.twice)]
+    at = {j2: r for r, j2 in enumerate(js)}
+    thetas = tuple(ThetaIndex(HalfInt(j2), idx.m) for j2 in js)
+    return thetas, tuple((r, at[-j2 % mod]) for r, j2 in enumerate(js) if 2 * j2 % mod)
+
+
+def test_window_table():
+    for m2 in range(1, 13):
+        for s2 in range(-6 * m2, 6 * m2 + 1):
+            idx = MockIndex.of(F(m2, 2), F(s2, 2))
+            assert idx.correction_window == _window_by_index(idx), (m2, s2)
+            # s and s + 2m share one table entry, the same tuple
+            assert MockIndex.of(idx.m, idx.s + idx.m * 2).correction_window \
+                is idx.correction_window
+    info = _correction_window.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 1024
