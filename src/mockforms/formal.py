@@ -80,9 +80,9 @@ def _exact(x, what: str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _scale(tau_scale) -> Fraction:
-    """tau_scale as a Fraction: exact, and positive, as Im(tau_scale * tau) > 0."""
-    scale = _exact(tau_scale, "tau_scale")
+def _scale(tau_scale) -> int | Fraction:
+    """tau_scale, exact and positive (Im(tau_scale * tau) > 0); an int stays an int."""
+    scale = tau_scale if type(tau_scale) is int else _exact(tau_scale, "tau_scale")
     if scale <= 0:
         raise ValueError(f"tau_scale {scale} is not positive")
     return scale
@@ -222,7 +222,8 @@ class FormalSeries:
                 else:
                     cur[0] += xr * yr - xi * yi
                     cur[1] += xr * yi + xi * yr
-        return _series(acc, den, top, order, zmax)
+        return _new({k: (re, im) for k, (re, im) in acc.items() if re or im},
+                    den, top, order, zmax)
 
     def d0(self) -> FormalSeries:
         """Termwise (1/2 pi i)(d/dz1 - d/dz2): multiplies each monomial by
@@ -291,13 +292,6 @@ def _new(store, den, top, order, zmax=None) -> FormalSeries:
     return out
 
 
-def _series(acc, den, top, order, zmax=None) -> FormalSeries:
-    """The series with coefficient (re + im i) q^{A/den} zeta^(b1, b2) for each
-    acc[(A, b1, b2)] = [re, im] or (re, im), A <= top, dropping the zeros."""
-    return _new({k: (re, im) for k, (re, im) in acc.items() if re or im},
-                den, top, order, zmax)
-
-
 def _zmin(a, b):
     return b if a is None else a if b is None else min(a, b)
 
@@ -312,13 +306,16 @@ def series_equal(a: FormalSeries, b: FormalSeries, zwindow: int | None = None):
     den = math.lcm(a._den, b._den)
     xs, xtop = a._at(den)
     ys, ytop = b._at(den)
-    top = min(xtop, ytop)
-    diffs = [k for k in xs.keys() | ys.keys() if k[0] <= top
-             and (zmax is None or max(abs(k[1]), abs(k[2])) <= zmax)
-             and xs.get(k, _ZERO) != ys.get(k, _ZERO)]
-    if not diffs:
+    if xs == ys:                        # equal whole, so equal in any window
         return True, None
-    k = min(diffs)
+    top = min(xtop, ytop)
+    # no store holds a (0, 0), so the restricted stores are equal as dicts
+    # exactly when every coefficient in the window agrees
+    xs, ys = ({k: c for k, c in s.items() if k[0] <= top and (
+        zmax is None or -zmax <= k[1] <= zmax and -zmax <= k[2] <= zmax)} for s in (xs, ys))
+    if xs == ys:
+        return True, None
+    k = min(k for k in xs.keys() | ys.keys() if xs.get(k) != ys.get(k))
     return False, ((Fraction(k[0], den), k[1], k[2]),
                    GRat(*xs.get(k, _ZERO)), GRat(*ys.get(k, _ZERO)))
 
@@ -366,22 +363,30 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
         raise ValueError("degree m must be positive")
     order = _exact(order, "order")
     scale = _scale(tau_scale)
-    kmax = math.isqrt(math.floor(order / (scale * m.value))) + 1 if order >= 0 else 0
+    on, od, sn, sd = order.numerator, order.denominator, scale.numerator, scale.denominator
+    # |k| <= isqrt(floor(order / (scale m))) + 1, in ints
+    kmax = math.isqrt(2 * on * sd // (od * sn * m.twice)) + 1 if on >= 0 else 0
     # n = (r + k d)/d, so m n = m2 (r + k d)/2d and scale m n^2 = a/den
     d = 2 * m.twice
     r = j.twice % d
-    den = 2 * d * d * scale.denominator
+    den = 2 * d * d * sd
     top = _top(order, den)
     acc = {}
     z = _ratios(z)
     for k in range(-kmax, kmax + 1):
         n = r + k * d
-        a = scale.numerator * m.twice * n * n
+        a = sn * m.twice * n * n
         if a <= top:
             b1, b2, ph = _zeta_monomial(m.twice * n, 2 * d, z)
+            # only n and -n share a key, and only where u is a constant
             u, cur = _UNIT[ph], acc.get(key := (a, b1, b2))
-            acc[key] = u if cur is None else (cur[0] + u[0], cur[1] + u[1])
-    return _series(acc, den, top, order)
+            if cur is None:
+                acc[key] = u
+            elif cur != _UNIT[(ph + 2) % 4]:            # cur + u is not (0, 0)
+                acc[key] = (cur[0] + u[0], cur[1] + u[1])
+            else:
+                del acc[key]
+    return _new(acc, den, top, order)
 
 
 def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
@@ -408,7 +413,7 @@ def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
                 break
             t += a * ((power + 1) * i - n) * c[n - i]
         c.append(t // n)
-    order += power * scale / 24
+    order += Fraction(power * sn, den)              # p tau_scale/24, a Fraction
     return _new({(sn * (power + 24 * n), 0, 0): (cn, 0) for n, cn in enumerate(c) if cn},
                 den, _top(order, den), order)
 
@@ -485,9 +490,14 @@ def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
             for _ in range(n):
                 u = _UNIT[ph & 3]
                 cur = acc.get(key := (a, b1, b2))
-                acc[key] = u if cur is None else (cur[0] + u[0], cur[1] + u[1])
+                if cur is None:
+                    acc[key] = u
+                elif cur != _UNIT[(ph + 2) & 3]:        # cur + u is not (0, 0)
+                    acc[key] = (cur[0] + u[0], cur[1] + u[1])
+                else:
+                    del acc[key]
                 a, b1, b2, ph = a + dq, b1 + d1, b2 + d2, ph + dph
-    return _new({k: c for k, c in acc.items() if c != _ZERO}, den, top, order, 2 * zcap)
+    return _new(acc, den, top, order, 2 * zcap)
 
 
 # theta.jacobi_theta's unit coefficients (1.0, 1j, ...) as exact i^k

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -240,12 +241,15 @@ def test_phi_is_its_definition():
     assert seen > 1000 and len(raised) >= 3
 
 
-def _phi1_reference(m, s, order, scale, z1, z2, zcap, sign):
-    """Phi_1 term by term in Fractions: j walks out from 0 while q_j <= order,
-    and each geometric run steps while it is inside order and the zeta window
-    (a pure zeta run at most 2 zcap + 5 terms)."""
+_UNITS = (GR_ONE, GRat(0, 1), -GR_ONE, GRat(0, -1))
+
+
+def _phi1_walk(m, s, order, scale, z1, z2, zcap, sign):
+    """Phi_1's terms (key, i^k) one by one in Fractions, in the engine's
+    order: j walks out from 0 while q_j <= order, and each geometric run
+    steps while it is inside order and the zeta window (a pure zeta run at
+    most 2 zcap + 5 terms)."""
     m, s, order, scale = F(m), F(s), F(order), F(scale)
-    terms = {}
     js = [0] if order >= 0 else []
     for step in (1, -1):
         j = step
@@ -264,13 +268,28 @@ def _phi1_reference(m, s, order, scale, z1, z2, zcap, sign):
             alpha, b1, b2, k, lead = alpha + dq, b1 + d1, b2 + d2, k + dk + 2, d1
         r = 0
         while alpha <= order and max(abs(b1), abs(b2)) <= 2 * zcap + 2 * abs(lead) + 2:
-            key = (alpha, int(b1), int(b2))
-            unit = (GR_ONE, GRat(0, 1), -GR_ONE, GRat(0, -1))[int(k) % 4]
-            terms[key] = terms.get(key, GRat(0)) + unit
+            yield (alpha, int(b1), int(b2)), _UNITS[int(k) % 4]
             alpha, b1, b2, k, r = alpha + dq, b1 + d1, b2 + d2, k + dk, r + 1
             if dq == 0 and r > 2 * zcap + 4:
                 break
-    return {key: c for key, c in terms.items() if c}
+
+
+def _termwise(terms):
+    """(sum, cancelled, revived) of (key, GRat) terms taken one by one: the
+    nonzero sums, the keys whose running sum reached 0, and the keys that
+    took a further term after it did."""
+    out, cancelled, revived = {}, set(), set()
+    for key, c in terms:
+        if key in cancelled:
+            revived.add(key)
+        out[key] = out.get(key, GRat(0)) + c
+        if not out[key]:
+            cancelled.add(key)
+    return {key: c for key, c in out.items() if c}, cancelled, revived
+
+
+def _phi1_reference(*args):
+    return _termwise(_phi1_walk(*args))[0]
 
 
 def test_phi1_matches_termwise_reference():
@@ -287,6 +306,99 @@ def test_phi1_matches_termwise_reference():
         assert (got.order, got.zmax) == (8, 2 * zcap)
         seen += 1
     assert seen > 300
+
+
+def _phi_walk(m, s, order, scale, z1, z2, zcap, sign):
+    """Phi's terms in the engine's order: Phi_1(u1, u2), then minus Phi_1 at
+    the swap-negated arguments (-u2, -u1)."""
+    nz1, nz2 = ZArg(-z2.a1, -z2.a2, -z2.c), ZArg(-z1.a1, -z1.a2, -z1.c)
+    yield from _phi1_walk(m, s, order, scale, z1, z2, zcap, sign)
+    for key, c in _phi1_walk(m, s, order, scale, nz1, nz2, zcap, sign):
+        yield key, -c
+
+
+def test_phi_cancels_inside_its_accumulator():
+    # with general half-integer arguments the two halves of Phi, and runs of
+    # one half, meet on a key with opposite units: the store holds no zero
+    # and equals the termwise sum
+    rng = random.Random(27)
+
+    def arg():
+        return ZArg.of(_HALF * rng.randint(-3, 3), _HALF * rng.randint(-3, 3),
+                       F(rng.randint(-4, 4), 4))
+
+    seen = cancelled = 0
+    while seen < 300:
+        args = (_HALF * rng.randint(1, 4), _HALF * rng.randint(-4, 4), 6,
+                rng.choice((1, 2, _HALF)), arg(), arg(), rng.choice((3, 8)), rng.choice((1, -1)))
+        try:
+            got = expand_phi(*args)
+        except UnsupportedCaseError:
+            continue
+        want, gone, _ = _termwise(_phi_walk(*args))
+        assert got.terms == want and (0, 0) not in got._store.values(), args
+        seen, cancelled = seen + 1, cancelled + len(gone)
+    assert cancelled > 300
+    # a key that cancels and then takes a later term: once it cancels again,
+    # once it ends nonzero
+    for args, key, kept in (
+            ((1, -1, 8, 1, ZArg.of(0, 1), ZArg.of(0, -1, _HALF), 3, 1), (F(0), 0, -2), False),
+            ((2, -2, 6, _HALF, ZArg.of(0, _HALF, 1), ZArg.of(0, -1, 1), 2, 1), (F(0), 0, -2), True)):
+        got = expand_phi(*args)
+        want, _, revived = _termwise(_phi_walk(*args))
+        assert key in revived and (key in want) is kept
+        assert got.terms == want and (0, 0) not in got._store.values()
+
+
+def _theta_walk(j, m, order, scale, z):
+    """Theta_{j,m}'s terms (key, i^k) in Fractions, n = j/2m + k ascending."""
+    j, m, order, scale = F(j), F(m), F(order), F(scale)
+    kmax = math.isqrt(math.floor(order / (scale * m))) + 2
+    for k in range(-kmax, kmax + 1):
+        n = j / (2 * m) + k
+        if scale * m * n * n <= order:
+            t = m * n
+            key = (scale * t * n, int(2 * t * z.a1), int(2 * t * z.a2))
+            yield key, _UNITS[int(4 * t * z.c) % 4]
+
+
+def test_theta_cancels_n_against_minus_n():
+    # with u = c constant, n and -n share the key (scale m n^2, 0, 0), and
+    # e^{2 pi i m n c} + e^{-2 pi i m n c} is 0 where 4 m n c is odd
+    cancelled = 0
+    for j, m, c, scale in itertools.product(
+            (0, _HALF, 1, F(3, 2), 2), (_HALF, 1, F(3, 2), 2),
+            (0, F(1, 4), _HALF, -_HALF, F(3, 4), 1), (1, 2, _HALF)):
+        z = ZArg.of(0, 0, c)
+        try:
+            got = expand_theta(j, m, 12, scale, z)
+        except UnsupportedCaseError:
+            continue
+        want, gone, _ = _termwise(_theta_walk(j, m, 12, scale, z))
+        assert got.terms == want and (0, 0) not in got._store.values(), (j, m, c, scale)
+        cancelled += len(gone)
+    assert cancelled > 100
+
+
+def test_expansion_stores_hold_no_zero():
+    # every expansion the benchmark's op kinds make keeps its store free of
+    # (0, 0), which series_equal's dict comparison relies on
+    calls = list(_expansion_calls().values())
+    for m, s, scale, (z1, z2) in itertools.product(
+            (_HALF, 1, F(3, 2)), (-1, 0, _HALF), (1, _HALF), _ZPAIRS):
+        calls += [lambda a=(m, s, 8, scale, z1, z2): expand_phi1(*a),
+                  lambda a=(m, s, 8, scale, z1, z2): expand_phi(*a),
+                  lambda a=(s + 1, m, 8, scale, z1): expand_theta(*a)]
+    calls += [lambda a=a, b=b: expand_jacobi_theta(a, b, 8) for a in (0, 1) for b in (0, 1)]
+    stored = 0
+    for call in calls:
+        try:
+            s = call()
+        except (ValueError, UnsupportedCaseError):
+            continue
+        assert (0, 0) not in s._store.values()
+        stored += 1
+    assert stored > 1500
 
 
 def test_unsupported_index_error():
@@ -466,12 +578,18 @@ def test_exact_work_ceilings(monkeypatch):
     # Fraction-keyed series, 26 on integer-keyed series raised by squaring and
     # 5 by the power recurrence; the tau-doubled Phi to q^10 made 1,472, 32,
     # 16 as two Phi_1 series and a difference, 14 in one accumulator and 2
-    # with its zeta arguments read as int ratios.
+    # with its zeta arguments read as int ratios.  With an int tau_scale read
+    # as it is and Theta's k-bound formed in ints: eta^24 5 -> 3, Phi 2 -> 1,
+    # the tau-doubled Theta_{1,3/2} 6 -> 2, and the two proofs 25 -> 22 and
+    # 10 -> 8, all but three and two of them their own ZArg and GRat arguments.
     def made(call):
         return _fraction_calls(monkeypatch, "__new__", call)
 
-    assert made(lambda: expand_eta_quotient(24, 12)) <= 5
-    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 2
+    assert made(lambda: expand_eta_quotient(24, 12)) <= 3
+    assert made(lambda: expand_phi(1, 0, 10, tau_scale=2)) <= 1
+    assert made(lambda: expand_theta(1, F(3, 2), 8, 2)) <= 2
+    assert made(_doubling_proof) <= 22
+    assert made(_antisymmetry_proof) <= 8
 
 
 def test_series_arithmetic_hashes_no_fraction(monkeypatch):
@@ -649,7 +767,53 @@ def _ref_series_equal(a, b, zwindow=None):
     return False, diffs[0]
 
 
+_BASE = {(F(0), 0, 0): GR_ONE, (F(1), 2, -2): GRat(2, F(-1, 3)), (F(3), -4, 0): GRat(0, 1)}
+
+
+def test_series_equal_cases():
+    # (x, y, zwindow) as FormalSeries arguments (terms, order, zmax); each
+    # pair is compared by the engine and by the reference, and a first
+    # difference must print the same
+    def with_(**extra):
+        return {**_BASE, **{k: GRat(*c) for k, c in extra.get("terms", {}).items()}}
+
+    cases = [
+        # equal, and differing only outside the zeta window: of zwindow, of
+        # one series' zmax; with zwindow=None and no zmax the difference shows
+        ((_BASE, 8, None), (_BASE, 8, None), None, True),
+        ((_BASE, 8, None), (with_(terms={(F(1), 6, 0): (1,)}), 8, None), 2, True),
+        ((_BASE, 8, None), (with_(terms={(F(1), 0, -6): (1,)}), 8, None), 2, True),
+        ((_BASE, 8, 4), (with_(terms={(F(2), -5, 0): (1,)}), 8, None), None, True),
+        ((_BASE, 8, None), (with_(terms={(F(2), -5, 0): (1,)}), 8, None), None, False),
+        ((_BASE, 8, None), (with_(terms={(F(0), 40, -40): (0, 1)}), 8, None), None, False),
+        ((_BASE, 8, 6), (with_(terms={(F(1), 6, 0): (1,)}), 8, 8), 3, False),
+        # differing only past the common order, and at it
+        ((_BASE, 4, None), (with_(terms={(F(5), 0, 0): (1,)}), 8, None), None, True),
+        ((_BASE, 5, None), (with_(terms={(F(5), 0, 0): (1,)}), 8, None), None, False),
+        # operands over different dens, aligned before the comparison
+        ((_BASE, 4, None), (with_(terms={(F(13, 3), 0, 0): (1,)}), F(13, 3), None), None, True),
+        ((_BASE, 4, None), (with_(terms={(F(1, 3), 0, 0): (F(1, 2),)}), 4, None), None, False),
+        ((with_(terms={(F(1, 2), 1, 0): (1,)}), 4, None),
+         (with_(terms={(F(1, 3), 0, 0): (1,)}), 4, None), None, False),
+        ((with_(terms={(F(3, 8), 2, 0): (1,)}), F(7, 2), None),
+         (with_(terms={(F(3, 8), 2, 0): (1, 1)}), F(10, 3), None), 1, False),
+        # several differences: the least key is reported, a coefficient
+        # against another or against a missing term (0+0i)
+        ((_BASE, 8, None), ({**_BASE, (F(1), 2, -2): GRat(F(1, 2), 3), (F(2), 0, 0): GR_ONE,
+                              (F(1), 4, 0): -GR_ONE}, 8, None), None, False),
+        ((_BASE, 8, None), ({k: c for k, c in _BASE.items() if k[0]}, 8, None), 3, False),
+    ]
+    for x_args, y_args, zwindow, equal in cases:
+        got = series_equal(FormalSeries(*x_args), FormalSeries(*y_args), zwindow)
+        want = _ref_series_equal(_RefSeries(*x_args), _RefSeries(*y_args), zwindow)
+        assert got == want and got[0] is equal, (x_args, y_args, zwindow)
+        if not equal:
+            assert [str(c) for c in got[1][1:]] == [str(c) for c in want[1][1:]]
+            assert type(got[1][0][0]) is F
+
+
 def _same_series(got, ref):
+    assert (0, 0) not in got._store.values()        # series_equal relies on it
     assert got.order == ref.order and str(got.order) == str(ref.order)
     assert all(type(k[0]) is F for k in got.terms)
     assert got.zmax == ref.zmax
