@@ -33,7 +33,7 @@ from .qkernel import (
     UnsupportedCaseError,
     e2pi,
 )
-from .theta import ThetaIndex, eta_theta_quotient, theta_jm
+from .theta import ThetaIndex, eta_theta_quotient, theta_jm, theta_pair_diff
 from .mock import MockIndex, PsiIndex
 from .modification import phi_tilde, psi_tilde
 from .family_n4 import SECTORS, Sector
@@ -72,8 +72,10 @@ class D21Params:
 
     @cached_property
     def _zz(self) -> tuple:
-        """(2a, 2(a + 1)), exact: zz_value also takes exact arguments"""
-        return 2 * self.a, 2 * (self.a + 1)
+        """((2a, 2(a + 1)), the same as floats): zz_value's divisors for
+        exact arguments, and for any others"""
+        exact = (2 * self.a, 2 * (self.a + 1))
+        return exact, tuple(map(float, exact))
 
 
 @dataclass(frozen=True)
@@ -279,9 +281,17 @@ def quadratic_forms(params: D21Params) -> list:
     return [entries(f) for f in forms]
 
 
+_EXACT = (int, Fraction)
+
+
 def zz_value(params: D21Params, z1, z2, z3):
-    two_a, two_ap1 = params._zz
-    return (z2 + z3) ** 2 / 2 + (z1 - z2) ** 2 / two_a - (z1 - z3) ** 2 / two_ap1
+    """(z|z) = (z2 + z3)^2/2 + (z1 - z2)^2/2a - (z1 - z3)^2/2(a + 1).  An exact
+    (int or Fraction) square is divided by the Fraction 2a or 2(a + 1), any
+    other by its float, which gives the bits of dividing by the Fraction."""
+    (two_a, two_ap1), (f_a, f_ap1) = params._zz
+    u, w = (z1 - z2) ** 2, (z1 - z3) ** 2
+    return ((z2 + z3) ** 2 / 2 + u / (two_a if isinstance(u, _EXACT) else f_a)
+            - w / (two_ap1 if isinstance(w, _EXACT) else f_ap1))
 
 
 # --- P and Q numerator functions ------------------------------------------
@@ -415,9 +425,8 @@ def FG_function(idx: D21Index, tau, y2, y3, policy: TruncationPolicy = DEFAULT_P
     scale-one wrapped modification of degree np (resp. nq)."""
     _check_letter(idx, ("F", "G"))
     F = idx.which == "F"
-    x_pos, x_neg = idx._thetas
-    y = y2 if F else y3
-    tdiff = theta_jm(x_pos, tau, y, 0.0, policy) - theta_jm(x_neg, tau, y, 0.0, policy)
+    # Theta_{j,n(p+q)} - Theta_{-j,n(p+q)}
+    tdiff = -theta_pair_diff(idx._thetas[0], tau, y2 if F else y3, policy)
     if tdiff == 0:
         return 0.0 + 0.0j
     second = (y3 - y2) / 2 if F else (y2 - y3) / 2

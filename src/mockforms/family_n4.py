@@ -186,16 +186,14 @@ def admissible_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
     """R-hat^- ch~^- for the integrable weights and the principal admissible
     weights of types I-IV: the type I formula in the type's coordinates.
     The index and the prefactor's constants come from w."""
-    m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
+    m2, M, k1, k2 = w.m2, w.M, w.k1, w.k2
     x1, x2 = _J_COORDS[w.J](z1, z2)
     a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
     lin = (k1 + k2) * x1 - k1 * x2
-    dz = x1 - x2 + (2 * k1 + k2) * tau
     v, d = phi_tilde_d0(w._mock, M * tau, a1, a2, policy)
-    g = d + (m * (a1 - a2) / (2 * M * tau)) * v
     m_M, c = w._pref
     pref = e2pi(m_M * t + m_M * lin + c * tau)
-    return pref * (g - (m * dz / (2 * M * tau) + m2) * v)
+    return pref * (d - m2 * v)
 
 
 def _lambda_alpha2(w: N4Weight) -> Fraction:

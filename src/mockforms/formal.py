@@ -23,7 +23,6 @@ from fractions import Fraction
 from itertools import starmap
 
 from .qkernel import HalfInt, UnsupportedCaseError
-from .theta import _JACOBI
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,8 @@ class GRat:
 
 GR_ONE = GRat(1)
 _ZERO = (0, 0)
-# i^k for k = 0..3, as exact coefficients and as int pairs
-_PHASES = (GR_ONE, GRat(0, 1), GRat(-1), GRat(0, -1))
-_UNIT = tuple((p.re, p.im) for p in _PHASES)
+# i^k for k = 0..3 as int pairs (re, im)
+_UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _quarter_turns(n: int, d: int) -> int:
@@ -500,17 +498,29 @@ def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
     return _new(acc, den, top, order, 2 * zcap)
 
 
-# theta.jacobi_theta's unit coefficients (1.0, 1j, ...) as exact i^k
-_EXACT_UNIT = dict(zip((1, 1j, -1, -1j), _PHASES))
-
-
 def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
-    """theta_ab as the degree-2 combination of Theta_{j,2} that
-    theta.jacobi_theta sums; its coefficients are +-1 and +-i, exact."""
-    if (a, b) not in _JACOBI:
+    """theta_ab(tau_scale * tau, u(z)) as the one series theta.jacobi_theta
+    sums, in one accumulator: the terms (-1)^{bk} i^{ab} q^{tau_scale N^2/8}
+    zeta^{N u/2} over N = a + 2k; their coefficients are +-1 and +-i, exact."""
+    if a not in (0, 1) or b not in (0, 1):
         raise ValueError("Jacobi theta labels must be 0 or 1")
-    out = FormalSeries(None, order)
-    for idx, c in _JACOBI[(a, b)]:
-        term = expand_theta(idx.j, idx.m, order, tau_scale, z)
-        out = out + term.scale(_EXACT_UNIT[c])
-    return out
+    order = _exact(order, "order")
+    scale = _scale(tau_scale)
+    sn, den = scale.numerator, 8 * scale.denominator
+    top = _top(order, den)
+    # |N| <= nmax exactly when sn N^2 <= top
+    nmax = math.isqrt(top // sn) if top >= 0 else -1
+    z = _ratios(z)
+    acc = {}
+    for n in range(-nmax + (nmax + a) % 2, nmax + 1, 2):
+        b1, b2, ph = _zeta_monomial(n, 2, z)
+        ph += a * b + (2 if b and (n - a) // 2 % 2 else 0)
+        # only n and -n share a key, and only where u is a constant
+        u, cur = _UNIT[ph % 4], acc.get(key := (sn * n * n, b1, b2))
+        if cur is None:
+            acc[key] = u
+        elif cur != _UNIT[(ph + 2) % 4]:                # cur + u is not (0, 0)
+            acc[key] = (cur[0] + u[0], cur[1] + u[1])
+        else:
+            del acc[key]
+    return _new(acc, den, top, order)

@@ -43,7 +43,7 @@ from .qkernel import (
     TruncationOverflowError,
     e2pi,
 )
-from .theta import theta_jm
+from .theta import theta_jm, theta_pair_diff
 from .mock import MockIndex, PsiIndex, _phi1_core, _psi_frame, phi, phi1
 
 
@@ -283,12 +283,16 @@ def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPol
     j = s + r, r = 0, ..., 2m-1, leaving out zero differences.
 
     The window meets every residue of s + Z mod 2m once, and so does its
-    negative, so each Theta_{j,m} is summed once.  A residue with -j == j
-    cancels exactly and is not summed at all."""
+    negative, so the difference at the dual r' of r (s + r' = -j) is that
+    at r negated: each pair is summed once.  A residue with -j == j cancels
+    exactly and is not summed at all."""
     thetas, duals = idx.correction_window
-    theta = {r: theta_jm(thetas[r], tau, z, 0.0, policy) for r, _ in duals}
-    diffs = ((r, theta[dual] - theta[r]) for r, dual in duals)
-    return [(r, d) for r, d in diffs if d != 0]
+    diff = {}
+    for r, dual in duals:
+        if r < dual:
+            diff[r] = d = theta_pair_diff(thetas[r], tau, z, policy)
+            diff[dual] = -d
+    return [(r, diff[r]) for r, _ in duals if diff[r] != 0]
 
 
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,

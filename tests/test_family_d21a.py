@@ -54,6 +54,21 @@ def test_quadratic_forms_exact():
         F(3, 2), F(1, 6), F(2, 3), F(-1, 2), F(-1), F(-1, 3))
 
 
+def test_zz_value_divides_as_by_the_fractions():
+    # exact arguments give the exact Fraction; complex and float ones, and an
+    # exact square next to them, the bits of dividing by 2a and 2(a + 1)
+    for params in (d2.D21Params(2, 1, 1), d2.D21Params(3, 2, 2), d2.D21Params(5, 3, 1)):
+        two_a, two_ap1 = 2 * params.a, 2 * (params.a + 1)
+
+        def by_fractions(z1, z2, z3):
+            return (z2 + z3) ** 2 / 2 + (z1 - z2) ** 2 / two_a - (z1 - z3) ** 2 / two_ap1
+
+        for zs in ((F(1, 3), F(-2, 5), 2), (0.31 - 0.2j, -0.17 + 0.44j, 0.05 + 0.9j),
+                   (0.3, -1.7, 0.25), (F(1, 2), F(1, 3), 0.4 - 0.1j), (1, 2, 0.7)):
+            got, want = d2.zz_value(params, *zs), by_fractions(*zs)
+            assert type(got) is type(want) and repr(got) == repr(want), zs
+
+
 def test_characteristics_examples():
     pr = d2.D21Params(1, 1, 1)
     assert d2.qhr_characteristics(d2.D21Weight(pr, 1, 0, 0))["c"] == 0

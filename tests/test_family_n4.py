@@ -134,56 +134,78 @@ def g_numerator_reference(m, tau, z1, z2, t):
 
 def supernumerator_reference(w, tau, z1, z2, t):
     """R-hat^- ch~^- with one branch per type, written out as the integrable
-    formula and the four admissible coordinate changes."""
+    formula and the four admissible coordinate changes: pref (d - m2 v) for
+    the D0 pair (v, d) of the modification at (a1, a2)."""
     from mockforms.modification import phi_tilde_d0
 
     m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
     idx = MockIndex.of(-m, 0)
     if w.J == "none":
         v, d = phi_tilde_d0(idx, tau, z1, z2, P)
-        g = d + (m * (z1 - z2) / (2 * tau)) * v
-        return e2pi(m * t) * (g - (m * (z1 - z2) / (2 * tau) + m2) * v)
+        return e2pi(m * t) * (d - m2 * v)
     if w.J == "I":
         a1, a2 = z1 + k1 * tau, z2 - (k1 + k2) * tau
         lin = (k1 + k2) * z1 - k1 * z2
-        dz = z1 - z2 + (2 * k1 + k2) * tau
     elif w.J == "II":
         a1, a2 = -z1 + k1 * tau, -z2 - (k1 + k2) * tau
         lin = -(k1 + k2) * z1 + k1 * z2
-        dz = z2 - z1 + (2 * k1 + k2) * tau
     elif w.J == "III":
         a1, a2 = -z2 + k1 * tau, -z1 - (k1 + k2) * tau
         lin = k1 * z1 - (k1 + k2) * z2
-        dz = z1 - z2 + (2 * k1 + k2) * tau
     else:
         a1, a2 = z2 + k1 * tau, z1 - (k1 + k2) * tau
         lin = -k1 * z1 + (k1 + k2) * z2
-        dz = z2 - z1 + (2 * k1 + k2) * tau
     v, d = phi_tilde_d0(idx, M * tau, a1, a2, P)
-    g = d + (m * (a1 - a2) / (2 * M * tau)) * v
     pref = e2pi(F(m, M) * t + F(m, M) * lin + F(m * k1 * (k1 + k2), M) * tau)
-    return pref * (g - (m * dz / (2 * M * tau) + m2) * v)
+    return pref * (d - m2 * v)
+
+
+def _admissible_weights():
+    weights = [n4.N4Weight(m, m2) for m in (-1, -2, -3) for m2 in range(-m + 1)]
+    return weights + [n4.N4Weight(m, m2, M, J, k1, k2)
+                      for m, m2 in ((-1, 0), (-2, 1), (-3, 2))
+                      for M in (1, 3, 5) for J in ("I", "II", "III", "IV")
+                      for k1 in range(M) for k2 in range(M)
+                      if 2 * k1 + k2 <= M - 1 and (J != "III" or k2 >= 1)]
+
+
+NUMERATOR_POINTS = ((TAU, Z1, Z2, T), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.02 - 0.03j))
 
 
 def test_numerators_match_branchwise_reference():
     # one coordinate table and one formula for all types; values must not
     # move by a bit against the branch-per-type bodies
-    weights = [n4.N4Weight(m, m2) for m in (-1, -2, -3) for m2 in range(-m + 1)]
-    weights += [n4.N4Weight(m, m2, M, J, k1, k2)
-                for m, m2 in ((-1, 0), (-2, 1), (-3, 2))
-                for M in (1, 3, 5) for J in ("I", "II", "III", "IV")
-                for k1 in range(M) for k2 in range(M)
-                if 2 * k1 + k2 <= M - 1 and (J != "III" or k2 >= 1)]
-    points = ((TAU, Z1, Z2, T), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.02 - 0.03j))
-    for w in weights:
-        for tau, z1, z2, t in points:
+    for w in _admissible_weights():
+        for tau, z1, z2, t in NUMERATOR_POINTS:
             assert (n4.admissible_supernumerator(w, tau, z1, z2, t, P)
                     == supernumerator_reference(w, tau, z1, z2, t)), w
     # the derivative numerator is the derivative wrapper at scale one
     for m in (-1, -2, -3):
         x = PsiIndex.of(1, -m, 0, 0, 0, 0)
-        for tau, z1, z2, t in points:
+        for tau, z1, z2, t in NUMERATOR_POINTS:
             assert n4.psi_P(x, tau, z1, z2, t, P) == g_numerator_reference(m, tau, z1, z2, t)
+
+
+def test_supernumerator_terms_that_cancel():
+    # the type I formula as the paper writes it, g - (m dz/(2M tau) + m2) v
+    # with g = d + m(a1 - a2)/(2M tau) v: a1 - a2 = dz, so its two m terms
+    # cancel up to their rounding, and pref (d - m2 v) is the same value
+    from mockforms.modification import phi_tilde_d0
+
+    for w in _admissible_weights():
+        m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
+        for tau, z1, z2, t in NUMERATOR_POINTS:
+            x1, x2 = n4._J_COORDS[w.J](z1, z2)
+            a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
+            dz = x1 - x2 + (2 * k1 + k2) * tau
+            v, d = phi_tilde_d0(w._mock, M * tau, a1, a2, P)
+            pref = e2pi(F(m, M) * t + F(m, M) * ((k1 + k2) * x1 - k1 * x2)
+                        + F(m * k1 * (k1 + k2), M) * tau)
+            g = d + (m * (a1 - a2) / (2 * M * tau)) * v
+            spelled = pref * (g - (m * dz / (2 * M * tau) + m2) * v)
+            scale = abs(pref) * (abs(d) + (2 * abs(m * dz / (2 * M * tau)) + abs(m2)) * abs(v))
+            assert abs(n4.admissible_supernumerator(w, tau, z1, z2, t, P) - spelled) \
+                <= 1e-14 * scale, w
 
 
 def psi_P_reference(idx, tau, z1, z2, t):

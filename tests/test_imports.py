@@ -87,3 +87,27 @@ def test_family_quotients_go_through_the_evaluator(path):
     # a family forms its eta/theta quotients as factor rows of
     # theta.eta_theta_quotient, never by calling eta or theta_ab itself
     assert referenced_names(path.read_text()) & QUOTIENT_FACTORS == set()
+
+
+def theta_differences(source: str) -> list:
+    """Lines where one theta_jm(...) call is subtracted from another."""
+    def is_theta(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "theta_jm"
+            or getattr(node.func, "attr", None) == "theta_jm")
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and is_theta(node.left) and is_theta(node.right)]
+
+
+def test_theta_difference_checker():
+    src = ("d = theta_jm(a, t) - theta.theta_jm(b, t)\n"
+           "e = theta_jm(a, t) + theta_jm(b, t)\nf = theta_pair_diff(a, t) - g(b)\n")
+    assert theta_differences(src) == [1]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_theta_differences_go_through_the_pair_kernel(path):
+    # Theta_{-j,m} - Theta_{j,m} is one series, theta.theta_pair_diff
+    assert theta_differences(path.read_text()) == []

@@ -5,9 +5,11 @@ so the longer sums run over several ANCHOR_EVERY runs of their walks, and
 elliptic variables z = a + b tau with b up to 3/2, so that the modified
 Appell function also sums at lattice-shifted points.  The golden holds an
 8-hex sha256 prefix of repr of each kernel's value there (for
-phi_tilde_d0, the pair of value and D0 value), or the name of the error a
-kernel raised; it was written from the kernels before their walks and
-index tables were restated, so a restatement that moves one bit fails.
+phi_tilde_d0, the pair of value and D0 value; for jacobi_theta, the tuple
+of the four theta_ab), or the name of the error a kernel raised.  It was
+last written when theta_ab and the Theta pair differences became one
+series each, a change that moved last bits; a restatement that moves one
+bit fails.
 
 The sums also have to survive perfbench's tracer, which replaces the first
 argument of sum_bilateral by a one-argument function of k that calls it:
@@ -65,6 +67,9 @@ def _cases(tau, z, z1, z2, tidx, idx, pidx):
     return {
         "theta_jm": lambda: theta.theta_jm(tidx, tau, z, 0.0, P),
         "dedekind_eta": lambda: theta.dedekind_eta(tau, P),
+        "jacobi_theta": lambda: tuple(theta.jacobi_theta(a, b, tau, z, P)
+                                      for a in (0, 1) for b in (0, 1)),
+        "theta_pair_diff": lambda: theta.theta_pair_diff(tidx, tau, z, P),
         "phi1": lambda: mock.phi1(idx, tau, z1, z2, P),
         "phi+": lambda: mock.phi(idx, tau, z1, z2, 0.0, P, 1),
         "phi-": lambda: mock.phi(idx, tau, z1, z2, 0.0, P, -1),
@@ -123,7 +128,8 @@ def _counting(module, monkeypatch):
 @pytest.mark.parametrize("point", KERNEL_POINTS[::4], ids=lambda p: f"{p[0]:.4g}")
 def test_sums_survive_a_wrapped_anchor(point, monkeypatch):
     cases = _cases(*point)
-    calls = [cases[name] for name in ("theta_jm", "dedekind_eta", "phi1", "phi_tilde_d0")]
+    calls = [cases[name] for name in ("theta_jm", "dedekind_eta", "jacobi_theta",
+                                      "theta_pair_diff", "phi1", "phi_tilde_d0")]
     plain = [_outcome(call) for call in calls]
     seen = [_counting(theta, monkeypatch), _counting(mock, monkeypatch)]
     assert [_outcome(call) for call in calls] == plain

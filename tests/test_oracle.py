@@ -99,6 +99,67 @@ def test_theta_jm(j, m, y, x, zr, zu, tol):
            lambda: oracle.theta_jm(j, m, tau, z), tol)
 
 
+# theta_ab and the Theta pair differences over Im tau in [1e-3, 4]
+im_tau_4 = st.floats(min_value=1e-3, max_value=4.0) | st.sampled_from([1e-3, 4.0])
+label = st.integers(min_value=0, max_value=1)
+
+
+@ORACLE
+@given(label, label, im_tau_4, re_tau, re_z, im_units, tol)
+@example(1, 1, 1e-3, 0.3, 0.2, 2.5, 1e-12)
+@example(0, 1, 4.0, -9.5, -0.7, -3.0, 1e-6)
+def test_jacobi_theta(a, b, y, x, zr, zu, tol):
+    tau, z = complex(x, y), complex(zr, zu * y)
+    _check(lambda p: theta.jacobi_theta(a, b, tau, z, p),
+           lambda: oracle.jacobi_theta(a, b, tau, z), tol)
+
+
+@ORACLE
+@given(half, degree, im_tau_4, re_tau, re_z, im_units, tol)
+@example(0.5, 1.5, 1e-3, 0.3, 0.2, 2.5, 1e-12)
+@example(3.0, 20.0, 1e-3, -9.5, -0.7, -3.0, 1e-6)
+@example(-2.5, 4.0, 4.0, 1.0, 0.4, 1.5, 1e-9)
+def test_theta_pair_diff(j, m, y, x, zr, zu, tol):
+    # against the difference of the two references, and against the
+    # difference of the two theta_jm values, each within tol + the
+    # rounding bound of both series
+    tau, z = complex(x, y), complex(zr, zu * y)
+    idx, policy = ThetaIndex.of(j, m), TruncationPolicy(tol=tol)
+    try:
+        value = theta.theta_pair_diff(idx, tau, z, policy)
+        apart = (theta_jm(ThetaIndex.of(-j, m), tau, z, 0.0, policy)
+                 - theta_jm(idx, tau, z, 0.0, policy))
+    except TYPED:
+        return
+    (dual, c1), (ref, c2) = oracle.theta_jm(-j, m, tau, z), oracle.theta_jm(j, m, tau, z)
+    _within(value, (dual - ref, c1 + c2), tol)
+    assert abs(value - apart) <= tol + oracle.ROUNDING_ULPS * oracle.EPS * float(c1 + c2)
+
+
+def _relative_cases():
+    """(name, value, reference) of fixed theta_ab and pair-difference cases
+    whose |value| lies at least 1e6 times above the rounding bound."""
+    cases = []
+    for a, b, tau, z in ((1, 1, 0.1 + 1.3j, 0.2 + 0.3j), (0, 0, -3.3 + 1e-3j, 0.1 + 2e-3j),
+                         (1, 0, 7.2 + 0.05j, -0.4 + 0.1j), (0, 1, 0.45 + 3.9j, 0.3 - 9j)):
+        cases.append((f"theta_{a}{b}", theta.jacobi_theta(a, b, tau, z),
+                      oracle.jacobi_theta(a, b, tau, z)))
+    for j, m, tau, z in ((1, 3, 0.1 + 1.3j, 0.2 + 0.3j), (0.5, 2.5, -3.3 + 1e-3j, 0.1 + 2e-3j),
+                         (7, 12, 2.2 + 0.02j, -0.2 + 0.03j), (2.5, 1.5, 0.3 + 2.5j, 0.1 + 4j)):
+        (dual, c1), (ref, c2) = oracle.theta_jm(-j, m, tau, z), oracle.theta_jm(j, m, tau, z)
+        cases.append((f"pair_{j}_{m}", theta.theta_pair_diff(ThetaIndex.of(j, m), tau, z),
+                      (dual - ref, c1 + c2)))
+    return cases
+
+
+def test_theta_layer_relative_error():
+    # the worst case, at Im tau = 1e-3, reads 4.4e-12 (7.4e-12 as two
+    # theta_jm series); the others 1.2e-16 to 8.3e-14
+    for name, value, (ref, cond) in _relative_cases():
+        assert abs(ref) >= 1e6 * oracle.ROUNDING_ULPS * oracle.EPS * cond, name
+        assert abs(complex(ref) - value) <= 1e-11 * abs(ref), name
+
+
 @ORACLE
 @given(degree, half, im_tau, re_tau, re_z, im_units, re_z, im_units, tol)
 @example(0.5, 0.5, 1e-3, 0.1, 0.31, 0.4, -0.2, 1.3, 1e-12)

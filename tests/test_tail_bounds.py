@@ -126,6 +126,83 @@ def test_theta_range(j, m, tau, z, tol, monkeypatch):
     _check_range(k0, k_lo, k_hi, mag, [mag], tol)
 
 
+JACOBI_POINTS = [
+    (0, 0, 0.8j, 0.23 + 0.11j),
+    (1, 1, 0.3 + 1e-3j, 0.2 + 0.002j),
+    (1, 0, 1e-3j, 0.1 - 0.0017j),
+    (0, 1, 1j, 0.3 + 12j),
+    (1, 1, 1.0 + 4.0j, 0.37 - 9j),
+]
+
+# as THETA_RANGES
+JACOBI_RANGES = {
+    1e-12: [(0, -4, 3), (-2, -114, 109), (1, -110, 113), (-12, -24, 0), (2, 0, 4)],
+    1e-06: [(0, -4, 3), (-2, -114, 109), (1, -110, 113), (-12, -24, 0), (2, 0, 4)],
+}
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("a, b, tau, z", JACOBI_POINTS)
+def test_jacobi_range(a, b, tau, z, tol, monkeypatch):
+    # theta_ab is one series over n = a/2 + k with |term| = e^{-pi Im tau n^2
+    # - 2 pi n Im z}
+    calls = _recording(monkeypatch, theta)
+    theta.jacobi_theta(a, b, tau, z, TruncationPolicy(tol=tol))
+    (k0, k_lo, k_hi), = calls
+    assert (k0, k_lo, k_hi) == JACOBI_RANGES[tol][JACOBI_POINTS.index((a, b, tau, z))]
+
+    def mag(k):
+        n = a / 2 + k
+        return math.exp(-math.pi * (n * n * tau.imag + 2 * n * complex(z).imag))
+
+    _check_range(k0, k_lo, k_hi, mag, [mag], tol)
+
+
+PAIR_POINTS = [
+    (1, 2, 0.8j, 0.23 + 0.11j),
+    (0.5, 1.5, 0.3 + 1e-3j, 0.2 + 0.002j),
+    (3, 20, 1e-3j, 0.1 - 0.0017j),
+    (0.5, 1, 1j, 0.3 + 12j),
+    (2.5, 4.5, 1.0 + 4.0j, 0.37),
+]
+
+# as THETA_RANGES: the union of the ranges of the two series
+PAIR_RANGES = {
+    1e-12: [(0, -2, 1), (-1, -66, 63), (1, -17, 18), (-6, -13, 0), (0, -1, 0)],
+    1e-06: [(0, -2, 1), (-1, -66, 63), (1, -17, 18), (-6, -12, -1), (0, -1, 0)],
+}
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("j, m, tau, z", PAIR_POINTS)
+def test_pair_diff_range(j, m, tau, z, tol, monkeypatch):
+    # both series run over n = base + k, base the offsets of j and -j in
+    # [0, 1), lower first; the walk covers the union of the ranges that
+    # theta_jm cuts for Theta_{j,m} and Theta_{-j,m}, and n_max counts it
+    calls = _recording(monkeypatch, theta)
+    policy = TruncationPolicy(tol=tol)
+    theta.theta_pair_diff(theta.ThetaIndex.of(j, m), tau, z, policy)
+    (k0, k_lo, k_hi), = calls
+    assert (k0, k_lo, k_hi) == PAIR_RANGES[tol][PAIR_POINTS.index((j, m, tau, z))]
+    bases = sorted(((j / (2 * m)) % 1, (-j / (2 * m)) % 1))
+    calls.clear()
+    for x in (j, -j):
+        theta.theta_jm(theta.ThetaIndex.of(x, m), tau, z, 0.0, policy)
+    (_, lo1, hi1), (_, lo2, hi2) = calls
+    assert (k_lo, k_hi) == (min(lo1, lo2), max(hi1, hi2))
+
+    def mag(base):
+        return lambda k: math.exp(-2 * math.pi * m * (
+            (base + k) ** 2 * tau.imag + (base + k) * complex(z).imag))
+
+    mags = [mag(base) for base in bases]
+    _check_range(k0, k_lo, k_hi, lambda k: max(f(k) for f in mags), mags, tol)
+    if k_hi - k_lo >= 8:                # n_max one below the union refuses
+        with pytest.raises(TruncationOverflowError):
+            theta.theta_pair_diff(theta.ThetaIndex.of(j, m), tau, z,
+                                  TruncationPolicy(tol=tol, n_max=k_hi - k_lo))
+
+
 PHI1_POINTS = [
     (1, 0, 0.8j, 0.23 + 0.11j, 0.41 - 0.07j),
     (0.5, 0.5, 0.3 + 1e-3j, 0.15 + 0.0005j, -0.2 + 0.0013j),

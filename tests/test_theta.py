@@ -3,15 +3,18 @@ import math
 import mpmath
 import pytest
 
-from mockforms.qkernel import TruncationPolicy, TruncationOverflowError, e2pi
+from fractions import Fraction as F
+
+from mockforms.qkernel import DomainError, TruncationPolicy, TruncationOverflowError, e2pi
 from mockforms.theta import (
     ThetaIndex,
     dedekind_eta,
     jacobi_theta,
     jacobi_theta11_product,
     theta_jm,
+    theta_pair_diff,
 )
-from mockforms.formal import expand_jacobi_theta, expand_theta, series_equal
+from mockforms.formal import GRat, ZArg, expand_jacobi_theta, expand_theta, series_equal
 
 P = TruncationPolicy()
 
@@ -99,21 +102,62 @@ def test_eta_reduction_ends_at_tiny_im_tau():
         assert dedekind_eta(tau, P) == 0
 
 
+# theta_ab as its degree-2 combination: (j, coefficient) of each Theta_{j,2}
+DEGREE_TWO = {(0, 0): ((2, 1), (0, 1)), (0, 1): ((2, -1), (0, 1)),
+              (1, 0): ((1, 1), (-1, 1)), (1, 1): ((1, 1j), (-1, -1j))}
+
+
 def test_degree_two_decomposition_formal():
-    combos = {(0, 0): [(2, 1), (0, 1)], (0, 1): [(2, -1), (0, 1)],
-              (1, 0): [(1, 1), (-1, 1)]}
-    for (a, b), parts in combos.items():
-        lhs = expand_jacobi_theta(a, b, 10)
-        rhs = None
-        for j, c in parts:
-            term = expand_theta(j, 2, 10)
-            if c < 0:
-                term = -term
-            rhs = term if rhs is None else rhs + term
-        eq, diff = series_equal(lhs, rhs)
-        assert eq, diff
+    # the one theta_ab series against its two Theta_{j,2} series, at
+    # several scales and arguments, a constant one included
+    unit = {1: GRat(1), -1: GRat(-1), 1j: GRat(0, 1), -1j: GRat(0, -1)}
+    for scale in (1, F(3, 2)):
+        for z in (ZArg.of(1, 0), ZArg.of(1, -1, F(1, 2)), ZArg.of(0, 0, F(1, 2))):
+            for (a, b), parts in DEGREE_TWO.items():
+                lhs = expand_jacobi_theta(a, b, 10, scale, z)
+                rhs = None
+                for j, c in parts:
+                    term = expand_theta(j, 2, 10, scale, z).scale(unit[c])
+                    rhs = term if rhs is None else rhs + term
+                eq, diff = series_equal(lhs, rhs)
+                assert eq, (a, b, scale, z, diff)
+                assert lhs.order == rhs.order and lhs.zmax is None
+    with pytest.raises(ValueError, match="labels"):
+        expand_jacobi_theta(2, 0, 4)
+
+
+def test_degree_two_decomposition():
+    for tau, z in ((0.8j, 0.23 + 0.11j), (-1.7 + 0.05j, 0.4 - 0.12j), (0.3 + 2j, 0.1 + 5j)):
+        for (a, b), parts in DEGREE_TWO.items():
+            two = sum(c * theta_jm(ThetaIndex.of(j, 2), tau, z, 0.0, P) for j, c in parts)
+            assert abs(jacobi_theta(a, b, tau, z, P) - two) <= 1e-13 * max(1.0, abs(two))
+    with pytest.raises(ValueError, match="labels"):
+        jacobi_theta(0, 2, 1j)
+
+
+def test_pair_difference_is_antisymmetric_and_exact_at_self_dual_residues():
+    tau, z = -0.4 + 0.9j, 0.31 - 0.52j
+    for m2 in range(1, 13):
+        m = F(m2, 2)
+        for j2 in range(-2 * m2, 2 * m2):
+            j = F(j2, 2)
+            d = theta_pair_diff(ThetaIndex.of(j, m), tau, z, P)
+            assert theta_pair_diff(ThetaIndex.of(-j, m), tau, z, P) == -d
+            if j2 % m2 == 0:                 # -j = j mod 2m
+                assert d == 0 and type(d) is complex
+            else:
+                assert d != 0
+    # the point is checked at a self-dual residue too
+    with pytest.raises(DomainError):
+        theta_pair_diff(ThetaIndex.of(0, 1), -1j, z, P)
+    with pytest.raises(DomainError):
+        theta_pair_diff(ThetaIndex.of(1, 1), 1j, complex("nan"), P)
 
 
 def test_theta_truncation_overflow():
     with pytest.raises(TruncationOverflowError):
         theta_jm(ThetaIndex.of(0, 1), 0.02j, 0.0, 0.0, TruncationPolicy(n_max=8))
+    with pytest.raises(TruncationOverflowError):
+        jacobi_theta(1, 0, 0.02j, 0.0, TruncationPolicy(n_max=8))
+    with pytest.raises(TruncationOverflowError):
+        theta_pair_diff(ThetaIndex.of(F(1, 2), 1), 0.02j, 0.0, TruncationPolicy(n_max=8))
