@@ -66,9 +66,11 @@ class D21Params:
 
     @cached_property
     def _floats(self) -> tuple:
-        """(a, a + 1, a - 1, a + 2, K, 2(a + 1), 4(a + 1)) as floats"""
-        a = self.a
-        return tuple(map(float, (a, a + 1, a - 1, a + 2, self.K, 2 * (a + 1), 4 * (a + 1))))
+        """(a, a + 1, a - 1, a + 2, K, 2(a + 1), 4(a + 1)) as floats, each the
+        quotient of an int by p + q"""
+        p, q = self.p, self.q
+        return tuple(x / (p + q) for x in (-p, q, -2 * p - q, p + 2 * q, -p * q * self.n,
+                                           2 * q, 4 * q))
 
     @cached_property
     def _zz(self) -> tuple:
@@ -532,10 +534,11 @@ def s_matrix_and_fusion(p: int) -> dict:
     root = 1.0 / math.sqrt(2.0 * (p + 1))
     # every entry of S carries two signs, so S is the same if all of them flip
     data = [_boundary_index(w) for w in labels]
+    # the phases are int quotients: j^2 / 4(p + 1) - 1/24 = (6 j^2 - p - 1) / 24(p + 1)
     S = [[root * data[i][1] * data[k][1]
-          * e2pi(Fraction(-data[i][0] * data[k][0], 2 * (p + 1)))
+          * e2pi(-data[i][0] * data[k][0] / (2 * (p + 1)))
           for k in range(N)] for i in range(N)]
-    T = [e2pi(Fraction(j * j, 4 * (p + 1)) - Fraction(1, 24)) for j, _ in data]
+    T = [e2pi((6 * j * j - p - 1) / (24 * (p + 1))) for j, _ in data]
     js = [j % (2 * (p + 1)) for j, _ in data]
 
     def fusion(i, j, k):

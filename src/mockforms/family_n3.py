@@ -74,17 +74,18 @@ class N3Weight:
 
     @cached_property
     def n(self) -> int:
-        n = -4 * self.m - 2
-        if n.denominator != 1 or n <= 0:
+        n = -4 * self.m.numerator // self.m.denominator - 2    # m is in (1/4)Z
+        if n <= 0:
             raise ValueError("level does not give a positive integer n")
-        return int(n)
+        return n
 
     @cached_property
     def _b_data(self) -> tuple:
-        """(index of B, index of the modified B, 2m + 1, -(m + 1/2)) of b_value"""
-        m = self.m
-        return (MockIndex.of(-2 * m - 1, Fraction(self.m2 + 1, 2)),
-                MockIndex.of(int(-4 * m - 2), 0), float(2 * m + 1), float(-(m + Fraction(1, 2))))
+        """(index of B, index of the modified B, 2m + 1, -(m + 1/2)) of b_value,
+        from n = -4m - 2: the degree -2m - 1 is n/2, and 2m + 1 and -(m + 1/2)
+        are the exact floats -n/2 and n/4"""
+        n = self.n
+        return (MockIndex.of(HalfInt(n), HalfInt(self.m2 + 1)), MockIndex.of(n, 0), -n / 2, n / 4)
 
     @cached_property
     def _b_partner(self) -> tuple:
@@ -412,7 +413,7 @@ class FIndex:
         """(wrapper index, sigma, sigma', -n sigma'^2 / 4M) of f_function"""
         sg, sgp = float(self.sigma), float(self.sigma_prime)
         return (PsiIndex.of(self.M, self.n, 0, self.eps, self.j, self.k), sg, sgp,
-                float(-Fraction(self.n, 4 * self.M)) * sgp * sgp)
+                -self.n / (4 * self.M) * sgp * sgp)
 
 
 def f_function(idx: FIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):

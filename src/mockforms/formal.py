@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 
-from .qkernel import HalfInt, UnsupportedCaseError
+from .qkernel import HalfInt, TruncationOverflowError, UnsupportedCaseError
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,18 @@ def _scale(tau_scale) -> int | Fraction:
 def _top(order: Fraction, den: int) -> int:
     """floor(order * den): the largest q-numerator over den within order."""
     return order.numerator * den // order.denominator
+
+
+# The most terms one expansion forms: far above what the verifier and the
+# tests expand (eta^24 to q^100 forms 101 coefficients), far below what
+# exhausts memory.  Each expand_* counts its terms in ints, from its order,
+# and past the cap raises TruncationOverflowError before forming the first.
+MAX_TERMS = 10 ** 6
+
+
+def _too_many(what: str) -> TruncationOverflowError:
+    return TruncationOverflowError(
+        f"{what} at this order would form over {MAX_TERMS} terms")
 
 
 def _check_coefficient(c):
@@ -364,6 +376,8 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     on, od, sn, sd = order.numerator, order.denominator, scale.numerator, scale.denominator
     # |k| <= isqrt(floor(order / (scale m))) + 1, in ints
     kmax = math.isqrt(2 * on * sd // (od * sn * m.twice)) + 1 if on >= 0 else 0
+    if 2 * kmax + 1 > MAX_TERMS:
+        raise _too_many("Theta")
     # n = (r + k d)/d, so m n = m2 (r + k d)/2d and scale m n^2 = a/den
     d = 2 * m.twice
     r = j.twice % d
@@ -401,6 +415,8 @@ def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
     order = _exact(order, "order")
     sn, den = scale.numerator, 24 * scale.denominator
     nmax = _top(order, den) // (24 * sn)            # x^n with n * scale <= order
+    if nmax >= MAX_TERMS:
+        raise _too_many("eta power")
     pent = sorted((k * (3 * k + 1) // 2, 1 - 2 * (k & 1))
                   for k in range(-nmax, nmax + 1) if 0 < k * (3 * k + 1) // 2 <= nmax)
     c = [1] if nmax >= 0 else []
@@ -446,13 +462,24 @@ def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
     # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den
     m2, s2, sn, den = m.twice, s.twice, scale.numerator, 2 * scale.denominator
     top = _top(order, den)
-    # j runs outward from 0 on each side while q_j <= top
-    js = [0] if top >= 0 else []
-    for step in (1, -1):
-        j = step
-        while sn * (m2 * j * j + s2 * j) <= top:
-            js.append(j)
-            j += step
+    # j runs outward from 0 on each side while q_j <= top, that is from +-1
+    # to the floor of the larger root (sqrt(D) -+ s2) / 2m2 of
+    # m2 j^2 +- s2 j = t, t = top // sn, D = s2^2 + 4 m2 t, when j = +-1
+    # meets it (the quadratic is convex).  That floor is (isqrt(D) -+ s2) //
+    # 2m2, as (x -+ s2) / 2m2 is an integer only at an integer x.  Each j
+    # starts a run on each half, and a run keeps to the zeta window, about
+    # 2 zcap + 5 terms (the pure-zeta run at j = 0)
+    t = top // sn
+    up = down = 0
+    if t >= m2 - abs(s2):
+        r = math.isqrt(s2 * s2 + 4 * m2 * t)
+        if m2 + s2 <= t:
+            up = (r - s2) // (2 * m2)
+        if m2 - s2 <= t:
+            down = (r + s2) // (2 * m2)
+    if len(halves) * ((top >= 0) + up + down) * (2 * zcap + 5) > MAX_TERMS:
+        raise _too_many("Appell sum")
+    js = [*range(top < 0, up + 1), *range(-1, -down - 1, -1)]
     acc = {}
     for k, (z1, z2) in enumerate(halves):
         sb1, sb2, sph = _zeta_monomial(s2, 2, z1)
@@ -510,6 +537,8 @@ def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> For
     top = _top(order, den)
     # |N| <= nmax exactly when sn N^2 <= top
     nmax = math.isqrt(top // sn) if top >= 0 else -1
+    if nmax >= MAX_TERMS:
+        raise _too_many("theta_ab")
     z = _ratios(z)
     acc = {}
     for n in range(-nmax + (nmax + a) % 2, nmax + 1, 2):

@@ -33,9 +33,9 @@ from .qkernel import (
     _POINT_MEMO,
     _centre_error,
     _check_point,
+    _guard_checked,
     _index_range,
     e2pi,
-    guard_pole,
     sum_bilateral,
 )
 from .theta import ThetaIndex
@@ -121,19 +121,6 @@ class PsiIndex:
         return MockIndex(self.m, self.s), a, b, float(self.eps), m * a * b, m / self.M
 
 
-@lru_cache(maxsize=8)
-def _pole_floor(guard: float) -> float:
-    """Least h(y) = |1 - w| / max(1, |w|), w = e^{2 pi i u}, over rows
-    u = x + iy at distance guard or more from the integers.
-
-    |1 - w| = 2 e^{-pi y} |sin pi u| >= 4 e^{-pi y} dist(u, Z) and
-    |1 - w| >= |1 - |w||, and h is even in y, so h >= max(1 - X^2, 4 guard X)
-    with X = e^{-pi |y|}; the least of that over X in (0, 1] is where the
-    two meet."""
-    x = math.sqrt(4.0 * guard * guard + 1.0) - 2.0 * guard
-    return 4.0 * guard * x
-
-
 def _appell_anchor(series: tuple, j: int):
     """(N_j, j, w_j, series): the numerator N_j = (+-1)^j e^{2 pi i (C + j (A j
     + B))} and w_j = e^{2 pi i (z1 + j tau)} of series = (A, B, C, sign, tau,
@@ -198,7 +185,7 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
     tau = _check_point(tau, z1, z2)
-    guard_pole(z1, tau, policy, "z1")
+    _guard_checked(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
     if not math.isfinite(j_c):
@@ -206,12 +193,12 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
     j_star = round(j_c)
     # |N_j| = e^{log_n - a (j - j_c)^2} and |1 - w_j| = h_j max(1, |w_j|) with
     # h_j >= max(floor, 1 - e^{-2 pi |y_j|}), y_j = Im(z1 + j tau) (see
-    # _pole_floor), so |t_j| <= |N_j| min(1, e^{2 pi y_j}) / h_j <= |N_j| / floor,
+    # TruncationPolicy), so |t_j| <= |N_j| min(1, e^{2 pi y_j}) / h_j <= |N_j| / floor,
     # and |t_j| >= |N_j| min(1, e^{2 pi y_j}) / 2 gives the peak's lower bound.
     # The derivative terms s t + N w/D^2 = t (s + w/D), with |w/D| <= 1/floor.
     y1, a = z1.imag, TWO_PI * m * tau.imag
     log_n = a * j_c * j_c - TWO_PI * s * y1
-    floor = _pole_floor(policy.pole_guard)
+    floor = policy._pole_floor
     lift = (abs(s) + 1.0 / floor) / floor if want_d0 else 1.0 / floor
     y_star = y1 + j_star * tau.imag
     log_p = log_n - a * (j_star - j_c) ** 2 + (TWO_PI * y_star if y_star < 0 else 0.0) - LOG_2

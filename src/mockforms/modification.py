@@ -44,7 +44,7 @@ from .qkernel import (
     e2pi,
 )
 from .theta import theta_jm, theta_pair_diff
-from .mock import MockIndex, PsiIndex, _phi1_core, _psi_frame, phi, phi1
+from .mock import MockIndex, PsiIndex, _phi1_core, _psi_frame, phi1
 
 
 # A walk forms the exponential factors e^{2 pi i w} of a run of terms by
@@ -169,7 +169,6 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
         raise TruncationOverflowError(
             f"series needs {widest} terms to meet tol={policy.tol:g}, "
             f"over n_max={policy.n_max}")
-    dscale = math.sqrt(m / tau.imag) / math.pi if want_dv else 0.0
 
     # Every n in s + Z has n^2 = s^2 mod 1 (2n is an integer), so moving tau
     # by 4m multiplies every term e^{2 pi i n (qa n + v)} by the same unit
@@ -201,7 +200,9 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     i0 = math.floor(n_star - s % 1 + 0.5) - math.floor(s)
     i_lo, i_hi = min(chain(lo_v, lo_d)), max(chain(hi_v, hi_d))
     vals = [0.0 + 0.0j] * width
-    ders = [0.0 + 0.0j] * width
+    if want_dv:
+        ders = [0.0 + 0.0j] * width
+        dscale = math.sqrt(m / tau.imag) / math.pi
     erfc, exp, cexp, log, copysign = math.erfc, math.exp, cmath.exp, math.log, math.copysign
     c = SQRT_PI * scale
     c2 = math.pi * scale * scale
@@ -269,8 +270,9 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
         raise DomainError(f"a series term overflowed a double ({exc})") from exc
     if unit != 1:
         vals = [unit * x for x in vals]
-        ders = [unit * x for x in ders]
-    if not all(map(cmath.isfinite, vals + ders)):
+        if want_dv:
+            ders = [unit * x for x in ders]
+    if not all(map(cmath.isfinite, vals + ders if want_dv else vals)):
         raise DomainError("a series term overflowed a double")
     out = (tuple(vals), tuple(ders)) if want_dv else tuple(vals)
     if memo is not None:
@@ -295,20 +297,38 @@ def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPol
     return [(r, diff[r]) for r, _ in duals if diff[r] != 0]
 
 
+def _correction(idx: MockIndex, m: float, s: float, tau: complex, z1: complex,
+                z2: complex, policy: TruncationPolicy, want_dv: bool = False):
+    """sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2) (Theta_{-j,m} -
+    Theta_{j,m})(tau, z1+z2) with m, s = float(idx.m), float(idx.s), or with
+    want_dv the pair of it and the same sum over (1/2 pi i) dR_{j;m}/dv: the
+    correcting sum of phi_add and of the modifications, before its 1/2."""
+    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
+    if not diffs:
+        return (0j, 0j) if want_dv else 0j
+    rs = r_window(s, m, tau, (z1 - z2) / 2.0, policy, want_dv, tuple(r for r, _ in diffs))
+    if want_dv:
+        return _window_dot(rs[0], diffs), _window_dot(rs[1], diffs)
+    return _window_dot(rs, diffs)
+
+
+def _window_dot(rs: tuple, diffs: list) -> complex:
+    """sum of rs[r] d over the (r, d) of diffs, in their order."""
+    total = 0.0 + 0.0j
+    for r, d in diffs:
+        total += rs[r] * d
+    return total
+
+
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(1/2) e^{2 pi i m t} sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2)
     (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2)."""
-    total = 0.0 + 0.0j
-    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
-    if diffs:
-        rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy,
-                      buckets=tuple(r for r, _ in diffs))
-        for r, d in diffs:
-            total += rs[r] * d
+    m = float(idx.m)
+    total = _correction(idx, m, float(idx.s), tau, z1, z2, policy)
     total *= 0.5
     if t != 0:
-        total *= e2pi(float(idx.m) * t)
+        total *= e2pi(m * t)
     return total
 
 
@@ -346,9 +366,20 @@ def _lattice_shift(idx: MockIndex, tau: complex, z1: complex, z2: complex):
 
 def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Modification Phi + Phi_add, summed at the points _lattice_shift picks."""
+    """Modification Phi + Phi_add, summed at the points _lattice_shift picks:
+    the two Appell sums of phi and the correcting sum of phi_add, each
+    scaled by e^{2 pi i m t} as phi and phi_add scale it."""
     tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
-    out = phi(idx, tau, z1, z2, t, policy) + phi_add(idx, tau, z1, z2, t, policy)
+    m, s = float(idx.m), float(idx.s)
+    out = _phi1_core(m, s, tau, z1, z2, policy) - _phi1_core(m, s, tau, -z2, -z1, policy)
+    if t != 0:
+        e = e2pi(m * t)
+        out *= e
+    total = _correction(idx, m, s, tau, z1, z2, policy)
+    total *= 0.5
+    if t != 0:
+        total *= e
+    out += total
     return out if law is None else law[0] * out
 
 
@@ -364,14 +395,7 @@ def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
     va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
     vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
-    val = der = 0.0 + 0.0j
-    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
-    if diffs:
-        rv, rd = r_window(s, m, tau, (z1 - z2) / 2.0, policy, True,
-                          tuple(r for r, _ in diffs))
-        for r, d in diffs:
-            val += rv[r] * d
-            der += rd[r] * d
+    val, der = _correction(idx, m, s, tau, z1, z2, policy, True)
     val, der = (va - vb) + 0.5 * val, (da - db) + 0.5 * der
     return (val, der) if law is None else (law[0] * val, law[0] * (der + law[1] * val))
 

@@ -93,6 +93,14 @@ class TruncationPolicy:
         object.__setattr__(self, "_hash", hash((self.tol, self.n_max, self.pole_guard)))
         # log(tol/8), the tail target of every series (_index_range)
         object.__setattr__(self, "_log_target", math.log(self.tol) - LOG_8)
+        # the least h(y) = |1 - w| / max(1, |w|), w = e^{2 pi i u}, over rows
+        # u = x + iy at distance pole_guard or more from the integers, which
+        # bounds every Appell term (mock._phi1_core).  |1 - w| = 2 e^{-pi y}
+        # |sin pi u| >= 4 e^{-pi y} dist(u, Z) and |1 - w| >= |1 - |w||, and h
+        # is even in y, so h >= max(1 - X^2, 4 guard X) with X = e^{-pi |y|};
+        # the least of that over X in (0, 1] is where the two meet
+        x = math.sqrt(4.0 * self.pole_guard * self.pole_guard + 1.0) - 2.0 * self.pole_guard
+        object.__setattr__(self, "_pole_floor", 4.0 * self.pole_guard * x)
 
     def __hash__(self):
         return self._hash
@@ -252,10 +260,16 @@ def lattice_distance(z: complex, tau: complex) -> float:
 
 
 def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "z"):
-    """Raise PoleProximityError if z is within pole_guard of Z + tau*Z.
+    """Raise PoleProximityError if z is within pole_guard of Z + tau*Z,
+    after checking the point (see _guard_checked)."""
+    _guard_checked(z, _check_point(tau, z), policy, what)
 
-    A lattice point that close lies within pole_guard / Im tau rows of z,
-    so for small Im tau the window widens past the 7 rows of
+
+def _guard_checked(z: complex, tau: complex, policy: TruncationPolicy, what: str):
+    """guard_pole at a checked point: tau complex, z finite.
+
+    A lattice point within pole_guard of z lies within pole_guard / Im tau
+    rows of it, so for small Im tau the window widens past the 7 rows of
     lattice_distance, and only its rows within that reach are scanned.
     It scans with tau mod 1, which spans the same lattice and keeps the
     nearest column of every scanned row inside the window.
@@ -267,18 +281,17 @@ def guard_pole(z: complex, tau: complex, policy: TruncationPolicy, what: str = "
     than the rounding of the other rows' distances, no point of the scan
     can refuse z, and the guard returns without scanning.  A centre that is
     not finite goes to the scan, which raises DomainError."""
-    tau = _check_point(tau, z)
     rows = policy.pole_guard / tau.imag
     if rows >= policy.n_max:
         raise TruncationOverflowError(
             f"the pole scan at Im tau = {tau.imag:g} needs over n_max={policy.n_max} rows")
-    z = complex(z)
     tau = tau - round(tau.real)
     y = z.imag / tau.imag
     if (math.isfinite(z.real - y * tau.real)
             and abs(z.imag - round(y) * tau.imag)
             > policy.pole_guard + 1e-12 * (abs(z.imag) + policy.pole_guard)):
         return
+    z = complex(z)
     d = _lattice_scan(z, tau, max(3, math.ceil(rows) + 1), rows)
     if d < policy.pole_guard:
         raise PoleProximityError(

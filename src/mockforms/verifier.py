@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -274,12 +275,27 @@ def _zs(t):
     return lambda pt: (pt.zs[0], pt.zs[1], t)
 
 
-def _s_table(M: int, eps, m, j, k, sgp=0) -> list:
-    """(e(-(m/M)(a k + b j - sgp (a - b))), a, b) over a, b in
-    eps + {0, ..., M-1}, a outer: the index sum of the wrapper S-laws."""
-    reps = [Fraction(eps) + i for i in range(M)]
-    return [(e2pi(-Fraction(m, M) * (a * k + b * j - sgp * (a - b))), a, b)
-            for a in reps for b in reps]
+def _twice(x) -> int:
+    """2x, exactly, for an int or a half-integer Fraction x."""
+    return 2 * x.numerator // x.denominator
+
+
+def _s_phases(M: int, eps, m: int, j, k, sgp=0) -> list:
+    """e(-(m/M)(a k + b j - sgp (a - b))) over a, b in eps + {0, ..., M-1},
+    a outer, for eps, j, k, sgp ints or half-integer Fractions.  With
+    a, ..., sgp as twice their values, the argument is one int over 4M,
+    and e2pi of that quotient rounds it once, as e2pi of the Fraction does."""
+    e2, j2, k2, g2 = map(_twice, (eps, j, k, sgp))
+    twice = range(e2, e2 + 2 * M, 2)
+    return [e2pi(-m * (a * k2 + b * j2 - g2 * (a - b)) / (4 * M)) for a in twice for b in twice]
+
+
+def _s_table(M: int, eps, m: int, j, k, sgp=0) -> list:
+    """(c, a, b) over a, b in eps + {0, ..., M-1}, a outer, with c the
+    _s_phases entry and a, b Fractions: the index sum of the wrapper S-laws."""
+    e2 = _twice(eps)
+    reps = [Fraction(a, 2) for a in range(e2, e2 + 2 * M, 2)]
+    return [(c, a, b) for c, (a, b) in zip(_s_phases(M, eps, m, j, k, sgp), product(reps, reps))]
 
 
 def _theta_pairs():
@@ -296,7 +312,7 @@ def _theta_pairs():
          for a in (1, -2)], theta(eq12a), grid=(5, 5)))
 
     def eq12b(m, j, k):
-        ck, ch = complex(-Fraction(k * k, 4 * m)), complex(-Fraction(k, 2))
+        ck, ch = complex(-k * k / (4 * m)), complex(-k / 2)
         return [(ThetaIndex.of(j, m), lambda tau, z, t: (tau, z + k * tau / m, t),
                  ThetaIndex.of(j + k, m), lambda tau, z, t: e2pi(ck * tau) * e2pi(ch * z))]
 
@@ -310,7 +326,7 @@ def _theta_pairs():
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
         theta(lambda m, j: [(
             ThetaIndex.of(j, m), lambda tau, z, t: (-1 / tau, z / tau, -z * z / (4 * tau)),
-            [(e2pi(-Fraction(j * jp, 2 * m)), ThetaIndex.of(jp, m)) for jp in range(2 * m)],
+            [(e2pi(-j * jp / (2 * m)), ThetaIndex.of(jp, m)) for jp in range(2 * m)],
             lambda tau, z, t: cmath.sqrt(-1j * tau / (2 * m)))]),
         grid=(5, 3)))
 
@@ -318,7 +334,7 @@ def _theta_pairs():
         "eq1.4", "theta T-transform", "theta", 1e-9,
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
         theta(lambda m, j: [(ThetaIndex.of(j, m), _T, ThetaIndex.of(j, m),
-                             e2pi(Fraction(j * j, 4 * m)))]), grid=(5, 3)))
+                             e2pi(j * j / (4 * m)))]), grid=(5, 3)))
 
     register(IdentitySpec(
         "eq1.5", "Jacobi theta elliptic laws", "theta", 1e-10,
@@ -611,8 +627,9 @@ def _n3_pairs():
         eps, epsp = H, Fraction(0)
         j, k = (1, 2) if M > 1 else (0, 0)
         ph = e2pi(Fraction(n, 2 * M) * sg * sgp)
+        eps_s = abs(epsp - sgp)
         return [(fidx(M, n, eps, sg, sgp, j, k), _S,
-                 [(c, fidx(M, n, abs(epsp - sgp), sgp, sg, a, b))
+                 [(c, fidx(M, n, eps_s, sgp, sg, a, b))
                   for c, a, b in _s_table(M, eps, n, j, k, sgp)],
                  lambda tau, z: tau / M * e2pi(n * z * z / (4 * M * tau)) * ph)]
 
@@ -819,9 +836,12 @@ def _balanced_table(M: int, eps, m: int, j, k) -> list:
     """(c, a0, b0) for each (c, a, b) of _s_table(M, eps, -m, j, k), with a0, b0
     the representatives of a, b in [-M/2, M/2): they keep the evaluations well
     conditioned at small Im tau, where the raw ones carry huge inverse nome
-    powers.  At the target shift eps' = 0, a translation by M has no phase."""
-    rep = lambda a: HalfInt.of(a - math.floor(a / M + H) * M)
-    return [(c, rep(a), rep(b)) for c, a, b in _s_table(M, eps, -m, j, k)]
+    powers.  At the target shift eps' = 0, a translation by M has no phase.
+    In twice their values, a0 = a - floor(a/M + 1/2) M is 2a - (2a + M) //
+    2M * 2M."""
+    e2 = _twice(eps)
+    reps = [HalfInt(a - (a + M) // (2 * M) * 2 * M) for a in range(e2, e2 + 2 * M, 2)]
+    return [(c, a, b) for c, (a, b) in zip(_s_phases(M, eps, -m, j, k), product(reps, reps))]
 
 
 def _n4_pairs():

@@ -187,6 +187,44 @@ def test_refused_inputs_exit_2(args, capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+# Run in a child interpreter under a 1 GiB address-space limit: an
+# expansion that forms its terms before refusing them fails the test with a
+# MemoryError or the timeout, instead of exhausting the machine.
+MEMORY_LIMIT = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+BOUNDED_CLI = MEMORY_LIMIT + "import sys\nfrom mockforms.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--fn", "phi", "--m", "1", "--s", "0"],
+    ["--fn", "phi1", "--m", "1/2", "--s", "1/2"],
+    ["--fn", "theta", "--j", "1", "--m", "2"],
+    ["--fn", "jacobi", "--a", "1", "--b", "0"],
+])
+def test_qexp_at_a_huge_order_exits_2(args):
+    # 1e400 parses to 10^400 exactly; each expansion counts its terms from
+    # the order, in ints, and refuses before forming the first
+    got = subprocess.run([sys.executable, "-c", BOUNDED_CLI, "qexp", *args, "--order", "1e400"],
+                         capture_output=True, text=True, timeout=30)
+    assert got.returncode == 2 and got.stdout == "", got.stderr
+    assert got.stderr.startswith("error: ") and "terms" in got.stderr
+
+
+def test_eta_power_at_a_huge_order_is_refused():
+    # the eta expansion is not a qexp function; its count comes before the
+    # pentagonal series, whose range alone is as long as the order
+    code = ("from fractions import Fraction\n"
+            "from mockforms.formal import expand_eta_quotient\n"
+            "from mockforms.qkernel import TruncationOverflowError\n"
+            "try:\n"
+            "    expand_eta_quotient(24, Fraction(10) ** 400)\n"
+            "except TruncationOverflowError:\n"
+            "    print('refused')\n")
+    got = subprocess.run([sys.executable, "-c", MEMORY_LIMIT + code],
+                         capture_output=True, text=True, timeout=30)
+    assert got.returncode == 0 and got.stdout == "refused\n", got.stderr
+
+
 @pytest.mark.parametrize("z", ["", " "])
 def test_empty_point_exits_2(z, capsys):
     # an empty --z is a usage error (argparse's own message), not the value

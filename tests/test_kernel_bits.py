@@ -9,7 +9,10 @@ phi_tilde_d0, the pair of value and D0 value; for jacobi_theta, the tuple
 of the four theta_ab), or the name of the error a kernel raised.  It was
 last written when theta_ab and the Theta pair differences became one
 series each, a change that moved last bits; a restatement that moves one
-bit fails.
+bit fails.  phi_tilde and psi_tilde are pinned at t = 0 and at the
+t = 0.02 of the registry's laws, so that the factor e(m t) is checked off
+the grid too; the t = 0.02 entries were added with the values of phi_tilde
+summed as phi + phi_add, before it assembled the two in one body.
 
 The sums also have to survive perfbench's tracer, which replaces the first
 argument of sum_bilateral by a one-argument function of k that calls it:
@@ -76,6 +79,9 @@ def _cases(tau, z, z1, z2, tidx, idx, pidx):
         "phi_tilde": lambda: modification.phi_tilde(idx, tau, z1, z2, 0.0, P),
         "phi_tilde_d0": lambda: modification.phi_tilde_d0(idx, tau, z1, z2, P),
         "psi_tilde": lambda: modification.psi_tilde(pidx, tau, z1, z2, 0.0, P),
+        # t as in the registry's laws: the factor e(m t) on both halves
+        "phi_tilde_t": lambda: modification.phi_tilde(idx, tau, z1, z2, 0.02, P),
+        "psi_tilde_t": lambda: modification.psi_tilde(pidx, tau, z1, z2, 0.02, P),
     }
 
 

@@ -23,7 +23,7 @@ from mockforms.family_d21a import D21Index, D21Params, PQ_function
 from mockforms.family_n4 import psi_P
 from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
 from mockforms.modification import phi_tilde, phi_tilde_d0, psi_tilde, r_window
-from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
+from mockforms.theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm, theta_pair_diff
 
 NAN, INF = float("nan"), float("inf")
 PSI_INDEX = PsiIndex.of(3, 2, 0, 0, 1, -1)
@@ -47,6 +47,10 @@ def test_nome():
 # must fail at once instead of summing n_max terms of NaN.
 POINT_KERNELS = {
     "theta_jm": lambda tau, z: theta_jm(ThetaIndex.of(1, 2), tau, z),
+    # -1 is 3 mod 4, not 1: a pair that is summed, not the exact 0 of a
+    # self-dual index
+    "theta_pair_diff": lambda tau, z: theta_pair_diff(ThetaIndex.of(1, 2), tau, z),
+    "jacobi_theta": lambda tau, z: jacobi_theta(1, 1, tau, z),
     "phi1_z1": lambda tau, z: phi1(MockIndex.of(1, 0), tau, z, 0.1),
     "phi1_z2": lambda tau, z: phi1(MockIndex.of(1, 0), tau, 0.1, z),
     "r_correction": lambda tau, z: r_window(0.0, 1.0, tau, z, DEFAULT_POLICY, buckets=(0,)),

@@ -141,7 +141,8 @@ def test_exact_work_is_once_per_parameter_set(monkeypatch, identity, owner, name
 
 def _count_exact_work(monkeypatch) -> collections.Counter:
     """From now on, count HalfInt.of calls, Fraction constructions and the
-    pole guard's lattice scans."""
+    pole guard's lattice scans (the scans of qkernel._guard_checked, which
+    guard_pole and the Appell sums call)."""
     counts = collections.Counter()
     of, new, scan = HalfInt.of, Fraction.__new__, qkernel._lattice_scan
 
@@ -154,7 +155,7 @@ def _count_exact_work(monkeypatch) -> collections.Counter:
         return new(cls, *args, **kwargs)
 
     def counting_scan(*args):
-        if sys._getframe(1).f_code is qkernel.guard_pole.__code__:
+        if sys._getframe(1).f_code is qkernel._guard_checked.__code__:
             counts["scan"] += 1
         return scan(*args)
 
@@ -171,12 +172,15 @@ def test_exact_work_and_pole_scans_per_pass(monkeypatch):
     # point.  Per pass, before the family layer held its exact data: 28,326
     # HalfInt.of calls, 27,412 Fraction constructions, 4,880 scans.  With
     # the grid-point denominators still parsing their shifts: 10,039, 8,476
-    # and 422.  With each sector a Sector formed once: 7,327, 8,464 and 422
+    # and 422.  With each sector a Sector formed once: 7,327, 8,464 and 422;
+    # with one series per theta_ab: 7,334, 8,416 and 411.  With the
+    # S-tables, S- and T-phases and family constants formed from ints:
+    # 7,204, 4,312 and 411
     counts = _count_exact_work(monkeypatch)
     V.suite("all", seed=1)
-    assert counts["HalfInt.of"] < 11_000, counts
-    assert counts["Fraction"] < 9_500, counts
-    assert counts["scan"] < 1_000, counts
+    assert counts["HalfInt.of"] < 7_300, counts
+    assert counts["Fraction"] < 4_400, counts
+    assert 0 < counts["scan"] < 1_000, counts
 
 
 @pytest.mark.parametrize("seed", [1, 2])
