@@ -417,8 +417,10 @@ def expand_eta_quotient(power: int, order, tau_scale=1) -> FormalSeries:
     nmax = _top(order, den) // (24 * sn)            # x^n with n * scale <= order
     if nmax >= MAX_TERMS:
         raise _too_many("eta power")
+    # k(3k + 1)/2 <= nmax needs |k| <= sqrt(2 nmax/3) + 1/3
+    kmax = math.isqrt(max(2 * nmax // 3, 0)) + 1
     pent = sorted((k * (3 * k + 1) // 2, 1 - 2 * (k & 1))
-                  for k in range(-nmax, nmax + 1) if 0 < k * (3 * k + 1) // 2 <= nmax)
+                  for k in range(-kmax, kmax + 1) if 0 < k * (3 * k + 1) // 2 <= nmax)
     c = [1] if nmax >= 0 else []
     for n in range(1, nmax + 1):
         t = 0

@@ -3,12 +3,14 @@
 Every transformation law carries an id, a citation anchor, a tag, its own
 tolerance and grid size, a parameter domain, and a plan: plan(**params)
 does the exact work of one parameter set (index objects, phases,
-coefficient tables) and returns run(pt, policy), which evaluates one
-(lhs, rhs) pair, or a list of them, at a grid point with float kernels
-only.  Most laws are records planned by the one evaluator _laws(); the
-rest are hand-written.  verify() plans each parameter set of one id once
-per call, then walks the standard grid one point at a time through
-_run_point(); suite() runs a tag in registry order.
+coefficient tables) and returns run(pt, policy), which evaluates the list
+of (lhs, rhs) pairs at a grid point with float kernels only.  Every law is
+a record planned by the one evaluator _laws(): a family member at a
+transformed point against a factor times members at the point, their sum,
+or a closed form.  The doubling laws share one hand-written plan,
+_doubling().  verify() plans each parameter set of one id once per call,
+then walks the standard grid one point at a time through _run_point();
+suite() runs a tag in registry order.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -22,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 from .qkernel import (
@@ -62,7 +64,7 @@ class IdentitySpec:
     tag: str
     tol: float
     params: list
-    plan: object            # plan(**params) -> run(pt, policy) -> (lhs, rhs) or a list of them
+    plan: object            # plan(**params) -> run(pt, policy) -> [(lhs, rhs), ...]
     grid: tuple = (3, 2)
     check: str = "close"    # or "exceeds"
     runner: object = None   # custom: callable(policy) -> (max_err, extra)
@@ -184,11 +186,9 @@ def _run_point(runs, pt, policy) -> list:
         out = []
         for run in runs:
             try:
-                pairs = run(pt, policy)
+                out.append(run(pt, policy))
             except PoleProximityError:
                 out.append(None)
-                continue
-            out.append([pairs] if isinstance(pairs, tuple) else pairs)
         return out
     finally:
         _POINT_MEMO.reset(token)
@@ -214,42 +214,71 @@ def suite(tag: str, policy: TruncationPolicy = DEFAULT_POLICY, seed: int = 1) ->
 def _laws(obj, args, laws):
     """The plan of laws stated as records.  obj(x, tau, *a, policy) is the
     family member at index x, and args(pt) gives a.  laws(**params) lists
-    records (x, image, y, c), each checking obj(x, *image(tau, *a)) against
-    c * obj(y, tau, *a).  c is None (no factor), a constant or a callable of
-    (tau, *a); a y that is a list of (coefficient, index) is summed from
-    0.0j in list order, each of its distinct indices evaluated once per
-    point, since the S-rows of a family share their terms.  A record holds
-    only exact data of its parameter set.  The plan calls laws once and
-    gives each distinct index of the lists a value slot."""
+    records (x, image, y, c), each checking the member at x and the point
+    image(tau, *a) against c times the member at y and (tau, *a).  An x or
+    y that is a list of (coefficient, index) is summed from 0.0j in list
+    order; a callable y is a closed form y(tau, *a, policy), as _zero is
+    for a structural zero.  c is None (no factor), a constant or a callable
+    of (tau, *a).  A law between several functions takes the index
+    (f, index, *flags) and obj _call.  A record holds only exact data of
+    its parameter set.  The plan calls laws once and gives each distinct
+    (index, image) a value slot, in the order the records first use them,
+    since the S-rows of a family share their terms and several laws of an
+    id share a side; at a grid point every slot is evaluated once, in
+    that order, and then every closed form and factor, record by record."""
     def plan(**params):
         slots, recs = {}, []
+
+        def slot(ix, image):
+            return slots.setdefault((ix, image), len(slots))
+
         for x, image, y, c in laws(**params):
+            x = [(cx, slot(ix, image)) for cx, ix in x] if isinstance(x, list) else slot(x, image)
             if isinstance(y, list):
-                # [(slot, index) first met in this row, (coefficient, slot) terms]
-                y = [[(slots.setdefault(iy, len(slots)), iy) for _, iy in y if iy not in slots],
-                     [(cy, slots[iy]) for cy, iy in y]]
-            recs.append((x, image, y, c))
+                y = [(cy, slot(iy, _same)) for cy, iy in y]
+            elif not callable(y):
+                y = slot(y, _same)
+            recs.append((x, y, c))
+        # (index, image) per slot, with None for _same
+        keys = [(ix, None if image is _same else image) for ix, image in slots]
 
         def run(pt, policy):
             tau, a = pt.tau, args(pt)
-            at = [None] * len(slots)
+            at = []
+            for ix, image in keys:
+                at.append(obj(ix, *image(tau, *a), policy) if image else obj(ix, tau, *a, policy))
             out = []
-            for x, image, y, c in recs:
-                lhs = obj(x, *image(tau, *a), policy)
-                if isinstance(y, list):
-                    for slot, iy in y[0]:
-                        at[slot] = obj(iy, tau, *a, policy)
-                    rhs = 0.0j
-                    for cy, slot in y[1]:
-                        rhs += cy * at[slot]
+            for x, y, c in recs:
+                if y.__class__ is int:
+                    rhs = at[y]
                 else:
-                    rhs = obj(y, tau, *a, policy)
+                    rhs = _sum(y, at) if isinstance(y, list) else y(tau, *a, policy)
                 if c is not None:
                     rhs = (c(tau, *a) if callable(c) else c) * rhs
-                out.append((lhs, rhs))
+                out.append((at[x] if x.__class__ is int else _sum(x, at), rhs))
             return out
         return run
     return plan
+
+
+def _sum(terms, at) -> complex:
+    """The sum of coefficient * at[slot] over terms [(coefficient, slot)],
+    from 0.0j in list order."""
+    total = 0.0j
+    for c, s in terms:
+        total += c * at[s]
+    return total
+
+
+def _call(x, *a):
+    """obj of a law between functions: the member at x = (f, index, *flags)
+    is f(index, *point, *flags, policy)."""
+    return x[0](x[1], *a[:-1], *x[2:], a[-1])
+
+
+def _zero(*_):
+    """The closed form of a structural zero."""
+    return 0.0
 
 
 def _same(tau, *a):
@@ -360,14 +389,11 @@ def _theta_pairs():
                           ((1, a), _T, (1, a), e2pi(Fraction(1, 8)))]),
         grid=(5, 3)))
 
-    def tp(pt, policy):
-        tau, z = pt.tau, pt.z
-        return (jacobi_theta(1, 1, tau, z, policy),
-                jacobi_theta11_product(tau, z))
-
     register(IdentitySpec(
-        "theta.triple", "odd Jacobi theta vs triple product", "theta", 1e-12,
-        [{}], lambda: tp, grid=(5, 5)))
+        "theta.triple", "odd Jacobi theta vs triple product", "theta", 1e-12, [{}],
+        jacobi(lambda: [((1, 1), _same,
+                         lambda tau, z, policy: jacobi_theta11_product(tau, z), None)]),
+        grid=(5, 5)))
 
     register(IdentitySpec(
         "eta.mod", "Dedekind eta S and T transforms", "theta", 1e-10, [{}],
@@ -391,7 +417,7 @@ def _doubling(f):
             lhs = 2 * f(idx, 2 * tau, z1, z2, t, policy)
             rhs = (f(dbl, tau, z1 / 2, z2 / 2, t / 2, policy)
                    + sgn * f(dbl, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy))
-            return lhs, rhs
+            return [(lhs, rhs)]
         return run
     return plan
 
@@ -402,56 +428,50 @@ def _mock_pairs():
         [{"m": m, "s": s} for m in (1, 2, Fraction(1, 2)) for s in (0, H, 1)],
         _doubling(phi)))
 
-    def rem13a(pt, policy, idx):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        lhs = phi(idx, tau, z1, z2, 0, policy)
-        return lhs, eta_theta_quotient(tau, -1j, ((1, 3), (1, 1, z1 + z2, 1)),
-                                       ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
+    # the index of the signed assembly is (MockIndex, sign)
+    signed = lambda t, laws: _laws(lambda x, *a: phi(x[0], *a, x[1]), _zs(t), laws)
 
     register(IdentitySpec(
         "rem1.3-phi", "degree-one closed form", "mock", 1e-10, [{}],
-        lambda: partial(rem13a, idx=MockIndex.of(1, 0)),
+        signed(0, lambda: [((MockIndex.of(1, 0), 1), _same, lambda tau, z1, z2, t, policy: (
+            eta_theta_quotient(tau, -1j, ((1, 3), (1, 1, z1 + z2, 1)),
+                               ((1, 1, z1, 1), (1, 1, z2, 1)), policy)), None)]),
         grid=(5, 3)))
 
     def rem13b(M, eps, j, k):
-        idx, e = PsiIndex.of(M, 1, 0, eps, j, k), float(eps)
+        e = float(eps)
         cjk, ck, cj = (complex(Fraction(a, M)) for a in (j * k, k, j))
-
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            lhs = psi_tilde(idx, tau, z1, z2, 0, policy)
-            return lhs, eta_theta_quotient(
-                M * tau, -1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2),
-                ((1, 3), (1, 1, z1 + z2 + (j + k) * tau, 1)),
-                ((1, 1, z1 + j * tau + e, 1), (1, 1, z2 + k * tau - e, 1)), policy)
-        return run
+        return [(PsiIndex.of(M, 1, 0, eps, j, k), _same, lambda tau, z1, z2, t, policy: (
+            eta_theta_quotient(M * tau, -1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2),
+                               ((1, 3), (1, 1, z1 + z2 + (j + k) * tau, 1)),
+                               ((1, 1, z1 + j * tau + e, 1), (1, 1, z2 + k * tau - e, 1)),
+                               policy)), None)]
 
     register(IdentitySpec(
         "rem1.3-psi", "degree-one wrapped closed form", "mock", 1e-10,
         [{"M": 3, "eps": e, "j": j, "k": k} for e in (0, H)
-         for (j, k) in ((0, 0), (1, -1))], rem13b))
-
-    # the index of the signed assembly is (MockIndex, sign)
-    signed = lambda laws: _laws(lambda x, *a: phi(x[0], *a, x[1]), _zs(0), laws)
+         for (j, k) in ((0, 0), (1, -1))], _laws(psi_tilde, _zs(0), rem13b)))
 
     register(IdentitySpec(
         "eq1.9", "swap-negate antisymmetry of the assembly", "mock", 1e-12,
         [{"m": 2, "s": 0}, {"m": 1, "s": 1}],
-        signed(lambda m, s: [((MockIndex.of(m, s), 1), lambda tau, z1, z2, t: (tau, -z2, -z1, t),
-                              (MockIndex.of(m, s), 1), -1)])))
+        signed(0, lambda m, s: [((MockIndex.of(m, s), 1),
+                                 lambda tau, z1, z2, t: (tau, -z2, -z1, t),
+                                 (MockIndex.of(m, s), 1), -1)])))
 
-    def eq110eps(pt, policy, idx):
-        # the two half-shift placements agree for integer degree and index
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        a, b, eps, M = 1.0, -1.0, 0.5, 3
+    def placed(x, tau, z1, z2, policy):
+        """the assembly at index x[0] in the wrapper frame (a, b) = (1, -1),
+        M = 3, with z1 shifted by 1/2 and z2 by x[1]"""
+        idx, e = x
+        a, b, M = 1.0, -1.0, 3
         pref = e2pi(2 / 3 * a * b * tau + 2 / 3 * (b * z1 + a * z2))
-        v1 = pref * phi(idx, M * tau, z1 + a * tau + eps, z2 + b * tau + eps, 0, policy)
-        v2 = pref * phi(idx, M * tau, z1 + a * tau + eps, z2 + b * tau - eps, 0, policy)
-        return v1, v2
+        return pref * phi(idx, M * tau, z1 + a * tau + 0.5, z2 + b * tau + e, 0, policy)
 
+    # the two half-shift placements agree for integer degree and index
     register(IdentitySpec(
         "eq1.10eps", "both wrapper half-shift placements agree (integer case)",
-        "mock", 1e-10, [{}], lambda: partial(eq110eps, idx=MockIndex.of(2, 1))))
+        "mock", 1e-10, [{}], _laws(placed, lambda pt: pt.zs[:2], lambda: [
+            ((MockIndex.of(2, 1), 0.5), _same, (MockIndex.of(2, 1), -0.5), None)])))
 
     # the minus-signed family is index-shift invariant for integer indices
     # only; the half-integer minus case is recorded as failing alongside its
@@ -460,22 +480,18 @@ def _mock_pairs():
         "eq5.03", "signed half-degree index shift invariance", "mock", 1e-10,
         [{"sign": 1, "sa": H, "sb": Fraction(3, 2)},
          {"sign": 1, "sa": 0, "sb": 1}, {"sign": -1, "sa": 0, "sb": 1}],
-        signed(lambda sign, sa, sb: [((MockIndex.of(H, sa), sign), _same,
-                                      (MockIndex.of(H, sb), sign), None)])))
+        signed(0, lambda sign, sa, sb: [((MockIndex.of(H, sa), sign), _same,
+                                         (MockIndex.of(H, sb), sign), None)])))
 
-    def eq504(pt, policy, sign, idx, e):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.03
-        delta = 0 if sign > 0 else 1
-        lhs = phi(idx, tau, z1, z2, t, policy, sign)
-        rhs = (eta_theta_quotient(tau, -1j * e2pi(t / 2), ((1, 3), (1, 1, z1 + z2, 1)),
-                                  ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
-               * jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
-               / jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy))
-        return lhs, rhs
+    def eq504(sign, eps):
+        e, delta = int(2 * Fraction(eps)), 0 if sign > 0 else 1
+        return [((MockIndex.of(H, eps), sign), _same, lambda tau, z1, z2, t, policy: (
+            eta_theta_quotient(tau, -1j * e2pi(t / 2), ((1, 3), (1, 1, z1 + z2, 1)),
+                               ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
+            * jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
+            / jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy)), None)]
 
-    eq504_plan = lambda sign, eps: partial(eq504, sign=sign, idx=MockIndex.of(H, eps),
-                                           e=int(2 * Fraction(eps)))
+    eq504_plan = signed(0.03, eq504)
 
     register(IdentitySpec(
         "eq5.04", "signed half-degree closed forms (the three valid combos)",
@@ -517,12 +533,10 @@ def _modification_pairs():
                           "modification", 1e-6, dom, tilde(0.02, lambda m, s: [(
                               MockIndex.of(m, s), _T, MockIndex.of(m, s), None)])))
 
-    def add_zero(s):
-        idx = MockIndex.of(1, s)
-        return lambda pt, policy: (phi_add(idx, pt.tau, *pt.zs[:2], 0, policy), 0.0)
-
     register(IdentitySpec("phi_add.m1", "degree-one correction vanishes identically",
-                          "modification", 0.0, [{"s": 0}, {"s": 2}], add_zero))
+                          "modification", 0.0, [{"s": 0}, {"s": 2}],
+                          _laws(phi_add, _zs(0), lambda s: [
+                              (MockIndex.of(1, s), _same, _zero, None)])))
 
     register(IdentitySpec("lemma1.1mod", "doubling with the modified assembly",
                           "modification", 1e-8, [{"m": 1, "s": 0}, {"m": 2, "s": 1}],
@@ -534,15 +548,16 @@ def _modification_pairs():
                               (MockIndex.of(2, s), _same, MockIndex.of(2, 0), None)
                               for s in (1, 2)])))
 
-    def phi1t_s(pt, policy, m, idx):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        lhs = (phi1_tilde(idx, -1 / tau, z1 / tau, z2 / tau, policy)
-               * e2pi(m * (-z1 * z2 / tau)))
-        return lhs, tau * phi1_tilde(idx, tau, z1, z2, policy)
+    def one_sided(x, tau, z1, z2, t, policy):
+        """e(m t) phi1_tilde: the one-sided modification as a Jacobi form"""
+        v = phi1_tilde(x, tau, z1, z2, policy)
+        return v if t == 0 else v * e2pi(float(x.m) * t)
 
     register(IdentitySpec("rem1.2", "S-invariance of the one-sided modification",
                           "modification", 1e-6, [{"m": 1}, {"m": 2}],
-                          lambda m: partial(phi1t_s, m=m, idx=MockIndex.of(m, 0))))
+                          _laws(one_sided, _zs(0), lambda m: [(
+                              MockIndex.of(m, 0), _s_jacobi, MockIndex.of(m, 0),
+                              lambda tau, *a: tau)])))
 
     MM = [{"M": M, "m": m} for (M, m) in ((3, 1), (3, 2), (5, 2))]
     wrapped = lambda t, laws: _laws(psi_tilde, _zs(t), laws)
@@ -675,21 +690,19 @@ def _n3_pairs():
         c1, c2, c3, cz = (complex(c) for c in (Fraction(1, M), j + sgp / 2, k - sgp / 2,
                                                Fraction(1, 2 * M) * (j + k)))
 
-        def run(pt, policy):
-            tau, z = pt.tau, pt.z
-            lhs = n3.f_function(idx, tau, z, policy)
+        def closed(tau, z, policy):
             pref = ph * e2pi(tau * c1 * c2 * c3) * e2pi(cz * z)
             num = (dedekind_eta(M * tau, policy) ** 3
                    * jacobi_theta(1, 1, M * tau, z + (j + k) * tau, policy))
             d1 = jacobi_theta(1, 1, M * tau, (z + fs + fsp * tau) / 2 + j * tau + e, policy)
             d2 = jacobi_theta(1, 1, M * tau, (z - fs - fsp * tau) / 2 + k * tau - e, policy)
-            return lhs, pref * num / (d1 * d2)
-        return run
+            return pref * num / (d1 * d2)
+        return [(idx, _same, closed, None)]
 
     register(IdentitySpec(
         "rem4.13", "f-basis closed form at unit degree", "n3", 1e-9,
         [{"M": M, "eps": e, "sg": sg, "sgp": sgp} for M in (1, 3) for e in (Fraction(0), H)
-         for (sg, sgp) in ((Fraction(0), H), (H, H))], rem413))
+         for (sg, sgp) in ((Fraction(0), H), (H, H))], f(rem413)))
 
     def rem414(n):
         out = []
@@ -720,23 +733,21 @@ def _n3_pairs():
         w = n3.N3Weight(dotted, Fraction(-3, 4), m2)
         c = m2 if dotted else 1 - m2
 
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            t = 0.04
-            lhs = num(w, tau, z1, z2, t, False, policy)
+        def closed(tau, z1, z2, t, policy):
             pre = u * e2pi(-t / 4)
             s = tau if twisted else 0   # subtracting 0 leaves a complex as it is
             if twisted:
                 pre = pre * e2pi(-tau / 16) * e2pi((z1 + z2) / 8)
-            return lhs, eta_theta_quotient(
+            return eta_theta_quotient(
                 2 * tau, pre, ((1, 3), (1, 1, z1 - z2, 1), (1 - m2, b1, (z1 + z2 - s) / 2, 1)),
                 ((a, b, z1 - s / 2, 1), (a, b, z2 - s / 2, 1), (c, 0, (z1 - z2) / 2, 1)), policy)
-        return run
+        return [((num, w, False), _same, closed, None)]
 
     for which in (5, 6, 7, 8, 9, 10):
         register(IdentitySpec(
             f"eq5.{which:02d}", "collapsing-level numerator closed form", "n3",
-            1e-9, [{"m2": 0, "which": which}, {"m2": 1, "which": which}], eq5x))
+            1e-9, [{"m2": 0, "which": which}, {"m2": 1, "which": which}],
+            _laws(_call, _zs(0.04), eq5x)))
 
     # the index of a numerator family member is its integrable weight
     def eq35(m, m2):
@@ -749,20 +760,17 @@ def _n3_pairs():
                           _laws(lambda w, tau, z1, z2, t, policy: n3.b_value(
                               w, tau, z1, z2, t, False, policy), _zs(0.03), eq35)))
 
-    def p37(pt, policy, w, modified):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.03
-        return (n3.numerator_B(w, tau, z1, z2, t, modified, policy),
-                n3.admissible_numerator_psi(w, tau, z1, z2, t, modified, policy))
+    def p37(m, M, J, k1, k2, dotted, modified):
+        w = n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2)
+        return [((n3.numerator_B, w, modified), _same,
+                 (n3.admissible_numerator_psi, w, modified), None)]
 
     register(IdentitySpec(
         "prop3.7", "translated numerators vs wrapped assembly", "n3", 1e-9,
         [{"m": Fraction(-3, 4), "M": 3, "J": J, "k1": k1, "k2": k2,
           "dotted": d, "modified": mod}
          for (J, k1, k2) in (("I", 0, 1), ("III", 0, 1)) for d in (False, True)
-         for mod in (False, True)],
-        lambda m, M, J, k1, k2, dotted, modified: partial(
-            p37, w=n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2), modified=modified)))
+         for mod in (False, True)], _laws(_call, _zs(0.03), p37)))
 
     def th411(m, M, J, k1, k2, dotted):
         w = n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2)
@@ -778,39 +786,32 @@ def _n3_pairs():
         sign = 0.5 if J == "I" else -0.5
         char_sign = sign / (1j * e2pi(-n3._lambda_theta(w) / 2))
         sgn = (-1.0) ** w.m2
-        # (numerator, half-period shift, scalar, sigma, sigma') per sector
-        rows = [(num, shift, c, *(n3.FIndex.of(M, n_, e, sg, sgp, jj, kk) for e in (0, H)))
-                for num, shift, c, sg, sgp in (
-                    (n3.character_numerator, True, char_sign, H, H),
-                    (n3.supercharacter_numerator, True, sign, Fraction(0), H),
-                    (n3.character_numerator, False, char_sign, H, Fraction(0)))]
-
-        def run(pt, policy):
-            tau, z = pt.tau, pt.z
-            out = []
-            for num, shift, c, f0, fh in rows:
-                if shift:
-                    h = num(w, tau, z + tau / 2, -z + tau / 2, tau / 4, True, policy)
-                else:
-                    h = num(w, tau, z, -z, 0.0, True, policy)
-                f = n3.f_function(f0, tau, z, policy) - sgn * n3.f_function(fh, tau, z, policy)
-                out.append((h, c * f))
-            return out
-        return run
+        shifted = lambda tau, z: (tau, z + tau / 2, -z + tau / 2, tau / 4)
+        diagonal = lambda tau, z: (tau, z, -z, 0.0)
+        # (numerator, image, scalar, sigma, sigma') per sector
+        return [((num, w, True), image,
+                 [(1.0, (n3.f_function, n3.FIndex.of(M, n_, 0, sg, sgp, jj, kk))),
+                  (-sgn, (n3.f_function, n3.FIndex.of(M, n_, H, sg, sgp, jj, kk)))], c)
+                for num, image, c, sg, sgp in (
+                    (n3.character_numerator, shifted, char_sign, H, H),
+                    (n3.supercharacter_numerator, shifted, sign, Fraction(0), H),
+                    (n3.character_numerator, diagonal, char_sign, H, Fraction(0)))]
 
     register(IdentitySpec(
         "th4.11", "reduced numerators equal f-combinations up to scalars", "n3",
         1e-7, [{"m": Fraction(-3, 4), "M": 3, "J": "I", "k1": 0, "k2": 1, "dotted": False},
                {"m": Fraction(-3, 4), "M": 3, "J": "III", "k1": 0, "k2": 1, "dotted": True},
                {"m": Fraction(-1, 1), "M": 3, "J": "I", "k1": 1, "k2": 0, "dotted": False}],
-        th411, grid=(4, 3)))
+        _laws(_call, lambda pt: (pt.z,), th411), grid=(4, 3)))
 
-    def c1(pt, policy, w, sector, idx):
-        tau, z = pt.tau, pt.z
-        v = n3.qhr_character(w, tau, z, sector, False, policy)
-        tgt = (0.0 if idx is None else
-               theta_jm(idx, tau, z, 0, policy) / dedekind_eta(tau, policy))
-        return v, tgt
+    def c1(dotted, m2, sector, s):
+        if s is None:
+            y = _zero
+        else:
+            idx = ThetaIndex.of(s, 1)
+            y = lambda tau, z, policy: theta_jm(idx, tau, z, 0, policy) / dedekind_eta(tau, policy)
+        return [((n3.qhr_character, n3.N3Weight(dotted, Fraction(-3, 4), m2), sector, False),
+                 _same, y, None)]
 
     register(IdentitySpec(
         "n3.c1", "collapsing-level reduced characters equal degree-one theta quotients",
@@ -827,9 +828,7 @@ def _n3_pairs():
          {"dotted": True, "m2": 1, "sector": "ramond", "s": 1},
          {"dotted": False, "m2": 0, "sector": "ramond", "s": None},
          {"dotted": True, "m2": 0, "sector": "ramond", "s": None}],
-        lambda dotted, m2, sector, s: partial(
-            c1, w=n3.N3Weight(dotted, Fraction(-3, 4), m2), sector=sector,
-            idx=None if s is None else ThetaIndex.of(s, 1)), grid=(3, 2)))
+        _laws(_call, lambda pt: (pt.z,), c1), grid=(3, 2)))
 
 
 def _balanced_table(M: int, eps, m: int, j, k) -> list:
@@ -845,102 +844,99 @@ def _balanced_table(M: int, eps, m: int, j, k) -> list:
 
 
 def _n4_pairs():
-    # the plan of a law in m and the modified assembly at index (-m, 0)
-    tilde_plan = lambda f: lambda m: partial(f, m=m, idx=MockIndex.of(-m, 0))
     # the index of a derivative wrapper of degree m is the index
     # (M, -m, 0, eps, j, k) of its modified wrapper; at scale one with no
     # shifts, (1, -m, 0, 0, 0, 0), it is the derivative numerator
     # (D0 + m (z1-z2)/(2 tau)) of the modified assembly at index (-m, 0)
     wrapper = lambda M, m, eps, j, k: PsiIndex.of(M, -m, 0, eps, j, k)
     scale_one = lambda m: wrapper(1, m, 0, 0, 0)
-    # the plan of a law in m, the modified assembly and the derivative numerator
-    derivative_plan = lambda f: lambda m: partial(f, m=m, idx=MockIndex.of(-m, 0),
-                                                  x=scale_one(m))
+    # the S-image of a Jacobi form of negative index in (z1, z2, t)
+    s_dual = lambda tau, z1, z2, t, *_: (-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau)
 
-    def lem63(pt, policy, m, idx, x, ph):
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.03
-        g = lambda tt, a, b, T: n4.psi_P(x, tt, a, b, T, policy)
-        out = [(g(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
-                tau ** 2 * g(tau, z1, z2, t))]
-        z = pt.zs[2]
+    def lem63(m):
+        # the S-law, then the collapse on (z + a tau, z + b tau) at z and
+        # at z + 1/2, where ph = e(m (a + b) / 2)
+        idx, x, ph = MockIndex.of(-m, 0), scale_one(m), e2pi(Fraction(m, 2))
         a, b = 1, 0
-        lhs = g(tau, z + a * tau, z + b * tau, t - (a + b) * z)
-        rhs = (m / 2 * (b - a) * e2pi(m * a * b * tau) * e2pi(m * t)
-               * phi_tilde(idx, tau, z, z, 0, policy))
-        out.append((lhs, rhs))
-        lhs = g(tau, z + 0.5 + a * tau, z + 0.5 + b * tau, t - (a + b) * z)
-        rhs = (m / 2 * (b - a) * ph * e2pi(m * a * b * tau)
-               * e2pi(m * t) * phi_tilde(idx, tau, z + 0.5, z + 0.5, 0, policy))
-        out.append((lhs, rhs))
-        return out
+        return [(x, s_dual, x, lambda tau, *_: tau ** 2),
+                (x, lambda tau, z1, z2, t, z: (tau, z + a * tau, z + b * tau, t - (a + b) * z),
+                 lambda tau, z1, z2, t, z, policy: (
+                     m / 2 * (b - a) * e2pi(m * a * b * tau) * e2pi(m * t)
+                     * phi_tilde(idx, tau, z, z, 0, policy)), None),
+                (x, lambda tau, z1, z2, t, z: (tau, z + 0.5 + a * tau, z + 0.5 + b * tau,
+                                               t - (a + b) * z),
+                 lambda tau, z1, z2, t, z, policy: (
+                     m / 2 * (b - a) * ph * e2pi(m * a * b * tau) * e2pi(m * t)
+                     * phi_tilde(idx, tau, z + 0.5, z + 0.5, 0, policy)), None)]
 
+    # the point is (z1, z2, t, z), and the derivative numerator reads the
+    # first four of its arguments
     register(IdentitySpec("lemma6.3", "derivative numerator: S and collapse laws",
                           "n4", 1e-6, [{"m": -1}, {"m": -2}],
-                          # ph = e(m (a + b) / 2) at the (a, b) = (1, 0) of lem63
-                          lambda m: partial(lem63, m=m, idx=MockIndex.of(-m, 0),
-                                            x=scale_one(m), ph=e2pi(Fraction(m, 2)))))
+                          _laws(lambda x, *a: n4.psi_P(x, *a[:4], a[-1]),
+                                lambda pt: (pt.zs[0], pt.zs[1], 0.03, pt.zs[2]), lem63)))
 
-    def lem62(pt, policy, m, idx, x):
+    def dual_tilde(idx, tau, z1, z2, t, m, policy):
+        """e(m t) phi_tilde(idx, tau, z1, z2, 0), a Jacobi form of index m"""
+        return e2pi(m * t) * phi_tilde(idx, tau, z1, z2, 0.0, policy)
+
+    def lem62(m):
         # hypothesis and conclusion of the derivative transfer, instantiated
         # on the modified assembly: the S-law and swap symmetry of the input
         # together with the S-law of its derivative combination
-        tau, (z1, z2, _) = pt.tau, pt.zs
-        t = 0.03
-        f = lambda tt, a, b, T: e2pi(m * T) * phi_tilde(idx, tt, a, b, 0.0, policy)
-        out = [(f(-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau),
-                tau * f(tau, z1, z2, t)),
-               (f(tau, z2, z1, t), f(tau, z1, z2, t)),
-               (n4.psi_P(x, -1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau, policy),
-                tau ** 2 * n4.psi_P(x, tau, z1, z2, t, policy))]
-        return out
+        f, g = (dual_tilde, MockIndex.of(-m, 0), m), (n4.psi_P, scale_one(m))
+        return [(f, s_dual, f, lambda tau, *a: tau),
+                (f, lambda tau, z1, z2, t: (tau, z2, z1, t), f, None),
+                (g, s_dual, g, lambda tau, *a: tau ** 2)]
 
     register(IdentitySpec("lemma6.2", "derivative transfer: hypothesis and conclusion",
-                          "n4", 1e-6, [{"m": -2}], derivative_plan(lem62)))
+                          "n4", 1e-6, [{"m": -2}], _laws(_call, _zs(0.03), lem62)))
 
-    def lem64(pt, policy, m, idx, x):
-        tau, z = pt.tau, pt.z
-        lhs = n4.psi_P(x, tau, z + tau / 2, z - tau / 2, tau / 4, policy)
-        out = [(lhs, -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
-                * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
-               (lhs, -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
-                * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy))]
-        return out
+    def lem64(m):
+        idx, x = MockIndex.of(-m, 0), scale_one(m)
+        image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, tau / 4)
+        return [(x, image, lambda tau, z, policy: (
+                    -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
+                    * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)), None),
+                (x, image, lambda tau, z, policy: (
+                    -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
+                    * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy)), None)]
 
     register(IdentitySpec("lemma6.4", "derivative numerator collapse on the shifted diagonal",
-                          "n4", 1e-7, [{"m": -1}, {"m": -2}], derivative_plan(lem64)))
+                          "n4", 1e-7, [{"m": -1}, {"m": -2}],
+                          _laws(n4.psi_P, lambda pt: (pt.z,), lem64)))
 
-    def rem65(pt, policy, m, idx):
-        tau, z = pt.tau, pt.z
-        lhs = phi_tilde(idx, tau, z + tau / 2, z - tau / 2, -tau / 4, policy)
-        return [(lhs, e2pi(-m * z) * e2pi(-m * tau / 4)
-                 * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)),
-                (lhs, e2pi(m * z) * e2pi(-m * tau / 4)
-                 * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy))]
+    def rem65(m):
+        idx = MockIndex.of(-m, 0)
+        image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, -tau / 4)
+        return [(idx, image, lambda tau, z, policy: (
+                    e2pi(-m * z) * e2pi(-m * tau / 4)
+                    * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)), None),
+                (idx, image, lambda tau, z, policy: (
+                    e2pi(m * z) * e2pi(-m * tau / 4)
+                    * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy)), None)]
 
     register(IdentitySpec("rem6.5", "modified assembly collapse on the shifted diagonal",
-                          "n4", 1e-8, [{"m": -1}, {"m": -2}], tilde_plan(rem65)))
+                          "n4", 1e-8, [{"m": -1}, {"m": -2}],
+                          _laws(phi_tilde, lambda pt: (pt.z,), rem65)))
 
-    def p71a(pt, policy, m, m2, w, idx, plus):
-        tau, z = pt.tau, pt.z
-        va = n4.qhr_character_integrable(w, tau, z, "plus", policy)
-        m0 = m + m2
-        alt = (-((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
-               * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
-               / n4.n4_denominator(tau, z, plus, policy))
-        return va, alt
+    # the index of a reduced character is (weight, sector)
+    integrable = lambda x, tau, z, policy: n4.qhr_character_integrable(x[0], tau, z, x[1], policy)
+
+    def p71a(m, m2):
+        idx, plus, m0 = MockIndex.of(-m, 0), n4.SECTORS["plus"], m + m2
+        return [((n4.N4Weight(m, m2), "plus"), _same, lambda tau, z, policy: (
+            -((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
+            * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
+            / n4.n4_denominator(tau, z, plus, policy)), None)]
 
     register(IdentitySpec("prop7.1a", "two closed forms of the reduced character agree",
                           "n4", 1e-8, [{"m": -1, "m2": 0}, {"m": -2, "m2": 1}],
-                          lambda m, m2: partial(p71a, m=m, m2=m2, w=n4.N4Weight(m, m2),
-                                                idx=MockIndex.of(-m, 0),
-                                                plus=n4.SECTORS["plus"])))
+                          _laws(integrable, lambda pt: (pt.z,), p71a)))
 
     def denominated(x, tau, z, policy):
         """the reduced character at index x = (weight, sector) times its denominator"""
-        w, sec = x
-        return (n4.qhr_character_integrable(w, tau, z, sec, policy)
-                * n4.n4_denominator(tau, z, n4.SECTORS[sec], policy))
+        return integrable(x, tau, z, policy) * n4.n4_denominator(tau, z, n4.SECTORS[x[1]], policy)
 
     def p72(m, rel):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
@@ -970,28 +966,23 @@ def _n4_pairs():
 
     register(IdentitySpec("th7.3b", "reduced-character laws in shift notation", "n4",
                           1e-6, [{"m": m, **e} for m in (-1, -2) for e in EPS_PAIRS],
-                          _laws(lambda x, tau, z, policy: n4.qhr_character_integrable(
-                              x[0], tau, z, x[1], policy), lambda pt: (pt.z,), th73b),
-                          grid=(2, 2)))
+                          _laws(integrable, lambda pt: (pt.z,), th73b), grid=(2, 2)))
 
-    def rem74(pt, policy, m, w, minus_tw, plus_tw):
+    def rem74(m):
         # deliberately wrong twist: the S-relation must fail visibly
-        tau, z = pt.tau, pt.z
+        w, minus_tw, plus_tw = n4.N4Weight(m, 1), n4.SECTORS["minus_tw"], n4.SECTORS["plus_tw"]
 
-        def bad_tw(tt, zz):
-            w1, w2, wt = n4.w0_prime_point(tt, zz + tt / 2, zz - tt / 2, tt / 4)
-            num = n4.numerator(w, tt, w1, w2, wt, "minus", policy)
-            return num / n4.n4_denominator(tt, zz, minus_tw, policy)
-
-        lhs = denominated((w, "minus"), -1 / tau, z / tau, policy)
-        rhs = (-tau * e2pi(-m * z * z / tau) * bad_tw(tau, z)
-               * n4.n4_denominator(tau, z, plus_tw, policy))
-        return lhs, rhs
+        def bad(tau, z, policy):
+            w1, w2, wt = n4.w0_prime_point(tau, z + tau / 2, z - tau / 2, tau / 4)
+            num = n4.numerator(w, tau, w1, w2, wt, "minus", policy)
+            bad_tw = num / n4.n4_denominator(tau, z, minus_tw, policy)
+            return (-tau * e2pi(-m * z * z / tau) * bad_tw
+                    * n4.n4_denominator(tau, z, plus_tw, policy))
+        return [((w, "minus"), _S, bad, None)]
 
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
-                          "n4", 1e-2, [{"m": -2}], lambda m: partial(
-                              rem74, m=m, w=n4.N4Weight(m, 1), minus_tw=n4.SECTORS["minus_tw"],
-                              plus_tw=n4.SECTORS["plus_tw"]), grid=(2, 2), check="exceeds"))
+                          "n4", 1e-2, [{"m": -2}], _laws(denominated, lambda pt: (pt.z,), rem74),
+                          grid=(2, 2), check="exceeds"))
 
     psi_p = lambda laws: _laws(n4.psi_P, _zs(0.02), laws)
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
@@ -1016,21 +1007,20 @@ def _n4_pairs():
 
     def lem85(M, m):
         j, k = 1, 0
-        idx, x0, x = MockIndex.of(-m, 0), scale_one(m), wrapper(M, m, 0, j, k)
+        idx, x0 = MockIndex.of(-m, 0), scale_one(m)
         c, cm, cj, ck, cv = (complex(x) for x in (-Fraction(m, M) * j * k, -Fraction(m, M),
                                                   j, k, Fraction(m * (j - k), 2 * M)))
 
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            lhs = n4.psi_P(x, tau, z1, z2, 0, policy)
+        def explicit(tau, z1, z2, t, policy):
             pref = e2pi(c * tau) * e2pi(cm * (ck * z1 + cj * z2))
             g = n4.psi_P(x0, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             v = phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
-            return lhs, pref * (g + cv * v)
-        return run
+            return pref * (g + cv * v)
+        return [(wrapper(M, m, 0, j, k), _same, explicit, None)]
 
     register(IdentitySpec("lemma8.5", "derivative wrapper explicit form", "n4",
-                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem85))
+                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
+                          _laws(n4.psi_P, _zs(0), lem85)))
 
     def lem84(M, m):
         # termwise derivative of the modification at index-shifted arguments
@@ -1038,25 +1028,29 @@ def _n4_pairs():
         j, k, eps = 1, -1, 0.5
         idx, x0 = MockIndex.of(-m, 0), scale_one(m)
         c = complex(Fraction(m * (j - k), 2 * M))
+        image = lambda tau, z1, z2: (M * tau, z1 + j * tau + eps, z2 + k * tau + eps)
 
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            v, d = phi_tilde_d0(idx, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, policy)
-            g = n4.psi_P(x0, M * tau, z1 + j * tau + eps, z2 + k * tau + eps, 0.0, policy)
-            return d, g - (m * (z1 - z2) / (2 * M * tau) + c) * v
-        return run
+        def split(tau, z1, z2, policy):
+            u = image(tau, z1, z2)
+            v = phi_tilde_d0(idx, *u, policy)[0]
+            g = n4.psi_P(x0, *u, 0.0, policy)
+            return g - (m * (z1 - z2) / (2 * M * tau) + c) * v
+        return [(idx, image, split, None)]
 
+    # the member is the D0 part of the modification
     register(IdentitySpec("lemma8.4", "shifted-argument derivative split", "n4",
-                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}], lem84))
-
-    def rem86(m, eps):
-        j, k = (1, 0) if eps == 0 else (H, -H)
-        x = wrapper(1, m, eps, j, k)
-        return lambda pt, policy: (n4.psi_P(x, pt.tau, pt.z, pt.z, 0.07, policy), 0.0)
+                          1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
+                          _laws(lambda x, *a: phi_tilde_d0(x, *a)[1], lambda pt: pt.zs[:2],
+                                lem84)))
 
     register(IdentitySpec("rem8.6", "scale-one derivative wrapper vanishes on the diagonal",
                           "n4", 1e-10, [{"m": -1, "eps": Fraction(0)}, {"m": -2, "eps": H}],
-                          rem86))
+                          _laws(n4.psi_P, lambda pt: (pt.z, pt.z, 0.07), lambda m, eps: [
+                              (wrapper(1, m, eps, *((1, 0) if eps == 0 else (H, -H))), _same,
+                               _zero, None)])))
+
+    # psi_P on the diagonal z1 = z2, where its T-law holds
+    on_diagonal = lambda x, tau, z1, z2, t, policy: n4.psi_P(x, tau, z1, z1, t, policy)
 
     def p87(M, m, which):
         eps, epsp = H, Fraction(0)
@@ -1065,24 +1059,20 @@ def _n4_pairs():
         if which == "T":
             # off the diagonal the tau-dependent multiplier spoils the T-shift,
             # so the T-law is the diagonal statement used by the chi basis
-            t = 0.02
             ph = e2pi(-Fraction(m, M) * j * k)
-            y = wrapper(M, m, abs(eps - epsp), j, k)
-            return lambda pt, policy: (
-                n4.psi_P(x, pt.tau + 1, pt.z, pt.z, t, policy),
-                ph * n4.psi_P(y, pt.tau, pt.z, pt.z, t, policy))
+            return [((on_diagonal, x), _T, (on_diagonal, wrapper(M, m, abs(eps - epsp), j, k)),
+                     ph)]
         cm = complex(-Fraction(m, M))
-        return psi_p(lambda: [(x, _S_t, [(c, wrapper(M, m, epsp, a0, b0))
-                                         for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
-                               lambda tau, z1, z2, t: tau ** 2 / M * e2pi(cm * z1 * z2 / tau))])()
+        return [((n4.psi_P, x), _S_t, [(c, (n4.psi_P, wrapper(M, m, epsp, a0, b0)))
+                                       for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
+                 lambda tau, z1, z2, t: tau ** 2 / M * e2pi(cm * z1 * z2 / tau))]
 
     register(IdentitySpec("prop8.7", "derivative wrapper S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "which": w} for (M, m) in ((2, -1), (3, -2))
-                           for w in ("S", "T")], p87, grid=(2, 2)))
+                           for w in ("S", "T")], _laws(_call, _zs(0.02), p87), grid=(2, 2)))
 
     def rem88(M, m):
-        # the index of a law is (function, wrapper index): the wrapper and
-        # the derivative wrapper share their indices
+        # the wrapper and the derivative wrapper share their indices
         j, k = H, -H
         y = wrapper(M, m, H, j, k)
         rows = []
@@ -1093,26 +1083,24 @@ def _n4_pairs():
 
     register(IdentitySpec("rem8.8", "wrapper and derivative wrapper index periodicity",
                           "n4", 1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
-                          _laws(lambda x, *a: x[0](x[1], *a), _zs(0), rem88)))
+                          _laws(_call, _zs(0), rem88)))
 
     def th96(M, m, J, k1, k2, m2):
         w = n4.N4Weight(m, m2, M, J, k1, k2)
-        if n4.qhr_characteristics(w)["vanishes"]:
-            return lambda pt, policy: (0.0, 0.0)
-
-        def run(pt, policy):
-            tau, z = pt.tau, pt.z
-            return [(n4.qhr_character_admissible(w, tau, z, sector, policy),
+        return [((n4.qhr_character_admissible, w, sector), _same,
+                 lambda tau, z, policy, sector=sector, sec=sec: (
                      n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sector, policy)
-                     / n4.n4_denominator(tau, z, sec, policy))
-                    for sector, sec in n4.SECTORS.items()]
-        return run
+                     / n4.n4_denominator(tau, z, sec, policy)), None)
+                for sector, sec in n4.SECTORS.items()]
 
     register(IdentitySpec(
         "th9.6", "chi assembly equals the substituted numerators", "n4", 1e-8,
         [{"M": 1, "m": -1, "J": "I", "k1": 0, "k2": 0, "m2": 0},
          {"M": 3, "m": -2, "J": "I", "k1": 1, "k2": 0, "m2": 1},
-         {"M": 3, "m": -2, "J": "III", "k1": 0, "k2": 1, "m2": 0}], th96, grid=(2, 2)))
+         {"M": 3, "m": -2, "J": "III", "k1": 0, "k2": 1, "m2": 0}],
+        _laws(_call, lambda pt: (pt.z,), th96), grid=(2, 2)))
+
+    chi = lambda laws: _laws(n4.chi, lambda pt: (pt.z,), laws)
 
     def th97(M, m, alpha, which):
         eps, epsp = H, Fraction(0)
@@ -1130,8 +1118,7 @@ def _n4_pairs():
     register(IdentitySpec("th9.7", "chi S and T laws", "n4", 1e-6,
                           [{"M": M, "m": m, "alpha": a, "which": w}
                            for (M, m) in ((2, -1), (3, -2)) for a in (0, 1)
-                           for w in ("S", "T")],
-                          _laws(n4.chi, lambda pt: (pt.z,), th97), grid=(2, 2)))
+                           for w in ("S", "T")], chi(th97), grid=(2, 2)))
 
     def th98a(M, m, alpha):
         eps, epsp = H, Fraction(0)
@@ -1148,36 +1135,24 @@ def _n4_pairs():
                 ph = cmath.exp(1j * math.pi * float(Fraction(m, M) * (j + k) * (a + b)))
                 w = (2j * ph * math.sin(arg) if alpha == 1
                      else (2 - (1 if a == b else 0)) * ph * math.cos(arg))
-                terms.append((w, ia * M + ib))
-
-        def run(pt, policy):
-            vals = [n4.chi(x, pt.tau, pt.z, policy) for _, x in cells]
-            lhs, rhs = 0.0j, 0.0j
-            for (c, _), v in zip(cells, vals):
-                lhs += c * v
-            for w, slot in terms:
-                rhs += w * vals[slot]
-            return lhs, rhs
-        return run
+                terms.append((w, cells[ia * M + ib][1]))
+        return [(cells, _same, terms, None)]
 
     register(IdentitySpec("th9.8a", "sine/cosine rewriting of the chi S-sum", "n4",
                           1e-8, [{"M": M, "m": m, "alpha": a}
                                  for (M, m) in ((2, -1), (3, -2)) for a in (0, 1)],
-                          th98a, grid=(2, 2)))
+                          chi(th98a), grid=(2, 2)))
 
     def rem95(M, m):
         j, k = Fraction(3, 2), -H
         x1, x2, x3, x4, x5 = (n4.ChiIndex.of(alpha, M, m, H, H, jj, kk) for alpha, jj, kk in (
             (1, j, k), (1, k, j), (0, j, k), (0, k, j), (1, j, j)))
         x6 = n4.ChiIndex.of(1, 1, m, H, Fraction(0), 1, 0)
-
-        def run(pt, policy):
-            chi = lambda x: n4.chi(x, pt.tau, pt.z, policy)
-            return [(chi(x1), -chi(x2)), (chi(x3), chi(x4)), (chi(x5), 0.0), (chi(x6), 0.0)]
-        return run
+        return [(x1, _same, x2, -1), (x3, _same, x4, None),
+                (x5, _same, _zero, None), (x6, _same, _zero, None)]
 
     register(IdentitySpec("rem9.5", "chi symmetries and vanishing", "n4", 1e-10,
-                          [{"M": 3, "m": -2}], rem95))
+                          [{"M": 3, "m": -2}], chi(rem95)))
 
 
 def _d21a_pairs():
@@ -1246,33 +1221,23 @@ def _d21a_pairs():
                     ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
                     ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p))))]
 
-        def run(pt, policy):
-            pts = (*pt.zs, 0.02)
-            return [(d2.PQ_function(x, pt.tau, *pts, variant, policy),
-                     sgn * d2.fg_lower(y, pt.tau, *pts, policy))
-                    for variant, x, y, sgn in rows]
-        return run
+        return [((d2.PQ_function, x, variant), _same, (d2.fg_lower, y), sgn)
+                for variant, x, y, sgn in rows]
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
-                          "d21a", 1e-8, [{}], lem112))
+                          "d21a", 1e-8, [{}], _laws(_call, lambda pt: (*pt.zs, 0.02), lem112)))
 
     def lem117(eps, epsp):
         pr = d2.D21Params(*P211)
         flip = H - epsp
-        rows = [(d2.D21Index.of("f", 1, pr, eps, epsp),
-                 d2.D21Index.of("F", 1 + pr.n * pr.p, pr, eps, flip)),
-                (d2.D21Index.of("g", 1, pr, eps, epsp),
-                 d2.D21Index.of("G", 1 + pr.n * pr.q, pr, eps, flip))]
-
-        def run(pt, policy):
-            tau, (y2, y3, _) = pt.tau, pt.zs
-            hrpt = d2.hr_point(tau, y2, y3)
-            return [(d2.fg_lower(x, tau, *hrpt, policy), d2.FG_function(y, tau, y2, y3, policy))
-                    for x, y in rows]
-        return run
+        hr = lambda tau, y2, y3: (tau, *d2.hr_point(tau, y2, y3))
+        return [((d2.fg_lower, d2.D21Index.of("f", 1, pr, eps, epsp)), hr,
+                 (d2.FG_function, d2.D21Index.of("F", 1 + pr.n * pr.p, pr, eps, flip)), None),
+                ((d2.fg_lower, d2.D21Index.of("g", 1, pr, eps, epsp)), hr,
+                 (d2.FG_function, d2.D21Index.of("G", 1 + pr.n * pr.q, pr, eps, flip)), None)]
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
-                          "d21a", 1e-8, EPS_PAIRS, lem117))
+                          "d21a", 1e-8, EPS_PAIRS, _laws(_call, lambda pt: pt.zs[:2], lem117)))
 
     # the index of a reduced basis function is a D21Index
     fg = lambda laws: _laws(d2.FG_function, lambda pt: pt.zs[:2], laws)
@@ -1330,39 +1295,32 @@ def _d21a_pairs():
                                 lambda which, eps, epsp: st_laws(
                                     which, d2.D21Params(*P211), eps, epsp)), grid=(2, 2)))
 
-    def p1111(pt, policy, w, flavor):
-        tau = pt.tau
-        y2, y3 = pt.zs[0], pt.zs[1]
-        hr = d2.hr_point(tau, y2, y3)
-        a = d2.big_n4_qhr(w, tau, y2, y3, "minus", flavor, policy)
-        num = d2.modified_supercharacter_numerator(w, tau, *hr, flavor, policy)
-        b = num / d2.b4_denominator(tau, y2, y3, n4.SECTORS["minus"], policy)
-        return a, b
+    def p1111(m2, m3, flavor):
+        w, minus = d2.D21Weight(d2.D21Params(*P211), 1, m2, m3), n4.SECTORS["minus"]
+        return [((d2.big_n4_qhr, w, "minus", flavor), _same, lambda tau, y2, y3, policy: (
+            d2.modified_supercharacter_numerator(w, tau, *d2.hr_point(tau, y2, y3), flavor, policy)
+            / d2.b4_denominator(tau, y2, y3, minus, policy)), None)]
 
     register(IdentitySpec("prop11.11", "reduced character table vs case assembly",
                           "d21a", 1e-8,
                           [{"m2": 0, "m3": 0, "flavor": f} for f in ("P", "Q")]
                           + [{"m2": 0, "m3": 1, "flavor": f} for f in ("P", "Q")],
-                          lambda m2, m3, flavor: partial(
-                              p1111, w=d2.D21Weight(d2.D21Params(*P211), 1, m2, m3),
-                              flavor=flavor)))
+                          _laws(_call, lambda pt: pt.zs[:2], p1111)))
 
     def rem1113(p, s, sector):
         w = d2.D21Weight(d2.D21Params(p, 1, 1), 1, 0, s)
         ts = s if sector in ("minus", "plus") else p - s - 1
         x = [ThetaIndex.of(j, m) for j, m in ((ts + 1, p + 1), (-(ts + 1), p + 1), (1, 2), (-1, 2))]
 
-        def run(pt, policy):
-            tau, (y2, y3, _) = pt.tau, pt.zs
-            v = d2.big_n4_qhr(w, tau, y2, y3, sector, "Q", policy)
+        def quotient(tau, y2, y3, policy):
             th = lambda i: theta_jm(x[i], tau, y3, 0, policy)
-            return v, (th(0) - th(1)) / (th(2) - th(3))
-        return run
+            return (th(0) - th(1)) / (th(2) - th(3))
+        return [((d2.big_n4_qhr, w, sector, "Q"), _same, quotient, None)]
 
     register(IdentitySpec("rem11.13", "collapsing-level reduced characters", "d21a",
                           1e-8, [{"p": p, "s": s, "sector": sec} for p in (2, 3)
                                  for s in range(p) for sec in ("minus", "minus_tw")],
-                          rem1113, grid=(2, 2)))
+                          _laws(_call, lambda pt: pt.zs[:2], rem1113), grid=(2, 2)))
 
     def probe_1115(policy):
         pr = d2.D21Params(*P211)
@@ -1389,19 +1347,14 @@ def _d21a_pairs():
     def eq127(eps, epsp, j):
         pr = d2.D21Params(*P211)
         p = pr.p
-        t = 0.02
-        ph = e2pi(-Fraction(p, p + 1) * t)
+        ph = e2pi(-Fraction(p, p + 1) * 0.02)   # e(-p t / (p + 1)) at the t of the point
         s1 = (-1.0) ** (1 - 2 * float(epsp))
         s2 = (-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp)))
         xp, xm = ThetaIndex.of(j, p + 1), ThetaIndex.of(-j, p + 1)
         g = d2.D21Index.of("g", j, pr, eps, epsp)
         a_, b_ = g.sector.a, g.sector.b
 
-        def run(pt, policy):
-            tau, zs = pt.tau, pt.zs
-            z1, z2, z3 = zs
-            lhs = (d2.fg_lower(g, tau, *zs, t, policy)
-                   / d2.rhat(tau, *zs, g.sector, policy))
+        def explicit(tau, z1, z2, z3, t, policy):
             th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
             pref = eta_theta_quotient(tau, ph, (), ((1, 1), (1, 1, z1 - z3, 1),
                                                     (1, 1, z2 + z3, 1)), policy)
@@ -1409,11 +1362,16 @@ def _d21a_pairs():
                   * th(a_, b_, z3) * th(a_, b_, z1 - z2 - z3))
             t2 = (s2 * theta_jm(xm, tau, z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)
                   * th(a_, b_, z1) * th(a_, b_, z2))
-            return lhs, pref * (t1 - t2)
-        return run
+            return pref * (t1 - t2)
+        return [(g, _same, explicit, None)]
 
+    # the member at g is the boundary quotient g / R-hat of its sector
     register(IdentitySpec("eq12.7", "boundary quotient explicit form", "d21a", 1e-9,
-                          [{**e, "j": 1} for e in EPS_PAIRS], eq127))
+                          [{**e, "j": 1} for e in EPS_PAIRS],
+                          _laws(lambda g, tau, z1, z2, z3, t, policy: (
+                              d2.fg_lower(g, tau, z1, z2, z3, t, policy)
+                              / d2.rhat(tau, z1, z2, z3, g.sector, policy)),
+                              lambda pt: (*pt.zs, 0.02), eq127)))
 
     register(IdentitySpec("eq12.8", "affine denominator S and T laws", "d21a", 1e-8, EPS_PAIRS,
                           _laws(lambda x, tau, z1, z2, z3, policy: d2.rhat(
