@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,21 +30,24 @@ from . import family_n3, family_n4, family_d21a
 VERIFY_FILTER_KEYS = ("m", "s", "M", "n", "p", "q", "m2")
 
 
+# a decimal component: digits with an optional point (3, 3., .5, 2.5) and
+# an optional exponent (1e-3, 1E2)
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+
 def parse_complex(s: str) -> complex:
-    """Accepts "a+bi" / "a-bi" / "bi" / "a" with decimal components; an
-    empty string is not a number."""
+    """Accepts "a+bi" / "a-bi" / "bi" / "a" with decimal components, each
+    with an optional exponent; an empty string, nan, inf and a component
+    past the double range are not numbers."""
     s = s.strip().replace(" ", "")
-    m = re.fullmatch(r"([+-]?\d*\.?\d+)?(?:([+-]\d*\.?\d*)i)?|([+-]?\d*\.?\d*)i", s)
+    m = re.fullmatch(rf"([+-]?{_DECIMAL})?(?:([+-](?:{_DECIMAL})?)i)?|([+-]?(?:{_DECIMAL})?)i", s)
     if not s or not m:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {s!r}")
-    if m.group(3) is not None:
-        im = m.group(3)
-        return complex(0.0, float(im + "1" if im in ("", "+", "-") else im))
-    re_part = float(m.group(1)) if m.group(1) else 0.0
-    im_part = 0.0
-    if m.group(2) is not None:
-        im = m.group(2)
-        im_part = float(im + "1" if im in ("+", "-") else im)
+    re_s, im_s = (None, m.group(3)) if m.group(3) is not None else m.group(1, 2)
+    re_part = float(re_s) if re_s else 0.0
+    im_part = 0.0 if im_s is None else float(im_s if im_s.strip("+-") else im_s + "1")
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise argparse.ArgumentTypeError(f"complex number {s!r} overflows a double")
     return complex(re_part, im_part)
 
 
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=1)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     for key in VERIFY_FILTER_KEYS:
-        pv.add_argument(f"--{key}", dest="param_" + key)
+        pv.add_argument(f"--{key}", dest="param_" + key, type=parse_rat)
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("family", help="enumerate weights with characteristics")

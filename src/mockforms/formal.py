@@ -528,30 +528,10 @@ def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
 
 
 def expand_jacobi_theta(a: int, b: int, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
-    """theta_ab(tau_scale * tau, u(z)) as the one series theta.jacobi_theta
-    sums, in one accumulator: the terms (-1)^{bk} i^{ab} q^{tau_scale N^2/8}
-    zeta^{N u/2} over N = a + 2k; their coefficients are +-1 and +-i, exact."""
+    """theta_ab(tau_scale * tau, u(z)) as Theta_{a/2,1/2}(tau_scale * tau, 2u + b):
+    over N = a + 2k both sum q^{tau_scale N^2/8} zeta^{N u/2}, and the shift
+    b gives e^{pi i N b/2} = i^{ab} (-1)^{bk}, the phase of theta_ab."""
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("Jacobi theta labels must be 0 or 1")
-    order = _exact(order, "order")
-    scale = _scale(tau_scale)
-    sn, den = scale.numerator, 8 * scale.denominator
-    top = _top(order, den)
-    # |N| <= nmax exactly when sn N^2 <= top
-    nmax = math.isqrt(top // sn) if top >= 0 else -1
-    if nmax >= MAX_TERMS:
-        raise _too_many("theta_ab")
-    z = _ratios(z)
-    acc = {}
-    for n in range(-nmax + (nmax + a) % 2, nmax + 1, 2):
-        b1, b2, ph = _zeta_monomial(n, 2, z)
-        ph += a * b + (2 if b and (n - a) // 2 % 2 else 0)
-        # only n and -n share a key, and only where u is a constant
-        u, cur = _UNIT[ph % 4], acc.get(key := (sn * n * n, b1, b2))
-        if cur is None:
-            acc[key] = u
-        elif cur != _UNIT[(ph + 2) % 4]:                # cur + u is not (0, 0)
-            acc[key] = (cur[0] + u[0], cur[1] + u[1])
-        else:
-            del acc[key]
-    return _new(acc, den, top, order)
+    return expand_theta(HalfInt(a), HalfInt(1), order, tau_scale,
+                        ZArg(2 * z.a1, 2 * z.a2, 2 * z.c + b))

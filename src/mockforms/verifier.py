@@ -7,10 +7,11 @@ coefficient tables) and returns run(pt, policy), which evaluates the list
 of (lhs, rhs) pairs at a grid point with float kernels only.  Every law is
 a record planned by the one evaluator _laws(): a family member at a
 transformed point against a factor times members at the point, their sum,
-or a closed form.  The doubling laws share one hand-written plan,
-_doubling().  verify() plans each parameter set of one id once per call,
-then walks the standard grid one point at a time through _run_point();
-suite() runs a tag in registry order.
+or a closed form.  An entry of a summed side may carry its own image, so
+the doubling laws are records too, and every S-sum reads the one S-table
+_s_table() with HalfInt rows.  verify() plans each parameter set of one id
+once per call, then walks the standard grid one point at a time through
+_run_point(); suite() runs a tag in registry order.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -25,7 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .qkernel import (
     DEFAULT_POLICY,
@@ -217,10 +217,12 @@ def _laws(obj, args, laws):
     records (x, image, y, c), each checking the member at x and the point
     image(tau, *a) against c times the member at y and (tau, *a).  An x or
     y that is a list of (coefficient, index) is summed from 0.0j in list
-    order; a callable y is a closed form y(tau, *a, policy), as _zero is
-    for a structural zero.  c is None (no factor), a constant or a callable
-    of (tau, *a).  A law between several functions takes the index
-    (f, index, *flags) and obj _call.  A record holds only exact data of
+    order; an entry (coefficient, index, image) of either list carries its
+    own image in place of the record's (x) or the point's (y).  A callable
+    y is a closed form y(tau, *a, policy), as _zero is for a structural
+    zero.  c is None (no factor), a constant or a callable of (tau, *a).
+    A law between several functions takes the index (f, index, *flags)
+    and obj _call.  A record holds only exact data of
     its parameter set.  The plan calls laws once and gives each distinct
     (index, image) a value slot, in the order the records first use them,
     since the S-rows of a family share their terms and several laws of an
@@ -232,10 +234,13 @@ def _laws(obj, args, laws):
         def slot(ix, image):
             return slots.setdefault((ix, image), len(slots))
 
+        def entries(terms, image):
+            return [(c, slot(ix, own[0] if own else image)) for c, ix, *own in terms]
+
         for x, image, y, c in laws(**params):
-            x = [(cx, slot(ix, image)) for cx, ix in x] if isinstance(x, list) else slot(x, image)
+            x = entries(x, image) if isinstance(x, list) else slot(x, image)
             if isinstance(y, list):
-                y = [(cy, slot(iy, _same)) for cy, iy in y]
+                y = entries(y, _same)
             elif not callable(y):
                 y = slot(y, _same)
             recs.append((x, y, c))
@@ -309,22 +314,17 @@ def _twice(x) -> int:
     return 2 * x.numerator // x.denominator
 
 
-def _s_phases(M: int, eps, m: int, j, k, sgp=0) -> list:
-    """e(-(m/M)(a k + b j - sgp (a - b))) over a, b in eps + {0, ..., M-1},
-    a outer, for eps, j, k, sgp ints or half-integer Fractions.  With
-    a, ..., sgp as twice their values, the argument is one int over 4M,
-    and e2pi of that quotient rounds it once, as e2pi of the Fraction does."""
+def _s_table(M: int, eps, m: int, j, k, sgp=0) -> list:
+    """(c, a, b) over a, b in eps + {0, ..., M-1}, a outer, with a, b
+    HalfInts and c = e(-(m/M)(a k + b j - sgp (a - b))): the index sum of
+    the wrapper S-laws, for eps, j, k, sgp ints or half-integer Fractions.
+    With a, ..., sgp as twice their values, the argument is one int over
+    4M, and e2pi of that quotient rounds it once, as e2pi of the Fraction
+    does."""
     e2, j2, k2, g2 = map(_twice, (eps, j, k, sgp))
     twice = range(e2, e2 + 2 * M, 2)
-    return [e2pi(-m * (a * k2 + b * j2 - g2 * (a - b)) / (4 * M)) for a in twice for b in twice]
-
-
-def _s_table(M: int, eps, m: int, j, k, sgp=0) -> list:
-    """(c, a, b) over a, b in eps + {0, ..., M-1}, a outer, with c the
-    _s_phases entry and a, b Fractions: the index sum of the wrapper S-laws."""
-    e2 = _twice(eps)
-    reps = [Fraction(a, 2) for a in range(e2, e2 + 2 * M, 2)]
-    return [(c, a, b) for c, (a, b) in zip(_s_phases(M, eps, m, j, k, sgp), product(reps, reps))]
+    return [(e2pi(-m * (a * k2 + b * j2 - g2 * (a - b)) / (4 * M)), HalfInt(a), HalfInt(b))
+            for a in twice for b in twice]
 
 
 def _theta_pairs():
@@ -403,30 +403,22 @@ def _theta_pairs():
         grid=(5, 2)))
 
 
-def _doubling(f):
-    """The plan of the doubling law of the assembly f (phi or phi_tilde):
+def _lemma11(m, s):
+    """The doubling law of the assembly f (phi or phi_tilde):
     2 f_{m,s}(2 tau, z1, z2, t) = f_{2m,2s}(tau, z1/2, z2/2, t/2)
     + (-1)^{2s} f_{2m,2s}(tau, (z1 + 1)/2, (z2 - 1)/2, t/2)."""
-    def plan(m, s):
-        idx, dbl = MockIndex.of(m, s), MockIndex.of(2 * Fraction(m), 2 * Fraction(s))
-        sgn = (-1.0) ** int(2 * Fraction(s))
-
-        def run(pt, policy):
-            tau, (z1, z2, _) = pt.tau, pt.zs
-            t = 0.05
-            lhs = 2 * f(idx, 2 * tau, z1, z2, t, policy)
-            rhs = (f(dbl, tau, z1 / 2, z2 / 2, t / 2, policy)
-                   + sgn * f(dbl, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy))
-            return [(lhs, rhs)]
-        return run
-    return plan
+    dbl = MockIndex.of(2 * Fraction(m), 2 * Fraction(s))
+    return [([(2.0, MockIndex.of(m, s))], lambda tau, z1, z2, t: (2 * tau, z1, z2, t),
+             [(1.0, dbl, lambda tau, z1, z2, t: (tau, z1 / 2, z2 / 2, t / 2)),
+              ((-1.0) ** int(2 * Fraction(s)), dbl,
+               lambda tau, z1, z2, t: (tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2))], None)]
 
 
 def _mock_pairs():
     register(IdentitySpec(
         "lemma1.1", "doubling identity for the Appell assembly", "mock", 1e-10,
         [{"m": m, "s": s} for m in (1, 2, Fraction(1, 2)) for s in (0, H, 1)],
-        _doubling(phi)))
+        _laws(phi, _zs(0.05), _lemma11)))
 
     # the index of the signed assembly is (MockIndex, sign)
     signed = lambda t, laws: _laws(lambda x, *a: phi(x[0], *a, x[1]), _zs(t), laws)
@@ -540,7 +532,7 @@ def _modification_pairs():
 
     register(IdentitySpec("lemma1.1mod", "doubling with the modified assembly",
                           "modification", 1e-8, [{"m": 1, "s": 0}, {"m": 2, "s": 1}],
-                          _doubling(phi_tilde)))
+                          _laws(phi_tilde, _zs(0.05), _lemma11)))
 
     register(IdentitySpec("sindep", "integer index independence of the modification",
                           "modification", 1e-10, [{}],
@@ -838,9 +830,10 @@ def _balanced_table(M: int, eps, m: int, j, k) -> list:
     powers.  At the target shift eps' = 0, a translation by M has no phase.
     In twice their values, a0 = a - floor(a/M + 1/2) M is 2a - (2a + M) //
     2M * 2M."""
-    e2 = _twice(eps)
-    reps = [HalfInt(a - (a + M) // (2 * M) * 2 * M) for a in range(e2, e2 + 2 * M, 2)]
-    return [(c, a, b) for c, (a, b) in zip(_s_phases(M, eps, -m, j, k), product(reps, reps))]
+    def balanced(x):
+        return HalfInt(x.twice - (x.twice + M) // (2 * M) * 2 * M)
+
+    return [(c, balanced(a), balanced(b)) for c, a, b in _s_table(M, eps, -m, j, k)]
 
 
 def _n4_pairs():

@@ -26,6 +26,26 @@ def test_parse_complex():
     for empty in ("", "  "):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex(empty)
+    # a component may carry an exponent and end in a point
+    assert parse_complex("1e-3i") == 1e-3j
+    assert parse_complex("-0.5-1e-3i") == complex(-0.5, -1e-3)
+    assert parse_complex("2.5e-1+1e-4i") == complex(0.25, 1e-4)
+    assert parse_complex("1E2") == 100.0
+    assert parse_complex("3.") == 3.0
+    assert parse_complex("5.i") == 5j
+    # nan, inf, a component past the double range and underscores are refused
+    for bad in ("nan", "inf", "-inf", "nani", "1e400i", "1e400", "1e400+1i", "1_0", "1e"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_complex(bad)
+
+
+@pytest.mark.parametrize("args", [
+    ["--tau", "nan"], ["--tau", "inf"], ["--tau", "1_0+1i"],
+    # a component past the double range is refused as it is parsed
+    ["--tau", "1e400i"], ["--tau", "1i", "--t", "1" + "0" * 400]])
+def test_refused_point_exits_2(args, capsys):
+    code, out, err = run_cli(["eval", "--fn", "theta", *args], capsys)
+    assert code == 2 and out == "" and "complex number" in err
 
 
 def test_eval_theta(capsys):
@@ -96,6 +116,18 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "--id", "eq1.15", "--grid", "2x1",
                             "--s", "1/2"], capsys)
     assert code == 1
+
+
+def test_verify_filters_compare_values(capsys):
+    # a filter is a rational number, so each spelling of one value selects
+    # the same parameter sets
+    runs = [run_cli(["verify", "--id", "eq1.14", "--s", s], capsys) for s in ("0.5", "1/2")]
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] == runs[1][1] and json.loads(runs[0][1])["id"] == "eq1.14"
+    assert run_cli(["verify", "--id", "eq1.14", "--m", "1.0"], capsys)[1] == \
+        run_cli(["verify", "--id", "eq1.14", "--m", "1"], capsys)[1]
+    code, out, err = run_cli(["verify", "--id", "eq1.14", "--s", "abc"], capsys)
+    assert code == 2 and out == "" and "cannot parse rational number" in err
 
 
 def test_eval_phi_honours_sign(capsys):
@@ -174,9 +206,8 @@ def test_verify_tag_in_process(capsys):
     ["eval", "--fn", "theta", "--tau", "1i", "--m", "1/0"],
     ["qexp", "--fn", "theta", "--order", "1/0"],
     ["family", "--family", "n3", "--m", "1/0"],
-    # a t whose factor e(m t) overflows, and a t that parses to inf
+    # a t whose factor e(m t) overflows
     ["eval", "--fn", "theta", "--tau", "1i", "--t=-100000i"],
-    ["eval", "--fn", "theta", "--tau", "1i", "--t", "1" + "0" * 400],
 ])
 def test_refused_inputs_exit_2(args, capsys):
     # an overflowing series term or prefactor, a truncation cap hit, a grid

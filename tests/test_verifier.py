@@ -46,13 +46,13 @@ def test_registry_coverage():
     assert not missing
 
 
-# the non-runner ids whose plan neither _laws nor _doubling builds; a new
-# one joins this set with the reason it carries at its registration
+# the non-runner ids whose plan _laws does not build; a new one joins this
+# set with the reason it carries at its registration
 HAND_WRITTEN_PLANS = set()
 
 
 def test_every_law_is_a_record():
-    built = {"_laws.<locals>.plan", "_doubling.<locals>.plan"}
+    built = {"_laws.<locals>.plan"}
     specs = [V.get_spec(i) for i in V.registry_ids()]
     hand = {s.id for s in specs if s.runner is None and s.plan.__qualname__ not in built}
     assert hand == HAND_WRITTEN_PLANS
@@ -86,6 +86,31 @@ def test_param_filter():
     assert r.passed
     with pytest.raises(ValueError):
         V.verify("eq1.15", param_filter={"m": 99})
+
+
+@pytest.mark.parametrize("k, skipped, passed", [(2, 24, True), (3, 36, False)])
+def test_skip_rule(monkeypatch, k, skipped, passed):
+    # eq1.4 runs 12 parameter sets on a 5x3 grid, 180 runs; a run that meets
+    # a pole is skipped, and an id passes only with fewer than 20% skipped.
+    # Every run raises PoleProximityError at the first k grid points
+    spec = V.get_spec("eq1.4")
+    assert len(spec.params) == 12 and spec.grid == (5, 3)
+    near = V.standard_grid(*spec.grid, 1, GUARDED)[:k]
+    real_plan = spec.plan
+
+    def pole_at_first_points(**prm):
+        run = real_plan(**prm)
+
+        def guarded(pt, policy):
+            if pt in near:
+                raise qkernel.PoleProximityError("near a pole")
+            return run(pt, policy)
+        return guarded
+
+    monkeypatch.setattr(spec, "plan", pole_at_first_points)
+    r = V.verify("eq1.4")
+    assert r.skipped == skipped and r.passed is passed
+    assert r.max_abs_err <= r.tol
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +248,7 @@ def test_balanced_table_is_the_s_table_at_balanced_representatives(M, m, j, k):
     assert len(balanced) == len(raw) == M * M
     for (c, a, b), (c0, a0, b0) in zip(raw, balanced):
         assert c0 == c
-        for x, x0 in ((a, a0.value), (b, b0.value)):
+        for x, x0 in ((a.value, a0.value), (b.value, b0.value)):
             assert (x - x0) % M == 0
             assert -Fraction(M, 2) <= x0 < Fraction(M, 2)
 
