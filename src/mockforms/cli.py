@@ -24,6 +24,8 @@ from .mock import MockIndex, PsiIndex, phi, phi1, psi
 from .modification import phi_tilde, psi_tilde
 from . import formal
 from . import verifier
+# loaded with the CLI, not on first use: perfbench's tracer wraps every
+# module of the program, so `import mockforms.cli` must load each of them
 from . import family_n3, family_n4, family_d21a
 
 # registry parameter keys that `verify` can filter on, one option each
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=1)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     for key in VERIFY_FILTER_KEYS:
-        pv.add_argument(f"--{key}", dest="param_" + key, type=parse_rat)
+        pv.add_argument(f"--{key}", dest="param_" + key, metavar=key, type=parse_rat)
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("family", help="enumerate weights with characteristics")

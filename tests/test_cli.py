@@ -1,12 +1,13 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 
 import mpmath
 import pytest
 
-from mockforms.cli import main, parse_complex
+from mockforms.cli import VERIFY_FILTER_KEYS, main, parse_complex
 
 
 def run_cli(args, capsys):
@@ -150,6 +151,16 @@ def test_verify_param_narrowing(capsys):
     assert code == 0
 
 
+def test_verify_filter_metavars_are_distinct(capsys):
+    # argparse upper-cases a dest into its metavar, so --m and --M would
+    # both print PARAM_M
+    code, out, _ = run_cli(["verify", "--help"], capsys)
+    assert code == 0
+    metavars = dict(re.findall(r"\[--(\w+) (\w+)\]", out.split("\n\n")[0]))
+    shown = [metavars[key] for key in VERIFY_FILTER_KEYS]
+    assert len(set(shown)) == len(shown) == 7
+
+
 def test_verify_filter_on_n(capsys):
     # the `--n` option filters on the registry key `n`
     code, out, _ = run_cli(["verify", "--id", "lemma4.5", "--n", "1", "--grid", "1x1"],
@@ -177,7 +188,7 @@ def test_verify_tag_in_process(capsys):
 
     code, out, _ = run_cli(["verify", "--tag", "theta"], capsys)
     assert code == 0
-    ids = [s.id for s in verifier._REGISTRY.values() if s.tag == "theta"]
+    ids = [i for i in verifier.registry_ids() if verifier.get_spec(i).tag == "theta"]
     assert ids and [json.loads(line)["id"] for line in out.splitlines()] == ids
     code, out, err = run_cli(["verify", "--tag", "nope"], capsys)
     assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,7 +1,9 @@
 import collections
 import hashlib
+import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from mockforms.qkernel import (
 from mockforms.theta import ThetaIndex
 import mockforms.family_d21a as d21a
 import mockforms.qkernel as qkernel
+import mockforms.registry as R
 import mockforms.verifier as V
 
 P = TruncationPolicy()
@@ -44,6 +47,69 @@ def test_registry_coverage():
     ids = V.registry_ids()
     missing = [i for i in V.REQUIRED_IDS if i not in ids]
     assert not missing
+
+
+# a fresh interpreter that imports the CLI, then reads the registry; and one
+# whose second thread makes its first read while the first thread is
+# building the registry, one law in
+FIRST_READ = """
+import json, sys
+import mockforms.cli
+from mockforms import verifier
+loaded = sorted(m for m in sys.modules if m.startswith("mockforms."))
+print(json.dumps({"loaded": loaded, "ids": verifier.registry_ids()}))
+"""
+RACING_READS = """
+import json, threading
+import mockforms.cli
+from mockforms import verifier
+register, got, second = verifier.register, [], []
+
+def read():
+    got.append(verifier.registry_ids())
+
+def register_then_read(spec):
+    register(spec)
+    if not second:
+        second.append(threading.Thread(target=read))
+        second[0].start()
+        second[0].join(0.2)
+
+verifier.register = register_then_read
+read()
+second[0].join(60)
+print(json.dumps(got))
+"""
+HERE = pathlib.Path(__file__).parent
+
+
+def _child(code):
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return json.loads(out)
+
+
+def _golden_ids() -> list:
+    return [json.loads(line)["id"]
+            for line in (HERE / "golden" / "verify_all_seed1.jsonl").read_text().splitlines()]
+
+
+def test_registry_is_built_on_first_read():
+    # importing the CLI compiles and plans no law, yet loads every module
+    # perfbench's tracer wraps; the first read builds all 87 in order
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", HERE.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    got = _child(FIRST_READ)
+    assert "mockforms.registry" not in got["loaded"]
+    assert {f"mockforms.{m}" for m in tracer.MODULES} <= set(got["loaded"])
+    assert got["ids"] == _golden_ids() and len(got["ids"]) == 87
+    assert set(V.REQUIRED_IDS) <= set(got["ids"])
+
+
+def test_racing_first_reads_see_the_whole_registry():
+    assert _child(RACING_READS) == [_golden_ids()] * 2
 
 
 # the non-runner ids whose plan _laws does not build; a new one joins this
@@ -81,11 +147,34 @@ def test_report_shape_and_determinism():
     json.dumps(d)
 
 
-def test_param_filter():
+def _selected(monkeypatch, identity, flt) -> list:
+    """The parameter sets verify() plans for identity under the filter flt."""
+    spec = V.get_spec(identity)
+    plan, seen = spec.plan, []
+
+    def recording(**prm):
+        seen.append(prm)
+        return plan(**prm)
+
+    with monkeypatch.context() as m:
+        m.setattr(spec, "plan", recording)
+        V.verify(identity, grid=(1, 1), param_filter=flt)
+    return seen
+
+
+def test_param_filter(monkeypatch):
     r = V.verify("eq1.15", grid=(2, 1), param_filter={"m": 2, "s": 0})
     assert r.passed
     with pytest.raises(ValueError):
         V.verify("eq1.15", param_filter={"m": 99})
+    # a filter selects by value: an int, a Fraction, a float and a rational
+    # string of one number select the same parameter sets
+    half = [_selected(monkeypatch, "eq1.14", {"s": v}) for v in (Fraction(1, 2), 0.5, "1/2")]
+    assert half[0] == half[1] == half[2] == [{"m": m, "s": Fraction(1, 2)} for m in (1, 2, 3)]
+    one = [_selected(monkeypatch, "eq1.14", {"m": v}) for v in (1, Fraction(1), 1.0, "1")]
+    assert one[0] == one[1] == one[2] == one[3] == [{"m": 1, "s": s} for s in (0, Fraction(1, 2))]
+    with pytest.raises(ValueError, match="no parameter set of eq1.14 matches"):
+        V.verify("eq1.14", param_filter={"s": 0.25})
 
 
 @pytest.mark.parametrize("k, skipped, passed", [(2, 24, True), (3, 36, False)])
@@ -243,8 +332,8 @@ def test_balanced_table_is_the_s_table_at_balanced_representatives(M, m, j, k):
     # index moved by a multiple of M into [-M/2, M/2) (floor(a/M + 1/2)
     # rounds a/M half up, so a = 3/2 at M = 3 goes to -3/2)
     eps = Fraction(1, 2)
-    raw = V._s_table(M, eps, -m, j, k)
-    balanced = V._balanced_table(M, eps, m, j, k)
+    raw = R._s_table(M, eps, -m, j, k)
+    balanced = R._balanced_table(M, eps, m, j, k)
     assert len(balanced) == len(raw) == M * M
     for (c, a, b), (c0, a0, b0) in zip(raw, balanced):
         assert c0 == c
