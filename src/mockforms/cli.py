@@ -263,9 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes a token that begins with "-" for an option unless it is
+    # a plain negative integer or decimal, so "--m -3/4" would lose its
+    # value; every option takes one, so a negative value after an option is
+    # joined to it as "--m=-3/4"
+    toks = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if re.match(r"-[\d.i]", tok) and toks and toks[-1][:2] == "--" and "=" not in toks[-1]:
+            toks[-1] += "=" + tok
+        else:
+            toks.append(tok)
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(toks)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -280,44 +280,35 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     return out
 
 
-def _theta_diffs(idx: MockIndex, tau: complex, z: complex, policy: TruncationPolicy):
-    """(r, (Theta_{-j,m} - Theta_{j,m})(tau, z)) over the correcting window
-    j = s + r, r = 0, ..., 2m-1, leaving out zero differences.
-
-    The window meets every residue of s + Z mod 2m once, and so does its
-    negative, so the difference at the dual r' of r (s + r' = -j) is that
-    at r negated: each pair is summed once.  A residue with -j == j cancels
-    exactly and is not summed at all."""
-    thetas, duals = idx.correction_window
-    diff = {}
-    for r, dual in duals:
-        if r < dual:
-            diff[r] = d = theta_pair_diff(thetas[r], tau, z, policy)
-            diff[dual] = -d
-    return [(r, diff[r]) for r, _ in duals if diff[r] != 0]
-
-
 def _correction(idx: MockIndex, m: float, s: float, tau: complex, z1: complex,
                 z2: complex, policy: TruncationPolicy, want_dv: bool = False):
-    """sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2) (Theta_{-j,m} -
+    """(1/2) sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2) (Theta_{-j,m} -
     Theta_{j,m})(tau, z1+z2) with m, s = float(idx.m), float(idx.s), or with
     want_dv the pair of it and the same sum over (1/2 pi i) dR_{j;m}/dv: the
-    correcting sum of phi_add and of the modifications, before its 1/2."""
-    diffs = _theta_diffs(idx, tau, z1 + z2, policy)
+    correcting sum of phi_add and of the modifications, with its 1/2.
+
+    The window j = s + r, r = 0, ..., 2m-1, meets every residue of s + Z mod
+    2m once, and so does its negative, so the difference at the dual r' of r
+    (s + r' = -j) is that at r negated: each pair is summed once.  A residue
+    with -j == j cancels exactly, and so does a zero difference: neither is
+    summed, and R is formed only at the r that remain."""
+    thetas, duals = idx.correction_window
+    zs, diff = z1 + z2, {}
+    for r, dual in duals:
+        if r < dual:
+            diff[r] = d = theta_pair_diff(thetas[r], tau, zs, policy)
+            diff[dual] = -d
+    diffs = [(r, diff[r]) for r, _ in duals if diff[r] != 0]
     if not diffs:
         return (0j, 0j) if want_dv else 0j
     rs = r_window(s, m, tau, (z1 - z2) / 2.0, policy, want_dv, tuple(r for r, _ in diffs))
-    if want_dv:
-        return _window_dot(rs[0], diffs), _window_dot(rs[1], diffs)
-    return _window_dot(rs, diffs)
-
-
-def _window_dot(rs: tuple, diffs: list) -> complex:
-    """sum of rs[r] d over the (r, d) of diffs, in their order."""
-    total = 0.0 + 0.0j
-    for r, d in diffs:
-        total += rs[r] * d
-    return total
+    sums = []
+    for window in rs if want_dv else (rs,):
+        total = 0.0 + 0.0j
+        for r, d in diffs:
+            total += window[r] * d
+        sums.append(0.5 * total)
+    return tuple(sums) if want_dv else sums[0]
 
 
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
@@ -326,10 +317,7 @@ def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex =
     (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2)."""
     m = float(idx.m)
     total = _correction(idx, m, float(idx.s), tau, z1, z2, policy)
-    total *= 0.5
-    if t != 0:
-        total *= e2pi(m * t)
-    return total
+    return total * e2pi(m * t) if t != 0 else total
 
 
 def _lattice_shift(idx: MockIndex, tau: complex, z1: complex, z2: complex):
@@ -372,13 +360,10 @@ def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex
     tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
     m, s = float(idx.m), float(idx.s)
     out = _phi1_core(m, s, tau, z1, z2, policy) - _phi1_core(m, s, tau, -z2, -z1, policy)
+    total = _correction(idx, m, s, tau, z1, z2, policy)
     if t != 0:
         e = e2pi(m * t)
-        out *= e
-    total = _correction(idx, m, s, tau, z1, z2, policy)
-    total *= 0.5
-    if t != 0:
-        total *= e
+        out, total = out * e, total * e
     out += total
     return out if law is None else law[0] * out
 
@@ -396,7 +381,7 @@ def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
     vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
     val, der = _correction(idx, m, s, tau, z1, z2, policy, True)
-    val, der = (va - vb) + 0.5 * val, (da - db) + 0.5 * der
+    val, der = (va - vb) + val, (da - db) + der
     return (val, der) if law is None else (law[0] * val, law[0] * (der + law[1] * val))
 
 

@@ -677,20 +677,17 @@ def _n4_pairs():
     s_dual = lambda tau, z1, z2, t, *_: (-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau)
 
     def lem63(m):
-        # the S-law, then the collapse on (z + a tau, z + b tau) at z and
-        # at z + 1/2, where ph = e(m (a + b) / 2)
-        idx, x, ph = MockIndex.of(-m, 0), scale_one(m), e2pi(Fraction(m, 2))
+        # the S-law, then the collapse on (z + a tau, z + b tau) at z + u,
+        # u = 0 and 1/2, with the phase ph = e(m u (a + b))
+        idx, x = MockIndex.of(-m, 0), scale_one(m)
         a, b = 1, 0
-        return [(x, s_dual, x, lambda tau, *_: tau ** 2),
-                (x, lambda tau, z1, z2, t, z: (tau, z + a * tau, z + b * tau, t - (a + b) * z),
-                 lambda tau, z1, z2, t, z, policy: (
-                     m / 2 * (b - a) * e2pi(m * a * b * tau) * e2pi(m * t)
-                     * phi_tilde(idx, tau, z, z, 0, policy)), None),
-                (x, lambda tau, z1, z2, t, z: (tau, z + 0.5 + a * tau, z + 0.5 + b * tau,
-                                               t - (a + b) * z),
-                 lambda tau, z1, z2, t, z, policy: (
-                     m / 2 * (b - a) * ph * e2pi(m * a * b * tau) * e2pi(m * t)
-                     * phi_tilde(idx, tau, z + 0.5, z + 0.5, 0, policy)), None)]
+        return [(x, s_dual, x, lambda tau, *_: tau ** 2)] + [
+            (x, lambda tau, z1, z2, t, z, u=u: (tau, z + u + a * tau, z + u + b * tau,
+                                                t - (a + b) * z),
+             lambda tau, z1, z2, t, z, policy, u=u, ph=ph: (
+                 m / 2 * (b - a) * ph * e2pi(m * a * b * tau) * e2pi(m * t)
+                 * phi_tilde(idx, tau, z + u, z + u, 0, policy)), None)
+            for u, ph in ((0, 1), (0.5, e2pi(Fraction(m, 2))))]
 
     # the point is (z1, z2, t, z), and the derivative numerator reads the
     # first four of its arguments
@@ -715,33 +712,25 @@ def _n4_pairs():
     register(IdentitySpec("lemma6.2", "derivative transfer: hypothesis and conclusion",
                           "n4", 1e-6, [{"m": -2}], _laws(_call, _zs(0.03), lem62)))
 
-    def lem64(m):
-        idx, x = MockIndex.of(-m, 0), scale_one(m)
-        image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, tau / 4)
-        return [(x, image, lambda tau, z, policy: (
-                    -m / 2 * e2pi(-m * z) * e2pi(-m * tau / 4)
-                    * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)), None),
-                (x, image, lambda tau, z, policy: (
-                    -m / 2 * e2pi(m * z) * e2pi(-m * tau / 4)
-                    * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy)), None)]
+    def collapse(m, numerator):
+        # the derivative numerator at (z + tau/2, z - tau/2, tau/4) (lemma6.4,
+        # c = -m/2) or the modified assembly there at t = -tau/4 (rem6.5,
+        # c = 1) is, for h = +-1, c e(-h m z) e(-m tau/4) Phi~^{[-m;0]} on
+        # the diagonal z + h tau/2
+        idx = MockIndex.of(-m, 0)
+        x, c, sign = (scale_one(m), -m / 2, 1) if numerator else (idx, 1, -1)
+        image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, sign * tau / 4)
+        return [(x, image, lambda tau, z, policy, h=h: (
+                    c * e2pi(-h * m * z) * e2pi(-m * tau / 4)
+                    * phi_tilde(idx, tau, z + h * tau / 2, z + h * tau / 2, 0, policy)), None)
+                for h in (1, -1)]
 
     register(IdentitySpec("lemma6.4", "derivative numerator collapse on the shifted diagonal",
                           "n4", 1e-7, [{"m": -1}, {"m": -2}],
-                          _laws(n4.psi_P, lambda pt: (pt.z,), lem64)))
-
-    def rem65(m):
-        idx = MockIndex.of(-m, 0)
-        image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, -tau / 4)
-        return [(idx, image, lambda tau, z, policy: (
-                    e2pi(-m * z) * e2pi(-m * tau / 4)
-                    * phi_tilde(idx, tau, z + tau / 2, z + tau / 2, 0, policy)), None),
-                (idx, image, lambda tau, z, policy: (
-                    e2pi(m * z) * e2pi(-m * tau / 4)
-                    * phi_tilde(idx, tau, z - tau / 2, z - tau / 2, 0, policy)), None)]
-
+                          _laws(n4.psi_P, lambda pt: (pt.z,), lambda m: collapse(m, True))))
     register(IdentitySpec("rem6.5", "modified assembly collapse on the shifted diagonal",
                           "n4", 1e-8, [{"m": -1}, {"m": -2}],
-                          _laws(phi_tilde, lambda pt: (pt.z,), rem65)))
+                          _laws(phi_tilde, lambda pt: (pt.z,), lambda m: collapse(m, False))))
 
     # the index of a reduced character is (weight, sector)
     integrable = lambda x, tau, z, policy: n4.qhr_character_integrable(x[0], tau, z, x[1], policy)
@@ -1054,10 +1043,9 @@ def _d21a_pairs():
         pr = d2.D21Params(*P211)
         flip = H - epsp
         hr = lambda tau, y2, y3: (tau, *d2.hr_point(tau, y2, y3))
-        return [((d2.fg_lower, d2.D21Index.of("f", 1, pr, eps, epsp)), hr,
-                 (d2.FG_function, d2.D21Index.of("F", 1 + pr.n * pr.p, pr, eps, flip)), None),
-                ((d2.fg_lower, d2.D21Index.of("g", 1, pr, eps, epsp)), hr,
-                 (d2.FG_function, d2.D21Index.of("G", 1 + pr.n * pr.q, pr, eps, flip)), None)]
+        return [((d2.fg_lower, d2.D21Index.of(low, 1, pr, eps, epsp)), hr,
+                 (d2.FG_function, d2.D21Index.of(up, 1 + pr.n * k, pr, eps, flip)), None)
+                for low, up, k in (("f", "F", pr.p), ("g", "G", pr.q))]
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
                           "d21a", 1e-8, EPS_PAIRS, _laws(_call, lambda pt: pt.zs[:2], lem117)))

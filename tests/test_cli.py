@@ -3,11 +3,16 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from mockforms import family_n4
 from mockforms.cli import VERIFY_FILTER_KEYS, main, parse_complex
+from mockforms.mock import MockIndex, phi1
+from mockforms.qkernel import DEFAULT_POLICY
+from mockforms.theta import jacobi_theta
 
 
 def run_cli(args, capsys):
@@ -371,3 +376,86 @@ def test_qexp_golden_files(capsys, fn, order):
     expected = (pathlib.Path(__file__).parent / "golden" / f"qexp_{fn}_{order}.json").read_text()
     code, out, _ = run_cli(["qexp", "--fn", fn, *QEXP_GOLDENS[fn], "--order", order], capsys)
     assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--fn", "eta", "--tau", "-0.5+1e-3i"],
+    ["eval", "--fn", "phi", "--tau", "1i", "--s", "-1/2"],
+    ["eval", "--fn", "phi", "--tau", "1i", "--z1", "-0.1+0.2i"],
+    ["family", "--family", "n3", "--m", "-3/4"],
+    ["verify", "--id", "th4.11", "--m", "-3/4"],
+])
+def test_negative_value_after_a_space(args, capsys):
+    # argparse alone takes "-3/4" or "-0.5+1e-3i" for an option unless the
+    # value is joined to its option by "="; both spellings give one output
+    joined = args[:-2] + [args[-2] + "=" + args[-1]]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and out and not err
+    assert run_cli(joined, capsys) == (code, out, err)
+
+
+def test_unknown_option_with_a_negative_value_exits_2(capsys):
+    for tail in (["--bogus", "-3/4"], ["--bogus"]):
+        code, out, err = run_cli(["eval", "--fn", "eta", "--tau", "1i", *tail], capsys)
+        assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize("args, kernel", [
+    (["--fn", "jacobi", "--a", "1", "--b", "0", "--tau", "0.1+0.9i", "--z", "0.19+0.07i"],
+     lambda: jacobi_theta(1, 0, 0.1 + 0.9j, 0.19 + 0.07j, DEFAULT_POLICY)),
+    (["--fn", "phi1", "--m", "3/2", "--s", "1/2", "--tau", "0.1+0.9i",
+      "--z1", "0.23+0.04i", "--z2", "0.37-0.06i"],
+     lambda: phi1(MockIndex.of(Fraction(3, 2), Fraction(1, 2)), 0.1 + 0.9j,
+                  0.23 + 0.04j, 0.37 - 0.06j, DEFAULT_POLICY)),
+])
+def test_eval_matches_the_kernel_to_the_bit(args, kernel, capsys, monkeypatch):
+    monkeypatch.delenv("MOCKFORMS_TOL", raising=False)
+    code, out, _ = run_cli(["eval", *args], capsys)
+    v = kernel()
+    assert code == 0 and json.loads(out)["value"] == {"re": v.real, "im": v.imag}
+
+
+def test_family_n4_matches_the_module(capsys):
+    code, out, _ = run_cli(["family", "--family", "n4", "--m", "-2"], capsys)
+    assert code == 0
+    want = [{"label": w.label(), **{k: str(v) if isinstance(v, Fraction) else v
+                                    for k, v in family_n4.qhr_characteristics(w).items()}}
+            for w in family_n4.enumerate_weights(-2)]
+    assert json.loads(out) == {"family": "n4", "weights": want} and len(want) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["family", "--family", "n5"], "unknown family n5"),
+    (["smatrix", "--family", "n3", "--p", "1"], "smatrix is available for the d21a"),
+])
+def test_unknown_family_exits_2(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and message in err
+
+
+# The j = 2, 3 rows of d21a at (p, q, n) = (2, 1, 2), the smallest input
+# that reaches those branches of level_zero_label and qhr_characteristics,
+# pinned as the code gives them today: nothing in the repository derives
+# them independently, so this guards against change, not for correctness.
+# label tail: (h, h_tw, s2, s3, s2_tw, s3_tw, vanishes); c = 5 on every row
+D21A_J23 = {
+    "j=2:m2=0:m3=0": ("-1/2", "1/4", "0", "0", "0", "3/2", False),
+    "j=2:m2=0:m3=1": ("-1/8", "1/8", "0", "1/2", "0", "1", False),
+    "j=2:m2=0:m3=2": ("1/3", "1/12", "0", "1", "0", "1/2", False),
+    "j=3:m2=0:m3=0": ("-1/6", "7/12", "0", "0", "0", "3/2", False),
+    "j=3:m2=0:m3=1": ("-1/8", "1/8", "0", "1/2", "0", "1", False),
+    "j=3:m2=0:m3=2": ("0", "-1/4", "0", "1", "0", "1/2", False),
+}
+
+
+def test_family_d21a_j2_j3_rows(capsys):
+    code, out, _ = run_cli(["family", "--family", "d21a", "--p", "2", "--q", "1", "--n", "2"],
+                           capsys)
+    assert code == 0
+    rows = {}
+    for row in json.loads(out)["weights"]:
+        head, _, tail = row.pop("label").partition(":j=")
+        assert head == "d21a:p=2:q=1:n=2" and row.pop("c") == "5"
+        if tail[0] in "23":
+            rows["j=" + tail] = tuple(row.values())
+    assert rows == D21A_J23

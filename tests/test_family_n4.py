@@ -316,6 +316,54 @@ def test_chi_normalization_to_omega():
                         assert 0 < j2.value <= k2_.value <= M
 
 
+def test_chi_normalization_phases():
+    # chi^(alpha)(j, k) = phase_alpha chi^(alpha)(j', k') for the (j', k')
+    # that normalize_to_omega gives, over the period translations and the
+    # swap, which flips the sign of the antisymmetric alpha = 1 phase alone
+    import random
+
+    rng = random.Random(7)
+    swaps = 0
+    for _ in range(80):
+        M, m = rng.choice([1, 2, 3, 5]), rng.choice([-1, -2, -3])
+        sec = n4.SECTORS[rng.choice(sorted(n4.SECTORS))]
+        # j, k in eps' + Z, within [-3, 6.5]
+        j, k = (HalfInt(2 * rng.randint(-3, 6) + sec.eps_prime.twice) for _ in range(2))
+        j2, k2, phase1, phase0 = n4.normalize_to_omega(j, k, M, m, sec.eps)
+        assert 0 < j2.value <= k2.value <= M
+        swaps += phase1 != phase0
+        for alpha, phase in ((1, phase1), (0, phase0)):
+            x, y = (n4.ChiIndex.of(alpha, M, m, sec.eps, sec.eps_prime, *jk)
+                    for jk in ((j, k), (j2, k2)))
+            a = n4.chi(x, TAU, Z, P)
+            assert abs(a - phase * n4.chi(y, TAU, Z, P)) <= 1e-12 * max(1.0, abs(a)), (x, y)
+    assert swaps > 0
+
+
+def test_vanishing_admissible_characters():
+    # every type I and III weight with m in {-1, -2}, 2 <= M <= 5 and
+    # gcd(M, m) = 1 that qhr_characteristics marks as vanishing: the
+    # character is the exact 0, and the combination chi^(1) - A chi^(0) it
+    # stands for is 0 to rounding in every sector
+    import math
+
+    weights = [n4.N4Weight(m, m2, M, J, k1, k2)
+               for m in (-1, -2) for m2 in range(-m + 1)
+               for M in range(2, 6) if math.gcd(M, m) == 1 for J in ("I", "III")
+               for k1 in range(M) for k2 in range(M)
+               if 2 * k1 + k2 <= M - 1 and (J == "I" or k2 >= 1)]
+    vanishing = [w for w in weights if n4.qhr_characteristics(w)["vanishes"]]
+    assert len(vanishing) == 22
+    for w in vanishing:
+        A = float(F(w.m * (2 * w.k1 + w.k2 + 1), w.M) + w.m2)
+        for name, sec in n4.SECTORS.items():
+            assert n4.qhr_character_admissible(w, TAU, Z, name, P) == 0
+            j, k = n4.admissible_jk(w, name.endswith("_tw"))
+            x1, x0 = (n4.ChiIndex.of(alpha, w.M, w.m, sec.eps, sec.eps_prime, j, k)
+                      for alpha in (1, 0))
+            assert abs(n4.chi(x1, TAU, Z, P) - A * n4.chi(x0, TAU, Z, P)) < 1e-13, (w, name)
+
+
 def test_unsupported_admissible_types():
     with pytest.raises(UnsupportedCaseError):
         n4.qhr_character_admissible(n4.N4Weight(-1, 0, 3, "II", 1, 1), TAU, Z, "minus", P)
