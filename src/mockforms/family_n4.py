@@ -29,7 +29,7 @@ from .qkernel import (
 )
 from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, _psi_frame
-from .modification import phi_tilde, phi_tilde_d0, psi_tilde
+from .modification import phi_tilde, psi_tilde
 
 _J_VALUES = ("none", "I", "II", "III", "IV")
 
@@ -190,7 +190,7 @@ def admissible_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
     x1, x2 = _J_COORDS[w.J](z1, z2)
     a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
     lin = (k1 + k2) * x1 - k1 * x2
-    v, d = phi_tilde_d0(w._mock, M * tau, a1, a2, policy)
+    v, d = phi_tilde(w._mock, M * tau, a1, a2, 0.0, policy, want_d0=True)
     m_M, c = w._pref
     pref = e2pi(m_M * t + m_M * lin + c * tau)
     return pref * (d - m2 * v)
@@ -276,7 +276,7 @@ def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_
     and D0 passes through the argument shifts unchanged."""
     M, m = idx.M, -float(idx.m)
     pref, *frame = _psi_frame(idx, tau, z1, z2)
-    v, d = phi_tilde_d0(*frame, policy)
+    v, d = phi_tilde(*frame, 0.0, policy, want_d0=True)
     slope = float(idx.m) * (float(idx.b) - float(idx.a)) / M
     v, d = pref * v, pref * (slope * v + d)
     return e2pi(m / M * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)

@@ -123,9 +123,9 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
     """The correcting window, the tuple of R_{s+r;m}(tau, v) for r = 0, ...,
     2m-1, or with want_dv the pair of it and the tuple of
     (1/2 pi i) dR_{s+r;m}/dv, from one walk over n = s + i, i in Z.  With
-    buckets, a tuple of r in ascending order, only those are summed, and
-    the others are 0: R_{j;m} alone is r_window(j, m, tau, v, policy,
-    buckets=(0,))[0].
+    buckets, a nonempty tuple of r in ascending order, only those are
+    summed, and the others are 0: R_{j;m} alone is r_window(j, m, tau, v,
+    policy, buckets=(0,))[0].
 
     The E-factor depends on v only through Im v, whose Wirtinger derivative
     is -i/2; per term
@@ -156,6 +156,8 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
             return out
     if not (m > 0 and (2.0 * m).is_integer() and (2.0 * s).is_integer()):
         raise ValueError(f"s and m must be half-integers and m positive, got {s}, {m}")
+    if not buckets or buckets[0] < 0 or buckets[-1] >= width:
+        raise ValueError(f"buckets must name some r in 0..{width - 1}, got {buckets}")
     tau = _check_point(tau, v)
     v = complex(v)
     scale = math.sqrt(tau.imag / m)
@@ -314,9 +316,10 @@ def _correction(idx: MockIndex, m: float, s: float, tau: complex, z1: complex,
 def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(1/2) e^{2 pi i m t} sum_{j=s}^{s+2m-1} R_{j;m}(tau, (z1-z2)/2)
-    (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2)."""
+    (Theta_{-j,m} - Theta_{j,m})(tau, z1+z2).  The point is checked here,
+    since a window that cancels whole sums no series that would check it."""
     m = float(idx.m)
-    total = _correction(idx, m, float(idx.s), tau, z1, z2, policy)
+    total = _correction(idx, m, float(idx.s), _check_point(tau, z1, z2), z1, z2, policy)
     return total * e2pi(m * t) if t != 0 else total
 
 
@@ -353,42 +356,45 @@ def _lattice_shift(idx: MockIndex, tau: complex, z1: complex, z2: complex):
 
 
 def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
-              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+              policy: TruncationPolicy = DEFAULT_POLICY, want_d0: bool = False):
     """Modification Phi + Phi_add, summed at the points _lattice_shift picks:
     the two Appell sums of phi and the correcting sum of phi_add, each
-    scaled by e^{2 pi i m t} as phi and phi_add scale it."""
-    tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
-    m, s = float(idx.m), float(idx.s)
-    out = _phi1_core(m, s, tau, z1, z2, policy) - _phi1_core(m, s, tau, -z2, -z1, policy)
-    total = _correction(idx, m, s, tau, z1, z2, policy)
-    if t != 0:
-        e = e2pi(m * t)
-        out, total = out * e, total * e
-    out += total
-    return out if law is None else law[0] * out
-
-
-def phi_tilde_d0(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-                 policy: TruncationPolicy = DEFAULT_POLICY):
-    """(value, D0 value) of Phi-tilde at t = 0, D0 = (1/2 pi i)(d/dz1 - d/dz2)
-    taken termwise, summed where _lattice_shift puts it.
+    scaled by e^{2 pi i m t} as phi and phi_add scale it.  With want_d0 the
+    pair of it and its D0 = (1/2 pi i)(d/dz1 - d/dz2), taken termwise; the
+    Appell sums of the pair run over their D0 ranges, so its value need not
+    be the bits of the value alone.
 
     The swap-negated Appell sum obeys D0[Phi_1(-z2,-z1)] = (D0 Phi_1)(-z2,-z1).
     In Phi_add only the R-factor depends on z1 - z2, so D0 hits it alone,
     with weight 1 in the v-slot.  D0 of the law's factor is slope * factor."""
-    m, s = float(idx.m), float(idx.s)
     tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
-    va, da = _phi1_core(m, s, tau, z1, z2, policy, want_d0=True)
-    vb, db = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=True)
-    val, der = _correction(idx, m, s, tau, z1, z2, policy, True)
-    val, der = (va - vb) + val, (da - db) + der
-    return (val, der) if law is None else (law[0] * val, law[0] * (der + law[1] * val))
+    m, s = float(idx.m), float(idx.s)
+    a = _phi1_core(m, s, tau, z1, z2, policy, want_d0=want_d0)
+    b = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=want_d0)
+    total = _correction(idx, m, s, tau, z1, z2, policy, want_d0)
+    if want_d0:
+        (a, da), (b, db), (total, d) = a, b, total
+        d += da - db
+    a -= b
+    if t != 0:
+        e = e2pi(m * t)
+        a, total = a * e, total * e
+        if want_d0:
+            d *= e
+    value = a + total
+    if law is not None:
+        f, slope = law
+        if want_d0:
+            d = f * (d + slope * value)
+        value *= f
+    return (value, d) if want_d0 else value
 
 
-def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """One-sided correcting sum: the window sum with the theta difference
-    replaced by -Theta_{j,m}, so that assembling
+def phi1_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Phi_1 + Phi_1,add, with Phi_1,add the one-sided correcting sum: the
+    window sum with the theta difference replaced by -Theta_{j,m}, so that
+    assembling
 
         e^{2 pi i m t} (Phi_1-tilde(z1,z2) - Phi_1-tilde(-z2,-z1))
 
@@ -400,13 +406,7 @@ def phi1_add(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     total = 0.0 + 0.0j
     for r, x in enumerate(idx.correction_window[0]):
         total += rs[r] * theta_jm(x, tau, zs, 0.0, policy)
-    return -0.5 * total
-
-
-def phi1_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Phi_1 + Phi_1,add."""
-    return phi1(idx, tau, z1, z2, policy) + phi1_add(idx, tau, z1, z2, policy)
+    return phi1(idx, tau, z1, z2, policy) - 0.5 * total
 
 
 def psi_tilde(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,

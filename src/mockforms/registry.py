@@ -30,7 +30,7 @@ from .theta import (
     theta_jm,
 )
 from .mock import MockIndex, PsiIndex, phi
-from .modification import phi_add, phi_tilde, phi_tilde_d0, phi1_tilde, psi_tilde
+from .modification import phi_add, phi_tilde, phi1_tilde, psi_tilde
 from .verifier import IdentitySpec, register
 from . import family_n3 as n3
 from . import family_n4 as n4
@@ -840,20 +840,19 @@ def _n4_pairs():
         j, k, eps = 1, -1, 0.5
         idx, x0 = MockIndex.of(-m, 0), scale_one(m)
         c = complex(Fraction(m * (j - k), 2 * M))
-        image = lambda tau, z1, z2: (M * tau, z1 + j * tau + eps, z2 + k * tau + eps)
+        image = lambda tau, z1, z2, t: (M * tau, z1 + j * tau + eps, z2 + k * tau + eps, t)
 
-        def split(tau, z1, z2, policy):
-            u = image(tau, z1, z2)
-            v = phi_tilde_d0(idx, *u, policy)[0]
-            g = n4.psi_P(x0, *u, 0.0, policy)
+        def split(tau, z1, z2, t, policy):
+            u = image(tau, z1, z2, t)
+            v = phi_tilde(idx, *u, policy, want_d0=True)[0]
+            g = n4.psi_P(x0, *u, policy)
             return g - (m * (z1 - z2) / (2 * M * tau) + c) * v
         return [(idx, image, split, None)]
 
     # the member is the D0 part of the modification
     register(IdentitySpec("lemma8.4", "shifted-argument derivative split", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
-                          _laws(lambda x, *a: phi_tilde_d0(x, *a)[1], lambda pt: pt.zs[:2],
-                                lem84)))
+                          _laws(lambda x, *a: phi_tilde(x, *a, want_d0=True)[1], _zs(0.0), lem84)))
 
     register(IdentitySpec("rem8.6", "scale-one derivative wrapper vanishes on the diagonal",
                           "n4", 1e-10, [{"m": -1, "eps": Fraction(0)}, {"m": -2, "eps": H}],

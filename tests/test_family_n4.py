@@ -126,9 +126,9 @@ def test_minus_sector_m2_zero_structure():
 
 def g_numerator_reference(m, tau, z1, z2, t):
     """The derivative numerator straight from the degree -m modification."""
-    from mockforms.modification import phi_tilde_d0
+    from mockforms.modification import phi_tilde
 
-    v, d = phi_tilde_d0(MockIndex.of(-m, 0), tau, z1, z2, P)
+    v, d = phi_tilde(MockIndex.of(-m, 0), tau, z1, z2, 0.0, P, want_d0=True)
     return e2pi(m * t) * (d + (m * (z1 - z2) / (2 * tau)) * v)
 
 
@@ -136,12 +136,12 @@ def supernumerator_reference(w, tau, z1, z2, t):
     """R-hat^- ch~^- with one branch per type, written out as the integrable
     formula and the four admissible coordinate changes: pref (d - m2 v) for
     the D0 pair (v, d) of the modification at (a1, a2)."""
-    from mockforms.modification import phi_tilde_d0
+    from mockforms.modification import phi_tilde
 
     m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
     idx = MockIndex.of(-m, 0)
     if w.J == "none":
-        v, d = phi_tilde_d0(idx, tau, z1, z2, P)
+        v, d = phi_tilde(idx, tau, z1, z2, 0.0, P, want_d0=True)
         return e2pi(m * t) * (d - m2 * v)
     if w.J == "I":
         a1, a2 = z1 + k1 * tau, z2 - (k1 + k2) * tau
@@ -155,7 +155,7 @@ def supernumerator_reference(w, tau, z1, z2, t):
     else:
         a1, a2 = z2 + k1 * tau, z1 - (k1 + k2) * tau
         lin = -k1 * z1 + (k1 + k2) * z2
-    v, d = phi_tilde_d0(idx, M * tau, a1, a2, P)
+    v, d = phi_tilde(idx, M * tau, a1, a2, 0.0, P, want_d0=True)
     pref = e2pi(F(m, M) * t + F(m, M) * lin + F(m * k1 * (k1 + k2), M) * tau)
     return pref * (d - m2 * v)
 
@@ -190,7 +190,7 @@ def test_supernumerator_terms_that_cancel():
     # the type I formula as the paper writes it, g - (m dz/(2M tau) + m2) v
     # with g = d + m(a1 - a2)/(2M tau) v: a1 - a2 = dz, so its two m terms
     # cancel up to their rounding, and pref (d - m2 v) is the same value
-    from mockforms.modification import phi_tilde_d0
+    from mockforms.modification import phi_tilde
 
     for w in _admissible_weights():
         m, m2, M, k1, k2 = w.m, w.m2, w.M, w.k1, w.k2
@@ -198,7 +198,7 @@ def test_supernumerator_terms_that_cancel():
             x1, x2 = n4._J_COORDS[w.J](z1, z2)
             a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
             dz = x1 - x2 + (2 * k1 + k2) * tau
-            v, d = phi_tilde_d0(w._mock, M * tau, a1, a2, P)
+            v, d = phi_tilde(w._mock, M * tau, a1, a2, 0.0, P, want_d0=True)
             pref = e2pi(F(m, M) * t + F(m, M) * ((k1 + k2) * x1 - k1 * x2)
                         + F(m * k1 * (k1 + k2), M) * tau)
             g = d + (m * (a1 - a2) / (2 * M * tau)) * v
@@ -211,14 +211,14 @@ def test_supernumerator_terms_that_cancel():
 def psi_P_reference(idx, tau, z1, z2, t):
     """The derivative wrapper with the frame of its modified wrapper written
     out: degree -m' for the index (M, m', s, eps, a, b)."""
-    from mockforms.modification import phi_tilde_d0
+    from mockforms.modification import phi_tilde
 
     m = float(idx.m)
     a, b, eps = float(idx.a), float(idx.b), float(idx.eps)
     M = idx.M
     pref = e2pi(m * a * b * tau / M + (m / M) * (b * z1 + a * z2))
-    v, d = phi_tilde_d0(MockIndex(idx.m, idx.s), M * tau,
-                        z1 + a * tau + eps, z2 + b * tau + eps, P)
+    v, d = phi_tilde(MockIndex(idx.m, idx.s), M * tau,
+                     z1 + a * tau + eps, z2 + b * tau + eps, 0.0, P, want_d0=True)
     v, d = pref * v, pref * ((m * (b - a) / M) * v + d)
     return e2pi(-m / M * t) * (d + (-m * (z1 - z2) / (2 * M * tau)) * v)
 

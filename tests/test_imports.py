@@ -111,3 +111,38 @@ def test_theta_difference_checker():
 def test_theta_differences_go_through_the_pair_kernel(path):
     # Theta_{-j,m} - Theta_{j,m} is one series, theta.theta_pair_diff
     assert theta_differences(path.read_text()) == []
+
+
+def module_functions(source: str) -> list:
+    """The names of the module-level functions of a source."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def callers(source: str, name: str) -> list:
+    """The module-level definition that holds each call of name, in source
+    order, or "<module>" for a call outside every definition."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        owners += [owner for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return owners
+
+
+def test_structure_checkers():
+    src = ("def f_d0(): g(1)\nclass C:\n    def h(self): m.g(2)\n"
+           "x = g(3)\ndef k(): return lambda: g(4)\n")
+    assert module_functions(src) == ["f_d0", "k"]
+    assert callers(src, "g") == ["f_d0", "C", "<module>", "k"]
+
+
+def test_phi_tilde_has_one_body():
+    # Phi-tilde is assembled once, for its value and for its D0 pair: no
+    # package function is a second "_d0" body, and only phi_tilde pulls
+    # out the lattice shift
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert [(mod, name) for mod, src in sources.items()
+            for name in module_functions(src) if name.endswith("_d0")] == []
+    assert [(mod, owner) for mod, src in sources.items()
+            for owner in callers(src, "_lattice_shift")] == [("modification", "phi_tilde")]

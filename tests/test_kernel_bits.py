@@ -4,9 +4,10 @@ KERNEL_POINTS are 40 seeded points with Im tau log-uniform on [1e-3, 2],
 so the longer sums run over several ANCHOR_EVERY runs of their walks, and
 elliptic variables z = a + b tau with b up to 3/2, so that the modified
 Appell function also sums at lattice-shifted points.  The golden holds an
-8-hex sha256 prefix of repr of each kernel's value there (for
-phi_tilde_d0, the pair of value and D0 value; for jacobi_theta, the tuple
-of the four theta_ab), or the name of the error a kernel raised.  It was
+8-hex sha256 prefix of repr of each kernel's value there (for the
+label phi_tilde_d0, the D0 pair phi_tilde(..., want_d0=True); for
+jacobi_theta, the tuple of the four theta_ab), or the name of the error a
+kernel raised.  It was
 last written when theta_ab and the Theta pair differences became one
 series each, a change that moved last bits; a restatement that moves one
 bit fails.  phi_tilde and psi_tilde are pinned at t = 0 and at the
@@ -77,7 +78,7 @@ def _cases(tau, z, z1, z2, tidx, idx, pidx):
         "phi+": lambda: mock.phi(idx, tau, z1, z2, 0.0, P, 1),
         "phi-": lambda: mock.phi(idx, tau, z1, z2, 0.0, P, -1),
         "phi_tilde": lambda: modification.phi_tilde(idx, tau, z1, z2, 0.0, P),
-        "phi_tilde_d0": lambda: modification.phi_tilde_d0(idx, tau, z1, z2, P),
+        "phi_tilde_d0": lambda: modification.phi_tilde(idx, tau, z1, z2, 0.0, P, want_d0=True),
         "psi_tilde": lambda: modification.psi_tilde(pidx, tau, z1, z2, 0.0, P),
         # t as in the registry's laws: the factor e(m t) on both halves
         "phi_tilde_t": lambda: modification.phi_tilde(idx, tau, z1, z2, 0.02, P),

@@ -5,13 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from mockforms.qkernel import SQRT_PI, HalfInt, TruncationPolicy, e2pi
-from mockforms.mock import MockIndex, PsiIndex, _phi1_core, phi
+from mockforms.mock import MockIndex, PsiIndex, _phi1_core, phi, phi1
 from mockforms.modification import (
-    phi1_add,
+    _lattice_shift,
     phi1_tilde,
     phi_add,
     phi_tilde,
-    phi_tilde_d0,
     psi_tilde,
     r_window,
 )
@@ -54,6 +53,10 @@ def test_r_window_refuses_a_bad_index():
     for s, m in ((0.5, 0.0), (0.5, -1.0), (0.3, 1.0), (0.5, 0.75), (0.5, math.nan)):
         with pytest.raises(ValueError):
             r_window(s, m, 1j, 0.1, P)
+    # and buckets a nonempty tuple of r in 0, ..., 2m-1
+    for m, buckets in ((1, ()), (1, (5,)), (1, (2,)), (1, (-1,)), (1.5, (0, 3))):
+        with pytest.raises(ValueError):
+            r_window(0, m, 1j, 0.1, P, buckets=buckets)
 
 
 def test_r_term_decay_scan():
@@ -126,7 +129,8 @@ def test_phi_add_window_matches_pairwise_reference(m, s):
     # the window, in another order than one series per index: the values
     # agree with one pairwise difference per index, and with the mpmath
     # oracle, within tol + 64 eps cond.  The window D0 is checked inside
-    # phi_tilde_d0, next to the Appell D0 of its own two termwise walks.
+    # the D0 pair of phi_tilde, next to the Appell D0 of its own two
+    # termwise walks.
     idx = MockIndex.of(m, s)
     fm, fs = float(idx.m), float(idx.s)
     for tau, z1, z2, t in ((TAU, Z1, Z2, 0.0), (-0.35 + 0.7j, 0.13 - 0.21j, 0.06 + 0.37j, 0.2)):
@@ -135,7 +139,7 @@ def test_phi_add_window_matches_pairwise_reference(m, s):
         value = phi_add(idx, tau, z1, z2, t, P)
         within(value, ref, cond)
         within(value, e2pi(float(m) * t) * complex(mp_ref), cond)
-        v0, d0 = phi_tilde_d0(idx, tau, z1, z2, P)
+        v0, d0 = phi_tilde(idx, tau, z1, z2, 0.0, P, want_d0=True)
         assert v0 == phi_tilde(idx, tau, z1, z2, 0.0, P)
         va, da = _phi1_core(fm, fs, tau, z1, z2, P, want_d0=True)
         vb, db = _phi1_core(fm, fs, tau, -z2, -z1, P, want_d0=True)
@@ -213,14 +217,17 @@ def test_phi1_tilde_assembly_and_sign_convention():
                          - phi1_tilde(idx, TAU, -Z2, -Z1, P))
     assert abs(lhs - phi_tilde(idx, TAU, Z1, Z2, t, P)) < 1e-12
     # the losing sign convention for the one-sided correction breaks the
-    # S-law; recorded rather than silently discarded
+    # S-law; recorded rather than silently discarded.  Phi_1,add is
+    # Phi_1-tilde - Phi_1.
+    phi1_add = lambda tt, a, b: phi1_tilde(idx, tt, a, b, P) - phi1(idx, tt, a, b, P)
     bad = lambda tt, a, b: (phi_tilde(idx, tt, a, b, 0.0, P)
                             - phi_add(idx, tt, a, b, 0.0, P)
-                            - 2 * phi1_add(idx, tt, a, b, P))
+                            - 2 * phi1_add(tt, a, b))
     good = lambda tt, a, b: phi1_tilde(idx, tt, a, b, P)
-    sgood = abs(good(-1 / TAU, Z1 / TAU, Z2 / TAU) * e2pi(-2 * Z1 * Z2 / TAU)
-                - TAU * good(TAU, Z1, Z2))
-    assert sgood < 1e-10
+    s_law = lambda f: abs(f(-1 / TAU, Z1 / TAU, Z2 / TAU) * e2pi(-2 * Z1 * Z2 / TAU)
+                          - TAU * f(TAU, Z1, Z2))
+    assert s_law(good) < 1e-10
+    assert s_law(bad) > 1e-3
 
 
 def test_phi_tilde_is_independent_of_integer_s():
@@ -271,9 +278,27 @@ def test_elliptic_law_of_phi_tilde(m, s, a, b):
     lhs = phi_tilde(idx, TAU, z1, z2, 0.03, P)
     rhs = f * phi_tilde(idx, TAU, Z1, Z2, 0.03, P)
     assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-10
-    (v, d), (v0, d0) = phi_tilde_d0(idx, TAU, z1, z2, P), phi_tilde_d0(idx, TAU, Z1, Z2, P)
+    v, d = phi_tilde(idx, TAU, z1, z2, 0.0, P, want_d0=True)
+    v0, d0 = phi_tilde(idx, TAU, Z1, Z2, 0.0, P, want_d0=True)
     for x, y in ((v, f * v0), (d, f * (d0 + float(m) * (a - b) * v0))):
         assert abs(x - y) / max(1.0, abs(y)) < 1e-10
+
+
+@pytest.mark.parametrize("z1, z2, shifted", [
+    (Z1, Z2, False),
+    (Z1 + 2 * TAU, Z2 - TAU, True),     # (2, -1) tau is pulled out
+])
+def test_phi_tilde_pair_scales_by_e_mt(z1, z2, shifted):
+    # e^{2 pi i m t} multiplies the value and the D0 value alike, whether
+    # or not the lattice shift moves the point
+    idx = MockIndex.of(2, 0)
+    assert (_lattice_shift(idx, TAU, z1, z2)[3] is not None) == shifted
+    t = 0.03 - 0.02j
+    e = e2pi(2 * t)
+    pair0 = phi_tilde(idx, TAU, z1, z2, 0.0, P, want_d0=True)
+    pair = phi_tilde(idx, TAU, z1, z2, t, P, want_d0=True)
+    for x, y in zip(pair, pair0):
+        assert abs(x - e * y) <= 1e-14 * abs(e * y)
 
 
 @pytest.mark.parametrize("M, m, eps, a, b, k, l", [
@@ -314,7 +339,7 @@ def test_half_integer_degree_shifts_keep_a_equal_b_mod_2(m, s, c1, c2):
     va, da = _phi1_core(fm, fs, tau, z1, z2, P, want_d0=True)
     vb, db = _phi1_core(fm, fs, tau, -z2, -z1, P, want_d0=True)
     _, (add_v, add_d) = phi_add_reference(idx, tau, z1, z2, 0.0)
-    v, d = phi_tilde_d0(idx, tau, z1, z2, P)
+    v, d = phi_tilde(idx, tau, z1, z2, 0.0, P, want_d0=True)
     assert abs(v - (va - vb + add_v)) <= 1e-12 * abs(v)
     assert abs(d - (da - db + add_d)) <= 1e-12 * abs(d)
 
@@ -322,8 +347,6 @@ def test_half_integer_degree_shifts_keep_a_equal_b_mod_2(m, s, c1, c2):
 def test_wirtinger_derivative_oracle():
     # analytic termwise derivative vs Richardson-extrapolated Wirtinger
     # differences of the real-analytic modification
-    from mockforms.modification import phi_tilde_d0
-
     idx = MockIndex.of(2, 0)
 
     def wirt(f, x, h):
@@ -336,7 +359,7 @@ def test_wirtinger_derivative_oracle():
         return (wirt(f1, Z1, h) - wirt(f2, Z2, h)) / (2j * math.pi)
 
     rich = (4 * d0_fd(5e-6) - d0_fd(1e-5)) / 3
-    _, der = phi_tilde_d0(idx, TAU, Z1, Z2, P)
+    _, der = phi_tilde(idx, TAU, Z1, Z2, 0.0, P, want_d0=True)
     assert abs(der - rich) < 1e-7
 
 

@@ -37,7 +37,7 @@ from mockforms.qkernel import (
     TruncationPolicy,
 )
 from mockforms.mock import MockIndex, PsiIndex, _phi1_core, phi1
-from mockforms.modification import phi_tilde, phi_tilde_d0, psi_tilde, r_window
+from mockforms.modification import phi_tilde, psi_tilde, r_window
 from mockforms.theta import ETA_DIRECT, ThetaIndex, dedekind_eta, theta_jm
 from oracle_refs import oracle, phi_d0_reference, phi_tilde_d0_reference, r_dv_reference
 
@@ -298,7 +298,7 @@ def test_phi_tilde_across_the_lattice(m, frac, y, x, r1, u1, r2, u2, tol):
     policy = TruncationPolicy(tol=tol)
     try:
         value = phi_tilde(MockIndex.of(m, s), tau, z1, z2, 0.0, policy)
-        v0, d0 = phi_tilde_d0(MockIndex.of(m, s), tau, z1, z2, policy)
+        v0, d0 = phi_tilde(MockIndex.of(m, s), tau, z1, z2, 0.0, policy, want_d0=True)
     except TYPED:
         return
     ref_value, ref_der = phi_tilde_d0_reference(m, s, tau, z1, z2)
@@ -363,7 +363,7 @@ def test_psi_tilde_at_unreduced_indices(precise, index, tau):
 def test_phi_tilde_off_the_fundamental_cell(precise, m, s, tau, c1, c2):
     z1, z2 = complex(0.21, c1 * tau.imag), complex(-0.33, c2 * tau.imag)
     ref_value, ref_der = phi_tilde_d0_reference(m, s, tau, z1, z2)
-    value, der = phi_tilde_d0(MockIndex.of(m, s), tau, z1, z2)
+    value, der = phi_tilde(MockIndex.of(m, s), tau, z1, z2, want_d0=True)
     assert _relative(value, ref_value) <= 1e-10
     assert _relative(der, ref_der) <= 1e-10
 

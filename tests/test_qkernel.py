@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -22,7 +23,7 @@ from mockforms.qkernel import (
 from mockforms.family_d21a import D21Index, D21Params, PQ_function
 from mockforms.family_n4 import psi_P
 from mockforms.mock import MockIndex, PsiIndex, phi, phi1, psi
-from mockforms.modification import phi_tilde, phi_tilde_d0, psi_tilde, r_window
+from mockforms.modification import phi_add, phi_tilde, psi_tilde, r_window
 from mockforms.theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm, theta_pair_diff
 
 NAN, INF = float("nan"), float("inf")
@@ -56,7 +57,11 @@ POINT_KERNELS = {
     "r_correction": lambda tau, z: r_window(0.0, 1.0, tau, z, DEFAULT_POLICY, buckets=(0,)),
     "psi_tilde": lambda tau, z: psi_tilde(PSI_INDEX, tau, z, 0.2),
     "phi_tilde": lambda tau, z: phi_tilde(MockIndex.of(2, 1), tau, z, 0.1),
-    "phi_tilde_d0": lambda tau, z: phi_tilde_d0(MockIndex.of(2, 1), tau, z, 0.1),
+    "phi_tilde_d0": lambda tau, z: phi_tilde(MockIndex.of(2, 1), tau, z, 0.1, want_d0=True),
+    # a correcting window that cancels whole sums no series: at m = 1/2,
+    # and at m = 1 for integer s
+    "phi_add_half": lambda tau, z: phi_add(MockIndex.of(Fraction(1, 2), 0), tau, z, 0.1),
+    "phi_add_m1": lambda tau, z: phi_add(MockIndex.of(1, 0), tau, z, 0.1),
     "PQ_function": lambda tau, z: PQ_function(PQ_INDEX, tau, z, 0.2, 0.3),
     "lattice_distance": lambda tau, z: lattice_distance(z, tau),
     "EvalPoint": lambda tau, z: EvalPoint(tau, (z,)),
@@ -93,7 +98,8 @@ OVERFLOW_Z = {
     "psi_tilde": (lambda: psi_tilde(PSI_INDEX, 1j, 0.1 + 1e17j, 0.2), DomainError),
     # a lattice coordinate 2^52 or more: no multiple of tau to pull out
     **{f"{name}_{case}": (lambda fn=fn, args=args: fn(MockIndex.of(2, 1), *args), DomainError)
-       for name, fn in (("phi_tilde", phi_tilde), ("phi_tilde_d0", phi_tilde_d0))
+       for name, fn in (("phi_tilde", phi_tilde),
+                        ("phi_tilde_d0", partial(phi_tilde, want_d0=True)))
        for case, args in (("z1", (1j, 0.1 + 1e300j, 0.2)),
                           ("z2", (1j, 0.2, 0.1 + 2.0 ** 52 * 1j)),
                           ("tiny_im_tau", (0.5 + 1e-12j, 0.1 + 1e-300j, 0.2 - 1e300j)))},
