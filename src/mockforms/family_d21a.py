@@ -23,7 +23,6 @@ Coordinates (tau fixed unless shown):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from .qkernel import (
     DEFAULT_POLICY,
     TruncationPolicy,
     UnsupportedCaseError,
+    _record,
     e2pi,
 )
 from .theta import ThetaIndex, eta_theta_quotient, theta_jm, theta_pair_diff
@@ -39,7 +39,7 @@ from .modification import phi_tilde, psi_tilde
 from .family_n4 import SECTORS, Sector
 
 
-@dataclass(frozen=True)
+@_record
 class D21Params:
     """(p, q, n), with a = -p/(p+q) and the level K.  What the functions
     derive from them exactly is formed on first use and kept here; a
@@ -80,7 +80,7 @@ class D21Params:
         return exact, tuple(map(float, exact))
 
 
-@dataclass(frozen=True)
+@_record
 class D21Weight:
     params: D21Params
     j: int            # which isotropic root annihilates Lambda + rho
@@ -298,7 +298,7 @@ def zz_value(params: D21Params, z1, z2, z3):
 
 # --- P and Q numerator functions ------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class D21Index:
     """Index of the numerator functions: the letter (P or Q of PQ_function,
     f or g of fg_lower, F or G of FG_function), j, the parameters, and the

@@ -17,7 +17,6 @@ Useful coordinate actions (tau fixed):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,6 +25,8 @@ from .qkernel import (
     HalfInt,
     TruncationPolicy,
     UnsupportedCaseError,
+    _record,
+    _replace,
     e2pi,
 )
 from .theta import eta_theta_quotient
@@ -35,7 +36,7 @@ from .modification import phi_tilde, psi_tilde
 _J_VALUES = ("none", "I", "II", "III", "IV", "Iprime", "IIIprime")
 
 
-@dataclass(frozen=True)
+@_record
 class N3Weight:
     """A weight of the family: dotted or not, level m, label m2, and the
     admissible data (M, J, k1, k2).  What the numerators derive from it
@@ -93,13 +94,13 @@ class N3Weight:
         integrability flags of the underlying integrable weight: the weight
         whose B-term pairs with this one's (None for a single term), and
         whether the pair is the theta-symmetrized sum or the alpha0 difference"""
-        flags = integrability_flags(replace(self, M=1, J="none", k1=0, k2=0))
+        flags = integrability_flags(_replace(self, M=1, J="none", k1=0, k2=0))
         if flags["theta_integrable"] and flags["alpha0_integrable"]:
             raise UnsupportedCaseError("level zero excluded")
         if flags["theta_integrable"]:
-            return replace(self, m2=-self.m2), True
+            return _replace(self, m2=-self.m2), True
         if flags["alpha0_integrable"]:
-            return replace(self, m2=self.n - self.m2, dotted=not self.dotted), False
+            return _replace(self, m2=self.n - self.m2, dotted=not self.dotted), False
         return None, False
 
     @cached_property
@@ -380,7 +381,7 @@ def qhr_character(w: N3Weight, tau, z, sector: str, modified: bool = False,
 
 # --- the f-function basis ------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class FIndex:
     """Index of the f-function basis; the wrapper index and prefactor that
     f_function derives from it are formed on first use and kept here."""
@@ -443,7 +444,7 @@ def move_swap(idx: FIndex):
 def move_translate(idx: FIndex, a: int, b: int):
     """f_{j,k} = phase * f_{j - aM, k - bM}."""
     phase = e2pi(Fraction(idx.n * (a - b) * idx.eps.twice, 2))
-    new = replace(idx, j=idx.j - HalfInt(2 * a * idx.M), k=idx.k - HalfInt(2 * b * idx.M))
+    new = _replace(idx, j=idx.j - HalfInt(2 * a * idx.M), k=idx.k - HalfInt(2 * b * idx.M))
     return new, phase
 
 

@@ -16,7 +16,6 @@ and the modular-invariance-breaking alternative twist by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .qkernel import (
     HalfInt,
     TruncationPolicy,
     UnsupportedCaseError,
+    _record,
     e2pi,
 )
 from .theta import eta_theta_quotient
@@ -34,7 +34,7 @@ from .modification import phi_tilde, psi_tilde
 _J_VALUES = ("none", "I", "II", "III", "IV")
 
 
-@dataclass(frozen=True)
+@_record
 class N4Weight:
     """A weight of the family: level m, label m2, and the admissible data
     (M, J, k1, k2).  What the numerators and characters derive from it
@@ -120,7 +120,7 @@ def enumerate_weights(m: int) -> list[N4Weight]:
 
 # --- denominators ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class Sector:
     """A sector of the denominators: the shifts eps (0 super, 1/2 plain)
     and eps' (0 non-twisted, 1/2 twisted), and the labels (a, b) =
@@ -282,7 +282,7 @@ def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_
     return e2pi(m / M * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)
 
 
-@dataclass(frozen=True)
+@_record
 class ChiIndex:
     """Index of the chi basis; its wrapper index is formed on first use."""
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 
-from .qkernel import HalfInt, TruncationOverflowError, UnsupportedCaseError
+from .qkernel import HalfInt, TruncationOverflowError, UnsupportedCaseError, _record
 
 
-@dataclass(frozen=True)
+@_record
 class GRat:
     """Gaussian rational a + b*i.  The parts are ints wherever they are
     integral and Fractions only where a value needs one (a half-integer d0
@@ -330,7 +329,7 @@ def series_equal(a: FormalSeries, b: FormalSeries, zwindow: int | None = None):
                    GRat(*xs.get(k, _ZERO)), GRat(*ys.get(k, _ZERO)))
 
 
-@dataclass(frozen=True)
+@_record
 class ZArg:
     """Affine argument u = a1*z1 + a2*z2 + c with half-integer data."""
 

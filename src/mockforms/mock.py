@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from .qkernel import (
@@ -35,6 +34,7 @@ from .qkernel import (
     _check_point,
     _guard_checked,
     _index_range,
+    _record,
     e2pi,
     sum_bilateral,
 )
@@ -53,7 +53,7 @@ def _correction_window(m2: int, s2: int) -> tuple:
     return thetas, tuple((r, at[-j2 % mod]) for r, j2 in enumerate(js) if 2 * j2 % mod)
 
 
-@dataclass(frozen=True)
+@_record
 class MockIndex:
     """Degree m and index s of the Appell assembly.  The correcting window
     the modification derives from them depends on 2m and 2s mod 4m alone
@@ -81,7 +81,7 @@ class MockIndex:
         return _correction_window(m2, self.s.twice % (2 * m2))
 
 
-@dataclass(frozen=True)
+@_record
 class PsiIndex:
     """Data of Psi^{[M,m,s;eps]}_{a,b;eps'}: modular scale M, degree m,
     index s, half-shifts eps, eps' in {0, 1/2}, and a, b in eps' + Z (eps'
@@ -97,7 +97,14 @@ class PsiIndex:
 
     @staticmethod
     def of(M, m, s, eps, a, b) -> "PsiIndex":
-        M = int(M)
+        if type(M) is not int:
+            try:
+                n = int(M)
+            except (ValueError, OverflowError):     # NaN, inf, a non-numeric string
+                n = None
+            if n != M:
+                raise ValueError(f"M must be a positive integer, got {M!r}")
+            M = n
         if M <= 0:
             raise ValueError("M must be a positive integer")
         m = HalfInt.of(m)

@@ -156,7 +156,7 @@ def r_window(s: float, m: float, tau: complex, v: complex, policy: TruncationPol
             return out
     if not (m > 0 and (2.0 * m).is_integer() and (2.0 * s).is_integer()):
         raise ValueError(f"s and m must be half-integers and m positive, got {s}, {m}")
-    if not buckets or buckets[0] < 0 or buckets[-1] >= width:
+    if not buckets or min(buckets) < 0 or max(buckets) >= width:
         raise ValueError(f"buckets must name some r in 0..{width - 1}, got {buckets}")
     tau = _check_point(tau, v)
     v = complex(v)

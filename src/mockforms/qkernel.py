@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 
 TWO_PI = 2.0 * math.pi
@@ -59,7 +58,54 @@ class UnsupportedCaseError(ValueError):
     """Parameter combination outside the implemented case analysis."""
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Class decorator: cls as a frozen record of the fields annotated in
+    its body, in order, with the methods dataclasses.dataclass(frozen=True)
+    gives it: __init__ with the class-body defaults, calling __post_init__
+    if cls has one; __eq__ between instances of one class only; __hash__,
+    the hash of the field tuple; the dataclass __repr__; and an
+    AttributeError on assigning or deleting an attribute.  A method cls
+    defines itself is kept.  Importing dataclasses would load inspect, ast
+    and dis at every start of the package."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {"_set": object.__setattr__}
+    params = []
+    for n in names:
+        if n in cls.__dict__:
+            ns[f"_d_{n}"] = cls.__dict__[n]
+            n = f"{n}=_d_{n}"
+        params.append(n)
+    fields = lambda obj: "(" + "".join(f"{obj}.{n}," for n in names) + ")"
+    init = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        init += "\n self.__post_init__()"
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    exec(f"def __init__(self, {', '.join(params)}):{init}\n"
+         f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+         f"  return {fields('self')} == {fields('other')}\n return NotImplemented\n"
+         f"def __hash__(self):\n return hash({fields('self')})\n"
+         f"def __repr__(self):\n return self.__class__.__qualname__ + f'({shown})'\n", ns)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name not in cls.__dict__:
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_assignment
+    cls._fields = names
+    return cls
+
+
+def _refuse_assignment(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _replace(obj, **changes):
+    """dataclasses.replace for a _record: a new instance, built by
+    __init__, with changes in place of the fields they name."""
+    return obj.__class__(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
+
+
+@_record
 class TruncationPolicy:
     """Controls all series summation.
 
@@ -117,7 +163,7 @@ _POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
 _MISS = object()
 
 
-@dataclass(frozen=True)
+@_record
 class HalfInt:
     """Exact element of (1/2)Z, stored as twice its value."""
 
@@ -168,7 +214,7 @@ class HalfInt:
         return f"HalfInt({self.twice}/2)"
 
 
-@dataclass(frozen=True)
+@_record
 class EvalPoint:
     """A modular argument tau (Im tau > 0) and 1-3 elliptic variables."""
 

@@ -3,7 +3,9 @@
 Importing this module registers the 87 laws with verifier.register(); the
 verifier imports it the first time the registry is read, so that importing
 mockforms (for a kernel, a q-expansion or the CLI) compiles and plans none
-of them.  Every law is a record planned by the one evaluator _laws(): a
+of them.  The harness records, IdentitySpec and the VerificationReport
+that verifier.verify() returns, are stdlib dataclasses defined here, so
+that dataclasses loads with the registry and not with the package.  Every law is a record planned by the one evaluator _laws(): a
 family member at a transformed point against a factor times members at the
 point, their sum, or a closed form.  An entry of a summed side may carry
 its own image, so the doubling laws are records too, and every S-sum reads
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .qkernel import HalfInt, PoleProximityError, e2pi
@@ -31,10 +34,40 @@ from .theta import (
 )
 from .mock import MockIndex, PsiIndex, phi
 from .modification import phi_add, phi_tilde, phi1_tilde, psi_tilde
-from .verifier import IdentitySpec, register
+from .verifier import register
 from . import family_n3 as n3
 from . import family_n4 as n4
 from . import family_d21a as d2
+
+
+@dataclass
+class IdentitySpec:
+    id: str
+    citation: str
+    tag: str
+    tol: float
+    params: list
+    plan: object            # plan(**params) -> run(pt, policy) -> [(lhs, rhs), ...]
+    grid: tuple = (3, 2)
+    check: str = "close"    # or "exceeds"
+    runner: object = None   # custom: callable(policy) -> (max_err, extra)
+
+
+@dataclass
+class VerificationReport:
+    id: str
+    citation: str
+    grid: dict
+    tol: float
+    max_abs_err: float
+    passed: bool
+    skipped: int
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "citation": self.citation, "grid": self.grid,
+                "tol": self.tol, "max_abs_err": self.max_abs_err,
+                "pass": self.passed, "skipped": self.skipped}
+
 
 H = Fraction(1, 2)
 # the four shift pairs (eps, eps') of the sector-indexed families

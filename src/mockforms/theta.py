@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .qkernel import (
@@ -31,12 +30,13 @@ from .qkernel import (
     _index_range,
     _quadratic_anchor,
     _quadratic_walk,
+    _record,
     e2pi,
     sum_bilateral,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class ThetaIndex:
     """Residue j modulo 2m together with the degree m > 0."""
 

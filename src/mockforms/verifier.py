@@ -1,4 +1,4 @@
-"""Identity harness: the registry's records, the grid, and the reports.
+"""Identity harness: the registry, the grid, and the reports.
 
 Every transformation law carries an id, a citation anchor, a tag, its own
 tolerance and grid size, a parameter domain, and a plan: plan(**params)
@@ -7,7 +7,8 @@ coefficient tables) and returns run(pt, policy), which evaluates the list
 of (lhs, rhs) pairs at a grid point with float kernels only.  The laws
 themselves are registered by the module registry, which is imported the
 first time the registry is read (registry_ids, get_spec, suite), so that
-importing mockforms plans none of them.  verify() plans each parameter set
+importing mockforms plans none of them; that module also defines the
+records, IdentitySpec and VerificationReport.  verify() plans each parameter set
 of one id once per call, then walks the standard grid one point at a time
 through _run_point(); suite() runs a tag in registry order.
 """
@@ -15,7 +16,6 @@ through _run_point(); suite() runs a tag in registry order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import import_module
@@ -29,35 +29,6 @@ from .qkernel import (
     _POINT_MEMO,
     lattice_distance,
 )
-
-
-@dataclass
-class IdentitySpec:
-    id: str
-    citation: str
-    tag: str
-    tol: float
-    params: list
-    plan: object            # plan(**params) -> run(pt, policy) -> [(lhs, rhs), ...]
-    grid: tuple = (3, 2)
-    check: str = "close"    # or "exceeds"
-    runner: object = None   # custom: callable(policy) -> (max_err, extra)
-
-
-@dataclass
-class VerificationReport:
-    id: str
-    citation: str
-    grid: dict
-    tol: float
-    max_abs_err: float
-    passed: bool
-    skipped: int
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "citation": self.citation, "grid": self.grid,
-                "tol": self.tol, "max_abs_err": self.max_abs_err,
-                "pass": self.passed, "skipped": self.skipped}
 
 
 # the fixed tau list of every grid; n_tau takes its first entries
@@ -129,6 +100,7 @@ def get_spec(identity_id: str) -> IdentitySpec:
 def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLICY,
            seed: int = 1, param_filter: dict | None = None) -> VerificationReport:
     spec = get_spec(identity_id)
+    from .registry import VerificationReport    # loaded by get_spec
     n_tau, n_z = grid if grid is not None else spec.grid
     # identity residuals are absolute, so points whose (possibly shifted)
     # arguments come near a pole are skipped instead of contributing

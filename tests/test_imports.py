@@ -6,6 +6,8 @@ which is only read."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +148,18 @@ def test_phi_tilde_has_one_body():
             for name in module_functions(src) if name.endswith("_d0")] == []
     assert [(mod, owner) for mod, src in sources.items()
             for owner in callers(src, "_lattice_shift")] == [("modification", "phi_tilde")]
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every command pays the import of mockforms.cli: it loads neither
+    # dataclasses nor inspect (the value classes are qkernel._record
+    # records); the registry loads dataclasses for the harness records,
+    # and dataclasses.replace still takes a report.  -S: site loads nothing
+    code = ("import sys\nimport mockforms.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "from mockforms import verifier\nverifier.registry_ids()\n"
+            "import dataclasses\nr = verifier.verify('eq1.2a', grid=(1, 1))\n"
+            "print(dataclasses.replace(r, passed=not r.passed).passed is not r.passed)\n")
+    got = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split("\n")[:2] == ["[]", "True"]

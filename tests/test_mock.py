@@ -94,6 +94,14 @@ def test_psi_index_shift():
 def test_psi_index_validation():
     with pytest.raises(ValueError):
         PsiIndex.of(3, 1, 0, 0, F(1, 2), 0)
+    # a non-integral scale M is refused, not truncated
+    for M in (1.5, F(5, 2), float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PsiIndex.of(M, 1, 0, 0, 1, -1)
+    # an int M is kept, and an integral one becomes that int
+    for M in (3, 3.0, F(6, 2)):
+        idx = PsiIndex.of(M, 1, 0, 0, 1, -1)
+        assert type(idx.M) is int and idx.M == 3
 
 
 def test_psi_swap_symmetry_closed_form():

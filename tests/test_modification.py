@@ -53,10 +53,13 @@ def test_r_window_refuses_a_bad_index():
     for s, m in ((0.5, 0.0), (0.5, -1.0), (0.3, 1.0), (0.5, 0.75), (0.5, math.nan)):
         with pytest.raises(ValueError):
             r_window(s, m, 1j, 0.1, P)
-    # and buckets a nonempty tuple of r in 0, ..., 2m-1
-    for m, buckets in ((1, ()), (1, (5,)), (1, (2,)), (1, (-1,)), (1.5, (0, 3))):
+    # and buckets a nonempty tuple of r in 0, ..., 2m-1, every entry checked
+    for m, buckets in ((1, ()), (1, (5,)), (1, (2,)), (1, (-1,)), (1.5, (0, 3)), (1, (3, 0)),
+                       (1.5, (0, 4, 2))):
         with pytest.raises(ValueError):
             r_window(0, m, 1j, 0.1, P, buckets=buckets)
+    # entries out of order are still summed, each as in the full window
+    assert r_window(0, 1, 1j, 0.1, P, buckets=(1, 0)) == r_window(0, 1, 1j, 0.1, P)
 
 
 def test_r_term_decay_scan():
