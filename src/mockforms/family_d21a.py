@@ -32,6 +32,7 @@ from .qkernel import (
     UnsupportedCaseError,
     _record,
     e2pi,
+    int_of,
 )
 from .theta import ThetaIndex, eta_theta_quotient, theta_jm, theta_pair_diff
 from .mock import MockIndex, PsiIndex
@@ -51,6 +52,8 @@ class D21Params:
     n: int
 
     def __post_init__(self):
+        for f in ("p", "q", "n"):
+            object.__setattr__(self, f, int_of(getattr(self, f)))
         if not (self.p >= self.q >= 1 and self.n >= 1):
             raise ValueError("need p >= q >= 1 and n >= 1")
         if math.gcd(self.p, self.q) != 1:
@@ -88,6 +91,8 @@ class D21Weight:
     m3: int
 
     def __post_init__(self):
+        for f in ("j", "m2", "m3"):
+            object.__setattr__(self, f, int_of(getattr(self, f)))
         p, q, n = self.params.p, self.params.q, self.params.n
         if self.j not in (0, 1, 2, 3):
             raise ValueError("j must be 0..3")
@@ -314,7 +319,7 @@ class D21Index:
     def of(which: str, j, params: D21Params, eps=0, eps_prime=0) -> "D21Index":
         if which not in ("P", "Q", "f", "g", "F", "G"):
             raise ValueError(f"unknown numerator function {which!r}")
-        return D21Index(which, int(j), params, Sector.of(eps, eps_prime))
+        return D21Index(which, int_of(j), params, Sector.of(eps, eps_prime))
 
     @cached_property
     def _thetas(self) -> tuple:

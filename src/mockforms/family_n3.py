@@ -28,6 +28,7 @@ from .qkernel import (
     _record,
     _replace,
     e2pi,
+    int_of,
 )
 from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, phi, psi
@@ -53,6 +54,8 @@ class N3Weight:
     k2: int = 0
 
     def __post_init__(self):
+        for f in ("m2", "M", "k1", "k2"):
+            object.__setattr__(self, f, int_of(getattr(self, f)))
         m = Fraction(self.m)
         object.__setattr__(self, "m", m)
         if (4 * m).denominator != 1:
@@ -397,7 +400,7 @@ class FIndex:
 
     @staticmethod
     def of(M, n, eps, sigma, sigma_prime, j, k) -> "FIndex":
-        M, n = int(M), int(n)
+        M, n = int_of(M), int_of(n)
         if M <= 0 or M % 2 == 0:
             raise ValueError("M must be a positive odd integer")
         if n > 1 and math.gcd(M, n) != 1:

@@ -26,6 +26,7 @@ from .qkernel import (
     UnsupportedCaseError,
     _record,
     e2pi,
+    int_of,
 )
 from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, _psi_frame
@@ -50,6 +51,8 @@ class N4Weight:
     k2: int = 0
 
     def __post_init__(self):
+        for f in ("m", "m2", "M", "k1", "k2"):
+            object.__setattr__(self, f, int_of(getattr(self, f)))
         if self.m > 0:
             raise ValueError("level must be a non-positive integer")
         if not 0 <= self.m2 <= -self.m:
@@ -253,6 +256,8 @@ def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
     u = z + eps, for the sector (eps, eps') of the denominator."""
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector}")
+    if w.J != "none":
+        raise UnsupportedCaseError("an admissible weight's character is qhr_character_admissible")
     m, m2 = w.m, w.m2
     m0 = m + m2
     if m0 >= 0:
@@ -295,6 +300,7 @@ class ChiIndex:
 
     @staticmethod
     def of(alpha, M, m, eps, eps_prime, j, k) -> "ChiIndex":
+        alpha, M, m = int_of(alpha), int_of(M), int_of(m)
         if alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
         if m >= 0:
@@ -303,7 +309,7 @@ class ChiIndex:
         sector = Sector.of(eps, eps_prime)
         if j.twice % 2 != sector.eps_prime.twice or k.twice % 2 != sector.eps_prime.twice:
             raise ValueError("j, k must lie in eps' + Z")
-        return ChiIndex(alpha, int(M), int(m), sector, j, k)
+        return ChiIndex(alpha, M, m, sector, j, k)
 
     @cached_property
     def _psi(self) -> PsiIndex:

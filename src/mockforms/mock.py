@@ -36,6 +36,7 @@ from .qkernel import (
     _index_range,
     _record,
     e2pi,
+    int_of,
     sum_bilateral,
 )
 from .theta import ThetaIndex
@@ -97,14 +98,7 @@ class PsiIndex:
 
     @staticmethod
     def of(M, m, s, eps, a, b) -> "PsiIndex":
-        if type(M) is not int:
-            try:
-                n = int(M)
-            except (ValueError, OverflowError):     # NaN, inf, a non-numeric string
-                n = None
-            if n != M:
-                raise ValueError(f"M must be a positive integer, got {M!r}")
-            M = n
+        M = M if type(M) is int else int_of(M)
         if M <= 0:
             raise ValueError("M must be a positive integer")
         m = HalfInt.of(m)

@@ -175,15 +175,12 @@ class HalfInt:
             return x
         if isinstance(x, int):
             return HalfInt(2 * x)
-        if isinstance(x, Fraction):
-            if x.denominator not in (1, 2):
-                raise ValueError(f"{x} is not a half-integer")
+        if isinstance(x, Fraction) and x.denominator in (1, 2):
             return HalfInt(x.numerator * (2 // x.denominator))
-        if isinstance(x, float):
-            t = 2.0 * x
-            if not math.isfinite(t) or abs(t - round(t)) > 1e-9:
-                raise ValueError(f"{x} is not a half-integer")
-            return HalfInt(round(t))
+        if isinstance(x, float) and (2.0 * x).is_integer():     # false at inf and nan
+            return HalfInt(int(2.0 * x))
+        if isinstance(x, (Fraction, float)):
+            raise ValueError(f"{x} is not a half-integer")
         raise TypeError(f"cannot interpret {x!r} as a half-integer")
 
     @property
@@ -212,6 +209,16 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self.twice}/2)"
+
+
+def int_of(x) -> int:
+    """x as an int: an int, or an integral Fraction or float; another
+    Fraction or float raises ValueError, and another type TypeError."""
+    if isinstance(x, (int, Fraction, float)):
+        if x % 1 == 0:                                  # false at inf and nan
+            return int(x)
+        raise ValueError(f"{x!r} is not an integer")
+    raise TypeError(f"cannot interpret {x!r} as an integer")
 
 
 @_record

@@ -172,19 +172,13 @@ def _zs(t):
     return lambda pt: (pt.zs[0], pt.zs[1], t)
 
 
-def _twice(x) -> int:
-    """2x, exactly, for an int or a half-integer Fraction x."""
-    return 2 * x.numerator // x.denominator
-
-
 def _s_table(M: int, eps, m: int, j, k, sgp=0) -> list:
     """(c, a, b) over a, b in eps + {0, ..., M-1}, a outer, with a, b
     HalfInts and c = e(-(m/M)(a k + b j - sgp (a - b))): the index sum of
-    the wrapper S-laws, for eps, j, k, sgp ints or half-integer Fractions.
-    With a, ..., sgp as twice their values, the argument is one int over
-    4M, and e2pi of that quotient rounds it once, as e2pi of the Fraction
-    does."""
-    e2, j2, k2, g2 = map(_twice, (eps, j, k, sgp))
+    the wrapper S-laws.  With a, ..., sgp as twice their values (HalfInt.of),
+    the argument is one int over 4M, which e2pi rounds once, as it does
+    the Fraction."""
+    e2, j2, k2, g2 = (HalfInt.of(x).twice for x in (eps, j, k, sgp))
     twice = range(e2, e2 + 2 * M, 2)
     return [(e2pi(-m * (a * k2 + b * j2 - g2 * (a - b)) / (4 * M)), HalfInt(a), HalfInt(b))
             for a in twice for b in twice]

@@ -112,6 +112,16 @@ def test_vanishing():
         assert n4.qhr_character_integrable(w, TAU, Z, sector, P) == 0
 
 
+def test_integrable_character_refuses_admissible_weights():
+    # the closed form reads m and m2 alone, so at this weight it gave the
+    # value of N4Weight(-2, 1); its character is qhr_character_admissible's
+    # (test_admissible_vs_substitution_route)
+    w = n4.N4Weight(-2, 1, 3, "I", 1, 0)
+    for sector in n4.SECTORS:
+        with pytest.raises(UnsupportedCaseError):
+            n4.qhr_character_integrable(w, TAU, Z, sector, P)
+
+
 def test_minus_sector_m2_zero_structure():
     # at m2 = 0 the supercharacter numerator reduces to the derivative part
     w = n4.N4Weight(-2, 0)

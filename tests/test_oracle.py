@@ -236,6 +236,9 @@ def test_r_window(m, s, y, x, vr, vu, tol):
 @given(window_degree, half, im_tau, re_tau, re_z, im_units, tol)
 @example(20.0, 0.5, 0.9, -1.2, -0.3, -2.0, 1e-12)
 @example(2.0, -1.5, 1e-3, 0.25, 0.4, -1.5, 1e-9)
+# half-integer s with |Re tau| >= 2m: the derivative part under the Re tau shift
+@example(1.0, 0.5, 0.9, 4.3, 0.1, 0.2, 1e-12)
+@example(2.0, -3.5, 1.3, 9.1, 0.2, -0.25, 1e-12)
 def test_r_window_dv(m, s, y, x, vr, vu, tol):
     tau, v = complex(x, y), complex(vr, vu * y)
     policy = TruncationPolicy(tol=tol)
