@@ -347,6 +347,8 @@ def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
     each sector come from w, formed once per weight."""
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector}")
+    if w.J == "none":
+        raise UnsupportedCaseError("an integrable weight's character is qhr_character_integrable")
     if w.J not in ("I", "III"):
         raise UnsupportedCaseError(
             "types II and IV are reached through the module isomorphisms")

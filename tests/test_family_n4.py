@@ -379,6 +379,12 @@ def test_unsupported_admissible_types():
         n4.qhr_character_admissible(n4.N4Weight(-1, 0, 3, "II", 1, 1), TAU, Z, "minus", P)
 
 
+def test_admissible_character_refuses_integrable_weights():
+    # an integrable weight (J = "none") is named as such, not as type II or IV
+    with pytest.raises(UnsupportedCaseError, match="integrable.*qhr_character_integrable"):
+        n4.qhr_character_admissible(n4.N4Weight(-2, 1), TAU, Z, "plus", P)
+
+
 def test_admissible_unknown_sector_is_refused():
     # a live weight, and one whose reduced module vanishes
     for w in (n4.N4Weight(-2, 1, 3, "I", 1, 0), n4.N4Weight(-2, 2)):

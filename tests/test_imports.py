@@ -163,3 +163,15 @@ def test_cli_import_loads_no_dataclasses():
     got = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     assert got.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+# The AST nodes one package module may hold.  A fresh interpreter without a
+# byte-code cache compiles every module it imports, and compiling the
+# registry as one module of 16,172 nodes raised its peak RSS by 6.2 MB,
+# against at most 1.5 MB for any other module (then at most 5,713 nodes)
+MAX_MODULE_NODES = 6_000
+
+
+def test_every_module_compiles_in_a_small_piece():
+    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text()))) for p in PACKAGE}
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_NODES} == {}

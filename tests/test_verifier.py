@@ -103,6 +103,7 @@ def test_registry_is_built_on_first_read():
     spec.loader.exec_module(tracer)
     got = _child(FIRST_READ)
     assert "mockforms.registry" not in got["loaded"]
+    assert {f"mockforms.registry_{m}" for m in ("n3", "n4", "d21a")}.isdisjoint(got["loaded"])
     assert {f"mockforms.{m}" for m in tracer.MODULES} <= set(got["loaded"])
     assert got["ids"] == _golden_ids() and len(got["ids"]) == 87
     assert set(V.REQUIRED_IDS) <= set(got["ids"])
@@ -110,6 +111,54 @@ def test_registry_is_built_on_first_read():
 
 def test_racing_first_reads_see_the_whole_registry():
     assert _child(RACING_READS) == [_golden_ids()] * 2
+
+
+# a kernel module, a function of it that a module of the registry imports
+# by name, and an id of that module whose plan calls it by that name
+REBOUND = [("theta", "dedekind_eta", "registry_n3", "rem4.13"),
+           ("modification", "phi_tilde", "registry_n4", "rem6.5"),
+           ("theta", "jacobi_theta", "registry_d21a", "eq12.7")]
+
+
+def test_reload_rebuilds_every_law_with_fresh_bindings():
+    # a mutant of such a function reaches the laws once verifier._REGISTRY
+    # is cleared and mockforms.registry reloaded (ROADMAP item 5): the
+    # reload reloads the modules of the N=3, N=4 and D(2,1;a) laws as well,
+    # and the 87 ids come back in their order
+    pt, called = V.standard_grid(2, 1, 1, GUARDED)[1], set()
+
+    def callers(identity):
+        """(function, calling module) of each spied call of identity's plan"""
+        called.clear()
+        spec = V.get_spec(identity)
+        spec.plan(**spec.params[0])(pt, GUARDED)
+        return set(called)
+
+    def spy(name, real):
+        def call(*a, **k):
+            called.add((name, pathlib.Path(sys._getframe(1).f_code.co_filename).stem))
+            return real(*a, **k)
+        return call
+
+    saved = []
+    for m, name, *_ in REBOUND:
+        module = importlib.import_module(f"mockforms.{m}")
+        saved.append((module, name, getattr(module, name)))
+    try:
+        for module, name, real in saved:
+            setattr(module, name, spy(name, real))
+        assert all((name, by) not in callers(i) for _, name, by, i in REBOUND)
+        V._REGISTRY.clear()
+        importlib.reload(R)
+        assert V.registry_ids() == _golden_ids()
+        assert all((name, by) in callers(i) for _, name, by, i in REBOUND)
+    finally:
+        for module, name, real in saved:
+            setattr(module, name, real)
+        V._REGISTRY.clear()
+        importlib.reload(R)
+    assert V.registry_ids() == _golden_ids()
+    assert all(callers(i) == set() for *_, i in REBOUND)
 
 
 # the non-runner ids whose plan _laws does not build; a new one joins this
