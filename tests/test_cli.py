@@ -424,6 +424,14 @@ def test_family_n4_matches_the_module(capsys):
     assert json.loads(out) == {"family": "n4", "weights": want} and len(want) == 3
 
 
+def test_family_n4_reads_m_as_n3_does(capsys):
+    # --m is a rational for both families; N=4 takes an integral one
+    assert run_cli(["family", "--family", "n4", "--m=-2/1"], capsys) \
+        == run_cli(["family", "--family", "n4", "--m", "-2"], capsys)
+    code, out, err = run_cli(["family", "--family", "n4", "--m", "-5/2"], capsys)
+    assert code == 2 and out == "" and "is not an integer" in err
+
+
 @pytest.mark.parametrize("args, message", [
     (["family", "--family", "n5"], "unknown family n5"),
     (["smatrix", "--family", "n3", "--p", "1"], "smatrix is available for the d21a"),

@@ -6,6 +6,7 @@ which is only read."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -175,3 +176,106 @@ MAX_MODULE_NODES = 6_000
 def test_every_module_compiles_in_a_small_piece():
     sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text()))) for p in PACKAGE}
     assert {name: n for name, n in sizes.items() if n > MAX_MODULE_NODES} == {}
+
+
+FAMILY_MODULES = ["mockforms.family_n3", "mockforms.family_n4", "mockforms.family_d21a"]
+
+
+def _fresh(code, *flags):
+    """Run code in a fresh interpreter; returns its stdout and stderr."""
+    got = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    return got.stdout, got.stderr
+
+
+def test_cli_import_runs_no_family_module():
+    # `import mockforms.cli` puts the three family modules in sys.modules and
+    # on the package, but runs none: -X importtime lists no family line, and
+    # the stubs, read without running them, hold no __builtins__ (the mark
+    # exec() leaves in a module it ran)
+    code = ("import sys\nimport mockforms, mockforms.cli\n"
+            f"for name in {FAMILY_MODULES!r}:\n"
+            "    m = sys.modules[name]\n"
+            "    print(name, vars(m) is vars(getattr(mockforms, name.split('.')[1])),"
+            " '__builtins__' in vars(m))\n")
+    out, err = _fresh(code, "-X", "importtime")
+    assert re.search(r"\| mockforms\.cli$", err, re.M)
+    assert not re.search(r"\| +mockforms\.family_", err)
+    assert out.splitlines() == [f"{name} True False" for name in FAMILY_MODULES]
+
+
+def test_racing_first_reads_of_a_family_all_succeed():
+    # four threads call family_d21a, whose body reads family_n4, right after
+    # the import and at once; a thread switch every microsecond lets each
+    # find the module while another runs it, and each waits for the body
+    code = ("import sys, threading\nimport mockforms.cli\n"
+            "from mockforms import family_d21a\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start, got = threading.Barrier(4), []\n"
+            "def call():\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        got.append(family_d21a.s_matrix_and_fusion(2)['labels'])\n"
+            "    except Exception as exc:\n"
+            "        got.append(repr(exc))\n"
+            "threads = [threading.Thread(target=call) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(got)\n")
+    for _ in range(3):
+        got = ast.literal_eval(_fresh(code)[0])
+        assert len(got) == 4 and all(isinstance(labels, list) for labels in got), got
+        assert all(labels == got[0] for labels in got)
+
+
+def test_a_read_during_the_first_run_waits_for_the_whole_body():
+    # once the body has defined every name, a second thread reads one while
+    # the first run has not yet returned: the read waits for the run, so no
+    # thread calls into a module whose later definitions are still missing
+    code = ("import sys, threading, time\nimport mockforms.cli\n"
+            "m = sys.modules['mockforms.family_n4']\n"
+            "loader, ran, order = m.__spec__.loader, threading.Event(), []\n"
+            "def exec_module(module):\n"
+            "    type(loader).exec_module(loader, module)\n"
+            "    ran.set()\n"
+            "    time.sleep(0.2)\n"
+            "    order.append('body')\n"
+            "loader.exec_module = exec_module\n"
+            "first = threading.Thread(target=lambda: m.N4Weight)\n"
+            "first.start()\n"
+            "ran.wait()\n"
+            "m.enumerate_weights\n"
+            "order.append('read')\n"
+            "first.join()\n"
+            "print(order)\n")
+    assert ast.literal_eval(_fresh(code)[0]) == ["body", "read"]
+
+
+def test_a_first_run_that_raises_runs_again_at_the_next_read():
+    # as a failed import runs again at the next import
+    code = ("import sys\nimport mockforms.cli\n"
+            "m = sys.modules['mockforms.family_n3']\n"
+            "loader, calls = m.__spec__.loader, []\n"
+            "def exec_module(module):\n"
+            "    calls.append(1)\n"
+            "    type(loader).exec_module(loader, module)\n"
+            "    if len(calls) == 1:\n"
+            "        raise KeyboardInterrupt\n"
+            "loader.exec_module = exec_module\n"
+            "try:\n"
+            "    m.enumerate_weights\n"
+            "except KeyboardInterrupt:\n"
+            "    print('raised')\n"
+            "print(len(m.enumerate_weights(-1)) > 0, len(calls), type(m).__name__)\n")
+    assert _fresh(code)[0].split() == ["raised", "True", "2", "module"]
+
+
+def test_reload_before_first_use_runs_the_body_once():
+    # a reload() runs an unused family module's body; the next read, even of
+    # a name the module lacks, must not run it a second time
+    code = ("import importlib, sys\nimport mockforms.cli\n"
+            "m = importlib.reload(sys.modules['mockforms.family_n4'])\n"
+            "f = m.enumerate_weights\n"
+            "print(hasattr(m, 'nope'), m.enumerate_weights is f is m.enumerate_weights)\n")
+    assert _fresh(code)[0].split() == ["False", "True"]

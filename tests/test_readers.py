@@ -8,7 +8,7 @@ import pytest
 
 from mockforms.family_d21a import D21Index, D21Params, D21Weight
 from mockforms.family_n3 import FIndex, N3Weight
-from mockforms.family_n4 import ChiIndex, N4Weight
+from mockforms.family_n4 import ChiIndex, N4Weight, enumerate_weights
 from mockforms.mock import PsiIndex
 
 H = F(1, 2)
@@ -48,3 +48,16 @@ def test_index_data_is_read_one_way(name):
         for x in (0.5000000001, 0.3):
             with pytest.raises(ValueError, match="not a half-integer"):
                 at(pos, x)
+
+
+def test_n4_weights_read_the_level_one_way():
+    # enumerate_weights returns a list, not a record, so it is not a READERS row
+    want = enumerate_weights(-2)
+    assert [w.m for w in want] == [-2] * 3 and all(type(w.m) is int for w in want)
+    for x in (F(-2), -2.0):
+        assert enumerate_weights(x) == want
+    for x in (F(-5, 2), -2.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            enumerate_weights(x)
+    with pytest.raises(TypeError):
+        enumerate_weights("-2")
