@@ -144,19 +144,19 @@ class D21Weight:
         prime = m3 == 0 and m2 > 0  # the Lambda' column
         jf = n * p + m2 if prime else n * p - m3
         jg = n * q - m2 if prime else n * q + m3
-        signs = {"P": {"minus": 1.0, "plus": -1.0 if prime else -((-1.0) ** m3),
-                       "minus_tw": -1.0, "plus_tw": 1.0 if prime else ((-1.0) ** m3)},
+        # the sign of each flavor, keyed by the (plus, twisted) of the sector
+        pm = 1.0 if prime else (-1.0) ** m3
+        qm = (-1.0) ** m2 if prime else 1.0
+        signs = {"P": {(0, 0): 1.0, (1, 0): -pm, (0, 1): -1.0, (1, 1): pm},
                  # the twisted-plus rows carry no (-1)^{np} factor; the
                  # collapsing identities at q = n = 1 fix the constant
-                 "Q": {"minus": 1.0, "plus": -((-1.0) ** m2) if prime else -1.0,
-                       "minus_tw": 1.0, "plus_tw": -((-1.0) ** m2) if prime else -1.0}}
+                 "Q": {(0, 0): 1.0, (1, 0): -qm, (0, 1): 1.0, (1, 1): -qm}}
         out = {}
-        for sector, sec in SECTORS.items():
-            twisted = sector.endswith("_tw")
-            out[sector, "P"] = (signs["P"][sector],
-                                D21Index.of("F", jf, self.params, sec.eps, sec.eps_prime))
-            out[sector, "Q"] = (signs["Q"][sector], D21Index.of(
-                "G", jf if twisted else jg, self.params, sec.eps, sec.eps_prime))
+        for sec in SECTORS.values():
+            plus, twisted = sec.eps.twice, 1 - sec.eps_prime.twice
+            out[sec, "P"] = (signs["P"][plus, twisted], D21Index.of("F", jf, self.params, sec))
+            out[sec, "Q"] = (signs["Q"][plus, twisted],
+                             D21Index.of("G", jf if twisted else jg, self.params, sec))
         return out
 
     @cached_property
@@ -165,17 +165,14 @@ class D21Weight:
         p, half = self.params.p, Fraction(1, 2)
         j0, sign0 = _boundary_index(self)
         out = {}
-        for sector in SECTORS:
-            plus, twisted = sector.startswith("plus"), sector.endswith("_tw")
-            jg, sign = j0, sign0
-            if twisted:
-                jg, sign = jg + p + 1, -sign
-            if plus:
-                sign = -sign
-            if twisted and plus and p % 2:
-                sign = -sign
-            out[sector] = (sign, D21Index.of("g", jg, self.params, half if plus else 0,
-                                             half if twisted else 0))
+        for sec in SECTORS.values():
+            plus, twisted = sec.eps.twice, 1 - sec.eps_prime.twice
+            # a twisted sector shifts j by p + 1; a flip each for plus, for
+            # twisted, and for twisted plus at odd p
+            sign = sign0 * (-1.0) ** (plus + twisted + plus * twisted * p)
+            # g and R-hat take the affine sector: the twist label swapped
+            out[sec] = (sign, D21Index.of("g", j0 + (p + 1) * twisted, self.params,
+                                          Sector.of(sec.eps, half * twisted)))
         return out
 
 
@@ -316,10 +313,10 @@ class D21Index:
     sector: Sector
 
     @staticmethod
-    def of(which: str, j, params: D21Params, eps=0, eps_prime=0) -> "D21Index":
+    def of(which: str, j, params: D21Params, sector: Sector = Sector.of(0, 0)) -> "D21Index":
         if which not in ("P", "Q", "f", "g", "F", "G"):
             raise ValueError(f"unknown numerator function {which!r}")
-        return D21Index(which, int_of(j), params, Sector.of(eps, eps_prime))
+        return D21Index(which, int_of(j), params, sector)
 
     @cached_property
     def _thetas(self) -> tuple:
@@ -360,23 +357,19 @@ def _check_letter(idx: D21Index, letters: tuple):
         raise ValueError(f"a {idx.which} index is not one of {letters}")
 
 
-def PQ_function(idx: D21Index, tau, z1, z2, z3, t=0.0, variant: str = "minus",
+def PQ_function(idx: D21Index, tau, z1, z2, z3, t=0.0, sector: Sector = SECTORS["minus"],
                 policy: TruncationPolicy = DEFAULT_POLICY):
     """P_j / Q_j (idx.which P or Q) and their sector variants: the sum of
     two theta-times-modification products.
 
-    The minus variant is the defining combination; plus shifts by xi, the
-    twisted ones compose with the twist map.
+    The minus sector is the defining combination; a twisted sector first
+    moves the point by the twist map, and a plus sector then shifts it by xi.
     """
     _check_letter(idx, ("P", "Q"))
-    if variant not in SECTORS:
-        raise ValueError(f"unknown sector {variant}")
-    if variant == "plus":
-        return PQ_function(idx, tau, *xi_shift(tau, z1, z2, z3, t), "minus", policy)
-    if variant in ("minus_tw", "plus_tw"):
-        pt = twist_point(idx.params, tau, z1, z2, z3, t)
-        base = "minus" if variant == "minus_tw" else "plus"
-        return PQ_function(idx, tau, *pt, base, policy)
+    if not sector.eps_prime.twice:
+        z1, z2, z3, t = twist_point(idx.params, tau, z1, z2, z3, t)
+    if sector.eps.twice:
+        z1, z2, z3, t = xi_shift(tau, z1, z2, z3, t)
     P = idx.which == "P"
     f1 = phi_tilde(idx._inner, tau, z1, -z3 if P else -z2, 0.0, policy)
     f2 = phi_tilde(idx._inner, tau, -z1 + z2 + z3, -z2 if P else -z3, 0.0, policy)
@@ -392,7 +385,7 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
     if flavor not in ("P", "Q"):
         raise ValueError(f"unknown flavor {flavor}")
     sgn, first, second = w._pq_terms[flavor]
-    fn = lambda x: PQ_function(x, tau, z1, z2, z3, t, "minus", policy)
+    fn = lambda x: PQ_function(x, tau, z1, z2, z3, t, policy=policy)
     if second is None:
         return sgn * fn(first)
     return sgn * (fn(first) + fn(second)) / 2
@@ -452,13 +445,11 @@ def fg_lower(idx: D21Index, tau, z1, z2, z3, t=0.0, policy: TruncationPolicy = D
     return t1 - t2
 
 
-def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: str = "minus", flavor: str = "P",
-               policy: TruncationPolicy = DEFAULT_POLICY):
+def big_n4_qhr(w: D21Weight, tau, y2, y3, sector: Sector = SECTORS["minus"],
+               flavor: str = "P", policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced big N=4 (super)characters for the j=1 weights with m2 = 0 or
     m3 = 0, via the single F/G-term table, formed once per weight.  The F/G
-    term and the denominator both carry the sector SECTORS[sector]."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector}")
+    term and the denominator both carry the sector."""
     if flavor not in ("P", "Q"):
         raise ValueError(f"unknown flavor {flavor}")
     if w.j != 1 or (w.m2 != 0 and w.m3 != 0):
@@ -509,7 +500,7 @@ def _boundary_index(w: D21Weight):
 
 
 def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
-                             sector: str = "minus",
+                             sector: Sector = SECTORS["minus"],
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """(Super)characters of the integrable boundary-case modules: the
     twisted sectors shift j by p+1 and flip the sign.  The g index and the
@@ -519,8 +510,6 @@ def boundary_case_characters(w: D21Weight, tau, z1, z2, z3, t=0.0,
         raise UnsupportedCaseError("boundary formulas need q = n = 1")
     if w.j not in (0, 1):
         raise UnsupportedCaseError("boundary families are empty for j = 2, 3")
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector}")
     sign, idx = w._boundary_terms[sector]
     num = sign * fg_lower(idx, tau, z1, z2, z3, t, policy)
     return num / rhat(tau, z1, z2, z3, idx.sector, policy)

@@ -95,20 +95,12 @@ class N4Weight:
         m, m2, M = self.m, self.m2, self.M
         A = float(Fraction(m * (2 * self.k1 + self.k2 + 1), M) + m2)
         out = {}
-        for sector, sec in SECTORS.items():
-            twisted = sector.endswith("_tw")
+        for sec in SECTORS.values():
+            plus, twisted = sec.eps.twice, 1 - sec.eps_prime.twice
             j, k = admissible_jk(self, twisted)
-            sign = 1.0
-            if self.J == "III":
-                sign = -sign
-            if sector.startswith("plus"):
-                sign = -sign
-            if twisted:
-                sign = -sign
-            if sector.startswith("plus") and m2 % 2:
-                sign = -sign
-            out[sector] = (ChiIndex.of(1, M, m, sec.eps, sec.eps_prime, j, k),
-                           ChiIndex.of(0, M, m, sec.eps, sec.eps_prime, j, k), A, sign)
+            # a flip each for type III, a plus sector (two at odd m2), a twisted one
+            sign = (-1.0) ** ((self.J == "III") + plus * (1 + m2) + twisted)
+            out[sec] = (ChiIndex.of(1, M, m, sec, j, k), ChiIndex.of(0, M, m, sec, j, k), A, sign)
         return out
 
     def label(self) -> str:
@@ -142,6 +134,16 @@ class Sector:
             raise ValueError(f"sector shifts must be 0 or 1/2, got {eps.value}, {eps_prime.value}")
         return Sector(eps, eps_prime, 1 - eps_prime.twice, 1 - eps.twice)
 
+    @property
+    def S(self) -> "Sector":
+        """The image (eps', eps) under S, as theta_ab goes to theta_ba."""
+        return Sector.of(self.eps_prime, self.eps)
+
+    @property
+    def T(self) -> "Sector":
+        """The image (|eps - eps'|, eps') under T: theta_0b to theta_0(1-b)."""
+        return Sector.of(HalfInt(abs(self.eps.twice - self.eps_prime.twice)), self.eps_prime)
+
 
 def rhat(tau, z1, z2, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (non-)twisted (super)denominators."""
@@ -163,7 +165,8 @@ def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     return eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
 
 
-# the sector of each reduced denominator: they swap the affine twist label
+# the sector of each reduced denominator: they swap the affine twist label,
+# so a reduced sector is plus where eps = 1/2 and twisted (_tw) where eps' = 0
 SECTORS = {"plus": Sector.of(Fraction(1, 2), Fraction(1, 2)), "minus": Sector.of(0, Fraction(1, 2)),
            "plus_tw": Sector.of(Fraction(1, 2), 0), "minus_tw": Sector.of(0, 0)}
 
@@ -207,20 +210,16 @@ def _lambda_alpha2(w: N4Weight) -> Fraction:
     return K * w.k2 + w.m2 + 2
 
 
-def numerator(w: N4Weight, tau, z1, z2, t, sector: str,
+def numerator(w: N4Weight, tau, z1, z2, t, sector: Sector,
               policy: TruncationPolicy = DEFAULT_POLICY):
-    """R-hat ch~ for all four sectors.  The plus sector shifts both z by
-    1/2; the affine denominator ratio under that shift is the constant -1,
-    applied analytically."""
-    if sector == "minus":
-        return admissible_supernumerator(w, tau, z1, z2, t, policy)
-    if sector == "plus":
-        nm = admissible_supernumerator(w, tau, z1 + 0.5, z2 + 0.5, t, policy)
-        return w._plus_phase * nm
-    if sector in ("plus_tw", "minus_tw"):
-        w1, w2, wt = w0_point(tau, z1, z2, t)
-        return numerator(w, tau, w1, w2, wt, sector.removesuffix("_tw"), policy)
-    raise ValueError(f"unknown sector {sector}")
+    """R-hat ch~ for all four sectors.  A twisted sector first moves the
+    point by w0; a plus sector then shifts both z by 1/2, where the affine
+    denominator ratio is the constant -1, applied analytically."""
+    if not sector.eps_prime.twice:
+        z1, z2, t = w0_point(tau, z1, z2, t)
+    if sector.eps.twice:
+        return w._plus_phase * admissible_supernumerator(w, tau, z1 + 0.5, z2 + 0.5, t, policy)
+    return admissible_supernumerator(w, tau, z1, z2, t, policy)
 
 
 # --- QHR ------------------------------------------------------------------
@@ -250,26 +249,24 @@ def qhr_characteristics(w: N4Weight) -> dict:
     return {"c": c, "h": h, "s": s, "h_tw": h_tw, "s_tw": s_tw, "vanishes": vanishes}
 
 
-def qhr_character_integrable(w: N4Weight, tau, z, sector: str = "minus",
+def qhr_character_integrable(w: N4Weight, tau, z, sector: Sector = SECTORS["minus"],
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Closed single-term forms of the reduced (super)characters of the
     integrable family: the numerator is the modification at u +- eps' tau,
     u = z + eps, for the sector (eps, eps') of the denominator."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector}")
     if w.J != "none":
         raise UnsupportedCaseError("an admissible weight's character is qhr_character_admissible")
     m, m2 = w.m, w.m2
     m0 = m + m2
     if m0 >= 0:
         return 0.0 + 0.0j
-    idx, sec = w._mock, SECTORS[sector]
-    u = z + 0.5 if sec.eps.twice else z
-    if sec.eps_prime.twice:
+    idx = w._mock
+    u = z + 0.5 if sector.eps.twice else z
+    if sector.eps_prime.twice:
         val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, u + tau / 2, u - tau / 2, 0.0, policy)
     else:
         val = m0 * phi_tilde(idx, tau, u, u, 0.0, policy)
-    return val / n4_denominator(tau, z, sec, policy)
+    return val / n4_denominator(tau, z, sector, policy)
 
 
 def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -300,14 +297,13 @@ class ChiIndex:
     k: HalfInt
 
     @staticmethod
-    def of(alpha, M, m, eps, eps_prime, j, k) -> "ChiIndex":
+    def of(alpha, M, m, sector: Sector, j, k) -> "ChiIndex":
         alpha, M, m = int_of(alpha), int_of(M), int_of(m)
         if alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
         if m >= 0:
             raise ValueError("m must be a negative integer")
         j, k = HalfInt.of(j), HalfInt.of(k)
-        sector = Sector.of(eps, eps_prime)
         if j.twice % 2 != sector.eps_prime.twice or k.twice % 2 != sector.eps_prime.twice:
             raise ValueError("j, k must lie in eps' + Z")
         return ChiIndex(alpha, M, m, sector, j, k)
@@ -341,13 +337,11 @@ def admissible_jk(w: N4Weight, twisted: bool):
     return HalfInt(2 * (k1 + 1)), HalfInt(-2 * (k1 + k2))
 
 
-def qhr_character_admissible(w: N4Weight, tau, z, sector: str = "minus",
+def qhr_character_admissible(w: N4Weight, tau, z, sector: Sector = SECTORS["minus"],
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Reduced (super)characters of the admissible family as the signed
     combination chi^(1) - A chi^(0); the chi indices, A and the sign of
     each sector come from w, formed once per weight."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector}")
     if w.J == "none":
         raise UnsupportedCaseError("an integrable weight's character is qhr_character_integrable")
     if w.J not in ("I", "III"):

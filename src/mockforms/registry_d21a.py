@@ -23,7 +23,7 @@ def _d21a_pairs():
 
     # the index of a numerator function is a D21Index
     pq = lambda laws: _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
-        x, tau, z1, z2, z3, t, "minus", policy), lambda pt: (*pt.zs, 0.03), laws)
+        x, tau, z1, z2, z3, t, policy=policy), lambda pt: (*pt.zs, 0.03), laws)
     image = lambda action: lambda tau, *a: (tau, *action(tau, *a))
 
     def lem1012(p, q, n, which):
@@ -49,13 +49,13 @@ def _d21a_pairs():
         j = 1
         ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
         K = complex(pr.K)
-        x = d2.D21Index.of(which, j, pr, eps, epsp)
-        return [(x, _S_t, [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, epsp, eps))
+        x = d2.D21Index.of(which, j, pr, n4.Sector.of(eps, epsp))
+        return [(x, _S_t, [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, x.sector.S))
                            for k in range(big)],
                  lambda tau, z1, z2, z3, t: (
                      ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
                      * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
-                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                (x, _T, d2.D21Index.of(which, j, pr, x.sector.T),
                  e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
@@ -69,9 +69,9 @@ def _d21a_pairs():
         pr = d2.D21Params(*P211)
         j = 1
         big = pr.n * (pr.p + pr.q)
-        # (variant, the f or g index, sign) with the shifted index j + shift
-        rows = [(variant, d2.D21Index.of("P" if which == "f" else "Q", j, pr),
-                 d2.D21Index.of(which, j + shift, pr, el, epl), sgn)
+        # (sector, the f or g index, sign) with the shifted index j + shift
+        rows = [(n4.SECTORS[variant], d2.D21Index.of("P" if which == "f" else "Q", j, pr),
+                 d2.D21Index.of(which, j + shift, pr, n4.Sector.of(el, epl)), sgn)
                 for variant, which, el, epl, shift, sgn in (
                     ("minus", "f", Fraction(0), Fraction(0), 0, 1.0),
                     ("plus", "f", H, Fraction(0), 0, 1.0),
@@ -82,18 +82,18 @@ def _d21a_pairs():
                     ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
                     ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p))))]
 
-        return [((d2.PQ_function, x, variant), _same, (d2.fg_lower, y), sgn)
-                for variant, x, y, sgn in rows]
+        return [((d2.PQ_function, x, sector), _same, (d2.fg_lower, y), sgn)
+                for sector, x, y, sgn in rows]
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
                           "d21a", 1e-8, [{}], _laws(_call, lambda pt: (*pt.zs, 0.02), lem112)))
 
     def lem117(eps, epsp):
         pr = d2.D21Params(*P211)
-        flip = H - epsp
+        flip = n4.Sector.of(eps, H - epsp)
         hr = lambda tau, y2, y3: (tau, *d2.hr_point(tau, y2, y3))
-        return [((d2.fg_lower, d2.D21Index.of(low, 1, pr, eps, epsp)), hr,
-                 (d2.FG_function, d2.D21Index.of(up, 1 + pr.n * k, pr, eps, flip)), None)
+        return [((d2.fg_lower, d2.D21Index.of(low, 1, pr, n4.Sector.of(eps, epsp))), hr,
+                 (d2.FG_function, d2.D21Index.of(up, 1 + pr.n * k, pr, flip)), None)
                 for low, up, k in (("f", "F", pr.p), ("g", "G", pr.q))]
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
@@ -105,7 +105,7 @@ def _d21a_pairs():
 
     def rem116():
         pr = d2.D21Params(*P211)
-        F = lambda j: d2.D21Index.of("F", j, pr, 0, H)
+        F = lambda j: d2.D21Index.of("F", j, pr, n4.Sector.of(0, H))
         return [(F(-1), _same, F(1), -1), (F(1 + 2 * big), _same, F(1), None),
                 (F(big + 1), _same, F(big - 1), -1)]
 
@@ -117,13 +117,13 @@ def _d21a_pairs():
         deg = pr.n * (pr.p if which == "F" else pr.q)
         j = 1
         ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
-        x = d2.D21Index.of(which, j, pr, eps, epsp)
+        x = d2.D21Index.of(which, j, pr, n4.Sector.of(eps, epsp))
         return [(x, _S,
-                 [(math.sin(math.pi * j * k / big), d2.D21Index.of(which, k, pr, epsp, eps))
+                 [(math.sin(math.pi * j * k / big), d2.D21Index.of(which, k, pr, x.sector.S))
                   for k in range(1, big)],
                  lambda tau, y2, y3: ((-1j * tau) ** 1.5 * ph * math.sqrt(2.0 / big) * e2pi(
                      pr.n * (pr.q * y2 * y2 + pr.p * y3 * y3) / (4 * tau)))),
-                (x, _T, d2.D21Index.of(which, j, pr, abs(Fraction(eps) - Fraction(epsp)), epsp),
+                (x, _T, d2.D21Index.of(which, j, pr, x.sector.T),
                  e2pi(Fraction(j * j, 4 * big)) * e2pi(-deg * Fraction(epsp) ** 2))]
 
     register(IdentitySpec("lemma11.8", "reduced basis S and T laws", "d21a", 1e-6,
@@ -135,7 +135,8 @@ def _d21a_pairs():
 
     def eq1113(eps, epsp):
         sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
-        return [(n4.Sector.of(eps, epsp), _S, n4.Sector.of(epsp, eps), lambda tau, y2, y3: (
+        s = n4.Sector.of(eps, epsp)
+        return [(s, _S, s.S, lambda tau, y2, y3: (
             sgn * (-1j * tau) ** 1.5 * cmath.exp(1j * math.pi * (y2 * y2 + y3 * y3) / (2 * tau))))]
 
     register(IdentitySpec("eq11.13", "reduced denominator S-law", "d21a", 1e-8, EPS_PAIRS,
@@ -143,8 +144,7 @@ def _d21a_pairs():
 
     register(IdentitySpec("eq11.14", "reduced denominator T-law", "d21a", 1e-8, EPS_PAIRS,
                           b4(lambda eps, epsp: [(
-                              n4.Sector.of(eps, epsp), _T,
-                              n4.Sector.of(abs(Fraction(eps) - Fraction(epsp)), epsp),
+                              n4.Sector.of(eps, epsp), _T, n4.Sector.of(eps, epsp).T,
                               (1j ** int(2 * Fraction(epsp))) * e2pi(Fraction(1, 8)))])))
 
     register(IdentitySpec("prop11.14", "basis function S and T laws", "d21a", 1e-6,
@@ -157,7 +157,7 @@ def _d21a_pairs():
 
     def p1111(m2, m3, flavor):
         w, minus = d2.D21Weight(d2.D21Params(*P211), 1, m2, m3), n4.SECTORS["minus"]
-        return [((d2.big_n4_qhr, w, "minus", flavor), _same, lambda tau, y2, y3, policy: (
+        return [((d2.big_n4_qhr, w, minus, flavor), _same, lambda tau, y2, y3, policy: (
             d2.modified_supercharacter_numerator(w, tau, *d2.hr_point(tau, y2, y3), flavor, policy)
             / d2.b4_denominator(tau, y2, y3, minus, policy)), None)]
 
@@ -175,7 +175,7 @@ def _d21a_pairs():
         def quotient(tau, y2, y3, policy):
             th = lambda i: theta_jm(x[i], tau, y3, 0, policy)
             return (th(0) - th(1)) / (th(2) - th(3))
-        return [((d2.big_n4_qhr, w, sector, "Q"), _same, quotient, None)]
+        return [((d2.big_n4_qhr, w, n4.SECTORS[sector], "Q"), _same, quotient, None)]
 
     register(IdentitySpec("rem11.13", "collapsing-level reduced characters", "d21a",
                           1e-8, [{"p": p, "s": s, "sector": sec} for p in (2, 3)
@@ -193,7 +193,7 @@ def _d21a_pairs():
                 for k in range(8):
                     y3 = center + radius * cmath.exp(2j * math.pi * k / 8)
                     try:
-                        v = d2.big_n4_qhr(w, tau, y2, y3, "minus_tw", "P", policy)
+                        v = d2.big_n4_qhr(w, tau, y2, y3, n4.SECTORS["minus_tw"], "P", policy)
                     except PoleProximityError:
                         continue
                     mags.append(abs(v))
@@ -211,7 +211,7 @@ def _d21a_pairs():
         s1 = (-1.0) ** (1 - 2 * float(epsp))
         s2 = (-1.0) ** (2 * float(eps) * (1 - 2 * float(epsp)))
         xp, xm = ThetaIndex.of(j, p + 1), ThetaIndex.of(-j, p + 1)
-        g = d2.D21Index.of("g", j, pr, eps, epsp)
+        g = d2.D21Index.of("g", j, pr, n4.Sector.of(eps, epsp))
         a_, b_ = g.sector.a, g.sector.b
 
         def explicit(tau, z1, z2, z3, t, policy):
@@ -237,15 +237,14 @@ def _d21a_pairs():
                           _laws(lambda x, tau, z1, z2, z3, policy: d2.rhat(
                               tau, z1, z2, z3, x, policy), lambda pt: pt.zs,
                               lambda eps, epsp: [
-                                  (n4.Sector.of(eps, epsp), _S, n4.Sector.of(epsp, eps),
+                                  (n4.Sector.of(eps, epsp), _S, n4.Sector.of(eps, epsp).S,
                                    lambda tau, *zs: 1j * (-1j * tau) ** 1.5),
-                                  (n4.Sector.of(eps, epsp), _T,
-                                   n4.Sector.of(abs(Fraction(eps) - Fraction(epsp)), epsp),
+                                  (n4.Sector.of(eps, epsp), _T, n4.Sector.of(eps, epsp).T,
                                    e2pi(Fraction(1, 24)))])))
 
     # the index of a boundary supercharacter is its weight
     boundary = lambda laws: _laws(lambda w, tau, z1, z2, z3, t, policy: (
-        d2.boundary_case_characters(w, tau, z1, z2, z3, t, "minus", policy)),
+        d2.boundary_case_characters(w, tau, z1, z2, z3, t, policy=policy)),
         lambda pt: (*pt.zs, 0.02), laws)
 
     def p124a(p):

@@ -83,12 +83,12 @@ def _n4_pairs():
                           "n4", 1e-8, [{"m": -1}, {"m": -2}],
                           _laws(phi_tilde, lambda pt: (pt.z,), lambda m: collapse(m, False))))
 
-    # the index of a reduced character is (weight, sector)
+    # the index of a reduced character is (weight, Sector)
     integrable = lambda x, tau, z, policy: n4.qhr_character_integrable(x[0], tau, z, x[1], policy)
 
     def p71a(m, m2):
         idx, plus, m0 = MockIndex.of(-m, 0), n4.SECTORS["plus"], m + m2
-        return [((n4.N4Weight(m, m2), "plus"), _same, lambda tau, z, policy: (
+        return [((n4.N4Weight(m, m2), plus), _same, lambda tau, z, policy: (
             -((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
             * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
             / n4.n4_denominator(tau, z, plus, policy)), None)]
@@ -99,32 +99,32 @@ def _n4_pairs():
 
     def denominated(x, tau, z, policy):
         """the reduced character at index x = (weight, sector) times its denominator"""
-        return integrable(x, tau, z, policy) * n4.n4_denominator(tau, z, n4.SECTORS[x[1]], policy)
+        return integrable(x, tau, z, policy) * n4.n4_denominator(tau, z, x[1], policy)
 
     def p72(m, rel):
         w = n4.N4Weight(m, 1 if m < -1 else 0)
         if rel < 4:
-            s1, s2, c = [("plus", "plus", (-1.0) ** m), ("minus", "plus_tw", -1.0),
-                         ("plus_tw", "minus", -1.0), ("minus_tw", "minus_tw", 1.0)][rel]
-            return [((w, s1), _S, (w, s2), lambda tau, z: c * tau * e2pi(-m * z * z / tau))]
-        s1, s2, c = [("plus", "minus", e2pi(Fraction(m, 4))), ("plus_tw", "plus_tw", 1.0)][rel - 4]
-        return [((w, s1), _T, (w, s2), c)]
+            name, c = [("plus", (-1.0) ** m), ("minus", -1.0), ("plus_tw", -1.0),
+                       ("minus_tw", 1.0)][rel]
+            s = n4.SECTORS[name]
+            return [((w, s), _S, (w, s.S), lambda tau, z: c * tau * e2pi(-m * z * z / tau))]
+        name, c = [("plus", e2pi(Fraction(m, 4))), ("plus_tw", 1.0)][rel - 4]
+        s = n4.SECTORS[name]
+        return [((w, s), _T, (w, s.T), c)]
 
     register(IdentitySpec("prop7.2", "reduced-character S and T relations", "n4",
                           1e-6, [{"m": m, "rel": r} for m in (-1, -2) for r in range(6)],
                           _laws(denominated, lambda pt: (pt.z,), p72), grid=(3, 2)))
 
     def th73b(m, eps, epsp):
-        w = n4.N4Weight(m, 1 if m < -1 else 0)
-        names = {sector: name for name, sector in n4.SECTORS.items()}
-        sec = lambda e, ep: names[n4.Sector.of(e, ep)]
+        w, s = n4.N4Weight(m, 1 if m < -1 else 0), n4.Sector.of(eps, epsp)
         cm = -6 * (m + 1)
         # sign and phase constants re-derived in the anchored normalization
         # (the trivial module at level -1 has all characters equal to 1)
         sgn = (-1.0) ** ((m + 1) * int(2 * eps) * int(2 * epsp))
-        return [((w, sec(eps, epsp)), _S, (w, sec(epsp, eps)),
+        return [((w, s), _S, (w, s.S),
                  lambda tau, z: sgn * cmath.exp(1j * math.pi * cm * z * z / (3 * tau))),
-                ((w, sec(eps, epsp)), _T, (w, sec(abs(eps - epsp), epsp)),
+                ((w, s), _T, (w, s.T),
                  e2pi(Fraction((m + 1) * int(2 * epsp), 4)))]
 
     register(IdentitySpec("th7.3b", "reduced-character laws in shift notation", "n4",
@@ -137,11 +137,11 @@ def _n4_pairs():
 
         def bad(tau, z, policy):
             w1, w2, wt = n4.w0_prime_point(tau, z + tau / 2, z - tau / 2, tau / 4)
-            num = n4.numerator(w, tau, w1, w2, wt, "minus", policy)
+            num = n4.admissible_supernumerator(w, tau, w1, w2, wt, policy)
             bad_tw = num / n4.n4_denominator(tau, z, minus_tw, policy)
             return (-tau * e2pi(-m * z * z / tau) * bad_tw
                     * n4.n4_denominator(tau, z, plus_tw, policy))
-        return [((w, "minus"), _S, bad, None)]
+        return [((w, n4.SECTORS["minus"]), _S, bad, None)]
 
     register(IdentitySpec("rem7.4x", "alternative twist breaks the S-relation (recorded)",
                           "n4", 1e-2, [{"m": -2}], _laws(denominated, lambda pt: (pt.z,), rem74),
@@ -249,11 +249,11 @@ def _n4_pairs():
 
     def th96(M, m, J, k1, k2, m2):
         w = n4.N4Weight(m, m2, M, J, k1, k2)
-        return [((n4.qhr_character_admissible, w, sector), _same,
-                 lambda tau, z, policy, sector=sector, sec=sec: (
-                     n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sector, policy)
+        return [((n4.qhr_character_admissible, w, sec), _same,
+                 lambda tau, z, policy, sec=sec: (
+                     n4.numerator(w, tau, z + tau / 2, z - tau / 2, tau / 4, sec, policy)
                      / n4.n4_denominator(tau, z, sec, policy)), None)
-                for sector, sec in n4.SECTORS.items()]
+                for sec in n4.SECTORS.values()]
 
     register(IdentitySpec(
         "th9.6", "chi assembly equals the substituted numerators", "n4", 1e-8,
@@ -267,13 +267,13 @@ def _n4_pairs():
     def th97(M, m, alpha, which):
         eps, epsp = H, Fraction(0)
         j, k = 1, -1
-        x = n4.ChiIndex.of(alpha, M, m, eps, epsp, j, k)
+        x = n4.ChiIndex.of(alpha, M, m, n4.Sector.of(eps, epsp), j, k)
         if which == "T":
-            return [(x, _T, n4.ChiIndex.of(alpha, M, m, abs(eps - epsp), epsp, j, k),
+            return [(x, _T, n4.ChiIndex.of(alpha, M, m, x.sector.T, j, k),
                      e2pi(-Fraction(m, M) * j * k - Fraction(1, 2) * epsp))]
         sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
         cw = -2j * math.pi * (Fraction(m, M) + 1)
-        return [(x, _S, [(c, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+        return [(x, _S, [(c, n4.ChiIndex.of(alpha, M, m, x.sector.S, a0, b0))
                          for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
                  lambda tau, z: sgn * tau ** alpha / M * cmath.exp(cw * z * z / tau))]
 
@@ -287,7 +287,7 @@ def _n4_pairs():
         j, k = Fraction(3, 2), H
         # the S-sum over (a, b) in (eps + {0..M-1})^2, a outer, and its
         # rewriting over a <= b with sine (alpha = 1) or cosine weights
-        cells = [(c, n4.ChiIndex.of(alpha, M, m, epsp, eps, a0, b0))
+        cells = [(c, n4.ChiIndex.of(alpha, M, m, n4.Sector.of(eps, epsp).S, a0, b0))
                  for c, a0, b0 in _balanced_table(M, eps, m, j, k)]
         terms = []
         for ia in range(M):
@@ -307,9 +307,10 @@ def _n4_pairs():
 
     def rem95(M, m):
         j, k = Fraction(3, 2), -H
-        x1, x2, x3, x4, x5 = (n4.ChiIndex.of(alpha, M, m, H, H, jj, kk) for alpha, jj, kk in (
+        sec = n4.Sector.of(H, H)
+        x1, x2, x3, x4, x5 = (n4.ChiIndex.of(alpha, M, m, sec, jj, kk) for alpha, jj, kk in (
             (1, j, k), (1, k, j), (0, j, k), (0, k, j), (1, j, j)))
-        x6 = n4.ChiIndex.of(1, 1, m, H, Fraction(0), 1, 0)
+        x6 = n4.ChiIndex.of(1, 1, m, n4.Sector.of(H, 0), 1, 0)
         return [(x1, _same, x2, -1), (x3, _same, x4, None),
                 (x5, _same, _zero, None), (x6, _same, _zero, None)]
 

@@ -87,8 +87,8 @@ def test_characteristics_examples():
 def test_pq_periodicity():
     pr = d2.D21Params(2, 1, 1)
     big = 2 * pr.n * (pr.p + pr.q)
-    a = d2.PQ_function(d2.D21Index.of("P", 1, pr), TAU, *ZS, T, "minus", P)
-    b = d2.PQ_function(d2.D21Index.of("P", 1 + big, pr), TAU, *ZS, T, "minus", P)
+    a = d2.PQ_function(d2.D21Index.of("P", 1, pr), TAU, *ZS, T, d2.SECTORS["minus"], P)
+    b = d2.PQ_function(d2.D21Index.of("P", 1 + big, pr), TAU, *ZS, T, d2.SECTORS["minus"], P)
     assert abs(a - b) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_weyl_actions():
     for which in ("P", "Q"):
         refl = 2 * pr.n * (pr.p if which == "P" else pr.q)
         base = lambda jj, point: d2.PQ_function(d2.D21Index.of(which, jj, pr), TAU, *point,
-                                                "minus", P)
+                                                d2.SECTORS["minus"], P)
         assert abs(base(1, d2.r_theta(TAU, *pts)) + base(-1, pts)) < 1e-10
         assert abs(base(1, d2.r_alpha2(TAU, *pts)) + base(1, pts)) < 1e-10
         assert abs(base(1, d2.r_alpha3(TAU, *pts)) + base(1, pts)) < 1e-10
@@ -110,12 +110,12 @@ def test_supercharacter_case_rows():
     # the j=1, m2=0 row gives the plain P index m2 - m3
     w = d2.D21Weight(pr, 1, 0, 1)
     a = d2.modified_supercharacter_numerator(w, TAU, *ZS, T, "P", P)
-    b = d2.PQ_function(d2.D21Index.of("P", -1, pr), TAU, *ZS, T, "minus", P)
+    b = d2.PQ_function(d2.D21Index.of("P", -1, pr), TAU, *ZS, T, d2.SECTORS["minus"], P)
     assert abs(a - b) < 1e-12
     # the j=0, m2 = nq-1 row gives -P_{m3-m2-2np}
     w = d2.D21Weight(pr, 0, 0, 0)
     a = d2.modified_supercharacter_numerator(w, TAU, *ZS, T, "P", P)
-    b = -d2.PQ_function(d2.D21Index.of("P", -4, pr), TAU, *ZS, T, "minus", P)
+    b = -d2.PQ_function(d2.D21Index.of("P", -4, pr), TAU, *ZS, T, d2.SECTORS["minus"], P)
     assert abs(a - b) < 1e-12
 
 
@@ -135,18 +135,9 @@ def test_big_n4_vanishing_and_guards():
     pr = d2.D21Params(2, 1, 1)
     w = d2.D21Weight(pr, 1, 1, 0)  # nq Lambda_2: level label 0
     assert d2.qhr_characteristics(w)["vanishes"]
-    assert d2.big_n4_qhr(w, TAU, 0.21 + 0.05j, 0.33 - 0.04j, "minus", "P", P) == 0
+    assert d2.big_n4_qhr(w, TAU, 0.21 + 0.05j, 0.33 - 0.04j, d2.SECTORS["minus"], "P", P) == 0
     with pytest.raises(UnsupportedCaseError):
-        d2.big_n4_qhr(d2.D21Weight(pr, 0, 0, 1), TAU, 0.2, 0.3, "minus", "P", P)
-
-
-def test_unknown_sector_is_refused():
-    pr = d2.D21Params(2, 1, 1)
-    for w in (d2.D21Weight(pr, 1, 0, 1), d2.D21Weight(pr, 1, 1, 0)):  # live and vanishing
-        with pytest.raises(ValueError, match="unknown sector"):
-            d2.big_n4_qhr(w, TAU, 0.21 + 0.05j, 0.33 - 0.04j, "bogus", "P", P)
-    with pytest.raises(ValueError, match="unknown sector"):
-        d2.boundary_case_characters(d2.D21Weight(pr, 1, 0, 1), TAU, *ZS, T, "bogus", P)
+        d2.big_n4_qhr(d2.D21Weight(pr, 0, 0, 1), TAU, 0.2, 0.3, d2.SECTORS["minus"], "P", P)
 
 
 def test_boundary_label_bijection():
@@ -183,10 +174,10 @@ def test_boundary_characters_follow_the_label_table():
         for sector, (eps, eps_prime) in SECTOR_EPS.items():
             for w, (jg, sign) in zip(weights, rows[sector]):
                 for tau, zs, t in BOUNDARY_POINTS:
-                    g = d2.D21Index.of("g", jg, pr, eps, eps_prime)
+                    g = d2.D21Index.of("g", jg, pr, d2.Sector.of(eps, eps_prime))
                     want = (sign * d2.fg_lower(g, tau, *zs, t, P)
                             / d2.rhat(tau, *zs, d2.Sector.of(eps, eps_prime), P))
-                    got = d2.boundary_case_characters(w, tau, *zs, t, sector, P)
+                    got = d2.boundary_case_characters(w, tau, *zs, t, d2.SECTORS[sector], P)
                     assert got == want, (p, sector, w.label())
 
 
@@ -207,12 +198,13 @@ def test_smatrix_recovery_oracle():
         A = np.zeros((len(pts), N), dtype=complex)
         for c, zs in enumerate(pts):
             for k, wk in enumerate(labels):
-                A[c, k] = d2.boundary_case_characters(wk, TAU, *zs, 0.0, "minus", P)
+                A[c, k] = d2.boundary_case_characters(wk, TAU, *zs, 0.0, d2.SECTORS["minus"], P)
         for i, wi in enumerate(labels):
             b = np.zeros(len(pts), dtype=complex)
             for c, zs in enumerate(pts):
                 zt = tuple(x / TAU for x in zs)
-                lhs = d2.boundary_case_characters(wi, -1 / TAU, *zt, 0.0, "minus", P)
+                lhs = d2.boundary_case_characters(wi, -1 / TAU, *zt, 0.0, d2.SECTORS["minus"],
+                                                  P)
                 b[c] = lhs / e2pi(pr.K * d2.zz_value(pr, *zs) / (2 * TAU))
             sol, *_ = np.linalg.lstsq(A, b, rcond=None)
             assert max(abs(sol[k] - sm["S"][i][k]) for k in range(N)) < 1e-5
@@ -279,6 +271,6 @@ def test_extra_weight_vanishing_is_structural():
     for (m2, m3, jdx) in ((1, 0, 3), (0, 2, 0)):
         w = d2.D21Weight(pr, 1, m2, m3)
         assert d2.qhr_characteristics(w)["vanishes"]
-        v = d2.FG_function(d2.D21Index.of("F", jdx, pr, 0, F(1, 2)), TAU,
+        v = d2.FG_function(d2.D21Index.of("F", jdx, pr, d2.Sector.of(0, F(1, 2))), TAU,
                            0.21 + 0.05j, 0.33 - 0.04j, P)
         assert v == 0

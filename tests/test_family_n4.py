@@ -4,7 +4,6 @@ import pytest
 
 from mockforms.mock import MockIndex, PsiIndex
 from mockforms.qkernel import HalfInt, TruncationPolicy, UnsupportedCaseError, e2pi
-import mockforms.family_d21a as d2
 import mockforms.family_n3 as n3
 import mockforms.family_n4 as n4
 
@@ -52,20 +51,8 @@ def test_rhat_product_oracle():
         assert abs(a - b) < 1e-10 * max(1.0, abs(b))
 
 
-D21_WEIGHT = d2.D21Weight(d2.D21Params(2, 1, 1), 1, 0, 0)
-# every function that takes a sector name; the integrable N=4 weight is one
-# whose reduced module vanishes
+# every function that takes a sector name: N=4 and D(2,1;a) take a Sector
 SECTOR_FUNCTIONS = {
-    "n4.numerator": lambda s: n4.numerator(n4.N4Weight(-2, 1), TAU, Z1, Z2, T, s, P),
-    "n4.qhr_character_integrable": lambda s: n4.qhr_character_integrable(
-        n4.N4Weight(-2, 2), TAU, Z, s, P),
-    "n4.qhr_character_admissible": lambda s: n4.qhr_character_admissible(
-        n4.N4Weight(-2, 1, 3, "I", 1, 0), TAU, Z, s, P),
-    "d2.PQ_function": lambda s: d2.PQ_function(
-        d2.D21Index.of("P", 1, D21_WEIGHT.params), TAU, Z1, Z2, Z, T, s, P),
-    "d2.big_n4_qhr": lambda s: d2.big_n4_qhr(D21_WEIGHT, TAU, Z1, Z2, s, "P", P),
-    "d2.boundary_case_characters": lambda s: d2.boundary_case_characters(
-        D21_WEIGHT, TAU, Z1, Z2, Z, T, s, P),
     "n3.n3_denominator": lambda s: n3.n3_denominator(TAU, Z, s, P),
     "n3.qhr_character": lambda s: n3.qhr_character(
         n3.N3Weight(False, F(-3, 4), 0), TAU, Z, s, False, P),
@@ -82,6 +69,26 @@ def test_unknown_sector_is_refused(name):
 def test_sector_shifts_are_0_or_half(eps, eps_prime):
     with pytest.raises(ValueError):
         n4.Sector.of(eps, eps_prime)
+
+
+def test_sector_s_and_t_act_as_the_modular_group():
+    # S and T permute the four sectors as they permute the labels (a, b) of
+    # the theta_ab the denominators divide by: S takes theta_ab to theta_ba
+    # (eq1.6), T takes theta_0b to theta_0(1-b) and fixes theta_1b (eq1.7)
+    sectors = list(n4.SECTORS.values())
+    for s in sectors:
+        assert s.S in sectors and s.T in sectors
+        assert s.S.S == s and s.T.T == s and s.S.T.S.T.S.T == s
+        assert (s.S.a, s.S.b) == (s.b, s.a)
+        assert (s.T.a, s.T.b) == ((0, 1 - s.b) if s.a == 0 else (1, s.b))
+    # (0, 0), of the odd theta_11, is fixed by both; the other three are
+    # one orbit
+    odd = n4.Sector.of(0, 0)
+    assert (odd.a, odd.b) == (1, 1) and odd.S == odd and odd.T == odd
+    orbit = {n4.SECTORS["plus"]}
+    for _ in range(3):
+        orbit |= {x.S for x in orbit} | {x.T for x in orbit}
+    assert orbit == set(sectors) - {odd}
 
 
 def test_characteristics_examples():
@@ -101,14 +108,14 @@ def test_lemma91c_isomorphism():
 
 def test_trivial_module_anchor():
     w = n4.N4Weight(-1, 0)
-    for sector in n4.SECTORS:
+    for sector in n4.SECTORS.values():
         v = n4.qhr_character_integrable(w, TAU, Z, sector, P)
         assert abs(v - 1.0) < 1e-10
 
 
 def test_vanishing():
     w = n4.N4Weight(-2, 2)
-    for sector in n4.SECTORS:
+    for sector in n4.SECTORS.values():
         assert n4.qhr_character_integrable(w, TAU, Z, sector, P) == 0
 
 
@@ -117,7 +124,7 @@ def test_integrable_character_refuses_admissible_weights():
     # value of N4Weight(-2, 1); its character is qhr_character_admissible's
     # (test_admissible_vs_substitution_route)
     w = n4.N4Weight(-2, 1, 3, "I", 1, 0)
-    for sector in n4.SECTORS:
+    for sector in n4.SECTORS.values():
         with pytest.raises(UnsupportedCaseError):
             n4.qhr_character_integrable(w, TAU, Z, sector, P)
 
@@ -249,18 +256,18 @@ def test_integrable_weights_have_no_admissible_data():
 
 def test_plus_vs_minus_half_shift():
     w = n4.N4Weight(-2, 1)
-    a = n4.numerator(w, TAU, Z1, Z2, T, "plus", P)
-    b = n4.numerator(w, TAU, Z1 + 0.5, Z2 + 0.5, T, "minus", P)
+    a = n4.numerator(w, TAU, Z1, Z2, T, n4.SECTORS["plus"], P)
+    b = n4.numerator(w, TAU, Z1 + 0.5, Z2 + 0.5, T, n4.SECTORS["minus"], P)
     assert abs(a - (-e2pi(n4._lambda_alpha2(w) / 2)) * b) < 1e-13
 
 
 def test_admissible_vs_substitution_route():
     for (M, m, J, k1, k2, m2) in ((3, -2, "I", 1, 0, 1), (3, -1, "III", 0, 1, 0)):
         w = n4.N4Weight(m, m2, M, J, k1, k2)
-        for sector in n4.SECTORS:
+        for sector in n4.SECTORS.values():
             a = n4.qhr_character_admissible(w, TAU, Z, sector, P)
             num = n4.numerator(w, TAU, Z + TAU / 2, Z - TAU / 2, TAU / 4, sector, P)
-            b = num / n4.n4_denominator(TAU, Z, n4.SECTORS[sector], P)
+            b = num / n4.n4_denominator(TAU, Z, sector, P)
             assert abs(a - b) < 1e-9
 
 
@@ -276,8 +283,8 @@ def test_m1_reduction_bridge():
             for sector, bridge in (("minus", 1.0), ("minus_tw", 1.0),
                                    ("plus", -((-1.0) ** m2)),
                                    ("plus_tw", (-1.0) ** (m + m2 + 1))):
-                a = n4.qhr_character_admissible(wa, TAU, Z, sector, P)
-                b = n4.qhr_character_integrable(wi, TAU, Z, sector, P)
+                a = n4.qhr_character_admissible(wa, TAU, Z, n4.SECTORS[sector], P)
+                b = n4.qhr_character_integrable(wi, TAU, Z, n4.SECTORS[sector], P)
                 assert abs(a - bridge * b) < 1e-9, (m, m2, sector)
 
 
@@ -290,8 +297,8 @@ def test_rem93_reflection_relations():
     assert abs(a - b) < 1e-10
     # twisted: type III at (k1, k2) pairs with type I at (k1+1, k2-2)
     wI2 = n4.N4Weight(m, m2, M, "I", 1, 0)
-    a = n4.numerator(wIII, TAU, Z1, Z2, T, "minus_tw", P)
-    b = n4.numerator(wI2, TAU, -Z2, -Z1, T, "minus_tw", P)
+    a = n4.numerator(wIII, TAU, Z1, Z2, T, n4.SECTORS["minus_tw"], P)
+    b = n4.numerator(wI2, TAU, -Z2, -Z1, T, n4.SECTORS["minus_tw"], P)
     assert abs(a - b) < 1e-9
 
 
@@ -301,7 +308,7 @@ def test_rem94_rewriting():
     M, m, m2, k1, k2 = 3, -2, 0, 0, 1
     w = n4.N4Weight(m, m2, M, "III", k1, k2)
     A = F(m * (2 * k1 + k2 + 1), M) + m2
-    lhs = (n4.qhr_character_admissible(w, TAU, Z, "minus", P)
+    lhs = (n4.qhr_character_admissible(w, TAU, Z, n4.SECTORS["minus"], P)
            * n4.n4_denominator(TAU, Z, n4.Sector.of(0, F(1, 2)), P))
     j, k = HalfInt(2 * (k1 + k2) + 1), HalfInt(-(2 * k1 + 1))
     idx = PsiIndex.of(M, -m, 0, 0, j, k)
@@ -343,7 +350,7 @@ def test_chi_normalization_phases():
         assert 0 < j2.value <= k2.value <= M
         swaps += phase1 != phase0
         for alpha, phase in ((1, phase1), (0, phase0)):
-            x, y = (n4.ChiIndex.of(alpha, M, m, sec.eps, sec.eps_prime, *jk)
+            x, y = (n4.ChiIndex.of(alpha, M, m, sec, *jk)
                     for jk in ((j, k), (j2, k2)))
             a = n4.chi(x, TAU, Z, P)
             assert abs(a - phase * n4.chi(y, TAU, Z, P)) <= 1e-12 * max(1.0, abs(a)), (x, y)
@@ -367,29 +374,23 @@ def test_vanishing_admissible_characters():
     for w in vanishing:
         A = float(F(w.m * (2 * w.k1 + w.k2 + 1), w.M) + w.m2)
         for name, sec in n4.SECTORS.items():
-            assert n4.qhr_character_admissible(w, TAU, Z, name, P) == 0
+            assert n4.qhr_character_admissible(w, TAU, Z, sec, P) == 0
             j, k = n4.admissible_jk(w, name.endswith("_tw"))
-            x1, x0 = (n4.ChiIndex.of(alpha, w.M, w.m, sec.eps, sec.eps_prime, j, k)
+            x1, x0 = (n4.ChiIndex.of(alpha, w.M, w.m, sec, j, k)
                       for alpha in (1, 0))
             assert abs(n4.chi(x1, TAU, Z, P) - A * n4.chi(x0, TAU, Z, P)) < 1e-13, (w, name)
 
 
 def test_unsupported_admissible_types():
     with pytest.raises(UnsupportedCaseError):
-        n4.qhr_character_admissible(n4.N4Weight(-1, 0, 3, "II", 1, 1), TAU, Z, "minus", P)
+        n4.qhr_character_admissible(n4.N4Weight(-1, 0, 3, "II", 1, 1), TAU, Z,
+                                    n4.SECTORS["minus"], P)
 
 
 def test_admissible_character_refuses_integrable_weights():
     # an integrable weight (J = "none") is named as such, not as type II or IV
     with pytest.raises(UnsupportedCaseError, match="integrable.*qhr_character_integrable"):
-        n4.qhr_character_admissible(n4.N4Weight(-2, 1), TAU, Z, "plus", P)
-
-
-def test_admissible_unknown_sector_is_refused():
-    # a live weight, and one whose reduced module vanishes
-    for w in (n4.N4Weight(-2, 1, 3, "I", 1, 0), n4.N4Weight(-2, 2)):
-        with pytest.raises(ValueError, match="unknown sector"):
-            n4.qhr_character_admissible(w, TAU, Z, "bogus", P)
+        n4.qhr_character_admissible(n4.N4Weight(-2, 1), TAU, Z, n4.SECTORS["plus"], P)
 
 
 def test_weyl_sum_formal_cross_check():
@@ -448,6 +449,6 @@ def test_vanishing_is_pointwise():
     assert n4.qhr_characteristics(w)["vanishes"]
     A = F(-2 * 1, 1) + 2
     j, k = n4.admissible_jk(w, False)
-    c1 = n4.chi(n4.ChiIndex.of(1, 1, -2, 0, F(1, 2), j, k), TAU, Z, P)
-    c0 = n4.chi(n4.ChiIndex.of(0, 1, -2, 0, F(1, 2), j, k), TAU, Z, P)
+    c1 = n4.chi(n4.ChiIndex.of(1, 1, -2, n4.Sector.of(0, F(1, 2)), j, k), TAU, Z, P)
+    c0 = n4.chi(n4.ChiIndex.of(0, 1, -2, n4.Sector.of(0, F(1, 2)), j, k), TAU, Z, P)
     assert abs(c1 - A * c0) < 1e-12

@@ -116,6 +116,42 @@ def test_theta_differences_go_through_the_pair_kernel(path):
     assert theta_differences(path.read_text()) == []
 
 
+SECTOR_NAMES = {"plus", "minus", "plus_tw", "minus_tw"}
+NAME_PARSERS = {"startswith", "endswith", "removesuffix"}
+
+
+def sector_name_reads(source: str) -> list:
+    """(line, what) of each call of a string parser and each comparison
+    with an N=4 sector name, also as a member of a literal tuple, list or
+    set compared with."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in NAME_PARSERS:
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                items = side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
+                found += [(node.lineno, x.value) for x in items
+                          if isinstance(x, ast.Constant) and x.value in SECTOR_NAMES]
+    return sorted(found)
+
+
+def test_sector_name_checker():
+    src = ('def f(s):\n    if s.startswith("plus"):\n        return s == "minus"\n'
+           '    return s in ("plus_tw", "x") or s.endswith("_tw")\n'
+           'class C:\n    def g(self, s):\n        return s.removesuffix("_tw")\n'
+           'TABLE = {"plus": 1}\nok = TABLE["plus"] if w == "ns_plus" else None\n')
+    assert sector_name_reads(src) == [(2, "startswith"), (3, "minus"), (4, "endswith"),
+                                      (4, "plus_tw"), (7, "removesuffix")]
+
+
+@pytest.mark.parametrize("path", FAMILIES[1:], ids=lambda p: p.name)
+def test_n4_and_d21a_sectors_are_not_names(path):
+    # a sector argument of N=4 and D(2,1;a) is a Sector: no function parses
+    # or compares the names of family_n4.SECTORS
+    assert sector_name_reads(path.read_text()) == []
+
+
 def module_functions(source: str) -> list:
     """The names of the module-level functions of a source."""
     return [node.name for node in ast.parse(source).body

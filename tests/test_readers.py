@@ -8,7 +8,7 @@ import pytest
 
 from mockforms.family_d21a import D21Index, D21Params, D21Weight
 from mockforms.family_n3 import FIndex, N3Weight
-from mockforms.family_n4 import ChiIndex, N4Weight, enumerate_weights
+from mockforms.family_n4 import ChiIndex, N4Weight, Sector, enumerate_weights
 from mockforms.mock import PsiIndex
 
 H = F(1, 2)
@@ -17,9 +17,9 @@ H = F(1, 2)
 READERS = {
     "PsiIndex.of": (PsiIndex.of, (3, 1, 0, 0, 1, -1), {0: "M"}, (1, 2, 3, 4, 5)),
     "FIndex.of": (FIndex.of, (3, 1, 0, H, H, 1, 2), {0: "M", 1: "n"}, (2, 3, 4, 5, 6)),
-    "ChiIndex.of": (ChiIndex.of, (1, 2, -1, H, 0, 1, -1),
-                    {0: "alpha", 1: "M", 2: "m"}, (3, 4, 5, 6)),
-    "D21Index.of": (D21Index.of, ("P", 1, D21Params(2, 1, 1), H, 0), {1: "j"}, (3, 4)),
+    "ChiIndex.of": (ChiIndex.of, (1, 2, -1, Sector.of(H, 0), 1, -1),
+                    {0: "alpha", 1: "M", 2: "m"}, (4, 5)),
+    "D21Index.of": (D21Index.of, ("P", 1, D21Params(2, 1, 1), Sector.of(H, 0)), {1: "j"}, ()),
     "N4Weight": (N4Weight, (-2, 1, 3, "I", 1, 0),
                  {0: "m", 1: "m2", 2: "M", 4: "k1", 5: "k2"}, ()),
     "N3Weight": (N3Weight, (False, F(-3, 4), 0, 3, "I", 0, 1),

@@ -39,11 +39,12 @@ SAMPLES = {
     FIndex: lambda: [FIndex.of(3, 1, 0, H, 0, 1, 2), FIndex.of(3, 2, H, 0, H, 1, 2)],
     N4Weight: lambda: [N4Weight(-1, 0), N4Weight(-2, 1, 3, "I", 0, 1)],
     Sector: lambda: [Sector.of(0, 0), Sector.of(H, 0), Sector.of(0, H)],
-    ChiIndex: lambda: [ChiIndex.of(0, 3, -1, 0, 0, 1, -1), ChiIndex.of(1, 3, -2, H, 0, 1, 0)],
+    ChiIndex: lambda: [ChiIndex.of(0, 3, -1, Sector.of(0, 0), 1, -1),
+                       ChiIndex.of(1, 3, -2, Sector.of(H, 0), 1, 0)],
     D21Params: lambda: [D21Params(1, 1, 1), D21Params(2, 1, 1)],
     D21Weight: lambda: [D21Weight(D21Params(2, 1, 1), 0, 0, 1), D21Weight(D21Params(2, 1, 1), 1, 0, 0)],
     D21Index: lambda: [D21Index.of("P", 1, D21Params(2, 1, 1)),
-                       D21Index.of("g", 0, D21Params(2, 1, 1), H, H)],
+                       D21Index.of("g", 0, D21Params(2, 1, 1), Sector.of(H, H))],
 }
 # classes whose own __repr__ the record keeps
 OWN_REPR = {HalfInt: lambda x: f"HalfInt({x.twice}/2)"}

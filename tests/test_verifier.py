@@ -2,6 +2,7 @@ import collections
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -249,6 +250,37 @@ def test_skip_rule(monkeypatch, k, skipped, passed):
     r = V.verify("eq1.4")
     assert r.skipped == skipped and r.passed is passed
     assert r.max_abs_err <= r.tol
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (math.inf, math.inf)])
+def test_a_nan_residual_fails_the_report(monkeypatch, bad):
+    # every run of eq1.4 puts one non-finite pair before its pairs at the
+    # first grid point; the finite residuals that follow must not hide it
+    spec = V.get_spec("eq1.4")
+    first = V.standard_grid(*spec.grid, 1, GUARDED)[0]
+    real_plan = spec.plan
+
+    def nan_at_first_point(**prm):
+        run = real_plan(**prm)
+        return lambda pt, policy: ([bad] if pt == first else []) + run(pt, policy)
+
+    monkeypatch.setattr(spec, "plan", nan_at_first_point)
+    r = V.verify("eq1.4")
+    assert math.isnan(r.max_abs_err) and r.passed is False and r.skipped == 0
+
+
+def test_a_guard_that_leaves_no_z_is_refused():
+    # at tau = 0.31i no z of the drawing square lies 0.5 from the lattice:
+    # the draw refuses the guard instead of redrawing forever, so a fresh
+    # interpreter answers well within its timeout
+    code = ("from mockforms.qkernel import TruncationPolicy\n"
+            "from mockforms.verifier import standard_grid\n"
+            "try:\n    standard_grid(1, 1, 1, TruncationPolicy(pole_guard=0.5))\n"
+            "except ValueError as e:\n    print('ValueError', e)\n")
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("ValueError pole guard 0.5 leaves no z"), got.stdout
 
 
 @pytest.fixture(scope="module")
