@@ -91,6 +91,15 @@ def test_sector_s_and_t_act_as_the_modular_group():
     assert orbit == set(sectors) - {odd}
 
 
+def test_sectors_are_compared_by_their_shifts():
+    # the registries key lookups by Sector, so a sector built from the same
+    # shifts in another number type must be the same key
+    plus = n4.Sector.of(0.5, 0.5)
+    assert plus == n4.SECTORS["plus"] and hash(plus) == hash(n4.SECTORS["plus"])
+    assert {plus: 1}[n4.SECTORS["plus"]] == 1
+    assert len(set(n4.SECTORS.values())) == 4
+
+
 def test_characteristics_examples():
     ch = n4.qhr_characteristics(n4.N4Weight(-2, 1))
     assert ch["c"] == 6 and ch["h"] == F(1, 2) and ch["s"] == 1
@@ -259,6 +268,14 @@ def test_plus_vs_minus_half_shift():
     a = n4.numerator(w, TAU, Z1, Z2, T, n4.SECTORS["plus"], P)
     b = n4.numerator(w, TAU, Z1 + 0.5, Z2 + 0.5, T, n4.SECTORS["minus"], P)
     assert abs(a - (-e2pi(n4._lambda_alpha2(w) / 2)) * b) < 1e-13
+
+
+def test_twisted_sectors_are_the_plain_ones_at_the_w0_point():
+    w = n4.N4Weight(-2, 1)
+    moved = n4.w0_point(TAU, Z1, Z2, T)
+    for twisted, plain in (("minus_tw", "minus"), ("plus_tw", "plus")):
+        a = n4.numerator(w, TAU, Z1, Z2, T, n4.SECTORS[twisted], P)
+        assert a == n4.numerator(w, TAU, *moved, n4.SECTORS[plain], P)
 
 
 def test_admissible_vs_substitution_route():
