@@ -162,7 +162,7 @@ class D21Weight:
     @cached_property
     def _boundary_terms(self) -> dict:
         """{sector: (sign, g index)} of boundary_case_characters"""
-        p, half = self.params.p, Fraction(1, 2)
+        p = self.params.p
         j0, sign0 = _boundary_index(self)
         out = {}
         for sec in SECTORS.values():
@@ -170,9 +170,8 @@ class D21Weight:
             # a twisted sector shifts j by p + 1; a flip each for plus, for
             # twisted, and for twisted plus at odd p
             sign = sign0 * (-1.0) ** (plus + twisted + plus * twisted * p)
-            # g and R-hat take the affine sector: the twist label swapped
-            out[sec] = (sign, D21Index.of("g", j0 + (p + 1) * twisted, self.params,
-                                          Sector.of(sec.eps, half * twisted)))
+            # g and R-hat take the affine sector
+            out[sec] = (sign, D21Index.of("g", j0 + (p + 1) * twisted, self.params, sec.affine))
         return out
 
 

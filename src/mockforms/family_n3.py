@@ -32,6 +32,7 @@ from .qkernel import (
 )
 from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, phi, psi
+from .family_n4 import Sector
 from .modification import phi_tilde, psi_tilde
 
 _J_VALUES = ("none", "I", "II", "III", "IV", "Iprime", "IIIprime")
@@ -185,15 +186,16 @@ def rhat(tau, z1, z2, t=0.0, plus=False, policy: TruncationPolicy = DEFAULT_POLI
     return eta_theta_quotient(tau, c * e2pi(t / 2.0), num, den, policy)
 
 
-# each N=3 denominator as (eta rows) theta_11(z) / ((eta rows) theta_ab(z))
+# each N=3 denominator as (eta rows) theta_11(z) / ((eta rows) theta_ab(z)),
+# with (a, b) of its sector; the twisted super sector (0, 0) has none
 _N3_SECTORS = {
-    "ns_plus": (((0.5, 1), (2, 1)), (), (0, 0)),
-    "ns_minus": (((1, 3),), ((0.5, 1),), (0, 1)),
-    "ramond": (((1, 3),), ((2, 1),), (1, 0)),
+    Sector.of(Fraction(1, 2), Fraction(1, 2)): (((0.5, 1), (2, 1)), ()),
+    Sector.of(0, Fraction(1, 2)): (((1, 3),), ((0.5, 1),)),
+    Sector.of(Fraction(1, 2), 0): (((1, 3),), ((2, 1),)),
 }
 
 
-def n3_denominator(tau, z, sector: str, policy: TruncationPolicy = DEFAULT_POLICY):
+def n3_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """The three N=3 superconformal denominators.
 
     All three carry a uniform constant -i relative to the bare eta-theta
@@ -202,9 +204,10 @@ def n3_denominator(tau, z, sector: str, policy: TruncationPolicy = DEFAULT_POLIC
     matches the sign slack of the odd theta-factor convention.
     """
     if sector not in _N3_SECTORS:
-        raise ValueError(f"unknown sector {sector}")
-    num, den, (a, b) = _N3_SECTORS[sector]
-    return eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (a, b, z, 1)), policy)
+        raise ValueError(f"no N=3 denominator in the sector {sector}")
+    num, den = _N3_SECTORS[sector]
+    return eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (sector.a, sector.b, z, 1)),
+                              policy)
 
 
 # --- numerators ----------------------------------------------------------
@@ -359,27 +362,29 @@ def qhr_characteristics(w: N3Weight) -> dict:
             "vanishes": vanishes, "vanishes_tw": vanishes_tw}
 
 
-def qhr_character(w: N3Weight, tau, z, sector: str, modified: bool = False,
+def reduction(sector: Sector) -> tuple:
+    """(numerator, point) of the reduced character in the sector (eps, eps'):
+    the character numerator where eps = 1/2 and the supercharacter one where
+    eps = 0, taken at point(tau, z) = (tau, z + tau/2, -z + tau/2, tau/4),
+    or at (tau, z, -z, 0) in a twisted sector (eps' = 0)."""
+    num = character_numerator if sector.eps.twice else supercharacter_numerator
+    if sector.eps_prime.twice:
+        return num, lambda tau, z: (tau, z + tau / 2, -z + tau / 2, tau / 4)
+    return num, lambda tau, z: (tau, z, -z, 0.0)
+
+
+def qhr_character(w: N3Weight, tau, z, sector: Sector, modified: bool = False,
                   policy: TruncationPolicy = DEFAULT_POLICY):
     """Trace of q^{L0 - c/24} e^{-4 pi i z alpha2} over the reduced module,
-    as numerator-at-substitution / N=3 denominator.  Ramond supercharacters
-    vanish identically; vanishing modules return 0."""
-    ch = w._qhr
-    if sector == "ramond_minus":
+    as numerator-at-substitution / N=3 denominator.  The twisted
+    supercharacters (sector (0, 0)) vanish identically; vanishing modules
+    return 0."""
+    if not (sector.eps.twice or sector.eps_prime.twice):
         return 0.0 + 0.0j
-    if sector in ("ns_plus", "ns_minus") and ch["vanishes"]:
+    if w._qhr["vanishes" if sector.eps_prime.twice else "vanishes_tw"]:
         return 0.0 + 0.0j
-    if sector == "ramond" and ch["vanishes_tw"]:
-        return 0.0 + 0.0j
-    if sector == "ns_minus":
-        num = supercharacter_numerator(w, tau, z + tau / 2, -z + tau / 2, tau / 4, modified, policy)
-    elif sector == "ns_plus":
-        num = character_numerator(w, tau, z + tau / 2, -z + tau / 2, tau / 4, modified, policy)
-    elif sector == "ramond":
-        num = character_numerator(w, tau, z, -z, 0.0, modified, policy)
-    else:
-        raise ValueError(f"unknown sector {sector}")
-    return num / n3_denominator(tau, z, sector, policy)
+    num, point = reduction(sector)
+    return num(w, *point(tau, z), modified, policy) / n3_denominator(tau, z, sector, policy)
 
 
 # --- the f-function basis ------------------------------------------------

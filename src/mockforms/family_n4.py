@@ -144,6 +144,12 @@ class Sector:
         """The image (|eps - eps'|, eps') under T: theta_0b to theta_0(1-b)."""
         return Sector.of(HalfInt(abs(self.eps.twice - self.eps_prime.twice)), self.eps_prime)
 
+    @property
+    def affine(self) -> "Sector":
+        """The affine sector (eps, 1/2 - eps') of a reduced sector's
+        numerator: an involution that swaps twisted and untwisted."""
+        return Sector.of(self.eps, HalfInt(1 - self.eps_prime.twice))
+
 
 def rhat(tau, z1, z2, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized affine (non-)twisted (super)denominators."""
@@ -165,7 +171,7 @@ def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     return eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
 
 
-# the sector of each reduced denominator: they swap the affine twist label,
+# the reduced sectors: each swaps the twist label of its affine one (Sector.affine),
 # so a reduced sector is plus where eps = 1/2 and twisted (_tw) where eps' = 0
 SECTORS = {"plus": Sector.of(Fraction(1, 2), Fraction(1, 2)), "minus": Sector.of(0, Fraction(1, 2)),
            "plus_tw": Sector.of(Fraction(1, 2), 0), "minus_tw": Sector.of(0, 0)}

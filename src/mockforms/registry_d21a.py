@@ -69,31 +69,27 @@ def _d21a_pairs():
         pr = d2.D21Params(*P211)
         j = 1
         big = pr.n * (pr.p + pr.q)
-        # (sector, the f or g index, sign) with the shifted index j + shift
-        rows = [(n4.SECTORS[variant], d2.D21Index.of("P" if which == "f" else "Q", j, pr),
-                 d2.D21Index.of(which, j + shift, pr, n4.Sector.of(el, epl)), sgn)
-                for variant, which, el, epl, shift, sgn in (
-                    ("minus", "f", Fraction(0), Fraction(0), 0, 1.0),
-                    ("plus", "f", H, Fraction(0), 0, 1.0),
-                    ("minus_tw", "f", Fraction(0), H, 0, -1.0),
-                    ("plus_tw", "f", H, H, 0, -1.0),
-                    ("minus", "g", Fraction(0), Fraction(0), 0, 1.0),
-                    ("minus_tw", "g", Fraction(0), H, big, -1.0),
-                    ("plus", "g", H, Fraction(0), 0, (-1.0) ** j),
-                    ("plus_tw", "g", H, H, big, -((-1.0) ** (j + pr.n * pr.p))))]
-
-        return [((d2.PQ_function, x, sector), _same, (d2.fg_lower, y), sgn)
-                for sector, x, y, sgn in rows]
+        # (variant, f or g, shift, sign): the f or g index is j + shift in
+        # the affine sector of the variant
+        return [((d2.PQ_function, d2.D21Index.of("P" if which == "f" else "Q", j, pr), sec),
+                 _same, (d2.fg_lower, d2.D21Index.of(which, j + shift, pr, sec.affine)), sgn)
+                for variant, which, shift, sgn in (
+                    ("minus", "f", 0, 1.0), ("plus", "f", 0, 1.0),
+                    ("minus_tw", "f", 0, -1.0), ("plus_tw", "f", 0, -1.0),
+                    ("minus", "g", 0, 1.0), ("minus_tw", "g", big, -1.0),
+                    ("plus", "g", 0, (-1.0) ** j),
+                    ("plus_tw", "g", big, -((-1.0) ** (j + pr.n * pr.p))))
+                for sec in [n4.SECTORS[variant]]]
 
     register(IdentitySpec("lemma11.2", "sector variants in terms of the shifted basis",
                           "d21a", 1e-8, [{}], _laws(_call, lambda pt: (*pt.zs, 0.02), lem112)))
 
     def lem117(eps, epsp):
         pr = d2.D21Params(*P211)
-        flip = n4.Sector.of(eps, H - epsp)
+        sec = n4.Sector.of(eps, epsp)
         hr = lambda tau, y2, y3: (tau, *d2.hr_point(tau, y2, y3))
-        return [((d2.fg_lower, d2.D21Index.of(low, 1, pr, n4.Sector.of(eps, epsp))), hr,
-                 (d2.FG_function, d2.D21Index.of(up, 1 + pr.n * k, pr, flip)), None)
+        return [((d2.fg_lower, d2.D21Index.of(low, 1, pr, sec)), hr,
+                 (d2.FG_function, d2.D21Index.of(up, 1 + pr.n * k, pr, sec.affine)), None)
                 for low, up, k in (("f", "F", pr.p), ("g", "G", pr.q))]
 
     register(IdentitySpec("lemma11.7", "Hamiltonian reduction of the basis functions",
@@ -168,14 +164,14 @@ def _d21a_pairs():
                           _laws(_call, lambda pt: pt.zs[:2], p1111)))
 
     def rem1113(p, s, sector):
-        w = d2.D21Weight(d2.D21Params(p, 1, 1), 1, 0, s)
-        ts = s if sector in ("minus", "plus") else p - s - 1
+        w, sec = d2.D21Weight(d2.D21Params(p, 1, 1), 1, 0, s), n4.SECTORS[sector]
+        ts = s if sec.eps_prime.twice else p - s - 1
         x = [ThetaIndex.of(j, m) for j, m in ((ts + 1, p + 1), (-(ts + 1), p + 1), (1, 2), (-1, 2))]
 
         def quotient(tau, y2, y3, policy):
             th = lambda i: theta_jm(x[i], tau, y3, 0, policy)
             return (th(0) - th(1)) / (th(2) - th(3))
-        return [((d2.big_n4_qhr, w, n4.SECTORS[sector], "Q"), _same, quotient, None)]
+        return [((d2.big_n4_qhr, w, sec, "Q"), _same, quotient, None)]
 
     register(IdentitySpec("rem11.13", "collapsing-level reduced characters", "d21a",
                           1e-8, [{"p": p, "s": s, "sector": sec} for p in (2, 3)

@@ -12,6 +12,11 @@ from .theta import ThetaIndex, dedekind_eta, eta_theta_quotient, jacobi_theta, t
 from .verifier import register
 from .registry import H, IdentitySpec, _S, _T, _call, _laws, _s_table, _same, _zero, _zs
 from . import family_n3 as n3
+from .family_n4 import SECTORS
+
+# N=3's names of its three sectors with a denominator, for n3.c1 and th4.11
+_SECTORS = {"ns_plus": SECTORS["plus"], "ns_minus": SECTORS["minus"],
+            "ramond": SECTORS["plus_tw"]}
 
 
 def _n3_pairs():
@@ -182,16 +187,12 @@ def _n3_pairs():
         sign = 0.5 if J == "I" else -0.5
         char_sign = sign / (1j * e2pi(-n3._lambda_theta(w) / 2))
         sgn = (-1.0) ** w.m2
-        shifted = lambda tau, z: (tau, z + tau / 2, -z + tau / 2, tau / 4)
-        diagonal = lambda tau, z: (tau, z, -z, 0.0)
-        # (numerator, image, scalar, sigma, sigma') per sector
-        return [((num, w, True), image,
-                 [(1.0, (n3.f_function, n3.FIndex.of(M, n_, 0, sg, sgp, jj, kk))),
-                  (-sgn, (n3.f_function, n3.FIndex.of(M, n_, H, sg, sgp, jj, kk)))], c)
-                for num, image, c, sg, sgp in (
-                    (n3.character_numerator, shifted, char_sign, H, H),
-                    (n3.supercharacter_numerator, shifted, sign, Fraction(0), H),
-                    (n3.character_numerator, diagonal, char_sign, H, Fraction(0)))]
+        # the numerator and point of each sector; (sigma, sigma') is its (eps, eps')
+        return [((num, w, True), point,
+                 [(1.0, (n3.f_function, n3.FIndex.of(M, n_, 0, sec.eps, sec.eps_prime, jj, kk))),
+                  (-sgn, (n3.f_function, n3.FIndex.of(M, n_, H, sec.eps, sec.eps_prime, jj, kk)))],
+                 char_sign if sec.eps.twice else sign)
+                for sec in _SECTORS.values() for num, point in [n3.reduction(sec)]]
 
     register(IdentitySpec(
         "th4.11", "reduced numerators equal f-combinations up to scalars", "n3",
@@ -206,8 +207,8 @@ def _n3_pairs():
         else:
             idx = ThetaIndex.of(s, 1)
             y = lambda tau, z, policy: theta_jm(idx, tau, z, 0, policy) / dedekind_eta(tau, policy)
-        return [((n3.qhr_character, n3.N3Weight(dotted, Fraction(-3, 4), m2), sector, False),
-                 _same, y, None)]
+        return [((n3.qhr_character, n3.N3Weight(dotted, Fraction(-3, 4), m2),
+                  _SECTORS[sector], False), _same, y, None)]
 
     register(IdentitySpec(
         "n3.c1", "collapsing-level reduced characters equal degree-one theta quotients",

@@ -9,6 +9,7 @@ from mockforms.qkernel import (
     e2pi,
 )
 import mockforms.family_n3 as n3
+from mockforms.family_n4 import SECTORS
 
 P = TruncationPolicy()
 TAU, Z1, Z2, T = 0.9j + 0.1, 0.23 + 0.04j, 0.37 - 0.06j, 0.05
@@ -133,7 +134,7 @@ def test_vanishing_rule():
     # degenerate admissible weight: k1 + k2 = (M-1)/2 and even 2m + m2
     w = n3.N3Weight(False, -1, 2, 3, "I", 0, 1)
     assert n3.qhr_characteristics(w)["vanishes"]
-    assert n3.qhr_character(w, TAU, 0.19 + 0.07j, "ns_minus", True, P) == 0
+    assert n3.qhr_character(w, TAU, 0.19 + 0.07j, SECTORS["minus"], True, P) == 0
 
 
 def test_c1_chain():
@@ -143,19 +144,19 @@ def test_c1_chain():
     tgt = lambda s: (theta_jm(ThetaIndex.of(s, 1), TAU, z, 0.0, P)
                      / dedekind_eta(TAU, P))
     cases = [
-        ("ns_minus", n3.N3Weight(False, M34, 0), 0),
-        ("ns_plus", n3.N3Weight(True, M34, 1), 0),
-        ("ramond", n3.N3Weight(False, M34, 1), 0),
-        ("ns_plus", n3.N3Weight(False, M34, 1), 1),
-        ("ns_minus", n3.N3Weight(True, M34, 0), 1),
-        ("ramond", n3.N3Weight(True, M34, 1), 1),
-        ("ramond", n3.N3Weight(False, M34, 0), None),
+        (SECTORS["minus"], n3.N3Weight(False, M34, 0), 0),
+        (SECTORS["plus"], n3.N3Weight(True, M34, 1), 0),
+        (SECTORS["plus_tw"], n3.N3Weight(False, M34, 1), 0),
+        (SECTORS["plus"], n3.N3Weight(False, M34, 1), 1),
+        (SECTORS["minus"], n3.N3Weight(True, M34, 0), 1),
+        (SECTORS["plus_tw"], n3.N3Weight(True, M34, 1), 1),
+        (SECTORS["plus_tw"], n3.N3Weight(False, M34, 0), None),
     ]
     for sector, w, s in cases:
         v = n3.qhr_character(w, TAU, z, sector, False, P)
         want = 0.0 if s is None else tgt(s)
         assert abs(v - want) < 1e-8
-    assert n3.qhr_character(n3.N3Weight(False, M34, 0), TAU, z, "ramond_minus", False, P) == 0
+    assert n3.qhr_character(n3.N3Weight(False, M34, 0), TAU, z, SECTORS["minus_tw"], False, P) == 0
 
 
 def test_fundamental_domain_examples():
@@ -218,6 +219,19 @@ def test_twisted_vanishing_flag_matches_raw_values():
                 w = n3.N3Weight(dotted, m, m2)
                 flag = n3.qhr_characteristics(w)["vanishes_tw"]
                 num = n3.character_numerator(w, TAU, z, -z, 0.0, False, P)
-                den = n3.n3_denominator(TAU, z, "ramond", P)
+                den = n3.n3_denominator(TAU, z, SECTORS["plus_tw"], P)
                 raw = abs(num / den)
                 assert flag == (raw < 1e-12), (m, dotted, m2, raw)
+
+
+def test_twisted_super_sector_has_no_denominator():
+    # N=3 has three denominators; the twisted super sector (0, 0) has none
+    with pytest.raises(ValueError):
+        n3.n3_denominator(TAU, 0.17 + 0.06j, SECTORS["minus_tw"], P)
+
+
+def test_twisted_supercharacters_vanish():
+    # the reduced character in the sector (0, 0) is 0 for every weight
+    for m in (M34, F(-1)):
+        for w in n3.enumerate_weights(m):
+            assert n3.qhr_character(w, TAU, 0.17 + 0.06j, SECTORS["minus_tw"], False, P) == 0

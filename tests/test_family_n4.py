@@ -4,7 +4,7 @@ import pytest
 
 from mockforms.mock import MockIndex, PsiIndex
 from mockforms.qkernel import HalfInt, TruncationPolicy, UnsupportedCaseError, e2pi
-import mockforms.family_n3 as n3
+import mockforms.family_d21a as d2
 import mockforms.family_n4 as n4
 
 P = TruncationPolicy()
@@ -51,20 +51,6 @@ def test_rhat_product_oracle():
         assert abs(a - b) < 1e-10 * max(1.0, abs(b))
 
 
-# every function that takes a sector name: N=4 and D(2,1;a) take a Sector
-SECTOR_FUNCTIONS = {
-    "n3.n3_denominator": lambda s: n3.n3_denominator(TAU, Z, s, P),
-    "n3.qhr_character": lambda s: n3.qhr_character(
-        n3.N3Weight(False, F(-3, 4), 0), TAU, Z, s, False, P),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SECTOR_FUNCTIONS))
-def test_unknown_sector_is_refused(name):
-    with pytest.raises(ValueError, match="unknown sector"):
-        SECTOR_FUNCTIONS[name]("bogus")
-
-
 @pytest.mark.parametrize("eps, eps_prime", [(1, 0), (0.25, 0), (0, F(-1, 2))])
 def test_sector_shifts_are_0_or_half(eps, eps_prime):
     with pytest.raises(ValueError):
@@ -98,6 +84,20 @@ def test_sectors_are_compared_by_their_shifts():
     assert plus == n4.SECTORS["plus"] and hash(plus) == hash(n4.SECTORS["plus"])
     assert {plus: 1}[n4.SECTORS["plus"]] == 1
     assert len(set(n4.SECTORS.values())) == 4
+
+
+def test_sector_affine_swaps_the_twist():
+    # the affine sector (eps, 1/2 - eps') of a reduced one's numerator is an
+    # involution that fixes eps and swaps twisted with untwisted, and the
+    # boundary characters take their g index and R-hat in it
+    for s in n4.SECTORS.values():
+        a = s.affine
+        assert a.affine == s and a.eps == s.eps
+        assert a.eps_prime.twice == 1 - s.eps_prime.twice
+    for p in (1, 2, 3):
+        for w in d2.enumerate_weights(d2.D21Params(p, 1, 1))[1]:
+            for s in n4.SECTORS.values():
+                assert w._boundary_terms[s][1].sector == s.affine, (p, w, s)
 
 
 def test_characteristics_examples():

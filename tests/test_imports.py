@@ -116,14 +116,15 @@ def test_theta_differences_go_through_the_pair_kernel(path):
     assert theta_differences(path.read_text()) == []
 
 
-SECTOR_NAMES = {"plus", "minus", "plus_tw", "minus_tw"}
+SECTOR_NAMES = {"plus", "minus", "plus_tw", "minus_tw", "ns_plus", "ns_minus", "ramond",
+                "ramond_minus"}
 NAME_PARSERS = {"startswith", "endswith", "removesuffix"}
 
 
 def sector_name_reads(source: str) -> list:
     """(line, what) of each call of a string parser and each comparison
-    with an N=4 sector name, also as a member of a literal tuple, list or
-    set compared with."""
+    with a sector name of N=4 or N=3, also as a member of a literal tuple,
+    list or set compared with."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in NAME_PARSERS:
@@ -142,13 +143,13 @@ def test_sector_name_checker():
            'class C:\n    def g(self, s):\n        return s.removesuffix("_tw")\n'
            'TABLE = {"plus": 1}\nok = TABLE["plus"] if w == "ns_plus" else None\n')
     assert sector_name_reads(src) == [(2, "startswith"), (3, "minus"), (4, "endswith"),
-                                      (4, "plus_tw"), (7, "removesuffix")]
+                                      (4, "plus_tw"), (7, "removesuffix"), (9, "ns_plus")]
 
 
-@pytest.mark.parametrize("path", FAMILIES[1:], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.name)
 def test_n4_and_d21a_sectors_are_not_names(path):
-    # a sector argument of N=4 and D(2,1;a) is a Sector: no function parses
-    # or compares the names of family_n4.SECTORS
+    # a sector argument of every family, N=3 included, is a Sector: no
+    # function parses or compares the names of family_n4.SECTORS or N=3's
     assert sector_name_reads(path.read_text()) == []
 
 

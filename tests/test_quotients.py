@@ -39,9 +39,9 @@ def th(a, b, tau, u):
 
 def ref_n3_denominator(tau, z, sector):
     th11 = th(1, 1, tau, z)
-    if sector == "ns_plus":
+    if sector == n4.SECTORS["plus"]:
         val = eta(tau / 2) * eta(2 * tau) * th11 / th(0, 0, tau, z)
-    elif sector == "ns_minus":
+    elif sector == n4.SECTORS["minus"]:
         val = eta(tau) ** 3 * th11 / (eta(tau / 2) * th(0, 1, tau, z))
     else:
         val = eta(tau) ** 3 * th11 / (eta(2 * tau) * th(1, 0, tau, z))
@@ -80,7 +80,7 @@ def ref_b4_denominator(tau, y2, y3, sector):
 
 @pytest.mark.parametrize("tau", TAUS)
 def test_n3_denominator_bits(tau):
-    for sector in ("ns_plus", "ns_minus", "ramond"):
+    for sector in (n4.SECTORS["plus"], n4.SECTORS["minus"], n4.SECTORS["plus_tw"]):
         for z in ZS:
             assert bits(n3.n3_denominator(tau, z, sector, P)) == bits(
                 ref_n3_denominator(tau, z, sector)), (tau, z, sector)
