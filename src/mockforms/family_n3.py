@@ -124,7 +124,7 @@ class N3Weight:
 
     @cached_property
     def _character_phase(self) -> complex:
-        """i e^{-pi i (Lambda | theta)}, the constant of character_numerator"""
+        """i e^{-pi i (Lambda | theta)}, the constant of a plus sector's numerator"""
         return 1j * e2pi(-_lambda_theta(self) / 2)
 
     @cached_property
@@ -177,10 +177,13 @@ def integrability_flags(w: N3Weight) -> dict:
 
 # --- denominators --------------------------------------------------------
 
-def rhat(tau, z1, z2, t=0.0, plus=False, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Normalized affine (super)denominator; the superdenominator carries
-    the constant +i fixed against the Weyl-product form."""
-    (a, b), c = ((1, 0), 1.0) if plus else ((1, 1), 1j)
+def rhat(tau, z1, z2, t, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Normalized affine (super)denominator over the theta_ab of an eps' = 0
+    sector; the superdenominator carries the constant +i fixed against the
+    Weyl-product form.  N=3 has no twisted affine denominator."""
+    if sector.eps_prime.twice:
+        raise ValueError(f"no twisted N=3 affine denominator, got the sector {sector}")
+    (a, b), c = (sector.a, sector.b), (1.0 if sector.eps.twice else 1j)
     num = ((1, 3), (1, 1, z1 + z2, 1), (1, 1, (z1 - z2) / 2, 1))
     den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, (z1 + z2) / 2, 1))
     return eta_theta_quotient(tau, c * e2pi(t / 2.0), num, den, policy)
@@ -299,28 +302,24 @@ def _lambda_theta(w: N3Weight) -> Fraction:
     return base + (1 if w.dotted else 0)
 
 
-def character_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
-                        policy: TruncationPolicy = DEFAULT_POLICY):
-    """R-hat^+ ch^+ from the supercharacter via the half-shift substitution.
-
-    The denominator ratio R^+(z1, z2) / R^-(z1 - 1/2, z2 - 1/2) equals the
-    constant i identically (half shifts turn the odd theta factors into
-    theta_10 and flip the sign of the z1+z2 factor), so it is applied
-    analytically; evaluating the two R-hats separately is 0/0 noise on the
-    z1 + z2 in Z + tau Z divisor where the reduction substitution lands.
-    """
-    nm = supercharacter_numerator(w, tau, z1 - 0.5, z2 - 0.5, t, modified, policy)
-    return w._character_phase * nm
-
-
 def twisted_point(tau, z1, z2, t):
     return (-z2 + tau / 2, -z1 + tau / 2, t - (z1 + z2) / 2 + tau / 4)
 
 
-def twisted_character_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
-                                policy: TruncationPolicy = DEFAULT_POLICY):
-    w1, w2, wt = twisted_point(tau, z1, z2, t)
-    return character_numerator(w, tau, w1, w2, wt, modified, policy)
+def numerator(w: N3Weight, tau, z1, z2, t, sector: Sector, modified: bool = False,
+              policy: TruncationPolicy = DEFAULT_POLICY):
+    """R-hat ch in a sector.  A twisted sector (eps' = 0) first moves the
+    point by the twist; a plus sector then shifts both z by -1/2, where the
+    ratio R^+(z1, z2) / R^-(z1 - 1/2, z2 - 1/2) is the constant i (the half
+    shifts turn the odd theta factors into theta_10 and flip the sign of the
+    z1+z2 factor), applied analytically: the two R-hats apart are 0/0 noise
+    on the z1 + z2 in Z + tau Z divisor where the reduction lands."""
+    if not sector.eps_prime.twice:
+        z1, z2, t = twisted_point(tau, z1, z2, t)
+    if sector.eps.twice:
+        return w._character_phase * supercharacter_numerator(
+            w, tau, z1 - 0.5, z2 - 0.5, t, modified, policy)
+    return supercharacter_numerator(w, tau, z1, z2, t, modified, policy)
 
 
 # --- characteristic numbers ---------------------------------------------
@@ -362,49 +361,38 @@ def qhr_characteristics(w: N3Weight) -> dict:
             "vanishes": vanishes, "vanishes_tw": vanishes_tw}
 
 
-def reduction(sector: Sector) -> tuple:
-    """(numerator, point) of the reduced character in the sector (eps, eps'):
-    the character numerator where eps = 1/2 and the supercharacter one where
-    eps = 0, taken at point(tau, z) = (tau, z + tau/2, -z + tau/2, tau/4),
-    or at (tau, z, -z, 0) in a twisted sector (eps' = 0)."""
-    num = character_numerator if sector.eps.twice else supercharacter_numerator
-    if sector.eps_prime.twice:
-        return num, lambda tau, z: (tau, z + tau / 2, -z + tau / 2, tau / 4)
-    return num, lambda tau, z: (tau, z, -z, 0.0)
-
-
 def qhr_character(w: N3Weight, tau, z, sector: Sector, modified: bool = False,
                   policy: TruncationPolicy = DEFAULT_POLICY):
-    """Trace of q^{L0 - c/24} e^{-4 pi i z alpha2} over the reduced module,
-    as numerator-at-substitution / N=3 denominator.  The twisted
-    supercharacters (sector (0, 0)) vanish identically; vanishing modules
-    return 0."""
+    """Trace of q^{L0 - c/24} e^{-4 pi i z alpha2} over the reduced module:
+    the numerator in sector.affine at (z, -z, 0), which the twist of an
+    untwisted sector moves to (z + tau/2, -z + tau/2, tau/4), over the N=3
+    denominator.  The twisted supercharacters (sector (0, 0)) vanish
+    identically; vanishing modules return 0."""
     if not (sector.eps.twice or sector.eps_prime.twice):
         return 0.0 + 0.0j
     if w._qhr["vanishes" if sector.eps_prime.twice else "vanishes_tw"]:
         return 0.0 + 0.0j
-    num, point = reduction(sector)
-    return num(w, *point(tau, z), modified, policy) / n3_denominator(tau, z, sector, policy)
+    return (numerator(w, tau, z, -z, 0.0, sector.affine, modified, policy)
+            / n3_denominator(tau, z, sector, policy))
 
 
 # --- the f-function basis ------------------------------------------------
 
 @_record
 class FIndex:
-    """Index of the f-function basis; the wrapper index and prefactor that
-    f_function derives from it are formed on first use and kept here."""
+    """Index of the f-function basis in a sector (sigma, sigma'); the wrapper
+    index and prefactor that f_function derives are formed on first use."""
 
     M: int
     n: int
     eps: HalfInt
-    sigma: HalfInt
-    sigma_prime: HalfInt
+    sector: Sector
     j: HalfInt
     k: HalfInt
     eps_prime: HalfInt
 
     @staticmethod
-    def of(M, n, eps, sigma, sigma_prime, j, k) -> "FIndex":
+    def of(M, n, eps, sector: Sector, j, k) -> "FIndex":
         M, n = int_of(M), int_of(n)
         if M <= 0 or M % 2 == 0:
             raise ValueError("M must be a positive odd integer")
@@ -414,13 +402,12 @@ class FIndex:
         k = HalfInt.of(k)
         if j.twice % 2 != k.twice % 2:
             raise ValueError("j and k must share the same half-shift")
-        return FIndex(M, n, HalfInt.of(eps), HalfInt.of(sigma), HalfInt.of(sigma_prime),
-                      j, k, HalfInt(j.twice % 2))
+        return FIndex(M, n, HalfInt.of(eps), sector, j, k, HalfInt(j.twice % 2))
 
     @cached_property
     def _frame(self) -> tuple:
         """(wrapper index, sigma, sigma', -n sigma'^2 / 4M) of f_function"""
-        sg, sgp = float(self.sigma), float(self.sigma_prime)
+        sg, sgp = float(self.sector.eps), float(self.sector.eps_prime)
         return (PsiIndex.of(self.M, self.n, 0, self.eps, self.j, self.k), sg, sgp,
                 -self.n / (4 * self.M) * sgp * sgp)
 
@@ -440,12 +427,11 @@ def _abs_half(h: HalfInt) -> HalfInt:
 
 def move_swap(idx: FIndex):
     """Index swap move: f(idx) = phase * f(new)."""
-    n, M = idx.n, idx.M
-    phase = e2pi(Fraction(-n * idx.sigma.twice * idx.sigma_prime.twice, 4 * M)
-                 + Fraction(n * idx.sigma.twice * (idx.k.twice - idx.j.twice), 4 * M))
-    new = FIndex(M, n, _abs_half(idx.sigma - idx.eps), idx.sigma, idx.sigma_prime,
-                 idx.k - idx.sigma_prime, idx.j + idx.sigma_prime,
-                 _abs_half(idx.sigma_prime - idx.eps_prime))
+    n, M, sg, sgp = idx.n, idx.M, idx.sector.eps, idx.sector.eps_prime
+    phase = e2pi(Fraction(-n * sg.twice * sgp.twice, 4 * M)
+                 + Fraction(n * sg.twice * (idx.k.twice - idx.j.twice), 4 * M))
+    new = FIndex(M, n, _abs_half(sg - idx.eps), idx.sector, idx.k - sgp, idx.j + sgp,
+                 _abs_half(sgp - idx.eps_prime))
     return new, phase
 
 

@@ -97,7 +97,7 @@ class N4Weight:
         out = {}
         for sec in SECTORS.values():
             plus, twisted = sec.eps.twice, 1 - sec.eps_prime.twice
-            j, k = admissible_jk(self, twisted)
+            j, k = admissible_jk(self, sec)
             # a flip each for type III, a plus sector (two at odd m2), a twisted one
             sign = (-1.0) ** ((self.J == "III") + plus * (1 + m2) + twisted)
             out[sec] = (ChiIndex.of(1, M, m, sec, j, k), ChiIndex.of(0, M, m, sec, j, k), A, sign)
@@ -118,9 +118,10 @@ def enumerate_weights(m: int) -> list[N4Weight]:
 
 @_record
 class Sector:
-    """A sector of the denominators: the shifts eps (0 super, 1/2 plain)
-    and eps' (0 non-twisted, 1/2 twisted), and the labels (a, b) =
-    (1 - 2 eps', 1 - 2 eps) of the theta_ab the denominators divide by."""
+    """A sector: the shifts eps (0 super, 1/2 plain) and eps', and the labels
+    (a, b) = (1 - 2 eps', 1 - 2 eps) of the theta_ab the denominators divide by.
+    eps' = 1/2 is twisted in an affine sector (a rhat's) and eps' = 0 in a
+    reduced one (SECTORS, a numerator's); affine maps each labeling to the other."""
 
     eps: HalfInt
     eps_prime: HalfInt
@@ -145,6 +146,11 @@ class Sector:
         return Sector.of(HalfInt(abs(self.eps.twice - self.eps_prime.twice)), self.eps_prime)
 
     @property
+    def S_sign(self) -> float:
+        """-(-1)^{ab}, the sign of the S-laws of chi and the D(2,1;a) b4 denominators."""
+        return -((-1.0) ** (self.a * self.b))
+
+    @cached_property
     def affine(self) -> "Sector":
         """The affine sector (eps, 1/2 - eps') of a reduced sector's
         numerator: an involution that swaps twisted and untwisted."""
@@ -331,10 +337,10 @@ def chi(idx: ChiIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
     return num / den
 
 
-def admissible_jk(w: N4Weight, twisted: bool):
-    """(j, k) index pair of the reduced admissible character."""
+def admissible_jk(w: N4Weight, sector: Sector):
+    """(j, k) index pair of the reduced admissible character in a sector."""
     k1, k2 = w.k1, w.k2
-    if not twisted:
+    if sector.eps_prime.twice:
         if w.J == "I":
             return HalfInt(2 * k1 + 1), HalfInt(-(2 * (k1 + k2) + 1))
         return HalfInt(2 * (k1 + k2) + 1), HalfInt(-(2 * k1 + 1))

@@ -21,7 +21,7 @@ import weakref
 from fractions import Fraction
 from itertools import starmap
 
-from .qkernel import HalfInt, TruncationOverflowError, UnsupportedCaseError, _record
+from .qkernel import HalfInt, TruncationOverflowError, UnsupportedCaseError, _record, degree_of
 
 
 @_record
@@ -367,9 +367,7 @@ def expand_theta(j, m, order, tau_scale=1, z: ZArg = Z1) -> FormalSeries:
     """Theta_{j,m}(tau_scale * tau, u(z)) as a formal series; terms
     q^{tau_scale * m n^2} zeta^{m n * u} over n in Z + j/2m."""
     j = HalfInt.of(j)
-    m = HalfInt.of(m)
-    if m.twice <= 0:
-        raise ValueError("degree m must be positive")
+    m = degree_of(m)
     order = _exact(order, "order")
     scale = _scale(tau_scale)
     on, od, sn, sd = order.numerator, order.denominator, scale.numerator, scale.denominator
@@ -454,10 +452,8 @@ def expand_phi(m, s, order, tau_scale=1, z1: ZArg = Z1, z2: ZArg = Z2,
 def _appell(m, s, order, tau_scale, zcap, sign, *halves) -> FormalSeries:
     """The sum over k of (-1)^k Phi_1 at the k-th argument pair (u1, u2) of
     halves, each u given by its _ratios, in one accumulator."""
-    m = HalfInt.of(m)
+    m = degree_of(m)
     s = HalfInt.of(s)
-    if m.twice <= 0:
-        raise ValueError("degree m must be positive")
     order = _exact(order, "order")
     scale = _scale(tau_scale)
     # q-exponents are numerators over den: scale (m j^2 + s j) = q_j/den

@@ -35,6 +35,7 @@ from .qkernel import (
     _guard_checked,
     _index_range,
     _record,
+    degree_of,
     e2pi,
     int_of,
     sum_bilateral,
@@ -66,11 +67,7 @@ class MockIndex:
 
     @staticmethod
     def of(m, s) -> "MockIndex":
-        m = HalfInt.of(m)
-        s = HalfInt.of(s)
-        if m.twice <= 0:
-            raise ValueError("degree m must be positive")
-        return MockIndex(m, s)
+        return MockIndex(degree_of(m), HalfInt.of(s))
 
     @property
     def correction_window(self) -> tuple:
@@ -101,9 +98,7 @@ class PsiIndex:
         M = M if type(M) is int else int_of(M)
         if M <= 0:
             raise ValueError("M must be a positive integer")
-        m = HalfInt.of(m)
-        if m.twice <= 0:
-            raise ValueError("degree m must be positive")
+        m = degree_of(m)
         a = HalfInt.of(a)
         b = HalfInt.of(b)
         eps = HalfInt.of(eps)

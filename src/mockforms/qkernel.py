@@ -221,6 +221,14 @@ def int_of(x) -> int:
     raise TypeError(f"cannot interpret {x!r} as an integer")
 
 
+def degree_of(m) -> HalfInt:
+    """m as a positive degree: a HalfInt.of reading, and ValueError at m <= 0."""
+    m = HalfInt.of(m)
+    if m.twice <= 0:
+        raise ValueError("degree m must be positive")
+    return m
+
+
 @_record
 class EvalPoint:
     """A modular argument tau (Im tau > 0) and 1-3 elliptic variables."""

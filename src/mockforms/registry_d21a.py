@@ -25,6 +25,9 @@ def _d21a_pairs():
     pq = lambda laws: _laws(lambda x, tau, z1, z2, z3, t, policy: d2.PQ_function(
         x, tau, z1, z2, z3, t, policy=policy), lambda pt: (*pt.zs, 0.03), laws)
     image = lambda action: lambda tau, *a: (tau, *action(tau, *a))
+    # the S and T phases e(2 deg eps eps'), e(-deg eps'^2) of the sector (eps, eps')
+    phases = lambda deg, eps, epsp: (e2pi(2 * deg * Fraction(eps) * Fraction(epsp)),
+                                     e2pi(-deg * Fraction(epsp) ** 2))
 
     def lem1012(p, q, n, which):
         pr = d2.D21Params(p, q, n)
@@ -47,7 +50,7 @@ def _d21a_pairs():
         big = 2 * pr.n * (pr.p + pr.q)
         deg = pr.n * (pr.p if which in "Pf" else pr.q)
         j = 1
-        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
+        ph, ph_t = phases(deg, eps, epsp)
         K = complex(pr.K)
         x = d2.D21Index.of(which, j, pr, n4.Sector.of(eps, epsp))
         return [(x, _S_t, [(e2pi(Fraction(-j * k, big)), d2.D21Index.of(which, k, pr, x.sector.S))
@@ -56,7 +59,7 @@ def _d21a_pairs():
                      ph * cmath.sqrt(-1j * tau) * tau / math.sqrt(big)
                      * e2pi(K * d2.zz_value(pr, z1, z2, z3) / (2 * tau)))),
                 (x, _T, d2.D21Index.of(which, j, pr, x.sector.T),
-                 e2pi(-deg * Fraction(epsp) ** 2) * e2pi(Fraction(j * j, 2 * big)))]
+                 ph_t * e2pi(Fraction(j * j, 2 * big)))]
 
     register(IdentitySpec("prop10.21", "numerator family S and T laws", "d21a", 1e-6,
                           [{"p": p, "q": 1, "n": 1, "which": w, "lab": lab}
@@ -112,7 +115,7 @@ def _d21a_pairs():
         pr = d2.D21Params(*P211)
         deg = pr.n * (pr.p if which == "F" else pr.q)
         j = 1
-        ph = e2pi(2 * deg * Fraction(eps) * Fraction(epsp))
+        ph, ph_t = phases(deg, eps, epsp)
         x = d2.D21Index.of(which, j, pr, n4.Sector.of(eps, epsp))
         return [(x, _S,
                  [(math.sin(math.pi * j * k / big), d2.D21Index.of(which, k, pr, x.sector.S))
@@ -120,7 +123,7 @@ def _d21a_pairs():
                  lambda tau, y2, y3: ((-1j * tau) ** 1.5 * ph * math.sqrt(2.0 / big) * e2pi(
                      pr.n * (pr.q * y2 * y2 + pr.p * y3 * y3) / (4 * tau)))),
                 (x, _T, d2.D21Index.of(which, j, pr, x.sector.T),
-                 e2pi(Fraction(j * j, 4 * big)) * e2pi(-deg * Fraction(epsp) ** 2))]
+                 e2pi(Fraction(j * j, 4 * big)) * ph_t)]
 
     register(IdentitySpec("lemma11.8", "reduced basis S and T laws", "d21a", 1e-6,
                           [{"which": w, **e} for w in ("F", "G") for e in EPS_PAIRS],
@@ -130,8 +133,8 @@ def _d21a_pairs():
         tau, y2, y3, x, policy), lambda pt: pt.zs[:2], laws)
 
     def eq1113(eps, epsp):
-        sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
         s = n4.Sector.of(eps, epsp)
+        sgn = s.S_sign
         return [(s, _S, s.S, lambda tau, y2, y3: (
             sgn * (-1j * tau) ** 1.5 * cmath.exp(1j * math.pi * (y2 * y2 + y3 * y3) / (2 * tau))))]
 

@@ -12,7 +12,7 @@ from .theta import ThetaIndex, dedekind_eta, eta_theta_quotient, jacobi_theta, t
 from .verifier import register
 from .registry import H, IdentitySpec, _S, _T, _call, _laws, _s_table, _same, _zero, _zs
 from . import family_n3 as n3
-from .family_n4 import SECTORS
+from .family_n4 import SECTORS, Sector
 
 # N=3's names of its three sectors with a denominator, for n3.c1 and th4.11
 _SECTORS = {"ns_plus": SECTORS["plus"], "ns_minus": SECTORS["minus"],
@@ -27,13 +27,13 @@ def _n3_pairs():
     fidx = n3.FIndex.of
 
     def lem44(M, n, sg, sgp):
-        idxs = [fidx(M, n, eps, sg, sgp, 1 + eps, 2 + eps) for eps in (Fraction(0), H)]
+        idxs = [fidx(M, n, eps, Sector.of(sg, sgp), 1 + eps, 2 + eps) for eps in (Fraction(0), H)]
         return [(idx, _same, *n3.move_swap(idx)) for idx in idxs]
 
     register(IdentitySpec("lemma4.4", "f-basis skew swap", "n3", 1e-8, sectors, f(lem44)))
 
     def lem45(M, n):
-        idx = fidx(M, n, H, Fraction(0), H, 1, 2)
+        idx = fidx(M, n, H, SECTORS["minus"], 1, 2)
         return [(idx, _same, *n3.move_translate(idx, -1, 0))]
 
     register(IdentitySpec("lemma4.5", "f-basis period translation", "n3", 1e-8,
@@ -43,10 +43,9 @@ def _n3_pairs():
         eps, epsp = H, Fraction(0)
         j, k = (1, 2) if M > 1 else (0, 0)
         ph = e2pi(Fraction(n, 2 * M) * sg * sgp)
-        eps_s = abs(epsp - sgp)
-        return [(fidx(M, n, eps, sg, sgp, j, k), _S,
-                 [(c, fidx(M, n, eps_s, sgp, sg, a, b))
-                  for c, a, b in _s_table(M, eps, n, j, k, sgp)],
+        x, eps_s = fidx(M, n, eps, Sector.of(sg, sgp), j, k), abs(epsp - sgp)
+        return [(x, _S, [(c, fidx(M, n, eps_s, x.sector.S, a, b))
+                         for c, a, b in _s_table(M, eps, n, j, k, sgp)],
                  lambda tau, z: tau / M * e2pi(n * z * z / (4 * M * tau)) * ph)]
 
     register(IdentitySpec("prop4.6a", "f-basis S-transform", "n3", 1e-6, sectors, f(p46a),
@@ -55,14 +54,12 @@ def _n3_pairs():
     def p46b(M, n, sg):
         j, k = (1, 2) if M > 1 else (0, 0)
         base = e2pi(Fraction(n, M) * (Fraction(j * k) - Fraction(1, 16)))
-        if sg == 0:
-            tw = (fidx(M, n, H, H, H, j, k), base)
-        else:
-            tw = (fidx(M, n, Fraction(0), 0, H, j, k),
-                  base * e2pi(Fraction(n, M) * Fraction(k - j, 2)))
-        return [(fidx(M, n, H, sg, 0, j, k), _T, fidx(M, n, H, sg, 0, j, k),
-                 e2pi(Fraction(n * j * k, M))),
-                (fidx(M, n, H, sg, H, j, k), _T, *tw)]
+        x, y = (fidx(M, n, H, Sector.of(sg, sgp), j, k) for sgp in (0, H))
+        # in the (1/2, 1/2) row the law also moves eps to 0, with a phase
+        eps_t, c = ((H, base) if sg == 0 else
+                    (Fraction(0), base * e2pi(Fraction(n, M) * Fraction(k - j, 2))))
+        return [(x, _T, fidx(M, n, H, x.sector.T, j, k), e2pi(Fraction(n * j * k, M))),
+                (y, _T, fidx(M, n, eps_t, y.sector.T, j, k), c)]
 
     register(IdentitySpec(
         "prop4.6b", "f-basis T-transforms", "n3", 1e-8,
@@ -72,7 +69,7 @@ def _n3_pairs():
     def rem415(M, n, variant):
         # relations obtained by composing the swap and translation moves
         sg, sgp = (H, H) if variant == 3 else (H, Fraction(0))
-        idx = fidx(M, n, H, sg, sgp, Fraction(2 * M + 1, 2), Fraction(M + 2, 2))
+        idx = fidx(M, n, H, Sector.of(sg, sgp), Fraction(2 * M + 1, 2), Fraction(M + 2, 2))
         mid, p1 = n3.move_swap(idx)
         fin, p2 = n3.move_translate(mid, math.floor(mid.j.value / M),
                                     math.floor(mid.k.value / M))
@@ -86,7 +83,8 @@ def _n3_pairs():
 
     def rem413(M, eps, sg, sgp):
         j, k = (1, 2) if M > 1 else (0, 0)
-        idx, e, fs, fsp = fidx(M, 1, eps, sg, sgp, j, k), float(eps), float(sg), float(sgp)
+        idx = fidx(M, 1, eps, Sector.of(sg, sgp), j, k)
+        e, fs, fsp = float(eps), float(sg), float(sgp)
         ph = -1j * e2pi(Fraction(1, 2 * M) * (k - j) * sg)
         c1, c2, c3, cz = (complex(c) for c in (Fraction(1, M), j + sgp / 2, k - sgp / 2,
                                                Fraction(1, 2 * M) * (j + k)))
@@ -107,29 +105,30 @@ def _n3_pairs():
 
     def rem414(n):
         out = []
+        plus, minus = SECTORS["plus"], SECTORS["minus"]
         for eps in (Fraction(0), H):
-            out += [(fidx(1, n, eps, H, H, H, H), _same, fidx(1, n, H - eps, H, H, 0, 0),
+            out += [(fidx(1, n, eps, plus, H, H), _same, fidx(1, n, H - eps, plus, 0, 0),
                      e2pi(n * (Fraction(eps) + Fraction(1, 4)))),
-                    (fidx(1, n, eps, Fraction(0), H, H, H), _same,
-                     fidx(1, n, eps, Fraction(0), H, 0, 0), e2pi(n * Fraction(eps)))]
+                    (fidx(1, n, eps, minus, H, H), _same,
+                     fidx(1, n, eps, minus, 0, 0), e2pi(n * Fraction(eps)))]
         return out
 
     register(IdentitySpec("rem4.14", "f-basis reductions at modular scale one",
                           "n3", 1e-8, [{"n": 1}, {"n": 2}], f(rem414)))
 
     def eq5x(m2, which):
-        # (numerator, unit constant, theta labels of the z1 and z2
-        # denominators, b label of the (z1 + z2)/2 theta, twisted); the
-        # character and twisted rows carry recorded unit constants pinned by
-        # the collapsing-level identities
-        num, u, (a, b), b1, twisted = {
-            5: (n3.supercharacter_numerator, 1j, (1, 1), 0, False),
-            6: (n3.supercharacter_numerator, -1j, (0, 1), 0, False),
-            7: (n3.character_numerator, (-1j) ** (m2 + 1) * 1j, (1, 0), 1, False),
-            8: (n3.character_numerator, (-1j) ** (m2 + 1) * 1j, (0, 0), 1, False),
-            9: (n3.twisted_character_numerator, (1j) ** (m2 + 1) * 1j, (1, 0), 1, True),
-            10: (n3.twisted_character_numerator, (-1j) ** (1 - m2) * -1j, (0, 0), 1, True),
+        # (sector, unit constant, theta labels of the z1 and z2 denominators,
+        # b label of the (z1 + z2)/2 theta); the plus rows carry recorded unit
+        # constants pinned by the collapsing-level identities
+        sec, u, (a, b), b1 = {
+            5: (SECTORS["minus"], 1j, (1, 1), 0),
+            6: (SECTORS["minus"], -1j, (0, 1), 0),
+            7: (SECTORS["plus"], (-1j) ** (m2 + 1) * 1j, (1, 0), 1),
+            8: (SECTORS["plus"], (-1j) ** (m2 + 1) * 1j, (0, 0), 1),
+            9: (SECTORS["plus_tw"], (1j) ** (m2 + 1) * 1j, (1, 0), 1),
+            10: (SECTORS["plus_tw"], (-1j) ** (1 - m2) * -1j, (0, 0), 1),
         }[which]
+        twisted = not sec.eps_prime.twice
         dotted = which % 2 == 0
         w = n3.N3Weight(dotted, Fraction(-3, 4), m2)
         c = m2 if dotted else 1 - m2
@@ -142,7 +141,7 @@ def _n3_pairs():
             return eta_theta_quotient(
                 2 * tau, pre, ((1, 3), (1, 1, z1 - z2, 1), (1 - m2, b1, (z1 + z2 - s) / 2, 1)),
                 ((a, b, z1 - s / 2, 1), (a, b, z2 - s / 2, 1), (c, 0, (z1 - z2) / 2, 1)), policy)
-        return [((num, w, False), _same, closed, None)]
+        return [((n3.numerator, w, sec, False), _same, closed, None)]
 
     for which in (5, 6, 7, 8, 9, 10):
         register(IdentitySpec(
@@ -183,16 +182,16 @@ def _n3_pairs():
             jj = Fraction(k1 + 2 * k2 - (M if dotted else 0), 2)
             kk = -Fraction(k1 + (M if dotted else 0), 2)
         # the exact scalars: the sign of admissible_numerator_psi, divided
-        # for the characters by the constant character_numerator applies
+        # in a plus sector by the constant its numerator applies
         sign = 0.5 if J == "I" else -0.5
         char_sign = sign / (1j * e2pi(-n3._lambda_theta(w) / 2))
         sgn = (-1.0) ** w.m2
-        # the numerator and point of each sector; (sigma, sigma') is its (eps, eps')
-        return [((num, w, True), point,
-                 [(1.0, (n3.f_function, n3.FIndex.of(M, n_, 0, sec.eps, sec.eps_prime, jj, kk))),
-                  (-sgn, (n3.f_function, n3.FIndex.of(M, n_, H, sec.eps, sec.eps_prime, jj, kk)))],
+        # the reduced numerator of each sector, and the f-functions in it
+        return [((n3.numerator, w, sec.affine, True), lambda tau, z: (tau, z, -z, 0.0),
+                 [(1.0, (n3.f_function, n3.FIndex.of(M, n_, 0, sec, jj, kk))),
+                  (-sgn, (n3.f_function, n3.FIndex.of(M, n_, H, sec, jj, kk)))],
                  char_sign if sec.eps.twice else sign)
-                for sec in _SECTORS.values() for num, point in [n3.reduction(sec)]]
+                for sec in _SECTORS.values()]
 
     register(IdentitySpec(
         "th4.11", "reduced numerators equal f-combinations up to scalars", "n3",

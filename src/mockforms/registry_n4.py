@@ -271,8 +271,7 @@ def _n4_pairs():
         if which == "T":
             return [(x, _T, n4.ChiIndex.of(alpha, M, m, x.sector.T, j, k),
                      e2pi(-Fraction(m, M) * j * k - Fraction(1, 2) * epsp))]
-        sgn = -((-1.0) ** ((1 - 2 * float(eps)) * (1 - 2 * float(epsp))))
-        cw = -2j * math.pi * (Fraction(m, M) + 1)
+        sgn, cw = x.sector.S_sign, -2j * math.pi * (Fraction(m, M) + 1)
         return [(x, _S, [(c, n4.ChiIndex.of(alpha, M, m, x.sector.S, a0, b0))
                          for c, a0, b0 in _balanced_table(M, eps, m, j, k)],
                  lambda tau, z: sgn * tau ** alpha / M * cmath.exp(cw * z * z / tau))]

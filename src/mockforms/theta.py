@@ -31,6 +31,7 @@ from .qkernel import (
     _quadratic_anchor,
     _quadratic_walk,
     _record,
+    degree_of,
     e2pi,
     sum_bilateral,
 )
@@ -46,10 +47,7 @@ class ThetaIndex:
     @staticmethod
     def of(j, m) -> "ThetaIndex":
         j = HalfInt.of(j)
-        m = HalfInt.of(m)
-        if m.twice <= 0:
-            raise ValueError("degree m must be positive")
-        return ThetaIndex(j, m)
+        return ThetaIndex(j, degree_of(m))
 
 
 def _gauss_cut(n_star: float, base: float, a: float, policy: TruncationPolicy):

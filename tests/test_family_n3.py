@@ -9,7 +9,7 @@ from mockforms.qkernel import (
     e2pi,
 )
 import mockforms.family_n3 as n3
-from mockforms.family_n4 import SECTORS
+from mockforms.family_n4 import SECTORS, Sector
 
 P = TruncationPolicy()
 TAU, Z1, Z2, T = 0.9j + 0.1, 0.23 + 0.04j, 0.37 - 0.06j, 0.05
@@ -64,10 +64,17 @@ def test_rhat_product_oracle():
                     val /= (1.0 - qn * x) * (1.0 - qn / x)
         return val
 
-    for plus in (False, True):
+    # the superdenominator divides by theta_11, the plus one by theta_10
+    for plus, sector in ((False, Sector.of(0, 0)), (True, Sector.of(F(1, 2), 0))):
         a = product_rhat(TAU, Z1, Z2, T, plus)
-        b = n3.rhat(TAU, Z1, Z2, T, plus, P)
+        b = n3.rhat(TAU, Z1, Z2, T, sector, P)
         assert abs(a - b) < 1e-11 * max(1.0, abs(b))
+
+
+def test_rhat_refuses_a_twisted_affine_sector():
+    for eps in (0, F(1, 2)):
+        with pytest.raises(ValueError, match="no twisted N=3 affine denominator"):
+            n3.rhat(TAU, Z1, Z2, T, Sector.of(eps, F(1, 2)), P)
 
 
 def test_admissible_routes_agree():
@@ -160,19 +167,19 @@ def test_c1_chain():
 
 
 def test_fundamental_domain_examples():
-    idx = n3.FIndex.of(3, 1, 0, F(1, 2), 0, 1, 2)
+    idx = n3.FIndex.of(3, 1, 0, SECTORS["plus_tw"], 1, 2)
     nf, ph = n3.fundamental_domain(idx)
     assert (nf.j.value, nf.k.value) == (1, 2) and ph == 1.0
 
-    idx = n3.FIndex.of(3, 1, 0, F(1, 2), 0, 2, 1)
+    idx = n3.FIndex.of(3, 1, 0, SECTORS["plus_tw"], 2, 1)
     nf, ph = n3.fundamental_domain(idx)
     assert nf.j.value <= nf.k.value
     a = n3.f_function(idx, TAU, 0.19 + 0.07j, P)
     b = ph * n3.f_function(nf, TAU, 0.19 + 0.07j, P)
     assert abs(a - b) < 1e-10
 
-    idx0 = n3.FIndex.of(3, 2, F(1, 2), 0, F(1, 2), 1, 2)
-    idx1 = n3.FIndex.of(3, 2, F(1, 2), 0, F(1, 2), 4, 5)
+    idx0 = n3.FIndex.of(3, 2, F(1, 2), SECTORS["minus"], 1, 2)
+    idx1 = n3.FIndex.of(3, 2, F(1, 2), SECTORS["minus"], 4, 5)
     a = n3.f_function(idx0, TAU, 0.19 + 0.07j, P)
     b = n3.f_function(idx1, TAU, 0.19 + 0.07j, P)
     assert abs(a - b) < 1e-9
@@ -189,8 +196,8 @@ def test_fundamental_domain_random_consistency():
         par = rng.choice([0, 1])
         j = HalfInt(2 * rng.randint(-2, 2) + par)
         k = HalfInt(2 * rng.randint(-2, 2) + par)
-        idx = n3.FIndex.of(M, n_, rng.choice([0, F(1, 2)]), rng.choice([0, F(1, 2)]),
-                           rng.choice([0, F(1, 2)]), j, k)
+        idx = n3.FIndex.of(M, n_, rng.choice([0, F(1, 2)]),
+                           Sector.of(rng.choice([0, F(1, 2)]), rng.choice([0, F(1, 2)])), j, k)
         nf, ph = n3.fundamental_domain(idx)
         a = n3.f_function(idx, TAU, z, P)
         b = ph * n3.f_function(nf, TAU, z, P)
@@ -218,7 +225,7 @@ def test_twisted_vanishing_flag_matches_raw_values():
             for m2 in range(n_ + 1):
                 w = n3.N3Weight(dotted, m, m2)
                 flag = n3.qhr_characteristics(w)["vanishes_tw"]
-                num = n3.character_numerator(w, TAU, z, -z, 0.0, False, P)
+                num = n3.numerator(w, TAU, z, -z, 0.0, SECTORS["plus"], False, P)
                 den = n3.n3_denominator(TAU, z, SECTORS["plus_tw"], P)
                 raw = abs(num / den)
                 assert flag == (raw < 1e-12), (m, dotted, m2, raw)
@@ -235,3 +242,28 @@ def test_twisted_supercharacters_vanish():
     for m in (M34, F(-1)):
         for w in n3.enumerate_weights(m):
             assert n3.qhr_character(w, TAU, 0.17 + 0.06j, SECTORS["minus_tw"], False, P) == 0
+
+
+def test_twisted_sectors_are_the_plain_ones_at_the_twisted_point():
+    w = n3.N3Weight(False, M34, 1)
+    moved = n3.twisted_point(TAU, Z1, Z2, T)
+    for twisted, plain in (("minus_tw", "minus"), ("plus_tw", "plus")):
+        for modified in (False, True):
+            a = n3.numerator(w, TAU, Z1, Z2, T, SECTORS[twisted], modified, P)
+            assert a == n3.numerator(w, TAU, *moved, SECTORS[plain], modified, P)
+
+
+def test_reduced_characters_read_the_numerator_in_the_affine_sector():
+    # the reduced character is the numerator in sector.affine at (z, -z, 0);
+    # in an untwisted sector that is, to the bit, the numerator in the sector
+    # itself at the substitution (z + tau/2, -z + tau/2, tau/4)
+    z = 0.17 + 0.06j
+    w = n3.N3Weight(True, M34, 1)
+    for name in ("plus", "minus", "plus_tw"):
+        sec = SECTORS[name]
+        den = n3.n3_denominator(TAU, z, sec, P)
+        want = n3.numerator(w, TAU, z, -z, 0.0, sec.affine, False, P) / den
+        assert n3.qhr_character(w, TAU, z, sec, False, P) == want
+        if sec.eps_prime.twice:
+            sub = n3.numerator(w, TAU, z + TAU / 2, -z + TAU / 2, TAU / 4, sec, False, P)
+            assert sub / den == want

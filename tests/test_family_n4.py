@@ -336,7 +336,7 @@ def test_rem94_rewriting():
 def test_chi_normalization_to_omega():
     # every table pair lands in the fundamental set under the moves
     for M in range(1, 6):
-        for eps, table in ((F(1, 2), "ns"), (0, "tw")):
+        for sec in (n4.SECTORS["plus"], n4.SECTORS["minus_tw"]):
             for k1 in range(0, M):
                 for k2 in range(0, M):
                     if 2 * k1 + k2 > M - 1:
@@ -345,8 +345,8 @@ def test_chi_normalization_to_omega():
                         if J == "III" and k2 < 1:
                             continue
                         w = n4.N4Weight(-1, 0, M, J, k1, k2)
-                        j, k = n4.admissible_jk(w, table == "tw")
-                        j2, k2_, _, _ = n4.normalize_to_omega(j, k, M, -1, eps)
+                        j, k = n4.admissible_jk(w, sec)
+                        j2, k2_, _, _ = n4.normalize_to_omega(j, k, M, -1, sec.eps)
                         assert 0 < j2.value <= k2_.value <= M
 
 
@@ -392,7 +392,7 @@ def test_vanishing_admissible_characters():
         A = float(F(w.m * (2 * w.k1 + w.k2 + 1), w.M) + w.m2)
         for name, sec in n4.SECTORS.items():
             assert n4.qhr_character_admissible(w, TAU, Z, sec, P) == 0
-            j, k = n4.admissible_jk(w, name.endswith("_tw"))
+            j, k = n4.admissible_jk(w, sec)
             x1, x0 = (n4.ChiIndex.of(alpha, w.M, w.m, sec, j, k)
                       for alpha in (1, 0))
             assert abs(n4.chi(x1, TAU, Z, P) - A * n4.chi(x0, TAU, Z, P)) < 1e-13, (w, name)
@@ -465,7 +465,7 @@ def test_vanishing_is_pointwise():
     w = n4.N4Weight(-2, 2, 1, "I", 0, 0)
     assert n4.qhr_characteristics(w)["vanishes"]
     A = F(-2 * 1, 1) + 2
-    j, k = n4.admissible_jk(w, False)
+    j, k = n4.admissible_jk(w, n4.SECTORS["minus"])
     c1 = n4.chi(n4.ChiIndex.of(1, 1, -2, n4.Sector.of(0, F(1, 2)), j, k), TAU, Z, P)
     c0 = n4.chi(n4.ChiIndex.of(0, 1, -2, n4.Sector.of(0, F(1, 2)), j, k), TAU, Z, P)
     assert abs(c1 - A * c0) < 1e-12

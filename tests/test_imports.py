@@ -316,3 +316,38 @@ def test_reload_before_first_use_runs_the_body_once():
             "f = m.enumerate_weights\n"
             "print(hasattr(m, 'nope'), m.enumerate_weights is f is m.enumerate_weights)\n")
     assert _fresh(code)[0].split() == ["False", "True"]
+
+
+FLAG_NAMES = {"plus", "twisted", "sigma", "sigma_prime"}
+
+
+def sector_flag_names(source: str) -> list:
+    """(line, name) of each function or lambda parameter and each annotated
+    class-body field named as a loose sector flag or shift."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [(node.lineno, x.arg) for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                                     a.vararg, a.kwarg)
+                      if x is not None and x.arg in FLAG_NAMES]
+        elif isinstance(node, ast.ClassDef):
+            found += [(x.lineno, x.target.id) for x in node.body if isinstance(x, ast.AnnAssign)
+                      and isinstance(x.target, ast.Name) and x.target.id in FLAG_NAMES]
+    return sorted(found)
+
+
+def test_sector_flag_checker():
+    src = ("def f(tau, plus=False, *, twisted): pass\n"
+           "class I:\n    sigma: int\n    eps: int\n    def g(self, sigma_prime): pass\n"
+           "h = lambda plus: plus\n"
+           "def ok(sector):\n    plus, twisted = sector\n    sigma: int = 0\n    return plus\n")
+    assert sector_flag_names(src) == [(1, "plus"), (1, "twisted"), (3, "sigma"),
+                                      (5, "sigma_prime"), (6, "plus")]
+
+
+@pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.name)
+def test_family_sectors_are_not_loose_flags(path):
+    # a sector reaches a family function or record as a Sector, not as a
+    # plus/twisted flag or a pair of (sigma, sigma') shifts
+    assert sector_flag_names(path.read_text()) == []

@@ -1,22 +1,26 @@
 """Every index constructor reads its numbers one way: integer data through
-qkernel.int_of, half-integer data through HalfInt.of.  A constructor that
-reads them another way (a truncating int(), a float tolerance) fails here."""
+qkernel.int_of, half-integer data through HalfInt.of, a degree through
+qkernel.degree_of.  A constructor that reads them another way (a truncating
+int(), a float tolerance, a degree left unchecked) fails here."""
 
 from fractions import Fraction as F
 
 import pytest
 
+from mockforms import formal
 from mockforms.family_d21a import D21Index, D21Params, D21Weight
 from mockforms.family_n3 import FIndex, N3Weight
 from mockforms.family_n4 import ChiIndex, N4Weight, Sector, enumerate_weights
-from mockforms.mock import PsiIndex
+from mockforms.mock import MockIndex, PsiIndex
+from mockforms.theta import ThetaIndex
 
 H = F(1, 2)
 # constructor, valid arguments, {position: field} of its integer data, and
 # the positions of its half-integer data
 READERS = {
     "PsiIndex.of": (PsiIndex.of, (3, 1, 0, 0, 1, -1), {0: "M"}, (1, 2, 3, 4, 5)),
-    "FIndex.of": (FIndex.of, (3, 1, 0, H, H, 1, 2), {0: "M", 1: "n"}, (2, 3, 4, 5, 6)),
+    "FIndex.of": (FIndex.of, (3, 1, 0, Sector.of(H, H), 1, 2), {0: "M", 1: "n"}, (2, 4, 5)),
+    "Sector.of": (Sector.of, (H, 0), {}, (0, 1)),
     "ChiIndex.of": (ChiIndex.of, (1, 2, -1, Sector.of(H, 0), 1, -1),
                     {0: "alpha", 1: "M", 2: "m"}, (4, 5)),
     "D21Index.of": (D21Index.of, ("P", 1, D21Params(2, 1, 1), Sector.of(H, 0)), {1: "j"}, ()),
@@ -61,3 +65,20 @@ def test_n4_weights_read_the_level_one_way():
             enumerate_weights(x)
     with pytest.raises(TypeError):
         enumerate_weights("-2")
+
+
+# each reader of a positive degree m, as a function of m alone
+DEGREE_READERS = {
+    "ThetaIndex.of": lambda m: ThetaIndex.of(1, m),
+    "MockIndex.of": lambda m: MockIndex.of(m, 0),
+    "PsiIndex.of": lambda m: PsiIndex.of(3, m, 0, 0, 1, -1),
+    "formal.expand_theta": lambda m: formal.expand_theta(1, m, 4),
+    "formal._appell": lambda m: formal._appell(m, 0, 4, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("m", [0, -H, -1])
+@pytest.mark.parametrize("name", DEGREE_READERS)
+def test_degrees_must_be_positive(name, m):
+    with pytest.raises(ValueError, match="degree m must be positive"):
+        DEGREE_READERS[name](m)

@@ -36,7 +36,8 @@ SAMPLES = {
     ZArg: lambda: [ZArg.of(1, 0), ZArg.of(0, 1, H), ZArg()],
     N3Weight: lambda: [N3Weight(False, F(-3, 4), 0), N3Weight(True, F(-3, 4), 1),
                        N3Weight(False, F(-3, 4), 1, 3, "I", 0, 1)],
-    FIndex: lambda: [FIndex.of(3, 1, 0, H, 0, 1, 2), FIndex.of(3, 2, H, 0, H, 1, 2)],
+    FIndex: lambda: [FIndex.of(3, 1, 0, Sector.of(H, 0), 1, 2),
+                     FIndex.of(3, 2, H, Sector.of(0, H), 1, 2)],
     N4Weight: lambda: [N4Weight(-1, 0), N4Weight(-2, 1, 3, "I", 0, 1)],
     Sector: lambda: [Sector.of(0, 0), Sector.of(H, 0), Sector.of(0, H)],
     ChiIndex: lambda: [ChiIndex.of(0, 3, -1, Sector.of(0, 0), 1, -1),
