@@ -100,9 +100,8 @@ class D21Weight:
             0: 0 <= self.m2 <= n * q - 1 and 0 <= self.m3 <= n * p - 1,
             1: (0 <= self.m2 <= n * q - 1 and 0 <= self.m3 <= n * p - 1)
                or (self.m2, self.m3) == (n * q, 0) or (self.m2, self.m3) == (0, n * p),
-            2: 0 <= self.m2 <= n * q - 2 and 0 <= self.m3 <= n * p - 2,
-            3: 0 <= self.m2 <= n * q - 2 and 0 <= self.m3 <= n * p - 2,
-        }[self.j]
+            2: 0 <= self.m2 <= n * q - 2 and 0 <= self.m3 <= n * p - 2,    # and j = 3
+        }[min(self.j, 2)]
         if not ok:
             raise ValueError("(m2, m3) outside the weight range")
 
@@ -198,16 +197,10 @@ def integrability_tests(w: D21Weight) -> dict:
         theta_int = (m2 == n * q - 1 and m3 == n * p - 1)
     elif w.j == 1:
         theta_int = (m2 == m3 == 0)
-    elif w.j == 2:
-        d = p * (m2 + 1) - q * (m3 + 1)
-        theta_int = d >= 0 and d % (p + q) == 0
     else:
-        d = q * (m3 + 1) - p * (m2 + 1)
+        d = _j2_difference(w)
         theta_int = d >= 0 and d % (p + q) == 0
-    if w.j == 1:
-        alpha0_int = (m2 == 0 and m3 == n * p) or (m3 == 0 and m2 == n * q)
-    else:
-        alpha0_int = False
+    alpha0_int = w.j == 1 and ((m2 == 0 and m3 == n * p) or (m3 == 0 and m2 == n * q))
     return {"theta_integrable": theta_int, "alpha0_integrable": alpha0_int}
 
 
@@ -221,9 +214,13 @@ def level_zero_label(w: D21Weight) -> Fraction:
     if w.j == 0:
         m1 = Fraction(p * (m2 + 1) + q * (m3 + 1) - n * p * q, p + q)
         return -1 - m1
-    if w.j == 2:
-        return Fraction(-p * (m2 + 1) + q * (m3 + 1) - n * p * q, p + q) - 1
-    return Fraction(p * (m2 + 1) - q * (m3 + 1) - n * p * q, p + q) - 1
+    return Fraction(-_j2_difference(w) - n * p * q, p + q) - 1
+
+
+def _j2_difference(w: D21Weight) -> int:
+    """p(m2 + 1) - q(m3 + 1) at j = 2: j = 3 is j = 2 with it negated."""
+    d = w.params.p * (w.m2 + 1) - w.params.q * (w.m3 + 1)
+    return d if w.j == 2 else -d
 
 
 # --- coordinate actions ---------------------------------------------------
@@ -470,16 +467,12 @@ def qhr_characteristics(w: D21Weight) -> dict:
     base_tw = Fraction(n * p * q, 4 * (p + q))
     if w.j in (0, 1):
         sq = (m2 - m3 + n * p) ** 2
-        h = sq / big + m3 / 2 - Fraction(n * p * p, 4 * (p + q))
-        h_tw = sq / big + base_tw - Fraction(1, 4)
-    elif w.j == 2:
-        sq = (m2 + m3 + 2 - n * p) ** 2
-        h = sq / big + m3 / 2 - Fraction(n * p * p, 4 * (p + q))
-        h_tw = sq / big + base_tw - Fraction(1, 4)
     else:
-        sq = (m2 + m3 + 2 + n * p) ** 2
-        h = sq / big - m3 / 2 - Fraction(n * p * p, 4 * (p + q)) - 1
-        h_tw = sq / big + base_tw - m3 - Fraction(5, 4)
+        sq = (m2 + m3 + 2 + (n * p if w.j == 3 else -n * p)) ** 2
+    h = sq / big + m3 / 2 - Fraction(n * p * p, 4 * (p + q))
+    h_tw = sq / big + base_tw - Fraction(1, 4)
+    if w.j == 3:     # j = 2 with n p negated, both energies lowered by m3 + 1
+        h, h_tw = h - m3 - 1, h_tw - m3 - 1
     m0 = level_zero_label(w)
     return {"c": c, "h": h, "h_tw": h_tw,
             "s2": m2 / 2, "s3": m3 / 2,

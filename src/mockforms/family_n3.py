@@ -32,7 +32,7 @@ from .qkernel import (
 )
 from .theta import eta_theta_quotient
 from .mock import MockIndex, PsiIndex, phi, psi
-from .family_n4 import Sector
+from .family_n4 import Sector, _read_admissible
 from .modification import phi_tilde, psi_tilde
 
 _J_VALUES = ("none", "I", "II", "III", "IV", "Iprime", "IIIprime")
@@ -55,22 +55,14 @@ class N3Weight:
     k2: int = 0
 
     def __post_init__(self):
-        for f in ("m2", "M", "k1", "k2"):
-            object.__setattr__(self, f, int_of(getattr(self, f)))
+        object.__setattr__(self, "m2", int_of(self.m2))
         m = Fraction(self.m)
         object.__setattr__(self, "m", m)
         if (4 * m).denominator != 1:
             raise ValueError("level must lie in (1/4)Z")
         if m == Fraction(-1, 2):
             raise UnsupportedCaseError("critical level")
-        if self.J not in _J_VALUES:
-            raise ValueError(f"unknown admissible type {self.J}")
-        if self.J == "none" and (self.M, self.k1, self.k2) != (1, 0, 0):
-            raise ValueError("integrable weights have M = 1 and k1 = k2 = 0")
-        if self.J in ("I", "III"):
-            lo = 0 if self.J == "I" else 1
-            if not (self.k1 >= 0 and self.k2 >= lo and 2 * (self.k1 + self.k2) <= self.M - 1):
-                raise ValueError("k1, k2 outside the admissible range")
+        _read_admissible(self, _J_VALUES, lambda k1, k2: 2 * (k1 + k2))
         if self.J in ("Iprime", "IIIprime"):
             hi = self.M - 1 if self.J == "Iprime" else self.M
             up = 0 if self.J == "Iprime" else -1
@@ -115,10 +107,9 @@ class N3Weight:
             raise UnsupportedCaseError("psi assembly exists for types I and III")
         n, M, k1, k2 = self.n, self.M, self.k1, self.k2
         shift = M if self.dotted else 0
-        if self.J in ("I", "Iprime"):
-            sign, a, b = 0.5, HalfInt(k1 + shift), HalfInt(-(k1 + 2 * k2 - shift))
-        else:
-            sign, a, b = -0.5, HalfInt(k1 + 2 * k2 - shift), HalfInt(-(k1 + shift))
+        sign, a, b = 0.5, HalfInt(k1 + shift), HalfInt(-(k1 + 2 * k2 - shift))
+        if self.J in ("III", "IIIprime"):     # types I and I' with z1 and z2 swapped
+            sign, a, b = -sign, -b, -a
         pair = lambda s: (PsiIndex.of(M, n, s, 0, a, b), PsiIndex.of(M, n, s, Fraction(1, 2), a, b))
         return sign, float(2 * self.m + 1), pair(self.m2 + 1), pair(0)
 
@@ -155,18 +146,11 @@ def enumerate_weights(m) -> list[N3Weight]:
 
 def integrability_flags(w: N3Weight) -> dict:
     n = w.n
-    if not w.dotted:
-        theta_int = w.m2 == 0
-        a0 = w.m + Fraction(w.m2, 2)
-        alpha0_int = a0.denominator == 1 and a0 >= 0
-    else:
-        theta_int = (w.m2 == n == 2)
-        a0 = w.m + Fraction(w.m2, 2)
-        alpha0_int = a0.denominator == 1 and a0 > 0
-    two_mm2 = 2 * w.m + w.m2
-    deg_parity = two_mm2.denominator == 1 and (two_mm2 > 0 if w.dotted else two_mm2 >= 0) \
-        and int(two_mm2) % 2 == 0
-    degenerate = (w.k1 + w.k2 == (w.M - 1) // 2) and w.M % 2 == 1 and deg_parity
+    theta_int = w.m2 == n == 2 if w.dotted else w.m2 == 0
+    a0 = w.m + Fraction(w.m2, 2)
+    alpha0_int = a0.denominator == 1 and (a0 > 0 if w.dotted else a0 >= 0)
+    # 2m + m2 = 2 a0 is even and positive (or zero, undotted) iff alpha0 is integrable
+    degenerate = (w.k1 + w.k2 == (w.M - 1) // 2) and w.M % 2 == 1 and alpha0_int
     return {
         "theta_integrable": theta_int,
         "alpha0_integrable": alpha0_int,
@@ -222,37 +206,32 @@ def b_value(w: N3Weight, tau, z1, z2, t, modified: bool,
     half-argument split onto the integer-degree modification with index 0.
     The indices and constants come from w, formed once per weight."""
     idx, idx_mod, two_m1, half = w._b_data   # 2m + 1 is in (1/2)Z
-    if not modified:
-        if w.dotted:
-            pref = e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
-            return pref * phi(idx, 2 * tau, z1 + tau, -z2 + tau, 0.0, policy)
-        return e2pi(two_m1 * t / 2) * phi(idx, 2 * tau, z1, -z2, 0.0, policy)
-    idx = idx_mod
-    sgn = -1.0 if w.m2 % 2 else 1.0
     if w.dotted:
-        pref = 0.5 * e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
-        a = phi_tilde(idx, tau, (z1 + tau) / 2, -(z2 - tau) / 2, 0.0, policy)
-        b = phi_tilde(idx, tau, (z1 + tau + 1) / 2, -(z2 - tau + 1) / 2, 0.0, policy)
+        # B-dot is B at (z1 + tau, z2 - tau) under its own prefactor
+        pref = e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
+        z1, z2 = z1 + tau, z2 - tau
     else:
-        pref = 0.5 * e2pi(two_m1 * t / 2)
-        a = phi_tilde(idx, tau, z1 / 2, -z2 / 2, 0.0, policy)
-        b = phi_tilde(idx, tau, (z1 + 1) / 2, -(z2 + 1) / 2, 0.0, policy)
-    return pref * (a - sgn * b)
+        pref = e2pi(two_m1 * t / 2)
+    if not modified:
+        return pref * phi(idx, 2 * tau, z1, -z2, 0.0, policy)
+    sgn = -1.0 if w.m2 % 2 else 1.0
+    a = phi_tilde(idx_mod, tau, z1 / 2, -z2 / 2, 0.0, policy)
+    b = phi_tilde(idx_mod, tau, (z1 + 1) / 2, -(z2 + 1) / 2, 0.0, policy)
+    return 0.5 * pref * (a - sgn * b)
 
 
 def _admissible_point(w: N3Weight, tau, z1, z2, t):
     """Argument shift of the level-raising translation: returns the point
-    (M tau, Z1, Z2, T/M) at which the integrable numerator is evaluated."""
+    (M tau, Z1, Z2, T/M) at which the integrable numerator is evaluated.
+    Types III and III' are types I and I' with z1 and z2 swapped."""
     k1, k2, M = w.k1, w.k2, w.M
-    if w.J in ("I", "Iprime"):
-        Z1, Z2 = z1 + k1 * tau, z2 + (k1 + 2 * k2) * tau
-        zb = (k1 + 2 * k2) * z1 + k1 * z2
-    elif w.J in ("III", "IIIprime"):
-        Z1, Z2 = z2 + k1 * tau, z1 + (k1 + 2 * k2) * tau
-        zb = k1 * z1 + (k1 + 2 * k2) * z2
-    else:
+    if w.J in ("III", "IIIprime"):
+        z1, z2 = z2, z1
+    elif w.J not in ("I", "Iprime"):
         raise UnsupportedCaseError(
             f"type {w.J} numerators are reached through the sector isomorphisms")
+    Z1, Z2 = z1 + k1 * tau, z2 + (k1 + 2 * k2) * tau
+    zb = (k1 + 2 * k2) * z1 + k1 * z2
     T = t + zb + tau * k1 * (k1 + 2 * k2)
     return M * tau, Z1, Z2, T / M
 
@@ -331,34 +310,24 @@ def qhr_characteristics(w: N3Weight) -> dict:
     K = (m + Fraction(1, 2)) / M - Fraction(1, 2)
     c = -6 * K - Fraction(7, 2)
     r = (2 * m + 1) / (2 * M)
-    J = w.J if w.J != "none" else "I"
-    up = J in ("I", "III", "Iprime", "IIIprime")
+    up = w.J not in ("II", "IV")
     half = Fraction(1, 2) if up else Fraction(-1, 2)
     quad = k1 * (k1 + 2 * k2) + (k1 + k2 if up else -(k1 + k2))
-    if not w.dotted:
-        h = (m2 + 1) / 2 * (k1 + half) - Fraction(1, 4) + r * quad
-        h_tw = (m2 + 1) / 2 * k1 + r * (k1 * (k1 + 2 * k2) - Fraction(1, 4)) - Fraction(1, 16)
-        if J in ("I", "IV", "Iprime"):
-            s = m2 / 2 + (2 * m + 1) * k2 / M
-        else:
-            s = -m2 / 2 - (2 * m + 1) * k2 / M - 1
+    # the dotted energies are the undotted ones with m2 - 1 for m2 + 1, plus extra
+    if w.dotted:
+        lead, extra = (m2 - 1) / 2, (m + m2 / 2) * (2 * k2 - M)
+        s = -m2 / 2 - 2 * m + (2 * m + 1) * k2 / M - 1
     else:
-        extra = (m + m2 / 2) * (2 * k2 - M)
-        h = (m2 - 1) / 2 * (k1 + half) + extra - Fraction(1, 4) + r * quad
-        h_tw = (m2 - 1) / 2 * k1 + extra + r * (k1 * (k1 + 2 * k2) - Fraction(1, 4)) - Fraction(1, 16)
-        if J in ("I", "IV", "Iprime"):
-            s = -m2 / 2 - 2 * m + (2 * m + 1) * k2 / M - 1
-        else:
-            s = m2 / 2 + 2 * m - (2 * m + 1) * k2 / M
-    flags = integrability_flags(w)
-    vanishes = flags["degenerate"]
-    if w.M == 1:
-        crit = -m2 / 4 + (Fraction(1, 2) if w.dotted else 0)
-        vanishes_tw = crit.denominator <= 2 and crit >= 0 and (2 * crit).denominator == 1
-    else:
-        vanishes_tw = False
+        lead, extra = (m2 + 1) / 2, 0
+        s = m2 / 2 + (2 * m + 1) * k2 / M
+    h = lead * (k1 + half) + extra - Fraction(1, 4) + r * quad
+    h_tw = lead * k1 + extra + r * (k1 * (k1 + 2 * k2) - Fraction(1, 4)) - Fraction(1, 16)
+    if w.J not in ("none", "I", "IV", "Iprime"):     # the types with z1 and z2 swapped
+        s = -s - 1
+    crit = -m2 / 4 + (Fraction(1, 2) if w.dotted else 0)
+    vanishes_tw = w.M == 1 and crit >= 0 and (2 * crit).denominator == 1
     return {"c": c, "h": h, "s": s, "h_tw": h_tw, "s_tw": s - Fraction(1, 2),
-            "vanishes": vanishes, "vanishes_tw": vanishes_tw}
+            "vanishes": integrability_flags(w)["degenerate"], "vanishes_tw": vanishes_tw}
 
 
 def qhr_character(w: N3Weight, tau, z, sector: Sector, modified: bool = False,
@@ -398,11 +367,12 @@ class FIndex:
             raise ValueError("M must be a positive odd integer")
         if n > 1 and math.gcd(M, n) != 1:
             raise ValueError("n must be coprime to M")
-        j = HalfInt.of(j)
-        k = HalfInt.of(k)
+        eps, j, k = HalfInt.of(eps), HalfInt.of(j), HalfInt.of(k)
+        if eps.twice not in (0, 1):
+            raise ValueError("eps must be 0 or 1/2")
         if j.twice % 2 != k.twice % 2:
             raise ValueError("j and k must share the same half-shift")
-        return FIndex(M, n, HalfInt.of(eps), sector, j, k, HalfInt(j.twice % 2))
+        return FIndex(M, n, eps, sector, j, k, HalfInt(j.twice % 2))
 
     @cached_property
     def _frame(self) -> tuple:

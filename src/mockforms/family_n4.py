@@ -35,6 +35,24 @@ from .modification import phi_tilde, psi_tilde
 _J_VALUES = ("none", "I", "II", "III", "IV")
 
 
+def _read_admissible(w, types: tuple, span) -> None:
+    """Read the admissible data of the weight record w: M, k1 and k2 as ints,
+    M positive, J one of types, M = 1 and k1 = k2 = 0 for an integrable
+    weight, and for types I and III k1 >= 0, k2 >= 0 (>= 1 for III) and
+    span(k1, k2) <= M - 1."""
+    for f in ("M", "k1", "k2"):
+        object.__setattr__(w, f, int_of(getattr(w, f)))
+    M, J, k1, k2 = w.M, w.J, w.k1, w.k2
+    if M <= 0:
+        raise ValueError("M must be a positive integer")
+    if J not in types:
+        raise ValueError(f"unknown admissible type {J}")
+    if J == "none" and (M, k1, k2) != (1, 0, 0):
+        raise ValueError("integrable weights have M = 1 and k1 = k2 = 0")
+    if J in ("I", "III") and not (k1 >= 0 and k2 >= (J == "III") and span(k1, k2) <= M - 1):
+        raise ValueError("k1, k2 outside the admissible range")
+
+
 @_record
 class N4Weight:
     """A weight of the family: level m, label m2, and the admissible data
@@ -51,20 +69,13 @@ class N4Weight:
     k2: int = 0
 
     def __post_init__(self):
-        for f in ("m", "m2", "M", "k1", "k2"):
+        for f in ("m", "m2"):
             object.__setattr__(self, f, int_of(getattr(self, f)))
         if self.m > 0:
             raise ValueError("level must be a non-positive integer")
         if not 0 <= self.m2 <= -self.m:
             raise ValueError("m2 out of range")
-        if self.J not in _J_VALUES:
-            raise ValueError(f"unknown admissible type {self.J}")
-        if self.J == "none" and (self.M, self.k1, self.k2) != (1, 0, 0):
-            raise ValueError("integrable weights have M = 1 and k1 = k2 = 0")
-        if self.J in ("I", "III"):
-            lo = 0 if self.J == "I" else 1
-            if not (self.k1 >= 0 and self.k2 >= lo and 2 * self.k1 + self.k2 <= self.M - 1):
-                raise ValueError("k1, k2 outside the admissible range")
+        _read_admissible(self, _J_VALUES, lambda k1, k2: 2 * k1 + k2)
 
     @property
     def level_zero(self) -> bool:
@@ -135,12 +146,12 @@ class Sector:
             raise ValueError(f"sector shifts must be 0 or 1/2, got {eps.value}, {eps_prime.value}")
         return Sector(eps, eps_prime, 1 - eps_prime.twice, 1 - eps.twice)
 
-    @property
+    @cached_property
     def S(self) -> "Sector":
         """The image (eps', eps) under S, as theta_ab goes to theta_ba."""
         return Sector.of(self.eps_prime, self.eps)
 
-    @property
+    @cached_property
     def T(self) -> "Sector":
         """The image (|eps - eps'|, eps') under T: theta_0b to theta_0(1-b)."""
         return Sector.of(HalfInt(abs(self.eps.twice - self.eps_prime.twice)), self.eps_prime)
@@ -243,20 +254,13 @@ def qhr_characteristics(w: N4Weight) -> dict:
     m, m2, M, k1, k2 = w.m, Fraction(w.m2), w.M, w.k1, w.k2
     K = Fraction(m, M)
     c = -6 * (K + 1)
-    if w.J == "none":
-        h = m2 / 2
-        s = m2
-        h_tw = -(K + 1) / 4
-        s_tw = -m2 - K - 1
-        A = m + m2
-    else:
-        up = w.J in ("I", "III")
-        half = Fraction(1, 2) if up else Fraction(-1, 2)
-        h = K * (k1 + half) * (k1 + k2 + half) + (k1 + half) * (m2 + 1) - (K + 2) / 4
-        s = K * k2 + m2 if w.J in ("I", "IV") else -K * k2 - m2 - 2
-        h_tw = h - s / 2 - (K + 1) / 4
-        s_tw = -s - K - 1
-        A = K * (2 * k1 + k2 + 1) + m2
+    # an integrable weight is type I at M = 1, k1 = k2 = 0
+    half = Fraction(1, 2) if w.J in ("none", "I", "III") else Fraction(-1, 2)
+    h = K * (k1 + half) * (k1 + k2 + half) + (k1 + half) * (m2 + 1) - (K + 2) / 4
+    s = -_lambda_alpha2(w)
+    h_tw = h - s / 2 - (K + 1) / 4
+    s_tw = -s - K - 1
+    A = K * (2 * k1 + k2 + 1) + m2
     vanishes = A.denominator == 1 and A >= 0
     return {"c": c, "h": h, "s": s, "h_tw": h_tw, "s_tw": s_tw, "vanishes": vanishes}
 
@@ -313,6 +317,8 @@ class ChiIndex:
         alpha, M, m = int_of(alpha), int_of(M), int_of(m)
         if alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
+        if M <= 0:
+            raise ValueError("M must be a positive integer")
         if m >= 0:
             raise ValueError("m must be a negative integer")
         j, k = HalfInt.of(j), HalfInt.of(k)
@@ -341,9 +347,8 @@ def admissible_jk(w: N4Weight, sector: Sector):
     """(j, k) index pair of the reduced admissible character in a sector."""
     k1, k2 = w.k1, w.k2
     if sector.eps_prime.twice:
-        if w.J == "I":
-            return HalfInt(2 * k1 + 1), HalfInt(-(2 * (k1 + k2) + 1))
-        return HalfInt(2 * (k1 + k2) + 1), HalfInt(-(2 * k1 + 1))
+        j, k = HalfInt(2 * k1 + 1), HalfInt(-(2 * (k1 + k2) + 1))
+        return (j, k) if w.J == "I" else (-k, -j)     # the other types: type I's (-k, -j)
     if w.J == "I":
         return HalfInt(2 * (k1 + k2 + 1)), HalfInt(-2 * k1)
     return HalfInt(2 * (k1 + 1)), HalfInt(-2 * (k1 + k2))

@@ -106,6 +106,14 @@ def test_integrable_weights_have_no_admissible_data(M, k1, k2):
         n3.N3Weight(False, F(-5, 4), 1, M, "none", k1, k2)
 
 
+@pytest.mark.parametrize("args", [(False, M34, 0, 0, "II"), (True, F(-5, 4), 1, -1, "IV", 1, 0),
+                                  (False, M34, 0, -2, "Iprime", 0, 0)])
+def test_admissible_weights_need_a_positive_m(args):
+    # at M = 0 the characteristic numbers divided by zero
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        n3.N3Weight(*args)
+
+
 def test_unsupported_types_error():
     with pytest.raises(UnsupportedCaseError):
         n3.numerator_B(n3.N3Weight(False, M34, 0, 3, "II", 1, 1), TAU, Z1, Z2, T)

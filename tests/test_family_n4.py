@@ -64,6 +64,7 @@ def test_sector_s_and_t_act_as_the_modular_group():
     sectors = list(n4.SECTORS.values())
     for s in sectors:
         assert s.S in sectors and s.T in sectors
+        assert s.S is s.S and s.T is s.T     # each formed once per sector
         assert s.S.S == s and s.T.T == s and s.S.T.S.T.S.T == s
         assert (s.S.a, s.S.b) == (s.b, s.a)
         assert (s.T.a, s.T.b) == ((0, 1 - s.b) if s.a == 0 else (1, s.b))
@@ -261,6 +262,15 @@ def test_psi_P_matches_frame_reference(M):
 def test_integrable_weights_have_no_admissible_data():
     with pytest.raises(ValueError):
         n4.N4Weight(-2, 1, 1, "none", 1, 0)
+
+
+@pytest.mark.parametrize("args", [(-1, 0, 0, "II"), (-1, 0, -3, "IV"), (-2, 1, 0, "III", 0, 1)])
+def test_admissible_weights_need_a_positive_m(args):
+    # at M = 0 the characteristic numbers divided by zero; at M = -3 they
+    # came out, and the numerator then refused M tau as not in the upper
+    # half-plane
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        n4.N4Weight(*args)
 
 
 def test_plus_vs_minus_half_shift():

@@ -5,6 +5,7 @@ package and the tests; a definition may be named there or in perfbench/,
 which is only read."""
 
 import ast
+import collections
 import pathlib
 import re
 import subprocess
@@ -170,11 +171,22 @@ def callers(source: str, name: str) -> list:
     return owners
 
 
+def bindings(source: str, function: str) -> collections.Counter:
+    """How many assignments bind each name in the module-level function of
+    source, a name in a tuple target counted once per assignment."""
+    top = next(node for node in ast.parse(source).body if getattr(node, "name", None) == function)
+    return collections.Counter(x.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                               for target in node.targets for x in ast.walk(target)
+                               if isinstance(x, ast.Name))
+
+
 def test_structure_checkers():
     src = ("def f_d0(): g(1)\nclass C:\n    def h(self): m.g(2)\n"
-           "x = g(3)\ndef k(): return lambda: g(4)\n")
-    assert module_functions(src) == ["f_d0", "k"]
+           "x = g(3)\ndef k(): return lambda: g(4)\n"
+           "def b(x):\n    if x: u, v = 1, 2\n    else: u = v = 3\n    w: int = u\n")
+    assert module_functions(src) == ["f_d0", "k", "b"]
     assert callers(src, "g") == ["f_d0", "C", "<module>", "k"]
+    assert bindings(src, "b") == {"u": 2, "v": 2}
 
 
 def test_phi_tilde_has_one_body():
@@ -186,6 +198,16 @@ def test_phi_tilde_has_one_body():
             for name in module_functions(src) if name.endswith("_d0")] == []
     assert [(mod, owner) for mod, src in sources.items()
             for owner in callers(src, "_lattice_shift")] == [("modification", "phi_tilde")]
+
+
+def test_mirrored_n3_cases_are_written_once():
+    # the dotted B numerator is the undotted one at (z1 + tau, z2 - tau), and
+    # types III and III' are types I and I' with z1 and z2 swapped: one phi
+    # call and one phi_tilde pair, and the admissible point formed once
+    src = (ROOT / "src" / "mockforms" / "family_n3.py").read_text()
+    assert callers(src, "phi").count("b_value") == 1
+    assert callers(src, "phi_tilde").count("b_value") == 2
+    assert [bindings(src, "_admissible_point")[z] for z in ("Z1", "Z2")] == [1, 1]
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -67,6 +67,28 @@ def test_n4_weights_read_the_level_one_way():
         enumerate_weights("-2")
 
 
+# calls that read well-formed numbers and must still refuse them, with the
+# message PsiIndex.of gives: at construction, not at the first evaluation
+REFUSALS = {
+    "FIndex.of eps = 1": (lambda: FIndex.of(3, 1, 1, Sector.of(0, H), 1, 2), "eps must be 0 or 1/2"),
+    "FIndex.of eps = -1/2": (lambda: FIndex.of(3, 1, -H, Sector.of(0, H), 1, 2),
+                             "eps must be 0 or 1/2"),
+    "PsiIndex.of eps = 1": (lambda: PsiIndex.of(3, 1, 0, 1, 1, -1), "eps must be 0 or 1/2"),
+    "ChiIndex.of M = 0": (lambda: ChiIndex.of(1, 0, -1, Sector.of(H, 0), 1, -1),
+                          "M must be a positive integer"),
+    "ChiIndex.of M = -2": (lambda: ChiIndex.of(0, -2, -1, Sector.of(H, 0), 1, -1),
+                           "M must be a positive integer"),
+    "PsiIndex.of M = 0": (lambda: PsiIndex.of(0, 1, 0, 0, 1, -1), "M must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_bad_index_data_is_refused_at_construction(name):
+    make, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # each reader of a positive degree m, as a function of m alone
 DEGREE_READERS = {
     "ThetaIndex.of": lambda m: ThetaIndex.of(1, m),
