@@ -48,7 +48,7 @@ class N3Weight:
 
     dotted: bool
     m: Fraction           # level, in (1/4)Z, <= -3/4
-    m2: int
+    m2: int               # 0..n
     M: int = 1
     J: str = "none"
     k1: int = 0
@@ -62,6 +62,10 @@ class N3Weight:
             raise ValueError("level must lie in (1/4)Z")
         if m == Fraction(-1, 2):
             raise UnsupportedCaseError("critical level")
+        if self.n <= 0:
+            raise ValueError("level does not give a positive integer n")
+        if not 0 <= self.m2 <= self.n:
+            raise ValueError("m2 out of range")
         _read_admissible(self, _J_VALUES, lambda k1, k2: 2 * (k1 + k2))
         if self.J in ("Iprime", "IIIprime"):
             hi = self.M - 1 if self.J == "Iprime" else self.M
@@ -71,32 +75,28 @@ class N3Weight:
 
     @cached_property
     def n(self) -> int:
-        n = -4 * self.m.numerator // self.m.denominator - 2    # m is in (1/4)Z
-        if n <= 0:
-            raise ValueError("level does not give a positive integer n")
-        return n
+        return -4 * self.m.numerator // self.m.denominator - 2    # m is in (1/4)Z
 
     @cached_property
     def _b_data(self) -> tuple:
-        """(index of B, index of the modified B, 2m + 1, -(m + 1/2)) of b_value,
-        from n = -4m - 2: the degree -2m - 1 is n/2, and 2m + 1 and -(m + 1/2)
-        are the exact floats -n/2 and n/4"""
-        n = self.n
-        return (MockIndex.of(HalfInt(n), HalfInt(self.m2 + 1)), MockIndex.of(n, 0), -n / 2, n / 4)
+        """_b_terms of this weight's label, for b_value"""
+        return _b_terms(self.dotted, self.n, self.m2)
 
     @cached_property
     def _b_partner(self) -> tuple:
         """(partner, theta_pair) of supercharacter_numerator, by the
-        integrability flags of the underlying integrable weight: the weight
-        whose B-term pairs with this one's (None for a single term), and
-        whether the pair is the theta-symmetrized sum or the alpha0 difference"""
+        integrability flags of the underlying integrable weight: the B data
+        of the label whose B-term pairs with this one's (None for a single
+        term), and whether the pair is the theta-symmetrized sum or the
+        alpha0 difference.  The theta partner's label -m2 lies outside
+        0..n, so no weight is formed for it."""
         flags = integrability_flags(_replace(self, M=1, J="none", k1=0, k2=0))
         if flags["theta_integrable"] and flags["alpha0_integrable"]:
             raise UnsupportedCaseError("level zero excluded")
         if flags["theta_integrable"]:
-            return _replace(self, m2=-self.m2), True
+            return _b_terms(self.dotted, self.n, -self.m2), True
         if flags["alpha0_integrable"]:
-            return _replace(self, m2=self.n - self.m2, dotted=not self.dotted), False
+            return _b_terms(not self.dotted, self.n, self.n - self.m2), False
         return None, False
 
     @cached_property
@@ -126,6 +126,15 @@ class N3Weight:
     def label(self) -> str:
         return (f"n3:dot={int(self.dotted)}:m={self.m}:m2={self.m2}"
                 f":M={self.M}:J={self.J}:k1={self.k1}:k2={self.k2}")
+
+
+def _b_terms(dotted: bool, n: int, m2: int) -> tuple:
+    """(dotted, index of B, index of the modified B, 2m + 1, -(m + 1/2),
+    (-1)^m2) of b_value for the label (dotted, m2) at n = -4m - 2: the
+    degree -2m - 1 is n/2, and 2m + 1 and -(m + 1/2) are the exact floats
+    -n/2 and n/4"""
+    return (dotted, MockIndex.of(HalfInt(n), HalfInt(m2 + 1)), MockIndex.of(n, 0), -n / 2, n / 4,
+            -1.0 if m2 % 2 else 1.0)
 
 
 def enumerate_weights(m) -> list[N3Weight]:
@@ -199,14 +208,14 @@ def n3_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
 
 # --- numerators ----------------------------------------------------------
 
-def b_value(w: N3Weight, tau, z1, z2, t, modified: bool,
+def b_value(b: tuple, tau, z1, z2, t, modified: bool,
             policy: TruncationPolicy = DEFAULT_POLICY):
-    """B or B-dot numerator of the integrable weight (dotted, m, m2) of w
-    (its M, J, k1, k2 are not read); the modified variant uses the
-    half-argument split onto the integer-degree modification with index 0.
-    The indices and constants come from w, formed once per weight."""
-    idx, idx_mod, two_m1, half = w._b_data   # 2m + 1 is in (1/2)Z
-    if w.dotted:
+    """B or B-dot numerator of an integrable weight (dotted, m, m2) from its
+    B data b = _b_terms(dotted, n, m2), which a weight w keeps as w._b_data;
+    the modified variant uses the half-argument split onto the
+    integer-degree modification with index 0."""
+    dotted, idx, idx_mod, two_m1, half, sgn = b   # 2m + 1 is in (1/2)Z
+    if dotted:
         # B-dot is B at (z1 + tau, z2 - tau) under its own prefactor
         pref = e2pi(two_m1 * (t + z2 - z1) / 2) * e2pi(half * tau)
         z1, z2 = z1 + tau, z2 - tau
@@ -214,7 +223,6 @@ def b_value(w: N3Weight, tau, z1, z2, t, modified: bool,
         pref = e2pi(two_m1 * t / 2)
     if not modified:
         return pref * phi(idx, 2 * tau, z1, -z2, 0.0, policy)
-    sgn = -1.0 if w.m2 % 2 else 1.0
     a = phi_tilde(idx_mod, tau, z1 / 2, -z2 / 2, 0.0, policy)
     b = phi_tilde(idx_mod, tau, (z1 + 1) / 2, -(z2 + 1) / 2, 0.0, policy)
     return 0.5 * pref * (a - sgn * b)
@@ -239,9 +247,8 @@ def _admissible_point(w: N3Weight, tau, z1, z2, t):
 def numerator_B(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = False,
                 policy: TruncationPolicy = DEFAULT_POLICY):
     """The B-type numerator of the single weight w (no Weyl-case assembly)."""
-    if w.J == "none":
-        return b_value(w, tau, z1, z2, t, modified, policy)
-    return b_value(w, *_admissible_point(w, tau, z1, z2, t), modified, policy)
+    pt = (tau, z1, z2, t) if w.J == "none" else _admissible_point(w, tau, z1, z2, t)
+    return b_value(w._b_data, *pt, modified, policy)
 
 
 def admissible_numerator_psi(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = True,
@@ -263,15 +270,16 @@ def supercharacter_numerator(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = F
                              policy: TruncationPolicy = DEFAULT_POLICY):
     """Case assembly of R-hat^- ch^-: single B, theta-symmetrized pair, or
     the alpha0-paired difference, per the integrability flags of the
-    underlying integrable weight.  The partner weight of a pair is formed
-    once per weight."""
+    underlying integrable weight.  The partner's B data of a pair is formed
+    once per weight, and both terms are evaluated at w's admissible point."""
     partner, theta_pair = w._b_partner
-    B = lambda x: numerator_B(x, tau, z1, z2, t, modified, policy)
+    pt = (tau, z1, z2, t) if w.J == "none" else _admissible_point(w, tau, z1, z2, t)
+    B = lambda b: b_value(b, *pt, modified, policy)
     if partner is None:
-        return B(w)
+        return B(w._b_data)
     if theta_pair:
-        return (B(w) + B(partner)) / 2   # j_Lambda = 2
-    return B(w) - B(partner)
+        return (B(w._b_data) + B(partner)) / 2   # j_Lambda = 2
+    return B(w._b_data) - B(partner)
 
 
 def _lambda_theta(w: N3Weight) -> Fraction:

@@ -15,11 +15,14 @@ It sums by walks alone: each kernel gives it an anchor, the exact state of
 its series at one index, and a walk that forms the terms after it by
 recurrences; a new anchor starts every ANCHOR_EVERY terms.  A quadratic
 exponential t_k = e^{2 pi i (a k^2 + b k + c)} walks by t_{k+1} = t_k r_k,
-r_{k+1} = r_k e^{4 pi i a} from an exact cmath.exp.  The correcting window
-of R walks one such exponential over n in s + Z and sends each term to the
-series of its residue mod 2m: the 2m series of R_{s;m}, ..., R_{s+2m-1;m}
-share one walk and one anchor per ANCHOR_EVERY terms, while each keeps the
-index range _index_range gives it alone.
+r_{k+1} = r_k e^{4 pi i a} from an exact cmath.exp, in _quadratic_walk:
+Theta, the pair Theta_{-j,m} - Theta_{j,m} (one walk per offset), theta_ab
+and eta all walk by it.  The correcting window of R, r_window, walks on its
+own and not through sum_bilateral: one such exponential over n in s + Z, in
+runs of at most ANCHOR_EVERY terms that _RUN_PHASE shortens, each term sent
+to the series of its residue mod 2m.  The 2m series of R_{s;m}, ...,
+R_{s+2m-1;m} share that walk and its anchors, while each keeps the index
+range _index_range gives it alone.
 """
 
 from __future__ import annotations

@@ -158,7 +158,7 @@ def _n3_pairs():
     register(IdentitySpec("eq3.5", "reflection pairing of the two numerator families",
                           "n3", 1e-9, [{"m": -1, "m2": m2} for m2 in (0, 1, 2)],
                           _laws(lambda w, tau, z1, z2, t, policy: n3.b_value(
-                              w, tau, z1, z2, t, False, policy), _zs(0.03), eq35)))
+                              w._b_data, tau, z1, z2, t, False, policy), _zs(0.03), eq35)))
 
     def p37(m, M, J, k1, k2, dotted, modified):
         w = n3.N3Weight(dotted, Fraction(m), 1, M, J, k1, k2)

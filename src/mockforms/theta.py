@@ -88,39 +88,22 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     return s
 
 
-def _pair_anchor(series: tuple, k: int):
-    """(t1, t2, n1, n2, series): the terms e^{2 pi i n (a n + b)} at n1 =
-    base1 + k and n2 = base2 + k of series = (a, b, base1, base2), exactly;
-    the state _pair_walk starts from."""
-    a, b, base1, base2 = series
+def _pair_anchor(series: tuple, base1: float, base2: float, k: int):
+    """The _quadratic_walk states at n1 = base1 + k and n2 = base2 + k of
+    the _quadratic_anchor series (a, b, 0, 0, 1): each term e^{2 pi i n
+    (a n + b)} formed exactly, as TWO_PI_I * n * (a n + b) and not as
+    _quadratic_anchor forms it, whose bits differ."""
+    a, b = series[0], series[1]
     n1, n2 = base1 + k, base2 + k
-    return (cmath.exp(TWO_PI_I * n1 * (a * n1 + b)), cmath.exp(TWO_PI_I * n2 * (a * n2 + b)),
-            n1, n2, series)
+    return ((cmath.exp(TWO_PI_I * n1 * (a * n1 + b)), n1, series),
+            (cmath.exp(TWO_PI_I * n2 * (a * n2 + b)), n2, series))
 
 
 def _pair_walk(state, count: int, step: int) -> complex:
     """Sum of t2 - t1 over the count index steps from a _pair_anchor state
-    on: two _quadratic_walk recurrences side by side, sharing e^{4 pi i a}."""
-    t1, t2, n1, n2, (a, b, _, _) = state
-    if count == 1:
-        return t2 - t1
-    r1 = cmath.exp(TWO_PI_I * step * (a * (2.0 * n1 + step) + b))
-    r2 = cmath.exp(TWO_PI_I * step * (a * (2.0 * n2 + step) + b))
-    s1, s2 = t1, t2
-    t1 *= r1
-    t2 *= r2
-    s1 += t1
-    s2 += t2
-    if count > 2:
-        q2 = cmath.exp(2.0 * TWO_PI_I * a)
-        for _ in range(count - 2):
-            r1 *= q2
-            r2 *= q2
-            t1 *= r1
-            t2 *= r2
-            s1 += t1
-            s2 += t2
-    return s2 - s1
+    on: each offset walked by _quadratic_walk, the lower one subtracted."""
+    state1, state2 = state
+    return _quadratic_walk(state2, count, step) - _quadratic_walk(state1, count, step)
 
 
 def theta_pair_diff(idx: ThetaIndex, tau: complex, z: complex = 0.0,
@@ -153,7 +136,7 @@ def theta_pair_diff(idx: ThetaIndex, tau: complex, z: complex = 0.0,
     a = TWO_PI * m * tau.imag
     k0, lo1, hi1 = _gauss_cut(n_star, base1, a, policy)
     _, lo2, hi2 = _gauss_cut(n_star, base2, a, policy)
-    anchor = partial(_pair_anchor, (m * tau, m * z, base1, base2))
+    anchor = partial(_pair_anchor, (m * tau, m * z, 0.0, 0.0, 1), base1, base2)
     # the sum is Theta at the higher offset minus Theta at the lower one
     s = sum_bilateral(anchor, k0, min(lo1, lo2), max(hi1, hi2), policy, _pair_walk)
     if memo is not None:

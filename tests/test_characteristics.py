@@ -56,7 +56,7 @@ def _n3_rows():
                            _value(lambda: w._psi_terms),
                            _value(lambda: N3._admissible_point(w, *POINT))]
                     if w.J == "none":
-                        row += [_value(lambda: N3.b_value(w, *POINT, mod)) for mod in (False, True)]
+                        row += [_value(lambda: N3.b_value(w._b_data, *POINT, mod)) for mod in (False, True)]
                     yield f"n3:{w.J}", row
 
 

@@ -9,6 +9,7 @@ from mockforms.qkernel import (
     e2pi,
 )
 import mockforms.family_n3 as n3
+from mockforms.mock import MockIndex
 from mockforms.family_n4 import SECTORS, Sector
 
 P = TruncationPolicy()
@@ -112,6 +113,26 @@ def test_admissible_weights_need_a_positive_m(args):
     # at M = 0 the characteristic numbers divided by zero
     with pytest.raises(ValueError, match="M must be a positive integer"):
         n3.N3Weight(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    *(((False, m, 0), "positive integer n") for m in (F(0), F(-1, 4), F(1, 4))),
+    *((args, "m2 out of range") for args in ((False, M34, 5), (True, M34, -2), (True, -1, -2),
+                                             (False, -1, 3, 3, "I", 0, 1)))])
+def test_weights_outside_the_family_are_refused(args, message):
+    # at construction, not at the first numerator: a level needs n = -4m - 2
+    # >= 1, and m2 lies in 0..n as enumerate_weights yields it ((False,
+    # -3/4, 5) had h = 5/4)
+    with pytest.raises(ValueError, match=message):
+        n3.N3Weight(*args)
+
+
+def test_theta_partner_is_b_data_not_a_weight():
+    # the theta partner of the dotted n = m2 = 2 weight has the label -2,
+    # outside 0..n: supercharacter_numerator reads its B data alone
+    partner, theta_pair = n3.N3Weight(True, -1, 2)._b_partner
+    assert theta_pair and partner == n3._b_terms(True, 2, -2)
+    assert partner[:2] == (True, MockIndex.of(1, F(-1, 2)))
 
 
 def test_unsupported_types_error():

@@ -210,6 +210,44 @@ def test_mirrored_n3_cases_are_written_once():
     assert [bindings(src, "_admissible_point")[z] for z in ("Z1", "Z2")] == [1, 1]
 
 
+def ratios_of_ratios(source: str) -> list:
+    """The module-level definition that holds each exponential of a product
+    with the factors 2 and TWO_PI_I: e^{4 pi i a}, the ratio of consecutive
+    term ratios by which a quadratic walk steps its r."""
+    def factors(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return factors(node.left) + factors(node.right)
+        return [node]
+
+    owners = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and node.args
+                    and "exp" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                fs = factors(node.args[0])
+                if (any(getattr(f, "id", None) == "TWO_PI_I" for f in fs)
+                        and any(getattr(f, "value", None) == 2 for f in fs)):
+                    owners.append(getattr(top, "name", "<module>"))
+    return owners
+
+
+def test_ratio_of_ratios_checker():
+    src = ("import cmath\ndef w(a):\n    return cmath.exp(2.0 * TWO_PI_I * a)\n"
+           "class C:\n    q = exp(a * 2 * TWO_PI_I)\n"
+           "def r(n, a):\n    return cmath.exp(TWO_PI_I * (2.0 * n + a)), exp(2.0 * a)\n")
+    assert ratios_of_ratios(src) == ["w", "C"]
+
+
+def test_theta_walks_take_the_quadratic_recurrence():
+    # every Theta-type series of theta.py (Theta, the Theta pair, theta_ab,
+    # eta) steps its term ratios by qkernel._quadratic_walk, which forms
+    # e^{4 pi i a} once; theta.py forms none of its own
+    src = {name: (ROOT / "src" / "mockforms" / f"{name}.py").read_text()
+           for name in ("theta", "qkernel")}
+    assert ratios_of_ratios(src["theta"]) == []
+    assert ratios_of_ratios(src["qkernel"]) == ["_quadratic_walk"]
+
+
 def test_cli_import_loads_no_dataclasses():
     # every command pays the import of mockforms.cli: it loads neither
     # dataclasses nor inspect (the value classes are qkernel._record

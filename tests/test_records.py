@@ -108,8 +108,8 @@ def test_cached_property_on_a_record():
     frame = idx._frame
     assert idx._frame is frame and vars(idx)["_frame"] is frame
     assert frame[0] == MockIndex.of(1, 0)
-    # the B-term partner, m2 -> n - m2 with the dot flipped, is made by _replace
+    # the B-term partner, m2 -> n - m2 with the dot flipped, is its B data
     w = N3Weight(False, -1, 2)
     assert w.n == 2 and vars(w)["n"] == 2
-    assert w._b_partner == (N3Weight(True, -1, 0), False)
+    assert w._b_partner == (N3Weight(True, -1, 0)._b_data, False)
     assert w._b_partner is vars(w)["_b_partner"]
