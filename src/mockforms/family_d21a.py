@@ -34,10 +34,10 @@ from .qkernel import (
     e2pi,
     int_of,
 )
-from .theta import ThetaIndex, eta_theta_quotient, theta_jm, theta_pair_diff
+from .theta import ThetaIndex
 from .mock import MockIndex, PsiIndex
-from .modification import phi_tilde, psi_tilde
 from .family_n4 import SECTORS, Sector
+from . import modification as md, theta as th
 
 
 @_record
@@ -344,8 +344,8 @@ def _theta_products(idx: D21Index, tau, z1, z2, z3, t, f1, f2, policy: Truncatio
         u_pos, u_neg = z1 + ap1 * z2 + a * z3, z1 - ap1 * z2 - ap2 * z3
     pref = e2pi(K * t)
     x_pos, x_neg = idx._thetas
-    return (pref * theta_jm(x_pos, tau, u_pos, 0.0, policy) * f1,
-            pref * theta_jm(x_neg, tau, u_neg, 0.0, policy) * f2)
+    return (pref * th.theta_jm(x_pos, tau, u_pos, 0.0, policy) * f1,
+            pref * th.theta_jm(x_neg, tau, u_neg, 0.0, policy) * f2)
 
 
 def _check_letter(idx: D21Index, letters: tuple):
@@ -367,8 +367,8 @@ def PQ_function(idx: D21Index, tau, z1, z2, z3, t=0.0, sector: Sector = SECTORS[
     if sector.eps.twice:
         z1, z2, z3, t = xi_shift(tau, z1, z2, z3, t)
     P = idx.which == "P"
-    f1 = phi_tilde(idx._inner, tau, z1, -z3 if P else -z2, 0.0, policy)
-    f2 = phi_tilde(idx._inner, tau, -z1 + z2 + z3, -z2 if P else -z3, 0.0, policy)
+    f1 = md.phi_tilde(idx._inner, tau, z1, -z3 if P else -z2, 0.0, policy)
+    f2 = md.phi_tilde(idx._inner, tau, -z1 + z2 + z3, -z2 if P else -z3, 0.0, policy)
     t1, t2 = _theta_products(idx, tau, z1, z2, z3, t, f1, f2, policy)
     return t1 + t2
 
@@ -395,7 +395,7 @@ def rhat(tau, z1, z2, z3, sector: Sector, policy: TruncationPolicy = DEFAULT_POL
     c = 1j if (sector.eps.twice and sector.eps_prime.twice) else -1j
     num = ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 - z3, 1), (1, 1, z2 + z3, 1))
     den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, z3, 1), (a, b, z1 - z2 - z3, 1))
-    return eta_theta_quotient(tau, c, num, den, policy)
+    return th.eta_theta_quotient(tau, c, num, den, policy)
 
 
 def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -406,7 +406,7 @@ def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAU
     characters must equal the positive-coefficient degree-(p+1) theta
     quotients)."""
     a, b = sector.a, sector.b
-    return eta_theta_quotient(tau, -1.0, ((1, 3), (1, 1, y2, 1), (1, 1, y3, 1)),
+    return th.eta_theta_quotient(tau, -1.0, ((1, 3), (1, 1, y2, 1), (1, 1, y3, 1)),
                               ((a, b, (y2 + y3) / 2, 1), (a, b, (y2 - y3) / 2, 1)), policy)
 
 
@@ -422,11 +422,11 @@ def FG_function(idx: D21Index, tau, y2, y3, policy: TruncationPolicy = DEFAULT_P
     _check_letter(idx, ("F", "G"))
     F = idx.which == "F"
     # Theta_{j,n(p+q)} - Theta_{-j,n(p+q)}
-    tdiff = -theta_pair_diff(idx._thetas[0], tau, y2 if F else y3, policy)
+    tdiff = -th.theta_pair_diff(idx._thetas[0], tau, y2 if F else y3, policy)
     if tdiff == 0:
         return 0.0 + 0.0j
     second = (y3 - y2) / 2 if F else (y2 - y3) / 2
-    return tdiff * psi_tilde(idx._inner, tau, (y2 + y3) / 2, second, 0.0, policy)
+    return tdiff * md.psi_tilde(idx._inner, tau, (y2 + y3) / 2, second, 0.0, policy)
 
 
 def fg_lower(idx: D21Index, tau, z1, z2, z3, t=0.0, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -435,8 +435,8 @@ def fg_lower(idx: D21Index, tau, z1, z2, z3, t=0.0, policy: TruncationPolicy = D
     two products."""
     _check_letter(idx, ("f", "g"))
     f = idx.which == "f"
-    f1 = psi_tilde(idx._inner, tau, z1, -z3 if f else -z2, 0.0, policy)
-    f2 = psi_tilde(idx._inner, tau, z1 - z2 - z3, z2 if f else z3, 0.0, policy)
+    f1 = md.psi_tilde(idx._inner, tau, z1, -z3 if f else -z2, 0.0, policy)
+    f2 = md.psi_tilde(idx._inner, tau, z1 - z2 - z3, z2 if f else z3, 0.0, policy)
     t1, t2 = _theta_products(idx, tau, z1, z2, z3, t, f1, f2, policy)
     return t1 - t2
 

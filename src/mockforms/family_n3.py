@@ -30,10 +30,9 @@ from .qkernel import (
     e2pi,
     int_of,
 )
-from .theta import eta_theta_quotient
-from .mock import MockIndex, PsiIndex, phi, psi
-from .family_n4 import Sector, _read_admissible
-from .modification import phi_tilde, psi_tilde
+from .mock import MockIndex, PsiIndex
+from .family_n4 import Sector
+from . import family_n4 as n4, mock as mk, modification as md, theta as th
 
 _J_VALUES = ("none", "I", "II", "III", "IV", "Iprime", "IIIprime")
 
@@ -66,7 +65,7 @@ class N3Weight:
             raise ValueError("level does not give a positive integer n")
         if not 0 <= self.m2 <= self.n:
             raise ValueError("m2 out of range")
-        _read_admissible(self, _J_VALUES, lambda k1, k2: 2 * (k1 + k2))
+        n4._read_admissible(self, _J_VALUES, lambda k1, k2: 2 * (k1 + k2))
         if self.J in ("Iprime", "IIIprime"):
             hi = self.M - 1 if self.J == "Iprime" else self.M
             up = 0 if self.J == "Iprime" else -1
@@ -179,7 +178,7 @@ def rhat(tau, z1, z2, t, sector: Sector, policy: TruncationPolicy = DEFAULT_POLI
     (a, b), c = (sector.a, sector.b), (1.0 if sector.eps.twice else 1j)
     num = ((1, 3), (1, 1, z1 + z2, 1), (1, 1, (z1 - z2) / 2, 1))
     den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, (z1 + z2) / 2, 1))
-    return eta_theta_quotient(tau, c * e2pi(t / 2.0), num, den, policy)
+    return th.eta_theta_quotient(tau, c * e2pi(t / 2.0), num, den, policy)
 
 
 # each N=3 denominator as (eta rows) theta_11(z) / ((eta rows) theta_ab(z)),
@@ -202,7 +201,7 @@ def n3_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     if sector not in _N3_SECTORS:
         raise ValueError(f"no N=3 denominator in the sector {sector}")
     num, den = _N3_SECTORS[sector]
-    return eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (sector.a, sector.b, z, 1)),
+    return th.eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (sector.a, sector.b, z, 1)),
                               policy)
 
 
@@ -222,9 +221,9 @@ def b_value(b: tuple, tau, z1, z2, t, modified: bool,
     else:
         pref = e2pi(two_m1 * t / 2)
     if not modified:
-        return pref * phi(idx, 2 * tau, z1, -z2, 0.0, policy)
-    a = phi_tilde(idx_mod, tau, z1 / 2, -z2 / 2, 0.0, policy)
-    b = phi_tilde(idx_mod, tau, (z1 + 1) / 2, -(z2 + 1) / 2, 0.0, policy)
+        return pref * mk.phi(idx, 2 * tau, z1, -z2, 0.0, policy)
+    a = md.phi_tilde(idx_mod, tau, z1 / 2, -z2 / 2, 0.0, policy)
+    b = md.phi_tilde(idx_mod, tau, (z1 + 1) / 2, -(z2 + 1) / 2, 0.0, policy)
     return 0.5 * pref * (a - sgn * b)
 
 
@@ -259,7 +258,7 @@ def admissible_numerator_psi(w: N3Weight, tau, z1, z2, t=0.0, modified: bool = T
     come from w, formed once per weight."""
     sign, two_m1, *pairs = w._psi_terms
     idx0, idx1 = pairs[modified]
-    fn = psi_tilde if modified else psi
+    fn = md.psi_tilde if modified else mk.psi
     v0 = fn(idx0, tau, z1 / 2, -z2 / 2, 0.0, policy)
     v1 = fn(idx1, tau, z1 / 2, -z2 / 2, 0.0, policy)
     pref = sign * e2pi(two_m1 * t / (2 * w.M))
@@ -373,7 +372,9 @@ class FIndex:
         M, n = int_of(M), int_of(n)
         if M <= 0 or M % 2 == 0:
             raise ValueError("M must be a positive odd integer")
-        if n > 1 and math.gcd(M, n) != 1:
+        if n <= 0:
+            raise ValueError("n must be a positive integer")
+        if math.gcd(M, n) != 1:
             raise ValueError("n must be coprime to M")
         eps, j, k = HalfInt.of(eps), HalfInt.of(j), HalfInt.of(k)
         if eps.twice not in (0, 1):
@@ -396,7 +397,7 @@ def f_function(idx: FIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
     pidx, sg, sgp, c = idx._frame
     pref = e2pi(c * tau)
     u = (z + sg + sgp * tau) / 2
-    return pref * psi_tilde(pidx, tau, u, z - u, 0.0, policy)
+    return pref * md.psi_tilde(pidx, tau, u, z - u, 0.0, policy)
 
 
 def _abs_half(h: HalfInt) -> HalfInt:

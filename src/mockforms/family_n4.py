@@ -28,9 +28,8 @@ from .qkernel import (
     e2pi,
     int_of,
 )
-from .theta import eta_theta_quotient
-from .mock import MockIndex, PsiIndex, _psi_frame
-from .modification import phi_tilde, psi_tilde
+from .mock import MockIndex, PsiIndex
+from . import mock as mk, modification as md, theta as th
 
 _J_VALUES = ("none", "I", "II", "III", "IV")
 
@@ -172,7 +171,7 @@ def rhat(tau, z1, z2, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY)
     """Normalized affine (non-)twisted (super)denominators."""
     a, b = sector.a, sector.b
     sgn = -1.0 if sector.eps_prime.twice else 1.0
-    return eta_theta_quotient(tau, sgn, ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 + z2, 1)),
+    return th.eta_theta_quotient(tau, sgn, ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 + z2, 1)),
                               ((a, b, z1, 2), (a, b, z2, 2)), policy)
 
 
@@ -185,7 +184,7 @@ def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     must equal 1 exactly."""
     a, b = sector.a, sector.b
     const = 1j * (-1.0) ** (sector.eps.twice + sector.eps_prime.twice)
-    return eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
+    return th.eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
 
 
 # the reduced sectors: each swaps the twist label of its affine one (Sector.affine),
@@ -220,7 +219,7 @@ def admissible_supernumerator(w: N4Weight, tau, z1, z2, t=0.0,
     x1, x2 = _J_COORDS[w.J](z1, z2)
     a1, a2 = x1 + k1 * tau, x2 - (k1 + k2) * tau
     lin = (k1 + k2) * x1 - k1 * x2
-    v, d = phi_tilde(w._mock, M * tau, a1, a2, 0.0, policy, want_d0=True)
+    v, d = md.phi_tilde(w._mock, M * tau, a1, a2, 0.0, policy, want_d0=True)
     m_M, c = w._pref
     pref = e2pi(m_M * t + m_M * lin + c * tau)
     return pref * (d - m2 * v)
@@ -279,9 +278,10 @@ def qhr_character_integrable(w: N4Weight, tau, z, sector: Sector = SECTORS["minu
     idx = w._mock
     u = z + 0.5 if sector.eps.twice else z
     if sector.eps_prime.twice:
-        val = -m0 * e2pi(m * tau / 4) * phi_tilde(idx, tau, u + tau / 2, u - tau / 2, 0.0, policy)
+        val = -m0 * e2pi(m * tau / 4) * md.phi_tilde(idx, tau, u + tau / 2, u - tau / 2, 0.0,
+                                                      policy)
     else:
-        val = m0 * phi_tilde(idx, tau, u, u, 0.0, policy)
+        val = m0 * md.phi_tilde(idx, tau, u, u, 0.0, policy)
     return val / n4_denominator(tau, z, sector, policy)
 
 
@@ -294,8 +294,8 @@ def psi_P(idx: PsiIndex, tau, z1, z2, t=0.0, policy: TruncationPolicy = DEFAULT_
     With C the exponential prefactor of the wrapper, D0 C = (-m (b-a)/M) C,
     and D0 passes through the argument shifts unchanged."""
     M, m = idx.M, -float(idx.m)
-    pref, *frame = _psi_frame(idx, tau, z1, z2)
-    v, d = phi_tilde(*frame, 0.0, policy, want_d0=True)
+    pref, *frame = mk._psi_frame(idx, tau, z1, z2)
+    v, d = md.phi_tilde(*frame, 0.0, policy, want_d0=True)
     slope = float(idx.m) * (float(idx.b) - float(idx.a)) / M
     v, d = pref * v, pref * (slope * v + d)
     return e2pi(m / M * t) * (d + (m * (z1 - z2) / (2 * M * tau)) * v)
@@ -339,7 +339,7 @@ def chi(idx: ChiIndex, tau, z, policy: TruncationPolicy = DEFAULT_POLICY):
     if idx.alpha == 1:
         num = psi_P(idx._psi, tau, z, z, 0.0, policy)
     else:
-        num = psi_tilde(idx._psi, tau, z, z, 0.0, policy)
+        num = md.psi_tilde(idx._psi, tau, z, z, 0.0, policy)
     return num / den
 
 

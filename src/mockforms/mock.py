@@ -32,7 +32,6 @@ from .qkernel import (
     _POINT_MEMO,
     _centre_error,
     _check_point,
-    _guard_checked,
     _index_range,
     _record,
     degree_of,
@@ -41,6 +40,7 @@ from .qkernel import (
     sum_bilateral,
 )
 from .theta import ThetaIndex
+from . import qkernel as qk
 
 
 @lru_cache(maxsize=256)
@@ -181,7 +181,7 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
     tau = _check_point(tau, z1, z2)
-    _guard_checked(z1, tau, policy, "z1")
+    qk._guard_checked(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)
     if not math.isfinite(j_c):

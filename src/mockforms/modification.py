@@ -43,8 +43,8 @@ from .qkernel import (
     TruncationOverflowError,
     e2pi,
 )
-from .theta import theta_jm, theta_pair_diff
-from .mock import MockIndex, PsiIndex, _phi1_core, _psi_frame, phi1
+from .mock import MockIndex, PsiIndex
+from . import mock as mk, theta as th
 
 
 # A walk forms the exponential factors e^{2 pi i w} of a run of terms by
@@ -298,7 +298,7 @@ def _correction(idx: MockIndex, m: float, s: float, tau: complex, z1: complex,
     zs, diff = z1 + z2, {}
     for r, dual in duals:
         if r < dual:
-            diff[r] = d = theta_pair_diff(thetas[r], tau, zs, policy)
+            diff[r] = d = th.theta_pair_diff(thetas[r], tau, zs, policy)
             diff[dual] = -d
     diffs = [(r, diff[r]) for r, _ in duals if diff[r] != 0]
     if not diffs:
@@ -369,8 +369,8 @@ def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex, t: complex
     with weight 1 in the v-slot.  D0 of the law's factor is slope * factor."""
     tau, z1, z2, law = _lattice_shift(idx, tau, z1, z2)
     m, s = float(idx.m), float(idx.s)
-    a = _phi1_core(m, s, tau, z1, z2, policy, want_d0=want_d0)
-    b = _phi1_core(m, s, tau, -z2, -z1, policy, want_d0=want_d0)
+    a = mk._phi1_core(m, s, tau, z1, z2, policy, want_d0=want_d0)
+    b = mk._phi1_core(m, s, tau, -z2, -z1, policy, want_d0=want_d0)
     total = _correction(idx, m, s, tau, z1, z2, policy, want_d0)
     if want_d0:
         (a, da), (b, db), (total, d) = a, b, total
@@ -405,12 +405,12 @@ def phi1_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex,
     rs = r_window(float(idx.s), float(idx.m), tau, (z1 - z2) / 2.0, policy)
     total = 0.0 + 0.0j
     for r, x in enumerate(idx.correction_window[0]):
-        total += rs[r] * theta_jm(x, tau, zs, 0.0, policy)
-    return phi1(idx, tau, z1, z2, policy) - 0.5 * total
+        total += rs[r] * th.theta_jm(x, tau, zs, 0.0, policy)
+    return mk.phi1(idx, tau, z1, z2, policy) - 0.5 * total
 
 
 def psi_tilde(idx: PsiIndex, tau: complex, z1: complex, z2: complex, t: complex = 0.0,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Psi with Phi replaced by its modification."""
-    pref, *frame = _psi_frame(idx, tau, z1, z2)
+    pref, *frame = mk._psi_frame(idx, tau, z1, z2)
     return pref * phi_tilde(*frame, t / idx.M, policy)

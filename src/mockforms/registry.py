@@ -13,9 +13,9 @@ point, their sum, or a closed form.  An entry of a summed side may carry
 its own image, so the doubling laws are records too, and every S-sum reads
 the one S-table _s_table() with HalfInt rows.  The theta, mock and
 modification laws are stated here, and those of the three families in
-registry_n3, registry_n4 and registry_d21a, which this module loads (or,
-on importlib.reload(), reloads) at its end, so that every law binds its
-kernels afresh.
+registry_n3, registry_n4 and registry_d21a, which this module loads at its
+end.  A law reads each kernel through its home module when it runs
+(th.theta_jm, md.phi_tilde), so a kernel patched there reaches every law.
 
 Two special check modes exist: "exceeds" entries record negative results
 (a deliberately broken transformation must visibly fail), and custom
@@ -26,23 +26,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import import_module, reload
+from importlib import import_module
 
 from .qkernel import HalfInt, e2pi
-from .theta import (
-    ThetaIndex,
-    dedekind_eta,
-    eta_theta_quotient,
-    jacobi_theta,
-    jacobi_theta11_product,
-    theta_jm,
-)
-from .mock import MockIndex, PsiIndex, phi
-from .modification import phi_add, phi_tilde, phi1_tilde, psi_tilde
+from .theta import ThetaIndex
+from .mock import MockIndex, PsiIndex
 from .verifier import register
+from . import mock as mk, modification as md, theta as th
 
 
 @dataclass
@@ -95,7 +87,9 @@ def _laws(obj, args, laws):
     (index, image) a value slot, in the order the records first use them,
     since the S-rows of a family share their terms and several laws of an
     id share a side; at a grid point every slot is evaluated once, in
-    that order, and then every closed form and factor, record by record."""
+    that order, and then every closed form and factor, record by record.
+    The plan keeps laws and args as plan.laws and plan.args, so that the
+    records of a parameter set can be read without evaluating them."""
     def plan(**params):
         slots, recs = {}, []
 
@@ -131,6 +125,7 @@ def _laws(obj, args, laws):
                 out.append((at[x] if x.__class__ is int else _sum(x, at), rhs))
             return out
         return run
+    plan.laws, plan.args = laws, args
     return plan
 
 
@@ -203,8 +198,8 @@ def _balanced_table(M: int, eps, m: int, j, k) -> list:
 
 
 def _theta_pairs():
-    theta = lambda laws: _laws(theta_jm, lambda pt: (pt.z, 0), laws)
-    jacobi = lambda laws: _laws(lambda ab, *a: jacobi_theta(*ab, *a), lambda pt: (pt.z,), laws)
+    big_theta = lambda laws: _laws(lambda *a: th.theta_jm(*a), lambda pt: (pt.z, 0), laws)
+    jacobi = lambda laws: _laws(lambda ab, *a: th.jacobi_theta(*ab, *a), lambda pt: (pt.z,), laws)
 
     def eq12a(m, j, a):
         idx = ThetaIndex.of(j, m)
@@ -213,7 +208,7 @@ def _theta_pairs():
     register(IdentitySpec(
         "eq1.2a", "theta elliptic law, integer shift", "theta", 1e-9,
         [{"m": m, "j": j, "a": a} for m in (1, 2, 3) for j in range(2 * m)
-         for a in (1, -2)], theta(eq12a), grid=(5, 5)))
+         for a in (1, -2)], big_theta(eq12a), grid=(5, 5)))
 
     def eq12b(m, j, k):
         ck, ch = complex(-k * k / (4 * m)), complex(-k / 2)
@@ -223,12 +218,12 @@ def _theta_pairs():
     register(IdentitySpec(
         "eq1.2b", "theta elliptic law, tau-direction shift", "theta", 1e-9,
         [{"m": m, "j": j, "k": k} for m in (1, 2, 3) for j in range(2 * m)
-         for k in (1, -1)], theta(eq12b), grid=(5, 5)))
+         for k in (1, -1)], big_theta(eq12b), grid=(5, 5)))
 
     register(IdentitySpec(
         "eq1.3", "theta S-transform", "theta", 1e-9,
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
-        theta(lambda m, j: [(
+        big_theta(lambda m, j: [(
             ThetaIndex.of(j, m), lambda tau, z, t: (-1 / tau, z / tau, -z * z / (4 * tau)),
             [(e2pi(-j * jp / (2 * m)), ThetaIndex.of(jp, m)) for jp in range(2 * m)],
             lambda tau, z, t: cmath.sqrt(-1j * tau / (2 * m)))]),
@@ -237,7 +232,7 @@ def _theta_pairs():
     register(IdentitySpec(
         "eq1.4", "theta T-transform", "theta", 1e-9,
         [{"m": m, "j": j} for m in (1, 2, 3) for j in range(2 * m)],
-        theta(lambda m, j: [(ThetaIndex.of(j, m), _T, ThetaIndex.of(j, m),
+        big_theta(lambda m, j: [(ThetaIndex.of(j, m), _T, ThetaIndex.of(j, m),
                              e2pi(j * j / (4 * m)))]), grid=(5, 3)))
 
     register(IdentitySpec(
@@ -267,12 +262,12 @@ def _theta_pairs():
     register(IdentitySpec(
         "theta.triple", "odd Jacobi theta vs triple product", "theta", 1e-12, [{}],
         jacobi(lambda: [((1, 1), _same,
-                         lambda tau, z, policy: jacobi_theta11_product(tau, z), None)]),
+                         lambda tau, z, policy: th.jacobi_theta11_product(tau, z), None)]),
         grid=(5, 5)))
 
     register(IdentitySpec(
         "eta.mod", "Dedekind eta S and T transforms", "theta", 1e-10, [{}],
-        _laws(lambda _, tau, policy: dedekind_eta(tau, policy), lambda pt: (), lambda: [
+        _laws(lambda _, tau, policy: th.dedekind_eta(tau, policy), lambda pt: (), lambda: [
             (None, _S, None, lambda tau: cmath.sqrt(-1j * tau)),
             (None, _T, None, e2pi(Fraction(1, 24)))]),
         grid=(5, 2)))
@@ -293,15 +288,15 @@ def _mock_pairs():
     register(IdentitySpec(
         "lemma1.1", "doubling identity for the Appell assembly", "mock", 1e-10,
         [{"m": m, "s": s} for m in (1, 2, Fraction(1, 2)) for s in (0, H, 1)],
-        _laws(phi, _zs(0.05), _lemma11)))
+        _laws(lambda *a: mk.phi(*a), _zs(0.05), _lemma11)))
 
     # the index of the signed assembly is (MockIndex, sign)
-    signed = lambda t, laws: _laws(lambda x, *a: phi(x[0], *a, x[1]), _zs(t), laws)
+    signed = lambda t, laws: _laws(lambda x, *a: mk.phi(x[0], *a, x[1]), _zs(t), laws)
 
     register(IdentitySpec(
         "rem1.3-phi", "degree-one closed form", "mock", 1e-10, [{}],
         signed(0, lambda: [((MockIndex.of(1, 0), 1), _same, lambda tau, z1, z2, t, policy: (
-            eta_theta_quotient(tau, -1j, ((1, 3), (1, 1, z1 + z2, 1)),
+            th.eta_theta_quotient(tau, -1j, ((1, 3), (1, 1, z1 + z2, 1)),
                                ((1, 1, z1, 1), (1, 1, z2, 1)), policy)), None)]),
         grid=(5, 3)))
 
@@ -309,7 +304,7 @@ def _mock_pairs():
         e = float(eps)
         cjk, ck, cj = (complex(Fraction(a, M)) for a in (j * k, k, j))
         return [(PsiIndex.of(M, 1, 0, eps, j, k), _same, lambda tau, z1, z2, t, policy: (
-            eta_theta_quotient(M * tau, -1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2),
+            th.eta_theta_quotient(M * tau, -1j * e2pi(cjk * tau) * e2pi(ck * z1 + cj * z2),
                                ((1, 3), (1, 1, z1 + z2 + (j + k) * tau, 1)),
                                ((1, 1, z1 + j * tau + e, 1), (1, 1, z2 + k * tau - e, 1)),
                                policy)), None)]
@@ -317,7 +312,7 @@ def _mock_pairs():
     register(IdentitySpec(
         "rem1.3-psi", "degree-one wrapped closed form", "mock", 1e-10,
         [{"M": 3, "eps": e, "j": j, "k": k} for e in (0, H)
-         for (j, k) in ((0, 0), (1, -1))], _laws(psi_tilde, _zs(0), rem13b)))
+         for (j, k) in ((0, 0), (1, -1))], _laws(lambda *a: md.psi_tilde(*a), _zs(0), rem13b)))
 
     register(IdentitySpec(
         "eq1.9", "swap-negate antisymmetry of the assembly", "mock", 1e-12,
@@ -332,7 +327,7 @@ def _mock_pairs():
         idx, e = x
         a, b, M = 1.0, -1.0, 3
         pref = e2pi(2 / 3 * a * b * tau + 2 / 3 * (b * z1 + a * z2))
-        return pref * phi(idx, M * tau, z1 + a * tau + 0.5, z2 + b * tau + e, 0, policy)
+        return pref * mk.phi(idx, M * tau, z1 + a * tau + 0.5, z2 + b * tau + e, 0, policy)
 
     # the two half-shift placements agree for integer degree and index
     register(IdentitySpec(
@@ -353,10 +348,10 @@ def _mock_pairs():
     def eq504(sign, eps):
         e, delta = int(2 * Fraction(eps)), 0 if sign > 0 else 1
         return [((MockIndex.of(H, eps), sign), _same, lambda tau, z1, z2, t, policy: (
-            eta_theta_quotient(tau, -1j * e2pi(t / 2), ((1, 3), (1, 1, z1 + z2, 1)),
+            th.eta_theta_quotient(tau, -1j * e2pi(t / 2), ((1, 3), (1, 1, z1 + z2, 1)),
                                ((1, 1, z1, 1), (1, 1, z2, 1)), policy)
-            * jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
-            / jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy)), None)]
+            * th.jacobi_theta(e, delta, tau, (z1 - z2) / 2, policy)
+            / th.jacobi_theta(e, delta, tau, (z1 + z2) / 2, policy)), None)]
 
     eq504_plan = signed(0.03, eq504)
 
@@ -377,7 +372,7 @@ def _s_jacobi(tau, z1, z2, t):
 
 
 def _modification_pairs():
-    tilde = lambda t, laws: _laws(phi_tilde, _zs(t), laws)
+    tilde = lambda t, laws: _laws(lambda *a: md.phi_tilde(*a), _zs(t), laws)
 
     def shifts(m, s):
         idx = MockIndex.of(m, s)
@@ -402,22 +397,22 @@ def _modification_pairs():
 
     register(IdentitySpec("phi_add.m1", "degree-one correction vanishes identically",
                           "modification", 0.0, [{"s": 0}, {"s": 2}],
-                          _laws(phi_add, _zs(0), lambda s: [
+                          _laws(lambda *a: md.phi_add(*a), _zs(0), lambda s: [
                               (MockIndex.of(1, s), _same, _zero, None)])))
 
     register(IdentitySpec("lemma1.1mod", "doubling with the modified assembly",
                           "modification", 1e-8, [{"m": 1, "s": 0}, {"m": 2, "s": 1}],
-                          _laws(phi_tilde, _zs(0.05), _lemma11)))
+                          tilde(0.05, _lemma11)))
 
     register(IdentitySpec("sindep", "integer index independence of the modification",
                           "modification", 1e-10, [{}],
-                          _laws(phi_tilde, _zs(0), lambda: [
+                          tilde(0, lambda: [
                               (MockIndex.of(2, s), _same, MockIndex.of(2, 0), None)
                               for s in (1, 2)])))
 
     def one_sided(x, tau, z1, z2, t, policy):
         """e(m t) phi1_tilde: the one-sided modification as a Jacobi form"""
-        v = phi1_tilde(x, tau, z1, z2, policy)
+        v = md.phi1_tilde(x, tau, z1, z2, policy)
         return v if t == 0 else v * e2pi(float(x.m) * t)
 
     register(IdentitySpec("rem1.2", "S-invariance of the one-sided modification",
@@ -427,7 +422,7 @@ def _modification_pairs():
                               lambda tau, *a: tau)])))
 
     MM = [{"M": M, "m": m} for (M, m) in ((3, 1), (3, 2), (5, 2))]
-    wrapped = lambda t, laws: _laws(psi_tilde, _zs(t), laws)
+    wrapped = lambda t, laws: _laws(lambda *a: md.psi_tilde(*a), _zs(t), laws)
 
     def eq117(M, m):
         return [(PsiIndex.of(M, m, 0, H, 1, -1), _s_jacobi,
@@ -485,16 +480,9 @@ def _modification_pairs():
                           "modification", 1e-6, MM, wrapped(0, lem410), grid=(2, 2)))
 
 
-def _fresh(name):
-    """The module name of this package, imported, or reloaded if it is
-    loaded already, so that its laws bind this build's records and kernels."""
-    module = sys.modules.get(f"{__package__}.{name}")
-    return import_module(f".{name}", __package__) if module is None else reload(module)
-
-
 _theta_pairs()
 _mock_pairs()
 _modification_pairs()
-_fresh("registry_n3")._n3_pairs()
-_fresh("registry_n4")._n4_pairs()
-_fresh("registry_d21a")._d21a_pairs()
+import_module(".registry_n3", __package__)._n3_pairs()
+import_module(".registry_n4", __package__)._n4_pairs()
+import_module(".registry_d21a", __package__)._d21a_pairs()

@@ -9,11 +9,11 @@ import math
 from fractions import Fraction
 
 from .qkernel import PoleProximityError, e2pi
-from .theta import ThetaIndex, eta_theta_quotient, jacobi_theta, theta_jm
+from .theta import ThetaIndex
 from .verifier import register
 from .registry import EPS_PAIRS, H, IdentitySpec, _S, _S_t, _T, _call, _laws, _same
 from . import family_n4 as n4
-from . import family_d21a as d2
+from . import family_d21a as d2, theta as th
 
 
 def _d21a_pairs():
@@ -99,7 +99,7 @@ def _d21a_pairs():
                           "d21a", 1e-8, EPS_PAIRS, _laws(_call, lambda pt: pt.zs[:2], lem117)))
 
     # the index of a reduced basis function is a D21Index
-    fg = lambda laws: _laws(d2.FG_function, lambda pt: pt.zs[:2], laws)
+    fg = lambda laws: _laws(lambda *a: d2.FG_function(*a), lambda pt: pt.zs[:2], laws)
     big = 3   # n (p + q) at P211
 
     def rem116():
@@ -150,7 +150,7 @@ def _d21a_pairs():
                           [{"which": w, "eps": e, "epsp": ep} for w in ("f", "g")
                            for (e, ep) in ((Fraction(0), Fraction(0)), (H, Fraction(0)),
                                            (Fraction(0), H))],
-                          _laws(d2.fg_lower, lambda pt: (*pt.zs, 0.02),
+                          _laws(lambda *a: d2.fg_lower(*a), lambda pt: (*pt.zs, 0.02),
                                 lambda which, eps, epsp: st_laws(
                                     which, d2.D21Params(*P211), eps, epsp)), grid=(2, 2)))
 
@@ -172,8 +172,8 @@ def _d21a_pairs():
         x = [ThetaIndex.of(j, m) for j, m in ((ts + 1, p + 1), (-(ts + 1), p + 1), (1, 2), (-1, 2))]
 
         def quotient(tau, y2, y3, policy):
-            th = lambda i: theta_jm(x[i], tau, y3, 0, policy)
-            return (th(0) - th(1)) / (th(2) - th(3))
+            big_theta = lambda i: th.theta_jm(x[i], tau, y3, 0, policy)
+            return (big_theta(0) - big_theta(1)) / (big_theta(2) - big_theta(3))
         return [((d2.big_n4_qhr, w, sec, "Q"), _same, quotient, None)]
 
     register(IdentitySpec("rem11.13", "collapsing-level reduced characters", "d21a",
@@ -214,13 +214,13 @@ def _d21a_pairs():
         a_, b_ = g.sector.a, g.sector.b
 
         def explicit(tau, z1, z2, z3, t, policy):
-            th = lambda aa, bb, u: jacobi_theta(aa, bb, tau, u, policy)
-            pref = eta_theta_quotient(tau, ph, (), ((1, 1), (1, 1, z1 - z3, 1),
+            ab = lambda aa, bb, u: th.jacobi_theta(aa, bb, tau, u, policy)
+            pref = th.eta_theta_quotient(tau, ph, (), ((1, 1), (1, 1, z1 - z3, 1),
                                                     (1, 1, z2 + z3, 1)), policy)
-            t1 = (s1 * theta_jm(xp, tau, z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
-                  * th(a_, b_, z3) * th(a_, b_, z1 - z2 - z3))
-            t2 = (s2 * theta_jm(xm, tau, z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)
-                  * th(a_, b_, z1) * th(a_, b_, z2))
+            t1 = (s1 * th.theta_jm(xp, tau, z1 + z2 / (p + 1) - p * z3 / (p + 1), 0, policy)
+                  * ab(a_, b_, z3) * ab(a_, b_, z1 - z2 - z3))
+            t2 = (s2 * th.theta_jm(xm, tau, z1 - z2 / (p + 1) - (p + 2) * z3 / (p + 1), 0, policy)
+                  * ab(a_, b_, z1) * ab(a_, b_, z2))
             return pref * (t1 - t2)
         return [(g, _same, explicit, None)]
 

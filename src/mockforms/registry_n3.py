@@ -8,10 +8,10 @@ import math
 from fractions import Fraction
 
 from .qkernel import e2pi
-from .theta import ThetaIndex, dedekind_eta, eta_theta_quotient, jacobi_theta, theta_jm
+from .theta import ThetaIndex
 from .verifier import register
 from .registry import H, IdentitySpec, _S, _T, _call, _laws, _s_table, _same, _zero, _zs
-from . import family_n3 as n3
+from . import family_n3 as n3, theta as th
 from .family_n4 import SECTORS, Sector
 
 # N=3's names of its three sectors with a denominator, for n3.c1 and th4.11
@@ -23,7 +23,7 @@ def _n3_pairs():
     MN = [(1, 1), (3, 1), (3, 2)]
     sectors = [{"M": M, "n": n, "sg": sg, "sgp": sgp} for (M, n) in MN
                for (sg, sgp) in ((Fraction(0), H), (H, Fraction(0)), (H, H))]
-    f = lambda laws: _laws(n3.f_function, lambda pt: (pt.z,), laws)
+    f = lambda laws: _laws(lambda *a: n3.f_function(*a), lambda pt: (pt.z,), laws)
     fidx = n3.FIndex.of
 
     def lem44(M, n, sg, sgp):
@@ -91,10 +91,10 @@ def _n3_pairs():
 
         def closed(tau, z, policy):
             pref = ph * e2pi(tau * c1 * c2 * c3) * e2pi(cz * z)
-            num = (dedekind_eta(M * tau, policy) ** 3
-                   * jacobi_theta(1, 1, M * tau, z + (j + k) * tau, policy))
-            d1 = jacobi_theta(1, 1, M * tau, (z + fs + fsp * tau) / 2 + j * tau + e, policy)
-            d2 = jacobi_theta(1, 1, M * tau, (z - fs - fsp * tau) / 2 + k * tau - e, policy)
+            num = (th.dedekind_eta(M * tau, policy) ** 3
+                   * th.jacobi_theta(1, 1, M * tau, z + (j + k) * tau, policy))
+            d1 = th.jacobi_theta(1, 1, M * tau, (z + fs + fsp * tau) / 2 + j * tau + e, policy)
+            d2 = th.jacobi_theta(1, 1, M * tau, (z - fs - fsp * tau) / 2 + k * tau - e, policy)
             return pref * num / (d1 * d2)
         return [(idx, _same, closed, None)]
 
@@ -138,7 +138,7 @@ def _n3_pairs():
             s = tau if twisted else 0   # subtracting 0 leaves a complex as it is
             if twisted:
                 pre = pre * e2pi(-tau / 16) * e2pi((z1 + z2) / 8)
-            return eta_theta_quotient(
+            return th.eta_theta_quotient(
                 2 * tau, pre, ((1, 3), (1, 1, z1 - z2, 1), (1 - m2, b1, (z1 + z2 - s) / 2, 1)),
                 ((a, b, z1 - s / 2, 1), (a, b, z2 - s / 2, 1), (c, 0, (z1 - z2) / 2, 1)), policy)
         return [((n3.numerator, w, sec, False), _same, closed, None)]
@@ -205,7 +205,8 @@ def _n3_pairs():
             y = _zero
         else:
             idx = ThetaIndex.of(s, 1)
-            y = lambda tau, z, policy: theta_jm(idx, tau, z, 0, policy) / dedekind_eta(tau, policy)
+            y = lambda tau, z, policy: (th.theta_jm(idx, tau, z, 0, policy)
+                                        / th.dedekind_eta(tau, policy))
         return [((n3.qhr_character, n3.N3Weight(dotted, Fraction(-3, 4), m2),
                   _SECTORS[sector], False), _same, y, None)]
 

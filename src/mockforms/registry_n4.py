@@ -10,11 +10,10 @@ from fractions import Fraction
 
 from .qkernel import e2pi
 from .mock import MockIndex, PsiIndex
-from .modification import phi_tilde, psi_tilde
 from .verifier import register
 from .registry import (EPS_PAIRS, H, IdentitySpec, _S, _S_t, _T, _balanced_table, _call,
                        _laws, _same, _zero, _zs)
-from . import family_n4 as n4
+from . import family_n4 as n4, modification as md
 
 
 def _n4_pairs():
@@ -26,6 +25,8 @@ def _n4_pairs():
     scale_one = lambda m: wrapper(1, m, 0, 0, 0)
     # the S-image of a Jacobi form of negative index in (z1, z2, t)
     s_dual = lambda tau, z1, z2, t, *_: (-1 / tau, z1 / tau, z2 / tau, t + z1 * z2 / tau)
+    # the derivative wrapper as a law's member, read from family_n4 at each call
+    derivative = lambda *a: n4.psi_P(*a)
 
     def lem63(m):
         # the S-law, then the collapse on (z + a tau, z + b tau) at z + u,
@@ -37,7 +38,7 @@ def _n4_pairs():
                                                 t - (a + b) * z),
              lambda tau, z1, z2, t, z, policy, u=u, ph=ph: (
                  m / 2 * (b - a) * ph * e2pi(m * a * b * tau) * e2pi(m * t)
-                 * phi_tilde(idx, tau, z + u, z + u, 0, policy)), None)
+                 * md.phi_tilde(idx, tau, z + u, z + u, 0, policy)), None)
             for u, ph in ((0, 1), (0.5, e2pi(Fraction(m, 2))))]
 
     # the point is (z1, z2, t, z), and the derivative numerator reads the
@@ -49,7 +50,7 @@ def _n4_pairs():
 
     def dual_tilde(idx, tau, z1, z2, t, m, policy):
         """e(m t) phi_tilde(idx, tau, z1, z2, 0), a Jacobi form of index m"""
-        return e2pi(m * t) * phi_tilde(idx, tau, z1, z2, 0.0, policy)
+        return e2pi(m * t) * md.phi_tilde(idx, tau, z1, z2, 0.0, policy)
 
     def lem62(m):
         # hypothesis and conclusion of the derivative transfer, instantiated
@@ -73,15 +74,16 @@ def _n4_pairs():
         image = lambda tau, z: (tau, z + tau / 2, z - tau / 2, sign * tau / 4)
         return [(x, image, lambda tau, z, policy, h=h: (
                     c * e2pi(-h * m * z) * e2pi(-m * tau / 4)
-                    * phi_tilde(idx, tau, z + h * tau / 2, z + h * tau / 2, 0, policy)), None)
+                    * md.phi_tilde(idx, tau, z + h * tau / 2, z + h * tau / 2, 0, policy)), None)
                 for h in (1, -1)]
 
     register(IdentitySpec("lemma6.4", "derivative numerator collapse on the shifted diagonal",
                           "n4", 1e-7, [{"m": -1}, {"m": -2}],
-                          _laws(n4.psi_P, lambda pt: (pt.z,), lambda m: collapse(m, True))))
+                          _laws(derivative, lambda pt: (pt.z,), lambda m: collapse(m, True))))
     register(IdentitySpec("rem6.5", "modified assembly collapse on the shifted diagonal",
                           "n4", 1e-8, [{"m": -1}, {"m": -2}],
-                          _laws(phi_tilde, lambda pt: (pt.z,), lambda m: collapse(m, False))))
+                          _laws(lambda *a: md.phi_tilde(*a), lambda pt: (pt.z,),
+                                lambda m: collapse(m, False))))
 
     # the index of a reduced character is (weight, Sector)
     integrable = lambda x, tau, z, policy: n4.qhr_character_integrable(x[0], tau, z, x[1], policy)
@@ -90,7 +92,7 @@ def _n4_pairs():
         idx, plus, m0 = MockIndex.of(-m, 0), n4.SECTORS["plus"], m + m2
         return [((n4.N4Weight(m, m2), plus), _same, lambda tau, z, policy: (
             -((-1.0) ** m) * m0 * e2pi(m * z) * e2pi(-m * tau / 4)
-            * phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
+            * md.phi_tilde(idx, tau, z + 0.5 - tau / 2, z + 0.5 - tau / 2, 0, policy)
             / n4.n4_denominator(tau, z, plus, policy)), None)]
 
     register(IdentitySpec("prop7.1a", "two closed forms of the reduced character agree",
@@ -147,7 +149,7 @@ def _n4_pairs():
                           "n4", 1e-2, [{"m": -2}], _laws(denominated, lambda pt: (pt.z,), rem74),
                           grid=(2, 2), check="exceeds"))
 
-    psi_p = lambda laws: _laws(n4.psi_P, _zs(0.02), laws)
+    psi_p = lambda laws: _laws(derivative, _zs(0.02), laws)
     diagonal = lambda tau, z1, z2, t: (tau, z1 + 1, z2 + 1, t)
 
     def lem82(M, m):
@@ -177,13 +179,13 @@ def _n4_pairs():
         def explicit(tau, z1, z2, t, policy):
             pref = e2pi(c * tau) * e2pi(cm * (ck * z1 + cj * z2))
             g = n4.psi_P(x0, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
-            v = phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
+            v = md.phi_tilde(idx, M * tau, z1 + cj * tau, z2 + ck * tau, 0, policy)
             return pref * (g + cv * v)
         return [(wrapper(M, m, 0, j, k), _same, explicit, None)]
 
     register(IdentitySpec("lemma8.5", "derivative wrapper explicit form", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
-                          _laws(n4.psi_P, _zs(0), lem85)))
+                          _laws(derivative, _zs(0), lem85)))
 
     def lem84(M, m):
         # termwise derivative of the modification at index-shifted arguments
@@ -195,7 +197,7 @@ def _n4_pairs():
 
         def split(tau, z1, z2, t, policy):
             u = image(tau, z1, z2, t)
-            v = phi_tilde(idx, *u, policy, want_d0=True)[0]
+            v = md.phi_tilde(idx, *u, policy, want_d0=True)[0]
             g = n4.psi_P(x0, *u, policy)
             return g - (m * (z1 - z2) / (2 * M * tau) + c) * v
         return [(idx, image, split, None)]
@@ -203,11 +205,12 @@ def _n4_pairs():
     # the member is the D0 part of the modification
     register(IdentitySpec("lemma8.4", "shifted-argument derivative split", "n4",
                           1e-8, [{"M": 2, "m": -1}, {"M": 3, "m": -2}],
-                          _laws(lambda x, *a: phi_tilde(x, *a, want_d0=True)[1], _zs(0.0), lem84)))
+                          _laws(lambda x, *a: md.phi_tilde(x, *a, want_d0=True)[1], _zs(0.0),
+                                lem84)))
 
     register(IdentitySpec("rem8.6", "scale-one derivative wrapper vanishes on the diagonal",
                           "n4", 1e-10, [{"m": -1, "eps": Fraction(0)}, {"m": -2, "eps": H}],
-                          _laws(n4.psi_P, lambda pt: (pt.z, pt.z, 0.07), lambda m, eps: [
+                          _laws(derivative, lambda pt: (pt.z, pt.z, 0.07), lambda m, eps: [
                               (wrapper(1, m, eps, *((1, 0) if eps == 0 else (H, -H))), _same,
                                _zero, None)])))
 
@@ -240,7 +243,7 @@ def _n4_pairs():
         rows = []
         for (a, b) in ((1, 0), (0, 1)):
             x, ph = wrapper(M, m, H, j + a * M, k + b * M), e2pi(Fraction(m * (a - b), 2))
-            rows += [((f, x), _same, (f, y), ph) for f in (psi_tilde, n4.psi_P)]
+            rows += [((f, x), _same, (f, y), ph) for f in (md.psi_tilde, n4.psi_P)]
         return rows
 
     register(IdentitySpec("rem8.8", "wrapper and derivative wrapper index periodicity",
@@ -262,7 +265,7 @@ def _n4_pairs():
          {"M": 3, "m": -2, "J": "III", "k1": 0, "k2": 1, "m2": 0}],
         _laws(_call, lambda pt: (pt.z,), th96), grid=(2, 2)))
 
-    chi = lambda laws: _laws(n4.chi, lambda pt: (pt.z,), laws)
+    chi = lambda laws: _laws(lambda *a: n4.chi(*a), lambda pt: (pt.z,), laws)
 
     def th97(M, m, alpha, which):
         eps, epsp = H, Fraction(0)

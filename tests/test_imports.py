@@ -248,6 +248,52 @@ def test_theta_walks_take_the_quadratic_recurrence():
     assert ratios_of_ratios(src["qkernel"]) == ["_quadratic_walk"]
 
 
+# every function of these modules is an evaluation function, as is the pole
+# guard of qkernel; qkernel's numeric helpers are not
+EVALUATION_MODULES = ("theta", "mock", "modification", "family_n3", "family_n4", "family_d21a")
+POLE_GUARD = {"_guard_checked", "guard_pole"}
+
+
+def by_name_reaches(source: str, functions: dict) -> list:
+    """(line, name) of each evaluation function (functions: home module ->
+    names) that source imports by name, and of each _laws(...) call whose
+    member is a bare name or attribute of one."""
+    every = set().union(*functions.values())
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            home = functions.get(node.module.split(".")[-1], set())
+            found += [(node.lineno, a.name) for a in node.names if a.name in home]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_laws" and node.args:
+            member = node.args[0]
+            name = getattr(member, "id", None) or getattr(member, "attr", None)
+            found += [(node.lineno, name)] if name in every else []
+    return sorted(found)
+
+
+def test_by_name_reach_checker():
+    src = ("from .theta import ThetaIndex, theta_jm\nfrom . import theta as th\n"
+           "from mockforms.qkernel import e2pi, _guard_checked\n"
+           "p = _laws(th.theta_jm, args, laws)\nq = _laws(lambda *a: th.theta_jm(*a), args, laws)\n"
+           "r = _laws(phi_tilde, args, laws)\ns = _laws(_call, args, laws)\n")
+    functions = {"theta": {"theta_jm"}, "qkernel": {"_guard_checked"},
+                 "modification": {"phi_tilde"}}
+    assert by_name_reaches(src, functions) == [(1, "theta_jm"), (3, "_guard_checked"),
+                                               (4, "theta_jm"), (6, "phi_tilde")]
+
+
+def test_evaluation_functions_are_reached_through_their_home_module():
+    # a module calls an evaluation function as th.theta_jm(...), and a law
+    # whose member is one reads it in a lambda, so a function patched in its
+    # home module reaches every caller; __init__ re-exports by name
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    functions = {name: set(module_functions(sources[name])) for name in EVALUATION_MODULES}
+    functions["qkernel"] = POLE_GUARD
+    hits = {name: by_name_reaches(src, functions) for name, src in sources.items()
+            if name != "__init__"}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
 def test_cli_import_loads_no_dataclasses():
     # every command pays the import of mockforms.cli: it loads neither
     # dataclasses nor inspect (the value classes are qkernel._record

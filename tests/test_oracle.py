@@ -424,8 +424,8 @@ def test_phi_d0(m, s, y, x, r1, u1, r2, u2, tol):
 def test_verification_grid_evaluates_eta_directly(monkeypatch):
     # every eta argument the identities reach must take the direct path:
     # eta.mod checks eta(-1/tau) = sqrt(-i tau) eta(tau), the law the modular
-    # reduction evaluates with.  The modules import eta by name, so each
-    # binding is wrapped.
+    # reduction evaluates with.  Every module calls eta as theta.dedekind_eta,
+    # and only the package re-exports it by name; each binding is wrapped.
     seen = []
     real = theta.dedekind_eta
 

@@ -10,7 +10,7 @@ import pytest
 from mockforms import formal
 from mockforms.family_d21a import D21Index, D21Params, D21Weight
 from mockforms.family_n3 import FIndex, N3Weight
-from mockforms.family_n4 import ChiIndex, N4Weight, Sector, enumerate_weights
+from mockforms.family_n4 import SECTORS, ChiIndex, N4Weight, Sector, enumerate_weights
 from mockforms.mock import MockIndex, PsiIndex
 from mockforms.theta import ThetaIndex
 
@@ -79,6 +79,10 @@ REFUSALS = {
     "ChiIndex.of M = -2": (lambda: ChiIndex.of(0, -2, -1, Sector.of(H, 0), 1, -1),
                            "M must be a positive integer"),
     "PsiIndex.of M = 0": (lambda: PsiIndex.of(0, 1, 0, 0, 1, -1), "M must be a positive integer"),
+    "FIndex.of n = 0": (lambda: FIndex.of(3, 0, 0, SECTORS["plus"], 0, 0),
+                        "n must be a positive integer"),
+    "FIndex.of n = -1": (lambda: FIndex.of(3, -1, 0, SECTORS["plus"], 0, 0),
+                         "n must be a positive integer"),
 }
 
 

@@ -1,6 +1,8 @@
+import cmath
 import collections
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import pathlib
@@ -19,8 +21,11 @@ from mockforms.qkernel import (
 )
 from mockforms.theta import ThetaIndex
 import mockforms.family_d21a as d21a
+import mockforms.mock as mock
+import mockforms.modification as modification
 import mockforms.qkernel as qkernel
 import mockforms.registry as R
+import mockforms.theta as theta
 import mockforms.verifier as V
 
 P = TruncationPolicy()
@@ -114,52 +119,52 @@ def test_racing_first_reads_see_the_whole_registry():
     assert _child(RACING_READS) == [_golden_ids()] * 2
 
 
-# a kernel module, a function of it that a module of the registry imports
-# by name, and an id of that module whose plan calls it by that name
-REBOUND = [("theta", "dedekind_eta", "registry_n3", "rem4.13"),
-           ("modification", "phi_tilde", "registry_n4", "rem6.5"),
-           ("theta", "jacobi_theta", "registry_d21a", "eq12.7")]
+# (home module, function, calling module, id): every module reaches a
+# kernel through its home module when it calls it, and every law reads its
+# member there, so a function patched in its home module reaches each of
+# these callers at the next verify, with no clear and no reload
+REACH = [("mock", "_phi1_core", "modification", "eq1.14"),
+         ("qkernel", "_guard_checked", "mock", "eq1.14"),
+         ("theta", "theta_jm", "modification", "rem1.2"),
+         ("theta", "theta_jm", "family_d21a", "prop10.21"),
+         ("modification", "phi_tilde", "family_n3", "th4.11"),
+         ("mock", "phi", "family_n3", "n3.c1"),
+         ("modification", "psi_tilde", "family_n4", "th9.7"),
+         ("theta", "eta_theta_quotient", "family_n4", "th9.7"),
+         ("theta", "dedekind_eta", "registry_n3", "rem4.13"),
+         ("modification", "phi_tilde", "registry_n4", "rem6.5"),
+         ("theta", "jacobi_theta", "registry_d21a", "eq12.7")]
 
 
-def test_reload_rebuilds_every_law_with_fresh_bindings():
-    # a mutant of such a function reaches the laws once verifier._REGISTRY
-    # is cleared and mockforms.registry reloaded (ROADMAP item 5): the
-    # reload reloads the modules of the N=3, N=4 and D(2,1;a) laws as well,
-    # and the 87 ids come back in their order
-    pt, called = V.standard_grid(2, 1, 1, GUARDED)[1], set()
+def test_a_kernel_patched_in_its_home_module_reaches_every_caller(monkeypatch):
+    # the mutant recipe of ROADMAP item 5 is one rule: patch the function
+    # in its home module
+    ids, calls = V.registry_ids(), collections.Counter()
 
-    def callers(identity):
-        """(function, calling module) of each spied call of identity's plan"""
-        called.clear()
-        spec = V.get_spec(identity)
-        spec.plan(**spec.params[0])(pt, GUARDED)
-        return set(called)
-
-    def spy(name, real):
+    def spy(home, name, real):
         def call(*a, **k):
-            called.add((name, pathlib.Path(sys._getframe(1).f_code.co_filename).stem))
+            by = pathlib.Path(sys._getframe(1).f_code.co_filename).stem
+            calls[home, name, by] += 1
             return real(*a, **k)
         return call
 
-    saved = []
-    for m, name, *_ in REBOUND:
-        module = importlib.import_module(f"mockforms.{m}")
-        saved.append((module, name, getattr(module, name)))
-    try:
-        for module, name, real in saved:
-            setattr(module, name, spy(name, real))
-        assert all((name, by) not in callers(i) for _, name, by, i in REBOUND)
-        V._REGISTRY.clear()
-        importlib.reload(R)
-        assert V.registry_ids() == _golden_ids()
-        assert all((name, by) in callers(i) for _, name, by, i in REBOUND)
-    finally:
-        for module, name, real in saved:
-            setattr(module, name, real)
-        V._REGISTRY.clear()
-        importlib.reload(R)
-    assert V.registry_ids() == _golden_ids()
-    assert all(callers(i) == set() for *_, i in REBOUND)
+    def reached() -> list:
+        """the spied calls of each row at the next verify of its id"""
+        out = []
+        for home, name, by, identity in REACH:
+            calls.clear()
+            V.verify(identity, grid=(1, 1))
+            out.append(calls[home, name, by])
+        return out
+
+    with monkeypatch.context() as m:
+        for home, name in dict.fromkeys((home, name) for home, name, *_ in REACH):
+            module = importlib.import_module(f"mockforms.{home}")
+            m.setattr(module, name, spy(home, name, getattr(module, name)))
+        got = reached()
+        assert 0 not in got, dict(zip((row[:3] for row in REACH), got))
+    assert reached() == [0] * len(REACH)
+    assert V.registry_ids() == ids == _golden_ids()
 
 
 # the non-runner ids whose plan _laws does not build; a new one joins this
@@ -172,6 +177,55 @@ def test_every_law_is_a_record():
     specs = [V.get_spec(i) for i in V.registry_ids()]
     hand = {s.id for s in specs if s.runner is None and s.plan.__qualname__ not in built}
     assert hand == HAND_WRITTEN_PLANS
+
+
+def _members(side, image, point) -> list:
+    """(index, the point its image gives) of each member of one side of a
+    law record: an index, or a list of (coefficient, index) or
+    (coefficient, index, own image) entries; a closed form has none."""
+    if isinstance(side, list):
+        return [(ix, (own[0] if own else image)(*point)) for _, ix, *own in side]
+    return [] if callable(side) else [(side, image(*point))]
+
+
+def test_law_records_list_their_members_and_points_without_a_kernel_call(monkeypatch):
+    # plan.laws(**params) gives the records (x, image, y, c) of a parameter
+    # set and plan.args the point arguments: each record's members and the
+    # points its images give at the first seed-1 grid point are read with
+    # no kernel call.  Wrappers in the kernels' home modules see every call
+    # a plan makes, since the laws and families read the kernels there
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def call(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+        return call
+
+    for module in (theta, mock, modification):
+        for name, f in list(vars(module).items()):
+            if inspect.isfunction(f) and f.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}", f))
+    specs = [V.get_spec(i) for i in V.registry_ids()]
+    listed = []
+    for spec in (s for s in specs if s.runner is None):
+        pt = V.standard_grid(*spec.grid, 1, GUARDED)[0]
+        here = (pt.tau, *spec.plan.args(pt))
+        for params in spec.params:
+            records = [(_members(x, image, here), _members(y, R._same, here))
+                       for x, image, y, _ in spec.plan.laws(**params)]
+            # every record has a member at its image, and every point is finite
+            assert records and all(lhs for lhs, _ in records), (spec.id, params)
+            assert all(all(map(cmath.isfinite, point)) for lhs, rhs in records
+                       for _, point in lhs + rhs), (spec.id, params)
+            listed.append((spec.id, records))
+    assert calls == {}
+    assert len({i for i, _ in listed}) == 84
+    assert len(listed) == sum(len(s.params) for s in specs if s.runner is None)
+    # the same wrappers see the kernel calls of a plan that runs
+    spec = V.get_spec("eq1.14")
+    spec.plan(**spec.params[0])(V.standard_grid(*spec.grid, 1, GUARDED)[0], GUARDED)
+    assert calls["mockforms.modification.phi_tilde"] > 0
 
 
 def test_unknown_identity_and_tag():
