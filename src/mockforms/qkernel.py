@@ -161,7 +161,9 @@ DEFAULT_POLICY = TruncationPolicy()
 # at any other time.  Kernels store only results they return, never errors,
 # and look a key up once, with memo.get(key, _MISS), before _check_point: a
 # hit is an input equal to one that has passed the check.  The pole guard
-# keeps no entry: its row bound clears most points without a scan.
+# keeps no entry: its row bound clears most points without a scan.  A key
+# starts with its kind, one per series body: "theta" (Theta_{j,m} and
+# theta_ab), "theta_pair", "eta", "phi1" and "R".
 _POINT_MEMO: ContextVar = ContextVar("mockforms_point_memo", default=None)
 _MISS = object()
 

@@ -5,10 +5,12 @@ Degree-m rank-1 theta functions
     Theta_{j,m}(tau, z, t) = e^{2 pi i m t} sum_{n in Z + j/2m} q^{m n^2} e^{2 pi i m n z},
 
 the differences Theta_{-j,m} - Theta_{j,m} of the correcting sum, the
-four Jacobi theta functions theta_ab, each summed as one series, and the
-Dedekind eta function.  The index j matters only mod 2m; both j
-and the degree m may be half-integers (the family modules use shifted
-indices), represented exactly through HalfInt arithmetic.
+four Jacobi theta functions theta_ab = i^{ab} Theta_{a/2,1/2}(tau, 2z)
+with the sign (-1)^{bk} on the k-th term, summed by Theta's one series
+body, and the Dedekind eta function; point-memo keys are "theta", shared
+by Theta and theta_ab, "theta_pair" and "eta".  The index j matters only
+mod 2m; both j and the degree m may be half-integers (the family modules
+use shifted indices), represented exactly through HalfInt arithmetic.
 """
 
 from __future__ import annotations
@@ -63,15 +65,14 @@ def _gauss_cut(n_star: float, base: float, a: float, policy: TruncationPolicy):
     return (k0, *_index_range(k0, k_star, a, log_c, log_c - a * (k0 - k_star) ** 2, policy))
 
 
-def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Theta_{j,m}(tau, z, t), absolute error <= policy.tol."""
-    m = idx.m.twice / 2
-    # the offset j/2m reduced into [0, 1), correctly rounded
-    base = (idx.j.twice % (2 * idx.m.twice)) / (2 * idx.m.twice)
+def _theta_series(base: float, m: float, sign: int, tau: complex, z: complex,
+                  t: complex, policy: TruncationPolicy) -> complex:
+    """e^{2 pi i m t} sum_k sign^k q^{m n^2} e^{2 pi i m n z}, n = base + k,
+    absolute error <= policy.tol: the one series of Theta_{j,m} (sign 1)
+    and of theta_ab (Theta_{a/2,1/2} at 2z, sign (-1)^b)."""
     memo = _POINT_MEMO.get()
     if memo is not None:
-        key = ("theta", base, m, tau, z, t, policy)
+        key = ("theta", base, m, sign, tau, z, t, policy)
         if (s := memo.get(key, _MISS)) is not _MISS:
             return s
     tau = _check_point(tau, z, t)
@@ -79,13 +80,21 @@ def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
     # a = 2 pi m Im tau and n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
     k0, k_lo, k_hi = _gauss_cut(n_star, base, TWO_PI * m * tau.imag, policy)
-    anchor = partial(_quadratic_anchor, (m * tau, m * z, 0.0, base, 1))
+    anchor = partial(_quadratic_anchor, (m * tau, m * z, 0.0, base, sign))
     s = sum_bilateral(anchor, k0, k_lo, k_hi, policy, _quadratic_walk)
     if t != 0:
         s *= e2pi(m * t)
     if memo is not None:
         memo[key] = s
     return s
+
+
+def theta_jm(idx: ThetaIndex, tau: complex, z: complex = 0.0, t: complex = 0.0,
+             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Theta_{j,m}(tau, z, t), absolute error <= policy.tol."""
+    # the offset j/2m reduced into [0, 1), correctly rounded
+    base = (idx.j.twice % (2 * idx.m.twice)) / (2 * idx.m.twice)
+    return _theta_series(base, idx.m.twice / 2, 1, tau, z, t, policy)
 
 
 def _pair_anchor(series: tuple, base1: float, base2: float, k: int):
@@ -147,26 +156,12 @@ def theta_pair_diff(idx: ThetaIndex, tau: complex, z: complex = 0.0,
 def jacobi_theta(a: int, b: int, tau: complex, z: complex = 0.0,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """theta_ab(tau, z) = sum_k (-1)^{bk} e^{2 pi i (ab/4 + n (n tau/2 + z))},
-    n = a/2 + k, for a, b in {0, 1}: one series, whose unit e^{pi i ab/2}
-    multiplies the sum."""
+    n = a/2 + k, for a, b in {0, 1}: the series of Theta_{a/2,1/2}(tau, 2z)
+    with the sign (-1)^{bk}, whose unit e^{pi i ab/2} multiplies the sum."""
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("Jacobi theta labels a, b must be 0 or 1")
-    memo = _POINT_MEMO.get()
-    if memo is not None:
-        key = ("jacobi", a, b, tau, z, policy)
-        if (s := memo.get(key, _MISS)) is not _MISS:
-            return s
-    tau = _check_point(tau, z)
-    # |term| = e^{g n*^2 - g (n - n*)^2}, g = pi Im tau, n* = -Im z / Im tau
-    base = 0.5 * a
-    k0, k_lo, k_hi = _gauss_cut(-complex(z).imag / tau.imag, base, math.pi * tau.imag, policy)
-    anchor = partial(_quadratic_anchor, (0.5 * tau, z, 0.0, base, -1 if b else 1))
-    s = sum_bilateral(anchor, k0, k_lo, k_hi, policy, _quadratic_walk)
-    if a and b:
-        s *= 1j
-    if memo is not None:
-        memo[key] = s
-    return s
+    s = _theta_series(0.5 * a, 0.5, -1 if b else 1, tau, 2 * z, 0.0, policy)
+    return s * 1j if a and b else s
 
 
 # Below this Im tau, dedekind_eta first raises Im tau by T and S steps; every

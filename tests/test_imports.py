@@ -180,6 +180,14 @@ def bindings(source: str, function: str) -> collections.Counter:
                                if isinstance(x, ast.Name))
 
 
+def reads(source: str, function: str) -> set:
+    """The names and attribute names that the module-level function of
+    source reads, called or not."""
+    top = next(node for node in ast.parse(source).body if getattr(node, "name", None) == function)
+    return ({n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)})
+
+
 def test_structure_checkers():
     src = ("def f_d0(): g(1)\nclass C:\n    def h(self): m.g(2)\n"
            "x = g(3)\ndef k(): return lambda: g(4)\n"
@@ -187,6 +195,8 @@ def test_structure_checkers():
     assert module_functions(src) == ["f_d0", "k", "b"]
     assert callers(src, "g") == ["f_d0", "C", "<module>", "k"]
     assert bindings(src, "b") == {"u": 2, "v": 2}
+    assert reads(src, "k") == {"g"}
+    assert reads("def f(x):\n    return partial(m.h, x)\n", "f") == {"partial", "m", "h", "x"}
 
 
 def test_phi_tilde_has_one_body():
@@ -246,6 +256,15 @@ def test_theta_walks_take_the_quadratic_recurrence():
            for name in ("theta", "qkernel")}
     assert ratios_of_ratios(src["theta"]) == []
     assert ratios_of_ratios(src["qkernel"]) == ["_quadratic_walk"]
+
+
+def test_theta_ab_has_no_series_of_its_own():
+    # theta_ab is Theta_{a/2,1/2} at 2z: theta.py sums a series in three
+    # bodies (Theta and theta_ab, the Theta pair, eta), and jacobi_theta
+    # neither cuts nor anchors one
+    src = (ROOT / "src" / "mockforms" / "theta.py").read_text()
+    assert callers(src, "sum_bilateral") == ["_theta_series", "theta_pair_diff", "dedekind_eta"]
+    assert reads(src, "jacobi_theta") & {"_gauss_cut", "_quadratic_anchor"} == set()
 
 
 # every function of these modules is an evaluation function, as is the pole

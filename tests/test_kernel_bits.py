@@ -115,6 +115,15 @@ def test_kernel_bits_match_golden():
     assert _kernel_bits() == golden
 
 
+def test_theta_a0_is_theta_at_twice_z():
+    # theta_a0(tau, z) is summed as Theta_{a/2,1/2}(tau, 2z), to the bit
+    for tau, z, *_ in KERNEL_POINTS:
+        for a in (0, 1):
+            idx = theta.ThetaIndex.of(F(a, 2), F(1, 2))
+            assert (_outcome(lambda: theta.jacobi_theta(a, 0, tau, z, P))
+                    == _outcome(lambda: theta.theta_jm(idx, tau, 2 * z, 0.0, P)))
+
+
 def _counting(module, monkeypatch):
     """Wrap the anchor that module passes to sum_bilateral in a
     one-argument function, as the tracer does; returns the list of the

@@ -3,6 +3,7 @@ uncached evaluation bit for bit, errors never cached, and no memo alive
 outside verify()."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -17,7 +18,7 @@ from mockforms.qkernel import (
     TruncationPolicy,
     _POINT_MEMO,
 )
-from mockforms.theta import ThetaIndex, dedekind_eta, theta_jm
+from mockforms.theta import ThetaIndex, dedekind_eta, jacobi_theta, theta_jm
 
 # the policy verify() evaluates the identities with
 VERIFY_POLICY = TruncationPolicy(DEFAULT_POLICY.tol, DEFAULT_POLICY.n_max, 0.02)
@@ -103,6 +104,19 @@ def test_theta_index_shifted_by_2m_is_a_hit():
     (a, b, size), memo = scoped(twice)
     assert size == 1 and len(memo) == 1
     assert repr(a) == repr(b) == repr(theta_jm(ThetaIndex.of(5, 2), tau, z))
+
+
+def test_theta_ab_shares_the_entry_of_theta_at_twice_z():
+    # theta_a0 at z and Theta_{a/2,1/2} at 2z are one series: one entry each a
+    tau, z = 0.31 + 0.2j, 0.12 - 0.07j
+
+    def both():
+        return [(jacobi_theta(a, 0, tau, z), theta_jm(ThetaIndex.of(F(a, 2), F(1, 2)), tau, 2 * z))
+                for a in (0, 1)]
+
+    pairs, memo = scoped(both)
+    assert len(memo) == 2
+    assert [repr(x) for x, _ in pairs] == [repr(y) for _, y in pairs]
 
 
 def test_pole_error_is_raised_again_and_not_stored():
