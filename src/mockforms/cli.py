@@ -4,7 +4,8 @@ Subcommands: eval (single function value), qexp (exact q-expansion dump),
 verify (identity registry runs), family (weight enumeration with
 characteristic numbers), smatrix (boundary S/T matrices and fusion table).
 
-Exit codes: 0 success / all verified, 1 failing verification, 2 bad usage or input.
+Exit codes: 0 success / all verified, 1 failing verification, 2 bad usage or
+input, which main reports as one `error:` line on stderr.
 The default tolerance may be overridden through MOCKFORMS_TOL.
 """
 
@@ -100,6 +101,14 @@ def parse_rat(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse rational number {s!r}") from None
 
 
+def parse_grid(s: str) -> tuple:
+    """An n_tau x n_z grid, written NxM."""
+    m = re.fullmatch(r"(\d+)[xX](\d+)", s.strip())
+    if not m:
+        raise argparse.ArgumentTypeError(f"cannot parse grid {s!r}, expected NxM")
+    return int(m[1]), int(m[2])
+
+
 def _policy() -> TruncationPolicy:
     tol = os.environ.get("MOCKFORMS_TOL")
     if tol:
@@ -115,35 +124,45 @@ def _cval(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
+def _psi_index(a) -> PsiIndex:
+    return PsiIndex.of(a.M, a.m, a.s, a.eps, a.aa, a.bb)
+
+
+# Each table names a command's functions once.  Its calls read every kernel
+# and family name when they run, from the home module, so that a function
+# patched there is the one called and no family module runs at import.
+_EVAL = {
+    "theta": lambda a, p: th.theta_jm(ThetaIndex.of(a.j, a.m), a.tau, a.z, a.t, p),
+    "jacobi": lambda a, p: th.jacobi_theta(a.a, a.b, a.tau, a.z, p),
+    "eta": lambda a, p: th.dedekind_eta(a.tau, p),
+    "phi1": lambda a, p: mk.phi1(MockIndex.of(a.m, a.s), a.tau, a.z1, a.z2, p),
+    "phi": lambda a, p: mk.phi(MockIndex.of(a.m, a.s), a.tau, a.z1, a.z2, a.t, p, a.sign),
+    "phi_tilde": lambda a, p: md.phi_tilde(MockIndex.of(a.m, a.s), a.tau, a.z1, a.z2, a.t, p),
+    "psi": lambda a, p: mk.psi(_psi_index(a), a.tau, a.z1, a.z2, a.t, p),
+    "psi_tilde": lambda a, p: md.psi_tilde(_psi_index(a), a.tau, a.z1, a.z2, a.t, p),
+}
+
+_QEXP = {
+    "theta": lambda a: formal.expand_theta(a.j, a.m, a.order),
+    "phi1": lambda a: formal.expand_phi1(a.m, a.s, a.order),
+    "phi": lambda a: formal.expand_phi(a.m, a.s, a.order),
+    "jacobi": lambda a: formal.expand_jacobi_theta(a.a, a.b, a.order),
+}
+
+# a family's module and the weights its options select
+_FAMILIES = {
+    "n3": lambda a: (family_n3, family_n3.enumerate_weights(a.m)),
+    "n4": lambda a: (family_n4, family_n4.enumerate_weights(a.m)),
+    "d21a": lambda a: (family_d21a, [w for ws in family_d21a.enumerate_weights(
+        family_d21a.D21Params(a.p, a.q, a.n)).values() for w in ws]),
+}
+
+
 def cmd_eval(args) -> int:
     policy = _policy()
-    tau = args.tau
-    fn = args.fn
-    if fn in ("phi1", "phi", "phi_signed", "phi_tilde"):
-        idx = MockIndex.of(parse_rat(args.m), parse_rat(args.s))
-    elif fn in ("psi", "psi_tilde"):
-        idx = PsiIndex.of(args.M, parse_rat(args.m), parse_rat(args.s),
-                          parse_rat(args.eps), parse_rat(args.aa), parse_rat(args.bb))
-    if fn == "theta":
-        v = th.theta_jm(ThetaIndex.of(parse_rat(args.j), parse_rat(args.m)),
-                        tau, args.z, args.t, policy)
-    elif fn == "jacobi":
-        v = th.jacobi_theta(args.a, args.b, tau, args.z, policy)
-    elif fn == "eta":
-        v = th.dedekind_eta(tau, policy)
-    elif fn == "phi1":
-        v = mk.phi1(idx, tau, args.z1, args.z2, policy)
-    elif fn in ("phi", "phi_signed"):
-        v = mk.phi(idx, tau, args.z1, args.z2, args.t, policy, args.sign)
-    elif fn == "phi_tilde":
-        v = md.phi_tilde(idx, tau, args.z1, args.z2, args.t, policy)
-    elif fn == "psi":
-        v = mk.psi(idx, tau, args.z1, args.z2, args.t, policy)
-    elif fn == "psi_tilde":
-        v = md.psi_tilde(idx, tau, args.z1, args.z2, args.t, policy)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown function {fn}")
-    _emit({"fn": fn, "value": _cval(v)})
+    if args.fn not in _EVAL:
+        raise ValueError(f"unknown function {args.fn}")
+    _emit({"fn": args.fn, "value": _cval(_EVAL[args.fn](args, policy))})
     return 0
 
 
@@ -153,51 +172,31 @@ def _half(b: int) -> str:
 
 
 def cmd_qexp(args) -> int:
-    order = parse_rat(args.order)
-    if args.fn == "theta":
-        series = formal.expand_theta(parse_rat(args.j), parse_rat(args.m), order)
-    elif args.fn == "phi1":
-        series = formal.expand_phi1(parse_rat(args.m), parse_rat(args.s), order)
-    elif args.fn == "phi":
-        series = formal.expand_phi(parse_rat(args.m), parse_rat(args.s), order)
-    elif args.fn == "jacobi":
-        series = formal.expand_jacobi_theta(args.a, args.b, order)
-    else:
-        sys.stderr.write(f"unsupported-function: {args.fn} has no exact q-expansion\n")
-        return 2
-    den, rows = series.rows()
+    if args.fn not in _QEXP:
+        raise ValueError(f"unsupported-function: {args.fn} has no exact q-expansion")
+    den, rows = _QEXP[args.fn](args).rows()
     qs = {a: str(Fraction(a, den)) for a in {row[0] for row in rows}}
     terms = [{"q": qs[a], "z1": _half(b1), "z2": _half(b2), "re": str(re), "im": str(im)}
              for a, b1, b2, re, im in rows]
-    _emit({"fn": args.fn, "order": str(order), "terms": terms})
+    _emit({"fn": args.fn, "order": str(args.order), "terms": terms})
     return 0
 
 
 def cmd_verify(args) -> int:
     policy = _policy()
+    flt = {key: val for key in VERIFY_FILTER_KEYS
+           if (val := getattr(args, "param_" + key)) is not None}
     if args.tag is not None:
         # a tag runs every id of it on its own default grid, unfiltered
         if args.id is not None:
             raise ValueError("verify takes --id or --tag, not both")
-        if args.grid is not None or any(getattr(args, "param_" + key) is not None
-                                        for key in VERIFY_FILTER_KEYS):
+        if args.grid is not None or flt:
             raise ValueError("--grid and the parameter filters apply to --id, not to --tag")
-    grid = None
-    if args.grid:
-        n_tau, n_z = args.grid.lower().split("x")
-        grid = (int(n_tau), int(n_z))
-    flt = {}
-    for key in VERIFY_FILTER_KEYS:
-        val = getattr(args, "param_" + key, None)
-        if val is not None:
-            flt[key] = val
-    if args.id:
-        reports = [verifier.verify(args.id, grid, policy, args.seed, flt or None)]
-    elif args.tag:
         reports = verifier.suite(args.tag, policy, args.seed)
+    elif args.id is not None:
+        reports = [verifier.verify(args.id, args.grid, policy, args.seed, flt or None)]
     else:
-        sys.stderr.write("verify needs --id or --tag\n")
-        return 2
+        raise ValueError("verify needs --id or --tag")
     if args.format == "csv":
         sys.stdout.write("id,max_abs_err,tol,pass,skipped\n")
         for r in reports:
@@ -210,17 +209,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    if args.family == "n3":
-        module, weights = family_n3, family_n3.enumerate_weights(parse_rat(args.m))
-    elif args.family == "n4":
-        module, weights = family_n4, family_n4.enumerate_weights(parse_rat(args.m))
-    elif args.family == "d21a":
-        params = family_d21a.D21Params(args.p, args.q, args.n)
-        module = family_d21a
-        weights = [w for ws in family_d21a.enumerate_weights(params).values() for w in ws]
-    else:
-        sys.stderr.write(f"unknown family {args.family}\n")
-        return 2
+    if args.family not in _FAMILIES:
+        raise ValueError(f"unknown family {args.family}")
+    module, weights = _FAMILIES[args.family](args)
     out = [{"label": w.label(),
             **{k: (str(v) if isinstance(v, Fraction) else v)
                for k, v in module.qhr_characteristics(w).items()}}
@@ -231,8 +222,7 @@ def cmd_family(args) -> int:
 
 def cmd_smatrix(args) -> int:
     if args.family != "d21a":
-        sys.stderr.write("smatrix is available for the d21a boundary family\n")
-        return 2
+        raise ValueError("smatrix is available for the d21a boundary family")
     sm = family_d21a.s_matrix_and_fusion(args.p)
     N = len(sm["labels"])
     fusion = [[i, j, k] for i in range(N) for j in range(N) for k in range(N)
@@ -244,43 +234,48 @@ def cmd_smatrix(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for main to report; argparse would print its
+    usage and exit.  Subparsers take the class of their parent."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mockforms")
+    ap = _Parser(prog="mockforms")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate one function at a point")
-    pe.add_argument("--fn", required=True)
+    # the function and index options of eval and qexp
+    fn = _Parser(add_help=False)
+    fn.add_argument("--fn", required=True)
+    fn.add_argument("--j", type=parse_rat, default="0")
+    fn.add_argument("--m", type=parse_rat, default="1")
+    fn.add_argument("--s", type=parse_rat, default="0")
+    fn.add_argument("--a", type=int, default=0)
+    fn.add_argument("--b", type=int, default=0)
+
+    pe = sub.add_parser("eval", parents=[fn], help="evaluate one function at a point")
     pe.add_argument("--tau", type=parse_complex, required=True)
     pe.add_argument("--z", type=parse_complex, default=0j)
     pe.add_argument("--z1", type=parse_complex, default=0.23 + 0.04j)
     pe.add_argument("--z2", type=parse_complex, default=0.37 - 0.06j)
     pe.add_argument("--t", type=parse_complex, default=0j)
-    pe.add_argument("--j", default="0")
-    pe.add_argument("--m", default="1")
-    pe.add_argument("--s", default="0")
-    pe.add_argument("--a", type=int, default=0)
-    pe.add_argument("--b", type=int, default=0)
     pe.add_argument("--M", type=int, default=1)
-    pe.add_argument("--eps", default="0")
-    pe.add_argument("--aa", default="0")
-    pe.add_argument("--bb", default="0")
+    pe.add_argument("--eps", type=parse_rat, default="0")
+    pe.add_argument("--aa", type=parse_rat, default="0")
+    pe.add_argument("--bb", type=parse_rat, default="0")
     pe.add_argument("--sign", type=int, default=1)
     pe.set_defaults(func=cmd_eval)
 
-    pq = sub.add_parser("qexp", help="exact formal q-expansion")
-    pq.add_argument("--fn", required=True)
-    pq.add_argument("--order", default="4")
-    pq.add_argument("--j", default="0")
-    pq.add_argument("--m", default="1")
-    pq.add_argument("--s", default="0")
-    pq.add_argument("--a", type=int, default=0)
-    pq.add_argument("--b", type=int, default=0)
+    pq = sub.add_parser("qexp", parents=[fn], help="exact formal q-expansion")
+    pq.add_argument("--order", type=parse_rat, default="4")
     pq.set_defaults(func=cmd_qexp)
 
     pv = sub.add_parser("verify", help="run identity verifications")
     pv.add_argument("--id")
     pv.add_argument("--tag")
-    pv.add_argument("--grid")
+    pv.add_argument("--grid", type=parse_grid)
     pv.add_argument("--seed", type=int, default=1)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     for key in VERIFY_FILTER_KEYS:
@@ -289,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("family", help="enumerate weights with characteristics")
     pf.add_argument("--family", required=True)
-    pf.add_argument("--m", default="-1")
+    pf.add_argument("--m", type=parse_rat, default="-1")
     pf.add_argument("--p", type=int, default=1)
     pf.add_argument("--q", type=int, default=1)
     pf.add_argument("--n", type=int, default=1)
@@ -313,14 +308,12 @@ def main(argv=None) -> int:
             toks[-1] += "=" + tok
         else:
             toks.append(tok)
-    ap = build_parser()
     try:
-        args = ap.parse_args(toks)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(toks)
         return args.func(args)
-    except (ValueError, KeyError, TruncationOverflowError, argparse.ArgumentTypeError) as exc:
+    except SystemExit as exc:  # only --help exits, after printing the help
+        return exc.code
+    except (ValueError, KeyError, TruncationOverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

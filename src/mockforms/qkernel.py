@@ -56,6 +56,9 @@ class TruncationOverflowError(RuntimeError):
 class UnknownIdentityError(KeyError):
     """Identity id not present in the verification registry."""
 
+    def __str__(self):  # KeyError's would quote the message
+        return str(self.args[0])
+
 
 class UnsupportedCaseError(ValueError):
     """Parameter combination outside the implemented case analysis."""

@@ -102,7 +102,7 @@ def get_spec(identity_id: str) -> IdentitySpec:
     try:
         return _registry()[identity_id]
     except KeyError:
-        raise UnknownIdentityError(identity_id) from None
+        raise UnknownIdentityError(f"unknown identity id {identity_id}") from None
 
 
 def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -121,7 +121,8 @@ def verify(identity_id: str, grid=None, policy: TruncationPolicy = DEFAULT_POLIC
         want = {k: _exact(v) for k, v in param_filter.items()}
         params = [p for p in params if all(_exact(p.get(k)) == v for k, v in want.items())]
         if not params:
-            raise ValueError(f"no parameter set of {identity_id} matches {param_filter}")
+            shown = ", ".join(f"{k}={v}" for k, v in param_filter.items())
+            raise ValueError(f"no parameter set of {identity_id} matches {shown}")
     if spec.runner is not None:
         max_err, skipped = spec.runner(policy)
         few_skips = True

@@ -137,17 +137,20 @@ def test_verify_filters_compare_values(capsys):
 
 
 def test_eval_phi_honours_sign(capsys):
-    # phi and phi_signed are one function; both pass --sign
+    # --sign -1 gives Phi^-, and the default --sign 1 gives Phi; phi_signed,
+    # once a second name for phi, is refused
     vals = {}
-    for fn in ("phi", "phi_signed"):
-        for sign in ("1", "-1"):
-            code, out, _ = run_cli(["eval", "--fn", fn, "--tau", "0+1i", "--m", "2",
-                                    "--sign", sign], capsys)
-            assert code == 0
-            vals[fn, sign] = json.loads(out)["value"]
-    assert vals["phi", "-1"] == vals["phi_signed", "-1"] != vals["phi", "1"]
+    for sign in ("1", "-1"):
+        code, out, _ = run_cli(["eval", "--fn", "phi", "--tau", "0+1i", "--m", "2",
+                                "--sign", sign], capsys)
+        assert code == 0
+        vals[sign] = json.loads(out)["value"]
+    assert vals["-1"] != vals["1"]
     code, out, _ = run_cli(["eval", "--fn", "phi", "--tau", "0+1i", "--m", "2"], capsys)
-    assert json.loads(out)["value"] == vals["phi", "1"]
+    assert json.loads(out)["value"] == vals["1"]
+    code, out, err = run_cli(["eval", "--fn", "phi_signed", "--tau", "0+1i", "--m", "2",
+                              "--sign", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown function phi_signed\n")
 
 
 def test_verify_param_narrowing(capsys):
@@ -467,3 +470,62 @@ def test_family_d21a_j2_j3_rows(capsys):
         if tail[0] in "23":
             rows["j=" + tail] = tuple(row.values())
     assert rows == D21A_J23
+
+
+# each refusal with the message main prints after "error: "
+REFUSALS = [
+    # one of each subcommand, and of no subcommand
+    (["eval", "--fn", "eta", "--tau", "-1i"], "Im tau must be positive, got -1j"),
+    (["qexp", "--fn", "phi_tilde"], "unsupported-function: phi_tilde has no exact q-expansion"),
+    (["verify"], "verify needs --id or --tag"),
+    (["verify", "--id", "nope"], "unknown identity id nope"),
+    (["verify", "--tag", "nope"], "unknown tag nope"),
+    (["verify", "--id", "eq1.4", "--m", "7"], "no parameter set of eq1.4 matches m=7"),
+    (["family", "--family", "n5"], "unknown family n5"),
+    (["smatrix", "--family", "n3", "--p", "1"],
+     "smatrix is available for the d21a boundary family"),
+    ([], "the following arguments are required: cmd"),
+    # usage errors: a missing or unknown option, a value that does not parse
+    (["eval", "--tau", "1i"], "the following arguments are required: --fn"),
+    (["eval", "--fn", "eta", "--tau", "1i", "--nope", "1"], "unrecognized arguments: --nope 1"),
+    (["verify", "--id", "eq1.4", "--grid", "abc"],
+     "argument --grid: cannot parse grid 'abc', expected NxM"),
+    # every option is read as it is parsed, also one the function ignores
+    (["eval", "--fn", "eta", "--tau", "1i", "--m", "x"],
+     "argument --m: cannot parse rational number 'x'"),
+    (["eval", "--fn", "phi_signed", "--tau", "1i"], "unknown function phi_signed"),
+]
+
+
+@pytest.mark.parametrize("args, message", REFUSALS,
+                         ids=[" ".join(args) or "no command" for args, _ in REFUSALS])
+def test_every_refusal_is_one_error_line(args, message, capsys):
+    assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
+
+
+def readme_cli_lines() -> list:
+    """The arguments of each command line of README's "CLI" block."""
+    import pathlib
+    import shlex
+
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mockforms ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_lines()) >= 7
+
+
+@pytest.mark.parametrize("args", readme_cli_lines())
+def test_readme_cli_examples_run(args, capsys):
+    # eq1.15 fails by design at s = 1/2 (README, "Verification registry"),
+    # and the --id eq1.15 and --tag all lines run it there
+    code, out, err = run_cli(args, capsys)
+    assert err == "" and code == (1 if {"eq1.15", "all"} & set(args) else 0)
+    lines = out.splitlines()
+    if "csv" in args:
+        assert lines[0] == "id,max_abs_err,tol,pass,skipped"
+        assert len(lines) > 1 and all(len(row.split(",")) == 5 for row in lines[1:])
+    else:
+        assert lines and all(isinstance(json.loads(line), dict) for line in lines)
